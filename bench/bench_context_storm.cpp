@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
   json.Add("async_draws_per_sec", draws / async.seconds, "/s");
   json.Add("inline_storm", inline_mode.seconds, "s");
   json.Add("async_overhead_vs_inline", async.seconds / inline_mode.seconds,
-           "x");
+           "x_lower");
   json.Add("async_inline_identical", identical ? 1.0 : 0.0, "bool");
   json.Add("fb_hash", async.fb_hash, "hash");
   json.Add("alu_ops_per_draw", static_cast<double>(async.alu_ops) / draws,

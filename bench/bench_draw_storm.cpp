@@ -95,8 +95,7 @@ GLuint BuildProgram(gles2::Context& ctx) {
 // per-draw setup tax under test), not context/program setup or readback.
 StormResult RunStorm(int draws, int shader_threads,
                      gles2::ExecEngine engine = gles2::ExecEngine::kBatchedVm,
-                     int simd = -1, std::uint64_t draw_budget = 0,
-                     int vertex_batch = -1) {
+                     int simd = -1, std::uint64_t draw_budget = 0) {
   gles2::ContextConfig cfg;
   cfg.width = kTargetSize;
   cfg.height = kTargetSize;
@@ -105,7 +104,6 @@ StormResult RunStorm(int draws, int shader_threads,
   cfg.exec_engine = engine;
   cfg.simd = simd;
   cfg.draw_budget = draw_budget;
-  cfg.vertex_batch = vertex_batch;
   gles2::Context ctx(cfg);
 
   const GLuint prog = BuildProgram(ctx);
@@ -172,13 +170,11 @@ int main(int argc, char** argv) {
   constexpr int kReps = 3;
   auto best_of = [&](int threads,
                      gles2::ExecEngine engine = gles2::ExecEngine::kBatchedVm,
-                     int simd = -1, std::uint64_t draw_budget = 0,
-                     int vertex_batch = -1) {
-    StormResult best =
-        RunStorm(draws, threads, engine, simd, draw_budget, vertex_batch);
+                     int simd = -1, std::uint64_t draw_budget = 0) {
+    StormResult best = RunStorm(draws, threads, engine, simd, draw_budget);
     for (int r = 1; r < kReps; ++r) {
       const StormResult again =
-          RunStorm(draws, threads, engine, simd, draw_budget, vertex_batch);
+          RunStorm(draws, threads, engine, simd, draw_budget);
       if (again.seconds < best.seconds) best = again;
     }
     return best;
@@ -260,26 +256,10 @@ int main(int argc, char** argv) {
               watchdog_identical ? "identical" : "MISMATCH", watchdog.seconds,
               watchdog.seconds / serial.seconds);
 
-  // Vertex A/B: the same storm with the lane-batched vertex stage forced
-  // off (scalar per-vertex reference loop). Three vertices per draw is the
-  // batched path's worst case — every draw is one 3-lane tail batch — so
-  // this leg prices the gather/scatter overhead at minimum amortization and
-  // pins the two vertex paths byte-identical under per-draw uniform churn.
-  const StormResult scalar_vertex =
-      best_of(/*shader_threads=*/1, gles2::ExecEngine::kBatchedVm,
-              /*simd=*/-1, /*draw_budget=*/0, /*vertex_batch=*/0);
-  const bool vertex_identical = serial.fb_hash == scalar_vertex.fb_hash &&
-                                serial.alu_ops == scalar_vertex.alu_ops;
-  std::printf("  scalar vertex stage: %s (%8.3f s, batched-vertex speedup "
-              "%.2fx)\n",
-              vertex_identical ? "identical" : "MISMATCH",
-              scalar_vertex.seconds, scalar_vertex.seconds / serial.seconds);
-
   const bool ok = identical && batched_identical && simd_identical &&
-                  watchdog_identical && compiled_identical &&
-                  vertex_identical && serial.draw_ok && pooled.draw_ok &&
-                  scalar.draw_ok && soa.draw_ok && watchdog.draw_ok &&
-                  compiled.draw_ok && scalar_vertex.draw_ok;
+                  watchdog_identical && compiled_identical && serial.draw_ok &&
+                  pooled.draw_ok && scalar.draw_ok && soa.draw_ok &&
+                  watchdog.draw_ok && compiled.draw_ok;
 
   bench::JsonBenchWriter json("draw_storm");
   json.Add("draws", draws, "count");
@@ -296,12 +276,9 @@ int main(int argc, char** argv) {
            serial.seconds / compiled.seconds, "x");
   json.Add("compiled_identical", compiled_identical ? 1.0 : 0.0, "bool");
   json.Add("watchdog_storm", watchdog.seconds, "s");
-  json.Add("watchdog_overhead", watchdog.seconds / serial.seconds, "x");
+  json.Add("watchdog_overhead", watchdog.seconds / serial.seconds,
+           "x_lower");
   json.Add("watchdog_identical", watchdog_identical ? 1.0 : 0.0, "bool");
-  json.Add("scalar_vertex_storm", scalar_vertex.seconds, "s");
-  json.Add("vertex_batch_speedup",
-           scalar_vertex.seconds / serial.seconds, "x");
-  json.Add("vertex_batch_identical", vertex_identical ? 1.0 : 0.0, "bool");
   json.Add("alu_ops_per_draw",
            static_cast<double>(serial.alu_ops) / draws, "ops");
   json.Add("fb_hash", serial.fb_hash, "hash");

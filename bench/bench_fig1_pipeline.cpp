@@ -150,10 +150,10 @@ std::uint32_t Fnv1a(const std::vector<std::uint8_t>& bytes) {
 }
 
 // `simd` follows ContextConfig::simd (-1 auto, 0 scalar SoA, 1 SSE2 cap,
-// 2 AVX2 cap); `batch_width` is the rasterizer's fragment-batch fill width.
-// Every combination must hash identically — only wall clock may move.
+// 2 AVX2 cap). Every combination must hash identically — only wall clock
+// may move.
 VectorHeavyResult RunVectorHeavy(gles2::ExecEngine engine, int size,
-                                 int simd = -1, int batch_width = 16) {
+                                 int simd = -1) {
   gles2::ContextConfig cfg;
   cfg.width = size;
   cfg.height = size;
@@ -161,7 +161,6 @@ VectorHeavyResult RunVectorHeavy(gles2::ExecEngine engine, int size,
   cfg.shader_threads = 1;
   cfg.exec_engine = engine;
   cfg.simd = simd;
-  cfg.fragment_batch_width = batch_width;
   gles2::Context ctx(cfg);
 
   const GLuint vs = ctx.CreateShader(GL_VERTEX_SHADER);
@@ -272,14 +271,11 @@ int main(int argc, char** argv) {
 
   // --- vector-heavy lighting scene: the SoA-kernel showcase ---------------
   const int vh_size = quick ? 256 : 512;
-  auto best_vh = [&](gles2::ExecEngine engine, int simd = -1,
-                     int batch_width = 16) {
-    VectorHeavyResult best =
-        RunVectorHeavy(engine, vh_size, simd, batch_width);
+  auto best_vh = [&](gles2::ExecEngine engine, int simd = -1) {
+    VectorHeavyResult best = RunVectorHeavy(engine, vh_size, simd);
     bool all_ok = best.ok;
     for (int r = 1; r < reps; ++r) {
-      VectorHeavyResult again =
-          RunVectorHeavy(engine, vh_size, simd, batch_width);
+      VectorHeavyResult again = RunVectorHeavy(engine, vh_size, simd);
       all_ok = all_ok && again.ok && again.fb_hash == best.fb_hash;
       if (again.seconds < best.seconds) best.seconds = again.seconds;
     }
@@ -302,7 +298,7 @@ int main(int argc, char** argv) {
 
   // SIMD A/B on the batched engine: the auto-resolved vector kernels
   // against the same SoA batch loops with SIMD forced off (cfg.simd = 0).
-  // Same engine, same batch width — the delta isolates the PR 6 kernels.
+  // Same engine, same batches — the delta isolates the SIMD kernels.
   const VectorHeavyResult vh_soa =
       best_vh(gles2::ExecEngine::kBatchedVm, /*simd=*/0);
   const bool simd_identical = vh_soa.fb_hash == vh_batched.fb_hash;
@@ -324,23 +320,6 @@ int main(int argc, char** argv) {
               vh_compiled.seconds,
               vh_batched.seconds / vh_compiled.seconds,
               compiled_identical ? "identical" : "MISMATCH");
-
-  // Fragment-batch fill width sweep: wider batches amortize more dispatch
-  // overhead and feed fuller SIMD spans, narrower ones waste fewer lanes on
-  // partially covered edges. Output bytes must not depend on the width.
-  std::printf("  batch-width sweep (batched VM, auto simd):\n");
-  bool width_identical = true;
-  double width_seconds[3] = {0.0, 0.0, 0.0};
-  constexpr int kWidths[3] = {8, 16, 32};
-  for (int wi = 0; wi < 3; ++wi) {
-    const VectorHeavyResult r = best_vh(gles2::ExecEngine::kBatchedVm,
-                                        /*simd=*/-1, kWidths[wi]);
-    width_identical =
-        width_identical && r.ok && r.fb_hash == vh_batched.fb_hash;
-    width_seconds[wi] = r.seconds;
-    std::printf("    width %2d:  %8.3f s  [%s]\n", kWidths[wi], r.seconds,
-                r.fb_hash == vh_batched.fb_hash ? "identical" : "MISMATCH");
-  }
 
   bench::JsonBenchWriter json("fig1_pipeline");
   json.Add("vm_sweep", vm.seconds, "s");
@@ -367,10 +346,6 @@ int main(int argc, char** argv) {
            vh_batched.seconds / vh_compiled.seconds, "x");
   json.Add("compiled_identical",
            compiled_identical && vh_compiled.ok ? 1.0 : 0.0, "bool");
-  json.Add("vector_heavy_w8", width_seconds[0], "s");
-  json.Add("vector_heavy_w16", width_seconds[1], "s");
-  json.Add("vector_heavy_w32", width_seconds[2], "s");
-  json.Add("width_sweep_identical", width_identical ? 1.0 : 0.0, "bool");
   if (!json.Write()) {
     std::fprintf(stderr, "warning: could not write BENCH_fig1_pipeline.json\n");
   }
@@ -420,8 +395,8 @@ int main(int argc, char** argv) {
 
   const bool all_ok = batched.ok && vm.ok && tree.ok && scaling_ok &&
                       vh_identical && vh_batched.ok && vh_scalar.ok &&
-                      simd_identical && vh_soa.ok && width_identical &&
-                      compiled_identical && vh_compiled.ok;
+                      simd_identical && vh_soa.ok && compiled_identical &&
+                      vh_compiled.ok;
   std::printf("\nresult: %s\n", all_ok ? "every size maps 1:1" : "FAILURE");
   return all_ok ? 0 : 1;
 }

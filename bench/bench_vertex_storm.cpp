@@ -7,10 +7,9 @@
 // transform work (rotate, scale, trig, normalize) while the fragment shader
 // is a passthrough, re-drawn over several animated frames so the vertex
 // stage dominates wall clock. A/B legs hold the batched vertex stage
-// byte-identical to the scalar per-vertex reference loop (and to the SIMD-
-// off SoA tier and the compiled engine) via FNV framebuffer hashes and ALU
-// op counts, and BENCH_vertex_storm.json records the speedup for CI's
-// check_bench.py gate.
+// byte-identical to the SIMD-off SoA tier and the compiled engine via FNV
+// framebuffer hashes and ALU op counts, and BENCH_vertex_storm.json records
+// the speedups for CI's check_bench.py gate.
 //
 // Usage: bench_vertex_storm [--quick] [--tris N] [--frames N]
 //   --quick: CI smoke size (fewer triangles/frames), same metric names.
@@ -131,7 +130,7 @@ StormResult RunStorm(int tris, int frames,
                      const std::vector<float>& pos,
                      const std::vector<float>& aux,
                      gles2::ExecEngine engine = gles2::ExecEngine::kBatchedVm,
-                     int simd = -1, int vertex_batch = -1) {
+                     int simd = -1) {
   gles2::ContextConfig cfg;
   cfg.width = kTargetSize;
   cfg.height = kTargetSize;
@@ -139,7 +138,6 @@ StormResult RunStorm(int tris, int frames,
   cfg.shader_threads = 1;
   cfg.exec_engine = engine;
   cfg.simd = simd;
-  cfg.vertex_batch = vertex_batch;
   gles2::Context ctx(cfg);
 
   const GLuint prog = BuildProgram(ctx);
@@ -213,12 +211,11 @@ int main(int argc, char** argv) {
   constexpr int kReps = 3;
   auto best_of = [&](gles2::ExecEngine engine =
                          gles2::ExecEngine::kBatchedVm,
-                     int simd = -1, int vertex_batch = -1) {
-    StormResult best =
-        RunStorm(tris, frames, pos, aux, engine, simd, vertex_batch);
+                     int simd = -1) {
+    StormResult best = RunStorm(tris, frames, pos, aux, engine, simd);
     for (int r = 1; r < kReps; ++r) {
       const StormResult again =
-          RunStorm(tris, frames, pos, aux, engine, simd, vertex_batch);
+          RunStorm(tris, frames, pos, aux, engine, simd);
       if (again.seconds < best.seconds) best = again;
     }
     return best;
@@ -227,21 +224,6 @@ int main(int argc, char** argv) {
   const StormResult batched = best_of();
   std::printf("  batched vertex:      %8.3f s  (%8.0f verts/s, best of %d)\n",
               batched.seconds, verts / batched.seconds, kReps);
-
-  // The headline A/B: the identical storm with the vertex stage forced back
-  // onto the scalar per-vertex reference loop. Same engine, same SIMD tier
-  // for the fragment stage — the delta is purely the lane-batched vertex
-  // path this bench exists to defend.
-  const StormResult scalar_vertex =
-      best_of(gles2::ExecEngine::kBatchedVm, /*simd=*/-1,
-              /*vertex_batch=*/0);
-  const bool vertex_identical = batched.fb_hash == scalar_vertex.fb_hash &&
-                                batched.alu_ops == scalar_vertex.alu_ops;
-  std::printf("  scalar vertex stage: %s (%8.3f s, batched-vertex speedup "
-              "%.2fx)\n",
-              vertex_identical ? "identical" : "MISMATCH",
-              scalar_vertex.seconds,
-              scalar_vertex.seconds / batched.seconds);
 
   // SIMD A/B: vector kernels off, scalar SoA batch loops on. Full 32-lane
   // vertex batches are the SIMD tiers' best case (the draw storm only ever
@@ -271,9 +253,8 @@ int main(int argc, char** argv) {
   // visible coverage from the mesh.
   const bool coverage_ok = batched.fb_hash != 0 && batched.alu_ops > 0;
 
-  const bool ok = vertex_identical && simd_identical && compiled_identical &&
-                  coverage_ok && batched.draw_ok && scalar_vertex.draw_ok &&
-                  soa.draw_ok && compiled.draw_ok;
+  const bool ok = simd_identical && compiled_identical && coverage_ok &&
+                  batched.draw_ok && soa.draw_ok && compiled.draw_ok;
 
   bench::JsonBenchWriter json("vertex_storm");
   json.Add("tris", tris, "count");
@@ -281,10 +262,6 @@ int main(int argc, char** argv) {
   json.Add("vertex_shades", static_cast<double>(verts), "count");
   json.Add("batched_storm", batched.seconds, "s");
   json.Add("verts_per_sec", verts / batched.seconds, "/s");
-  json.Add("scalar_vertex_storm", scalar_vertex.seconds, "s");
-  json.Add("vertex_batch_speedup",
-           scalar_vertex.seconds / batched.seconds, "x");
-  json.Add("vertex_batch_identical", vertex_identical ? 1.0 : 0.0, "bool");
   json.Add("soa_storm", soa.seconds, "s");
   json.Add("simd_speedup_vs_soa", soa.seconds / batched.seconds, "x");
   json.Add("simd_identical", simd_identical ? 1.0 : 0.0, "bool");
@@ -296,10 +273,7 @@ int main(int argc, char** argv) {
            static_cast<double>(batched.alu_ops) / verts, "ops");
   json.Add("fb_hash", batched.fb_hash, "hash");
   json.Add("draw_errors_ok",
-           batched.draw_ok && scalar_vertex.draw_ok && soa.draw_ok &&
-                   compiled.draw_ok
-               ? 1.0
-               : 0.0,
+           batched.draw_ok && soa.draw_ok && compiled.draw_ok ? 1.0 : 0.0,
            "bool");
   if (!json.Write()) {
     std::fprintf(stderr,

@@ -8,7 +8,8 @@ committed baseline (ci/bench_baseline.json) and fails the job when:
     "count" (coverage flags, framebuffer checksums, op counts: these must be
     bit-stable on every machine, so any drift is a real behaviour change);
   * a *timing* metric regressed more than the hard threshold (default 25%)
-    — units "s" (lower is better), "x" and "/s" (higher is better).
+    — units "s" and "x_lower" (lower is better: times, overhead ratios),
+    "x" and "/s" (higher is better: speedups, rates).
     Regressions between the soft (10%) and hard thresholds only warn, to
     tolerate shared-runner noise; improvements never fail.
 
@@ -44,7 +45,7 @@ import platform
 import sys
 
 DETERMINISTIC_UNITS = {"bool", "hash", "ops", "count"}
-LOWER_IS_BETTER_UNITS = {"s"}
+LOWER_IS_BETTER_UNITS = {"s", "x_lower"}
 HIGHER_IS_BETTER_UNITS = {"x", "/s"}
 SKIP_UNITS = {"threads"}
 
@@ -147,7 +148,7 @@ def check(baseline_path, bench_files, skip_timing):
                 print(f"  skip  {label} (timing, --skip-timing)")
                 continue
             if unit in LOWER_IS_BETTER_UNITS:
-                if max(bval, cval) < MIN_GATED_SECONDS:
+                if unit == "s" and max(bval, cval) < MIN_GATED_SECONDS:
                     print(f"  skip  {label} = {cval:g} {unit} "
                           f"(< {MIN_GATED_SECONDS}s noise floor)")
                     continue

@@ -20,7 +20,6 @@ Device::Device(const DeviceOptions& options)
   cfg.exec_engine = options_.exec_engine;
   cfg.shader_threads = options_.shader_threads;
   cfg.simd = options_.simd;
-  cfg.jit = options_.jit;
   cfg.max_texture_size = options_.max_texture_size;
   cfg.renderer_name = "mgpu software GLES2 (" + options_.profile.name + ")";
   ctx_ = std::make_unique<gles2::Context>(cfg, &alu_);
@@ -37,7 +36,7 @@ int Device::FragmentHighpMantissaBits() {
 const float* Device::quad_vertices() const { return kQuad; }
 
 void Device::SyncShaderOps() {
-  const glsl::OpCounts now = alu_.counts();
+  const glsl::OpCounts now = ctx_->alu().counts();
   work_.shader_ops.alu += now.alu - last_ops_.alu;
   work_.shader_ops.sfu += now.sfu - last_ops_.sfu;
   work_.shader_ops.sfu_trans += now.sfu_trans - last_ops_.sfu_trans;

@@ -25,8 +25,10 @@ struct DeviceOptions {
   // instruction over all lanes, the way a VC4 QPU runs pixel groups through
   // one instruction stream. kBytecodeVm selects the scalar VM (one
   // dispatch-loop pass per fragment) and kTreeWalk the tree-walking
-  // interpreter; all three produce identical output bytes and ALU/SFU/TMU
-  // op counts, so either oracle can differentially check the batched path.
+  // interpreter, and kCompiled the batched VM with per-link native code
+  // (when a host compiler is available, see glsl::jit::Available()); all
+  // four produce identical output bytes and ALU/SFU/TMU op counts, so either
+  // oracle can differentially check the batched paths.
   gles2::ExecEngine exec_engine = gles2::ExecEngine::kBatchedVm;
   // Fragment-shading workers for the tiled rasterizer: 0 = one per hardware
   // thread (default), 1 = serial reference path. Results (output bytes and
@@ -40,11 +42,6 @@ struct DeviceOptions {
   // produces byte-identical framebuffers and op counts; see
   // gles2::ContextConfig::simd.
   int simd = -1;
-  // Compiled-engine (kCompiled) availability: -1 honors the MGPU_JIT
-  // environment override (exactly "0" disables) and otherwise probes for a
-  // host C++ compiler; 0 forces the kBatchedVm fallback, >0 requires only
-  // the toolchain probe. Mirrors `simd`; see gles2::ContextConfig::jit.
-  int jit = -1;
   int max_texture_size = 4096;
 };
 
@@ -75,7 +72,8 @@ class Device {
   // Returns the accumulated work and resets the accumulator (also resets the
   // ALU counters so successive measurements are independent).
   vc4::GpuWork ConsumeWork();
-  // Folds the ALU counter delta since the last sync into work().
+  // Folds the ALU counter delta since the last sync into work(). A sync
+  // point: recorded draws finish executing before the counters are read.
   void SyncShaderOps();
 
  private:

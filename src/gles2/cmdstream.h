@@ -2,10 +2,10 @@
 // VideoCore IV is driven by recorded control lists that the binner/renderer
 // consume asynchronously, not by immediate-mode calls; this module gives the
 // software context the same shape. Client calls are recorded into a
-// replayable CommandList (with dirty-state diffing on the fixed-function
-// setters and record-time snapshots of client vertex/index arrays), and the
-// open list is submitted to a process-wide consumer thread — the "device" —
-// that executes lists from every live context in fair FIFO arrival order.
+// replayable CommandList (with record-time snapshots of client vertex/index
+// arrays), and the open list is submitted to a process-wide consumer
+// thread — the "device" — that executes lists from every live context in
+// fair FIFO arrival order.
 //
 // Bit-identity argument: a recorded command is a closure that re-enters the
 // very public Context method the client called. On the device thread
@@ -17,17 +17,14 @@
 // draws touching client-owned memory (vertex arrays, client index arrays):
 // those are snapshotted at record time, exactly when the GL contract says
 // the pointers must be readable, and replayed through
-// Context::ReplayRecordedDraw. Dirty-state diffing only ever elides a
-// setter that is provably a no-op (valid arguments, identical to the
-// shadowed current state), so elision cannot change observable state or
-// error order either.
+// Context::ReplayRecordedDraw.
 //
 // Failure model: a list the device drops (seeded kCmdSubmit fault, or a
 // command escaping with an exception) marks the queue submit-failed. While
-// the flag is set the shadow state is suspect, so diffing stops eliding and
-// draws stop recording; the context's next sync point latches
-// GL_OUT_OF_MEMORY + GL_INNOCENT_CONTEXT_RESET (the client did nothing
-// wrong) and resynchronizes the shadow from the context's real state.
+// the flag is set the attribute shadow is suspect, so draws stop recording;
+// the context's next sync point latches GL_OUT_OF_MEMORY +
+// GL_INNOCENT_CONTEXT_RESET (the client did nothing wrong) and
+// resynchronizes the shadow from the context's real state.
 #ifndef MGPU_GLES2_CMDSTREAM_H_
 #define MGPU_GLES2_CMDSTREAM_H_
 
@@ -54,12 +51,12 @@ struct AttribCopy {
   std::shared_ptr<std::vector<std::uint8_t>> bytes;
 };
 
-// Record / elide / submit tallies, exposed through
+// Record / submit tallies, exposed through
 // Context::command_stream_stats() for the tests and benches. All zero in
 // immediate mode.
 struct Stats {
   std::uint64_t recorded = 0;         // commands recorded into lists
-  std::uint64_t elided = 0;           // setters dropped by dirty diffing
+  std::uint64_t elided = 0;           // always 0: every call records
   std::uint64_t draws = 0;            // draws recorded (incl. snapshots)
   std::uint64_t inline_syncs = 0;     // draws that fell back to sync+inline
   std::uint64_t sync_points = 0;      // Context::Sync() flush+joins
@@ -122,23 +119,6 @@ class CommandQueue {
   // closure). Auto-flushes when the open list reaches kAutoFlush commands.
   void Push(std::function<void(Context&)> cmd);
 
-  // Fixed-function setters with dirty-state diffing: a call with valid
-  // arguments identical to the shadowed state is elided; anything else —
-  // unknown shadow, changed value, or invalid arguments (whose GL error
-  // must surface at execution, in order) — is recorded.
-  void Enable(GLenum cap);
-  void Disable(GLenum cap);
-  void Viewport(GLint x, GLint y, GLsizei w, GLsizei h);
-  void Scissor(GLint x, GLint y, GLsizei w, GLsizei h);
-  void ClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a);
-  void BlendFunc(GLenum src, GLenum dst);
-  void DepthFunc(GLenum func);
-  void DepthMask(GLboolean flag);
-  void ColorMask(GLboolean r, GLboolean g, GLboolean b, GLboolean a);
-  void CullFace(GLenum mode);
-  void FrontFace(GLenum dir);
-  void PixelStorei(GLenum pname, GLint value);
-
   // Attribute / buffer-binding mutators: always recorded, and additionally
   // mirrored into the shadow the draw-time snapshot decisions read. The
   // shadow update replicates the context's own validation, so it tracks
@@ -176,38 +156,6 @@ class CommandQueue {
  private:
   friend class Device;
 
-  // Shadow of the context's fixed-function state, used only to prove
-  // setters redundant. Every field starts unknown; invalid setter calls
-  // leave it untouched (they do not change context state either).
-  struct FfShadow {
-    bool scissor_test = false, scissor_test_known = false;
-    bool depth_test = false, depth_test_known = false;
-    bool blend = false, blend_known = false;
-    bool cull = false, cull_known = false;
-    GLint vp[4] = {0, 0, 0, 0};
-    bool vp_known = false;
-    GLint sc[4] = {0, 0, 0, 0};
-    bool sc_known = false;
-    GLfloat clear[4] = {0, 0, 0, 0};
-    bool clear_known = false;
-    GLenum blend_src = 0, blend_dst = 0;
-    bool blend_func_known = false;
-    GLenum depth_func = 0;
-    bool depth_func_known = false;
-    GLboolean depth_mask = GL_TRUE;
-    bool depth_mask_known = false;
-    GLboolean color_mask[4] = {GL_TRUE, GL_TRUE, GL_TRUE, GL_TRUE};
-    bool color_mask_known = false;
-    GLenum cull_face = 0;
-    bool cull_face_known = false;
-    GLenum front_face = 0;
-    bool front_face_known = false;
-    GLint unpack = 0;
-    bool unpack_known = false;
-    GLint pack = 0;
-    bool pack_known = false;
-  };
-
   // Shadow of one attribute binding — the fields the draw-time snapshot
   // decision needs, maintained with the same validation the context
   // applies. Defaults match AttribState.
@@ -220,13 +168,12 @@ class CommandQueue {
     GLuint buffer = 0;
   };
 
-  // Elision is only sound while the shadow is trusted; a dropped list means
-  // recorded state changes never happened, so everything records until the
-  // next sync resyncs.
-  [[nodiscard]] bool CanElide() const {
+  // Snapshot decisions are only sound while the shadow is trusted; a
+  // dropped list means recorded binding changes never happened, so draws
+  // run inline until the next sync resyncs.
+  [[nodiscard]] bool ShadowTrusted() const {
     return !submit_failed_.load(std::memory_order_acquire);
   }
-  void SetCap(GLenum cap, bool on);
   [[nodiscard]] bool HasClientAttribs() const;
   // Copies every enabled client vertex array covering vertices
   // [0, max_vertex]. False when a snapshot would exceed kMaxSnapshotBytes
@@ -234,12 +181,11 @@ class CommandQueue {
   bool SnapshotClientAttribs(GLuint max_vertex,
                              std::shared_ptr<std::vector<AttribCopy>>* out);
   // Rebuilds the shadow from the owning context's real state (device must
-  // be idle). Fixed-function shadow resets to all-unknown.
+  // be idle).
   void ResyncShadow();
 
   Context* owner_;
   CommandList open_;
-  FfShadow ff_;
   std::vector<AttribShadow> attribs_;
   GLuint array_buffer_ = 0;
   GLuint element_array_buffer_ = 0;

@@ -114,20 +114,6 @@ void ShadeStateCache::InvalidateProgram(GLuint program) {
 Context::Context(const ContextConfig& config, glsl::AluModel* alu)
     : config_(config), alu_(alu != nullptr ? alu : &default_alu_) {
   simd_level_ = glsl::simd::Resolve(config_.simd);
-  // Resolve the compiled-engine availability once (knob + MGPU_JIT env +
-  // toolchain probe); kCompiled draws fall back to the batched interpreter
-  // when this is false.
-  jit_enabled_ = glsl::jit::Resolve(config_.jit);
-  // Vertex-stage batching knob: an explicit 0/1 wins; -1 = auto (the
-  // MGPU_VERTEX_BATCH env override if set, else on). Mirrors simd/jit.
-  vertex_batch_enabled_ = config_.vertex_batch != 0;
-  if (config_.vertex_batch < 0) {
-    if (const char* env = std::getenv("MGPU_VERTEX_BATCH")) {
-      vertex_batch_enabled_ = std::strtol(env, nullptr, 10) != 0;
-    }
-  }
-  config_.fragment_batch_width =
-      std::clamp(config_.fragment_batch_width, 1, kFragBatchWidth);
   shade_cache_.SetCapacity(
       static_cast<std::size_t>(std::max(config_.shade_cache_capacity, 1)));
   draw_budget_ = config_.draw_budget;
@@ -146,8 +132,8 @@ Context::Context(const ContextConfig& config, glsl::AluModel* alu)
   sc_w_ = config_.width;
   sc_h_ = config_.height;
   // Command-stream knob: an explicit 0/1 wins; -1 = auto (the MGPU_ASYNC
-  // env override if set, else on). Mirrors simd/jit/vertex_batch. Created
-  // last: from here on client calls may be recorded.
+  // env override if set, else on). Mirrors simd. Created last: from here
+  // on client calls may be recorded.
   bool async = config_.async_submit != 0;
   if (config_.async_submit < 0) {
     if (const char* env = std::getenv("MGPU_ASYNC")) {
@@ -288,7 +274,7 @@ GLenum Context::GetGraphicsResetStatus() {
 
 void Context::Enable(GLenum cap) {
   if (Recording()) {
-    record_->Enable(cap);
+    record_->Push([cap](Context& c) { c.Enable(cap); });
     return;
   }
   switch (cap) {
@@ -303,7 +289,7 @@ void Context::Enable(GLenum cap) {
 
 void Context::Disable(GLenum cap) {
   if (Recording()) {
-    record_->Disable(cap);
+    record_->Push([cap](Context& c) { c.Disable(cap); });
     return;
   }
   switch (cap) {
@@ -318,7 +304,7 @@ void Context::Disable(GLenum cap) {
 
 void Context::Viewport(GLint x, GLint y, GLsizei w, GLsizei h) {
   if (Recording()) {
-    record_->Viewport(x, y, w, h);
+    record_->Push([x, y, w, h](Context& c) { c.Viewport(x, y, w, h); });
     return;
   }
   if (w < 0 || h < 0) {
@@ -330,7 +316,7 @@ void Context::Viewport(GLint x, GLint y, GLsizei w, GLsizei h) {
 
 void Context::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
   if (Recording()) {
-    record_->Scissor(x, y, w, h);
+    record_->Push([x, y, w, h](Context& c) { c.Scissor(x, y, w, h); });
     return;
   }
   if (w < 0 || h < 0) {
@@ -342,7 +328,7 @@ void Context::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
 
 void Context::ClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
   if (Recording()) {
-    record_->ClearColor(r, g, b, a);
+    record_->Push([r, g, b, a](Context& c) { c.ClearColor(r, g, b, a); });
     return;
   }
   clear_color_ ={std::clamp(r, 0.0f, 1.0f), std::clamp(g, 0.0f, 1.0f),
@@ -351,7 +337,7 @@ void Context::ClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
 
 void Context::BlendFunc(GLenum src, GLenum dst) {
   if (Recording()) {
-    record_->BlendFunc(src, dst);
+    record_->Push([src, dst](Context& c) { c.BlendFunc(src, dst); });
     return;
   }
   blend_src_ = src;
@@ -360,7 +346,7 @@ void Context::BlendFunc(GLenum src, GLenum dst) {
 
 void Context::DepthFunc(GLenum func) {
   if (Recording()) {
-    record_->DepthFunc(func);
+    record_->Push([func](Context& c) { c.DepthFunc(func); });
     return;
   }
   if (func < GL_NEVER || func > GL_ALWAYS) {
@@ -372,7 +358,7 @@ void Context::DepthFunc(GLenum func) {
 
 void Context::DepthMask(GLboolean flag) {
   if (Recording()) {
-    record_->DepthMask(flag);
+    record_->Push([flag](Context& c) { c.DepthMask(flag); });
     return;
   }
   depth_write_ = flag != GL_FALSE;
@@ -380,7 +366,7 @@ void Context::DepthMask(GLboolean flag) {
 
 void Context::ColorMask(GLboolean r, GLboolean g, GLboolean b, GLboolean a) {
   if (Recording()) {
-    record_->ColorMask(r, g, b, a);
+    record_->Push([r, g, b, a](Context& c) { c.ColorMask(r, g, b, a); });
     return;
   }
   color_mask_ = {r != GL_FALSE, g != GL_FALSE, b != GL_FALSE, a != GL_FALSE};
@@ -388,7 +374,7 @@ void Context::ColorMask(GLboolean r, GLboolean g, GLboolean b, GLboolean a) {
 
 void Context::CullFace(GLenum mode) {
   if (Recording()) {
-    record_->CullFace(mode);
+    record_->Push([mode](Context& c) { c.CullFace(mode); });
     return;
   }
   if (mode != GL_FRONT && mode != GL_BACK && mode != GL_FRONT_AND_BACK) {
@@ -400,7 +386,7 @@ void Context::CullFace(GLenum mode) {
 
 void Context::FrontFace(GLenum dir) {
   if (Recording()) {
-    record_->FrontFace(dir);
+    record_->Push([dir](Context& c) { c.FrontFace(dir); });
     return;
   }
   if (dir != GL_CW && dir != GL_CCW) {
@@ -412,7 +398,7 @@ void Context::FrontFace(GLenum dir) {
 
 void Context::PixelStorei(GLenum pname, GLint value) {
   if (Recording()) {
-    record_->PixelStorei(pname, value);
+    record_->Push([pname, value](Context& c) { c.PixelStorei(pname, value); });
     return;
   }
   if (value != 1 && value != 2 && value != 4 && value != 8) {
@@ -2337,25 +2323,24 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // --- engine selection: the lane-batched VM is the production path; the
   // scalar VM and the tree-walking interpreter are switchable reference
   // oracles. Under the batched engines both stages run lane-batched
-  // (vertices through ShadeVerticesBatched unless vertex_batch is off);
-  // the oracle engines keep the scalar per-vertex loop. ---
+  // (vertices through ShadeVerticesBatched); the oracle engines keep the
+  // scalar per-vertex loop. ---
   const bool use_tree = config_.exec_engine == ExecEngine::kTreeWalk;
   const bool use_vm = !use_tree;
   const bool use_batch = config_.exec_engine == ExecEngine::kBatchedVm ||
                          config_.exec_engine == ExecEngine::kCompiled;
-  const bool batch_vertex = use_batch && vertex_batch_enabled_;
 
   // Compiled engine: build each stage's native module lazily at its first
   // kCompiled draw after link, so the interpreter engines never pay the
   // toolchain invocation. A null result (no host compiler, divergent
   // control flow, compile failure) latches and the draw runs as kBatchedVm.
-  if (config_.exec_engine == ExecEngine::kCompiled && jit_enabled_ &&
-      !prog->fs_jit_attempted) {
+  const bool compiled = config_.exec_engine == ExecEngine::kCompiled &&
+                        glsl::jit::Available();
+  if (compiled && !prog->fs_jit_attempted) {
     prog->fs_jit = glsl::jit::CompileProgram(*prog->fs_bytecode);
     prog->fs_jit_attempted = true;
   }
-  if (config_.exec_engine == ExecEngine::kCompiled && jit_enabled_ &&
-      batch_vertex && !prog->vs_jit_attempted) {
+  if (compiled && !prog->vs_jit_attempted) {
     prog->vs_jit = glsl::jit::CompileProgram(*prog->vs_bytecode);
     prog->vs_jit_attempted = true;
   }
@@ -2368,7 +2353,7 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // would have carried.
   std::vector<RasterVertex>& verts = scratch_verts_;
   verts.resize(static_cast<std::size_t>(count));
-  if (batch_vertex
+  if (use_batch
           ? !ShadeVerticesBatched(prog, count, index_at, verts,
                                   draw_start_counts)
           : !ShadeVerticesScalar(prog, use_vm, count, index_at, verts,
@@ -2620,7 +2605,6 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     w.active_journal = needs_journal ? &w.journal : nullptr;
     w.budget_reported = w.alu->counts().alu;
     w.batch.count = 0;
-    w.batch.width = config_.fragment_batch_width;
   }
 
   const int vc = prog->varying_cells;
@@ -2749,7 +2733,7 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     // within a worker, reverse order unwinds repeated writes to one pixel
     // correctly) and restore the counter snapshot. The post-abort
     // framebuffer, depth plane and counters equal the pre-draw state byte
-    // for byte on every engine, batch width and worker count.
+    // for byte on every engine and worker count.
     for (int i = 0; i < slot_count; ++i) {
       ShadeStateCache::WorkerState& w =
           *entry->workers[static_cast<std::size_t>(i)];

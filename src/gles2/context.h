@@ -31,7 +31,7 @@ class ThreadPool;
 namespace mgpu::gles2 {
 
 // Command-stream types (src/gles2/cmdstream.h): the per-context recording
-// queue, its record/elide tallies, and a draw's client-array snapshot.
+// queue, its record/submit tallies, and a draw's client-array snapshot.
 namespace cmd {
 class CommandQueue;
 struct Stats;
@@ -44,7 +44,7 @@ struct AttribCopy;
 // under either (see bench_ablation_readback and the packing tests).
 enum class FbQuantization { kRoundNearest, kFloorPaper };
 
-// Which shader execution engine draws run on. Three engines, all
+// Which shader execution engine draws run on. Four engines, all
 // byte-identical in framebuffer output and ALU/SFU/TMU op counts:
 //   kBatchedVm  — the production path: fragments are gathered into
 //                 kFragBatchWidth-lane SoA batches and the lowered bytecode
@@ -65,7 +65,9 @@ enum class FbQuantization { kRoundNearest, kFloorPaper };
 //                 interpreter for anything it does not inline (see
 //                 src/glsl/jit.h for the bit-identity argument). Falls back
 //                 to kBatchedVm behaviour when no host compiler is
-//                 available, MGPU_JIT=0, or the program is divergent.
+//                 available (jit::Available()) or the program is divergent.
+// Both batched engines (kBatchedVm, kCompiled) also shade vertices in
+// lane batches; the two oracle engines run the scalar per-vertex loop.
 enum class ExecEngine { kBatchedVm, kBytecodeVm, kTreeWalk, kCompiled };
 
 struct ContextConfig {
@@ -100,42 +102,20 @@ struct ContextConfig {
   // bit-identical at every tier by construction (see src/glsl/simd.h);
   // this knob exists for A/B benchmarking and CI's SIMD-off leg.
   int simd = -1;
-  // Compiled-engine (ExecEngine::kCompiled) availability: -1 = auto (the
-  // MGPU_JIT env override if set — 0 disables — else host-compiler
-  // detection), 0 = force off (kCompiled then behaves exactly like
-  // kBatchedVm), 1 = on when a compiler is detected. Mirrors `simd`; this
-  // knob exists for A/B benchmarking and CI's MGPU_JIT=0 fallback leg.
-  int jit = -1;
-  // Vertex-stage batching under the batched engines (kBatchedVm /
-  // kCompiled): -1 = auto (the MGPU_VERTEX_BATCH env override if set — 0
-  // disables — else on), 0 = force the scalar per-vertex reference loop,
-  // 1 = force on. When on, vertex shading gathers enabled attributes into
-  // the vertex VM's SoA lane planes and runs up to kVmLanes vertices per
-  // RunBatch pass (inheriting the SoA kernels, the SIMD fast paths and the
-  // compiled engine), scattering gl_Position / gl_PointSize / varyings
-  // back in lane order — bit-identical to the scalar loop in framebuffer
-  // bytes, op counts and trap diagnostics (see README). Mirrors `simd` /
-  // `jit`: the knob exists for A/B benchmarking and CI's fallback-off leg.
-  int vertex_batch = -1;
   // VC4-style command stream: -1 = auto (the MGPU_ASYNC env override if
   // set — 0 disables — else on), 0 = immediate mode (every call executes
   // inline, the oracle), 1 = force on. When on, state changes and draws are
-  // recorded into a replayable CommandList (src/gles2/cmdstream.h) with
-  // dirty-state diffing, submitted to a process-wide consumer thread that
-  // executes lists from all contexts in fair FIFO arrival order — the way
-  // real VC4 is driven by control lists rather than immediate-mode calls.
+  // recorded into a replayable CommandList (src/gles2/cmdstream.h),
+  // submitted to a process-wide consumer thread that executes lists from
+  // all contexts in fair FIFO arrival order — the way real VC4 is driven
+  // by control lists rather than immediate-mode calls.
   // Flush() submits the open list, Finish() joins, and every value-
   // returning call (GetError, ReadPixels, GetGraphicsResetStatus, Gen*,
   // Get*, ...) is an implicit sync point, so recorded execution is
   // byte-identical to immediate mode in framebuffer bytes, op counts, GL
   // errors and trap/abort semantics (see README "Command stream"). Mirrors
-  // `simd` / `jit` / `vertex_batch`: the knob exists for A/B benchmarking
-  // and CI's MGPU_ASYNC=0 leg.
+  // `simd`: the knob exists for A/B benchmarking and CI's MGPU_ASYNC=0 leg.
   int async_submit = -1;
-  // Effective fragment-batch fill width (lanes per batched shader
-  // dispatch), clamped to [1, kFragBatchWidth]. Swept 8/16/32 by
-  // bench_fig1_pipeline; the default matches the pre-SIMD batch width.
-  int fragment_batch_width = 16;
   // Per-draw total-work budget in modeled ALU ops (vertex + fragment,
   // AluModel::CountAlu accounting): a watchdog in the spirit of a kernel
   // GPU-hang timeout. 0 (default) disables it; a draw that exceeds the
@@ -537,11 +517,11 @@ class Context {
   // off). Settable at any time; applies to subsequent draws.
   [[nodiscard]] std::uint64_t draw_budget() const { return draw_budget_; }
   void SetDrawBudget(std::uint64_t ops);
-  // Whether batched-engine draws run the lane-batched vertex stage
-  // (ContextConfig::vertex_batch resolved against MGPU_VERTEX_BATCH at
-  // construction). Exposed for the A/B benches and the knob tests.
+  // Whether draws run the lane-batched vertex stage: true exactly under
+  // the batched engines (kBatchedVm, kCompiled).
   [[nodiscard]] bool vertex_batch_enabled() const {
-    return vertex_batch_enabled_;
+    return config_.exec_engine == ExecEngine::kBatchedVm ||
+           config_.exec_engine == ExecEngine::kCompiled;
   }
   // Whether this context records into the async command stream
   // (ContextConfig::async_submit resolved against MGPU_ASYNC at
@@ -549,7 +529,7 @@ class Context {
   [[nodiscard]] bool async_submit_enabled() const {
     return record_ != nullptr;
   }
-  // Record / elide / submit tallies of the command stream (all zero in
+  // Record / submit tallies of the command stream (all zero in
   // immediate mode); see cmd::Stats in cmdstream.h. Sync point: the
   // executed-list count is final when it returns.
   [[nodiscard]] cmd::Stats command_stream_stats();
@@ -618,20 +598,20 @@ class Context {
                        bool is_matrix);
   bool FetchAttribute(const AttribState& a, GLint vertex,
                       std::array<float, 4>* out) const;
-  // Lane-batched vertex stage (batched engines with vertex_batch on):
-  // gathers attributes for chunks of up to kVmLanes vertices straight into
-  // the vertex VM's SoA lane planes, executes one RunBatch pass per chunk,
-  // and scatters clip position / point size / varyings back into `verts`
-  // in lane order. Returns false after fully reporting a draw abort
+  // Lane-batched vertex stage (the batched engines): gathers attributes
+  // for chunks of up to kVmLanes vertices straight into the vertex VM's
+  // SoA lane planes, executes one RunBatch pass per chunk, and scatters
+  // clip position / point size / varyings back into `verts` in lane
+  // order. Returns false after fully reporting a draw abort
   // (attribute fetch failure, watchdog trip, shader trap) with the same
   // observable state as the scalar loop — the caller just returns.
   bool ShadeVerticesBatched(ProgramObject* prog, GLsizei count,
                             const std::function<GLuint(GLsizei)>& index_at,
                             std::vector<RasterVertex>& verts,
                             const glsl::OpCounts& draw_start_counts);
-  // Scalar per-vertex reference loop (the oracle engines, or vertex_batch
-  // off): one FetchAttribute + Run() round trip per vertex. Same
-  // false-means-aborted contract as ShadeVerticesBatched.
+  // Scalar per-vertex reference loop (the oracle engines, and so the
+  // differential tests' reference): one FetchAttribute + Run() round trip
+  // per vertex. Same false-means-aborted contract as ShadeVerticesBatched.
   bool ShadeVerticesScalar(ProgramObject* prog, bool use_vm, GLsizei count,
                            const std::function<GLuint(GLsizei)>& index_at,
                            std::vector<RasterVertex>& verts,
@@ -677,14 +657,6 @@ class Context {
   // clamped to the host's detected tier); stamped onto every linked
   // program's VM engines.
   glsl::simd::Level simd_level_ = glsl::simd::Level::kScalar;
-  // ContextConfig::jit resolved once at construction (env override applied,
-  // host compiler probed): whether kCompiled draws may attach compiled
-  // modules. False = kCompiled silently runs the batched interpreter.
-  bool jit_enabled_ = false;
-  // ContextConfig::vertex_batch resolved once at construction (env
-  // override applied): whether batched-engine draws run the lane-batched
-  // vertex stage. False = every engine keeps the scalar vertex loop.
-  bool vertex_batch_enabled_ = true;
   glsl::ExactAlu default_alu_;
   glsl::AluModel* alu_;
   GLenum error_ = GL_NO_ERROR;

@@ -47,7 +47,7 @@ struct BatchEmitter {
     b.front[l] = front ? 1 : 0;
     b.point_s[l] = ps;
     b.point_t[l] = pt;
-    if (++b.count == b.width) flush();
+    if (++b.count == kFragBatchFill) flush();
   }
 };
 

@@ -62,14 +62,15 @@ using FragmentSink = std::function<void(
 // vec4s); shared by the scalar scratch buffers and the batch planes.
 inline constexpr int kMaxVaryingCells = 64;
 
-// Maximum lane width of a fragment batch — one batched shader dispatch
-// covers up to this many covered fragments. Must equal glsl::kVmLanes (the
-// raster layer stays glsl-free; gles2::Context static_asserts the match).
-// The *effective* fill width of a batch is the runtime FragmentBatch::width
-// (<= this), so the plane strides stay compile-time constants while the
-// dispatch granularity is a per-context knob (ContextConfig::
-// fragment_batch_width, swept 8/16/32 by bench_fig1_pipeline).
+// Lane width of a fragment batch's storage planes. Must equal
+// glsl::kVmLanes (the raster layer stays glsl-free; gles2::Context
+// static_asserts the match).
 inline constexpr int kFragBatchWidth = 32;
+// Fill width of a fragment batch: the rasterizer flushes once this many
+// fragments are queued, so one batched shader dispatch covers up to 16
+// fragments — the 16-pixel group a VC4 QPU shades per instruction.
+inline constexpr int kFragBatchFill = 16;
+static_assert(kFragBatchFill <= kFragBatchWidth);
 
 // A fixed-width batch of covered fragments in SoA ("structure of planes")
 // layout: per-fragment scalars in parallel arrays, interpolated varyings as
@@ -80,9 +81,6 @@ inline constexpr int kFragBatchWidth = 32;
 // when the batch fills; the tile loop flushes the tail.
 struct FragmentBatch {
   int count = 0;
-  // Effective fill width: the rasterizer flushes when count reaches this.
-  // Set by the owner (defaults to full); always in [1, kFragBatchWidth].
-  int width = kFragBatchWidth;
   std::array<std::int32_t, kFragBatchWidth> x;
   std::array<std::int32_t, kFragBatchWidth> y;
   std::array<float, kFragBatchWidth> depth;

@@ -118,10 +118,9 @@ struct VmGlobal {
 // Maximum width of a fragment/kernel lane batch: RunBatch executes up to
 // this many invocations in lockstep through one instruction stream (paper
 // §II: a QPU shades 16-pixel groups through one program). Must fit a
-// std::uint32_t lane mask. The raster pipeline picks its effective batch
-// fill width at runtime (ContextConfig::fragment_batch_width, swept 8/16/32
-// in bench_fig1_pipeline); this constant only bounds it and sizes the lane
-// storage planes.
+// std::uint32_t lane mask. The vertex stage fills whole kVmLanes batches;
+// the raster pipeline fills fragment batches to gles2::kFragBatchFill (16)
+// lanes. This constant bounds both and sizes the lane storage planes.
 inline constexpr int kVmLanes = 32;
 
 struct VmProgram {

@@ -690,14 +690,6 @@ bool Available() {
 #endif
 }
 
-bool Resolve(int knob) {
-  if (knob == 0) return false;
-  if (knob > 0) return Available();
-  const char* env = std::getenv("MGPU_JIT");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') return false;
-  return Available();
-}
-
 std::shared_ptr<const Module> CompileProgram(const VmProgram& prog) {
 #if !MGPU_JIT_POSIX
   (void)prog;

@@ -21,11 +21,10 @@
 // trap — match the interpreter exactly.
 //
 // Availability is detected once at startup (a working C++ compiler probed
-// from $CXX, c++, g++, clang++) and reported through the MGPU_JIT knob,
-// mirroring MGPU_SIMD: ContextConfig/DeviceOptions knob > MGPU_JIT env
-// (0 disables) > detection. When unavailable — or for divergent-control-flow
-// programs, which CompileProgram declines — ExecEngine::kCompiled falls back
-// to the batched interpreter, which is trivially identical.
+// from $CXX, c++, g++, clang++) and reported by Available(). When
+// unavailable — or for divergent-control-flow programs, which
+// CompileProgram declines — ExecEngine::kCompiled falls back to the batched
+// interpreter, which is trivially identical.
 //
 // Shared objects are cached under $TMPDIR/mgpu-jit-<uid>/<fnv1a64 of the
 // generated source>.so, so relinking the same shader (across processes,
@@ -93,11 +92,6 @@ class Module {
 // True when a working host C++ compiler was found (probed once, cached).
 // Always false on non-POSIX builds.
 [[nodiscard]] bool Available();
-
-// Effective availability for a context knob value, mirroring simd::Resolve:
-// 0 = force off, 1 = force on (still clamped to detection), -1 = auto (the
-// MGPU_JIT env override if set — "0" disables — else detection).
-[[nodiscard]] bool Resolve(int knob);
 
 // Transpiles, compiles (or reuses the cached .so) and loads `prog`.
 // Returns nullptr when compilation is unavailable, the program has

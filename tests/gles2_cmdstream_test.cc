@@ -1,8 +1,8 @@
 // Command-stream tests: recorded, asynchronously submitted execution must be
 // byte-identical to immediate mode — framebuffer bytes, ALU/SFU/TMU counts,
 // GL errors and trap/abort semantics — on every engine and worker count.
-// Also covers the recording machinery itself: dirty-state diffing, record-
-// time client-array snapshots, the Flush/Finish contract, fair multi-context
+// Also covers the recording machinery itself: error order, record-time
+// client-array snapshots, the Flush/Finish contract, fair multi-context
 // submission, and the knob that turns the whole thing off.
 #include <array>
 #include <cstdlib>
@@ -76,18 +76,18 @@ struct Observed {
 };
 
 // A state-churning scene: clear, gradient quad, uniform change, scissored
-// second quad, plus redundant setter calls the recorder may elide.
+// second quad, plus redundant setter calls.
 Observed RunScene(Context& ctx) {
   const GLuint p = BuildProgramOrDie(ctx, kPassthroughVs, kGradientFs);
   ctx.UseProgram(p);
   const GLint tint = ctx.GetUniformLocation(p, "u_tint");
   ctx.ClearColor(0.1f, 0.2f, 0.3f, 1.0f);
-  ctx.ClearColor(0.1f, 0.2f, 0.3f, 1.0f);  // redundant: elidable
+  ctx.ClearColor(0.1f, 0.2f, 0.3f, 1.0f);  // redundant
   ctx.Clear(GL_COLOR_BUFFER_BIT);
   ctx.Uniform4f(tint, 1.0f, 0.5f, 0.25f, 1.0f);
   DrawFullscreenQuad(ctx, p);
   ctx.Enable(GL_SCISSOR_TEST);
-  ctx.Enable(GL_SCISSOR_TEST);  // redundant: elidable
+  ctx.Enable(GL_SCISSOR_TEST);  // redundant
   ctx.Scissor(8, 8, 48, 48);
   ctx.Uniform4f(tint, 0.25f, 1.0f, 0.5f, 1.0f);
   DrawFullscreenQuad(ctx, p);
@@ -162,34 +162,20 @@ TEST(CmdStream, KnobResolution) {
   ::unsetenv("MGPU_ASYNC");
 }
 
-// Dirty-state diffing: provably redundant setters are elided; redundant but
-// *invalid* calls are recorded anyway so their GL errors surface at
-// execution, in call order.
-TEST(CmdStream, DirtyDiffingElidesOnlyProvableNoOps) {
+// Invalid setter calls are recorded like any other, so their GL errors
+// surface at execution, in call order: the first error is latched by the
+// time the sync point returns.
+TEST(CmdStream, InvalidSetterErrorSurfacesInCallOrder) {
   Context ctx(MakeConfig(/*async=*/1));
   ctx.Finish();
-  const cmd::Stats before = ctx.command_stream_stats();
-
-  ctx.Viewport(0, 0, kW, kH);  // matches ctor state, but shadow is unknown:
-                               // recorded
-  ctx.Viewport(0, 0, kW, kH);  // now shadowed: elided
-  ctx.Viewport(0, 0, kW, kH);  // elided
-  ctx.Enable(GL_DEPTH_TEST);
-  ctx.Enable(GL_DEPTH_TEST);  // elided
-  ctx.Disable(GL_DEPTH_TEST);
-  const cmd::Stats after = ctx.command_stream_stats();
-  EXPECT_EQ(after.elided - before.elided, 3u);
-  EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
-
-  // Invalid enum twice: both recorded (never elided), and the first error
-  // is latched by the time the sync point returns.
   const cmd::Stats s0 = ctx.command_stream_stats();
   ctx.Enable(0xDEAD);
+  ctx.Viewport(0, 0, -1, kH);  // GL_INVALID_VALUE, but the enum error won
   ctx.Enable(0xDEAD);
   EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_INVALID_ENUM));
+  EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
   const cmd::Stats s1 = ctx.command_stream_stats();
-  EXPECT_EQ(s1.elided, s0.elided);
-  EXPECT_GE(s1.recorded - s0.recorded, 2u);
+  EXPECT_EQ(s1.recorded - s0.recorded, 3u);
 }
 
 TEST(CmdStream, StatsCountSubmissionLifecycle) {

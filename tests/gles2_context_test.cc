@@ -349,12 +349,14 @@ TEST(ContextTest, VboVertexFetch) {
 // Attribute fetches from a VBO must be validated against the buffer store
 // at draw time: a range that runs past the end fails the draw with
 // GL_INVALID_OPERATION instead of reading out-of-bounds heap memory. Both
-// vertex paths (batched gather and the scalar reference loop) must agree.
+// vertex paths (the batched engine's gather and the scalar VM's reference
+// loop) must agree.
 TEST(ContextTest, VboDrawBeyondBufferSetsErrorNotOob) {
-  for (const int vertex_batch : {-1, 0}) {
-    SCOPED_TRACE("vertex_batch=" + std::to_string(vertex_batch));
+  for (const ExecEngine engine :
+       {ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm}) {
+    SCOPED_TRACE(engine == ExecEngine::kBatchedVm ? "batched" : "scalar-vm");
     ContextConfig cfg = SmallConfig();
-    cfg.vertex_batch = vertex_batch;
+    cfg.exec_engine = engine;
     Context ctx(cfg);
     const GLuint p = BuildProgramOrDie(
         ctx, testutil::kPassthroughVs,
@@ -388,10 +390,11 @@ TEST(ContextTest, VboDrawBeyondBufferSetsErrorNotOob) {
 // An attribute offset past the end of the store must fail the same way —
 // the offset alone can place every fetch out of bounds.
 TEST(ContextTest, VboAttribOffsetBeyondBufferSetsError) {
-  for (const int vertex_batch : {-1, 0}) {
-    SCOPED_TRACE("vertex_batch=" + std::to_string(vertex_batch));
+  for (const ExecEngine engine :
+       {ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm}) {
+    SCOPED_TRACE(engine == ExecEngine::kBatchedVm ? "batched" : "scalar-vm");
     ContextConfig cfg = SmallConfig();
-    cfg.vertex_batch = vertex_batch;
+    cfg.exec_engine = engine;
     Context ctx(cfg);
     const GLuint p = BuildProgramOrDie(
         ctx, testutil::kPassthroughVs,
@@ -440,10 +443,11 @@ TEST(ContextTest, DrawElementsIndexRangeBeyondBufferSetsError) {
 // Deleting a buffer detaches it from every attribute binding: a later draw
 // fails cleanly (GL_INVALID_OPERATION, no fetch through the stale id).
 TEST(ContextTest, DeletedBufferDetachesFromAttribBinding) {
-  for (const int vertex_batch : {-1, 0}) {
-    SCOPED_TRACE("vertex_batch=" + std::to_string(vertex_batch));
+  for (const ExecEngine engine :
+       {ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm}) {
+    SCOPED_TRACE(engine == ExecEngine::kBatchedVm ? "batched" : "scalar-vm");
     ContextConfig cfg = SmallConfig();
-    cfg.vertex_batch = vertex_batch;
+    cfg.exec_engine = engine;
     Context ctx(cfg);
     const GLuint p = BuildProgramOrDie(
         ctx, testutil::kPassthroughVs,

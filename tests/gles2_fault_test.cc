@@ -2,7 +2,7 @@
 // Any failure mid-draw — a shader trap, the per-draw watchdog, an injected
 // allocation / pool-task fault — must abort the *entire draw* so that the
 // framebuffer, depth plane and ALU/TMU counters hold exactly the pre-draw
-// state, byte for byte, on every engine, worker count and batch width; and
+// state, byte for byte, on every engine and worker count; and
 // the next draw must behave exactly as if the aborted one was never issued.
 //
 // Usage: gles2_fault_test [--fault_iters=N] [gtest flags]
@@ -102,13 +102,12 @@ void ExpectSnapshotEq(const Snapshot& a, const Snapshot& b,
   EXPECT_EQ(a.counts.tmu_miss, b.counts.tmu_miss) << what;
 }
 
-ContextConfig MakeConfig(ExecEngine engine, int threads, int batch_width) {
+ContextConfig MakeConfig(ExecEngine engine, int threads) {
   ContextConfig cfg;
   cfg.width = kW;
   cfg.height = kH;
   cfg.exec_engine = engine;
   cfg.shader_threads = threads;
-  cfg.fragment_batch_width = batch_width;
   return cfg;
 }
 
@@ -122,8 +121,8 @@ const char* EngineName(ExecEngine e) {
   return "?";
 }
 
-// A shader trap must abort transactionally on every engine / worker count /
-// batch width, and all configurations must converge on byte-identical
+// A shader trap must abort transactionally on every engine and worker
+// count, and all configurations must converge on byte-identical
 // post-abort state (trivially: the pre-draw state, which clean draws make
 // engine-identical already).
 TEST(FaultInjection, TrapAbortRestoresPreDrawStateEverywhere) {
@@ -133,45 +132,42 @@ TEST(FaultInjection, TrapAbortRestoresPreDrawStateEverywhere) {
       ExecEngine::kCompiled};
   for (const ExecEngine engine : engines) {
     for (const int threads : {1, 4}) {
-      for (const int width : {1, 17, 32}) {
-        SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
-                     std::to_string(threads) + " width=" +
-                     std::to_string(width));
-        Context ctx(MakeConfig(engine, threads, width));
-        const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
-        const GLuint trap = BuildProgramOrDie(ctx, kPassthroughVs, kTrapFs);
-        DrawFullscreenQuad(ctx, clean);
-        ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
-        EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
-        const Snapshot before = Snap(ctx);
+      SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
+                   std::to_string(threads));
+      Context ctx(MakeConfig(engine, threads));
+      const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
+      const GLuint trap = BuildProgramOrDie(ctx, kPassthroughVs, kTrapFs);
+      DrawFullscreenQuad(ctx, clean);
+      ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+      EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
+      const Snapshot before = Snap(ctx);
 
-        DrawFullscreenQuad(ctx, trap);
-        EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
-        EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_GUILTY_CONTEXT_RESET);
-        // Observe-and-clear: a second query reads clean.
-        EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
-        EXPECT_NE(ctx.last_draw_error().find("undefined function"),
-                  std::string::npos)
-            << ctx.last_draw_error();
-        ExpectSnapshotEq(Snap(ctx), before, "post-abort");
+      DrawFullscreenQuad(ctx, trap);
+      EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
+      EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_GUILTY_CONTEXT_RESET);
+      // Observe-and-clear: a second query reads clean.
+      EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
+      EXPECT_NE(ctx.last_draw_error().find("undefined function"),
+                std::string::npos)
+          << ctx.last_draw_error();
+      ExpectSnapshotEq(Snap(ctx), before, "post-abort");
 
-        // Recovery: the next draw is byte-identical to a context that
-        // never issued the trapped draw.
-        DrawFullscreenQuad(ctx, clean);
-        ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
-        if (reference_fb.empty()) {
-          reference_fb = ReadRgba(ctx, kW, kH);
-        } else {
-          EXPECT_EQ(ReadRgba(ctx, kW, kH), reference_fb)
-              << "recovery framebuffer differs across configurations";
-        }
+      // Recovery: the next draw is byte-identical to a context that
+      // never issued the trapped draw.
+      DrawFullscreenQuad(ctx, clean);
+      ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+      if (reference_fb.empty()) {
+        reference_fb = ReadRgba(ctx, kW, kH);
+      } else {
+        EXPECT_EQ(ReadRgba(ctx, kW, kH), reference_fb)
+            << "recovery framebuffer differs across configurations";
       }
     }
   }
 }
 
 TEST(FaultInjection, VertexStageTrapAbortsBeforeAnyPixel) {
-  Context ctx(MakeConfig(ExecEngine::kBatchedVm, 1, 32));
+  Context ctx(MakeConfig(ExecEngine::kBatchedVm, 1));
   const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
   const GLuint trap_vs = BuildProgramOrDie(ctx, kTrapVs, kCleanFs);
   DrawFullscreenQuad(ctx, clean);
@@ -190,7 +186,7 @@ TEST(FaultInjection, WatchdogBudgetTripsDeterministically) {
   // Measure the draw's exact ALU total on a reference context.
   std::uint64_t total = 0;
   {
-    Context ctx(MakeConfig(ExecEngine::kBatchedVm, 1, 32));
+    Context ctx(MakeConfig(ExecEngine::kBatchedVm, 1));
     const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
     const std::uint64_t before = ctx.alu().counts().alu;
     DrawFullscreenQuad(ctx, clean);
@@ -205,7 +201,7 @@ TEST(FaultInjection, WatchdogBudgetTripsDeterministically) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
                    std::to_string(threads));
-      Context ctx(MakeConfig(engine, threads, 32));
+      Context ctx(MakeConfig(engine, threads));
       const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
       DrawFullscreenQuad(ctx, clean);
       ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
@@ -238,7 +234,7 @@ TEST(FaultInjection, WatchdogBudgetTripsDeterministically) {
   }
 }
 
-// Seeded sweep over fault sites x engines x thread counts x batch widths:
+// Seeded sweep over fault sites x engines x thread counts:
 // every injected fault must produce either a byte-exact transactional abort
 // (with the resource-failure error mapping) or an unaffected successful
 // draw (site never reached), and the context must then recover to byte-
@@ -254,13 +250,11 @@ TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
     const Site site = sites[rng() % sites.size()];
     const ExecEngine engine = engines[rng() % engines.size()];
     const int threads = std::array<int, 3>{1, 2, 4}[rng() % 3];
-    const int width = 1 + static_cast<int>(rng() % 32);  // batch tails
     SCOPED_TRACE("iter=" + std::to_string(iter) + " site=" +
                  std::to_string(static_cast<int>(site)) + " engine=" +
-                 EngineName(engine) + " threads=" + std::to_string(threads) +
-                 " width=" + std::to_string(width));
+                 EngineName(engine) + " threads=" + std::to_string(threads));
 
-    const ContextConfig cfg = MakeConfig(engine, threads, width);
+    const ContextConfig cfg = MakeConfig(engine, threads);
     // Build-path sites only fire while a context's shading state / binner
     // tables are being built — steady-state draws allocate nothing — so
     // those scenarios arm the context's *first* draw.
@@ -344,7 +338,7 @@ TEST(FaultInjection, CmdSubmitDropLatchesInnocentResetAndRecovers) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
                    std::to_string(threads));
-      ContextConfig cfg = MakeConfig(engine, threads, 32);
+      ContextConfig cfg = MakeConfig(engine, threads);
       cfg.async_submit = 1;
       Context ctx(cfg);
       Context twin(cfg);  // never faulted
@@ -389,7 +383,7 @@ TEST(FaultInjection, CmdSubmitDropLatchesInnocentResetAndRecovers) {
 
 // MGPU_DRAW_BUDGET wiring: the config knob resolves into draw_budget().
 TEST(FaultInjection, DrawBudgetConfigKnob) {
-  ContextConfig cfg = MakeConfig(ExecEngine::kBatchedVm, 1, 32);
+  ContextConfig cfg = MakeConfig(ExecEngine::kBatchedVm, 1);
   cfg.draw_budget = 12345;
   Context ctx(cfg);
   // The env var (unset in tests) must not clobber the config value.

@@ -1,10 +1,8 @@
-// Compiled-engine (glsl/jit.h) unit tests: knob resolution, eligibility,
-// the content-hash module cache, and end-to-end fallback through the gles2
-// context. The heavy bit-identity lockdown lives in glsl_vm_fuzz_test.cc
-// and gles2_tiling_test.cc; this file pins the plumbing around it.
-#include <cstdlib>
+// Compiled-engine (glsl/jit.h) unit tests: eligibility, the content-hash
+// module cache, and end-to-end fallback through the gles2 context. The
+// heavy bit-identity lockdown lives in glsl_vm_fuzz_test.cc and
+// gles2_tiling_test.cc; this file pins the plumbing around it.
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gles2/context.h"
@@ -45,34 +43,6 @@ std::shared_ptr<const VmProgram> Lower(const char* src) {
   EXPECT_TRUE(cr.ok) << cr.info_log;
   if (!cr.ok) return nullptr;
   return LowerToBytecode(*cr.shader);
-}
-
-TEST(JitKnobTest, ZeroAlwaysDisables) {
-  EXPECT_FALSE(jit::Resolve(0));
-}
-
-TEST(JitKnobTest, PositiveFollowsToolchainProbe) {
-  EXPECT_EQ(jit::Resolve(1), jit::Available());
-}
-
-TEST(JitKnobTest, AutoHonorsMgpuJitEnv) {
-  // CI reruns this binary with MGPU_JIT=0 exported (the fallback leg), so
-  // save and restore whatever the harness set rather than assuming unset.
-  const char* prev = std::getenv("MGPU_JIT");
-  const std::string saved = prev != nullptr ? prev : "";
-  ::unsetenv("MGPU_JIT");
-  EXPECT_EQ(jit::Resolve(-1), jit::Available());
-  ::setenv("MGPU_JIT", "0", 1);
-  EXPECT_FALSE(jit::Resolve(-1));
-  // Only the exact string "0" opts out (mirrors the MGPU_SIMD idiom of
-  // explicit numeric knobs).
-  ::setenv("MGPU_JIT", "1", 1);
-  EXPECT_EQ(jit::Resolve(-1), jit::Available());
-  if (prev != nullptr) {
-    ::setenv("MGPU_JIT", saved.c_str(), 1);
-  } else {
-    ::unsetenv("MGPU_JIT");
-  }
 }
 
 TEST(JitCompileTest, DivergentProgramIsDeclined) {
@@ -148,32 +118,42 @@ TEST(JitCompileTest, AttachedModuleMatchesInterpreterBitForBit) {
 namespace mgpu::gles2 {
 namespace {
 
-// End-to-end fallback: kCompiled with the jit knob forced off must draw —
-// through the batched interpreter — byte-identically to kBatchedVm. This is
-// the in-process twin of CI's MGPU_JIT=0 leg.
-TEST(JitFallbackTest, CompiledEngineWithJitDisabledMatchesBatchedVm) {
-  auto run = [](ExecEngine engine, int jit_knob) {
+// End-to-end fallback: a divergent fragment program is declined by the
+// transpiler, so kCompiled must draw it through the batched interpreter —
+// byte- and count-identical to kBatchedVm.
+TEST(JitFallbackTest, CompiledEngineFallsBackOnDivergentProgram) {
+  struct Result {
+    std::vector<std::uint8_t> rgba;
+    glsl::OpCounts counts;
+  };
+  auto run = [](ExecEngine engine) {
     ContextConfig cfg;
     cfg.width = 64;
     cfg.height = 64;
     cfg.exec_engine = engine;
-    cfg.jit = jit_knob;
     Context ctx(cfg);
     const GLuint prog = testutil::BuildProgramOrDie(
         ctx, testutil::kPassthroughVs,
         R"(
 precision highp float;
 varying vec2 v_uv;
-void main() { gl_FragColor = vec4(fract(v_uv * 9.0), v_uv.x, 1.0); }
+void main() {
+  vec4 c = vec4(v_uv, 0.25, 1.0);
+  if (v_uv.x > 0.5) { c.xy = fract(v_uv * 9.0); }
+  gl_FragColor = c;
+}
 )");
     ctx.Clear(GL_COLOR_BUFFER_BIT);
     testutil::DrawFullscreenQuad(ctx, prog);
     EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
-    return testutil::ReadRgba(ctx, 64, 64);
+    return Result{testutil::ReadRgba(ctx, 64, 64), ctx.alu().counts()};
   };
-  const std::vector<std::uint8_t> batched = run(ExecEngine::kBatchedVm, -1);
-  EXPECT_EQ(run(ExecEngine::kCompiled, 0), batched);
-  EXPECT_EQ(run(ExecEngine::kCompiled, -1), batched);
+  const Result batched = run(ExecEngine::kBatchedVm);
+  const Result compiled = run(ExecEngine::kCompiled);
+  EXPECT_EQ(compiled.rgba, batched.rgba);
+  EXPECT_EQ(compiled.counts.alu, batched.counts.alu);
+  EXPECT_EQ(compiled.counts.sfu, batched.counts.sfu);
+  EXPECT_EQ(compiled.counts.tmu, batched.counts.tmu);
 }
 
 }  // namespace

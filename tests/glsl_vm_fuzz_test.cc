@@ -1383,11 +1383,11 @@ TEST(VmTrapParityTest, SeededTrapProgramsVc4Alu) {
 // not, strided and tight, buffer-object and client-pointer), varying
 // interpolation, point sprites, the depth test and the TMU cache model —
 // and the framebuffer bytes, ALU/SFU/TMU totals and error state must be
-// byte-identical across kTreeWalk / kBytecodeVm / kBatchedVm / kCompiled,
-// with vertex batching on and off and at more than one fragment worker
-// count. The reference leg is the bytecode VM with the scalar vertex loop,
-// so every other configuration is measured against the per-vertex
-// per-fragment reference semantics.
+// byte-identical across kTreeWalk / kBytecodeVm / kBatchedVm / kCompiled
+// and at more than one fragment worker count. The reference leg is the
+// bytecode VM, whose scalar vertex loop makes every other configuration —
+// including the batched engines' lane-batched vertex stage — measured
+// against the per-vertex per-fragment reference semantics.
 
 namespace mgpu::gles2 {
 namespace {
@@ -1485,14 +1485,12 @@ struct DrawOutcome {
 };
 
 DrawOutcome RunWholeDraw(const DrawScene& sc, ExecEngine engine,
-                         bool vc4_alu, int vertex_batch,
-                         std::uint64_t draw_budget) {
+                         bool vc4_alu, std::uint64_t draw_budget) {
   ContextConfig cfg;
   cfg.width = kDrawW;
   cfg.height = kDrawH;
   cfg.exec_engine = engine;
   cfg.shader_threads = sc.threads;
-  cfg.vertex_batch = vertex_batch;
   cfg.draw_budget = draw_budget;
   const vc4::GpuProfile profile = vc4::VideoCoreIV();
   ExactAlu exact;
@@ -1589,17 +1587,15 @@ DrawOutcome RunWholeDraw(const DrawScene& sc, ExecEngine engine,
 
 struct EngineLeg {
   ExecEngine engine;
-  int vertex_batch;
   const char* what;
 };
 
 // Every non-reference configuration; the kCompiled leg is skipped outside
 // the jit budget (it invokes the host toolchain for both stages).
 constexpr EngineLeg kDrawLegs[] = {
-    {ExecEngine::kTreeWalk, 0, "tree"},
-    {ExecEngine::kBatchedVm, 0, "batched+scalar-vertex"},
-    {ExecEngine::kBatchedVm, 1, "batched"},
-    {ExecEngine::kCompiled, 1, "compiled"},
+    {ExecEngine::kTreeWalk, "tree"},
+    {ExecEngine::kBatchedVm, "batched"},
+    {ExecEngine::kCompiled, "compiled"},
 };
 
 void CompareOutcome(const DrawOutcome& got, const DrawOutcome& ref,
@@ -1639,14 +1635,14 @@ void RunWholeDrawCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
       static_cast<unsigned>(sc.mix_type), sc.mix_normalized ? " norm" : "",
       sc.use_buffers ? " vbo" : "", sc.mix_enabled ? "" : " mix-const"));
   const DrawOutcome ref =
-      RunWholeDraw(sc, ExecEngine::kBytecodeVm, vc4_alu, 0, 0);
+      RunWholeDraw(sc, ExecEngine::kBytecodeVm, vc4_alu, 0);
   EXPECT_EQ(ref.err, GL_NO_ERROR) << "clean corpus drew with an error";
   EXPECT_TRUE(ref.draw_error.empty()) << ref.draw_error;
   *rasterized += HasCoverage(ref.fb);
   for (const EngineLeg& leg : kDrawLegs) {
     if (leg.engine == ExecEngine::kCompiled && !with_jit) continue;
     const DrawOutcome got =
-        RunWholeDraw(sc, leg.engine, vc4_alu, leg.vertex_batch, 0);
+        RunWholeDraw(sc, leg.engine, vc4_alu, 0);
     CompareOutcome(got, ref, leg.what);
   }
 }
@@ -1742,12 +1738,12 @@ void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, bool with_jit,
       budget_shape ? "budget" : "poison", sc.tri_verts,
       static_cast<unsigned long long>(budget)));
   const DrawOutcome ref =
-      RunWholeDraw(sc, ExecEngine::kBytecodeVm, vc4_alu, 0, budget);
+      RunWholeDraw(sc, ExecEngine::kBytecodeVm, vc4_alu, budget);
   ++*(ref.draw_error.empty() ? completed : aborted);
   for (const EngineLeg& leg : kDrawLegs) {
     if (leg.engine == ExecEngine::kCompiled && !with_jit) continue;
     const DrawOutcome got =
-        RunWholeDraw(sc, leg.engine, vc4_alu, leg.vertex_batch, budget);
+        RunWholeDraw(sc, leg.engine, vc4_alu, budget);
     CompareOutcome(got, ref, leg.what);
   }
 }

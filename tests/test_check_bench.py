@@ -89,6 +89,22 @@ def test_higher_is_better_units_gate_on_drops(tmp_path):
                      [("rate", "/s", 700.0)]) == 1
 
 
+def test_lower_is_better_ratio_gates_on_rises(tmp_path):
+    # overhead 1.0x -> 1.3x is a 30% regression for an "x_lower" metric...
+    assert run_check(tmp_path, [("overhead", "x_lower", 1.0)],
+                     [("overhead", "x_lower", 1.3)]) == 1
+    # ...and 1.12x -> 0.90x is an improvement, which never fails.
+    assert run_check(tmp_path, [("overhead", "x_lower", 1.12)],
+                     [("overhead", "x_lower", 0.90)]) == 0
+
+
+def test_ratio_direction_is_carried_by_the_unit(tmp_path):
+    # The same drop 1.2 -> 0.8 fails a speedup and passes an overhead.
+    assert run_check(tmp_path, [("r", "x", 1.2)], [("r", "x", 0.8)]) == 1
+    assert run_check(tmp_path, [("r", "x_lower", 1.2)],
+                     [("r", "x_lower", 0.8)]) == 0
+
+
 def test_sub_noise_floor_timings_never_gate(tmp_path):
     # 1ms -> 4ms is +300%, but both sit under the 5ms noise floor.
     assert run_check(tmp_path, [("wall", "s", 0.001)],
