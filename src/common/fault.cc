@@ -15,26 +15,9 @@ SiteState g_sites[kSiteCount];
 
 SiteState& At(Site site) { return g_sites[static_cast<int>(site)]; }
 
-std::atomic<void (*)()> g_quiesce{nullptr};
-
-// Runs the registered drain before an arming change or a Hits read, so any
-// deferred (async-submitted) work executes under the site state the caller
-// already observes. Re-entrancy is impossible by contract: the hook itself
-// never calls Arm/Disarm/Hits.
-void Quiesce() {
-  if (void (*hook)() = g_quiesce.load(std::memory_order_acquire)) hook();
-}
-
-void DisarmNoQuiesce(Site site) {
-  SiteState& s = At(site);
-  s.armed.store(false, std::memory_order_relaxed);
-  s.hits.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 void Arm(Site site, std::uint64_t nth) {
-  Quiesce();
   SiteState& s = At(site);
   s.hits.store(0, std::memory_order_relaxed);
   s.nth.store(nth, std::memory_order_relaxed);
@@ -42,16 +25,13 @@ void Arm(Site site, std::uint64_t nth) {
 }
 
 void Disarm(Site site) {
-  // Quiesce BEFORE clearing: work recorded while the site was armed must
-  // still see it armed when it finally executes, exactly as inline
-  // execution would have.
-  Quiesce();
-  DisarmNoQuiesce(site);
+  SiteState& s = At(site);
+  s.armed.store(false, std::memory_order_relaxed);
+  s.hits.store(0, std::memory_order_relaxed);
 }
 
 void DisarmAll() {
-  Quiesce();
-  for (int i = 0; i < kSiteCount; ++i) DisarmNoQuiesce(static_cast<Site>(i));
+  for (int i = 0; i < kSiteCount; ++i) Disarm(static_cast<Site>(i));
 }
 
 bool AnyArmed() {
@@ -69,12 +49,7 @@ bool ShouldFail(Site site) {
 }
 
 std::uint64_t Hits(Site site) {
-  Quiesce();
   return At(site).hits.load(std::memory_order_relaxed);
-}
-
-void SetQuiesceHook(void (*hook)()) {
-  g_quiesce.store(hook, std::memory_order_release);
 }
 
 }  // namespace mgpu::fault

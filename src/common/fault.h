@@ -30,11 +30,6 @@ enum class Site : int {
   // Threadpool task body: the Nth claimed task throws before running its
   // body, modeling a worker dying mid-draw.
   kPoolTask,
-  // Async command-list submission (gles2 command stream): the Nth list
-  // handed to the submit device is dropped wholesale, modeling a lost
-  // control list. The owning context latches GL_OUT_OF_MEMORY /
-  // GL_INNOCENT_CONTEXT_RESET at its next sync point.
-  kCmdSubmit,
   kSiteCount,
 };
 
@@ -62,14 +57,6 @@ bool ShouldFail(Site site);
 // lets a harness discover how many times a site is reached by a clean run,
 // then sweep nth over that range).
 [[nodiscard]] std::uint64_t Hits(Site site);
-
-// Optional quiesce hook, invoked at the top of Arm/Disarm/DisarmAll/Hits.
-// The gles2 command stream registers its drain here so that deferred work
-// recorded before an arming change executes under the OLD armed state (and
-// hit counts are final before Hits reads them) — without common/ depending
-// on gles2. The hook runs on the caller's thread; the Arm/Disarm threading
-// contract above extends to it (no other client thread may be recording).
-void SetQuiesceHook(void (*hook)());
 
 }  // namespace mgpu::fault
 

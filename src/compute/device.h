@@ -72,8 +72,7 @@ class Device {
   // Returns the accumulated work and resets the accumulator (also resets the
   // ALU counters so successive measurements are independent).
   vc4::GpuWork ConsumeWork();
-  // Folds the ALU counter delta since the last sync into work(). A sync
-  // point: recorded draws finish executing before the counters are read.
+  // Folds the ALU counter delta since the previous call into work().
   void SyncShaderOps();
 
  private:

@@ -23,14 +23,11 @@ std::string BuildFragmentSource(const Kernel::Options& opt) {
   for (const auto& [name, t] : opt.inputs) src += FetchFunctions(name, t);
   if (!opt.extra_decls.empty()) src += opt.extra_decls + "\n";
   src += opt.body;
-  const bool byte_out =
-      opt.output == ElemType::kU8 || opt.output == ElemType::kI8;
   src += StrFormat(
       "\nvoid main() {\n"
       "  gl_FragColor = %s(gp_kernel(gp_pos_xy()));\n"
       "}\n",
       PackName(opt.output).c_str());
-  (void)byte_out;  // both contracts pack through a vec4-returning function
   return src;
 }
 

@@ -131,123 +131,19 @@ Context::Context(const ContextConfig& config, glsl::AluModel* alu)
   vp_h_ = config_.height;
   sc_w_ = config_.width;
   sc_h_ = config_.height;
-  // Command-stream knob: an explicit 0/1 wins; -1 = auto (the MGPU_ASYNC
-  // env override if set, else on). Mirrors simd. Created last: from here
-  // on client calls may be recorded.
-  bool async = config_.async_submit != 0;
-  if (config_.async_submit < 0) {
-    if (const char* env = std::getenv("MGPU_ASYNC")) {
-      async = std::strtol(env, nullptr, 10) != 0;
-    }
-  }
-  if (async) {
-    record_ = std::make_unique<cmd::CommandQueue>(this, attribs_.size());
-  }
 }
 
-Context::~Context() {
-  // Drain and unregister the recording queue while every other member is
-  // still alive — the device thread may be mid-draw against them.
-  record_.reset();
-}
-
-bool Context::Recording() const {
-  return record_ != nullptr && record_->Recording();
-}
-
-void Context::Sync() {
-  if (record_ == nullptr || !record_->Recording()) return;
-  record_->NoteSyncPoint();
-  record_->Flush();
-  record_->Join();
-  if (record_->TakeSubmitFailure()) {
-    // A dropped list is an implementation failure the client did nothing
-    // to cause: same contract as any other mid-draw resource failure.
-    last_draw_error_ = "async command-list submission failed";
-    reset_status_ = GL_INNOCENT_CONTEXT_RESET;
-    SetError(GL_OUT_OF_MEMORY);
-  }
-}
-
-void Context::Finish() { Sync(); }
-
-void Context::Flush() {
-  if (Recording()) record_->Flush();
-}
-
-cmd::Stats Context::command_stream_stats() {
-  Sync();
-  return record_ != nullptr ? record_->stats() : cmd::Stats{};
-}
-
-// Instrumentation / configuration accessors: each observes or rewires state
-// that deferred draws read, so each is a sync point.
-glsl::AluModel& Context::alu() {
-  Sync();
-  return *alu_;
-}
+// Out of line: pool_ holds a ThreadPool, incomplete in the header.
+Context::~Context() = default;
 
 void Context::SetExecEngine(ExecEngine engine) {
-  Sync();
   config_.exec_engine = engine;
   shade_cache_.Clear();
 }
 
 void Context::SetShaderThreads(int n) {
-  Sync();
   config_.shader_threads = n;
   shade_cache_.Clear();
-}
-
-const ShadeStateCache& Context::shade_state_cache() {
-  Sync();
-  return shade_cache_;
-}
-
-const std::string& Context::last_draw_error() {
-  Sync();
-  return last_draw_error_;
-}
-
-void Context::SetDrawBudget(std::uint64_t ops) {
-  Sync();
-  draw_budget_ = ops;
-}
-
-void Context::ReplayRecordedDraw(
-    GLenum mode, GLint first, GLsizei count, bool elements, GLenum index_type,
-    std::shared_ptr<std::vector<std::uint8_t>> indices,
-    std::shared_ptr<std::vector<cmd::AttribCopy>> copies) {
-  // Swap the record-time client-array snapshots into the attribute
-  // bindings, run the draw inline (we are on the device thread, so the
-  // public entry points execute immediately), then restore. The restored
-  // values are re-read here rather than captured at record time: preceding
-  // recorded commands legitimately mutate the bindings.
-  struct Saved {
-    GLuint index;
-    const void* pointer;
-    GLuint buffer;
-  };
-  std::vector<Saved> saved;
-  if (copies != nullptr) {
-    saved.reserve(copies->size());
-    for (const cmd::AttribCopy& c : *copies) {
-      AttribState& a = attribs_[c.index];
-      saved.push_back(Saved{c.index, a.pointer, a.buffer});
-      a.buffer = 0;
-      a.pointer = c.bytes->data();
-    }
-  }
-  if (elements) {
-    DrawElements(mode, count, index_type,
-                 indices != nullptr ? indices->data() : nullptr);
-  } else {
-    DrawArrays(mode, first, count);
-  }
-  for (const Saved& s : saved) {
-    attribs_[s.index].pointer = s.pointer;
-    attribs_[s.index].buffer = s.buffer;
-  }
 }
 
 void Context::SetError(GLenum e) {
@@ -255,14 +151,12 @@ void Context::SetError(GLenum e) {
 }
 
 GLenum Context::GetError() {
-  Sync();
   const GLenum e = error_;
   error_ = GL_NO_ERROR;
   return e;
 }
 
 GLenum Context::GetGraphicsResetStatus() {
-  Sync();
   const GLenum s = reset_status_;
   reset_status_ = GL_NO_ERROR;
   return s;
@@ -273,10 +167,6 @@ GLenum Context::GetGraphicsResetStatus() {
 // ---------------------------------------------------------------------------
 
 void Context::Enable(GLenum cap) {
-  if (Recording()) {
-    record_->Push([cap](Context& c) { c.Enable(cap); });
-    return;
-  }
   switch (cap) {
     case GL_SCISSOR_TEST: scissor_enabled_ = true; break;
     case GL_DEPTH_TEST: depth_enabled_ = true; break;
@@ -288,10 +178,6 @@ void Context::Enable(GLenum cap) {
 }
 
 void Context::Disable(GLenum cap) {
-  if (Recording()) {
-    record_->Push([cap](Context& c) { c.Disable(cap); });
-    return;
-  }
   switch (cap) {
     case GL_SCISSOR_TEST: scissor_enabled_ = false; break;
     case GL_DEPTH_TEST: depth_enabled_ = false; break;
@@ -303,10 +189,6 @@ void Context::Disable(GLenum cap) {
 }
 
 void Context::Viewport(GLint x, GLint y, GLsizei w, GLsizei h) {
-  if (Recording()) {
-    record_->Push([x, y, w, h](Context& c) { c.Viewport(x, y, w, h); });
-    return;
-  }
   if (w < 0 || h < 0) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -315,10 +197,6 @@ void Context::Viewport(GLint x, GLint y, GLsizei w, GLsizei h) {
 }
 
 void Context::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
-  if (Recording()) {
-    record_->Push([x, y, w, h](Context& c) { c.Scissor(x, y, w, h); });
-    return;
-  }
   if (w < 0 || h < 0) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -327,28 +205,16 @@ void Context::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
 }
 
 void Context::ClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
-  if (Recording()) {
-    record_->Push([r, g, b, a](Context& c) { c.ClearColor(r, g, b, a); });
-    return;
-  }
   clear_color_ ={std::clamp(r, 0.0f, 1.0f), std::clamp(g, 0.0f, 1.0f),
                   std::clamp(b, 0.0f, 1.0f), std::clamp(a, 0.0f, 1.0f)};
 }
 
 void Context::BlendFunc(GLenum src, GLenum dst) {
-  if (Recording()) {
-    record_->Push([src, dst](Context& c) { c.BlendFunc(src, dst); });
-    return;
-  }
   blend_src_ = src;
   blend_dst_ = dst;
 }
 
 void Context::DepthFunc(GLenum func) {
-  if (Recording()) {
-    record_->Push([func](Context& c) { c.DepthFunc(func); });
-    return;
-  }
   if (func < GL_NEVER || func > GL_ALWAYS) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -357,26 +223,14 @@ void Context::DepthFunc(GLenum func) {
 }
 
 void Context::DepthMask(GLboolean flag) {
-  if (Recording()) {
-    record_->Push([flag](Context& c) { c.DepthMask(flag); });
-    return;
-  }
   depth_write_ = flag != GL_FALSE;
 }
 
 void Context::ColorMask(GLboolean r, GLboolean g, GLboolean b, GLboolean a) {
-  if (Recording()) {
-    record_->Push([r, g, b, a](Context& c) { c.ColorMask(r, g, b, a); });
-    return;
-  }
   color_mask_ = {r != GL_FALSE, g != GL_FALSE, b != GL_FALSE, a != GL_FALSE};
 }
 
 void Context::CullFace(GLenum mode) {
-  if (Recording()) {
-    record_->Push([mode](Context& c) { c.CullFace(mode); });
-    return;
-  }
   if (mode != GL_FRONT && mode != GL_BACK && mode != GL_FRONT_AND_BACK) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -385,10 +239,6 @@ void Context::CullFace(GLenum mode) {
 }
 
 void Context::FrontFace(GLenum dir) {
-  if (Recording()) {
-    record_->Push([dir](Context& c) { c.FrontFace(dir); });
-    return;
-  }
   if (dir != GL_CW && dir != GL_CCW) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -397,10 +247,6 @@ void Context::FrontFace(GLenum dir) {
 }
 
 void Context::PixelStorei(GLenum pname, GLint value) {
-  if (Recording()) {
-    record_->Push([pname, value](Context& c) { c.PixelStorei(pname, value); });
-    return;
-  }
   if (value != 1 && value != 2 && value != 4 && value != 8) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -415,7 +261,6 @@ void Context::PixelStorei(GLenum pname, GLint value) {
 }
 
 void Context::GetIntegerv(GLenum pname, GLint* params) {
-  Sync();
   const glsl::Limits& lim = config_.limits;
   switch (pname) {
     case GL_MAX_TEXTURE_SIZE: *params = config_.max_texture_size; break;
@@ -449,7 +294,6 @@ void Context::GetIntegerv(GLenum pname, GLint* params) {
 }
 
 const char* Context::GetString(GLenum name) {
-  Sync();
   switch (name) {
     case GL_VENDOR: return "mgpu";
     case GL_RENDERER: return config_.renderer_name.c_str();
@@ -465,7 +309,6 @@ const char* Context::GetString(GLenum name) {
 void Context::GetShaderPrecisionFormat(GLenum shader_type,
                                        GLenum precision_type, GLint* range,
                                        GLint* precision) {
-  Sync();
   if (shader_type != GL_VERTEX_SHADER && shader_type != GL_FRAGMENT_SHADER) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -521,8 +364,6 @@ ProgramObject* Context::GetProgram(GLuint id) {
 }
 
 GLuint Context::CreateShader(GLenum type) {
-  // Returns a fresh id, so it must observe every deferred create/delete.
-  Sync();
   if (type != GL_VERTEX_SHADER && type != GL_FRAGMENT_SHADER) {
     SetError(GL_INVALID_ENUM);
     return 0;
@@ -535,10 +376,6 @@ GLuint Context::CreateShader(GLenum type) {
 }
 
 void Context::ShaderSource(GLuint shader, const std::string& source) {
-  if (Recording()) {
-    record_->Push([shader, source](Context& c) { c.ShaderSource(shader, source); });
-    return;
-  }
   ShaderObject* s = GetShader(shader);
   if (s == nullptr) {
     SetError(GL_INVALID_VALUE);
@@ -548,10 +385,6 @@ void Context::ShaderSource(GLuint shader, const std::string& source) {
 }
 
 void Context::CompileShader(GLuint shader) {
-  if (Recording()) {
-    record_->Push([shader](Context& c) { c.CompileShader(shader); });
-    return;
-  }
   ShaderObject* s = GetShader(shader);
   if (s == nullptr) {
     SetError(GL_INVALID_VALUE);
@@ -569,7 +402,6 @@ void Context::CompileShader(GLuint shader) {
 }
 
 void Context::GetShaderiv(GLuint shader, GLenum pname, GLint* params) {
-  Sync();
   ShaderObject* s = GetShader(shader);
   if (s == nullptr) {
     SetError(GL_INVALID_VALUE);
@@ -590,7 +422,6 @@ void Context::GetShaderiv(GLuint shader, GLenum pname, GLint* params) {
 }
 
 std::string Context::GetShaderInfoLog(GLuint shader) {
-  Sync();
   ShaderObject* s = GetShader(shader);
   if (s == nullptr) {
     SetError(GL_INVALID_VALUE);
@@ -600,25 +431,16 @@ std::string Context::GetShaderInfoLog(GLuint shader) {
 }
 
 void Context::DeleteShader(GLuint shader) {
-  if (Recording()) {
-    record_->Push([shader](Context& c) { c.DeleteShader(shader); });
-    return;
-  }
   shaders_.erase(shader);
 }
 
 GLuint Context::CreateProgram() {
-  Sync();
   const GLuint id = next_id_++;
   programs_[id] = std::make_unique<ProgramObject>();
   return id;
 }
 
 void Context::AttachShader(GLuint program, GLuint shader) {
-  if (Recording()) {
-    record_->Push([program, shader](Context& c) { c.AttachShader(program, shader); });
-    return;
-  }
   ProgramObject* p = GetProgram(program);
   ShaderObject* s = GetShader(shader);
   if (p == nullptr || s == nullptr) {
@@ -634,12 +456,6 @@ void Context::AttachShader(GLuint program, GLuint shader) {
 
 void Context::BindAttribLocation(GLuint program, GLuint index,
                                  const std::string& name) {
-  if (Recording()) {
-    record_->Push([program, index, name](Context& c) {
-      c.BindAttribLocation(program, index, name);
-    });
-    return;
-  }
   ProgramObject* p = GetProgram(program);
   if (p == nullptr) {
     SetError(GL_INVALID_VALUE);
@@ -653,10 +469,6 @@ void Context::BindAttribLocation(GLuint program, GLuint index,
 }
 
 void Context::LinkProgram(GLuint program) {
-  if (Recording()) {
-    record_->Push([program](Context& c) { c.LinkProgram(program); });
-    return;
-  }
   ProgramObject* p = GetProgram(program);
   if (p == nullptr) {
     SetError(GL_INVALID_VALUE);
@@ -681,7 +493,6 @@ void Context::LinkProgram(GLuint program) {
 }
 
 void Context::GetProgramiv(GLuint program, GLenum pname, GLint* params) {
-  Sync();
   ProgramObject* p = GetProgram(program);
   if (p == nullptr) {
     SetError(GL_INVALID_VALUE);
@@ -709,7 +520,6 @@ void Context::GetProgramiv(GLuint program, GLenum pname, GLint* params) {
 }
 
 std::string Context::GetProgramInfoLog(GLuint program) {
-  Sync();
   ProgramObject* p = GetProgram(program);
   if (p == nullptr) {
     SetError(GL_INVALID_VALUE);
@@ -719,10 +529,6 @@ std::string Context::GetProgramInfoLog(GLuint program) {
 }
 
 void Context::UseProgram(GLuint program) {
-  if (Recording()) {
-    record_->Push([program](Context& c) { c.UseProgram(program); });
-    return;
-  }
   if (program != 0 && GetProgram(program) == nullptr) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -735,17 +541,12 @@ void Context::UseProgram(GLuint program) {
 }
 
 void Context::DeleteProgram(GLuint program) {
-  if (Recording()) {
-    record_->Push([program](Context& c) { c.DeleteProgram(program); });
-    return;
-  }
   if (current_program_ == program) current_program_ = 0;
   shade_cache_.InvalidateProgram(program);
   programs_.erase(program);
 }
 
 GLint Context::GetUniformLocation(GLuint program, const std::string& name) {
-  Sync();  // the deferred LinkProgram must have produced the location table
   ProgramObject* p = GetProgram(program);
   if (p == nullptr || !p->link_ok) {
     SetError(GL_INVALID_OPERATION);
@@ -755,7 +556,6 @@ GLint Context::GetUniformLocation(GLuint program, const std::string& name) {
 }
 
 GLint Context::GetAttribLocation(GLuint program, const std::string& name) {
-  Sync();
   ProgramObject* p = GetProgram(program);
   if (p == nullptr || !p->link_ok) {
     SetError(GL_INVALID_OPERATION);
@@ -850,29 +650,17 @@ void Context::SetUniformValue(const UniformInfo& u, int element, int comps,
   const UniformInfo& u = p->uniforms[static_cast<std::size_t>(entry.uniform_index)]
 
 void Context::Uniform1f(GLint loc, GLfloat x) {
-  if (Recording()) {
-    record_->Push([loc, x](Context& c) { c.Uniform1f(loc, x); });
-    return;
-  }
   MGPU_RESOLVE_LOC_OR_RETURN();
   SetUniformValue(u, entry.element, 1, &x, nullptr, 1, false);
 }
 
 void Context::Uniform2f(GLint loc, GLfloat x, GLfloat y) {
-  if (Recording()) {
-    record_->Push([loc, x, y](Context& c) { c.Uniform2f(loc, x, y); });
-    return;
-  }
   MGPU_RESOLVE_LOC_OR_RETURN();
   const float v[2] = {x, y};
   SetUniformValue(u, entry.element, 2, v, nullptr, 1, false);
 }
 
 void Context::Uniform3f(GLint loc, GLfloat x, GLfloat y, GLfloat z) {
-  if (Recording()) {
-    record_->Push([loc, x, y, z](Context& c) { c.Uniform3f(loc, x, y, z); });
-    return;
-  }
   MGPU_RESOLVE_LOC_OR_RETURN();
   const float v[3] = {x, y, z};
   SetUniformValue(u, entry.element, 3, v, nullptr, 1, false);
@@ -880,77 +668,33 @@ void Context::Uniform3f(GLint loc, GLfloat x, GLfloat y, GLfloat z) {
 
 void Context::Uniform4f(GLint loc, GLfloat x, GLfloat y, GLfloat z,
                         GLfloat w) {
-  if (Recording()) {
-    record_->Push(
-        [loc, x, y, z, w](Context& c) { c.Uniform4f(loc, x, y, z, w); });
-    return;
-  }
   MGPU_RESOLVE_LOC_OR_RETURN();
   const float v[4] = {x, y, z, w};
   SetUniformValue(u, entry.element, 4, v, nullptr, 1, false);
 }
 
 void Context::Uniform1i(GLint loc, GLint x) {
-  if (Recording()) {
-    record_->Push([loc, x](Context& c) { c.Uniform1i(loc, x); });
-    return;
-  }
   MGPU_RESOLVE_LOC_OR_RETURN();
   SetUniformValue(u, entry.element, 1, nullptr, &x, 1, false);
 }
 
-// The *fv uploads deep-copy count*comps floats at record time — exactly the
-// span the GL contract obliges the caller to supply; a null pointer stays
-// null so replay errors (or crashes) just as immediate mode would.
-
 void Context::Uniform1fv(GLint loc, GLsizei count, const GLfloat* v) {
-  if (Recording()) {
-    auto copy = cmd::CopyFloats(v, count, 1);
-    record_->Push([loc, count, copy](Context& c) {
-      c.Uniform1fv(loc, count, cmd::FloatArg(copy));
-    });
-    return;
-  }
   MGPU_RESOLVE_LOC_OR_RETURN();
   SetUniformValue(u, entry.element, 1, v, nullptr, count, false);
 }
 
 void Context::Uniform2fv(GLint loc, GLsizei count, const GLfloat* v) {
-  if (Recording()) {
-    auto copy = cmd::CopyFloats(v, count, 2);
-    record_->Push([loc, count, copy](Context& c) {
-      c.Uniform2fv(loc, count, cmd::FloatArg(copy));
-    });
-    return;
-  }
   MGPU_RESOLVE_LOC_OR_RETURN();
   SetUniformValue(u, entry.element, 2, v, nullptr, count, false);
 }
 
 void Context::Uniform4fv(GLint loc, GLsizei count, const GLfloat* v) {
-  if (Recording()) {
-    auto copy = cmd::CopyFloats(v, count, 4);
-    record_->Push([loc, count, copy](Context& c) {
-      c.Uniform4fv(loc, count, cmd::FloatArg(copy));
-    });
-    return;
-  }
   MGPU_RESOLVE_LOC_OR_RETURN();
   SetUniformValue(u, entry.element, 4, v, nullptr, count, false);
 }
 
 void Context::UniformMatrix4fv(GLint loc, GLsizei count, GLboolean transpose,
                                const GLfloat* v) {
-  if (Recording()) {
-    // A transpose request errors before reading `v`, so only copy when the
-    // immediate path would read.
-    auto copy =
-        transpose == GL_FALSE ? cmd::CopyFloats(v, count, 16) : nullptr;
-    record_->Push([loc, count, transpose, copy](Context& c) {
-      c.UniformMatrix4fv(loc, count, transpose, cmd::FloatArg(copy));
-    });
-    return;
-  }
   if (transpose != GL_FALSE) {
     SetError(GL_INVALID_VALUE);  // must be FALSE in ES 2.0
     return;
@@ -966,10 +710,6 @@ void Context::UniformMatrix4fv(GLint loc, GLsizei count, GLboolean transpose,
 // ---------------------------------------------------------------------------
 
 void Context::EnableVertexAttribArray(GLuint index) {
-  if (Recording()) {
-    record_->EnableVertexAttribArray(index);
-    return;
-  }
   if (index >= attribs_.size()) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -978,10 +718,6 @@ void Context::EnableVertexAttribArray(GLuint index) {
 }
 
 void Context::DisableVertexAttribArray(GLuint index) {
-  if (Recording()) {
-    record_->DisableVertexAttribArray(index);
-    return;
-  }
   if (index >= attribs_.size()) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -992,11 +728,6 @@ void Context::DisableVertexAttribArray(GLuint index) {
 void Context::VertexAttribPointer(GLuint index, GLint size, GLenum type,
                                   GLboolean normalized, GLsizei stride,
                                   const void* pointer) {
-  if (Recording()) {
-    record_->VertexAttribPointer(index, size, type, normalized, stride,
-                                 pointer);
-    return;
-  }
   if (index >= attribs_.size()) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -1021,12 +752,6 @@ void Context::VertexAttribPointer(GLuint index, GLint size, GLenum type,
 
 void Context::VertexAttrib4f(GLuint index, GLfloat x, GLfloat y, GLfloat z,
                              GLfloat w) {
-  if (Recording()) {
-    record_->Push([index, x, y, z, w](Context& c) {
-      c.VertexAttrib4f(index, x, y, z, w);
-    });
-    return;
-  }
   if (index >= attribs_.size()) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -1040,7 +765,6 @@ BufferObject* Context::GetBuffer(GLuint id) {
 }
 
 void Context::GenBuffers(GLsizei n, GLuint* ids) {
-  Sync();  // returns fresh ids: must observe every deferred create/delete
   for (GLsizei i = 0; i < n; ++i) {
     const GLuint id = next_id_++;
     buffers_[id] = std::make_unique<BufferObject>();
@@ -1049,10 +773,6 @@ void Context::GenBuffers(GLsizei n, GLuint* ids) {
 }
 
 void Context::BindBuffer(GLenum target, GLuint id) {
-  if (Recording()) {
-    record_->BindBuffer(target, id);
-    return;
-  }
   if (id != 0 && GetBuffer(id) == nullptr) {
     buffers_[id] = std::make_unique<BufferObject>();
   }
@@ -1067,21 +787,6 @@ void Context::BindBuffer(GLenum target, GLuint id) {
 
 void Context::BufferData(GLenum target, GLsizeiptr size, const void* data,
                          GLenum usage) {
-  if (Recording()) {
-    // Copy the client bytes now (the GL contract consumes them at the
-    // call); a null pointer or non-positive size reads nothing, exactly
-    // like the immediate path.
-    std::shared_ptr<std::vector<std::uint8_t>> copy;
-    if (data != nullptr && size > 0) {
-      const auto* src = static_cast<const std::uint8_t*>(data);
-      copy = std::make_shared<std::vector<std::uint8_t>>(
-          src, src + static_cast<std::size_t>(size));
-    }
-    record_->Push([target, size, copy, usage](Context& c) {
-      c.BufferData(target, size, copy ? copy->data() : nullptr, usage);
-    });
-    return;
-  }
   const GLuint id =
       target == GL_ARRAY_BUFFER ? array_buffer_ : element_array_buffer_;
   BufferObject* b = GetBuffer(id);
@@ -1102,11 +807,6 @@ void Context::BufferData(GLenum target, GLsizeiptr size, const void* data,
 
 void Context::BufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
                             const void* data) {
-  // Sync point, not recorded: whether the source bytes may be read at all
-  // depends on the bound buffer's current size, which only the executed
-  // stream knows — a record-time copy could read bytes the immediate path
-  // would reject with GL_INVALID_VALUE before touching.
-  Sync();
   const GLuint id =
       target == GL_ARRAY_BUFFER ? array_buffer_ : element_array_buffer_;
   BufferObject* b = GetBuffer(id);
@@ -1123,18 +823,13 @@ void Context::BufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
 }
 
 void Context::DeleteBuffers(GLsizei n, const GLuint* ids) {
-  if (Recording()) {
-    record_->DeleteBuffers(n, ids);
-    return;
-  }
   for (GLsizei i = 0; i < n; ++i) {
     buffers_.erase(ids[i]);
     if (array_buffer_ == ids[i]) array_buffer_ = 0;
     if (element_array_buffer_ == ids[i]) element_array_buffer_ = 0;
     // Delete-detach semantics: attributes sourcing the deleted buffer fall
     // back to a null client pointer, so a later draw fails cleanly with
-    // GL_INVALID_OPERATION instead of dereferencing a stale id (and a
-    // recorded draw can never resurrect freed storage).
+    // GL_INVALID_OPERATION instead of dereferencing a stale id.
     if (ids[i] != 0) {
       for (AttribState& a : attribs_) {
         if (a.buffer == ids[i]) {
@@ -1151,20 +846,11 @@ void Context::DeleteBuffers(GLsizei n, const GLuint* ids) {
 // ---------------------------------------------------------------------------
 
 Texture* Context::GetTextureObject(GLuint id) {
-  Sync();
-  return LookupTexture(id);
-}
-
-// Non-syncing lookup for internal draw-time use: the texture callbacks run
-// on pool workers while the device thread owns the draw, where a sync
-// prologue would join against ourselves.
-Texture* Context::LookupTexture(GLuint id) {
   const auto it = textures_.find(id);
   return it != textures_.end() ? it->second.get() : nullptr;
 }
 
 void Context::GenTextures(GLsizei n, GLuint* ids) {
-  Sync();  // returns fresh ids: must observe every deferred create/delete
   for (GLsizei i = 0; i < n; ++i) {
     const GLuint id = next_id_++;
     textures_[id] = std::make_unique<Texture>();
@@ -1173,10 +859,6 @@ void Context::GenTextures(GLsizei n, GLuint* ids) {
 }
 
 void Context::ActiveTexture(GLenum unit) {
-  if (Recording()) {
-    record_->Push([unit](Context& c) { c.ActiveTexture(unit); });
-    return;
-  }
   const int idx = static_cast<int>(unit - GL_TEXTURE0);
   if (idx < 0 || idx >= static_cast<int>(units_.size())) {
     SetError(GL_INVALID_ENUM);
@@ -1186,10 +868,6 @@ void Context::ActiveTexture(GLenum unit) {
 }
 
 void Context::BindTexture(GLenum target, GLuint id) {
-  if (Recording()) {
-    record_->Push([target, id](Context& c) { c.BindTexture(target, id); });
-    return;
-  }
   if (target == GL_TEXTURE_CUBE_MAP) {
     SetError(GL_INVALID_ENUM);  // documented subset: no cube maps
     return;
@@ -1198,7 +876,7 @@ void Context::BindTexture(GLenum target, GLuint id) {
     SetError(GL_INVALID_ENUM);
     return;
   }
-  if (id != 0 && LookupTexture(id) == nullptr) {
+  if (id != 0 && GetTextureObject(id) == nullptr) {
     textures_[id] = std::make_unique<Texture>();
   }
   units_[static_cast<std::size_t>(active_unit_)].bound_2d = id;
@@ -1207,10 +885,6 @@ void Context::BindTexture(GLenum target, GLuint id) {
 void Context::TexImage2D(GLenum target, GLint level, GLint internal_format,
                          GLsizei width, GLsizei height, GLint border,
                          GLenum format, GLenum type, const void* data) {
-  // Sync point, not recorded: how many client bytes a legal upload may
-  // read depends on texture state only the executed stream knows, so the
-  // upload runs inline against drained state instead of deep-copying.
-  Sync();
   if (target != GL_TEXTURE_2D) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -1223,7 +897,7 @@ void Context::TexImage2D(GLenum target, GLint level, GLint internal_format,
     SetError(GL_INVALID_VALUE);
     return;
   }
-  Texture* t = LookupTexture(
+  Texture* t = GetTextureObject(
       units_[static_cast<std::size_t>(active_unit_)].bound_2d);
   if (t == nullptr) {
     SetError(GL_INVALID_OPERATION);
@@ -1238,12 +912,11 @@ void Context::TexImage2D(GLenum target, GLint level, GLint internal_format,
 void Context::TexSubImage2D(GLenum target, GLint level, GLint xoffset,
                             GLint yoffset, GLsizei width, GLsizei height,
                             GLenum format, GLenum type, const void* data) {
-  Sync();  // same contract as TexImage2D
   if (target != GL_TEXTURE_2D) {
     SetError(GL_INVALID_ENUM);
     return;
   }
-  Texture* t = LookupTexture(
+  Texture* t = GetTextureObject(
       units_[static_cast<std::size_t>(active_unit_)].bound_2d);
   if (t == nullptr) {
     SetError(GL_INVALID_OPERATION);
@@ -1255,16 +928,11 @@ void Context::TexSubImage2D(GLenum target, GLint level, GLint xoffset,
 }
 
 void Context::TexParameteri(GLenum target, GLenum pname, GLint param) {
-  if (Recording()) {
-    record_->Push(
-        [target, pname, param](Context& c) { c.TexParameteri(target, pname, param); });
-    return;
-  }
   if (target != GL_TEXTURE_2D) {
     SetError(GL_INVALID_ENUM);
     return;
   }
-  Texture* t = LookupTexture(
+  Texture* t = GetTextureObject(
       units_[static_cast<std::size_t>(active_unit_)].bound_2d);
   if (t == nullptr) {
     SetError(GL_INVALID_OPERATION);
@@ -1275,17 +943,6 @@ void Context::TexParameteri(GLenum target, GLenum pname, GLint param) {
 }
 
 void Context::DeleteTextures(GLsizei n, const GLuint* ids) {
-  if (Recording()) {
-    std::shared_ptr<std::vector<GLuint>> copy;
-    if (ids != nullptr && n > 0) {
-      copy = std::make_shared<std::vector<GLuint>>(ids, ids + n);
-    }
-    record_->Push([n, copy](Context& c) {
-      c.DeleteTextures(copy ? static_cast<GLsizei>(copy->size()) : n,
-                       copy ? copy->data() : nullptr);
-    });
-    return;
-  }
   for (GLsizei i = 0; i < n; ++i) {
     textures_.erase(ids[i]);
     for (TextureUnit& u : units_) {
@@ -1324,7 +981,6 @@ FramebufferObject* Context::GetFramebuffer(GLuint id) {
 }
 
 void Context::GenRenderbuffers(GLsizei n, GLuint* ids) {
-  Sync();  // returns fresh ids: must observe every deferred create/delete
   for (GLsizei i = 0; i < n; ++i) {
     const GLuint id = next_id_++;
     renderbuffers_[id] = std::make_unique<RenderbufferObject>();
@@ -1333,10 +989,6 @@ void Context::GenRenderbuffers(GLsizei n, GLuint* ids) {
 }
 
 void Context::BindRenderbuffer(GLenum target, GLuint id) {
-  if (Recording()) {
-    record_->Push([target, id](Context& c) { c.BindRenderbuffer(target, id); });
-    return;
-  }
   if (target != GL_RENDERBUFFER) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -1349,12 +1001,6 @@ void Context::BindRenderbuffer(GLenum target, GLuint id) {
 
 void Context::RenderbufferStorage(GLenum target, GLenum internal_format,
                                   GLsizei w, GLsizei h) {
-  if (Recording()) {
-    record_->Push([target, internal_format, w, h](Context& c) {
-      c.RenderbufferStorage(target, internal_format, w, h);
-    });
-    return;
-  }
   if (target != GL_RENDERBUFFER) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -1387,17 +1033,6 @@ void Context::RenderbufferStorage(GLenum target, GLenum internal_format,
 }
 
 void Context::DeleteRenderbuffers(GLsizei n, const GLuint* ids) {
-  if (Recording()) {
-    std::shared_ptr<std::vector<GLuint>> copy;
-    if (ids != nullptr && n > 0) {
-      copy = std::make_shared<std::vector<GLuint>>(ids, ids + n);
-    }
-    record_->Push([n, copy](Context& c) {
-      c.DeleteRenderbuffers(copy ? static_cast<GLsizei>(copy->size()) : n,
-                            copy ? copy->data() : nullptr);
-    });
-    return;
-  }
   for (GLsizei i = 0; i < n; ++i) {
     renderbuffers_.erase(ids[i]);
     if (bound_renderbuffer_ == ids[i]) bound_renderbuffer_ = 0;
@@ -1418,7 +1053,6 @@ void Context::DeleteRenderbuffers(GLsizei n, const GLuint* ids) {
 }
 
 void Context::GenFramebuffers(GLsizei n, GLuint* ids) {
-  Sync();  // returns fresh ids: must observe every deferred create/delete
   for (GLsizei i = 0; i < n; ++i) {
     const GLuint id = next_id_++;
     framebuffers_[id] = std::make_unique<FramebufferObject>();
@@ -1427,10 +1061,6 @@ void Context::GenFramebuffers(GLsizei n, GLuint* ids) {
 }
 
 void Context::BindFramebuffer(GLenum target, GLuint id) {
-  if (Recording()) {
-    record_->Push([target, id](Context& c) { c.BindFramebuffer(target, id); });
-    return;
-  }
   if (target != GL_FRAMEBUFFER) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -1444,12 +1074,6 @@ void Context::BindFramebuffer(GLenum target, GLuint id) {
 void Context::FramebufferTexture2D(GLenum target, GLenum attachment,
                                    GLenum textarget, GLuint texture,
                                    GLint level) {
-  if (Recording()) {
-    record_->Push([target, attachment, textarget, texture, level](Context& c) {
-      c.FramebufferTexture2D(target, attachment, textarget, texture, level);
-    });
-    return;
-  }
   if (target != GL_FRAMEBUFFER || textarget != GL_TEXTURE_2D) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -1478,12 +1102,6 @@ void Context::FramebufferTexture2D(GLenum target, GLenum attachment,
 
 void Context::FramebufferRenderbuffer(GLenum target, GLenum attachment,
                                       GLenum rb_target, GLuint rb) {
-  if (Recording()) {
-    record_->Push([target, attachment, rb_target, rb](Context& c) {
-      c.FramebufferRenderbuffer(target, attachment, rb_target, rb);
-    });
-    return;
-  }
   if (target != GL_FRAMEBUFFER || rb_target != GL_RENDERBUFFER) {
     SetError(GL_INVALID_ENUM);
     return;
@@ -1520,7 +1138,7 @@ bool Context::ResolveTarget(RenderTarget* out) {
   out->depth = nullptr;
   switch (fb->color.kind) {
     case FramebufferAttachment::Kind::kTexture: {
-      Texture* t = LookupTexture(fb->color.object);
+      Texture* t = GetTextureObject(fb->color.object);
       if (t == nullptr || !t->has_storage() || t->format() != GL_RGBA) {
         return false;
       }
@@ -1552,7 +1170,6 @@ bool Context::ResolveTarget(RenderTarget* out) {
 }
 
 GLenum Context::CheckFramebufferStatus(GLenum target) {
-  Sync();  // completeness depends on deferred attachment / storage calls
   if (target != GL_FRAMEBUFFER) {
     SetError(GL_INVALID_ENUM);
     return 0;
@@ -1569,17 +1186,6 @@ GLenum Context::CheckFramebufferStatus(GLenum target) {
 }
 
 void Context::DeleteFramebuffers(GLsizei n, const GLuint* ids) {
-  if (Recording()) {
-    std::shared_ptr<std::vector<GLuint>> copy;
-    if (ids != nullptr && n > 0) {
-      copy = std::make_shared<std::vector<GLuint>>(ids, ids + n);
-    }
-    record_->Push([n, copy](Context& c) {
-      c.DeleteFramebuffers(copy ? static_cast<GLsizei>(copy->size()) : n,
-                           copy ? copy->data() : nullptr);
-    });
-    return;
-  }
   for (GLsizei i = 0; i < n; ++i) {
     framebuffers_.erase(ids[i]);
     if (bound_framebuffer_ == ids[i]) bound_framebuffer_ = 0;
@@ -1591,10 +1197,6 @@ void Context::DeleteFramebuffers(GLsizei n, const GLuint* ids) {
 // ---------------------------------------------------------------------------
 
 void Context::Clear(GLbitfield mask) {
-  if (Recording()) {
-    record_->Push([mask](Context& c) { c.Clear(mask); });
-    return;
-  }
   RenderTarget rt;
   if (!ResolveTarget(&rt)) {
     SetError(GL_INVALID_FRAMEBUFFER_OPERATION);
@@ -1638,7 +1240,6 @@ void Context::Clear(GLbitfield mask) {
 
 void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
                          GLenum format, GLenum type, void* pixels) {
-  Sync();  // readback must observe every deferred draw
   // The ONLY guaranteed readback path in ES 2.0 (paper limitation #7): the
   // framebuffer, as RGBA8. There is no glGetTexImage.
   if (format != GL_RGBA || type != GL_UNSIGNED_BYTE) {
@@ -2223,14 +1824,6 @@ void Context::CheckDrawBudget(ShadeStateCache::WorkerState* w) {
 }
 
 void Context::DrawArrays(GLenum mode, GLint first, GLsizei count) {
-  if (Recording()) {
-    if (record_->DrawArrays(mode, first, count)) return;
-    // Unrecordable draw (client arrays the snapshot rules exclude, or a
-    // submit-failed queue): drain everything queued ahead of it, then run
-    // it inline so error order matches immediate mode.
-    record_->NoteInlineSync();
-    Sync();
-  }
   if (first < 0 || count < 0) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -2242,11 +1835,6 @@ void Context::DrawArrays(GLenum mode, GLint first, GLsizei count) {
 
 void Context::DrawElements(GLenum mode, GLsizei count, GLenum type,
                            const void* indices) {
-  if (Recording()) {
-    if (record_->DrawElements(mode, count, type, indices)) return;
-    record_->NoteInlineSync();
-    Sync();
-  }
   if (count < 0) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -2977,7 +2565,7 @@ glsl::TextureFn Context::MakeTextureFn(TmuCacheModel* cache,
       return {0.0f, 0.0f, 0.0f, 1.0f};
     }
     const GLuint tex_id = units_[static_cast<std::size_t>(unit)].bound_2d;
-    Texture* tex = LookupTexture(tex_id);
+    Texture* tex = GetTextureObject(tex_id);
     if (tex == nullptr) return {0.0f, 0.0f, 0.0f, 1.0f};
     // Texture-cache model: 32-byte lines = 8 RGBA8 texels.
     const long long texel = tex->NearestTexelIndex(s, t);
@@ -3005,7 +2593,7 @@ glsl::TextureFn Context::MakeBatchTextureFn(
       return {0.0f, 0.0f, 0.0f, 1.0f};
     }
     const GLuint tex_id = units_[static_cast<std::size_t>(unit)].bound_2d;
-    Texture* tex = LookupTexture(tex_id);
+    Texture* tex = GetTextureObject(tex_id);
     if (tex == nullptr) return {0.0f, 0.0f, 0.0f, 1.0f};
     const long long texel = tex->NearestTexelIndex(s, t);
     if (texel >= 0) {

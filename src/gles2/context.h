@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "gles2/cmdstream.h"
 #include "gles2/enums.h"
 #include "gles2/objects.h"
 #include "gles2/texture.h"
@@ -29,14 +30,6 @@ class ThreadPool;
 }
 
 namespace mgpu::gles2 {
-
-// Command-stream types (src/gles2/cmdstream.h): the per-context recording
-// queue, its record/submit tallies, and a draw's client-array snapshot.
-namespace cmd {
-class CommandQueue;
-struct Stats;
-struct AttribCopy;
-}  // namespace cmd
 
 // How fragment colors are quantized into the byte framebuffer. The paper's
 // Eq. (2) states floor(f * 255); most real drivers round to nearest. Both
@@ -102,20 +95,6 @@ struct ContextConfig {
   // bit-identical at every tier by construction (see src/glsl/simd.h);
   // this knob exists for A/B benchmarking and CI's SIMD-off leg.
   int simd = -1;
-  // VC4-style command stream: -1 = auto (the MGPU_ASYNC env override if
-  // set — 0 disables — else on), 0 = immediate mode (every call executes
-  // inline, the oracle), 1 = force on. When on, state changes and draws are
-  // recorded into a replayable CommandList (src/gles2/cmdstream.h),
-  // submitted to a process-wide consumer thread that executes lists from
-  // all contexts in fair FIFO arrival order — the way real VC4 is driven
-  // by control lists rather than immediate-mode calls.
-  // Flush() submits the open list, Finish() joins, and every value-
-  // returning call (GetError, ReadPixels, GetGraphicsResetStatus, Gen*,
-  // Get*, ...) is an implicit sync point, so recorded execution is
-  // byte-identical to immediate mode in framebuffer bytes, op counts, GL
-  // errors and trap/abort semantics (see README "Command stream"). Mirrors
-  // `simd`: the knob exists for A/B benchmarking and CI's MGPU_ASYNC=0 leg.
-  int async_submit = -1;
   // Per-draw total-work budget in modeled ALU ops (vertex + fragment,
   // AluModel::CountAlu accounting): a watchdog in the spirit of a kernel
   // GPU-hang timeout. 0 (default) disables it; a draw that exceeds the
@@ -390,11 +369,10 @@ class Context {
   [[nodiscard]] const char* GetString(GLenum name);
   void GetShaderPrecisionFormat(GLenum shader_type, GLenum precision_type,
                                 GLint* range, GLint* precision);
-  // Flush submits the open command list to the device (async mode); Finish
-  // additionally joins — on return every recorded command has executed.
-  // Both are no-ops in immediate mode, where nothing is ever deferred.
-  void Finish();
-  void Flush();
+  // No-ops: every call executes on the caller's thread before it returns,
+  // so there is never queued work to submit or wait for.
+  void Finish() {}
+  void Flush() {}
 
   // --- shaders ---
   GLuint CreateShader(GLenum type);
@@ -483,9 +461,7 @@ class Context {
                   GLenum type, void* pixels);
 
   // --- introspection for tests and the timing model ---
-  // All of these observe state the deferred executor mutates, so in async
-  // mode each is an implicit sync point (defined in context.cc).
-  [[nodiscard]] glsl::AluModel& alu();
+  [[nodiscard]] glsl::AluModel& alu() { return *alu_; }
   [[nodiscard]] const ContextConfig& config() const { return config_; }
   // Execution-engine switch (applies to subsequent draws; programs carry
   // both engines, compiled at link time). Drops all cached shading state:
@@ -499,12 +475,16 @@ class Context {
   void SetShaderThreads(int n);
   // Cache of per-worker shading state, exposed for the cache-behaviour and
   // invalidation tests.
-  [[nodiscard]] const ShadeStateCache& shade_state_cache();
+  [[nodiscard]] const ShadeStateCache& shade_state_cache() const {
+    return shade_cache_;
+  }
   // Last shader runtime failure during a draw ("" when none): loop budget
   // exceeded etc.; a real GPU would hang or reset. The failed draw itself
   // was aborted transactionally — the framebuffer, depth buffer and op
   // counters hold exactly the pre-draw state.
-  [[nodiscard]] const std::string& last_draw_error();
+  [[nodiscard]] const std::string& last_draw_error() const {
+    return last_draw_error_;
+  }
   // GL_EXT_robustness-style reset status: GL_NO_ERROR when no draw has
   // been aborted since the last query, else which side was at fault
   // (GL_GUILTY_CONTEXT_RESET for shader traps and watchdog trips,
@@ -516,23 +496,19 @@ class Context {
   // The resolved per-draw watchdog budget (config / MGPU_DRAW_BUDGET; 0 =
   // off). Settable at any time; applies to subsequent draws.
   [[nodiscard]] std::uint64_t draw_budget() const { return draw_budget_; }
-  void SetDrawBudget(std::uint64_t ops);
+  void SetDrawBudget(std::uint64_t ops) { draw_budget_ = ops; }
   // Whether draws run the lane-batched vertex stage: true exactly under
   // the batched engines (kBatchedVm, kCompiled).
   [[nodiscard]] bool vertex_batch_enabled() const {
     return config_.exec_engine == ExecEngine::kBatchedVm ||
            config_.exec_engine == ExecEngine::kCompiled;
   }
-  // Whether this context records into the async command stream
-  // (ContextConfig::async_submit resolved against MGPU_ASYNC at
-  // construction). Exposed for the knob tests and the A/B benches.
-  [[nodiscard]] bool async_submit_enabled() const {
-    return record_ != nullptr;
-  }
-  // Record / submit tallies of the command stream (all zero in
-  // immediate mode); see cmd::Stats in cmdstream.h. Sync point: the
-  // executed-list count is final when it returns.
-  [[nodiscard]] cmd::Stats command_stream_stats();
+  // Always false; kept only for e2ebench, which reports it.
+  [[nodiscard]] bool async_submit_enabled() const { return false; }
+  // Always all zero; kept only for e2ebench, which reports it.
+  [[nodiscard]] cmd::Stats command_stream_stats() const { return {}; }
+  // Texture by id, or nullptr. Read-only, so the draw-time texture
+  // callbacks on pool workers may call it concurrently.
   [[nodiscard]] Texture* GetTextureObject(GLuint id);
 
  private:
@@ -556,35 +532,6 @@ class Context {
     int width = 0;
     int height = 0;
   };
-
-  // The recording queue captures calls into closures that re-enter the
-  // public API on the device thread (where recording is suppressed, so the
-  // original bodies run unchanged — byte-identity by construction), and
-  // replays draw-time client-array snapshots through ReplayRecordedDraw.
-  friend class cmd::CommandQueue;
-  // Implicit sync point: flushes the open command list, joins the device,
-  // and latches any failed-submit error (GL_OUT_OF_MEMORY + innocent
-  // reset) the client has not yet observed. No-op in immediate mode and on
-  // the device thread.
-  void Sync();
-  // Executes a recorded draw whose client-side vertex arrays (and client
-  // index array, for DrawElements) were snapshotted at record time: the
-  // snapshot copies are swapped into the attribute bindings around a plain
-  // DrawArrays/DrawElements call, which runs inline on the device thread.
-  void ReplayRecordedDraw(
-      GLenum mode, GLint first, GLsizei count, bool elements,
-      GLenum index_type, std::shared_ptr<std::vector<std::uint8_t>> indices,
-      std::shared_ptr<std::vector<cmd::AttribCopy>> copies);
-
-  // True when this call should be recorded instead of executed: async mode
-  // is on and the caller is a client thread (the device thread re-entering
-  // the public API during replay must run the original bodies).
-  [[nodiscard]] bool Recording() const;
-  // Texture lookup without the sync prologue of the public
-  // GetTextureObject: used by the draw-time texture callbacks, which run on
-  // pool workers while the device thread owns the draw — syncing there
-  // would self-deadlock.
-  [[nodiscard]] Texture* LookupTexture(GLuint id);
 
   void SetError(GLenum e);
   [[nodiscard]] ShaderObject* GetShader(GLuint id);
@@ -648,11 +595,6 @@ class Context {
                            ProgramObject* prog);
 
   ContextConfig config_;
-  // The async recording queue (ContextConfig::async_submit resolved once at
-  // construction): non-null = calls are recorded and executed by the
-  // process-wide submit device; null = immediate mode. ~Context joins and
-  // unregisters it before any other member dies.
-  std::unique_ptr<cmd::CommandQueue> record_;
   // ContextConfig::simd resolved once at construction (env override applied,
   // clamped to the host's detected tier); stamped onto every linked
   // program's VM engines.

@@ -3,8 +3,10 @@
 // enumerates (no GL_QUADS, no float data, single output).
 #include "gles2/context.h"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -308,6 +310,8 @@ TEST(ContextTest, ColorMaskSuppressesChannels) {
   EXPECT_EQ(px[3], 0);
 }
 
+// Client vertex and index arrays are read during the call: clobbering them
+// after it returns leaves the framebuffer untouched.
 TEST(ContextTest, DrawElementsWithIndices) {
   Context ctx(SmallConfig());
   const GLuint p = BuildProgramOrDie(
@@ -315,12 +319,14 @@ TEST(ContextTest, DrawElementsWithIndices) {
       "precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }");
   ctx.UseProgram(p);
   const GLint loc = ctx.GetAttribLocation(p, "a_pos");
-  const float verts[] = {-1, -1, 1, -1, 1, 1, -1, 1};
-  const std::uint8_t idx[] = {0, 1, 2, 0, 2, 3};
+  std::array<float, 8> verts = {-1, -1, 1, -1, 1, 1, -1, 1};
+  std::array<std::uint8_t, 6> idx = {0, 1, 2, 0, 2, 3};
   ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
   ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE, 0,
-                          verts);
-  ctx.DrawElements(GL_TRIANGLES, 6, GL_UNSIGNED_BYTE, idx);
+                          verts.data());
+  ctx.DrawElements(GL_TRIANGLES, 6, GL_UNSIGNED_BYTE, idx.data());
+  verts.fill(0.0f);
+  idx.fill(0);
   const auto px = ReadRgba(ctx, 4, 4);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(px[i * 4], 255) << i;
 }
@@ -441,7 +447,8 @@ TEST(ContextTest, DrawElementsIndexRangeBeyondBufferSetsError) {
 }
 
 // Deleting a buffer detaches it from every attribute binding: a later draw
-// fails cleanly (GL_INVALID_OPERATION, no fetch through the stale id).
+// fails cleanly (GL_INVALID_OPERATION, no fetch through the stale id), while
+// pixels an earlier draw wrote from it stay.
 TEST(ContextTest, DeletedBufferDetachesFromAttribBinding) {
   for (const ExecEngine engine :
        {ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm}) {
@@ -462,7 +469,11 @@ TEST(ContextTest, DeletedBufferDetachesFromAttribBinding) {
     ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
     ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE,
                             0, nullptr);
+    ctx.DrawArrays(GL_TRIANGLES, 0, 6);
+    const auto drawn = ReadRgba(ctx, 4, 4);
+    ASSERT_EQ(drawn[0], 255);
     ctx.DeleteBuffers(1, &vbo);
+    EXPECT_EQ(ReadRgba(ctx, 4, 4), drawn);
     ctx.DrawArrays(GL_TRIANGLES, 0, 6);
     EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
   }
@@ -556,10 +567,12 @@ TEST(ContextTest, GetStringAndIntegerQueries) {
   EXPECT_EQ(v, 4096);
 }
 
+// Errors latch in call order: later invalid calls cannot displace the first.
 TEST(ContextTest, ErrorStateIsStickyUntilRead) {
   Context ctx(SmallConfig());
   ctx.Enable(0xDEAD);
   ctx.Viewport(0, 0, -1, -1);  // would be INVALID_VALUE, but first error wins
+  ctx.Enable(0xDEAD);
   EXPECT_EQ(ctx.GetError(), GL_INVALID_ENUM);
   EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
 }
@@ -575,6 +588,41 @@ TEST(ContextTest, PaperQuantizationModeFloors) {
   DrawFullscreenQuad(ctx, p);
   const auto px = ReadRgba(ctx, 1, 1);
   EXPECT_EQ(px[0], 254);  // floor(0.9999 * 255) per the paper's Eq. (2)
+}
+
+// Two live contexts with interleaved calls never see each other's state:
+// each keeps its own program, uniforms, framebuffer and error latch.
+TEST(ContextTest, InterleavedContextsAreIndependent) {
+  constexpr int kContexts = 2;
+  std::array<std::unique_ptr<Context>, kContexts> ctxs;
+  std::array<GLuint, kContexts> progs{};
+  std::array<GLint, kContexts> tints{};
+  for (int i = 0; i < kContexts; ++i) {
+    ctxs[i] = std::make_unique<Context>(SmallConfig());
+    progs[i] = BuildProgramOrDie(
+        *ctxs[i], testutil::kPassthroughVs,
+        "precision mediump float;\nuniform vec4 u_tint;\n"
+        "void main() { gl_FragColor = u_tint; }");
+    tints[i] = ctxs[i]->GetUniformLocation(progs[i], "u_tint");
+  }
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < kContexts; ++i) {
+      const float v = (i + 1) / static_cast<float>(kContexts + 1);
+      ctxs[i]->UseProgram(progs[i]);
+      ctxs[i]->Uniform4f(tints[i], v, 1.0f - v, 0.0f, 1.0f);
+      DrawFullscreenQuad(*ctxs[i], progs[i]);
+    }
+  }
+  ctxs[0]->Enable(0xDEAD);
+  for (int i = 0; i < kContexts; ++i) {
+    const float v = (i + 1) / static_cast<float>(kContexts + 1);
+    const auto px = ReadRgba(*ctxs[i], 4, 4);
+    EXPECT_EQ(px[0], static_cast<int>(v * 255.0f + 0.5f)) << "context " << i;
+    EXPECT_EQ(px[1], static_cast<int>((1.0f - v) * 255.0f + 0.5f))
+        << "context " << i;
+    EXPECT_EQ(ctxs[i]->GetError(), i == 0 ? GL_INVALID_ENUM : GL_NO_ERROR)
+        << "context " << i;
+  }
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "gles2/cmdstream.h"
 #include "gles2/context.h"
 #include "gles2_test_util.h"
 #include "gtest/gtest.h"
@@ -321,64 +320,6 @@ TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
         << "recovery draw cost differs from never-faulted twin";
   }
   fault::DisarmAll();
-}
-
-// Command-stream submit faults (Site::kCmdSubmit): a list the device drops
-// must surface at the client's next sync point as an innocent reset with
-// GL_OUT_OF_MEMORY, leave the framebuffer and counters exactly as if the
-// dropped work was never issued, and the next draw on a fresh list must be
-// byte-identical to a never-faulted twin. Swept across engines and worker
-// counts; async is forced on so the sweep also runs under CI's MGPU_ASYNC=0
-// leg.
-TEST(FaultInjection, CmdSubmitDropLatchesInnocentResetAndRecovers) {
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
-  for (const ExecEngine engine : engines) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
-                   std::to_string(threads));
-      ContextConfig cfg = MakeConfig(engine, threads);
-      cfg.async_submit = 1;
-      Context ctx(cfg);
-      Context twin(cfg);  // never faulted
-      const GLuint prog = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
-      const GLuint tprog = BuildProgramOrDie(twin, kPassthroughVs, kCleanFs);
-      // Fully plumbed setup + baseline draw on both, then sync: the armed
-      // window below contains exactly one recorded draw and its submit.
-      DrawFullscreenQuad(ctx, prog);
-      DrawFullscreenQuad(twin, tprog);
-      ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
-      ASSERT_EQ(twin.GetError(), GL_NO_ERROR);
-      const Snapshot pre = Snap(ctx);
-
-      fault::Arm(Site::kCmdSubmit, 0);
-      ctx.DrawArrays(GL_TRIANGLES, 0, 6);  // recorded, then dropped at submit
-      fault::Disarm(Site::kCmdSubmit);     // quiesces: the drop happens here
-
-      EXPECT_EQ(ctx.GetError(), GL_OUT_OF_MEMORY);
-      EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_INNOCENT_CONTEXT_RESET);
-      EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);  // observe+clear
-      EXPECT_FALSE(ctx.last_draw_error().empty());
-      // The dropped draw never executed: state is byte-exactly pre-drop.
-      ExpectSnapshotEq(Snap(ctx), pre, "post-drop");
-      const cmd::Stats s = ctx.command_stream_stats();
-      EXPECT_GE(s.lists_dropped, 1u);
-
-      // Recovery on a fresh list: byte-identical to the never-faulted twin
-      // at identical per-draw counter cost.
-      const std::uint64_t ctx_before = ctx.alu().counts().alu;
-      const std::uint64_t twin_before = twin.alu().counts().alu;
-      DrawFullscreenQuad(ctx, prog);
-      DrawFullscreenQuad(twin, tprog);
-      ASSERT_EQ(ctx.GetError(), GL_NO_ERROR) << ctx.last_draw_error();
-      ASSERT_EQ(twin.GetError(), GL_NO_ERROR);
-      EXPECT_EQ(ReadRgba(ctx, kW, kH), ReadRgba(twin, kW, kH))
-          << "recovery draw differs from never-faulted twin";
-      EXPECT_EQ(ctx.alu().counts().alu - ctx_before,
-                twin.alu().counts().alu - twin_before);
-    }
-  }
 }
 
 // MGPU_DRAW_BUDGET wiring: the config knob resolves into draw_budget().

@@ -634,13 +634,8 @@ TEST(VmGles2Test, DrawsAreByteIdenticalAcrossEngines) {
     gl.SetExecEngine(engine);
     gl.ClearColor(0, 0, 0, 0);
     gl.Clear(GL_COLOR_BUFFER_BIT);
-    // The test samples the external ALU model directly, bypassing the
-    // context's syncing accessors, so it must drain the async command
-    // stream itself on either side of the draw.
-    gl.Finish();
     alu.ResetCounts();
     gl.DrawArrays(GL_TRIANGLES, 0, 6);
-    gl.Finish();
     *counts = alu.counts();
     std::vector<std::uint8_t> px(32 * 32 * 4);
     gl.ReadPixels(0, 0, 32, 32, GL_RGBA, GL_UNSIGNED_BYTE, px.data());
