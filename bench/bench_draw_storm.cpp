@@ -221,20 +221,6 @@ int main(int argc, char** argv) {
               simd_identical ? "identical" : "MISMATCH", soa.seconds,
               soa.seconds / serial.seconds);
 
-  // Compiled-engine A/B: the same storm through the per-link transpiled
-  // module. Tiny draws are the compiled engine's worst case — per-draw
-  // dispatch tax unchanged, shading per draw minimal — so this leg prices
-  // the fixed cost of entering native code (and, on the very first draw
-  // ever, the cached toolchain invocation) rather than the SoA win.
-  const StormResult compiled =
-      best_of(/*shader_threads=*/1, gles2::ExecEngine::kCompiled);
-  const bool compiled_identical = serial.fb_hash == compiled.fb_hash &&
-                                  serial.alu_ops == compiled.alu_ops;
-  std::printf("  compiled engine:     %s (%8.3f s, speedup %.2fx vs "
-              "batched)\n",
-              compiled_identical ? "identical" : "MISMATCH", compiled.seconds,
-              serial.seconds / compiled.seconds);
-
   // Watchdog A/B: the robustness model keeps its transactional machinery
   // (per-pixel undo journaling) on every run, so the serial leg above IS
   // the watchdog-compiled-in-but-disabled number the CI gate tracks. This
@@ -252,9 +238,8 @@ int main(int argc, char** argv) {
               watchdog.seconds / serial.seconds);
 
   const bool ok = identical && batched_identical && simd_identical &&
-                  watchdog_identical && compiled_identical && serial.draw_ok &&
-                  pooled.draw_ok && scalar.draw_ok && soa.draw_ok &&
-                  watchdog.draw_ok && compiled.draw_ok;
+                  watchdog_identical && serial.draw_ok && pooled.draw_ok &&
+                  scalar.draw_ok && soa.draw_ok && watchdog.draw_ok;
 
   bench::JsonBenchWriter json("draw_storm");
   json.Add("draws", draws, "count");
@@ -266,10 +251,6 @@ int main(int argc, char** argv) {
   json.Add("soa_storm", soa.seconds, "s");
   json.Add("simd_speedup_vs_soa", soa.seconds / serial.seconds, "x");
   json.Add("simd_identical", simd_identical ? 1.0 : 0.0, "bool");
-  json.Add("compiled_storm", compiled.seconds, "s");
-  json.Add("compiled_speedup_vs_batched",
-           serial.seconds / compiled.seconds, "x");
-  json.Add("compiled_identical", compiled_identical ? 1.0 : 0.0, "bool");
   json.Add("watchdog_storm", watchdog.seconds, "s");
   json.Add("watchdog_overhead", watchdog.seconds / serial.seconds,
            "x_lower");

@@ -305,18 +305,6 @@ int main(int argc, char** argv) {
               vh_soa.seconds / vh_batched.seconds,
               simd_identical ? "identical" : "MISMATCH");
 
-  // Compiled-engine A/B: the per-link transpiled module against the batched
-  // interpreter it falls back to. Same scene, same lanes; the first draw
-  // pays the (content-hash cached) toolchain invocation, and min-of-reps
-  // reporting picks the warm time. Framebuffers must hash identically.
-  const VectorHeavyResult vh_compiled = best_vh(gles2::ExecEngine::kCompiled);
-  const bool compiled_identical = vh_compiled.fb_hash == vh_batched.fb_hash;
-  std::printf("  compiled:    %8.3f s  (speedup vs batched %.2fx, "
-              "framebuffers %s)\n",
-              vh_compiled.seconds,
-              vh_batched.seconds / vh_compiled.seconds,
-              compiled_identical ? "identical" : "MISMATCH");
-
   bench::JsonBenchWriter json("fig1_pipeline");
   json.Add("vm_sweep", vm.seconds, "s");
   json.Add("tree_sweep", tree.seconds, "s");
@@ -337,11 +325,6 @@ int main(int argc, char** argv) {
   json.Add("simd_speedup_vs_soa", vh_soa.seconds / vh_batched.seconds, "x");
   json.Add("simd_identical",
            simd_identical && vh_soa.ok ? 1.0 : 0.0, "bool");
-  json.Add("vector_heavy_compiled", vh_compiled.seconds, "s");
-  json.Add("compiled_speedup_vs_batched",
-           vh_batched.seconds / vh_compiled.seconds, "x");
-  json.Add("compiled_identical",
-           compiled_identical && vh_compiled.ok ? 1.0 : 0.0, "bool");
   if (!json.Write()) {
     std::fprintf(stderr, "warning: could not write BENCH_fig1_pipeline.json\n");
   }
@@ -391,8 +374,7 @@ int main(int argc, char** argv) {
 
   const bool all_ok = batched.ok && vm.ok && tree.ok && scaling_ok &&
                       vh_identical && vh_batched.ok && vh_scalar.ok &&
-                      simd_identical && vh_soa.ok && compiled_identical &&
-                      vh_compiled.ok;
+                      simd_identical && vh_soa.ok;
   std::printf("\nresult: %s\n", all_ok ? "every size maps 1:1" : "FAILURE");
   return all_ok ? 0 : 1;
 }

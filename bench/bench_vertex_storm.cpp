@@ -6,10 +6,10 @@
 // path: a dense mesh of sub-pixel triangles whose vertex shader does real
 // transform work (rotate, scale, trig, normalize) while the fragment shader
 // is a passthrough, re-drawn over several animated frames so the vertex
-// stage dominates wall clock. A/B legs hold the batched vertex stage
-// byte-identical to the SIMD-off SoA tier and the compiled engine via FNV
-// framebuffer hashes and ALU op counts, and BENCH_vertex_storm.json records
-// the speedups for CI's check_bench.py gate.
+// stage dominates wall clock. An A/B leg holds the batched vertex stage
+// byte-identical to the SIMD-off SoA tier via FNV framebuffer hashes and
+// ALU op counts, and BENCH_vertex_storm.json records the speedup for CI's
+// check_bench.py gate.
 //
 // Usage: bench_vertex_storm [--quick] [--tris N] [--frames N]
 //   --quick: CI smoke size (fewer triangles/frames), same metric names.
@@ -32,10 +32,9 @@ using namespace mgpu::gles2;
 constexpr int kTargetSize = 512;  // small target: fragment work is noise,
                                   // the vertex stage is what's being timed
 
-// Uniform control flow (no branches), so the compiled engine's vertex
-// module is eligible and the lane-batched interpreter never diverges: the
-// whole mesh rides the SoA/SIMD/JIT machinery. The work is deliberately
-// trig- and normalize-heavy — the shapes the SIMD tiers and the transpiler
+// Uniform control flow (no branches), so the lane-batched interpreter never
+// diverges: the whole mesh rides the SoA/SIMD machinery. The work is
+// deliberately trig- and normalize-heavy — the shapes the SIMD tiers
 // accelerate. Each vertex orbits its triangle's shared center (a_pos) on a
 // tiny per-corner circle (a_aux = corner phase, corner radius), so the
 // vertex stage does real transform work while every triangle stays ~1 px:
@@ -128,15 +127,12 @@ void BuildMesh(int tris, std::vector<float>* pos, std::vector<float>* aux) {
 // mesh, or program setup, and not readback.
 StormResult RunStorm(int tris, int frames,
                      const std::vector<float>& pos,
-                     const std::vector<float>& aux,
-                     gles2::ExecEngine engine = gles2::ExecEngine::kBatchedVm,
-                     int simd = -1) {
+                     const std::vector<float>& aux, int simd = -1) {
   gles2::ContextConfig cfg;
   cfg.width = kTargetSize;
   cfg.height = kTargetSize;
   cfg.has_depth = false;
   cfg.shader_threads = 1;
-  cfg.exec_engine = engine;
   cfg.simd = simd;
   gles2::Context ctx(cfg);
 
@@ -205,13 +201,10 @@ int main(int argc, char** argv) {
   // Min over 3 identical runs (same de-noiser as the draw storm); the
   // deterministic metrics are identical across runs by construction.
   constexpr int kReps = 3;
-  auto best_of = [&](gles2::ExecEngine engine =
-                         gles2::ExecEngine::kBatchedVm,
-                     int simd = -1) {
-    StormResult best = RunStorm(tris, frames, pos, aux, engine, simd);
+  auto best_of = [&](int simd = -1) {
+    StormResult best = RunStorm(tris, frames, pos, aux, simd);
     for (int r = 1; r < kReps; ++r) {
-      const StormResult again =
-          RunStorm(tris, frames, pos, aux, engine, simd);
+      const StormResult again = RunStorm(tris, frames, pos, aux, simd);
       if (again.seconds < best.seconds) best = again;
     }
     return best;
@@ -225,32 +218,19 @@ int main(int argc, char** argv) {
   // vertex batches are the SIMD tiers' best case (the draw storm only ever
   // sees 3-lane tails), so this leg is where a vertex-plane SIMD regression
   // would actually show.
-  const StormResult soa =
-      best_of(gles2::ExecEngine::kBatchedVm, /*simd=*/0);
+  const StormResult soa = best_of(/*simd=*/0);
   const bool simd_identical = batched.fb_hash == soa.fb_hash &&
                               batched.alu_ops == soa.alu_ops;
   std::printf("  simd vs scalar SoA:  %s (%8.3f s SoA, simd speedup %.2fx)\n",
               simd_identical ? "identical" : "MISMATCH", soa.seconds,
               soa.seconds / batched.seconds);
 
-  // Compiled-engine A/B: the vertex shader has uniform control flow, so the
-  // per-link C++ module takes the whole mesh through RunBatchJit — the best
-  // case for the transpiled path, mirrored against its worst case in the
-  // draw storm.
-  const StormResult compiled = best_of(gles2::ExecEngine::kCompiled);
-  const bool compiled_identical = batched.fb_hash == compiled.fb_hash &&
-                                  batched.alu_ops == compiled.alu_ops;
-  std::printf("  compiled engine:     %s (%8.3f s, speedup %.2fx vs "
-              "batched)\n",
-              compiled_identical ? "identical" : "MISMATCH", compiled.seconds,
-              batched.seconds / compiled.seconds);
-
   // A blank framebuffer would make every hash "identical" vacuously; require
   // visible coverage from the mesh.
   const bool coverage_ok = batched.fb_hash != 0 && batched.alu_ops > 0;
 
-  const bool ok = simd_identical && compiled_identical && coverage_ok &&
-                  batched.draw_ok && soa.draw_ok && compiled.draw_ok;
+  const bool ok = simd_identical && coverage_ok && batched.draw_ok &&
+                  soa.draw_ok;
 
   bench::JsonBenchWriter json("vertex_storm");
   json.Add("tris", tris, "count");
@@ -261,15 +241,10 @@ int main(int argc, char** argv) {
   json.Add("soa_storm", soa.seconds, "s");
   json.Add("simd_speedup_vs_soa", soa.seconds / batched.seconds, "x");
   json.Add("simd_identical", simd_identical ? 1.0 : 0.0, "bool");
-  json.Add("compiled_storm", compiled.seconds, "s");
-  json.Add("compiled_speedup_vs_batched",
-           batched.seconds / compiled.seconds, "x");
-  json.Add("compiled_identical", compiled_identical ? 1.0 : 0.0, "bool");
   json.Add("alu_ops_per_vert",
            static_cast<double>(batched.alu_ops) / verts, "ops");
   json.Add("fb_hash", batched.fb_hash, "hash");
-  json.Add("draw_errors_ok",
-           batched.draw_ok && soa.draw_ok && compiled.draw_ok ? 1.0 : 0.0,
+  json.Add("draw_errors_ok", batched.draw_ok && soa.draw_ok ? 1.0 : 0.0,
            "bool");
   if (!json.Write()) {
     std::fprintf(stderr,

@@ -25,10 +25,9 @@ struct DeviceOptions {
   // instruction over all lanes, the way a VC4 QPU runs pixel groups through
   // one instruction stream. kBytecodeVm selects the scalar VM (one
   // dispatch-loop pass per fragment) and kTreeWalk the tree-walking
-  // interpreter, and kCompiled the batched VM with per-link native code
-  // (when a host compiler is available, see glsl::jit::Available()); all
-  // four produce identical output bytes and ALU/SFU/TMU op counts, so either
-  // oracle can differentially check the batched paths.
+  // interpreter; all three produce identical output bytes and ALU/SFU/TMU
+  // op counts, so either oracle can differentially check the batched path.
+  // kCompiled is an alias of kBatchedVm (see gles2::ExecEngine).
   gles2::ExecEngine exec_engine = gles2::ExecEngine::kBatchedVm;
   // Fragment-shading workers for the tiled rasterizer: 0 = one per hardware
   // thread (default), 1 = serial reference path. Results (output bytes and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -32,16 +33,16 @@ namespace {
 // serves the vertex and fragment stages.
 constexpr const char kBudgetMsg[] =
     "draw exceeded the per-draw ALU-op watchdog budget (MGPU_DRAW_BUDGET)";
+
+// kCompiled exists only for e2ebench; it names the lane-batched VM.
+ExecEngine Canonical(ExecEngine engine) {
+  return engine == ExecEngine::kCompiled ? ExecEngine::kBatchedVm : engine;
+}
 }  // namespace
 
 ShadeStateCache::WorkerState::~WorkerState() {
   if (engine_owned == nullptr && engine != nullptr) {
     engine->SetTextureFn(glsl::TextureFn{});
-  }
-  // A borrowed engine (the program's own fvm) outlives this slot; detach any
-  // compiled module so a later interpreter-engine draw is not jitted.
-  if (engine_owned == nullptr && vm != nullptr) {
-    vm->SetJit(nullptr);
   }
 }
 
@@ -113,12 +114,18 @@ void ShadeStateCache::InvalidateProgram(GLuint program) {
 
 Context::Context(const ContextConfig& config, glsl::AluModel* alu)
     : config_(config), alu_(alu != nullptr ? alu : &default_alu_) {
+  config_.exec_engine = Canonical(config_.exec_engine);
   simd_level_ = glsl::simd::Resolve(config_.simd);
   shade_cache_.SetCapacity(
       static_cast<std::size_t>(std::max(config_.shade_cache_capacity, 1)));
   draw_budget_ = config_.draw_budget;
   if (const char* env = std::getenv("MGPU_DRAW_BUDGET")) {
-    draw_budget_ = std::strtoull(env, nullptr, 10);
+    // Only a whole decimal number overrides the configured budget: "abc",
+    // "-1" or "12x" would otherwise parse as 0 (off) or a wrapped value.
+    const char* end = env + std::strlen(env);
+    std::uint64_t ops = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, ops);
+    if (ec == std::errc{} && ptr == end) draw_budget_ = ops;
   }
   attribs_.resize(static_cast<std::size_t>(config_.limits.max_vertex_attribs));
   fb_color_.assign(
@@ -137,7 +144,7 @@ Context::Context(const ContextConfig& config, glsl::AluModel* alu)
 Context::~Context() = default;
 
 void Context::SetExecEngine(ExecEngine engine) {
-  config_.exec_engine = engine;
+  config_.exec_engine = Canonical(engine);
   shade_cache_.Clear();
 }
 
@@ -484,12 +491,6 @@ void Context::LinkProgram(GLuint program) {
     p->vvm->SetSimdLevel(simd_level_);
     p->fvm->SetSimdLevel(simd_level_);
   }
-  // The compiled modules (if any) were built from the old bytecode; drop
-  // them and let the next kCompiled draw rebuild from the fresh program.
-  p->fs_jit.reset();
-  p->fs_jit_attempted = false;
-  p->vs_jit.reset();
-  p->vs_jit_attempted = false;
 }
 
 void Context::GetProgramiv(GLuint program, GLenum pname, GLint* params) {
@@ -1427,17 +1428,6 @@ bool Context::ShadeVerticesBatched(
     const glsl::OpCounts& draw_start_counts) {
   glsl::VmExec& vm = *prog->vvm;
 
-  // kCompiled: attach the vertex stage's module (null when compilation
-  // declined); the interpreter engines must not keep one left over from an
-  // earlier kCompiled draw. SetJit invalidates the VM's cached operand
-  // table, so stamp only on change — vs_jit is the only module ever
-  // attached to vvm, so has_jit() identifies it.
-  const bool want_jit = config_.exec_engine == ExecEngine::kCompiled &&
-                        prog->vs_jit != nullptr;
-  if (vm.has_jit() != want_jit) {
-    vm.SetJit(want_jit ? prog->vs_jit : nullptr);
-  }
-
   // Lane plumbing, resolved once per program and cached: per-lane Value*
   // tables into vvm's planes. Uniform (non-lane) slots resolve to the
   // shared store, so per-draw uniform sync needs nothing extra here.
@@ -1910,28 +1900,12 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
 
   // --- engine selection: the lane-batched VM is the production path; the
   // scalar VM and the tree-walking interpreter are switchable reference
-  // oracles. Under the batched engines both stages run lane-batched
+  // oracles. Under the batched engine both stages run lane-batched
   // (vertices through ShadeVerticesBatched); the oracle engines keep the
   // scalar per-vertex loop. ---
   const bool use_tree = config_.exec_engine == ExecEngine::kTreeWalk;
   const bool use_vm = !use_tree;
-  const bool use_batch = config_.exec_engine == ExecEngine::kBatchedVm ||
-                         config_.exec_engine == ExecEngine::kCompiled;
-
-  // Compiled engine: build each stage's native module lazily at its first
-  // kCompiled draw after link, so the interpreter engines never pay the
-  // toolchain invocation. A null result (no host compiler, divergent
-  // control flow, compile failure) latches and the draw runs as kBatchedVm.
-  const bool compiled = config_.exec_engine == ExecEngine::kCompiled &&
-                        glsl::jit::Available();
-  if (compiled && !prog->fs_jit_attempted) {
-    prog->fs_jit = glsl::jit::CompileProgram(*prog->fs_bytecode);
-    prog->fs_jit_attempted = true;
-  }
-  if (compiled && !prog->vs_jit_attempted) {
-    prog->vs_jit = glsl::jit::CompileProgram(*prog->vs_bytecode);
-    prog->vs_jit_attempted = true;
-  }
+  const bool use_batch = config_.exec_engine == ExecEngine::kBatchedVm;
 
   // --- vertex stage ---
   // Post-transform vertices live in context-owned scratch: resize keeps the
@@ -2089,11 +2063,6 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
         w->vm = w->engine_owned.get();
         w->alu = w->alu_owned.get();
         w->tmu = w->tmu_owned.get();
-        // Clones do not inherit a compiled module; stamp it per slot so the
-        // interpreter engines' entries never carry one.
-        if (config_.exec_engine == ExecEngine::kCompiled) {
-          w->vm->SetJit(prog->fs_jit);
-        }
         BuildWorkerPlumbing(*w, prog);
         return w;
       };
@@ -2143,13 +2112,6 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
         w->vm = use_vm ? prog->fvm.get() : nullptr;
         w->alu = alu_;
         w->tmu = &serial_tmu_cache_;
-        // The borrowed fvm serves every engine; attach the compiled module
-        // only for kCompiled entries (the slot dtor detaches it again).
-        if (w->vm != nullptr) {
-          w->vm->SetJit(config_.exec_engine == ExecEngine::kCompiled
-                            ? prog->fs_jit
-                            : nullptr);
-        }
         BuildWorkerPlumbing(*w, prog);
         entry->workers.push_back(std::move(w));
       }
@@ -2368,9 +2330,8 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
 
 void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
                                   ProgramObject* prog) {
-  const bool use_batch = (config_.exec_engine == ExecEngine::kBatchedVm ||
-                          config_.exec_engine == ExecEngine::kCompiled) &&
-                         w.vm != nullptr;
+  const bool use_batch =
+      config_.exec_engine == ExecEngine::kBatchedVm && w.vm != nullptr;
   ShadeStateCache::WorkerState* const wp = &w;
   const int color_slot = prog->uses_frag_data ? prog->fs_frag_data_slot
                                               : prog->fs_frag_color_slot;

@@ -37,30 +37,23 @@ namespace mgpu::gles2 {
 // under either (see bench_ablation_readback and the packing tests).
 enum class FbQuantization { kRoundNearest, kFloorPaper };
 
-// Which shader execution engine draws run on. Four engines, all
+// Which shader execution engine draws run on. Three engines, all
 // byte-identical in framebuffer output and ALU/SFU/TMU op counts:
 //   kBatchedVm  — the production path: fragments are gathered into
 //                 kFragBatchWidth-lane SoA batches and the lowered bytecode
 //                 executes once per instruction over all lanes
 //                 (VmExec::RunBatch), amortizing dispatch and operand
 //                 resolution across the batch the way a VC4 QPU runs 16
-//                 pixels through one instruction stream.
+//                 pixels through one instruction stream. Vertices are
+//                 shaded in lane batches too.
 //   kBytecodeVm — the scalar VM: the same bytecode dispatched once per
 //                 fragment. Kept as the first-tier differential oracle for
 //                 the batched engine.
 //   kTreeWalk   — the tree-walking interpreter, the original reference
 //                 oracle, executing the annotated AST directly.
-//   kCompiled   — the batched VM with a per-link compiled module attached:
-//                 each uniform-control-flow fragment program is transpiled
-//                 to C++ and compiled with the host toolchain at its first
-//                 kCompiled draw (cached by source hash across processes);
-//                 batches then run native code that calls back into the
-//                 interpreter for anything it does not inline (see
-//                 src/glsl/jit.h for the bit-identity argument). Falls back
-//                 to kBatchedVm behaviour when no host compiler is
-//                 available (jit::Available()) or the program is divergent.
-// Both batched engines (kBatchedVm, kCompiled) also shade vertices in
-// lane batches; the two oracle engines run the scalar per-vertex loop.
+// The two oracle engines run the scalar per-vertex loop.
+// kCompiled is kept only for e2ebench: the Context constructor and
+// SetExecEngine map it to kBatchedVm, so exec_engine() never returns it.
 enum class ExecEngine { kBatchedVm, kBytecodeVm, kTreeWalk, kCompiled };
 
 struct ContextConfig {
@@ -86,8 +79,8 @@ struct ContextConfig {
   // restored to the pre-draw state byte for byte — identical for every
   // engine and worker count — and the GL error / last_draw_error / reset
   // status report the failure; a real GPU would hang or be reset.)
-  // Parallel shading requires the bytecode VM engine and a forkable
-  // AluModel; otherwise the draw falls back to the serial path.
+  // Parallel shading needs a VM engine (kBatchedVm or kBytecodeVm) and a
+  // forkable AluModel; kTreeWalk and non-forkable models shade serially.
   int shader_threads = 0;
   // SIMD tier for the batched VM's SoA kernels: -1 = auto (MGPU_SIMD env
   // override, else the detected hardware level), 0/1/2 = force
@@ -100,7 +93,8 @@ struct ContextConfig {
   // GPU-hang timeout. 0 (default) disables it; a draw that exceeds the
   // budget is aborted transactionally (framebuffer, depth and counters as
   // if never issued) with GL_OUT_OF_MEMORY and a guilty reset status. The
-  // MGPU_DRAW_BUDGET environment variable overrides this at construction.
+  // MGPU_DRAW_BUDGET environment variable, when it is a whole decimal
+  // number, overrides this at construction.
   // The trip decision is deterministic across engines and worker counts
   // because the completed draw's op total is engine- and thread-invariant.
   std::uint64_t draw_budget = 0;
@@ -498,10 +492,9 @@ class Context {
   [[nodiscard]] std::uint64_t draw_budget() const { return draw_budget_; }
   void SetDrawBudget(std::uint64_t ops) { draw_budget_ = ops; }
   // Whether draws run the lane-batched vertex stage: true exactly under
-  // the batched engines (kBatchedVm, kCompiled).
+  // kBatchedVm.
   [[nodiscard]] bool vertex_batch_enabled() const {
-    return config_.exec_engine == ExecEngine::kBatchedVm ||
-           config_.exec_engine == ExecEngine::kCompiled;
+    return config_.exec_engine == ExecEngine::kBatchedVm;
   }
   // Always false; kept only for e2ebench, which reports it.
   [[nodiscard]] bool async_submit_enabled() const { return false; }
@@ -545,7 +538,7 @@ class Context {
                        bool is_matrix);
   bool FetchAttribute(const AttribState& a, GLint vertex,
                       std::array<float, 4>* out) const;
-  // Lane-batched vertex stage (the batched engines): gathers attributes
+  // Lane-batched vertex stage (kBatchedVm): gathers attributes
   // for chunks of up to kVmLanes vertices straight into the vertex VM's
   // SoA lane planes, executes one RunBatch pass per chunk, and scatters
   // clip position / point size / varyings back into `verts` in lane

@@ -96,17 +96,6 @@ struct ProgramObject {
   std::shared_ptr<const glsl::VmProgram> fs_bytecode;
   std::unique_ptr<glsl::VmExec> vvm;
   std::unique_ptr<glsl::VmExec> fvm;
-  // Compiled-engine (ExecEngine::kCompiled) products: each stage's native
-  // module, built lazily at the first kCompiled draw after link (so the
-  // other engines never pay the toolchain invocation); the fragment module
-  // is shared by every worker slot, the vertex module attaches to the
-  // program's own vvm. A null module — with the attempted latch set —
-  // means compilation is unavailable or declined (divergent control flow),
-  // which is the batched-interpreter fallback. Reset by relinking.
-  std::shared_ptr<const glsl::jit::Module> fs_jit;
-  bool fs_jit_attempted = false;
-  std::shared_ptr<const glsl::jit::Module> vs_jit;
-  bool vs_jit_attempted = false;
   std::vector<VaryingLink> varyings;
   // Whether the fragment stage can trap at runtime (VmProgram::CanTrap on
   // the lowered bytecode; the tree-walk interpreter traps on exactly the

@@ -145,10 +145,6 @@ void VmExec::SyncGlobalsFrom(const VmExec& base) {
     lane_regs_.clear();
     lane_globals_.clear();
     lane_refs_.clear();
-    // A compiled module is specific to the old program, and the operand
-    // table pointed into the old planes/global store.
-    jit_.reset();
-    jit_tbl_ready_ = false;
     return;
   }
   // Element-wise copy-assign: Value reuses its existing cell storage when
@@ -377,9 +373,6 @@ void VmExec::EnsureBatchState() {
   lane_ret_stack_.assign(
       static_cast<std::size_t>(kVmLanes) * (kMaxCallDepth + 1), 0);
   batch_ready_ = true;
-  // The lane planes were (re)allocated: any cached jit operand table points
-  // at the old storage.
-  jit_tbl_ready_ = false;
 }
 
 Value& VmExec::LaneGlobalAt(int slot, int lane) {
@@ -399,114 +392,8 @@ std::uint32_t VmExec::RunBatch(int n) {
   // under round-identity models (see simd.h); everything else runs the
   // scalar SoA kernels regardless of the configured tier.
   batch_simd_ = alu_.round_identity() ? simd_level_ : simd::Level::kScalar;
-  // Compiled engine: uniform-control-flow batches enter the native module;
-  // divergent programs (for which CompileProgram returns no module anyway)
-  // always run the masked interpreter.
-  if (jit_ != nullptr && prog_->uniform_control_flow) return RunBatchJit(n);
   return prog_->uniform_control_flow ? ExecuteBatchUniform(n)
                                      : ExecuteBatchDivergent(n);
-}
-
-// ---------------------------------------------------------------------------
-// Compiled-module execution (ExecEngine::kCompiled; see glsl/jit.h)
-// ---------------------------------------------------------------------------
-
-// The generated code addresses per-lane planes as base + lane * VS cells.
-static_assert(sizeof(Value) % sizeof(Cell) == 0,
-              "Value stride must be a whole number of cells");
-
-std::uint32_t VmExec::RunBatchJit(int n) {
-  if (!jit_tbl_ready_) {
-    // Resolve the module's operand words to cell base pointers — the same
-    // space dispatch as LaneViews, snapshotted once per plane (re)build:
-    // none of the backing vectors resize during batched execution, and
-    // Value cell storage is stable (inline for per-lane operands by the
-    // codegen's Addressable contract; heap vectors keep their buffer on
-    // same-layout copy-assign for shared ones).
-    const auto& table_ops = jit_->table_ops();
-    jit_tbl_.clear();
-    jit_tbl_.reserve(table_ops.size());
-    for (const std::uint32_t operand : table_ops) {
-      const std::uint32_t idx = operand & kOperandIndexMask;
-      switch (operand & ~kOperandIndexMask) {
-        case kSpaceReg:
-          jit_tbl_.push_back(
-              lane_regs_[static_cast<std::size_t>(idx) * kVmLanes].data());
-          break;
-        case kSpaceGlobal: {
-          const std::int32_t lg = prog_->lane_global_index[idx];
-          jit_tbl_.push_back(
-              lg >= 0
-                  ? lane_globals_[static_cast<std::size_t>(lg) * kVmLanes]
-                        .data()
-                  : globals_[idx].data());
-          break;
-        }
-        default:
-          jit_tbl_.push_back(
-              const_cast<Cell*>(prog_->consts[idx].data()));
-          break;
-      }
-    }
-    jit_tbl_ready_ = true;
-  }
-
-  loop_steps_ = 0;
-  jit_batch_n_ = n;
-  jit::JitEnv env;
-  env.host = this;
-  env.tbl = jit_tbl_.data();
-  env.n = n;
-  env.vs = static_cast<long>(sizeof(Value) / sizeof(Cell));
-  env.ri = alu_.round_identity() ? 1 : 0;
-  env.exec_op = &VmExec::JitExecOp;
-  env.guard = &VmExec::JitGuard;
-  env.depth_trap = &VmExec::JitDepthTrap;
-  env.trap = &VmExec::JitTrap;
-  env.count_alu = &VmExec::JitCountAlu;
-  const int rc = jit_->entry()(&env);
-  const std::uint32_t full =
-      n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
-  if (rc == 1) return full;
-  if (rc == 0) return 0;
-  throw ShaderRuntimeError(
-      "internal error: compiled shader returned an unexpected status");
-}
-
-// Replays one punted instruction through the batch interpreter — identical
-// by construction, since it is the code path the pure interpreter runs.
-void VmExec::JitExecOp(void* host, int pc) {
-  auto* self = static_cast<VmExec*>(host);
-  self->ExecBatchOp(self->prog_->code[static_cast<std::size_t>(pc)],
-                    LaneRange{self->jit_batch_n_});
-}
-
-// kLoopGuard, verbatim from ExecuteBatchUniform: uniform control flow traps
-// every lane on the same step, so the attributed lane is always 0.
-void VmExec::JitGuard(void* host) {
-  auto* self = static_cast<VmExec*>(host);
-  if (fault::ShouldFail(fault::Site::kVmInstruction)) {
-    throw ShaderRuntimeError(kInjectedTrapMsg, /*trap_lane=*/0);
-  }
-  if (++self->loop_steps_ > self->loop_budget_) {
-    throw ShaderRuntimeError(kLoopBudgetMsg, /*trap_lane=*/0);
-  }
-}
-
-void VmExec::JitDepthTrap(void* host) {
-  (void)host;
-  throw ShaderRuntimeError(kCallDepthMsg, /*trap_lane=*/0);
-}
-
-void VmExec::JitTrap(void* host, int msg_index) {
-  auto* self = static_cast<VmExec*>(host);
-  throw ShaderRuntimeError(
-      self->prog_->messages[static_cast<std::size_t>(msg_index)],
-      /*trap_lane=*/0);
-}
-
-void VmExec::JitCountAlu(void* host, unsigned long long ops) {
-  static_cast<VmExec*>(host)->alu_.CountAlu(ops);
 }
 
 template <typename Lanes>

@@ -565,6 +565,14 @@ TEST(ContextTest, GetStringAndIntegerQueries) {
   EXPECT_EQ(v, 8);
   ctx.GetIntegerv(GL_MAX_TEXTURE_SIZE, &v);
   EXPECT_EQ(v, 4096);
+  // kCompiled is an alias: both a context built with it and one switched
+  // to it report the batched VM.
+  ContextConfig cfg = SmallConfig();
+  cfg.exec_engine = ExecEngine::kCompiled;
+  EXPECT_EQ(Context(cfg).exec_engine(), ExecEngine::kBatchedVm);
+  ctx.SetExecEngine(ExecEngine::kTreeWalk);
+  ctx.SetExecEngine(ExecEngine::kCompiled);
+  EXPECT_EQ(ctx.exec_engine(), ExecEngine::kBatchedVm);
 }
 
 // Errors latch in call order: later invalid calls cannot displace the first.

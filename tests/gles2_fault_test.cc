@@ -115,9 +115,8 @@ const char* EngineName(ExecEngine e) {
     case ExecEngine::kBatchedVm: return "batched";
     case ExecEngine::kBytecodeVm: return "scalar-vm";
     case ExecEngine::kTreeWalk: return "tree";
-    case ExecEngine::kCompiled: return "compiled";
+    default: return "?";
   }
-  return "?";
 }
 
 // A shader trap must abort transactionally on every engine and worker
@@ -126,9 +125,8 @@ const char* EngineName(ExecEngine e) {
 // engine-identical already).
 TEST(FaultInjection, TrapAbortRestoresPreDrawStateEverywhere) {
   std::vector<std::uint8_t> reference_fb;
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (const ExecEngine engine : engines) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
@@ -193,9 +191,8 @@ TEST(FaultInjection, WatchdogBudgetTripsDeterministically) {
     total = ctx.alu().counts().alu - before;
     ASSERT_GT(total, 0u);
   }
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (const ExecEngine engine : engines) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
@@ -241,9 +238,8 @@ TEST(FaultInjection, WatchdogBudgetTripsDeterministically) {
 TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
   const std::array<Site, 4> sites = {Site::kBinnerGrow, Site::kShadeCacheAlloc,
                                      Site::kVmInstruction, Site::kPoolTask};
-  const std::array<ExecEngine, 4> engines = {
-      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk,
-      ExecEngine::kCompiled};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
   for (int iter = 0; iter < g_fault_iters; ++iter) {
     std::mt19937_64 rng(kSeedBase + static_cast<std::uint64_t>(iter));
     const Site site = sites[rng() % sites.size()];
@@ -331,6 +327,16 @@ TEST(FaultInjection, DrawBudgetConfigKnob) {
   EXPECT_EQ(ctx.draw_budget(), 12345u);
   ctx.SetDrawBudget(0);
   EXPECT_EQ(ctx.draw_budget(), 0u);
+  // MGPU_DRAW_BUDGET overrides the config only when it is a whole decimal
+  // number; anything else keeps the configured budget.
+  for (const char* bad : {"abc", "-1", "12x"}) {
+    SCOPED_TRACE(bad);
+    setenv("MGPU_DRAW_BUDGET", bad, /*overwrite=*/1);
+    EXPECT_EQ(Context(cfg).draw_budget(), 12345u);
+  }
+  setenv("MGPU_DRAW_BUDGET", "77", /*overwrite=*/1);
+  EXPECT_EQ(Context(cfg).draw_budget(), 77u);
+  unsetenv("MGPU_DRAW_BUDGET");
 }
 
 }  // namespace

@@ -431,11 +431,6 @@ void ExpectEngineAgreement(const Scenario& sc, bool vc4_alu) {
       {ExecEngine::kBatchedVm, 3, "batched threaded"},
       {ExecEngine::kBytecodeVm, 3, "scalar threaded"},
       {ExecEngine::kTreeWalk, 1, "tree-walk oracle"},
-      // The compiled engine transparently falls back to the batched VM for
-      // divergent programs or when no host compiler exists, so these two
-      // configs are meaningful on every machine.
-      {ExecEngine::kCompiled, 1, "compiled serial"},
-      {ExecEngine::kCompiled, 3, "compiled threaded"},
   };
   for (const Config& c : configs) {
     const RunResult got =
@@ -547,13 +542,9 @@ void main() {
     };
     const RunResult batched = run(ExecEngine::kBatchedVm);
     const RunResult scalar = run(ExecEngine::kBytecodeVm);
-    const RunResult compiled = run(ExecEngine::kCompiled);
     EXPECT_EQ(batched.px, scalar.px);
     EXPECT_EQ(batched.counts.alu, scalar.counts.alu);
     EXPECT_EQ(batched.counts.sfu_trans, scalar.counts.sfu_trans);
-    EXPECT_EQ(compiled.px, scalar.px);
-    EXPECT_EQ(compiled.counts.alu, scalar.counts.alu);
-    EXPECT_EQ(compiled.counts.sfu_trans, scalar.counts.sfu_trans);
   }
 }
 
