@@ -95,14 +95,13 @@ GLuint BuildProgram(gles2::Context& ctx) {
 // per-draw setup tax under test), not context/program setup or readback.
 StormResult RunStorm(int draws, int shader_threads,
                      gles2::ExecEngine engine = gles2::ExecEngine::kBatchedVm,
-                     int simd = -1, std::uint64_t draw_budget = 0) {
+                     std::uint64_t draw_budget = 0) {
   gles2::ContextConfig cfg;
   cfg.width = kTargetSize;
   cfg.height = kTargetSize;
   cfg.has_depth = false;
   cfg.shader_threads = shader_threads;
   cfg.exec_engine = engine;
-  cfg.simd = simd;
   cfg.draw_budget = draw_budget;
   gles2::Context ctx(cfg);
 
@@ -165,11 +164,11 @@ int main(int argc, char** argv) {
   constexpr int kReps = 3;
   auto best_of = [&](int threads,
                      gles2::ExecEngine engine = gles2::ExecEngine::kBatchedVm,
-                     int simd = -1, std::uint64_t draw_budget = 0) {
-    StormResult best = RunStorm(draws, threads, engine, simd, draw_budget);
+                     std::uint64_t draw_budget = 0) {
+    StormResult best = RunStorm(draws, threads, engine, draw_budget);
     for (int r = 1; r < kReps; ++r) {
       const StormResult again =
-          RunStorm(draws, threads, engine, simd, draw_budget);
+          RunStorm(draws, threads, engine, draw_budget);
       if (again.seconds < best.seconds) best = again;
     }
     return best;
@@ -210,17 +209,6 @@ int main(int argc, char** argv) {
               scalar.fb_hash, static_cast<unsigned long long>(serial.alu_ops),
               static_cast<unsigned long long>(scalar.alu_ops));
 
-  // SIMD A/B: the same serial storm with the vector kernels forced off
-  // (scalar SoA batch loops). Small draws mean mostly partial batches, so
-  // this also guards the SIMD tail/masking paths under per-draw churn.
-  const StormResult soa = best_of(/*shader_threads=*/1,
-                                  gles2::ExecEngine::kBatchedVm, /*simd=*/0);
-  const bool simd_identical = serial.fb_hash == soa.fb_hash &&
-                              serial.alu_ops == soa.alu_ops;
-  std::printf("  simd vs scalar SoA:  %s (%8.3f s SoA, simd speedup %.2fx)\n",
-              simd_identical ? "identical" : "MISMATCH", soa.seconds,
-              soa.seconds / serial.seconds);
-
   // Watchdog A/B: the robustness model keeps its transactional machinery
   // (per-pixel undo journaling) on every run, so the serial leg above IS
   // the watchdog-compiled-in-but-disabled number the CI gate tracks. This
@@ -229,7 +217,7 @@ int main(int argc, char** argv) {
   // checks; it must stay byte-identical to the disabled run.
   const StormResult watchdog =
       best_of(/*shader_threads=*/1, gles2::ExecEngine::kBatchedVm,
-              /*simd=*/-1, /*draw_budget=*/~0ull / 2);
+              /*draw_budget=*/~0ull / 2);
   const bool watchdog_identical = serial.fb_hash == watchdog.fb_hash &&
                                   serial.alu_ops == watchdog.alu_ops;
   std::printf("  watchdog armed:      %s (%8.3f s, overhead %.2fx vs "
@@ -237,9 +225,9 @@ int main(int argc, char** argv) {
               watchdog_identical ? "identical" : "MISMATCH", watchdog.seconds,
               watchdog.seconds / serial.seconds);
 
-  const bool ok = identical && batched_identical && simd_identical &&
-                  watchdog_identical && serial.draw_ok && pooled.draw_ok &&
-                  scalar.draw_ok && soa.draw_ok && watchdog.draw_ok;
+  const bool ok = identical && batched_identical && watchdog_identical &&
+                  serial.draw_ok && pooled.draw_ok && scalar.draw_ok &&
+                  watchdog.draw_ok;
 
   bench::JsonBenchWriter json("draw_storm");
   json.Add("draws", draws, "count");
@@ -248,9 +236,6 @@ int main(int argc, char** argv) {
   json.Add("pooled_storm", pooled.seconds, "s");
   json.Add("scalar_vm_storm", scalar.seconds, "s");
   json.Add("batched_speedup", scalar.seconds / serial.seconds, "x");
-  json.Add("soa_storm", soa.seconds, "s");
-  json.Add("simd_speedup_vs_soa", soa.seconds / serial.seconds, "x");
-  json.Add("simd_identical", simd_identical ? 1.0 : 0.0, "bool");
   json.Add("watchdog_storm", watchdog.seconds, "s");
   json.Add("watchdog_overhead", watchdog.seconds / serial.seconds,
            "x_lower");

@@ -25,7 +25,6 @@
 #include "bench_util.h"
 #include "compute/kernel.h"
 #include "gles2/context.h"
-#include "glsl/simd.h"
 #include "vc4/profiles.h"
 
 namespace {
@@ -149,18 +148,14 @@ std::uint32_t Fnv1a(const std::vector<std::uint8_t>& bytes) {
   return h;
 }
 
-// `simd` follows ContextConfig::simd (-1 auto, 0 scalar SoA, 1 SSE2 cap,
-// 2 AVX2 cap). Every combination must hash identically — only wall clock
-// may move.
-VectorHeavyResult RunVectorHeavy(gles2::ExecEngine engine, int size,
-                                 int simd = -1) {
+// Every engine must hash identically — only wall clock may move.
+VectorHeavyResult RunVectorHeavy(gles2::ExecEngine engine, int size) {
   gles2::ContextConfig cfg;
   cfg.width = size;
   cfg.height = size;
   cfg.has_depth = false;
   cfg.shader_threads = 1;
   cfg.exec_engine = engine;
-  cfg.simd = simd;
   gles2::Context ctx(cfg);
 
   const GLuint vs = ctx.CreateShader(GL_VERTEX_SHADER);
@@ -267,11 +262,11 @@ int main(int argc, char** argv) {
 
   // --- vector-heavy lighting scene: the SoA-kernel showcase ---------------
   const int vh_size = quick ? 256 : 512;
-  auto best_vh = [&](gles2::ExecEngine engine, int simd = -1) {
-    VectorHeavyResult best = RunVectorHeavy(engine, vh_size, simd);
+  auto best_vh = [&](gles2::ExecEngine engine) {
+    VectorHeavyResult best = RunVectorHeavy(engine, vh_size);
     bool all_ok = best.ok;
     for (int r = 1; r < reps; ++r) {
-      VectorHeavyResult again = RunVectorHeavy(engine, vh_size, simd);
+      VectorHeavyResult again = RunVectorHeavy(engine, vh_size);
       all_ok = all_ok && again.ok && again.fb_hash == best.fb_hash;
       if (again.seconds < best.seconds) best.seconds = again.seconds;
     }
@@ -292,19 +287,6 @@ int main(int argc, char** argv) {
               vh_scalar.seconds, vh_scalar.seconds / vh_batched.seconds,
               vh_identical ? "identical" : "MISMATCH");
 
-  // SIMD A/B on the batched engine: the auto-resolved vector kernels
-  // against the same SoA batch loops with SIMD forced off (cfg.simd = 0).
-  // Same engine, same batches — the delta isolates the SIMD kernels.
-  const VectorHeavyResult vh_soa =
-      best_vh(gles2::ExecEngine::kBatchedVm, /*simd=*/0);
-  const bool simd_identical = vh_soa.fb_hash == vh_batched.fb_hash;
-  std::printf("  scalar SoA:  %8.3f s  (simd [%s] speedup %.2fx, "
-              "framebuffers %s)\n",
-              vh_soa.seconds,
-              glsl::simd::LevelName(glsl::simd::Resolve(-1)),
-              vh_soa.seconds / vh_batched.seconds,
-              simd_identical ? "identical" : "MISMATCH");
-
   bench::JsonBenchWriter json("fig1_pipeline");
   json.Add("vm_sweep", vm.seconds, "s");
   json.Add("tree_sweep", tree.seconds, "s");
@@ -321,10 +303,6 @@ int main(int argc, char** argv) {
   json.Add("vector_heavy_identical",
            vh_identical && vh_batched.ok && vh_scalar.ok ? 1.0 : 0.0,
            "bool");
-  json.Add("vector_heavy_soa", vh_soa.seconds, "s");
-  json.Add("simd_speedup_vs_soa", vh_soa.seconds / vh_batched.seconds, "x");
-  json.Add("simd_identical",
-           simd_identical && vh_soa.ok ? 1.0 : 0.0, "bool");
   if (!json.Write()) {
     std::fprintf(stderr, "warning: could not write BENCH_fig1_pipeline.json\n");
   }
@@ -373,8 +351,7 @@ int main(int argc, char** argv) {
   }
 
   const bool all_ok = batched.ok && vm.ok && tree.ok && scaling_ok &&
-                      vh_identical && vh_batched.ok && vh_scalar.ok &&
-                      simd_identical && vh_soa.ok;
+                      vh_identical && vh_batched.ok && vh_scalar.ok;
   std::printf("\nresult: %s\n", all_ok ? "every size maps 1:1" : "FAILURE");
   return all_ok ? 0 : 1;
 }

@@ -9,7 +9,15 @@
 // ARM1176 timing model (vc4/timing.h). CPU counts are the analytic formulas
 // of cpuref, validated by tests. Machine constants were calibrated once
 // against the paper's four published speedups — see EXPERIMENTS.md.
+//
+// Writes BENCH_section5_speedups.json: per row the measured shader ops and
+// fragments, the modeled speedup and whether it is within 1% of the
+// paper's, plus the three shape checks. Every value is a deterministic
+// function of op counts, so CI's check_bench.py gates the op counts and
+// flags exactly.
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "compute/device.h"
@@ -30,34 +38,27 @@ int main() {
   constexpr int kGemmN = 1024;
 
   std::vector<bench::SpeedupRow> rows;
+  std::vector<vc4::GpuWork> works;
+  const auto add = [&](const char* kernel, const char* type,
+                       const vc4::GpuWork& w, const vc4::CpuWork& cw,
+                       double paper) {
+    works.push_back(w);
+    rows.push_back({kernel, type, vc4::CpuSeconds(cpu, cw),
+                    vc4::GpuSeconds(gpu, cpu, w), paper});
+  };
 
-  // --- sum ---
-  {
-    const vc4::GpuWork wi =
-        bench::MeasureSumWork(device, compute::ElemType::kI32, kSumN);
-    rows.push_back({"sum", "int",
-                    vc4::CpuSeconds(cpu, cpuref::AddWorkI32(kSumN)),
-                    vc4::GpuSeconds(gpu, cpu, wi), 7.2});
-    const vc4::GpuWork wf =
-        bench::MeasureSumWork(device, compute::ElemType::kF32, kSumN);
-    rows.push_back({"sum", "float",
-                    vc4::CpuSeconds(cpu, cpuref::AddWorkF32(kSumN)),
-                    vc4::GpuSeconds(gpu, cpu, wf), 6.5});
-  }
-
-  // --- sgemm ---
-  {
-    const vc4::GpuWork wi =
-        bench::MeasureGemmWork(device, compute::ElemType::kI32, kGemmN);
-    rows.push_back({"sgemm", "int",
-                    vc4::CpuSeconds(cpu, cpuref::GemmWorkI32(kGemmN)),
-                    vc4::GpuSeconds(gpu, cpu, wi), 6.5});
-    const vc4::GpuWork wf =
-        bench::MeasureGemmWork(device, compute::ElemType::kF32, kGemmN);
-    rows.push_back({"sgemm", "float",
-                    vc4::CpuSeconds(cpu, cpuref::SgemmWorkF32(kGemmN)),
-                    vc4::GpuSeconds(gpu, cpu, wf), 6.3});
-  }
+  add("sum", "int",
+      bench::MeasureSumWork(device, compute::ElemType::kI32, kSumN),
+      cpuref::AddWorkI32(kSumN), 7.2);
+  add("sum", "float",
+      bench::MeasureSumWork(device, compute::ElemType::kF32, kSumN),
+      cpuref::AddWorkF32(kSumN), 6.5);
+  add("sgemm", "int",
+      bench::MeasureGemmWork(device, compute::ElemType::kI32, kGemmN),
+      cpuref::GemmWorkI32(kGemmN), 6.5);
+  add("sgemm", "float",
+      bench::MeasureGemmWork(device, compute::ElemType::kF32, kGemmN),
+      cpuref::SgemmWorkF32(kGemmN), 6.3);
 
   bench::PrintSpeedupTable(rows);
 
@@ -86,5 +87,28 @@ int main() {
               int_beats_float_sum ? "ok" : "FAIL");
   std::printf("  [%s] int speedup > float speedup (sgemm)\n",
               int_beats_float_gemm ? "ok" : "FAIL");
+
+  bench::JsonBenchWriter json("section5_speedups");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const bench::SpeedupRow& r = rows[i];
+    const vc4::GpuWork& w = works[i];
+    const std::string p = std::string(r.benchmark) + "_" + r.type + "_";
+    json.Add(p + "alu_ops", static_cast<double>(w.shader_ops.alu), "ops");
+    json.Add(p + "sfu_ops", static_cast<double>(w.shader_ops.sfu), "ops");
+    json.Add(p + "tmu_ops", static_cast<double>(w.shader_ops.tmu), "ops");
+    json.Add(p + "fragments", static_cast<double>(w.fragments), "ops");
+    json.Add(p + "within_1pct",
+             std::fabs(r.speedup() / r.paper_speedup - 1.0) <= 0.01 ? 1.0
+                                                                    : 0.0,
+             "bool");
+    json.Add(p + "speedup", r.speedup(), "x");
+  }
+  json.Add("gpu_wins_all", gpu_wins ? 1.0 : 0.0, "bool");
+  json.Add("int_beats_float_sum", int_beats_float_sum ? 1.0 : 0.0, "bool");
+  json.Add("int_beats_float_sgemm", int_beats_float_gemm ? 1.0 : 0.0, "bool");
+  if (!json.Write()) {
+    std::fprintf(stderr,
+                 "warning: could not write BENCH_section5_speedups.json\n");
+  }
   return gpu_wins && int_beats_float_sum && int_beats_float_gemm ? 0 : 1;
 }

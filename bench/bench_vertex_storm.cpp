@@ -6,10 +6,9 @@
 // path: a dense mesh of sub-pixel triangles whose vertex shader does real
 // transform work (rotate, scale, trig, normalize) while the fragment shader
 // is a passthrough, re-drawn over several animated frames so the vertex
-// stage dominates wall clock. An A/B leg holds the batched vertex stage
-// byte-identical to the SIMD-off SoA tier via FNV framebuffer hashes and
-// ALU op counts, and BENCH_vertex_storm.json records the speedup for CI's
-// check_bench.py gate.
+// stage dominates wall clock. BENCH_vertex_storm.json records the timing,
+// the FNV framebuffer hash and the ALU op count for CI's check_bench.py
+// gate.
 //
 // Usage: bench_vertex_storm [--quick] [--tris N] [--frames N]
 //   --quick: CI smoke size (fewer triangles/frames), same metric names.
@@ -33,9 +32,8 @@ constexpr int kTargetSize = 512;  // small target: fragment work is noise,
                                   // the vertex stage is what's being timed
 
 // Uniform control flow (no branches), so the lane-batched interpreter never
-// diverges: the whole mesh rides the SoA/SIMD machinery. The work is
-// deliberately trig- and normalize-heavy — the shapes the SIMD tiers
-// accelerate. Each vertex orbits its triangle's shared center (a_pos) on a
+// diverges: the whole mesh rides the SoA batch kernels. The work is
+// deliberately trig- and normalize-heavy. Each vertex orbits its triangle's shared center (a_pos) on a
 // tiny per-corner circle (a_aux = corner phase, corner radius), so the
 // vertex stage does real transform work while every triangle stays ~1 px:
 // fragment cost remains noise no matter what the animation does.
@@ -103,7 +101,7 @@ GLuint BuildProgram(gles2::Context& ctx) {
 // each corner its own phase (base phase + 120 degree spread, so the shaded
 // corners form a real triangle) and a tiny radius (~1 px on a 512 target).
 // The phases differ lane to lane, so the shader's trig inputs are never
-// accidentally uniform for SIMD to skip.
+// accidentally uniform.
 void BuildMesh(int tris, std::vector<float>* pos, std::vector<float>* aux) {
   Rng rng(7);
   pos->reserve(static_cast<std::size_t>(tris) * 6);
@@ -127,13 +125,12 @@ void BuildMesh(int tris, std::vector<float>* pos, std::vector<float>* aux) {
 // mesh, or program setup, and not readback.
 StormResult RunStorm(int tris, int frames,
                      const std::vector<float>& pos,
-                     const std::vector<float>& aux, int simd = -1) {
+                     const std::vector<float>& aux) {
   gles2::ContextConfig cfg;
   cfg.width = kTargetSize;
   cfg.height = kTargetSize;
   cfg.has_depth = false;
   cfg.shader_threads = 1;
-  cfg.simd = simd;
   gles2::Context ctx(cfg);
 
   const GLuint prog = BuildProgram(ctx);
@@ -201,10 +198,10 @@ int main(int argc, char** argv) {
   // Min over 3 identical runs (same de-noiser as the draw storm); the
   // deterministic metrics are identical across runs by construction.
   constexpr int kReps = 3;
-  auto best_of = [&](int simd = -1) {
-    StormResult best = RunStorm(tris, frames, pos, aux, simd);
+  auto best_of = [&] {
+    StormResult best = RunStorm(tris, frames, pos, aux);
     for (int r = 1; r < kReps; ++r) {
-      const StormResult again = RunStorm(tris, frames, pos, aux, simd);
+      const StormResult again = RunStorm(tris, frames, pos, aux);
       if (again.seconds < best.seconds) best = again;
     }
     return best;
@@ -214,23 +211,11 @@ int main(int argc, char** argv) {
   std::printf("  batched vertex:      %8.3f s  (%8.0f verts/s, best of %d)\n",
               batched.seconds, verts / batched.seconds, kReps);
 
-  // SIMD A/B: vector kernels off, scalar SoA batch loops on. Full 32-lane
-  // vertex batches are the SIMD tiers' best case (the draw storm only ever
-  // sees 3-lane tails), so this leg is where a vertex-plane SIMD regression
-  // would actually show.
-  const StormResult soa = best_of(/*simd=*/0);
-  const bool simd_identical = batched.fb_hash == soa.fb_hash &&
-                              batched.alu_ops == soa.alu_ops;
-  std::printf("  simd vs scalar SoA:  %s (%8.3f s SoA, simd speedup %.2fx)\n",
-              simd_identical ? "identical" : "MISMATCH", soa.seconds,
-              soa.seconds / batched.seconds);
-
   // A blank framebuffer would make every hash "identical" vacuously; require
   // visible coverage from the mesh.
   const bool coverage_ok = batched.fb_hash != 0 && batched.alu_ops > 0;
 
-  const bool ok = simd_identical && coverage_ok && batched.draw_ok &&
-                  soa.draw_ok;
+  const bool ok = coverage_ok && batched.draw_ok;
 
   bench::JsonBenchWriter json("vertex_storm");
   json.Add("tris", tris, "count");
@@ -238,14 +223,10 @@ int main(int argc, char** argv) {
   json.Add("vertex_shades", static_cast<double>(verts), "count");
   json.Add("batched_storm", batched.seconds, "s");
   json.Add("verts_per_sec", verts / batched.seconds, "/s");
-  json.Add("soa_storm", soa.seconds, "s");
-  json.Add("simd_speedup_vs_soa", soa.seconds / batched.seconds, "x");
-  json.Add("simd_identical", simd_identical ? 1.0 : 0.0, "bool");
   json.Add("alu_ops_per_vert",
            static_cast<double>(batched.alu_ops) / verts, "ops");
   json.Add("fb_hash", batched.fb_hash, "hash");
-  json.Add("draw_errors_ok", batched.draw_ok && soa.draw_ok ? 1.0 : 0.0,
-           "bool");
+  json.Add("draw_errors_ok", batched.draw_ok ? 1.0 : 0.0, "bool");
   if (!json.Write()) {
     std::fprintf(stderr,
                  "warning: could not write BENCH_vertex_storm.json\n");

@@ -34,13 +34,6 @@ struct DeviceOptions {
   // ALU/SFU/TMU op counts) are identical for every value; see
   // gles2::ContextConfig::shader_threads.
   int shader_threads = 0;
-  // SIMD level for the batched VM's stride-1 float fast paths: -1 picks the
-  // MGPU_SIMD environment override if set, else the best level the host CPU
-  // supports; 0 forces the portable scalar SoA kernels, 1 caps at SSE2 and
-  // 2 at AVX2 (both clamped to what the host actually has). Every level
-  // produces byte-identical framebuffers and op counts; see
-  // gles2::ContextConfig::simd.
-  int simd = -1;
   int max_texture_size = 4096;
 };
 

@@ -115,7 +115,6 @@ void ShadeStateCache::InvalidateProgram(GLuint program) {
 Context::Context(const ContextConfig& config, glsl::AluModel* alu)
     : config_(config), alu_(alu != nullptr ? alu : &default_alu_) {
   config_.exec_engine = Canonical(config_.exec_engine);
-  simd_level_ = glsl::simd::Resolve(config_.simd);
   shade_cache_.SetCapacity(
       static_cast<std::size_t>(std::max(config_.shade_cache_capacity, 1)));
   draw_budget_ = config_.draw_budget;
@@ -485,12 +484,6 @@ void Context::LinkProgram(GLuint program) {
   // relink (successful or not) makes them stale.
   shade_cache_.InvalidateProgram(program);
   gles2::LinkProgram(*p, shaders_, *alu_, config_.limits);
-  // Stamp the context's resolved SIMD tier onto the fresh engines; worker
-  // clones built from fvm inherit it at construction.
-  if (p->link_ok) {
-    p->vvm->SetSimdLevel(simd_level_);
-    p->fvm->SetSimdLevel(simd_level_);
-  }
 }
 
 void Context::GetProgramiv(GLuint program, GLenum pname, GLint* params) {
@@ -1247,25 +1240,33 @@ void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
     SetError(GL_INVALID_ENUM);
     return;
   }
+  if (w < 0 || h < 0) {
+    SetError(GL_INVALID_VALUE);
+    return;
+  }
   RenderTarget rt;
   if (!ResolveTarget(&rt) || rt.color == nullptr) {
     SetError(GL_INVALID_FRAMEBUFFER_OPERATION);
     return;
   }
   auto* dst = static_cast<std::uint8_t*>(pixels);
-  const int row_bytes = w * 4;
-  const int stride = (row_bytes + pack_alignment_ - 1) / pack_alignment_ *
-                     pack_alignment_;
+  // 64-bit addressing: x + col, y + row and row * stride can overflow int.
+  const std::size_t align = static_cast<std::size_t>(pack_alignment_);
+  const std::size_t stride =
+      (static_cast<std::size_t>(w) * 4 + align - 1) / align * align;
   for (GLsizei row = 0; row < h; ++row) {
-    const int sy = y + row;
+    const std::int64_t sy = std::int64_t{y} + row;
     for (GLsizei col = 0; col < w; ++col) {
-      const int sx = x + col;
-      std::uint8_t* out = dst + row * stride + col * 4;
+      const std::int64_t sx = std::int64_t{x} + col;
+      std::uint8_t* out = dst + static_cast<std::size_t>(row) * stride +
+                          static_cast<std::size_t>(col) * 4;
       if (sx < 0 || sy < 0 || sx >= rt.width || sy >= rt.height) {
         out[0] = out[1] = out[2] = out[3] = 0;
         continue;
       }
-      const std::size_t off = (static_cast<std::size_t>(sy) * rt.width + sx) * 4;
+      const std::size_t off =
+          (static_cast<std::size_t>(sy) * static_cast<std::size_t>(rt.width) +
+           static_cast<std::size_t>(sx)) * 4;
       std::memcpy(out, rt.color->data() + off, 4);
     }
   }

@@ -23,7 +23,6 @@
 #include "gles2/tiler.h"
 #include "glsl/alu.h"
 #include "glsl/shader.h"
-#include "glsl/simd.h"
 
 namespace mgpu::common {
 class ThreadPool;
@@ -82,14 +81,8 @@ struct ContextConfig {
   // Parallel shading needs a VM engine (kBatchedVm or kBytecodeVm) and a
   // forkable AluModel; kTreeWalk and non-forkable models shade serially.
   int shader_threads = 0;
-  // SIMD tier for the batched VM's SoA kernels: -1 = auto (MGPU_SIMD env
-  // override, else the detected hardware level), 0/1/2 = force
-  // scalar/SSE2/AVX2 (clamped to what the host supports). Results are
-  // bit-identical at every tier by construction (see src/glsl/simd.h);
-  // this knob exists for A/B benchmarking and CI's SIMD-off leg.
-  int simd = -1;
   // Per-draw total-work budget in modeled ALU ops (vertex + fragment,
-  // AluModel::CountAlu accounting): a watchdog in the spirit of a kernel
+  // OpCounts::alu accounting): a watchdog in the spirit of a kernel
   // GPU-hang timeout. 0 (default) disables it; a draw that exceeds the
   // budget is aborted transactionally (framebuffer, depth and counters as
   // if never issued) with GL_OUT_OF_MEMORY and a guilty reset status. The
@@ -588,10 +581,6 @@ class Context {
                            ProgramObject* prog);
 
   ContextConfig config_;
-  // ContextConfig::simd resolved once at construction (env override applied,
-  // clamped to the host's detected tier); stamped onto every linked
-  // program's VM engines.
-  glsl::simd::Level simd_level_ = glsl::simd::Level::kScalar;
   glsl::ExactAlu default_alu_;
   glsl::AluModel* alu_;
   GLenum error_ = GL_NO_ERROR;

@@ -1,6 +1,7 @@
 #include "gles2/texture.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 namespace mgpu::gles2 {
@@ -146,8 +147,10 @@ GLenum Texture::TexSubImage2D(GLint level, GLint xoffset, GLint yoffset,
   if (level != 0) return GL_INVALID_VALUE;
   if (!has_storage()) return GL_INVALID_OPERATION;
   if (format != format_) return GL_INVALID_OPERATION;
-  if (xoffset < 0 || yoffset < 0 || xoffset + width > width_ ||
-      yoffset + height > height_) {
+  // 64-bit sums: offset + size can overflow int before the bounds compare.
+  if (xoffset < 0 || yoffset < 0 || width < 0 || height < 0 ||
+      std::int64_t{xoffset} + width > width_ ||
+      std::int64_t{yoffset} + height > height_) {
     return GL_INVALID_VALUE;
   }
   const int bpp = ExternalBytesPerPixel(format, type);

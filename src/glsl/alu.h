@@ -87,13 +87,6 @@ class AluModel {
 
   // --- counting hooks ---
   void Count(int alu_ops) { counts_.alu += static_cast<std::uint64_t>(alu_ops); }
-  // Bulk ALU accounting for batch kernels: one call charges a whole
-  // instruction's worth of ops (components x live lanes). Counts are plain
-  // order-insensitive sums, so CountAlu(n) is exactly equivalent to n
-  // individual Count(1) calls — this is what lets the SIMD kernels skip the
-  // per-op Add/Sub/Mul entry points while keeping totals bit-identical to
-  // the per-lane scalar sum (asserted by glsl_simd_test).
-  void CountAlu(std::uint64_t n) { counts_.alu += n; }
   void CountSfu(int n) { counts_.sfu += static_cast<std::uint64_t>(n); }
   void CountSfuTrans(int n) {
     counts_.sfu_trans += static_cast<std::uint64_t>(n);

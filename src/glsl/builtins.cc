@@ -4,10 +4,6 @@
 #include <cmath>
 #include <set>
 
-#if MGPU_SIMD_X86
-#include <immintrin.h>
-#endif
-
 #include "common/strings.h"
 
 namespace mgpu::glsl {
@@ -345,10 +341,9 @@ namespace {
 //     `x + y` would let the compiler commute the operands and change which
 //     payload survives between compilations).
 // The builtins route min/max/clamp through these helpers instead of libm so
-// the SIMD vector emulation (FminEmu/FmaxEmu below) matches the scalar
-// kernels bit for bit on any libc — the semantics are defined HERE, not by
-// whatever fminf the host links. On glibc/x86-64 they are bit-identical to
-// the libm calls they replace.
+// every engine gets the same bits on any libc — the semantics are defined
+// HERE, not by whatever fminf the host links. On glibc/x86-64 they are
+// bit-identical to the libm calls they replace.
 inline bool NanBits(std::uint32_t u) {
   return (u & 0x7fffffffu) > 0x7f800000u;
 }
@@ -834,383 +829,5 @@ Value EvalBuiltin(Builtin b, Type result_type,
   EvalBuiltinInto(b, result_type, args, alu, texture, out);
   return out;
 }
-
-bool IsSimdBuiltin(Builtin b) {
-  switch (b) {
-    case Builtin::kAbs:
-    case Builtin::kFloor:
-    case Builtin::kCeil:
-    case Builtin::kFract:
-    case Builtin::kMin:
-    case Builtin::kMax:
-    case Builtin::kClamp:
-    case Builtin::kMix:
-    case Builtin::kStep:
-    case Builtin::kMatrixCompMult:
-    case Builtin::kDot:
-    case Builtin::kNormalize:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD builtin kernels (x86-64; contract in builtins.h / simd.h)
-// ---------------------------------------------------------------------------
-
-#if MGPU_SIMD_X86
-
-namespace {
-
-// Full-width 128-bit load/store over Value cells; callers keep the touched
-// range inside the inline storage (see the evalcore.cc twins).
-inline __m128 LoadF4(const Cell* c) {
-  return _mm_loadu_ps(reinterpret_cast<const float*>(c));
-}
-inline void StoreF4(Cell* c, __m128 v) {
-  _mm_storeu_ps(reinterpret_cast<float*>(c), v);
-}
-
-// Bitwise select: m ? a : b per element (m is a full-width compare mask).
-inline __m128 Select(__m128 m, __m128 a, __m128 b) {
-  return _mm_or_ps(_mm_and_ps(m, a), _mm_andnot_ps(m, b));
-}
-
-// Exact vector emulations of FminScalar/FmaxScalar above (which pin down
-// glibc's x86-64 fminf/fmaxf bit behaviour). Per element:
-//   ordered            -> MINPS/MAXPS (strict compare, second operand on
-//                         equality — MINPS is defined exactly as the
-//                         scalar helper's `x < y ? x : y`);
-//   one quiet NaN      -> the other operand;
-//   sNaN or two NaNs   -> the first NaN operand, quieted (the ADDPS rule,
-//                         computed bitwise like the scalar helper).
-template <bool kMin>
-inline __m128 MinMaxEmu(__m128 x, __m128 y) {
-  const __m128 ordered = kMin ? _mm_min_ps(x, y) : _mm_max_ps(x, y);
-  const __m128 x_nan = _mm_cmpunord_ps(x, x);
-  const __m128 y_nan = _mm_cmpunord_ps(y, y);
-  const __m128i qbit = _mm_set1_epi32(0x00400000);
-  // Quiet-NaN flags (only meaningful where *_nan holds).
-  const __m128 x_quiet = _mm_and_ps(
-      x_nan, _mm_castsi128_ps(_mm_cmpeq_epi32(
-                 _mm_and_si128(_mm_castps_si128(x), qbit), qbit)));
-  const __m128 y_quiet = _mm_and_ps(
-      y_nan, _mm_castsi128_ps(_mm_cmpeq_epi32(
-                 _mm_and_si128(_mm_castps_si128(y), qbit), qbit)));
-  // First-NaN-quieted, the result wherever a signaling NaN or two NaNs
-  // appear.
-  const __m128 quieted = _mm_or_ps(Select(x_nan, x, y), _mm_castsi128_ps(qbit));
-  const __m128 add_path =
-      _mm_or_ps(_mm_and_ps(x_nan, y_nan),
-                _mm_or_ps(_mm_andnot_ps(x_quiet, x_nan),
-                          _mm_andnot_ps(y_quiet, y_nan)));
-  __m128 r = ordered;
-  r = Select(_mm_andnot_ps(y_nan, x_nan), y, r);  // x the only NaN -> y
-  r = Select(_mm_andnot_ps(x_nan, y_nan), x, r);  // y the only NaN -> x
-  return Select(add_path, quieted, r);
-}
-inline __m128 FminEmu(__m128 x, __m128 y) { return MinMaxEmu<true>(x, y); }
-inline __m128 FmaxEmu(__m128 x, __m128 y) { return MinMaxEmu<false>(x, y); }
-
-// Map helpers mirroring MapUnaryBatch/MapBinaryBatch/MapTernaryBatch with
-// the component loop taken 4 floats at a time. `bs`/`cs` are the scalar-
-// broadcast strides (0 = splat that operand's first component).
-template <typename Op>
-void SimdMapUnary(const BatchDst& dst, const BatchSrc& a, int n,
-                  std::uint32_t mask, Op op) {
-  ForEachLane(mask, [&](int l) {
-    const Cell* ac = a.at(l).data();
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) StoreF4(oc + i, op(LoadF4(ac + i)));
-  });
-}
-
-template <typename Op>
-void SimdMapBinary(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
-                   int n, int bs, std::uint32_t mask, Op op) {
-  if (bs == 0) {
-    ForEachLane(mask, [&](int l) {
-      const Cell* ac = a.at(l).data();
-      const __m128 vb = _mm_set1_ps(b.at(l).F(0));
-      Cell* oc = dst.at(l).data();
-      for (int i = 0; i < n; i += 4) StoreF4(oc + i, op(LoadF4(ac + i), vb));
-    });
-    return;
-  }
-  ForEachLane(mask, [&](int l) {
-    const Cell* ac = a.at(l).data();
-    const Cell* bc = b.at(l).data();
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) {
-      StoreF4(oc + i, op(LoadF4(ac + i), LoadF4(bc + i)));
-    }
-  });
-}
-
-template <typename Op>
-void SimdMapTernary(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
-                    const BatchSrc& c, int n, int bs, int cs,
-                    std::uint32_t mask, Op op) {
-  ForEachLane(mask, [&](int l) {
-    const Cell* ac = a.at(l).data();
-    const Cell* bc = b.at(l).data();
-    const Cell* cc = c.at(l).data();
-    const __m128 vb0 = bs ? _mm_setzero_ps() : _mm_set1_ps(b.at(l).F(0));
-    const __m128 vc0 = cs ? _mm_setzero_ps() : _mm_set1_ps(c.at(l).F(0));
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) {
-      const __m128 vb = bs ? LoadF4(bc + i) : vb0;
-      const __m128 vc = cs ? LoadF4(cc + i) : vc0;
-      StoreF4(oc + i, op(LoadF4(ac + i), vb, vc));
-    }
-  });
-}
-
-// Gathers component i of four lanes' values into one vector (element k of
-// the result holds lane v[k]'s component — each SIMD element replays its
-// own lane, which is what keeps sequential accumulation chains exact).
-inline __m128 GatherComp(const Value* const v[4], int i) {
-  return _mm_set_ps(v[3]->F(i), v[2]->F(i), v[1]->F(i), v[0]->F(i));
-}
-
-// dot(a, b) across lanes, 4 live lanes per step: element k replays lane
-// lanes[g+k]'s exact mul/add chain in order, so results match the scalar
-// DotProduct bit for bit under the round-identity precondition. Leftover
-// lanes run the same chain in plain scalar code (this TU is compiled for
-// baseline x86-64 — no FMA — so no contraction can alter either path).
-void SimdDotLanes(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
-                  int n, std::uint32_t mask) {
-  int lanes[32];
-  int c = 0;
-  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-    lanes[c++] = std::countr_zero(m);
-  }
-  int g = 0;
-  for (; g + 4 <= c; g += 4) {
-    const Value* av[4];
-    const Value* bv[4];
-    for (int k = 0; k < 4; ++k) {
-      av[k] = &a.at(lanes[g + k]);
-      bv[k] = &b.at(lanes[g + k]);
-    }
-    __m128 acc = _mm_mul_ps(GatherComp(av, 0), GatherComp(bv, 0));
-    for (int i = 1; i < n; ++i) {
-      acc = _mm_add_ps(acc, _mm_mul_ps(GatherComp(av, i), GatherComp(bv, i)));
-    }
-    alignas(16) float r[4];
-    _mm_store_ps(r, acc);
-    for (int k = 0; k < 4; ++k) dst.at(lanes[g + k]).SetF(0, r[k]);
-  }
-  for (; g < c; ++g) {
-    const Value& avv = a.at(lanes[g]);
-    const Value& bvv = b.at(lanes[g]);
-    float acc = avv.F(0) * bvv.F(0);
-    for (int i = 1; i < n; ++i) {
-      const float p = avv.F(i) * bvv.F(i);
-      acc = acc + p;
-    }
-    dst.at(lanes[g]).SetF(0, acc);
-  }
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#define MGPU_SIMD_AVX2_TIER 1
-// floor/ceil/fract need the SSE4.1+ round instructions, so they vectorize
-// only on the cpuid-gated AVX2 tier; these functions carry the target
-// attribute instead of per-TU flags. No lambdas inside (a lambda body would
-// not inherit the target and the always_inline intrinsics would fail to
-// inline into it), and no raw float arithmetic (the FMA contraction the
-// attribute enables could otherwise alter results vs the baseline TU).
-__attribute__((target("avx2"))) void FloorLanesAvx2(const BatchDst& dst,
-                                                    const BatchSrc& a, int n,
-                                                    std::uint32_t mask,
-                                                    bool ceil) {
-  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-    const int l = std::countr_zero(m);
-    const Cell* ac = a.at(l).data();
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) {
-      const __m128 x = LoadF4(ac + i);
-      // ROUNDPS quiets signaling NaNs, but the scalar kernel's std::floor
-      // (inlined by GCC as SSE2 integer manipulation) returns every NaN
-      // unchanged — blend NaN elements through untouched.
-      const __m128 r = ceil ? _mm_ceil_ps(x) : _mm_floor_ps(x);
-      const __m128 nan = _mm_cmpunord_ps(x, x);
-      StoreF4(oc + i, _mm_or_ps(_mm_and_ps(nan, x), _mm_andnot_ps(nan, r)));
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void FractLanesAvx2(const BatchDst& dst,
-                                                    const BatchSrc& a, int n,
-                                                    std::uint32_t mask) {
-  for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-    const int l = std::countr_zero(m);
-    const Cell* ac = a.at(l).data();
-    Cell* oc = dst.at(l).data();
-    for (int i = 0; i < n; i += 4) {
-      const __m128 x = LoadF4(ac + i);
-      // NaN passthrough on the floor (see FloorLanesAvx2): the subtract
-      // then computes x - x for NaN elements, exactly like the scalar
-      // kernel's alu.Sub(x, std::floor(x)) — same operands on both sides,
-      // so the propagated payload is identical no matter which operand the
-      // hardware picks.
-      const __m128 f = _mm_floor_ps(x);
-      const __m128 nan = _mm_cmpunord_ps(x, x);
-      const __m128 fl =
-          _mm_or_ps(_mm_and_ps(nan, x), _mm_andnot_ps(nan, f));
-      StoreF4(oc + i, _mm_sub_ps(x, fl));
-    }
-  }
-}
-#else
-#define MGPU_SIMD_AVX2_TIER 0
-#endif
-
-}  // namespace
-
-void EvalBuiltinBatchSimd(Builtin b, Type result_type,
-                          std::span<const BatchSrc> argp, AluModel& alu,
-                          const TextureFn& texture, const BatchDst& dst,
-                          std::uint32_t mask, simd::Level level) {
-  const auto fallback = [&] {
-    EvalBuiltinBatch(b, result_type, argp, alu, texture, dst, mask);
-  };
-  if (level == simd::Level::kScalar || !IsSimdBuiltin(b)) {
-    fallback();
-    return;
-  }
-  // Shape guard, hoisted per instruction: the mapped operand must be a
-  // float vector/matrix whose components (and every broadcast source) stay
-  // inside the inline cells. The lowering tag already guarantees this; the
-  // re-check keeps the entry total if the tag predicate ever drifts.
-  const BatchSrc& a0 = b == Builtin::kStep ? argp[1] : argp[0];
-  const int n = a0.base->count();
-  if (a0.base->scalar() != BaseType::kFloat || n < 2 || n > Value::kInline) {
-    fallback();
-    return;
-  }
-  const std::uint64_t lanes = std::popcount(mask);
-  switch (b) {
-    case Builtin::kAbs: {
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      const __m128 mask_abs =
-          _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-      SimdMapUnary(dst, argp[0], n, mask,
-                   [&](__m128 x) { return _mm_and_ps(x, mask_abs); });
-      return;
-    }
-    case Builtin::kFloor:
-    case Builtin::kCeil:
-#if MGPU_SIMD_AVX2_TIER
-      if (level == simd::Level::kAvx2) {
-        alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-        FloorLanesAvx2(dst, argp[0], n, mask, b == Builtin::kCeil);
-        return;
-      }
-#endif
-      fallback();
-      return;
-    case Builtin::kFract:
-#if MGPU_SIMD_AVX2_TIER
-      if (level == simd::Level::kAvx2) {
-        alu.CountAlu(2 * static_cast<std::uint64_t>(n) * lanes);
-        FractLanesAvx2(dst, argp[0], n, mask);
-        return;
-      }
-#endif
-      fallback();
-      return;
-    case Builtin::kMin:
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[0], argp[1], n,
-                    argp[1].base->count() == 1 ? 0 : 1, mask, FminEmu);
-      return;
-    case Builtin::kMax:
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[0], argp[1], n,
-                    argp[1].base->count() == 1 ? 0 : 1, mask, FmaxEmu);
-      return;
-    case Builtin::kClamp:
-      alu.CountAlu(2 * static_cast<std::uint64_t>(n) * lanes);
-      SimdMapTernary(dst, argp[0], argp[1], argp[2], n,
-                     argp[1].base->count() == 1 ? 0 : 1,
-                     argp[2].base->count() == 1 ? 0 : 1, mask,
-                     [](__m128 x, __m128 lo, __m128 hi) {
-                       return FminEmu(FmaxEmu(x, lo), hi);
-                     });
-      return;
-    case Builtin::kMix:
-      // Same op sequence as the scalar kernel: x*(1-a) + y*a, four plain
-      // IEEE ops per component in the same order.
-      alu.CountAlu(4 * static_cast<std::uint64_t>(n) * lanes);
-      SimdMapTernary(dst, argp[0], argp[1], argp[2], n,
-                     argp[1].base->count() == 1 ? 0 : 1,
-                     argp[2].base->count() == 1 ? 0 : 1, mask,
-                     [](__m128 x, __m128 y, __m128 a) {
-                       const __m128 one = _mm_set1_ps(1.0f);
-                       return _mm_add_ps(_mm_mul_ps(x, _mm_sub_ps(one, a)),
-                                         _mm_mul_ps(y, a));
-                     });
-      return;
-    case Builtin::kStep:
-      // step(edge, x) = x < edge ? 0 : 1. CMPNLT is true exactly when
-      // !(x < edge), including unordered — the scalar ternary's behaviour
-      // for NaN — so masking an all-ones 1.0f yields the identical result.
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[1], argp[0], n,
-                    argp[0].base->count() == 1 ? 0 : 1, mask,
-                    [](__m128 x, __m128 edge) {
-                      return _mm_and_ps(_mm_cmpnlt_ps(x, edge),
-                                        _mm_set1_ps(1.0f));
-                    });
-      return;
-    case Builtin::kMatrixCompMult:
-      alu.CountAlu(static_cast<std::uint64_t>(n) * lanes);
-      SimdMapBinary(dst, argp[0], argp[1], n, 1, mask,
-                    [](__m128 x, __m128 y) { return _mm_mul_ps(x, y); });
-      return;
-    case Builtin::kDot:
-      alu.CountAlu((2 * static_cast<std::uint64_t>(n) - 1) * lanes);
-      SimdDotLanes(dst, argp[0], argp[1], n, mask);
-      return;
-    case Builtin::kNormalize:
-      // Per lane: the sequential dot chain runs in scalar (exact replay of
-      // DotProduct — baseline TU, no contraction), the 1/sqrt stays on the
-      // virtual SFU path (precision model + sfu count), and only the final
-      // scale-by-inverse map vectorizes.
-      alu.CountAlu((3 * static_cast<std::uint64_t>(n) - 1) * lanes);
-      ForEachLane(mask, [&](int l) {
-        const Value& av = argp[0].at(l);
-        float acc = av.F(0) * av.F(0);
-        for (int i = 1; i < n; ++i) {
-          const float p = av.F(i) * av.F(i);
-          acc = acc + p;
-        }
-        const __m128 inv = _mm_set1_ps(alu.RecipSqrt(acc));
-        const Cell* ac = av.data();
-        Cell* oc = dst.at(l).data();
-        for (int i = 0; i < n; i += 4) {
-          StoreF4(oc + i, _mm_mul_ps(LoadF4(ac + i), inv));
-        }
-      });
-      return;
-    default:
-      fallback();
-      return;
-  }
-}
-
-#else  // !MGPU_SIMD_X86 — portable builds: the entry forwards verbatim.
-
-void EvalBuiltinBatchSimd(Builtin b, Type result_type,
-                          std::span<const BatchSrc> argp, AluModel& alu,
-                          const TextureFn& texture, const BatchDst& dst,
-                          std::uint32_t mask, simd::Level /*level*/) {
-  EvalBuiltinBatch(b, result_type, argp, alu, texture, dst, mask);
-}
-
-#endif  // MGPU_SIMD_X86
 
 }  // namespace mgpu::glsl

@@ -87,29 +87,6 @@ void EvalBuiltinBatch(Builtin b, Type result_type,
 // therefore tmu_miss counts — identical to the scalar engines.
 [[nodiscard]] bool IsSoaBuiltin(Builtin b);
 
-// SIMD entry for the float-dense builtin kernels (abs / floor / ceil /
-// fract / min / max / clamp / mix / step / matrixCompMult / dot /
-// normalize on float vector shapes); every other builtin, shape, or tier
-// falls back to EvalBuiltinBatch internally, so the entry is total. Same
-// contract as the evalcore *Simd entries (evalcore.h): requires
-// alu.round_identity(), charges ops in bulk via AluModel::CountAlu with
-// totals identical to the scalar kernel, honors the live lane mask for
-// every load/store, and is bit-identical by construction — min/max/clamp
-// emulate the exact libm fmin/fmax NaN/signed-zero semantics, dot/normalize
-// replay each lane's sequential accumulation chain unchanged, and
-// floor/ceil/fract only vectorize on the AVX2 tier (the round instructions
-// they need are post-SSE2). SFU-routed and texture builtins never take a
-// SIMD path (IsSoaBuiltin + the lowering tag keep them per-lane).
-void EvalBuiltinBatchSimd(Builtin b, Type result_type,
-                          std::span<const BatchSrc> args, AluModel& alu,
-                          const TextureFn& texture, const BatchDst& dst,
-                          std::uint32_t mask, simd::Level level);
-
-// True when EvalBuiltinBatchSimd has a vector path for `b` (a strict
-// subset of IsSoaBuiltin; the lowering tag combines this with the operand
-// shape to mark instructions SIMD-eligible).
-[[nodiscard]] bool IsSimdBuiltin(Builtin b);
-
 }  // namespace mgpu::glsl
 
 #endif  // MGPU_GLSL_BUILTINS_H_

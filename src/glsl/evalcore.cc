@@ -3,10 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#if MGPU_SIMD_X86
-#include <immintrin.h>
-#endif
-
 namespace mgpu::glsl {
 
 LRef RefWhole(Value& storage, const Type& t) {
@@ -611,182 +607,5 @@ void EvalCtorBatch(AluModel& alu, std::span<const BatchSrc> args,
     });
   }
 }
-
-// ---------------------------------------------------------------------------
-// SIMD kernels (x86-64; see the contract in evalcore.h / simd.h)
-// ---------------------------------------------------------------------------
-
-#if MGPU_SIMD_X86
-
-namespace {
-
-// Full-width 128-bit load/store over Value cells. Cells are 4-byte unions
-// with the float member active on every path that reaches these kernels;
-// the intrinsics read/write raw bytes, so punning through the cast is fine.
-// Callers guarantee the touched range stays inside the value's inline
-// storage (count <= Value::kInline == 16 cells; over-read/over-write of
-// cells at index >= count is unobservable by the Value contract).
-inline __m128 LoadF4(const Cell* c) {
-  return _mm_loadu_ps(reinterpret_cast<const float*>(c));
-}
-inline void StoreF4(Cell* c, __m128 v) {
-  _mm_storeu_ps(reinterpret_cast<float*>(c), v);
-}
-
-// Component-wise binary op over every live lane, 4 components per step.
-// `ls`/`rs` are the scalar-broadcast strides of EvalArithBatch (0 = the
-// operand is a scalar splat against a wider result).
-template <typename Op>
-inline void ArithSimdLanes(const BatchSrc& l, const BatchSrc& r,
-                           const BatchDst& out, int n, int ls, int rs,
-                           std::uint32_t mask, Op op) {
-  if (ls == 0) {
-    ForEachLane(mask, [&](int lane) {
-      const __m128 va = _mm_set1_ps(l.at(lane).F(0));
-      const Cell* bc = r.at(lane).data();
-      Cell* oc = out.at(lane).data();
-      for (int i = 0; i < n; i += 4) StoreF4(oc + i, op(va, LoadF4(bc + i)));
-    });
-  } else if (rs == 0) {
-    ForEachLane(mask, [&](int lane) {
-      const Cell* ac = l.at(lane).data();
-      const __m128 vb = _mm_set1_ps(r.at(lane).F(0));
-      Cell* oc = out.at(lane).data();
-      for (int i = 0; i < n; i += 4) StoreF4(oc + i, op(LoadF4(ac + i), vb));
-    });
-  } else {
-    ForEachLane(mask, [&](int lane) {
-      const Cell* ac = l.at(lane).data();
-      const Cell* bc = r.at(lane).data();
-      Cell* oc = out.at(lane).data();
-      for (int i = 0; i < n; i += 4) {
-        StoreF4(oc + i, op(LoadF4(ac + i), LoadF4(bc + i)));
-      }
-    });
-  }
-}
-
-}  // namespace
-
-void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
-                        const BatchSrc& r, const BatchDst& out,
-                        std::uint32_t mask, simd::Level level) {
-  const BaseType lb = l.base->type().base;
-  const BaseType rb = r.base->type().base;
-  const int n = out.base->count();
-  const bool linalg =
-      op == BinOp::kMul && ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
-                            (IsVector(lb) && IsMatrix(rb)));
-  if (level == simd::Level::kScalar || op > BinOp::kMul || linalg ||
-      ScalarOf(lb) != BaseType::kFloat || n < 2 || n > Value::kInline) {
-    EvalArithBatch(alu, op, l, r, out, mask);
-    return;
-  }
-  const int ls = l.base->count() == 1 && n > 1 ? 0 : 1;
-  const int rs = r.base->count() == 1 && n > 1 ? 0 : 1;
-  alu.CountAlu(static_cast<std::uint64_t>(n) *
-               static_cast<unsigned>(std::popcount(mask)));
-  switch (op) {
-    case BinOp::kAdd:
-      ArithSimdLanes(l, r, out, n, ls, rs, mask,
-                     [](__m128 a, __m128 b) { return _mm_add_ps(a, b); });
-      return;
-    case BinOp::kSub:
-      ArithSimdLanes(l, r, out, n, ls, rs, mask,
-                     [](__m128 a, __m128 b) { return _mm_sub_ps(a, b); });
-      return;
-    default:
-      ArithSimdLanes(l, r, out, n, ls, rs, mask,
-                     [](__m128 a, __m128 b) { return _mm_mul_ps(a, b); });
-      return;
-  }
-}
-
-void EvalNegBatchSimd(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                      std::uint32_t mask, simd::Level level) {
-  const int n = v.base->count();
-  if (level == simd::Level::kScalar ||
-      v.base->scalar() != BaseType::kFloat || n > Value::kInline) {
-    EvalNegBatch(alu, v, out, mask);
-    return;
-  }
-  // -x on the identity-round path is a pure sign-bit flip (exact for every
-  // input including NaN and +/-0), so negation vectorizes as an XOR.
-  alu.CountAlu(static_cast<std::uint64_t>(n) *
-               static_cast<unsigned>(std::popcount(mask)));
-  const __m128 sign = _mm_set1_ps(-0.0f);
-  ForEachLane(mask, [&](int lane) {
-    const Cell* ac = v.at(lane).data();
-    Cell* oc = out.at(lane).data();
-    for (int i = 0; i < n; i += 4) {
-      StoreF4(oc + i, _mm_xor_ps(LoadF4(ac + i), sign));
-    }
-  });
-}
-
-void EvalCtorBatchSimd(AluModel& alu, std::span<const BatchSrc> args,
-                       const BatchDst& out, std::uint32_t mask,
-                       simd::Level level) {
-  const BaseType target = out.base->type().base;
-  const int n = out.base->count();
-  bool covered = level != simd::Level::kScalar && IsVector(target) &&
-                 ScalarOf(target) == BaseType::kFloat && n <= 4;
-  for (std::size_t a = 0; covered && a < args.size(); ++a) {
-    // Only float scalar/vector args: keeps every 4-wide copy inside the
-    // destination's inline cells (write range < w + 4 <= n + 3 <= 7).
-    covered = args[a].base->scalar() == BaseType::kFloat &&
-              args[a].base->count() <= 4;
-  }
-  if (!covered) {
-    EvalCtorBatch(alu, args, out, mask);
-    return;
-  }
-  alu.CountAlu(static_cast<std::uint64_t>(n) *
-               static_cast<unsigned>(std::popcount(mask)));
-  if (args.size() == 1 && args[0].base->count() == 1) {
-    // Splat: float -> float SetConverted is a plain copy, so broadcast.
-    ForEachLane(mask, [&](int lane) {
-      StoreF4(out.at(lane).data(), _mm_set1_ps(args[0].at(lane).F(0)));
-    });
-    return;
-  }
-  // All-float gather: one unaligned 4-wide copy per argument. Components
-  // past an argument's count are overwritten by the next argument's copy or
-  // are beyond n (unobservable), exactly reproducing the scalar gather.
-  ForEachLane(mask, [&](int lane) {
-    Value& o = out.at(lane);
-    Cell* oc = o.data();
-    int w = 0;
-    for (const BatchSrc& src : args) {
-      if (w >= n) break;
-      const Value& a = src.at(lane);
-      StoreF4(oc + w, LoadF4(a.data()));
-      w += a.count();
-    }
-    if (w > n) w = n;
-    while (w < n) oc[w++].i = 0;  // malformed ctor tail stays zero
-  });
-}
-
-#else  // !MGPU_SIMD_X86 — portable builds: the entries forward verbatim.
-
-void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
-                        const BatchSrc& r, const BatchDst& out,
-                        std::uint32_t mask, simd::Level /*level*/) {
-  EvalArithBatch(alu, op, l, r, out, mask);
-}
-
-void EvalNegBatchSimd(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                      std::uint32_t mask, simd::Level /*level*/) {
-  EvalNegBatch(alu, v, out, mask);
-}
-
-void EvalCtorBatchSimd(AluModel& alu, std::span<const BatchSrc> args,
-                       const BatchDst& out, std::uint32_t mask,
-                       simd::Level /*level*/) {
-  EvalCtorBatch(alu, args, out, mask);
-}
-
-#endif  // MGPU_SIMD_X86
 
 }  // namespace mgpu::glsl

@@ -15,7 +15,6 @@
 
 #include "glsl/alu.h"
 #include "glsl/ast.h"
-#include "glsl/simd.h"
 #include "glsl/value.h"
 
 namespace mgpu::glsl {
@@ -173,42 +172,6 @@ void EvalNotBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
 // first, matching the VM's fresh-value kCtor semantics.
 void EvalCtorBatch(AluModel& alu, std::span<const BatchSrc> args,
                    const BatchDst& out, std::uint32_t mask);
-
-// ---------------------------------------------------------------------------
-// SIMD entries (see simd.h for the tier model and bit-identity contract)
-// ---------------------------------------------------------------------------
-//
-// Each *Simd entry vectorizes the stride-1 float fast path of its scalar
-// SoA counterpart and falls back to it internally for every shape, op, or
-// tier it does not cover — the entries are total, so a drifted lowering tag
-// degrades to the scalar kernel instead of misbehaving. PRECONDITION for
-// the vector paths: alu.round_identity() must hold (the VM samples the
-// effective level per RunBatch and passes kScalar otherwise). The live lane
-// mask gates every load and store: only cells of live lanes are touched
-// (lane selection IS the mask — per-lane component vectors make masked
-// execution exact by construction). Within a live lane the kernels may
-// read/write cells beyond the value's component count but never beyond its
-// inline storage; those cells are unobservable by contract (value.h).
-//
-// Bulk op accounting goes through AluModel::CountAlu with the identical
-// total the scalar kernel would accumulate one Count(1) at a time.
-
-// Covers component-wise float +,-,* (n >= 2). Division (SFU-routed),
-// comparisons, int arithmetic, and linear-algebra shapes fall back.
-void EvalArithBatchSimd(AluModel& alu, BinOp op, const BatchSrc& l,
-                        const BatchSrc& r, const BatchDst& out,
-                        std::uint32_t mask, simd::Level level);
-
-// Covers float negation at any width (a pure sign-bit XOR; exact because
-// Round is the identity under the precondition). Int negation falls back.
-void EvalNegBatchSimd(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                      std::uint32_t mask, simd::Level level);
-
-// Covers the all-float splat and gather paths of float vector constructors
-// whose args are all float scalars/vectors. Everything else falls back.
-void EvalCtorBatchSimd(AluModel& alu, std::span<const BatchSrc> args,
-                       const BatchDst& out, std::uint32_t mask,
-                       simd::Level level);
 
 }  // namespace mgpu::glsl
 

@@ -83,17 +83,12 @@ struct VmInst {
   std::uint32_t b = kOperandNone;
   std::uint32_t aux = 0;  // jump target / arg-table start / limit / comps
   Type type;              // result/element type where the op needs one
-  // Set at lowering time (TagSoaEligibility in lower.cc); a tri-state the
-  // batched executors dispatch kArith/kNeg/kCtor/kBuiltin on alone — no
-  // runtime type inspection:
+  // Set at lowering time (TagSoaEligibility in lower.cc); the batched
+  // executor dispatches kArith/kCtor/kBuiltin on it alone — no runtime type
+  // inspection:
   //   0 — per-lane replay (linear-algebra multiplies, matrix constructors,
   //       texture builtins);
-  //   1 — the scalar SoA batch kernel covers this op;
-  //   2 — additionally SIMD-eligible: a vector kernel in evalcore/builtins
-  //       covers the shape (stride-1 float fast path). The executor still
-  //       picks simd-vs-scalar-SoA at dispatch time from the effective
-  //       simd::Level (scalar when the AluModel is not round-identity, when
-  //       MGPU_SIMD=0, or on non-x86 builds).
+  //   1 — a whole-instruction SoA batch kernel covers this op.
   std::uint8_t soa = 0;
 };
 

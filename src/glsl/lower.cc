@@ -1089,14 +1089,6 @@ class Lowerer {
 // operand shapes per instruction per batch. Operand types are static — the
 // register file and globals are typed at lowering time — which is what
 // makes this a lowering-time decision at all.
-//
-// The tag is a tri-state (see VmInst::soa): instructions whose shape the
-// vector kernels additionally cover — component-wise float +,-,* with a
-// vector/matrix result, float negation, all-float vector gathers/splats,
-// and the float-dense IsSimdBuiltin set on vector operands — are marked 2
-// so the executor can pick the SIMD kernel without re-deriving shapes.
-// Division, comparisons, int arithmetic, SFU-routed and texture builtins
-// never get tag 2 (and the SIMD entries would fall back even if they did).
 void TagSoaEligibility(VmProgram& prog) {
   const auto type_of = [&](std::uint32_t op) -> const Type& {
     const std::uint32_t idx = op & kOperandIndexMask;
@@ -1121,60 +1113,22 @@ void TagSoaEligibility(VmProgram& prog) {
             ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
              (IsVector(lb) && IsMatrix(rb)));
         in.soa = linalg_mul ? 0 : 1;
-        if (in.soa == 1 && op <= BinOp::kMul &&
-            ScalarOf(lb) == BaseType::kFloat &&
-            type_of(in.dst).CellCount() >= 2) {
-          in.soa = 2;  // component-wise float +,-,* on a vector/matrix
-        }
         break;
       }
-      case VmOp::kNeg: {
-        const Type& at = type_of(in.a);
-        // Float negation is a pure sign-bit flip under round-identity
-        // models, so every float shape is SIMD-eligible. The executor runs
-        // kNeg through the batch kernel for any tag value; 2 only adds the
-        // vector path.
-        in.soa =
-            !at.IsArray() && ScalarOf(at.base) == BaseType::kFloat ? 2 : 1;
+      case VmOp::kNeg:
+        in.soa = 1;  // EvalNegBatch covers every shape
         break;
-      }
       case VmOp::kCtor: {
         const Type& dt = type_of(in.dst);
         const BaseType target = dt.base;
         in.soa = !dt.IsArray() && (IsScalar(target) || IsVector(target))
                      ? 1
                      : 0;
-        if (in.soa == 1 && IsVector(target) &&
-            ScalarOf(target) == BaseType::kFloat) {
-          // SIMD-eligible when every argument is a float scalar/vector
-          // (the all-float gather/splat fast path of EvalCtorBatchSimd).
-          bool all_float_vec = true;
-          for (std::uint32_t i = 0; all_float_vec && i < in.n; ++i) {
-            const Type& at = type_of(prog.arg_ops[in.aux + i]);
-            all_float_vec = !at.IsArray() &&
-                            ScalarOf(at.base) == BaseType::kFloat &&
-                            (IsScalar(at.base) || IsVector(at.base));
-          }
-          if (all_float_vec) in.soa = 2;
-        }
         break;
       }
-      case VmOp::kBuiltin: {
-        const Builtin b = static_cast<Builtin>(in.u8);
-        in.soa = IsSoaBuiltin(b) ? 1 : 0;
-        if (in.soa == 1 && IsSimdBuiltin(b)) {
-          // The mapped operand (arg 1 for step's (edge, x) order, arg 0
-          // otherwise) must be a float vector/matrix for the vector path.
-          const std::uint32_t a0 =
-              prog.arg_ops[in.aux + (b == Builtin::kStep ? 1u : 0u)];
-          const Type& at = type_of(a0);
-          if (!at.IsArray() && ScalarOf(at.base) == BaseType::kFloat &&
-              at.CellCount() >= 2) {
-            in.soa = 2;
-          }
-        }
+      case VmOp::kBuiltin:
+        in.soa = IsSoaBuiltin(static_cast<Builtin>(in.u8)) ? 1 : 0;
         break;
-      }
       default:
         break;
     }
@@ -1393,7 +1347,6 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
     for (const std::uint8_t b : prog.divergent_branch) nd += b;
     int soa = 0;
     int soa_eligible = 0;
-    int simd = 0;
     for (const VmInst& in : prog.code) {
       if (in.op != VmOp::kArith && in.op != VmOp::kNeg &&
           in.op != VmOp::kCtor && in.op != VmOp::kBuiltin) {
@@ -1401,16 +1354,13 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
       }
       ++soa_eligible;
       if (in.soa != 0) ++soa;
-      if (in.soa == 2) ++simd;
     }
     std::fprintf(stderr,
                  "lane-analysis: stage=%s uniform=%d divergent_branches=%d "
-                 "code=%zu soa_kernels=%d/%d simd_tagged=%d "
-                 "simd_default=%s\n",
+                 "code=%zu soa_kernels=%d/%d\n",
                  prog.stage == Stage::kVertex ? "vertex" : "fragment",
                  prog.uniform_control_flow ? 1 : 0, nd, prog.code.size(),
-                 soa, soa_eligible, simd,
-                 simd::LevelName(simd::Resolve(-1)));
+                 soa, soa_eligible);
   }
   prog.lane_global_index.assign(n_globals, -1);
   prog.lane_global_count = 0;

@@ -1,59 +1,17 @@
-// Runtime-dispatched SIMD tiers for the batched (SoA) evalcore kernels.
-//
-// The batched VM's data layout (strided BatchSrc/BatchDst lane planes,
-// contiguous Value cells within a lane) is SIMD-shaped by construction; this
-// header names the instruction tiers the vector kernels in evalcore.cc /
-// builtins.cc can target and resolves which tier a given execution may use.
-//
-// Tiers:
-//   kScalar — portable fallback: the plain scalar SoA kernels run. Always
-//             available; the only tier on non-x86-64 builds.
-//   kSse2   — x86-64 baseline (SSE2 is architectural): 128-bit ops over the
-//             contiguous component cells of each live lane.
-//   kAvx2   — detected via cpuid at startup: additionally unlocks the
-//             SSE4.1/AVX round instructions (floor/ceil/fract vectorize).
-//
-// Bit-identity contract: SIMD kernels may only run when the executing
-// AluModel has round_identity() — then Add/Sub/Mul are plain IEEE fp32 ops
-// plus a counter, so reordering lanes/components cannot change results, and
-// op counting batches into AluModel::CountAlu(n). The VM enforces this by
-// sampling the effective level per RunBatch (vm.cc); SFU-routed ops
-// (Recip/RecipSqrt/Exp2/Log2, division) and texture builtins never take a
-// SIMD path regardless of tier.
-//
-// Resolution order for the effective tier: per-context knob
-// (ContextConfig::simd / DeviceOptions::simd) > MGPU_SIMD env (0/1/2) >
-// detected hardware level; every source is clamped to the detected level.
+// Exists only so e2ebench's config line keeps building; the batched VM has
+// a single (scalar SoA) kernel tier.
 #ifndef MGPU_GLSL_SIMD_H_
 #define MGPU_GLSL_SIMD_H_
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define MGPU_SIMD_X86 1
-#else
-#define MGPU_SIMD_X86 0
-#endif
-
 namespace mgpu::glsl::simd {
 
-enum class Level : int {
-  kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-};
+enum class Level : int { kScalar = 0 };
 
-// Highest tier the running CPU supports (cpuid-derived, cached after the
-// first call). kScalar on non-x86-64 architectures.
-[[nodiscard]] Level DetectedLevel();
+[[nodiscard]] inline Level Resolve(int /*knob*/) { return Level::kScalar; }
 
-// Effective tier for a context knob value: -1 = auto (MGPU_SIMD env if set,
-// else the detected level); 0/1/2 = explicit tier request. The result is
-// always clamped to DetectedLevel() — requesting AVX2 on an SSE2-only CPU
-// yields kSse2, and MGPU_SIMD=0 forces kScalar everywhere.
-[[nodiscard]] Level Resolve(int knob);
-
-// Human-readable tier name ("scalar" / "sse2" / "avx2") for logs and the
-// fuzzer's failing-seed repro line.
-[[nodiscard]] const char* LevelName(Level level);
+[[nodiscard]] inline const char* LevelName(Level /*level*/) {
+  return "scalar";
+}
 
 }  // namespace mgpu::glsl::simd
 

@@ -119,10 +119,7 @@ class Value {
   }
 
   // Inline-cell capacity (largest non-array type: mat4). Values at or under
-  // this never spill to the heap, so `data()` of such a Value always points
-  // at kInline contiguous cells — the SIMD batch kernels rely on this to
-  // over-read/over-write past count() but never past the inline storage
-  // (cells beyond count() are unobservable).
+  // this never spill to the heap.
   static constexpr int kInline = 16;
 
  private:

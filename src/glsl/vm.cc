@@ -123,8 +123,7 @@ VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
 
 VmExec::VmExec(const VmExec& base, AluModel& alu)
     : prog_(base.prog_), alu_(alu), globals_(base.globals_),
-      regs_(base.regs_), loop_budget_(base.loop_budget_),
-      simd_level_(base.simd_level_) {
+      regs_(base.regs_), loop_budget_(base.loop_budget_) {
   // Refs are rebuilt before use by every invocation; fresh ones avoid
   // aliasing the base engine's storage.
   refs_.resize(prog_->ref_slot_count);
@@ -387,11 +386,6 @@ Value& VmExec::LaneGlobalAt(int slot, int lane) {
 std::uint32_t VmExec::RunBatch(int n) {
   if (n <= 0) return 0;
   EnsureBatchState();
-  // Effective SIMD tier for this batch: the vector kernels are only
-  // bit-identical when Add/Sub/Mul are plain IEEE ops plus a counter, i.e.
-  // under round-identity models (see simd.h); everything else runs the
-  // scalar SoA kernels regardless of the configured tier.
-  batch_simd_ = alu_.round_identity() ? simd_level_ : simd::Level::kScalar;
   return prog_->uniform_control_flow ? ExecuteBatchUniform(n)
                                      : ExecuteBatchDivergent(n);
 }
@@ -474,16 +468,8 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
       // through the same AluModel entry points (and therefore the same
       // counts and rounding) as a per-lane EvalArithInto sequence. The
       // untagged remainder (linear-algebra multiplies) replays per lane.
-      // Tag value 2 marks the float vector fast path additionally
-      // SIMD-eligible; the live lane mask drives the kernel's loads and
-      // stores either way, so the masked-divergent executor vectorizes
-      // exactly its live lanes.
       if (in.soa != 0) {
-        if (in.soa == 2 && batch_simd_ != simd::Level::kScalar) {
-          EvalArithBatchSimd(alu_, op, a, b, d, lanes.Mask(), batch_simd_);
-        } else {
-          EvalArithBatch(alu_, op, a, b, d, lanes.Mask());
-        }
+        EvalArithBatch(alu_, op, a, b, d, lanes.Mask());
         break;
       }
       lanes.ForEach([&](int l) {
@@ -492,12 +478,7 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
       break;
     }
     case VmOp::kNeg: {
-      if (in.soa == 2 && batch_simd_ != simd::Level::kScalar) {
-        EvalNegBatchSimd(alu_, read(in.a), dst(in.dst), lanes.Mask(),
-                         batch_simd_);
-      } else {
-        EvalNegBatch(alu_, read(in.a), dst(in.dst), lanes.Mask());
-      }
+      EvalNegBatch(alu_, read(in.a), dst(in.dst), lanes.Mask());
       break;
     }
     case VmOp::kNot: {
@@ -528,15 +509,9 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
       }
       // SoA-tagged (scalar/vector targets): whole-instruction kernel with
       // the shape analysis and the fresh-value clear hoisted per batch.
-      // Tag 2 = all-float vector gather, additionally SIMD-eligible.
       if (in.soa != 0) {
-        if (in.soa == 2 && batch_simd_ != simd::Level::kScalar) {
-          EvalCtorBatchSimd(alu_, std::span<const LaneSrc>(av.data(), in.n),
-                            d, lanes.Mask(), batch_simd_);
-        } else {
-          EvalCtorBatch(alu_, std::span<const LaneSrc>(av.data(), in.n), d,
-                        lanes.Mask());
-        }
+        EvalCtorBatch(alu_, std::span<const LaneSrc>(av.data(), in.n), d,
+                      lanes.Mask());
         break;
       }
       const int cells = d.base->count();
@@ -566,18 +541,10 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
       // TMU access belongs to — the gles2 context replays accesses in lane
       // order, reproducing the scalar engine's fragment-sequential cache
       // order (and tmu_miss counts) exactly.
-      // Tag 2 = float-dense kernel with a vector path (abs/min/max/clamp/
-      // mix/step/dot/normalize/...), additionally SIMD-eligible.
       if (in.soa != 0) {
-        if (in.soa == 2 && batch_simd_ != simd::Level::kScalar) {
-          EvalBuiltinBatchSimd(static_cast<Builtin>(in.u8), in.type,
-                               std::span<const LaneSrc>(av.data(), in.n),
-                               alu_, texture_, d, lanes.Mask(), batch_simd_);
-        } else {
-          EvalBuiltinBatch(static_cast<Builtin>(in.u8), in.type,
-                           std::span<const LaneSrc>(av.data(), in.n), alu_,
-                           texture_, d, lanes.Mask());
-        }
+        EvalBuiltinBatch(static_cast<Builtin>(in.u8), in.type,
+                         std::span<const LaneSrc>(av.data(), in.n), alu_,
+                         texture_, d, lanes.Mask());
         break;
       }
       lanes.ForEach([&](int l) {

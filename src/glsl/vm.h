@@ -109,15 +109,6 @@ class VmExec final : public ShaderEngine {
   void SetLoopBudget(std::uint64_t steps) { loop_budget_ = steps; }
   [[nodiscard]] std::uint64_t loop_budget() const { return loop_budget_; }
 
-  // SIMD tier this executor's batch kernels may use (a resolved
-  // ContextConfig/DeviceOptions knob; defaults to auto resolution — the
-  // MGPU_SIMD env override or the detected hardware level). The effective
-  // tier is re-sampled at every RunBatch: it drops to scalar whenever the
-  // AluModel is not round-identity, so reduced-precision vc4 profiles keep
-  // their per-op Round() path untouched no matter what the knob says.
-  void SetSimdLevel(simd::Level level) { simd_level_ = level; }
-  [[nodiscard]] simd::Level simd_level() const { return simd_level_; }
-
  private:
   bool Execute(std::uint32_t pc);
 
@@ -157,10 +148,6 @@ class VmExec final : public ShaderEngine {
   // SoA planes: register r's lanes are contiguous at [r * kVmLanes, ...),
   // likewise dense lane-varying global g and ref slot s.
   bool batch_ready_ = false;
-  simd::Level simd_level_ = simd::Resolve(-1);
-  // Effective tier for the batch in flight (simd_level_ gated on
-  // alu_.round_identity(); sampled by RunBatch, read by ExecBatchOp).
-  simd::Level batch_simd_ = simd::Level::kScalar;
   std::vector<Value> lane_regs_;
   std::vector<Value> lane_globals_;
   std::vector<LRef> lane_refs_;

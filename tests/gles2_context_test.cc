@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -172,6 +173,23 @@ TEST(ContextTest, ReadPixelsOnlyRgbaUnsignedByte) {
   std::vector<float> fdata(16 * 4);
   ctx.ReadPixels(0, 0, 4, 4, GL_RGBA, GL_FLOAT, fdata.data());
   EXPECT_EQ(ctx.GetError(), GL_INVALID_ENUM);
+
+  // Negative sizes are GL_INVALID_VALUE and write nothing.
+  ctx.ClearColor(1.0f, 1.0f, 1.0f, 1.0f);
+  ctx.Clear(GL_COLOR_BUFFER_BIT);
+  std::vector<std::uint8_t> out(16, 0xab);
+  ctx.ReadPixels(0, 0, -1, 2, GL_RGBA, GL_UNSIGNED_BYTE, out.data());
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE);
+  ctx.ReadPixels(0, 0, 2, -1, GL_RGBA, GL_UNSIGNED_BYTE, out.data());
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(16, 0xab));
+
+  // A window whose far edge lies past INT_MAX reads as outside the
+  // framebuffer (zeros), without int overflow.
+  ctx.ReadPixels(std::numeric_limits<GLint>::max() - 1, 0, 4, 1, GL_RGBA,
+                 GL_UNSIGNED_BYTE, out.data());
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  EXPECT_EQ(out, std::vector<std::uint8_t>(16, 0));
 }
 
 TEST(ContextTest, MissingVertexShaderFailsLink) {

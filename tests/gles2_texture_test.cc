@@ -4,6 +4,7 @@
 #include "gles2/texture.h"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -110,11 +111,27 @@ TEST(TextureTest, TexSubImageUpdatesRegion) {
 }
 
 TEST(TextureTest, TexSubImageOutOfBoundsRejected) {
-  Texture t = MakeRgba(4, 4, {});
+  const std::vector<std::uint8_t> texels(4 * 4 * 4, 7);
+  Texture t = MakeRgba(4, 4, texels);
   const std::vector<std::uint8_t> patch(16, 0);
   EXPECT_EQ(t.TexSubImage2D(0, 3, 3, 2, 2, GL_RGBA, GL_UNSIGNED_BYTE,
                             patch.data(), 1),
             GL_INVALID_VALUE);
+  // Negative sizes are invalid, not empty uploads.
+  EXPECT_EQ(t.TexSubImage2D(0, 0, 0, -1, 2, GL_RGBA, GL_UNSIGNED_BYTE,
+                            patch.data(), 1),
+            GL_INVALID_VALUE);
+  EXPECT_EQ(t.TexSubImage2D(0, 0, 0, 2, -1, GL_RGBA, GL_UNSIGNED_BYTE,
+                            patch.data(), 1),
+            GL_INVALID_VALUE);
+  // offset + size past INT_MAX must not wrap around into range.
+  EXPECT_EQ(t.TexSubImage2D(0, 2, 0, std::numeric_limits<int>::max(), 1,
+                            GL_RGBA, GL_UNSIGNED_BYTE, patch.data(), 1),
+            GL_INVALID_VALUE);
+  EXPECT_EQ(t.TexSubImage2D(0, 0, 2, 1, std::numeric_limits<int>::max(),
+                            GL_RGBA, GL_UNSIGNED_BYTE, patch.data(), 1),
+            GL_INVALID_VALUE);
+  EXPECT_EQ(t.storage(), texels);
 }
 
 TEST(TextureTest, DefaultMinFilterMakesIncomplete) {

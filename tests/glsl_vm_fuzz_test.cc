@@ -43,7 +43,6 @@
 #include "glsl/compile.h"
 #include "glsl/interp.h"
 #include "glsl/ir.h"
-#include "glsl/simd.h"
 #include "glsl/vm.h"
 #include "vc4/alu.h"
 #include "vc4/profiles.h"
@@ -663,9 +662,9 @@ class GlslFuzzer {
   // A straight-line run of float vector arithmetic: a burst of
   // component-wise +,-,*,/ and float-dense builtins over same-width vector
   // locals, with no control flow in between. These are exactly the
-  // statements the lowering tags SIMD-eligible, so weighting them into
-  // most generated programs keeps the vector kernels (not just the scalar
-  // SoA and per-lane paths) under continuous differential pressure.
+  // statements the SoA batch kernels cover whole, so weighting them into
+  // most generated programs keeps those kernels (not just the per-lane
+  // paths) under continuous differential pressure.
   void GenVecRun(std::string& out) {
     const int w = static_cast<int>(rng_.NextInt(2, 4));
     const GType t = w == 2 ? GType::kV2 : (w == 3 ? GType::kV3 : GType::kV4);
@@ -995,16 +994,12 @@ void RunFuzzSweep(bool vc4_alu, Stage stage, std::uint64_t seed_base) {
       // reproduce it: the seed drives both the program generator and the
       // per-lane inputs, so one integer replays the whole case.
       GlslFuzzer gen(seed, stage);
-      // The batched VM resolves its SIMD tier the same way (auto unless
-      // MGPU_SIMD overrides), so naming it here makes the repro line
-      // sufficient to replay the exact kernel selection.
       std::fprintf(stderr,
-                   "[fuzz] FAILURE seed=%llu (%s alu, %s stage, simd=%s) — "
+                   "[fuzz] FAILURE seed=%llu (%s alu, %s stage) — "
                    "source:\n%s\n",
                    static_cast<unsigned long long>(seed),
                    vc4_alu ? "vc4" : "exact",
                    stage == Stage::kVertex ? "vertex" : "fragment",
-                   simd::LevelName(simd::Resolve(-1)),
                    gen.Generate().c_str());
       FAIL() << "fuzz differential failed at seed " << seed
              << " (iteration " << i << " of " << g_fuzz_iters << ")";
@@ -1299,12 +1294,11 @@ void RunTrapParitySweep(bool vc4_alu) {
     RunTrapParityCase(seed, vc4_alu, &trap_lanes, &clean_lanes);
     if (::testing::Test::HasFailure()) {
       std::fprintf(stderr,
-                   "[trap-parity] FAILURE seed=%llu (%s alu, budget=%llu, "
-                   "simd=%s) — source:\n%s\n",
+                   "[trap-parity] FAILURE seed=%llu (%s alu, budget=%llu) — "
+                   "source:\n%s\n",
                    static_cast<unsigned long long>(seed),
                    vc4_alu ? "vc4" : "exact",
                    static_cast<unsigned long long>(GenTrapProgram(seed).budget),
-                   simd::LevelName(simd::Resolve(-1)),
                    GenTrapProgram(seed).src.c_str());
       FAIL() << "trap parity failed at seed " << seed << " (iteration " << i
              << " of " << g_fuzz_iters << ")";

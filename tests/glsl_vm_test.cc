@@ -861,6 +861,24 @@ void main() {
   }
   gl_FragColor = vec4(r, v_in.w, 1.0);
 })"});
+  // --- the float-dense builtin set (normalize/dot/mix/clamp/floor/fract/
+  // ceil/min/max/abs/step) chained on vec4s with uniform operands ---------
+  cases.push_back(
+      {"vector_heavy_builtins",
+       R"(precision highp float;
+varying vec4 v_in;
+uniform vec4 u_bias;
+uniform float u_mode;
+void main() {
+  vec4 a = v_in * u_bias + vec4(0.25);
+  vec3 n = normalize(a.xyz + vec3(0.5, u_mode, 1.5));
+  float d = dot(n, vec3(a.y, a.z, a.w));
+  vec4 m = mix(a, vec4(d), clamp(a, 0.0, 1.0));
+  vec4 f = floor(m * 7.5) - fract(m) + ceil(m * 0.5);
+  vec4 mn = min(max(f, -a), abs(m));
+  gl_FragColor = mn + vec4(step(0.5, d)) * 0.125 - a * 0.5;
+})",
+       /*expect_uniform_flow=*/true});
   return cases;
 }
 
