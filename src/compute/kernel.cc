@@ -70,6 +70,13 @@ Kernel::Kernel(Device& device, Options options)
                                        gl.GetProgramInfoLog(program_).c_str()));
   }
   pos_attrib_ = gl.GetAttribLocation(program_, "gp_pos");
+  // Uniform locations Run sets on every dispatch, resolved once.
+  for (const auto& input : options_.inputs) {
+    const std::string& name = input.first;
+    input_locs_.push_back({gl.GetUniformLocation(program_, name),
+                           gl.GetUniformLocation(program_, "gp_size_" + name)});
+  }
+  out_size_loc_ = gl.GetUniformLocation(program_, "gp_out_size");
   // Two programs' compile cost (vertex + fragment) is modeled as one
   // program-compile unit, matching how the paper counts "kernel
   // compilations".
@@ -134,14 +141,12 @@ void Kernel::Run(PackedBuffer& out, std::span<PackedBuffer* const> inputs) {
     }
     gl.ActiveTexture(gles2::GL_TEXTURE0 + static_cast<GLuint>(i));
     gl.BindTexture(gles2::GL_TEXTURE_2D, inputs[i]->texture());
-    gl.Uniform1i(gl.GetUniformLocation(program_, name),
-                 static_cast<GLint>(i));
-    gl.Uniform2f(gl.GetUniformLocation(program_, "gp_size_" + name),
+    gl.Uniform1i(input_locs_[i].sampler, static_cast<GLint>(i));
+    gl.Uniform2f(input_locs_[i].size,
                  static_cast<float>(inputs[i]->tex_width()),
                  static_cast<float>(inputs[i]->tex_height()));
   }
-  gl.Uniform2f(gl.GetUniformLocation(program_, "gp_out_size"),
-               static_cast<float>(out.tex_width()),
+  gl.Uniform2f(out_size_loc_, static_cast<float>(out.tex_width()),
                static_cast<float>(out.tex_height()));
 
   // Challenge 2: the screen-covering quad as two triangles. The draw is

@@ -65,6 +65,13 @@ class Kernel {
   gles2::GLuint fs_ = 0;
   gles2::GLuint fbo_ = 0;
   gles2::GLint pos_attrib_ = -1;
+  // Per input: its sampler uniform and its gp_size_<name> uniform.
+  struct InputLocations {
+    gles2::GLint sampler = -1;
+    gles2::GLint size = -1;
+  };
+  std::vector<InputLocations> input_locs_;
+  gles2::GLint out_size_loc_ = -1;
 };
 
 // Challenge 8: a kernel with M outputs must be split into M programs, one

@@ -1429,45 +1429,29 @@ bool Context::ShadeVerticesBatched(
     const glsl::OpCounts& draw_start_counts) {
   glsl::VmExec& vm = *prog->vvm;
 
-  // Lane plumbing, resolved once per program and cached: per-lane Value*
-  // tables into vvm's planes. Uniform (non-lane) slots resolve to the
+  // Lane plumbing, resolved once per program and cached: component-plane
+  // views into vvm's lane state. Uniform (non-lane) slots resolve to the
   // shared store, so per-draw uniform sync needs nothing extra here.
   ShadeStateCache::VertexState* vstate =
       shade_cache_.FindVertex(current_program_);
   if (vstate == nullptr) {
     vstate = &shade_cache_.InsertVertex(current_program_);
-    const auto lane_srcs = [&vm](int slot) {
-      std::array<const Value*, kFragBatchWidth> p{};
-      if (slot >= 0) {
-        for (int l = 0; l < glsl::kVmLanes; ++l) {
-          p[static_cast<std::size_t>(l)] = &vm.LaneGlobalAt(slot, l);
-        }
-      }
-      return p;
+    const auto plane = [&vm](int slot) {
+      return slot >= 0 ? vm.LaneGlobal(slot) : glsl::PlaneDst{};
     };
-    vstate->position = lane_srcs(prog->vs_position_slot);
-    vstate->point_size = lane_srcs(prog->vs_point_size_slot);
+    vstate->position = plane(prog->vs_position_slot);
+    vstate->point_size = plane(prog->vs_point_size_slot);
     vstate->attribs.clear();
     vstate->attribs.reserve(prog->attribs.size());
     for (const AttribInfo& ai : prog->attribs) {
-      ShadeStateCache::VertexState::AttribLanes al;
-      al.location = ai.location;
-      al.cells = std::min(ai.type.CellCount(), 4);
-      for (int l = 0; l < glsl::kVmLanes; ++l) {
-        al.dst[static_cast<std::size_t>(l)] = &vm.LaneGlobalAt(ai.vs_slot, l);
-      }
-      vstate->attribs.push_back(al);
+      vstate->attribs.push_back({vm.LaneGlobal(ai.vs_slot), ai.location,
+                                 std::min(ai.type.CellCount(), 4)});
     }
     vstate->varyings.clear();
     vstate->varyings.reserve(prog->varyings.size());
     for (const VaryingLink& link : prog->varyings) {
-      ShadeStateCache::VertexState::VaryingSrc vl;
-      vl.cells = link.cells;
-      vl.offset = link.offset;
-      for (int l = 0; l < glsl::kVmLanes; ++l) {
-        vl.src[static_cast<std::size_t>(l)] = &vm.LaneGlobalAt(link.vs_slot, l);
-      }
-      vstate->varyings.push_back(vl);
+      vstate->varyings.push_back(
+          {vm.LaneGlobal(link.vs_slot), link.cells, link.offset});
     }
   }
 
@@ -1572,31 +1556,11 @@ bool Context::ShadeVerticesBatched(
             vstate->attribs[k];
         const ShadeStateCache::VertexState::AttribSource& s =
             vstate->sources[k];
+        const glsl::PlaneDst& dst = al.dst;
         if (s.base == nullptr) {
-          for (int l = 0; l < n; ++l) {
-            Value& dst = *al.dst[static_cast<std::size_t>(l)];
-            for (int c = 0; c < al.cells; ++c) {
-              dst.SetF(c, s.constant[static_cast<std::size_t>(c)]);
-            }
-          }
-          continue;
-        }
-        if (s.type == GL_FLOAT) {
-          // Float arrays need no per-component conversion: blit the element
-          // straight into the lane's cell plane (Cell is a 4-byte union
-          // whose .f member SetF writes), then default-fill the tail. One
-          // memcpy per lane, not per component — the dominant gather shape
-          // (tightly packed vec2/vec3/vec4 positions) hits this.
-          const int n_copy = std::min(al.cells, s.size);
-          for (int l = 0; l < n; ++l) {
-            const std::uint8_t* src =
-                s.base + static_cast<std::ptrdiff_t>(s.stride) *
-                             vidx[static_cast<std::size_t>(l)];
-            Value& dst = *al.dst[static_cast<std::size_t>(l)];
-            std::memcpy(dst.data(), src,
-                        static_cast<std::size_t>(n_copy) * 4);
-            for (int c = n_copy; c < al.cells; ++c) {
-              dst.SetF(c, c == 3 ? 1.0f : 0.0f);
+          for (int c = 0; c < al.cells; ++c) {
+            for (int l = 0; l < n; ++l) {
+              dst.at(c, l).f = s.constant[static_cast<std::size_t>(c)];
             }
           }
           continue;
@@ -1605,15 +1569,12 @@ bool Context::ShadeVerticesBatched(
           const std::uint8_t* src =
               s.base + static_cast<std::ptrdiff_t>(s.stride) *
                            vidx[static_cast<std::size_t>(l)];
-          Value& dst = *al.dst[static_cast<std::size_t>(l)];
           for (int c = 0; c < al.cells; ++c) {
             float v = c == 3 ? 1.0f : 0.0f;
             if (c < s.size) {
               switch (s.type) {
                 case GL_FLOAT: {
-                  float f;
-                  std::memcpy(&f, src + c * 4, 4);
-                  v = f;
+                  std::memcpy(&v, src + c * 4, 4);
                   break;
                 }
                 case GL_UNSIGNED_BYTE: {
@@ -1645,7 +1606,7 @@ bool Context::ShadeVerticesBatched(
                   break;
               }
             }
-            dst.SetF(c, v);
+            dst.at(c, l).f = v;
           }
         }
       }
@@ -1674,20 +1635,21 @@ bool Context::ShadeVerticesBatched(
         RasterVertex& out = verts[static_cast<std::size_t>(b0) + li];
         out.clip = {0.0f, 0.0f, 0.0f, 1.0f};
         out.point_size = 1.0f;
-        if (vstate->position[0] != nullptr) {
-          const Value& pos = *vstate->position[li];
-          out.clip = {pos.F(0), pos.F(1), pos.F(2), pos.F(3)};
+        const glsl::PlaneSrc& pos = vstate->position;
+        if (pos.base != nullptr) {
+          out.clip = {pos.at(0, l).f, pos.at(1, l).f, pos.at(2, l).f,
+                      pos.at(3, l).f};
         }
-        if (vstate->point_size[0] != nullptr) {
-          out.point_size = vstate->point_size[li]->F(0);
+        if (vstate->point_size.base != nullptr) {
+          out.point_size = vstate->point_size.at(0, l).f;
           if (out.point_size <= 0.0f) out.point_size = 1.0f;
         }
         out.varyings.resize(static_cast<std::size_t>(prog->varying_cells));
         for (const ShadeStateCache::VertexState::VaryingSrc& vl :
              vstate->varyings) {
-          const Value& v = *vl.src[li];
           for (int c = 0; c < vl.cells; ++c) {
-            out.varyings[static_cast<std::size_t>(vl.offset + c)] = v.F(c);
+            out.varyings[static_cast<std::size_t>(vl.offset + c)] =
+                vl.src.at(c, l).f;
           }
         }
       }
@@ -2136,6 +2098,13 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // error/journal/batch scratch (stale only if a previous draw failed).
   draw_rt_ = rt;
   draw_failed_.store(false, std::memory_order_relaxed);
+  static_assert(std::tuple_size_v<decltype(draw_samplers_)> ==
+                std::tuple_size_v<decltype(units_)>);
+  for (std::size_t u = 0; u < units_.size(); ++u) {
+    const Texture* tex = GetTextureObject(units_[u].bound_2d);
+    draw_samplers_[u] = {tex, units_[u].bound_2d,
+                         tex != nullptr && tex->IsComplete()};
+  }
   draw_alu_used_.store(alu_->counts().alu - draw_start_counts.alu,
                        std::memory_order_relaxed);
   // Journal framebuffer writes only when this draw can actually abort
@@ -2342,7 +2311,7 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
     // Resolving the engine's per-fragment input/output slots through the
     // virtual GlobalAt per fragment is measurable on tiny kernels; global
     // storage is stable for the life of the entry, so resolve them once.
-    w.engine->SetTextureFn(MakeTextureFn(w.tmu, w.alu));
+    w.engine->SetTextureFn(MakeTextureFn(wp));
     glsl::ShaderEngine& eng = *w.engine;
     Value* const fc_v = prog->fs_frag_coord_slot >= 0
                             ? &eng.GlobalAt(prog->fs_frag_coord_slot)
@@ -2390,6 +2359,7 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
           }
         }
         const bool kept = wp->engine->Run();
+        ReplayTmuLog(wp, 1);
         if (draw_budget_ != 0) CheckDrawBudget(wp);
         if (!kept) return;  // discarded
         std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
@@ -2405,45 +2375,37 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
           wp->error_kind = DrawErrorKind::kTrap;
         }
         draw_failed_.store(true, std::memory_order_relaxed);
+        wp->tmu_log[0].clear();
       }
     };
     return;
   }
 
   // Batched engine: the rasterizer appends covered fragments into the
-  // worker's SoA batch; the flush scatters the planes into the VM's
-  // per-lane globals, runs the whole batch through one instruction-stream
-  // pass, replays the deferred TMU accesses in lane order (reproducing the
-  // scalar engine's fragment-sequential texture-cache order), and drains
+  // worker's batch; the flush scatters it into the VM's per-lane global
+  // planes, runs the whole batch through one instruction-stream pass,
+  // replays the deferred TMU accesses in lane order (reproducing the scalar
+  // engine's fragment-sequential texture-cache order), and drains
   // surviving lanes to the framebuffer in emission order.
-  w.engine->SetTextureFn(MakeBatchTextureFn(wp));
+  w.engine->SetTextureFn(MakeTextureFn(wp));
   glsl::VmExec& vm = *w.vm;
-  constexpr int kW = kFragBatchWidth;
-  const auto lane_ptrs = [&vm](int slot) {
-    std::array<Value*, kW> p{};
-    if (slot >= 0) {
-      for (int l = 0; l < kW; ++l) p[static_cast<std::size_t>(l)] =
-          &vm.LaneGlobalAt(slot, l);
-    }
-    return p;
+  // A null base marks a slot the program does not use.
+  const auto plane = [&vm](int slot) {
+    return slot >= 0 ? vm.LaneGlobal(slot) : glsl::PlaneDst{};
   };
-  const std::array<Value*, kW> fc = lane_ptrs(prog->fs_frag_coord_slot);
-  const std::array<Value*, kW> ff = lane_ptrs(prog->fs_front_facing_slot);
-  const std::array<Value*, kW> pc = lane_ptrs(prog->fs_point_coord_slot);
-  const std::array<Value*, kW> col = lane_ptrs(color_slot);
+  const glsl::PlaneDst fc = plane(prog->fs_frag_coord_slot);
+  const glsl::PlaneDst ff = plane(prog->fs_front_facing_slot);
+  const glsl::PlaneDst pc = plane(prog->fs_point_coord_slot);
+  const glsl::PlaneDst col = plane(color_slot);
   struct LaneVaryingDst {
-    std::array<Value*, kW> value;
+    glsl::PlaneDst value;
     int cells;
     int offset;
   };
   std::vector<LaneVaryingDst> varying_dsts;
   varying_dsts.reserve(prog->varyings.size());
   for (const VaryingLink& link : prog->varyings) {
-    LaneVaryingDst d;
-    d.value = lane_ptrs(link.fs_slot);
-    d.cells = link.cells;
-    d.offset = link.offset;
-    varying_dsts.push_back(d);
+    varying_dsts.push_back({plane(link.fs_slot), link.cells, link.offset});
   }
   w.sink = nullptr;
   w.flush = [this, wp, fc, ff, pc, col,
@@ -2452,58 +2414,42 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
     const int n = b.count;
     b.count = 0;
     if (n == 0) return;
-    const auto drop_tmu_log = [wp, n] {
-      for (int l = 0; l < n; ++l) {
-        wp->tmu_log[static_cast<std::size_t>(l)].clear();
-      }
-    };
-    if (draw_failed_.load(std::memory_order_relaxed)) {
-      drop_tmu_log();
-      return;
-    }
+    if (draw_failed_.load(std::memory_order_relaxed)) return;
     try {
       for (int l = 0; l < n; ++l) {
         const std::size_t li = static_cast<std::size_t>(l);
-        if (fc[0] != nullptr) {
-          Value* const v = fc[li];
-          v->SetF(0, static_cast<float>(b.x[li]) + 0.5f);
-          v->SetF(1, static_cast<float>(b.y[li]) + 0.5f);
-          v->SetF(2, b.depth[li]);
-          v->SetF(3, 1.0f);
+        if (fc.base != nullptr) {
+          fc.at(0, l).f = static_cast<float>(b.x[li]) + 0.5f;
+          fc.at(1, l).f = static_cast<float>(b.y[li]) + 0.5f;
+          fc.at(2, l).f = b.depth[li];
+          fc.at(3, l).f = 1.0f;
         }
-        if (ff[0] != nullptr) ff[li]->SetB(0, b.front[li] != 0);
-        if (pc[0] != nullptr) {
-          pc[li]->SetF(0, b.point_s[li]);
-          pc[li]->SetF(1, b.point_t[li]);
+        if (ff.base != nullptr) ff.at(0, l).i = b.front[li] != 0 ? 1 : 0;
+        if (pc.base != nullptr) {
+          pc.at(0, l).f = b.point_s[li];
+          pc.at(1, l).f = b.point_t[li];
         }
-        for (const LaneVaryingDst& vd : varying_dsts) {
-          Value* const v = vd.value[li];
-          for (int c = 0; c < vd.cells; ++c) {
-            v->SetF(c, b.varyings[static_cast<std::size_t>(vd.offset + c) *
-                                      kFragBatchWidth +
-                                  li]);
-          }
+      }
+      for (const LaneVaryingDst& vd : varying_dsts) {
+        for (int c = 0; c < vd.cells; ++c) {
+          const float* src =
+              &b.varyings[static_cast<std::size_t>(vd.offset + c) *
+                          kFragBatchWidth];
+          for (int l = 0; l < n; ++l) vd.value.at(c, l).f = src[l];
         }
       }
       const std::uint32_t kept = wp->vm->RunBatch(n);
       if (draw_budget_ != 0) CheckDrawBudget(wp);
       // Deferred TMU accounting: lane order == the order the scalar engine
       // would have run these fragments, so modeled miss counts match.
-      for (int l = 0; l < n; ++l) {
-        std::vector<std::uint64_t>& log =
-            wp->tmu_log[static_cast<std::size_t>(l)];
-        for (const std::uint64_t line : log) {
-          if (wp->tmu->Access(line)) wp->alu->CountTmuMiss(1);
-        }
-        log.clear();
-      }
+      ReplayTmuLog(wp, n);
       for (int l = 0; l < n; ++l) {
         if (((kept >> static_cast<unsigned>(l)) & 1u) == 0) continue;
         const std::size_t li = static_cast<std::size_t>(l);
         std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
-        if (col[0] != nullptr) {
-          const Value& cv = *col[li];
-          color = {cv.F(0), cv.F(1), cv.F(2), cv.F(3)};
+        if (col.base != nullptr) {
+          color = {col.at(0, l).f, col.at(1, l).f, col.at(2, l).f,
+                   col.at(3, l).f};
         }
         WritePixel(draw_rt_, b.x[li], b.y[li], b.depth[li], color,
                    /*depth_valid=*/true, wp->active_journal);
@@ -2514,57 +2460,50 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
         wp->error_kind = DrawErrorKind::kTrap;
       }
       draw_failed_.store(true, std::memory_order_relaxed);
-      drop_tmu_log();
+      for (int l = 0; l < n; ++l) {
+        wp->tmu_log[static_cast<std::size_t>(l)].clear();
+      }
     }
   };
 }
 
-glsl::TextureFn Context::MakeTextureFn(TmuCacheModel* cache,
-                                       glsl::AluModel* alu) {
-  return [this, cache, alu](int unit, float s, float t,
-                            float lod) -> std::array<float, 4> {
-    if (unit < 0 || unit >= static_cast<int>(units_.size())) {
-      return {0.0f, 0.0f, 0.0f, 1.0f};
-    }
-    const GLuint tex_id = units_[static_cast<std::size_t>(unit)].bound_2d;
-    Texture* tex = GetTextureObject(tex_id);
-    if (tex == nullptr) return {0.0f, 0.0f, 0.0f, 1.0f};
-    // Texture-cache model: 32-byte lines = 8 RGBA8 texels.
-    const long long texel = tex->NearestTexelIndex(s, t);
-    if (texel >= 0) {
-      const std::uint64_t line = (static_cast<std::uint64_t>(tex_id) << 40) |
-                                 static_cast<std::uint64_t>(texel >> 3);
-      if (cache->Access(line)) alu->CountTmuMiss(1);
-    }
-    return tex->Sample(s, t, lod);
+glsl::TextureFn Context::MakeTextureFn(ShadeStateCache::WorkerState* w) {
+  return [this, w](glsl::TexelFetch& f) {
+    glsl::ForEachLane(f.mask, [&](int l) {
+      const std::size_t li = static_cast<std::size_t>(l);
+      const int unit = f.unit[li];
+      std::array<float, 4> rgba{0.0f, 0.0f, 0.0f, 1.0f};
+      if (unit >= 0 && unit < static_cast<int>(draw_samplers_.size())) {
+        const DrawSampler& ds = draw_samplers_[static_cast<std::size_t>(unit)];
+        if (ds.tex != nullptr) {
+          // Texture-cache model: 32-byte lines = 8 RGBA8 texels. The
+          // nearest texel also addresses a NEAREST fetch.
+          const long long texel = ds.tex->NearestTexelIndex(f.s[li], f.t[li]);
+          if (texel >= 0) {
+            w->tmu_log[li].push_back(
+                (static_cast<std::uint64_t>(ds.id) << 40) |
+                static_cast<std::uint64_t>(texel >> 3));
+          }
+          if (ds.complete) {
+            rgba = ds.tex->mag_filter() == GL_NEAREST
+                       ? ds.tex->TexelColor(texel)
+                       : ds.tex->SampleLinear(f.s[li], f.t[li]);
+          }
+        }
+      }
+      for (std::size_t c = 0; c < 4; ++c) f.rgba[c][li] = rgba[c];
+    });
   };
 }
 
-glsl::TextureFn Context::MakeBatchTextureFn(
-    ShadeStateCache::WorkerState* w) {
-  // The batched executor interleaves lanes within each instruction, so
-  // touching the cache model here would see an instruction-major access
-  // order; the scalar engine's order is fragment-major. Sampling is
-  // order-independent (contents are immutable during a draw) and happens
-  // immediately; the cache-line touch is logged per lane and replayed in
-  // lane order by the flush.
-  const int* const lane = w->vm->CurrentLanePtr();
-  return [this, w, lane](int unit, float s, float t,
-                         float lod) -> std::array<float, 4> {
-    if (unit < 0 || unit >= static_cast<int>(units_.size())) {
-      return {0.0f, 0.0f, 0.0f, 1.0f};
+void Context::ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes) {
+  for (int l = 0; l < lanes; ++l) {
+    std::vector<std::uint64_t>& log = w->tmu_log[static_cast<std::size_t>(l)];
+    for (const std::uint64_t line : log) {
+      if (w->tmu->Access(line)) w->alu->CountTmuMiss(1);
     }
-    const GLuint tex_id = units_[static_cast<std::size_t>(unit)].bound_2d;
-    Texture* tex = GetTextureObject(tex_id);
-    if (tex == nullptr) return {0.0f, 0.0f, 0.0f, 1.0f};
-    const long long texel = tex->NearestTexelIndex(s, t);
-    if (texel >= 0) {
-      const std::uint64_t line = (static_cast<std::uint64_t>(tex_id) << 40) |
-                                 static_cast<std::uint64_t>(texel >> 3);
-      w->tmu_log[static_cast<std::size_t>(*lane)].push_back(line);
-    }
-    return tex->Sample(s, t, lod);
-  };
+    log.clear();
+  }
 }
 
 }  // namespace mgpu::gles2

@@ -210,10 +210,10 @@ class ShadeStateCache {
     FragmentSink sink;
     BatchFlushFn flush;
     FragmentBatch batch;
-    // Deferred TMU accounting for the batched engine: texture-cache lines
-    // touched by each lane, replayed in lane order after the batch so the
-    // modeled miss count reproduces the scalar engine's fragment-
-    // sequential access order exactly.
+    // Deferred TMU accounting: texture-cache lines touched by each lane, in
+    // the lane's program order, replayed lane-ascending after each batch
+    // (lane 0 after each scalar Run) so the modeled miss count follows the
+    // fragment-sequential access order exactly.
     std::array<std::vector<std::uint64_t>, kFragBatchWidth> tmu_log;
     std::string error;  // first shader runtime error this draw, if any
     // Classification of `error` for the robustness API.
@@ -255,12 +255,12 @@ class ShadeStateCache {
   // pointers alive exactly as long as the planes they aim into.
   struct VertexState {
     struct AttribLanes {
-      std::array<glsl::Value*, kFragBatchWidth> dst{};
+      glsl::PlaneDst dst;
       int location = -1;  // index into the context's attribute bindings
       int cells = 0;      // components the shader-side declaration holds
     };
     struct VaryingSrc {
-      std::array<const glsl::Value*, kFragBatchWidth> src{};
+      glsl::PlaneSrc src;
       int cells = 0;
       int offset = 0;  // cell offset into RasterVertex::varyings
     };
@@ -284,12 +284,11 @@ class ShadeStateCache {
     std::vector<AttribLanes> attribs;
     std::vector<AttribSource> sources;
     std::vector<VaryingSrc> varyings;
-    // Builtin scatter sources; all-null when the stage never declares the
-    // builtin. A slot without a per-lane plane (never written) resolves
-    // every lane to the shared store — the same value the scalar loop
-    // would read.
-    std::array<const glsl::Value*, kFragBatchWidth> position{};
-    std::array<const glsl::Value*, kFragBatchWidth> point_size{};
+    // Builtin scatter sources; a null base when the stage never declares
+    // the builtin. A slot without a per-lane plane (never written) is a
+    // (1, 0) view of the shared store — the value the scalar loop reads.
+    glsl::PlaneSrc position;
+    glsl::PlaneSrc point_size;
     std::uint64_t last_use = 0;
   };
 
@@ -533,7 +532,7 @@ class Context {
                       std::array<float, 4>* out) const;
   // Lane-batched vertex stage (kBatchedVm): gathers attributes
   // for chunks of up to kVmLanes vertices straight into the vertex VM's
-  // SoA lane planes, executes one RunBatch pass per chunk, and scatters
+  // lane planes, executes one RunBatch pass per chunk, and scatters
   // clip position / point size / varyings back into `verts` in lane
   // order. Returns false after fully reporting a draw abort
   // (attribute fetch failure, watchdog trip, shader trap) with the same
@@ -562,18 +561,14 @@ class Context {
   // the draw's total exceeds draw_budget_. Deterministic trip-vs-not: the
   // total is monotone toward an engine- and thread-invariant final sum.
   void CheckDrawBudget(ShadeStateCache::WorkerState* w);
-  // Texture-fetch callback routing misses through the given cache model and
-  // counter shard; one per shading worker (thread-safe: texture contents
-  // are immutable during a draw, each worker owns its cache and counters).
-  [[nodiscard]] glsl::TextureFn MakeTextureFn(TmuCacheModel* cache,
-                                              glsl::AluModel* alu);
-  // Lane-aware variant for the batched engine: sampling happens
-  // immediately (contents are immutable during a draw), but the touched
-  // cache line is logged to the executing lane's entry of w->tmu_log; the
-  // flush replays the logs in lane order so miss counts match the scalar
-  // engine's fragment-sequential access order byte for byte.
-  [[nodiscard]] glsl::TextureFn MakeBatchTextureFn(
-      ShadeStateCache::WorkerState* w);
+  // The worker's batched texture fetch, for every engine: samples through
+  // the per-draw sampler table immediately (contents are immutable during
+  // a draw) and logs each lane's touched cache line to w->tmu_log, which
+  // the sink/flush replays through the worker's cache model and counter
+  // shard (thread-safe: each worker owns its log, cache and counters).
+  [[nodiscard]] glsl::TextureFn MakeTextureFn(ShadeStateCache::WorkerState* w);
+  // Replays and clears the first `lanes` TMU logs of `w`, lane-ascending.
+  static void ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes);
   // Builds a worker slot's cached draw plumbing — texture callback,
   // fragment sink (scalar engines) or batch flush (batched engine), with
   // the program's gl_* slot and varying destinations resolved once.
@@ -616,6 +611,14 @@ class Context {
   // addresses: the resolved render target and the first-failure latch.
   RenderTarget draw_rt_;
   std::atomic<bool> draw_failed_{false};
+  // Per-draw sampler table, one entry per texture unit, resolved before
+  // fragment shading (bindings and sampler uniforms cannot change mid-draw).
+  struct DrawSampler {
+    const Texture* tex = nullptr;
+    GLuint id = 0;
+    bool complete = false;
+  };
+  std::array<DrawSampler, 8> draw_samplers_{};
   // Draw-loop scratch, context-owned so steady-state draws recycle the
   // allocations: the sparse tile binner, the post-transform vertex array
   // (inner varying vectors keep their capacity too), the assembled

@@ -1,5 +1,6 @@
 #include "gles2/texture.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -256,31 +257,54 @@ std::array<float, 4> Texture::FetchTexel(int x, int y) const {
   return {t[0] / 255.0f, t[1] / 255.0f, t[2] / 255.0f, t[3] / 255.0f};
 }
 
+int Texture::ReduceTexelCoord(float c, int size, GLenum mode) {
+  if (std::isnan(c)) return 0;
+  if (mode == GL_REPEAT || mode == GL_MIRRORED_REPEAT) {
+    if (std::isinf(c)) return 0;
+    // c is integral, so fmod is exact and agrees with integer %.
+    const float period =
+        static_cast<float>(mode == GL_REPEAT ? size : 2 * size);
+    float m = std::fmod(c, period);
+    if (m < 0.0f) m += period;
+    return static_cast<int>(m);
+  }
+  return static_cast<int>(std::clamp(c, -1.0f, static_cast<float>(size)));
+}
+
+int Texture::TexelCoord(float c, int size, GLenum mode) {
+  return WrapCoord(ReduceTexelCoord(std::floor(c), size, mode), size, mode);
+}
+
 long long Texture::NearestTexelIndex(float s, float t) const {
   if (!has_storage()) return -1;
-  int x = static_cast<int>(std::floor(s * static_cast<float>(width_)));
-  int y = static_cast<int>(std::floor(t * static_cast<float>(height_)));
-  x = WrapCoord(x, width_, wrap_s_);
-  y = WrapCoord(y, height_, wrap_t_);
+  const int x = TexelCoord(s * static_cast<float>(width_), width_, wrap_s_);
+  const int y = TexelCoord(t * static_cast<float>(height_), height_, wrap_t_);
   return static_cast<long long>(y) * width_ + x;
+}
+
+std::array<float, 4> Texture::TexelColor(long long index) const {
+  const std::size_t off = static_cast<std::size_t>(index) * 4;
+  // Eq. (1): f = c / (2^8 - 1).
+  return {rgba8_[off] / 255.0f, rgba8_[off + 1] / 255.0f,
+          rgba8_[off + 2] / 255.0f, rgba8_[off + 3] / 255.0f};
 }
 
 std::array<float, 4> Texture::Sample(float s, float t, float /*lod*/) const {
   if (!IsComplete()) return {0.0f, 0.0f, 0.0f, 1.0f};
-  if (mag_filter_ == GL_NEAREST) {
-    int x = static_cast<int>(std::floor(s * static_cast<float>(width_)));
-    int y = static_cast<int>(std::floor(t * static_cast<float>(height_)));
-    x = WrapCoord(x, width_, wrap_s_);
-    y = WrapCoord(y, height_, wrap_t_);
-    return FetchTexel(x, y);
-  }
-  // Bilinear.
+  if (mag_filter_ == GL_NEAREST) return TexelColor(NearestTexelIndex(s, t));
+  return SampleLinear(s, t);
+}
+
+std::array<float, 4> Texture::SampleLinear(float s, float t) const {
   const float u = s * static_cast<float>(width_) - 0.5f;
   const float v = t * static_cast<float>(height_) - 0.5f;
-  const int x0 = static_cast<int>(std::floor(u));
-  const int y0 = static_cast<int>(std::floor(v));
-  const float fu = u - static_cast<float>(x0);
-  const float fv = v - static_cast<float>(y0);
+  const float u0 = std::floor(u);
+  const float v0 = std::floor(v);
+  // Blend weights; a non-finite coordinate samples its corner texel.
+  const float fu = std::isfinite(u) ? u - u0 : 0.0f;
+  const float fv = std::isfinite(v) ? v - v0 : 0.0f;
+  const int x0 = ReduceTexelCoord(u0, width_, wrap_s_);
+  const int y0 = ReduceTexelCoord(v0, height_, wrap_t_);
   const int xs[2] = {WrapCoord(x0, width_, wrap_s_),
                      WrapCoord(x0 + 1, width_, wrap_s_)};
   const int ys[2] = {WrapCoord(y0, height_, wrap_t_),

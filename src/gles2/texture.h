@@ -39,8 +39,17 @@ class Texture {
   // Samples with normalized coordinates; returns RGBA in [0,1] (each channel
   // is c/255 exactly, Eq. (1) of the paper). Honors wrap modes and
   // mag filter (nearest / bilinear). `lod` is accepted for API completeness
-  // but ignored (single-level textures).
+  // but ignored (single-level textures). Any float coordinate is defined:
+  // CLAMP_TO_EDGE clamps far and infinite coordinates to the edge texel,
+  // the repeating modes wrap them, and NaN addresses texel 0.
   [[nodiscard]] std::array<float, 4> Sample(float s, float t, float lod) const;
+
+  // The two halves of Sample for a complete texture, so a caller that
+  // already needs the nearest texel index (the context's texture-cache
+  // model) computes it once: the color of texel `index` (a
+  // NearestTexelIndex result), and the bilinear sample at (s, t).
+  [[nodiscard]] std::array<float, 4> TexelColor(long long index) const;
+  [[nodiscard]] std::array<float, 4> SampleLinear(float s, float t) const;
 
   // Linear index of the texel a nearest-filter sample at (s, t) addresses;
   // used by the context's texture-cache model. -1 when there is no storage.
@@ -62,6 +71,15 @@ class Texture {
  private:
   [[nodiscard]] std::array<float, 4> FetchTexel(int x, int y) const;
   [[nodiscard]] static int WrapCoord(int c, int size, GLenum mode);
+  // Converts a floored texel coordinate (any float: NaN, +-inf, past the
+  // int range) to an int that WrapCoord maps like the unbounded integer:
+  // CLAMP_TO_EDGE clamps to [-1, size] in float, the repeating modes reduce
+  // modulo their period with std::fmod. NaN maps to 0, and so do +-inf
+  // under the repeating modes (the limit of the period multiples every
+  // float past 2^24 is for a power-of-two size).
+  [[nodiscard]] static int ReduceTexelCoord(float c, int size, GLenum mode);
+  // Texel index along one axis for texel-space coordinate c (nearest).
+  [[nodiscard]] static int TexelCoord(float c, int size, GLenum mode);
 
   GLsizei width_ = 0;
   GLsizei height_ = 0;

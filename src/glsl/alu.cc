@@ -4,16 +4,6 @@
 
 namespace mgpu::glsl {
 
-float AluModel::Recip(float x) {
-  CountSfu(1);
-  return Round(1.0f / x);
-}
-
-float AluModel::RecipSqrt(float x) {
-  CountSfu(1);
-  return Round(1.0f / std::sqrt(x));
-}
-
 float AluModel::Exp2(float x) {
   CountSfuTrans(1);
   return Round(std::exp2(x));

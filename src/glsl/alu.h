@@ -10,8 +10,12 @@
 #ifndef MGPU_GLSL_ALU_H_
 #define MGPU_GLSL_ALU_H_
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+
+#include "common/bits.h"
 
 namespace mgpu::glsl {
 
@@ -32,41 +36,89 @@ struct OpCounts {
   }
 };
 
+// Float add/sub/mul with the NaN they return pinned. When both operands
+// are NaN, IEEE 754 leaves the result's payload open and SSE returns the
+// first operand's, but a compiler may emit either operand order in each
+// inlined or vectorized copy of `a + b` — so two engines evaluating the
+// same expression could disagree in a NaN's sign. These always return the
+// first operand's NaN, quieted. (With one NaN operand, or an invalid
+// operation such as inf - inf, the result is order-independent already.)
+[[nodiscard]] inline float PinNan(float r, float a, float b) {
+  return a != a && b != b
+             ? std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) |
+                                    0x00400000u)
+             : r;
+}
+[[nodiscard]] inline float FAdd(float a, float b) {
+  return PinNan(a + b, a, b);
+}
+[[nodiscard]] inline float FSub(float a, float b) {
+  return PinNan(a - b, a, b);
+}
+[[nodiscard]] inline float FMul(float a, float b) {
+  return PinNan(a * b, a, b);
+}
+
+// Register-precision rounding as plain data: denormal flush and a mantissa
+// width. Kernels copy it into a local so the per-element rounding is an
+// inline branch on two values instead of a call.
+struct RoundSpec {
+  bool flush_denormals = false;
+  int mantissa_bits = 23;
+
+  [[nodiscard]] bool identity() const {
+    return !flush_denormals && mantissa_bits >= 23;
+  }
+  [[nodiscard]] float operator()(float x) const {
+    if (flush_denormals) x = FlushDenormal(x);
+    return mantissa_bits >= 23 ? x : RoundToMantissaBits(x, mantissa_bits);
+  }
+  // Denormals (not zeros) become a zero of the same sign.
+  [[nodiscard]] static float FlushDenormal(float x) {
+    return x != 0.0f && std::fabs(x) < 1.17549435e-38f
+               ? (x < 0.0f ? -0.0f : 0.0f)
+               : x;
+  }
+};
+
+
 class AluModel {
  public:
   virtual ~AluModel() = default;
 
   // --- basic float ALU (counted as `alu`) ---
-  // The identity-round flag lets these inline helpers skip the virtual
-  // Round() on the hot path when the model's register precision is full
-  // fp32 (ExactAlu always; Vc4Alu for IEEE-exact profiles) — bit-identical
-  // by definition of the flag.
   float Add(float a, float b) {
     Count(1);
-    const float r = a + b;
-    return round_identity_ ? r : Round(r);
+    return Round(FAdd(a, b));
   }
   float Sub(float a, float b) {
     Count(1);
-    const float r = a - b;
-    return round_identity_ ? r : Round(r);
+    return Round(FSub(a, b));
   }
   float Mul(float a, float b) {
     Count(1);
-    const float r = a * b;
-    return round_identity_ ? r : Round(r);
+    return Round(FMul(a, b));
   }
   // Division: GPUs implement a/b as a * recip(b); the cost and precision of
   // the reciprocal belong to the SFU.
   float Div(float a, float b) {
     Count(1);
-    const float r = a * Recip(b);
-    return round_identity_ ? r : Round(r);
+    return Round(FMul(a, Recip(b)));
   }
 
-  // --- special functions (counted as `sfu`, precision model hooks) ---
-  virtual float Recip(float x);
-  virtual float RecipSqrt(float x);
+  // --- special functions (counted as `sfu`) ---
+  // The reciprocals are modeled near-exact on every profile (the compiler
+  // emits a Newton-Raphson step after the SFU estimate), so they are the
+  // rounded IEEE result.
+  float Recip(float x) {
+    CountSfu(1);
+    return Round(1.0f / x);
+  }
+  float RecipSqrt(float x) {
+    CountSfu(1);
+    return Round(1.0f / std::sqrt(x));
+  }
+  // Precision model hooks: a profile's transcendental error lives here.
   virtual float Exp2(float x);
   virtual float Log2(float x);
   // Derived functions, implemented on top of the primitives the way mobile
@@ -108,10 +160,14 @@ class AluModel {
   // tree-walking oracle already charged those ops at construction).
   void SetCounts(const OpCounts& c) { counts_ = c; }
 
-  // Rounds an ALU result to the modeled register precision. The exact model
-  // returns x unchanged; reduced-precision profiles (e.g. a mediump-only
-  // fragment pipe, paper §IV-E footnote 1) override this.
-  virtual float Round(float x) { return x; }
+  // Rounds an ALU result to the modeled register precision (the model's
+  // RoundSpec): the identity for full-fp32 models, denormal flush and/or
+  // mantissa rounding for reduced-precision profiles (e.g. a mediump-only
+  // fragment pipe, paper §IV-E footnote 1).
+  [[nodiscard]] float Round(float x) const { return round_(x); }
+  [[nodiscard]] const RoundSpec& round_spec() const { return round_; }
+  // True when Round() is the identity function.
+  [[nodiscard]] bool round_identity() const { return round_.identity(); }
 
   // Creates an independent model with the same precision behaviour and zeroed
   // counters, for use as a per-worker counter shard by the multithreaded
@@ -128,24 +184,19 @@ class AluModel {
     return nullptr;
   }
 
-  [[nodiscard]] bool round_identity() const { return round_identity_; }
-
  protected:
-  // Subclasses whose Round() is the identity function declare it here to
-  // enable the inline fast path above. Defaults to false (conservative for
-  // unknown subclasses that override Round()).
-  void SetRoundIdentity(bool identity) { round_identity_ = identity; }
+  // Set once by the subclass constructor; defaults to full fp32.
+  void SetRoundSpec(const RoundSpec& spec) { round_ = spec; }
 
  private:
   OpCounts counts_;
-  bool round_identity_ = false;
+  RoundSpec round_;
 };
 
 // IEEE-exact ALU: reference behaviour, used for the CPU-side verification the
 // paper performs ("the same transformations on the CPU are precise", §V).
 class ExactAlu final : public AluModel {
  public:
-  ExactAlu() { SetRoundIdentity(true); }
   [[nodiscard]] std::unique_ptr<AluModel> Fork() const override {
     return std::make_unique<ExactAlu>();
   }

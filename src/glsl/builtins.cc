@@ -367,110 +367,88 @@ inline float FmaxScalar(float x, float y) {
   return QuietFirstNan(ux, uy);
 }
 
-// Applies `fn` component-wise over the float components of `a`, writing the
-// results into `dst` (pre-typed with the result type, which for these
-// builtins always matches `a`'s shape).
+// Component-wise maps over a result's cells: cell c of lane l is
+// fn(a(c), b(c), ...), with a scalar b/c broadcasting against a vector a.
+// Callers charge per-cell ALU costs once per instruction; `fn` itself only
+// makes calls that count themselves (the SFU functions).
 template <typename F>
-void MapUnaryInto(Value& dst, const Value& a, F&& fn) {
-  for (int i = 0; i < a.count(); ++i) dst.SetF(i, fn(a.F(i)));
-}
-
-// Applies `fn` component-wise over `a` and `b`, broadcasting `b` when it is a
-// scalar and `a` is a vector.
-template <typename F>
-void MapBinaryInto(Value& dst, const Value& a, const Value& b, F&& fn) {
-  const bool broadcast = b.count() == 1 && a.count() > 1;
-  for (int i = 0; i < a.count(); ++i) {
-    dst.SetF(i, fn(a.F(i), b.F(broadcast ? 0 : i)));
-  }
-}
-
-// --- lane-batched map helpers ---------------------------------------------
-// Shape flags (component counts, broadcast) are hoisted out of the lane
-// loop; the per-lane component loop applies the same `fn` in the same order
-// a lane-sequential scalar evaluation would.
-
-template <typename F>
-void MapUnaryBatch(const BatchDst& dst, const BatchSrc& a, std::uint32_t mask,
+void MapUnaryBatch(const PlaneDst& dst, const PlaneSrc& a, std::uint32_t mask,
                    F&& fn) {
-  const int n = a.base->count();
-  ForEachLane(mask, [&](int l) {
-    const Value& av = a.at(l);
-    Value& d = dst.at(l);
-    for (int i = 0; i < n; ++i) d.SetF(i, fn(av.F(i)));
+  ForEachCell(a.count(), mask, [&](int c, int l) {
+    dst.at(c, l).f = fn(a.at(c, l).f);
   });
 }
 
 template <typename F>
-void MapBinaryBatch(const BatchDst& dst, const BatchSrc& a, const BatchSrc& b,
+void MapBinaryBatch(const PlaneDst& dst, const PlaneSrc& a, const PlaneSrc& b,
                     std::uint32_t mask, F&& fn) {
-  const int n = a.base->count();
-  const int bs = b.base->count() == 1 && n > 1 ? 0 : 1;
-  ForEachLane(mask, [&](int l) {
-    const Value& av = a.at(l);
-    const Value& bv = b.at(l);
-    Value& d = dst.at(l);
-    for (int i = 0; i < n; ++i) d.SetF(i, fn(av.F(i), bv.F(i * bs)));
+  const int n = a.count();
+  const int bs = b.count() == 1 && n > 1 ? 0 : 1;
+  ForEachCell(n, mask, [&](int c, int l) {
+    dst.at(c, l).f = fn(a.at(c, l).f, b.at(c * bs, l).f);
   });
 }
 
 template <typename F>
-void MapTernaryBatch(const BatchDst& dst, const BatchSrc& a,
-                     const BatchSrc& b, const BatchSrc& c, std::uint32_t mask,
-                     F&& fn) {
-  const int n = a.base->count();
-  const int bs = b.base->count() == 1 && n > 1 ? 0 : 1;
-  const int cs = c.base->count() == 1 && n > 1 ? 0 : 1;
-  ForEachLane(mask, [&](int l) {
-    const Value& av = a.at(l);
-    const Value& bv = b.at(l);
-    const Value& cv = c.at(l);
-    Value& d = dst.at(l);
-    for (int i = 0; i < n; ++i) {
-      d.SetF(i, fn(av.F(i), bv.F(i * bs), cv.F(i * cs)));
-    }
+void MapTernaryBatch(const PlaneDst& dst, const PlaneSrc& a, const PlaneSrc& b,
+                     const PlaneSrc& c, std::uint32_t mask, F&& fn) {
+  const int n = a.count();
+  const int bs = b.count() == 1 && n > 1 ? 0 : 1;
+  const int cs = c.count() == 1 && n > 1 ? 0 : 1;
+  ForEachCell(n, mask, [&](int k, int l) {
+    dst.at(k, l).f = fn(a.at(k, l).f, b.at(k * bs, l).f, c.at(k * cs, l).f);
   });
 }
 
-void CopyCellsInto(Value& dst, const Value& src) {
-  for (int i = 0; i < src.count(); ++i) dst.data()[i] = src.data()[i];
-}
-
-float DotProduct(const Value& a, const Value& b, AluModel& alu) {
-  float acc = alu.Mul(a.F(0), b.F(0));
+// Lane `l`'s dot product of a and b, accumulated in component order.
+float DotLane(const PlaneSrc& a, const PlaneSrc& b, int l, AluModel& alu) {
+  float acc = alu.Mul(a.at(0, l).f, b.at(0, l).f);
   for (int i = 1; i < a.count(); ++i) {
-    acc = alu.Add(acc, alu.Mul(a.F(i), b.F(i)));
+    acc = alu.Add(acc, alu.Mul(a.at(i, l).f, b.at(i, l).f));
   }
   return acc;
 }
 
-void TextureFetchInto(Value& dst, const TextureFn& texture, AluModel& alu,
-                      int unit, float s, float t, float lod) {
-  alu.CountTmu(1);
-  std::array<float, 4> rgba{0.0f, 0.0f, 0.0f, 1.0f};
-  if (texture) rgba = texture(unit, s, t, lod);
-  for (int i = 0; i < 4; ++i) dst.SetF(i, rgba[static_cast<std::size_t>(i)]);
+// Issues `fetch` (coordinates already filled for its mask) and scatters the
+// texels into dst's four components.
+void FetchTexels(TexelFetch& fetch, const TextureFn& texture, AluModel& alu,
+                 const PlaneDst& dst) {
+  alu.CountTmu(std::popcount(fetch.mask));
+  if (texture) {
+    texture(fetch);
+  } else {
+    ForEachLane(fetch.mask, [&](int l) {
+      for (int c = 0; c < 4; ++c) {
+        fetch.rgba[static_cast<std::size_t>(c)][static_cast<std::size_t>(l)] =
+            c == 3 ? 1.0f : 0.0f;
+      }
+    });
+  }
+  ForEachCell(4, fetch.mask, [&](int c, int l) {
+    dst.at(c, l).f =
+        fetch.rgba[static_cast<std::size_t>(c)][static_cast<std::size_t>(l)];
+  });
 }
 
 }  // namespace
 
-bool IsSoaBuiltin(Builtin b) { return b < Builtin::kTexture2D; }
-
-void EvalBuiltinBatch(Builtin b, Type result_type,
-                      std::span<const BatchSrc> argp, AluModel& alu,
-                      const TextureFn& texture, const BatchDst& dst,
-                      std::uint32_t mask) {
-  (void)result_type;  // dst carries it; kept for signature symmetry
-  // Convenience view: args(i) is the i-th argument's lane plane.
-  const auto args = [&](std::size_t i) -> const BatchSrc& { return argp[i]; };
+void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
+                      AluModel& alu, const TextureFn& texture,
+                      const PlaneDst& dst, std::uint32_t mask) {
+  const auto args = [&](std::size_t i) -> const PlaneSrc& { return argp[i]; };
   constexpr float kPi = 3.14159265358979323846f;
+  const RoundSpec rs = alu.round_spec();
+  // Result cells this instruction produces; per-cell ALU costs scale it.
+  const int cells = std::popcount(mask) * dst.count();
   switch (b) {
     case Builtin::kRadians:
+      alu.Count(cells);
       return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Mul(x, kPi / 180.0f); });
+                           [rs](float x) { return rs(x * (kPi / 180.0f)); });
     case Builtin::kDegrees:
+      alu.Count(cells);
       return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Mul(x, 180.0f / kPi); });
+                           [rs](float x) { return rs(x * (180.0f / kPi)); });
     case Builtin::kSin:
       return MapUnaryBatch(dst, args(0), mask,
                            [&](float x) { return alu.Sin(x); });
@@ -511,185 +489,172 @@ void EvalBuiltinBatch(Builtin b, Type result_type,
       return MapUnaryBatch(dst, args(0), mask,
                            [&](float x) { return alu.Sqrt(x); });
     case Builtin::kInverseSqrt:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.RecipSqrt(x); });
+      alu.CountSfu(cells);
+      return MapUnaryBatch(dst, args(0), mask, [rs](float x) {
+        return rs(1.0f / std::sqrt(x));
+      });
 
     case Builtin::kAbs:
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return std::fabs(x);
-      });
+      alu.Count(cells);
+      return MapUnaryBatch(dst, args(0), mask,
+                           [](float x) { return std::fabs(x); });
     case Builtin::kSign:
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
+      alu.Count(cells);
+      return MapUnaryBatch(dst, args(0), mask, [](float x) {
         return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
       });
     case Builtin::kFloor:
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return std::floor(x);
-      });
+      alu.Count(cells);
+      return MapUnaryBatch(dst, args(0), mask,
+                           [](float x) { return std::floor(x); });
     case Builtin::kCeil:
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return std::ceil(x);
-      });
+      alu.Count(cells);
+      return MapUnaryBatch(dst, args(0), mask,
+                           [](float x) { return std::ceil(x); });
     case Builtin::kFract:
       // x - floor(x), one ALU op for the floor and one for the subtract.
-      return MapUnaryBatch(dst, args(0), mask, [&](float x) {
-        alu.Count(1);
-        return alu.Sub(x, std::floor(x));
-      });
+      alu.Count(2 * cells);
+      return MapUnaryBatch(dst, args(0), mask,
+                           [rs](float x) { return rs(x - std::floor(x)); });
     case Builtin::kMod:
-      // mod(x, y) = x - y * floor(x / y), per spec.
-      return MapBinaryBatch(dst, args(0), args(1), mask, [&](float x, float y) {
-        const float q = alu.Div(x, y);
-        alu.Count(1);
-        return alu.Sub(x, alu.Mul(y, std::floor(q)));
-      });
+      // mod(x, y) = x - y * floor(x / y), per spec: div (ALU + SFU
+      // reciprocal), floor, mul, sub.
+      alu.Count(4 * cells);
+      alu.CountSfu(cells);
+      return MapBinaryBatch(dst, args(0), args(1), mask,
+                            [rs](float x, float y) {
+                              const float q = rs(FMul(x, rs(1.0f / y)));
+                              return rs(FSub(x, rs(FMul(y, std::floor(q)))));
+                            });
     case Builtin::kMin:
-      return MapBinaryBatch(dst, args(0), args(1), mask, [&](float x, float y) {
-        alu.Count(1);
-        return FminScalar(x, y);
-      });
+      alu.Count(cells);
+      return MapBinaryBatch(dst, args(0), args(1), mask, FminScalar);
     case Builtin::kMax:
-      return MapBinaryBatch(dst, args(0), args(1), mask, [&](float x, float y) {
-        alu.Count(1);
-        return FmaxScalar(x, y);
-      });
+      alu.Count(cells);
+      return MapBinaryBatch(dst, args(0), args(1), mask, FmaxScalar);
     case Builtin::kClamp:
+      alu.Count(2 * cells);
       return MapTernaryBatch(dst, args(0), args(1), args(2), mask,
-                             [&](float x, float lo, float hi) {
-                               alu.Count(2);
+                             [](float x, float lo, float hi) {
                                return FminScalar(FmaxScalar(x, lo), hi);
                              });
     case Builtin::kMix:
+      // x * (1 - a) + y * a: sub, two muls, add.
+      alu.Count(4 * cells);
       return MapTernaryBatch(dst, args(0), args(1), args(2), mask,
-                             [&](float x, float y, float a) {
-                               return alu.Add(alu.Mul(x, alu.Sub(1.0f, a)),
-                                              alu.Mul(y, a));
+                             [rs](float x, float y, float a) {
+                               return rs(FAdd(rs(FMul(x, rs(1.0f - a))),
+                                              rs(FMul(y, a))));
                              });
     case Builtin::kStep:
       // step(edge, x): note argument order (edge first).
+      alu.Count(cells);
       return MapBinaryBatch(dst, args(1), args(0), mask,
-                            [&](float x, float edge) {
-                              alu.Count(1);
+                            [](float x, float edge) {
                               return x < edge ? 0.0f : 1.0f;
                             });
-    case Builtin::kSmoothstep: {
-      // t = clamp((x-e0)/(e1-e0), 0, 1); t*t*(3-2t).
-      const BatchSrc& e0 = args(0);
-      const BatchSrc& e1 = args(1);
-      const BatchSrc& x = args(2);
-      const int n = x.base->count();
-      const int es = e0.base->count() == 1 && n > 1 ? 0 : 1;
-      ForEachLane(mask, [&](int l) {
-        const Value& e0v = e0.at(l);
-        const Value& e1v = e1.at(l);
-        const Value& xv = x.at(l);
-        Value& out = dst.at(l);
-        for (int i = 0; i < n; ++i) {
-          const float a = e0v.F(i * es);
-          const float bb = e1v.F(i * es);
-          float t = alu.Div(alu.Sub(xv.F(i), a), alu.Sub(bb, a));
-          alu.Count(2);
-          t = FminScalar(FmaxScalar(t, 0.0f), 1.0f);
-          out.SetF(i,
-                   alu.Mul(alu.Mul(t, t), alu.Sub(3.0f, alu.Mul(2.0f, t))));
-        }
-      });
-      return;
-    }
+    case Builtin::kSmoothstep:
+      // t = clamp((x-e0)/(e1-e0), 0, 1); t*t*(3-2t): two subs, a div (ALU
+      // + SFU), the clamp's two ops, then mul, mul, sub, mul.
+      alu.Count(9 * cells);
+      alu.CountSfu(cells);
+      return MapTernaryBatch(dst, args(2), args(0), args(1), mask,
+                             [rs](float x, float a, float bb) {
+                               float t = rs(FMul(rs(FSub(x, a)),
+                                                 rs(1.0f / rs(FSub(bb, a)))));
+                               t = FminScalar(FmaxScalar(t, 0.0f), 1.0f);
+                               return rs(FMul(rs(t * t),
+                                              rs(3.0f - rs(2.0f * t))));
+                             });
 
     case Builtin::kLength:
       ForEachLane(mask, [&](int l) {
-        const float d = DotProduct(args(0).at(l), args(0).at(l), alu);
-        dst.at(l).SetF(0, alu.Sqrt(d));
+        dst.at(0, l).f = alu.Sqrt(DotLane(args(0), args(0), l, alu));
       });
       return;
-    case Builtin::kDistance: {
-      // The difference scratch is hoisted and reused per lane (its cells
-      // are fully overwritten each lane).
-      Value diff(args(0).base->type());
+    case Builtin::kDistance:
       ForEachLane(mask, [&](int l) {
-        MapBinaryInto(diff, args(0).at(l), args(1).at(l),
-                      [&](float x, float y) { return alu.Sub(x, y); });
-        dst.at(l).SetF(0, alu.Sqrt(DotProduct(diff, diff, alu)));
+        const PlaneSrc& a = args(0);
+        float acc = 0.0f;
+        for (int i = 0; i < a.count(); ++i) {
+          const float d = alu.Sub(a.at(i, l).f, args(1).at(i, l).f);
+          const float sq = alu.Mul(d, d);
+          acc = i == 0 ? sq : alu.Add(acc, sq);
+        }
+        dst.at(0, l).f = alu.Sqrt(acc);
       });
       return;
-    }
     case Builtin::kDot:
       ForEachLane(mask, [&](int l) {
-        dst.at(l).SetF(0, DotProduct(args(0).at(l), args(1).at(l), alu));
+        dst.at(0, l).f = DotLane(args(0), args(1), l, alu);
       });
       return;
     case Builtin::kCross:
       ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        const Value& c = args(1).at(l);
-        Value& out = dst.at(l);
-        out.SetF(0,
-                 alu.Sub(alu.Mul(a.F(1), c.F(2)), alu.Mul(a.F(2), c.F(1))));
-        out.SetF(1,
-                 alu.Sub(alu.Mul(a.F(2), c.F(0)), alu.Mul(a.F(0), c.F(2))));
-        out.SetF(2,
-                 alu.Sub(alu.Mul(a.F(0), c.F(1)), alu.Mul(a.F(1), c.F(0))));
+        const auto a = [&](int i) { return args(0).at(i, l).f; };
+        const auto c = [&](int i) { return args(1).at(i, l).f; };
+        dst.at(0, l).f = alu.Sub(alu.Mul(a(1), c(2)), alu.Mul(a(2), c(1)));
+        dst.at(1, l).f = alu.Sub(alu.Mul(a(2), c(0)), alu.Mul(a(0), c(2)));
+        dst.at(2, l).f = alu.Sub(alu.Mul(a(0), c(1)), alu.Mul(a(1), c(0)));
       });
       return;
     case Builtin::kNormalize:
       ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        const float inv = alu.RecipSqrt(DotProduct(a, a, alu));
-        MapUnaryInto(dst.at(l), a, [&](float x) { return alu.Mul(x, inv); });
+        const PlaneSrc& a = args(0);
+        const float inv = alu.RecipSqrt(DotLane(a, a, l, alu));
+        for (int i = 0; i < a.count(); ++i) {
+          dst.at(i, l).f = alu.Mul(a.at(i, l).f, inv);
+        }
       });
       return;
     case Builtin::kFaceforward:
       ForEachLane(mask, [&](int l) {
-        const float d = DotProduct(args(2).at(l), args(1).at(l), alu);
+        const PlaneSrc& n = args(0);
+        const float d = DotLane(args(2), args(1), l, alu);
         alu.Count(1);
-        if (d < 0.0f) {
-          CopyCellsInto(dst.at(l), args(0).at(l));
-        } else {
-          MapUnaryInto(dst.at(l), args(0).at(l),
-                       [&](float x) { return alu.Sub(0.0f, x); });
+        for (int i = 0; i < n.count(); ++i) {
+          if (d < 0.0f) {
+            dst.at(i, l) = n.at(i, l);
+          } else {
+            dst.at(i, l).f = alu.Sub(0.0f, n.at(i, l).f);
+          }
         }
       });
       return;
     case Builtin::kReflect:
       ForEachLane(mask, [&](int l) {
-        const float d = DotProduct(args(1).at(l), args(0).at(l), alu);
+        const PlaneSrc& in = args(0);
+        const float d = DotLane(args(1), in, l, alu);
         const float two_d = alu.Mul(2.0f, d);
-        MapBinaryInto(dst.at(l), args(0).at(l), args(1).at(l),
-                      [&](float i, float nn) {
-                        return alu.Sub(i, alu.Mul(two_d, nn));
-                      });
+        for (int i = 0; i < in.count(); ++i) {
+          dst.at(i, l).f =
+              alu.Sub(in.at(i, l).f, alu.Mul(two_d, args(1).at(i, l).f));
+        }
       });
       return;
     case Builtin::kRefract:
       ForEachLane(mask, [&](int l) {
-        const float eta = args(2).at(l).F(0);
-        const float d = DotProduct(args(1).at(l), args(0).at(l), alu);
+        const PlaneSrc& in = args(0);
+        const float eta = args(2).at(0, l).f;
+        const float d = DotLane(args(1), in, l, alu);
         const float k = alu.Sub(
-            1.0f,
-            alu.Mul(alu.Mul(eta, eta), alu.Sub(1.0f, alu.Mul(d, d))));
+            1.0f, alu.Mul(alu.Mul(eta, eta), alu.Sub(1.0f, alu.Mul(d, d))));
         alu.Count(1);
-        Value& out = dst.at(l);
         if (k < 0.0f) {
-          // Zero vector; written explicitly because the VM's destination
-          // register may hold a stale value.
-          for (int i = 0; i < args(0).at(l).count(); ++i) out.SetF(i, 0.0f);
+          for (int i = 0; i < in.count(); ++i) dst.at(i, l).f = 0.0f;
           return;
         }
         const float coeff = alu.Add(alu.Mul(eta, d), alu.Sqrt(k));
-        MapBinaryInto(out, args(0).at(l), args(1).at(l),
-                      [&](float i, float nn) {
-                        return alu.Sub(alu.Mul(eta, i), alu.Mul(coeff, nn));
-                      });
+        for (int i = 0; i < in.count(); ++i) {
+          dst.at(i, l).f = alu.Sub(alu.Mul(eta, in.at(i, l).f),
+                                   alu.Mul(coeff, args(1).at(i, l).f));
+        }
       });
       return;
     case Builtin::kMatrixCompMult:
+      alu.Count(cells);
       return MapBinaryBatch(dst, args(0), args(1), mask,
-                            [&](float x, float y) { return alu.Mul(x, y); });
+                            [rs](float x, float y) { return rs(FMul(x, y)); });
 
     case Builtin::kLessThan:
     case Builtin::kLessThanEqual:
@@ -697,129 +662,102 @@ void EvalBuiltinBatch(Builtin b, Type result_type,
     case Builtin::kGreaterThanEqual:
     case Builtin::kEqual:
     case Builtin::kNotEqual: {
-      const int n = args(0).base->count();
-      const bool is_float = args(0).base->scalar() == BaseType::kFloat;
-      ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        const Value& c = args(1).at(l);
-        Value& out = dst.at(l);
-        for (int i = 0; i < n; ++i) {
-          alu.Count(1);
-          bool r = false;
-          if (is_float) {
-            const float x = a.F(i);
-            const float y = c.F(i);
-            switch (b) {
-              case Builtin::kLessThan: r = x < y; break;
-              case Builtin::kLessThanEqual: r = x <= y; break;
-              case Builtin::kGreaterThan: r = x > y; break;
-              case Builtin::kGreaterThanEqual: r = x >= y; break;
-              case Builtin::kEqual: r = x == y; break;
-              default: r = x != y; break;
-            }
-          } else {
-            const std::int32_t x = a.I(i);
-            const std::int32_t y = c.I(i);
-            switch (b) {
-              case Builtin::kLessThan: r = x < y; break;
-              case Builtin::kLessThanEqual: r = x <= y; break;
-              case Builtin::kGreaterThan: r = x > y; break;
-              case Builtin::kGreaterThanEqual: r = x >= y; break;
-              case Builtin::kEqual: r = x == y; break;
-              default: r = x != y; break;
-            }
-          }
-          out.SetB(i, r);
-        }
-      });
-      return;
+      alu.Count(cells);
+      const PlaneSrc& a = args(0);
+      const PlaneSrc& c = args(1);
+      const bool is_float = a.scalar() == BaseType::kFloat;
+      const auto compare = [&](auto pred) {
+        ForEachCell(a.count(), mask, [&](int i, int l) {
+          const bool r = is_float ? pred(a.at(i, l).f, c.at(i, l).f)
+                                  : pred(a.at(i, l).i, c.at(i, l).i);
+          dst.at(i, l).i = r ? 1 : 0;
+        });
+      };
+      switch (b) {
+        case Builtin::kLessThan:
+          return compare([](auto x, auto y) { return x < y; });
+        case Builtin::kLessThanEqual:
+          return compare([](auto x, auto y) { return x <= y; });
+        case Builtin::kGreaterThan:
+          return compare([](auto x, auto y) { return x > y; });
+        case Builtin::kGreaterThanEqual:
+          return compare([](auto x, auto y) { return x >= y; });
+        case Builtin::kEqual:
+          return compare([](auto x, auto y) { return x == y; });
+        default:
+          return compare([](auto x, auto y) { return x != y; });
+      }
     }
-    case Builtin::kAny: {
-      const int n = args(0).base->count();
-      ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        bool r = false;
-        for (int i = 0; i < n; ++i) r = r || a.B(i);
-        alu.Count(n);
-        dst.at(l).SetB(0, r);
-      });
-      return;
-    }
+    case Builtin::kAny:
     case Builtin::kAll: {
-      const int n = args(0).base->count();
+      const PlaneSrc& a = args(0);
+      const bool any = b == Builtin::kAny;
+      alu.Count(std::popcount(mask) * a.count());
       ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        bool r = true;
-        for (int i = 0; i < n; ++i) r = r && a.B(i);
-        alu.Count(n);
-        dst.at(l).SetB(0, r);
+        bool r = !any;
+        for (int i = 0; i < a.count(); ++i) {
+          r = any ? (r || a.at(i, l).i != 0) : (r && a.at(i, l).i != 0);
+        }
+        dst.at(0, l).i = r ? 1 : 0;
       });
       return;
     }
-    case Builtin::kNot: {
-      const int n = args(0).base->count();
-      ForEachLane(mask, [&](int l) {
-        const Value& a = args(0).at(l);
-        Value& out = dst.at(l);
-        for (int i = 0; i < n; ++i) out.SetB(i, !a.B(i));
-        alu.Count(n);
+    case Builtin::kNot:
+      alu.Count(cells);
+      ForEachCell(args(0).count(), mask, [&](int i, int l) {
+        dst.at(i, l).i = args(0).at(i, l).i == 0 ? 1 : 0;
       });
       return;
-    }
 
-    // Texture builtins are reachable only through the single-lane scalar
-    // wrapper (EvalBuiltinInto): the batched VM replays them per lane to
-    // keep TMU cache-access order fragment-sequential (IsSoaBuiltin).
+    // Texture builtins: one batched TMU fetch for the whole mask.
     case Builtin::kTexture2D:
-      ForEachLane(mask, [&](int l) {
-        TextureFetchInto(dst.at(l), texture, alu, args(0).at(l).I(0),
-                         args(1).at(l).F(0), args(1).at(l).F(1), 0.0f);
-      });
-      return;
     case Builtin::kTexture2DBias:
     case Builtin::kTexture2DLod:
-      ForEachLane(mask, [&](int l) {
-        TextureFetchInto(dst.at(l), texture, alu, args(0).at(l).I(0),
-                         args(1).at(l).F(0), args(1).at(l).F(1),
-                         args(2).at(l).F(0));
-      });
-      return;
     case Builtin::kTexture2DProj3:
     case Builtin::kTexture2DProj3Bias:
     case Builtin::kTexture2DProjLod3:
-      ForEachLane(mask, [&](int l) {
-        const Value& uv = args(1).at(l);
-        const float q = uv.F(2);
-        const float lod = argp.size() > 2 ? args(2).at(l).F(0) : 0.0f;
-        TextureFetchInto(dst.at(l), texture, alu, args(0).at(l).I(0),
-                         alu.Div(uv.F(0), q), alu.Div(uv.F(1), q), lod);
-      });
-      return;
     case Builtin::kTexture2DProj4:
     case Builtin::kTexture2DProj4Bias:
-    case Builtin::kTexture2DProjLod4:
+    case Builtin::kTexture2DProjLod4: {
+      // Projective forms divide s and t by the coordinate's last component.
+      const bool proj3 = b == Builtin::kTexture2DProj3 ||
+                         b == Builtin::kTexture2DProj3Bias ||
+                         b == Builtin::kTexture2DProjLod3;
+      const bool proj4 = b == Builtin::kTexture2DProj4 ||
+                         b == Builtin::kTexture2DProj4Bias ||
+                         b == Builtin::kTexture2DProjLod4;
+      const int q = proj3 ? 2 : 3;
+      const PlaneSrc& uv = args(1);
+      TexelFetch fetch;
+      fetch.mask = mask;
       ForEachLane(mask, [&](int l) {
-        const Value& uv = args(1).at(l);
-        const float q = uv.F(3);
-        const float lod = argp.size() > 2 ? args(2).at(l).F(0) : 0.0f;
-        TextureFetchInto(dst.at(l), texture, alu, args(0).at(l).I(0),
-                         alu.Div(uv.F(0), q), alu.Div(uv.F(1), q), lod);
+        const std::size_t li = static_cast<std::size_t>(l);
+        fetch.unit[li] = args(0).at(0, l).i;
+        if (proj3 || proj4) {
+          fetch.s[li] = alu.Div(uv.at(0, l).f, uv.at(q, l).f);
+          fetch.t[li] = alu.Div(uv.at(1, l).f, uv.at(q, l).f);
+        } else {
+          fetch.s[li] = uv.at(0, l).f;
+          fetch.t[li] = uv.at(1, l).f;
+        }
+        fetch.lod[li] = argp.size() > 2 ? args(2).at(0, l).f : 0.0f;
       });
+      FetchTexels(fetch, texture, alu, dst);
       return;
+    }
   }
 }
 
-void EvalBuiltinInto(Builtin b, Type result_type,
+void EvalBuiltinInto(Builtin b, Type /*result_type*/,
                      std::span<const Value* const> argp, AluModel& alu,
                      const TextureFn& texture, Value& dst) {
-  // Single-lane view over the batch kernel: one implementation of builtin
+  // One-lane views over the batch kernel: one implementation of builtin
   // semantics serves the tree-walking oracle, the scalar VM, and the
   // batched VM alike.
-  std::array<BatchSrc, kMaxBuiltinArgs> av;
-  for (std::size_t i = 0; i < argp.size(); ++i) av[i] = BatchSrc{argp[i], 0};
-  EvalBuiltinBatch(b, result_type,
-                   std::span<const BatchSrc>(av.data(), argp.size()), alu,
-                   texture, BatchDst{&dst, 0}, 0x1u);
+  std::array<PlaneSrc, kMaxBuiltinArgs> av;
+  for (std::size_t i = 0; i < argp.size(); ++i) av[i] = ValuePlane(*argp[i]);
+  EvalBuiltinBatch(b, std::span<const PlaneSrc>(av.data(), argp.size()), alu,
+                   texture, ValuePlane(dst), 0x1u);
 }
 
 Value EvalBuiltin(Builtin b, Type result_type,

@@ -52,10 +52,26 @@ struct BuiltinResolution {
 [[nodiscard]] BuiltinResolution ResolveBuiltin(
     const std::string& name, const std::vector<Type>& arg_types, Stage stage);
 
-// Texture fetch callback: (unit, s, t, lod) -> RGBA in [0,1]. Installed by
-// the gles2 draw pipeline.
-using TextureFn =
-    std::function<std::array<float, 4>(int unit, float s, float t, float lod)>;
+// One batched texture fetch: the TMU request of a whole instruction. Every
+// lane l in `mask` samples texture unit unit[l] at (s[l], t[l]) with lod
+// bias (fragment) or level (vertex) lod[l]; the callback writes the texel's
+// RGBA in [0,1] to rgba[c][l]. Entries of lanes outside `mask` are
+// unspecified and must not be read. A scalar engine issues one-lane
+// fetches (mask 1). Callbacks that model per-fragment state (the gles2
+// texture-cache log) keep it per lane, in the order fetches arrive — which
+// is each lane's program order.
+struct TexelFetch {
+  std::uint32_t mask = 0;
+  std::array<std::int32_t, kVmLanes> unit;
+  std::array<float, kVmLanes> s;
+  std::array<float, kVmLanes> t;
+  std::array<float, kVmLanes> lod;
+  std::array<std::array<float, kVmLanes>, 4> rgba;
+};
+
+// Texture fetch callback, installed by the gles2 draw pipeline. Without one
+// every fetch reads (0, 0, 0, 1).
+using TextureFn = std::function<void(TexelFetch& fetch)>;
 
 // Evaluates a resolved builtin. `args` are pointers to already-evaluated
 // argument values (pointers so the bytecode VM can pass its registers
@@ -69,23 +85,16 @@ void EvalBuiltinInto(Builtin b, Type result_type,
                                 std::span<const Value* const> args,
                                 AluModel& alu, const TextureFn& texture);
 
-// Lane-batched (SoA) evaluation: builtin and shape dispatch run once per
-// instruction, then tight per-lane loops evaluate every lane of the batch.
-// This is the ONLY implementation of builtin semantics — EvalBuiltinInto is
-// a single-lane wrapper over it — so the tree-walking oracle, the scalar
-// VM, and the batched VM share one code path and cannot drift in results or
-// AluModel counts. Lanes evaluate in ascending mask order.
-void EvalBuiltinBatch(Builtin b, Type result_type,
-                      std::span<const BatchSrc> args, AluModel& alu,
-                      const TextureFn& texture, const BatchDst& dst,
-                      std::uint32_t mask);
-
-// True when the batched VM may evaluate `b` through EvalBuiltinBatch for a
-// whole batch at once. Texture builtins are excluded: the gles2 TMU-cache
-// model counts misses in fragment-sequential order, so the batched VM
-// replays them per lane instead (vm.cc), keeping cache-access order — and
-// therefore tmu_miss counts — identical to the scalar engines.
-[[nodiscard]] bool IsSoaBuiltin(Builtin b);
+// Lane-batched evaluation over component planes: builtin and shape
+// dispatch run once per instruction, then loops over components and the
+// mask's lanes. This is the ONLY implementation of builtin semantics —
+// EvalBuiltinInto calls it with one-lane views — so the tree-walking
+// oracle, the scalar VM and the batched VM share one code path and cannot
+// drift in results or AluModel counts. Texture builtins issue one
+// TexelFetch for the whole mask.
+void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> args,
+                      AluModel& alu, const TextureFn& texture,
+                      const PlaneDst& dst, std::uint32_t mask);
 
 }  // namespace mgpu::glsl
 

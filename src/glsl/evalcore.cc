@@ -5,9 +5,10 @@
 
 namespace mgpu::glsl {
 
-LRef RefWhole(Value& storage, const Type& t) {
+LRef RefWhole(Cell* cells, int stride, const Type& t) {
   LRef r;
-  r.storage = &storage;
+  r.cells = cells;
+  r.stride = stride;
   r.type = t;
   r.n = t.CellCount() > 16 ? 16 : t.CellCount();
   // Arrays larger than 16 cells are referenced whole only via index steps;
@@ -41,7 +42,8 @@ LRef RefIndex(const LRef& base, const IndexStep& step, int i) {
   if (i < 0) i = 0;
   if (i >= step.limit) i = step.limit - 1;  // runtime clamp (UB in the spec)
   LRef r;
-  r.storage = base.storage;
+  r.cells = base.cells;
+  r.stride = base.stride;
   r.type = step.elem_type;
   r.n = step.elem_cells;
   for (int k = 0; k < step.elem_cells; ++k) {
@@ -56,7 +58,8 @@ LRef RefIndex(const LRef& base, const IndexStep& step, int i) {
 LRef RefSwizzle(const LRef& base, const Type& result_type,
                 const std::uint8_t* comps, int count) {
   LRef r;
-  r.storage = base.storage;
+  r.cells = base.cells;
+  r.stride = base.stride;
   r.type = result_type;
   r.n = count;
   for (int k = 0; k < count; ++k) {
@@ -67,37 +70,18 @@ LRef RefSwizzle(const LRef& base, const Type& result_type,
 
 Value ReadRef(const LRef& r) {
   Value v(r.type);
-  if (r.n < 0) {
-    // Whole large array.
-    for (int i = 0; i < -r.n; ++i) v.data()[i] = r.storage->data()[i];
-    return v;
-  }
-  for (int i = 0; i < r.n; ++i) {
-    v.data()[i] = r.storage->data()[r.idx[static_cast<std::size_t>(i)]];
-  }
+  ReadRefInto(r, v);
   return v;
 }
 
 void ReadRefInto(const LRef& r, Value& out) {
-  if (r.n < 0) {
-    for (int i = 0; i < -r.n; ++i) out.data()[i] = r.storage->data()[i];
-    return;
-  }
   Cell* dst = out.data();
-  const Cell* src = r.storage->data();
-  for (int i = 0; i < r.n; ++i) {
-    dst[i] = src[r.idx[static_cast<std::size_t>(i)]];
-  }
+  for (int i = 0; i < r.size(); ++i) dst[i] = r.cell(i);
 }
 
 void WriteRef(const LRef& r, const Value& v) {
-  if (r.n < 0) {
-    for (int i = 0; i < -r.n; ++i) r.storage->data()[i] = v.data()[i];
-    return;
-  }
-  for (int i = 0; i < r.n; ++i) {
-    r.storage->data()[r.idx[static_cast<std::size_t>(i)]] = v.data()[i];
-  }
+  const Cell* src = v.data();
+  for (int i = 0; i < r.size(); ++i) r.cell(i) = src[i];
 }
 
 bool EqualAll(const Value& l, const Value& r) {
@@ -348,263 +332,301 @@ void EvalExtractInto(const Value& base, const IndexStep& step, int i,
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched (SoA) kernels
+// Lane-batched kernels over component planes
 // ---------------------------------------------------------------------------
 
-void EvalArithBatch(AluModel& alu, BinOp op, const BatchSrc& l,
-                    const BatchSrc& r, const BatchDst& out,
-                    std::uint32_t mask) {
-  const BaseType lb = l.base->type().base;
-  const BaseType rb = r.base->type().base;
-  const bool is_float = ScalarOf(lb) == BaseType::kFloat;
+namespace {
 
-  // Linear-algebra multiplies: the accumulation pattern is the one place
-  // EvalArithInto is not a flat component loop, so replay it per lane — the
-  // dispatch to get here still ran once for the whole batch. The VM's SoA
-  // tag (TagSoaEligibility) routes these shapes to its own per-lane path,
-  // so this branch is normally unreachable from the batched executors; it
-  // is kept so the kernel stays total — if the tag predicate ever drifts,
-  // results remain correct (just unamortized) instead of silently wrong.
-  if (op == BinOp::kMul &&
-      ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
-       (IsVector(lb) && IsMatrix(rb)))) {
-    ForEachLane(mask, [&](int lane) {
-      EvalArithInto(alu, op, l.at(lane), r.at(lane), out.at(lane));
+// Calls body(round) with a rounding functor equivalent to `spec`, chosen
+// once: the identity, the denormal flush alone, or the full spec. Loops
+// inside `body` then carry no per-element branch on the spec, so the
+// common full-mantissa models get plain (vectorizable) loops.
+template <typename Body>
+void WithRounding(const RoundSpec& spec, Body&& body) {
+  if (spec.identity()) {
+    body([](float x) { return x; });
+  } else if (spec.mantissa_bits >= 23) {
+    body([](float x) { return RoundSpec::FlushDenormal(x); });
+  } else {
+    body(spec);
+  }
+}
+
+// Mirrors Value::SetConverted for one cell: float sources convert through
+// SetFromFloat, integer-class sources keep their bits except where the
+// target is float or bool.
+Cell ConvertCell(Cell v, BaseType from, BaseType to) {
+  Cell out;
+  if (from == BaseType::kFloat) {
+    if (to == BaseType::kFloat) {
+      out.f = v.f;
+    } else if (to == BaseType::kBool) {
+      out.i = v.f != 0.0f ? 1 : 0;
+    } else {
+      out.i = static_cast<std::int32_t>(v.f);
+    }
+  } else if (to == BaseType::kFloat) {
+    out.f = static_cast<float>(v.i);
+  } else if (to == BaseType::kBool) {
+    out.i = v.i != 0 ? 1 : 0;
+  } else {
+    out.i = v.i;
+  }
+  return out;
+}
+
+// out(c) = fn(l(c * ls), r(c * rs)) for components [0, n) over the mask's
+// lanes. A lane range [0, k) into a lane-plane destination — every lockstep
+// instruction — runs as unit-stride loops with a shared operand hoisted
+// into a local, which the compiler vectorizes.
+template <typename Fn>
+void MapFloatLanes(int n, std::uint32_t mask, const PlaneSrc& l, int ls,
+                   const PlaneSrc& r, int rs, const PlaneDst& out, Fn fn) {
+  if ((mask & (mask + 1u)) != 0 || out.lane_stride != 1) {
+    ForEachCell(n, mask, [&](int c, int lane) {
+      out.at(c, lane).f = fn(l.at(c * ls, lane).f, r.at(c * rs, lane).f);
     });
     return;
   }
-
-  // Comparisons: result is always a scalar bool (relational ops are
-  // scalar-only in GLSL ES; ==/!= on vectors and matrices reduce through
-  // EqualAll). One alu op per lane, same as the scalar loop at n == 1.
-  if (op >= BinOp::kLt && op <= BinOp::kNe) {
-    switch (op) {
-      case BinOp::kEq:
-        ForEachLane(mask, [&](int lane) {
-          alu.Count(1);
-          out.at(lane).SetB(0, EqualAll(l.at(lane), r.at(lane)));
-        });
-        return;
-      case BinOp::kNe:
-        ForEachLane(mask, [&](int lane) {
-          alu.Count(1);
-          out.at(lane).SetB(0, !EqualAll(l.at(lane), r.at(lane)));
-        });
-        return;
-      default:
-        break;
+  const int lanes = std::popcount(mask);
+  for (int c = 0; c < n; ++c) {
+    Cell* o = &out.at(c, 0);
+    const Cell* a = &l.at(c * ls, 0);
+    const Cell* b = &r.at(c * rs, 0);
+    if (l.lane_stride != 0 && r.lane_stride != 0) {
+      for (int i = 0; i < lanes; ++i) o[i].f = fn(a[i].f, b[i].f);
+    } else if (l.lane_stride != 0) {
+      const float y = b->f;
+      for (int i = 0; i < lanes; ++i) o[i].f = fn(a[i].f, y);
+    } else {
+      const float x = a->f;
+      for (int i = 0; i < lanes; ++i) o[i].f = fn(x, b[i * r.lane_stride].f);
     }
-    if (is_float) {
+  }
+}
+
+}  // namespace
+
+void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
+                    const PlaneSrc& r, const PlaneDst& out,
+                    std::uint32_t mask) {
+  const BaseType lb = l.type.base;
+  const BaseType rb = r.type.base;
+  const bool is_float = ScalarOf(lb) == BaseType::kFloat;
+  const int lanes = std::popcount(mask);
+  const RoundSpec rs = alu.round_spec();
+
+  // Linear-algebra multiplies: output cell `o` of each lane is the scalar
+  // engine's dot product, accumulated in the same order. li/ri map the
+  // k-th term to its left/right operand components.
+  const auto linalg = [&](int cells, int n, auto li, auto ri) {
+    alu.Count(lanes * cells * (2 * n - 1));
+    for (int o = 0; o < cells; ++o) {
       ForEachLane(mask, [&](int lane) {
-        alu.Count(1);
-        const float a = l.at(lane).F(0);
-        const float b = r.at(lane).F(0);
-        bool v = false;
-        switch (op) {
-          case BinOp::kLt: v = a < b; break;
-          case BinOp::kGt: v = a > b; break;
-          case BinOp::kLe: v = a <= b; break;
-          default: v = a >= b; break;
+        float acc = rs(FMul(l.at(li(o, 0), lane).f, r.at(ri(o, 0), lane).f));
+        for (int k = 1; k < n; ++k) {
+          acc = rs(FAdd(
+              acc, rs(FMul(l.at(li(o, k), lane).f, r.at(ri(o, k), lane).f))));
         }
-        out.at(lane).SetB(0, v);
+        out.at(o, lane).f = acc;
       });
+    }
+  };
+  if (op == BinOp::kMul && IsMatrix(lb) && IsMatrix(rb)) {
+    // out[c][row] = sum_k l[k][row] * r[c][k]; cell o = c * n + row.
+    const int n = RowCount(lb);
+    return linalg(
+        n * n, n, [n](int o, int k) { return k * n + o % n; },
+        [n](int o, int k) { return (o / n) * n + k; });
+  }
+  if (op == BinOp::kMul && IsMatrix(lb) && IsVector(rb)) {
+    const int n = RowCount(lb);
+    return linalg(
+        n, n, [n](int o, int k) { return k * n + o; },
+        [](int, int k) { return k; });
+  }
+  if (op == BinOp::kMul && IsVector(lb) && IsMatrix(rb)) {
+    const int n = RowCount(rb);
+    return linalg(
+        n, n, [](int, int k) { return k; },
+        [n](int o, int k) { return o * n + k; });
+  }
+
+  // Comparisons: the result is one bool per lane (relational ops are
+  // scalar-only in GLSL ES; ==/!= on vectors and matrices reduce through
+  // EqualAll). One ALU op per lane.
+  if (op >= BinOp::kLt && op <= BinOp::kNe) {
+    alu.Count(lanes);
+    if (op == BinOp::kEq || op == BinOp::kNe) {
+      const int n = l.count();
+      const bool same_shape = n == r.count();
+      const int want = op == BinOp::kEq ? 1 : 0;
+      ForEachLane(mask, [&](int lane) {
+        bool eq = same_shape;
+        for (int c = 0; eq && c < n; ++c) {
+          eq = is_float ? l.at(c, lane).f == r.at(c, lane).f
+                        : l.at(c, lane).i == r.at(c, lane).i;
+        }
+        out.at(0, lane).i = eq ? want : 1 - want;
+      });
+      return;
+    }
+    const auto compare = [&](auto pred) {
+      ForEachLane(mask, [&](int lane) {
+        const bool v = is_float ? pred(l.at(0, lane).f, r.at(0, lane).f)
+                                : pred(l.at(0, lane).i, r.at(0, lane).i);
+        out.at(0, lane).i = v ? 1 : 0;
+      });
+    };
+    switch (op) {
+      case BinOp::kLt: return compare([](auto a, auto b) { return a < b; });
+      case BinOp::kGt: return compare([](auto a, auto b) { return a > b; });
+      case BinOp::kLe: return compare([](auto a, auto b) { return a <= b; });
+      default: return compare([](auto a, auto b) { return a >= b; });
+    }
+  }
+
+  // Component-wise arithmetic with scalar broadcast (scalars, vectors,
+  // matrix +-/ and matrix*scalar). ls/rsx are the operands' component
+  // steps: 0 when a scalar broadcasts against a wider result.
+  const int n = out.count();
+  const int ls = l.count() == 1 && n > 1 ? 0 : 1;
+  const int rsx = r.count() == 1 && n > 1 ? 0 : 1;
+  alu.Count(lanes * n);
+  if (is_float) {
+    // Div is a * recip(b), the reciprocal on the SFU.
+    if (op == BinOp::kDiv) alu.CountSfu(lanes * n);
+    WithRounding(rs, [&](auto round) {
+      const auto map = [&](auto fn) {
+        MapFloatLanes(n, mask, l, ls, r, rsx, out, fn);
+      };
+      switch (op) {
+        case BinOp::kAdd:
+          return map([round](float a, float b) { return round(FAdd(a, b)); });
+        case BinOp::kSub:
+          return map([round](float a, float b) { return round(FSub(a, b)); });
+        case BinOp::kMul:
+          return map([round](float a, float b) { return round(FMul(a, b)); });
+        default:
+          return map([round](float a, float b) {
+            return round(FMul(a, round(1.0f / b)));
+          });
+      }
+    });
+    return;
+  }
+  const auto map = [&](auto fn) {
+    ForEachCell(n, mask, [&](int c, int lane) {
+      out.at(c, lane).i = fn(l.at(c * ls, lane).i, r.at(c * rsx, lane).i);
+    });
+  };
+  using I = std::int32_t;
+  switch (op) {
+    case BinOp::kAdd: return map([](I a, I b) { return a + b; });
+    case BinOp::kSub: return map([](I a, I b) { return a - b; });
+    case BinOp::kMul: return map([](I a, I b) { return a * b; });
+    case BinOp::kDiv: return map([](I a, I b) { return b == 0 ? 0 : a / b; });
+    default: return;
+  }
+}
+
+void EvalNegBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
+                  std::uint32_t mask) {
+  const int n = v.count();
+  alu.Count(std::popcount(mask) * n);
+  if (v.scalar() == BaseType::kFloat) {
+    const RoundSpec rs = alu.round_spec();
+    ForEachCell(n, mask, [&](int c, int lane) {
+      out.at(c, lane).f = rs(-v.at(c, lane).f);
+    });
+    return;
+  }
+  ForEachCell(n, mask, [&](int c, int lane) {
+    out.at(c, lane).i = -v.at(c, lane).i;
+  });
+}
+
+void EvalNotBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
+                  std::uint32_t mask) {
+  alu.Count(std::popcount(mask));
+  ForEachLane(mask, [&](int lane) {
+    out.at(0, lane).i = v.at(0, lane).i == 0 ? 1 : 0;
+  });
+}
+
+void EvalCtorBatch(AluModel& alu, std::span<const PlaneSrc> args,
+                   const PlaneDst& out, std::uint32_t mask) {
+  const BaseType target = out.type.base;
+  const int n = out.count();
+  alu.Count(std::popcount(mask) * n);  // conversion/mov cost
+
+  // Where each result cell comes from, decided once per instruction with
+  // EvalCtorInto's rules: argument `arg`'s component `comp`, or (arg < 0)
+  // the constant `k` — identity-matrix fill, or the fresh-value zero.
+  struct Source {
+    int arg = -1;
+    int comp = 0;
+    float k = 0.0f;
+  };
+  std::array<Source, 16> src{};
+  const auto gather = [&] {
+    int w = 0;
+    for (std::size_t a = 0; a < args.size(); ++a) {
+      for (int i = 0; i < args[a].count() && w < n; ++i, ++w) {
+        src[static_cast<std::size_t>(w)] = {static_cast<int>(a), i, 0.0f};
+      }
+    }
+  };
+  const bool one_scalar = args.size() == 1 && args[0].count() == 1;
+  const Source arg0{0, 0, 0.0f};  // the first argument's first component
+  if (IsScalar(target)) {
+    src[0] = arg0;
+  } else if (IsVector(target)) {
+    if (one_scalar) {
+      for (int w = 0; w < n; ++w) src[static_cast<std::size_t>(w)] = arg0;
+    } else {
+      gather();
+    }
+  } else {
+    const int rows = RowCount(target);
+    const bool from_matrix = args.size() == 1 && IsMatrix(args[0].type.base);
+    const int m = from_matrix ? RowCount(args[0].type.base) : 0;
+    if (one_scalar || from_matrix) {
+      for (int col = 0; col < rows; ++col) {
+        for (int row = 0; row < rows; ++row) {
+          Source& s = src[static_cast<std::size_t>(col * rows + row)];
+          if (one_scalar) {
+            s = col == row ? arg0 : Source{};
+          } else if (col < m && row < m) {
+            s = {0, col * m + row, 0.0f};
+          } else {
+            s = {-1, 0, col == row ? 1.0f : 0.0f};
+          }
+        }
+      }
+    } else {
+      gather();
+    }
+  }
+
+  const BaseType to = ScalarOf(target);
+  for (int w = 0; w < n; ++w) {
+    const Source& s = src[static_cast<std::size_t>(w)];
+    if (s.arg < 0) {
+      Cell k;
+      k.f = s.k;  // 0.0f is the all-zero cell for every scalar kind
+      ForEachLane(mask, [&](int lane) { out.at(w, lane) = k; });
+      continue;
+    }
+    const PlaneSrc& a = args[static_cast<std::size_t>(s.arg)];
+    const BaseType from = a.scalar();
+    if (from == to && to != BaseType::kBool) {
+      CopyLanes(out, w, a, s.comp, mask);
     } else {
       ForEachLane(mask, [&](int lane) {
-        alu.Count(1);
-        const std::int32_t a = l.at(lane).I(0);
-        const std::int32_t b = r.at(lane).I(0);
-        bool v = false;
-        switch (op) {
-          case BinOp::kLt: v = a < b; break;
-          case BinOp::kGt: v = a > b; break;
-          case BinOp::kLe: v = a <= b; break;
-          default: v = a >= b; break;
-        }
-        out.at(lane).SetB(0, v);
+        out.at(w, lane) = ConvertCell(a.at(s.comp, lane), from, to);
       });
     }
-    return;
-  }
-
-  // Component-wise arithmetic with scalar broadcast (covers scalars,
-  // vectors, and matrix +-/ and matrix*scalar). Shape flags hoisted: `ls`/
-  // `rs` are per-component index strides, 0 when the operand is a scalar
-  // broadcast against a wider result.
-  const int n = out.base->count();
-  const int ls = l.base->count() == 1 && n > 1 ? 0 : 1;
-  const int rs = r.base->count() == 1 && n > 1 ? 0 : 1;
-
-  if (is_float) {
-    // One tight lane loop per op: the switch runs once per instruction,
-    // not once per lane per component.
-    switch (op) {
-      case BinOp::kAdd:
-        ForEachLane(mask, [&](int lane) {
-          const Value& a = l.at(lane);
-          const Value& b = r.at(lane);
-          Value& o = out.at(lane);
-          for (int i = 0; i < n; ++i) {
-            o.SetF(i, alu.Add(a.F(i * ls), b.F(i * rs)));
-          }
-        });
-        return;
-      case BinOp::kSub:
-        ForEachLane(mask, [&](int lane) {
-          const Value& a = l.at(lane);
-          const Value& b = r.at(lane);
-          Value& o = out.at(lane);
-          for (int i = 0; i < n; ++i) {
-            o.SetF(i, alu.Sub(a.F(i * ls), b.F(i * rs)));
-          }
-        });
-        return;
-      case BinOp::kMul:
-        ForEachLane(mask, [&](int lane) {
-          const Value& a = l.at(lane);
-          const Value& b = r.at(lane);
-          Value& o = out.at(lane);
-          for (int i = 0; i < n; ++i) {
-            o.SetF(i, alu.Mul(a.F(i * ls), b.F(i * rs)));
-          }
-        });
-        return;
-      default:
-        ForEachLane(mask, [&](int lane) {
-          const Value& a = l.at(lane);
-          const Value& b = r.at(lane);
-          Value& o = out.at(lane);
-          for (int i = 0; i < n; ++i) {
-            o.SetF(i, alu.Div(a.F(i * ls), b.F(i * rs)));
-          }
-        });
-        return;
-    }
-  }
-
-  // Integer component-wise arithmetic (one counted alu op per component,
-  // division-by-zero guarded to 0, both matching EvalArithInto).
-  ForEachLane(mask, [&](int lane) {
-    const Value& a = l.at(lane);
-    const Value& b = r.at(lane);
-    Value& o = out.at(lane);
-    for (int i = 0; i < n; ++i) {
-      const std::int32_t x = a.I(i * ls);
-      const std::int32_t y = b.I(i * rs);
-      alu.Count(1);
-      switch (op) {
-        case BinOp::kAdd: o.SetI(i, x + y); break;
-        case BinOp::kSub: o.SetI(i, x - y); break;
-        case BinOp::kMul: o.SetI(i, x * y); break;
-        case BinOp::kDiv: o.SetI(i, y == 0 ? 0 : x / y); break;
-        default: break;
-      }
-    }
-  });
-}
-
-void EvalNegBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                  std::uint32_t mask) {
-  const int n = v.base->count();
-  if (v.base->scalar() == BaseType::kFloat) {
-    ForEachLane(mask, [&](int lane) {
-      const Value& a = v.at(lane);
-      Value& o = out.at(lane);
-      for (int i = 0; i < n; ++i) {
-        alu.Count(1);
-        o.SetF(i, alu.Round(-a.F(i)));
-      }
-    });
-    return;
-  }
-  ForEachLane(mask, [&](int lane) {
-    const Value& a = v.at(lane);
-    Value& o = out.at(lane);
-    for (int i = 0; i < n; ++i) {
-      alu.Count(1);
-      o.SetI(i, -a.I(i));
-    }
-  });
-}
-
-void EvalNotBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
-                  std::uint32_t mask) {
-  ForEachLane(mask, [&](int lane) {
-    alu.Count(1);
-    out.at(lane).SetB(0, !v.at(lane).B(0));
-  });
-}
-
-void EvalCtorBatch(AluModel& alu, std::span<const BatchSrc> args,
-                   const BatchDst& out, std::uint32_t mask) {
-  const BaseType target = out.base->type().base;
-  const int n = out.base->count();
-  const auto clear = [n](Value& o) {
-    Cell* c = o.data();
-    for (int i = 0; i < n; ++i) c[i].i = 0;
-  };
-
-  if (IsScalar(target)) {
-    ForEachLane(mask, [&](int lane) {
-      alu.Count(1);
-      Value& o = out.at(lane);
-      clear(o);
-      o.SetConverted(0, args[0].at(lane), 0);
-    });
-    return;
-  }
-  if (!IsVector(target)) {
-    // Matrix/array targets must never be routed here: TagSoaEligibility
-    // only marks scalar/vector constructors SoA (the VM replays matrix
-    // ctors per lane through EvalCtorInto). Falling through silently would
-    // leave stale register bytes in every lane, so fail loudly instead —
-    // always on, unlike an assert, which Release/NDEBUG would strip.
-    throw ShaderRuntimeError(
-        "internal error: non-scalar/vector constructor reached the SoA "
-        "ctor kernel (SoA tagging drifted from kernel coverage)");
-  }
-  {
-    if (args.size() == 1 && args[0].base->count() == 1) {
-      // Splat.
-      ForEachLane(mask, [&](int lane) {
-        alu.Count(n);
-        Value& o = out.at(lane);
-        const Value& a = args[0].at(lane);
-        for (int i = 0; i < n; ++i) o.SetConverted(i, a, 0);
-      });
-      return;
-    }
-    bool all_float = ScalarOf(target) == BaseType::kFloat;
-    for (std::size_t a = 0; all_float && a < args.size(); ++a) {
-      all_float = args[a].base->scalar() == BaseType::kFloat;
-    }
-    if (all_float) {
-      // The common vecN(f, v, ...) gather: a flat per-lane copy loop.
-      ForEachLane(mask, [&](int lane) {
-        alu.Count(n);
-        Value& o = out.at(lane);
-        int w = 0;
-        for (const BatchSrc& src : args) {
-          const Value& a = src.at(lane);
-          for (int i = 0; i < a.count() && w < n; ++i, ++w) {
-            o.SetF(w, a.F(i));
-          }
-        }
-        while (w < n) o.data()[w++].i = 0;  // malformed ctor tail stays zero
-      });
-      return;
-    }
-    ForEachLane(mask, [&](int lane) {
-      alu.Count(n);
-      Value& o = out.at(lane);
-      clear(o);
-      int w = 0;
-      for (const BatchSrc& src : args) {
-        const Value& a = src.at(lane);
-        for (int i = 0; i < a.count() && w < n; ++i, ++w) {
-          o.SetConverted(w, a, i);
-        }
-      }
-    });
   }
 }
 

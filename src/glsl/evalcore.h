@@ -7,11 +7,13 @@
 #ifndef MGPU_GLSL_EVALCORE_H_
 #define MGPU_GLSL_EVALCORE_H_
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 
 #include "glsl/alu.h"
 #include "glsl/ast.h"
@@ -39,18 +41,38 @@ struct ShaderRuntimeError : std::runtime_error {
   int lane = -1;
 };
 
-// L-value reference: maps result components onto cells of a storage Value.
-// A negative n (-cell_count) marks a whole array too large for the index
-// map; reads/writes then cover the head cells directly.
+// Width of the batched VM's lane planes: RunBatch executes up to this many
+// invocations in lockstep through one instruction stream (paper §II: a QPU
+// shades 16-pixel groups through one program). Must fit a std::uint32_t
+// lane mask. The vertex stage fills whole kVmLanes batches; the raster
+// pipeline fills fragment batches to gles2::kFragBatchFill (16) lanes.
+inline constexpr int kVmLanes = 32;
+
+// L-value reference: maps result components onto cells of a storage block
+// whose cell k sits at cells[k * stride] — stride 1 for a Value's cells,
+// kVmLanes for one lane of a batched VM plane. A negative n (-cell_count)
+// marks a whole array too large for the index map; reads/writes then cover
+// the head cells directly.
 struct LRef {
-  Value* storage = nullptr;
+  Cell* cells = nullptr;
+  int stride = 1;
   Type type;
   std::array<std::uint16_t, 16> idx{};
   int n = 0;
+
+  // Number of result components.
+  [[nodiscard]] int size() const { return n < 0 ? -n : n; }
+  // Storage cell of result component k.
+  [[nodiscard]] Cell& cell(int k) const {
+    return cells[(n < 0 ? k : idx[static_cast<std::size_t>(k)]) * stride];
+  }
 };
 
 // Whole-variable reference.
-[[nodiscard]] LRef RefWhole(Value& storage, const Type& t);
+[[nodiscard]] LRef RefWhole(Cell* cells, int stride, const Type& t);
+[[nodiscard]] inline LRef RefWhole(Value& storage, const Type& t) {
+  return RefWhole(storage.data(), 1, t);
+}
 
 // Static metadata of an indexing step over a value of type `bt`:
 // element count limit, cells per element, and the element type.
@@ -111,67 +133,114 @@ void EvalExtractInto(const Value& base, const IndexStep& step, int i,
                      Value& out);
 
 // ---------------------------------------------------------------------------
-// Lane-batched (SoA) kernels
+// Lane-batched kernels over component planes
 // ---------------------------------------------------------------------------
 //
 // The batched VM executes a whole fragment batch through one instruction
-// stream; these kernels run one operation for every lane of the batch with
-// operand/shape/op dispatch hoisted OUT of the lane loop — the per-lane
-// generic path re-derives all of that per fragment. Each kernel performs,
-// per lane and in ascending lane order, exactly the AluModel operations the
-// scalar Eval*Into above would, so results and ALU/SFU op counts are
-// byte-identical to per-lane execution by construction (locked down by the
+// stream; these kernels run one operation for every lane in a mask with
+// operand, shape and op dispatch done once per instruction. They are plain
+// loops over components and lanes: op counts are charged once as
+// popcount(mask) x cells (integer sums, so order-free) and rounding is the
+// model's inline RoundSpec. Per lane, each kernel reads and writes cells in
+// the order the scalar Eval*Into above does and rounds every intermediate
+// the same way, so results and ALU/SFU counts are byte-identical to
+// per-lane scalar execution (locked down by tests/glsl_vm_test.cc and the
 // seeded differential fuzz harness, tests/glsl_vm_fuzz_test.cc).
 
-// Strided per-lane operand view: `base` points at lane 0's Value; `stride`
-// is 1 for per-lane storage planes (registers, lane-varying globals) and 0
-// for storage shared by every lane (constants, uniforms). Lane types are
-// identical across a plane, so shape decisions made on `base` hold for all.
-struct BatchSrc {
-  const Value* base = nullptr;
-  int stride = 0;
-  [[nodiscard]] const Value& at(int lane) const { return base[stride * lane]; }
-};
-struct BatchDst {
-  Value* base = nullptr;
-  int stride = 0;
-  [[nodiscard]] Value& at(int lane) const { return base[stride * lane]; }
-};
+// Component-plane operand view: component c of lane l sits at
+// base[c * comp_stride + l * lane_stride]. The batched VM's lane planes use
+// (kVmLanes, 1); storage shared by every lane (constants, uniforms, a
+// scalar engine's Value) uses (1, 0). `type` is the operand's static type,
+// the same for every lane.
+template <typename C>
+struct PlaneView {
+  C* base = nullptr;
+  int comp_stride = 1;
+  int lane_stride = 0;
+  Type type;
 
-// Calls f(lane) for each set bit of `mask`, ascending — the lane iteration
-// order every batch kernel (and the VM's per-lane replay) uses, so count
-// accumulation order matches a fragment-sequential scalar run.
+  [[nodiscard]] C& at(int comp, int lane) const {
+    return base[comp * comp_stride + lane * lane_stride];
+  }
+  [[nodiscard]] int count() const { return type.CellCount(); }
+  [[nodiscard]] BaseType scalar() const { return ScalarOf(type.base); }
+  // A writable view reads as a source view.
+  operator PlaneView<const Cell>() const requires(!std::is_const_v<C>) {
+    return {base, comp_stride, lane_stride, type};
+  }
+};
+using PlaneSrc = PlaneView<const Cell>;
+using PlaneDst = PlaneView<Cell>;
+
+// One-lane views of a scalar engine's Value.
+[[nodiscard]] inline PlaneSrc ValuePlane(const Value& v) {
+  return {v.data(), 1, 0, v.type()};
+}
+[[nodiscard]] inline PlaneDst ValuePlane(Value& v) {
+  return {v.data(), 1, 0, v.type()};
+}
+
+// Calls f(lane) for each set bit of `mask`, ascending. A mask of lanes
+// [0, n) — every lockstep batch — runs as a plain counted loop.
 template <typename F>
 void ForEachLane(std::uint32_t mask, F&& f) {
+  if ((mask & (mask + 1u)) == 0) {
+    const int n = std::popcount(mask);
+    for (int l = 0; l < n; ++l) f(l);
+    return;
+  }
   for (std::uint32_t m = mask; m != 0; m &= m - 1) {
     f(std::countr_zero(m));
   }
 }
 
-// Binary arithmetic / comparison over a lane batch. Dispatches once on
-// (op, operand shapes), then runs tight per-op lane loops mirroring
-// EvalArithInto case for case. Total: the linear-algebra multiplies
-// (mat*mat, mat*vec, vec*mat) replay EvalArithInto per lane inside the
-// loop; everything else (component-wise arithmetic with scalar broadcast,
-// comparisons, vector/matrix ==/!=) runs SoA.
-void EvalArithBatch(AluModel& alu, BinOp op, const BatchSrc& l,
-                    const BatchSrc& r, const BatchDst& out,
+// Calls f(comp, lane) for components [0, n) outer and the mask's lanes
+// inner: every lane sees its components in scalar order, which keeps
+// in-place compound ops (dst == lhs) exact.
+template <typename F>
+void ForEachCell(int n, std::uint32_t mask, F&& f) {
+  for (int c = 0; c < n; ++c) {
+    ForEachLane(mask, [&](int l) { f(c, l); });
+  }
+}
+
+// Copies source component `sc` into destination component `dc` for the
+// mask's lanes. A lane range [0, k) into a lane-plane destination moves the
+// component as one block (or fills it, from storage shared by every lane).
+inline void CopyLanes(const PlaneDst& d, int dc, const PlaneSrc& s, int sc,
+                      std::uint32_t mask) {
+  if ((mask & (mask + 1u)) == 0 && d.lane_stride == 1) {
+    const int lanes = std::popcount(mask);
+    Cell* o = &d.at(dc, 0);
+    const Cell* a = &s.at(sc, 0);
+    if (s.lane_stride != 0) {
+      std::copy_n(a, lanes, o);
+    } else {
+      std::fill_n(o, lanes, *a);
+    }
+    return;
+  }
+  ForEachLane(mask, [&](int l) { d.at(dc, l) = s.at(sc, l); });
+}
+
+// Binary arithmetic / comparison (EvalArithInto's cases: component-wise
+// arithmetic with scalar broadcast, relational and ==/!= comparisons, and
+// the linear-algebra multiplies, each lane accumulating in scalar order).
+void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
+                    const PlaneSrc& r, const PlaneDst& out,
                     std::uint32_t mask);
 
-// Component-wise negation / scalar logical not over a lane batch.
-void EvalNegBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
+// Component-wise negation / scalar logical not.
+void EvalNegBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
                   std::uint32_t mask);
-void EvalNotBatch(AluModel& alu, const BatchSrc& v, const BatchDst& out,
+void EvalNotBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
                   std::uint32_t mask);
 
-// Scalar/vector constructor over a lane batch (shape analysis hoisted; the
-// all-float gather — the common shader ctor — becomes a flat copy loop).
-// Matrix targets are NOT handled: the lowering tag (VmInst::soa) only
-// routes scalar/vector ctors here, and the VM replays matrix ctors per
-// lane through EvalCtorInto. Every lane's destination is fully cleared
-// first, matching the VM's fresh-value kCtor semantics.
-void EvalCtorBatch(AluModel& alu, std::span<const BatchSrc> args,
-                   const BatchDst& out, std::uint32_t mask);
+// Type constructor (EvalCtorInto's scalar, vector and matrix cases). Every
+// destination cell is written — cells no argument covers get the
+// fresh-value zero — so the result never depends on stale register bytes.
+void EvalCtorBatch(AluModel& alu, std::span<const PlaneSrc> args,
+                   const PlaneDst& out, std::uint32_t mask);
 
 }  // namespace mgpu::glsl
 

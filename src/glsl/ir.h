@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "glsl/evalcore.h"
 #include "glsl/shader.h"
 #include "glsl/type.h"
 #include "glsl/value.h"
@@ -83,13 +84,6 @@ struct VmInst {
   std::uint32_t b = kOperandNone;
   std::uint32_t aux = 0;  // jump target / arg-table start / limit / comps
   Type type;              // result/element type where the op needs one
-  // Set at lowering time (TagSoaEligibility in lower.cc); the batched
-  // executor dispatches kArith/kCtor/kBuiltin on it alone — no runtime type
-  // inspection:
-  //   0 — per-lane replay (linear-algebra multiplies, matrix constructors,
-  //       texture builtins);
-  //   1 — a whole-instruction SoA batch kernel covers this op.
-  std::uint8_t soa = 0;
 };
 
 [[nodiscard]] inline VmInst MakeInst(VmOp op) {
@@ -109,14 +103,6 @@ struct VmGlobal {
   std::string name;
   Type type;
 };
-
-// Maximum width of a fragment/kernel lane batch: RunBatch executes up to
-// this many invocations in lockstep through one instruction stream (paper
-// §II: a QPU shades 16-pixel groups through one program). Must fit a
-// std::uint32_t lane mask. The vertex stage fills whole kVmLanes batches;
-// the raster pipeline fills fragment batches to gles2::kFragBatchFill (16)
-// lanes. This constant bounds both and sizes the lane storage planes.
-inline constexpr int kVmLanes = 32;
 
 struct VmProgram {
   Stage stage = Stage::kFragment;

@@ -1081,61 +1081,6 @@ class Lowerer {
 };
 
 // ---------------------------------------------------------------------------
-// SoA-eligibility tagging for the batched executor.
-//
-// Marks every instruction a whole-instruction lane-batched kernel covers
-// (evalcore's EvalArithBatch/EvalCtorBatch, builtins' EvalBuiltinBatch), so
-// the VM's batch dispatch is a single flag test instead of re-deriving
-// operand shapes per instruction per batch. Operand types are static — the
-// register file and globals are typed at lowering time — which is what
-// makes this a lowering-time decision at all.
-void TagSoaEligibility(VmProgram& prog) {
-  const auto type_of = [&](std::uint32_t op) -> const Type& {
-    const std::uint32_t idx = op & kOperandIndexMask;
-    switch (op & ~kOperandIndexMask) {
-      case kSpaceReg: return prog.reg_types[idx];
-      case kSpaceGlobal: return prog.globals[idx].type;
-      default: return prog.consts[idx].type();
-    }
-  };
-  for (VmInst& in : prog.code) {
-    switch (in.op) {
-      case VmOp::kArith: {
-        const BinOp op = static_cast<BinOp>(in.u8);
-        if (op > BinOp::kNe) break;  // logical ops never lower to kArith
-        const BaseType lb = type_of(in.a).base;
-        const BaseType rb = type_of(in.b).base;
-        // Everything component-wise (incl. comparisons and matrix +-/ and
-        // matrix*scalar) runs SoA; only the linear-algebra multiplies
-        // replay per lane.
-        const bool linalg_mul =
-            op == BinOp::kMul &&
-            ((IsMatrix(lb) && (IsMatrix(rb) || IsVector(rb))) ||
-             (IsVector(lb) && IsMatrix(rb)));
-        in.soa = linalg_mul ? 0 : 1;
-        break;
-      }
-      case VmOp::kNeg:
-        in.soa = 1;  // EvalNegBatch covers every shape
-        break;
-      case VmOp::kCtor: {
-        const Type& dt = type_of(in.dst);
-        const BaseType target = dt.base;
-        in.soa = !dt.IsArray() && (IsScalar(target) || IsVector(target))
-                     ? 1
-                     : 0;
-        break;
-      }
-      case VmOp::kBuiltin:
-        in.soa = IsSoaBuiltin(static_cast<Builtin>(in.u8)) ? 1 : 0;
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Uniform-control-flow ("lane") analysis for the batched executor.
 //
 // Classifies every value as lane-invariant (identical in all lanes of a
@@ -1340,27 +1285,15 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
     }
   }
   // Opt-in classification log (MGPU_LANE_DEBUG=1): one line per lowered
-  // program, for inspecting why a shader runs lockstep vs masked and how
-  // much of it has whole-instruction SoA kernels.
+  // program, for inspecting why a shader runs lockstep vs masked.
   if (std::getenv("MGPU_LANE_DEBUG") != nullptr) {
     int nd = 0;
     for (const std::uint8_t b : prog.divergent_branch) nd += b;
-    int soa = 0;
-    int soa_eligible = 0;
-    for (const VmInst& in : prog.code) {
-      if (in.op != VmOp::kArith && in.op != VmOp::kNeg &&
-          in.op != VmOp::kCtor && in.op != VmOp::kBuiltin) {
-        continue;
-      }
-      ++soa_eligible;
-      if (in.soa != 0) ++soa;
-    }
     std::fprintf(stderr,
                  "lane-analysis: stage=%s uniform=%d divergent_branches=%d "
-                 "code=%zu soa_kernels=%d/%d\n",
+                 "code=%zu\n",
                  prog.stage == Stage::kVertex ? "vertex" : "fragment",
-                 prog.uniform_control_flow ? 1 : 0, nd, prog.code.size(),
-                 soa, soa_eligible);
+                 prog.uniform_control_flow ? 1 : 0, nd, prog.code.size());
   }
   prog.lane_global_index.assign(n_globals, -1);
   prog.lane_global_count = 0;
@@ -1377,9 +1310,7 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
 std::shared_ptr<const VmProgram> LowerToBytecode(const CompiledShader& cs) {
   std::shared_ptr<const VmProgram> prog = Lowerer(cs).Lower();
   // Safe cast: Lower() is the sole owner at this point; the const view is
-  // what escapes. Tagging runs first so the lane-analysis debug log can
-  // report SoA kernel coverage.
-  TagSoaEligibility(const_cast<VmProgram&>(*prog));
+  // what escapes.
   AnalyzeLaneBatching(const_cast<VmProgram&>(*prog), cs);
   return prog;
 }

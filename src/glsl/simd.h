@@ -1,5 +1,5 @@
 // Exists only so e2ebench's config line keeps building; the batched VM has
-// a single (scalar SoA) kernel tier.
+// a single kernel tier (the component-plane kernels).
 #ifndef MGPU_GLSL_SIMD_H_
 #define MGPU_GLSL_SIMD_H_
 

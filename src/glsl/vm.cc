@@ -1,5 +1,6 @@
 #include "glsl/vm.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -22,86 +23,49 @@ constexpr char kCallDepthMsg[] = "shader call depth exceeded";
 // Message of the kVmInstruction fault site (fires at a guarded step).
 constexpr char kInjectedTrapMsg[] = "injected fault: shader trap";
 
-// Lane iteration policies for the batched executors. LaneRange is the
-// lockstep case (all lanes [0, n) active); LaneMask iterates the set bits
-// of a divergence mask. Mask() feeds the whole-instruction SoA kernels
-// (evalcore/builtins), which take the lane set as a bitmask.
-struct LaneRange {
-  int n;
-  template <typename F>
-  void ForEach(F&& f) const {
-    for (int l = 0; l < n; ++l) f(l);
-  }
-  [[nodiscard]] std::uint32_t Mask() const {
-    return n >= 32 ? ~0u : (1u << static_cast<unsigned>(n)) - 1u;
-  }
-};
-struct LaneMask {
-  std::uint32_t bits;
-  // Forwards to evalcore's ForEachLane so there is exactly one definition
-  // of the (count-parity-load-bearing) lane iteration order.
-  template <typename F>
-  void ForEach(F&& f) const {
-    ForEachLane(bits, std::forward<F>(f));
-  }
-  [[nodiscard]] std::uint32_t Mask() const { return bits; }
-};
+}  // namespace
 
-// Resolved batch operand (evalcore's strided view): a base pointer plus a
-// lane stride — 1 for per-lane planes (registers, lane-varying globals), 0
-// for storage shared by every lane (constants, uniforms and other
-// lane-invariant globals). Keeping resolution out of the lane loop is the
-// point of batching: the scalar engine re-decodes operands once per
-// fragment per instruction.
-using LaneSrc = BatchSrc;
-using LaneDst = BatchDst;
-
-// The one place operands resolve to lane views — value ops and branch
-// conditions in both executors go through the same space dispatch, so the
-// encodings cannot drift apart. Built per executor entry from the engine's
-// storage base pointers (none of the vectors resize during execution).
-struct LaneViews {
-  Value* lane_regs;
-  Value* lane_globals;
+// The one place operands resolve to component-plane views — value ops and
+// branch conditions in both batched executors go through the same space
+// dispatch, so the encodings cannot drift apart. Built once per executor
+// entry from the engine's storage base pointers (none of the vectors
+// resize during execution). Registers and lane-varying globals resolve to
+// their arena planes (kVmLanes, 1); constants, uniforms and other
+// lane-invariant globals to their shared Value (1, 0). Keeping resolution
+// out of the lane loop is the point of batching: the scalar engine
+// re-decodes operands once per fragment per instruction.
+struct VmExec::LaneViews {
+  Cell* arena;
+  const std::uint32_t* reg_plane;
+  const std::uint32_t* global_plane;
+  const Type* reg_types;
+  const VmGlobal* global_decls;
   Value* globals;
   const Value* consts;
-  const std::int32_t* lane_global_index;
 
-  [[nodiscard]] LaneSrc Read(std::uint32_t operand) const {
-    const std::uint32_t idx = operand & kOperandIndexMask;
-    switch (operand & ~kOperandIndexMask) {
-      case kSpaceReg:
-        return {&lane_regs[static_cast<std::size_t>(idx) * kVmLanes], 1};
-      case kSpaceGlobal: {
-        const std::int32_t lg = lane_global_index[idx];
-        return lg >= 0
-                   ? LaneSrc{&lane_globals[static_cast<std::size_t>(lg) *
-                                           kVmLanes],
-                             1}
-                   : LaneSrc{&globals[idx], 0};
-      }
-      default:
-        return {&consts[idx], 0};
-    }
+  [[nodiscard]] PlaneDst Plane(std::uint32_t offset, const Type& t) const {
+    return {arena + static_cast<std::size_t>(offset) * kVmLanes, kVmLanes, 1,
+            t};
   }
-  // Destination view. A lane-invariant global destination (possible only
-  // when every lane would store the same value) resolves to stride 0 —
-  // last lane wins, identical to the scalar engine storing it once per
-  // fragment.
-  [[nodiscard]] LaneDst Dst(std::uint32_t operand) const {
+  // Destination view. A lane-invariant global destination resolves to its
+  // shared storage: every lane stores into it and the last lane wins,
+  // identical to the scalar engine storing it once per fragment.
+  [[nodiscard]] PlaneDst Dst(std::uint32_t operand) const {
     const std::uint32_t idx = operand & kOperandIndexMask;
     if ((operand & ~kOperandIndexMask) == kSpaceReg) {
-      return {&lane_regs[static_cast<std::size_t>(idx) * kVmLanes], 1};
+      return Plane(reg_plane[idx], reg_types[idx]);
     }
-    const std::int32_t lg = lane_global_index[idx];
-    return lg >= 0 ? LaneDst{&lane_globals[static_cast<std::size_t>(lg) *
-                                           kVmLanes],
-                             1}
-                   : LaneDst{&globals[idx], 0};
+    const std::uint32_t plane = global_plane[idx];
+    return plane != kNoPlane ? Plane(plane, global_decls[idx].type)
+                             : ValuePlane(globals[idx]);
+  }
+  [[nodiscard]] PlaneSrc Read(std::uint32_t operand) const {
+    if ((operand & ~kOperandIndexMask) == kSpaceConst) {
+      return ValuePlane(consts[operand & kOperandIndexMask]);
+    }
+    return Dst(operand);
   }
 };
-
-}  // namespace
 
 VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
     : prog_(std::move(program)), alu_(alu) {
@@ -141,8 +105,9 @@ void VmExec::SyncGlobalsFrom(const VmExec& base) {
     refs_.resize(prog_->ref_slot_count);
     // The per-lane planes were sized and typed for the old program.
     batch_ready_ = false;
-    lane_regs_.clear();
-    lane_globals_.clear();
+    arena_.clear();
+    reg_plane_.clear();
+    global_plane_.clear();
     lane_refs_.clear();
     return;
   }
@@ -345,27 +310,36 @@ bool VmExec::Execute(std::uint32_t pc) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched (SoA) execution
+// Lane-batched execution over component planes
 // ---------------------------------------------------------------------------
 
 void VmExec::EnsureBatchState() {
   if (batch_ready_) return;
-  const std::size_t n_regs = prog_->reg_types.size();
-  lane_regs_.clear();
-  lane_regs_.reserve(n_regs * kVmLanes);
-  for (const Type& t : prog_->reg_types) {
-    for (int l = 0; l < kVmLanes; ++l) lane_regs_.emplace_back(t);
+  std::uint32_t planes = 0;
+  reg_plane_.resize(prog_->reg_types.size());
+  for (std::size_t r = 0; r < reg_plane_.size(); ++r) {
+    reg_plane_[r] = planes;
+    planes += static_cast<std::uint32_t>(prog_->reg_types[r].CellCount());
   }
+  global_plane_.assign(prog_->globals.size(), kNoPlane);
+  for (std::size_t g = 0; g < global_plane_.size(); ++g) {
+    if (prog_->lane_global_index[g] < 0) continue;
+    global_plane_[g] = planes;
+    planes += static_cast<std::uint32_t>(prog_->globals[g].type.CellCount());
+  }
+  arena_.assign(static_cast<std::size_t>(planes) * kVmLanes, Cell{});
   // Per-lane globals start as copies of the shared store, which at this
   // point holds the const-init results and current uniforms. Globals the
   // run chunk re-initializes are overwritten per batch anyway; const tables
   // that user code may write keep their correct initial value per lane.
-  lane_globals_.clear();
-  lane_globals_.reserve(
-      static_cast<std::size_t>(prog_->lane_global_count) * kVmLanes);
-  for (std::size_t g = 0; g < prog_->globals.size(); ++g) {
-    if (prog_->lane_global_index[g] < 0) continue;
-    for (int l = 0; l < kVmLanes; ++l) lane_globals_.push_back(globals_[g]);
+  for (std::size_t g = 0; g < global_plane_.size(); ++g) {
+    if (global_plane_[g] == kNoPlane) continue;
+    const Value& v = globals_[g];
+    for (int c = 0; c < v.count(); ++c) {
+      std::fill_n(&arena_[(global_plane_[g] + static_cast<std::size_t>(c)) *
+                          kVmLanes],
+                  kVmLanes, v.data()[c]);
+    }
   }
   lane_refs_.assign(
       static_cast<std::size_t>(prog_->ref_slot_count) * kVmLanes, LRef{});
@@ -374,13 +348,16 @@ void VmExec::EnsureBatchState() {
   batch_ready_ = true;
 }
 
-Value& VmExec::LaneGlobalAt(int slot, int lane) {
+PlaneDst VmExec::LaneGlobal(int slot) {
   EnsureBatchState();
-  const std::int32_t lg =
-      prog_->lane_global_index[static_cast<std::size_t>(slot)];
-  return lg >= 0 ? lane_globals_[static_cast<std::size_t>(lg) * kVmLanes +
-                                 static_cast<std::size_t>(lane)]
-                 : globals_[static_cast<std::size_t>(slot)];
+  return Views().Dst(kSpaceGlobal | static_cast<std::uint32_t>(slot));
+}
+
+VmExec::LaneViews VmExec::Views() {
+  return {arena_.data(),           reg_plane_.data(),
+          global_plane_.data(),     prog_->reg_types.data(),
+          prog_->globals.data(),    globals_.data(),
+          prog_->consts.data()};
 }
 
 std::uint32_t VmExec::RunBatch(int n) {
@@ -390,180 +367,98 @@ std::uint32_t VmExec::RunBatch(int n) {
                                      : ExecuteBatchDivergent(n);
 }
 
-template <typename Lanes>
-void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
-  // Operand resolution, hoisted out of the lane loop.
-  const LaneViews views{lane_regs_.data(), lane_globals_.data(),
-                        globals_.data(), prog_->consts.data(),
-                        prog_->lane_global_index.data()};
-  const auto dst = [&views](std::uint32_t operand) { return views.Dst(operand); };
-  const auto read = [&views](std::uint32_t operand) {
-    return views.Read(operand);
-  };
+void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask,
+                         const LaneViews& views) {
   const auto ref_at = [this](std::uint32_t slot, int lane) -> LRef& {
     return lane_refs_[static_cast<std::size_t>(slot) * kVmLanes +
                       static_cast<std::size_t>(lane)];
   };
+  const auto args = [&](std::span<PlaneSrc> av) {
+    for (std::size_t i = 0; i < av.size(); ++i) {
+      av[i] = views.Read(prog_->arg_ops[in.aux + i]);
+    }
+    return std::span<const PlaneSrc>(av);
+  };
 
   switch (in.op) {
     case VmOp::kCopy: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc s = read(in.a);
-      const int cells = d.base->count();
-      lanes.ForEach([&](int l) {
-        Cell* dc = d.at(l).data();
-        const Cell* sc = s.at(l).data();
-        if (cells <= 4) {
-          for (int k = 0; k < cells; ++k) dc[k] = sc[k];
-        } else {
-          std::memmove(dc, sc, static_cast<std::size_t>(cells) * sizeof(Cell));
-        }
-      });
+      const PlaneDst d = views.Dst(in.dst);
+      const PlaneSrc s = views.Read(in.a);
+      for (int c = 0; c < d.count(); ++c) CopyLanes(d, c, s, c, mask);
       break;
     }
     case VmOp::kZero: {
-      const LaneDst d = dst(in.dst);
-      const int cells = d.base->count();
-      lanes.ForEach([&](int l) {
-        Cell* dc = d.at(l).data();
-        if (cells <= 4) {
-          for (int k = 0; k < cells; ++k) dc[k].i = 0;
-        } else {
-          std::memset(dc, 0, static_cast<std::size_t>(cells) * sizeof(Cell));
-        }
-      });
+      const PlaneDst d = views.Dst(in.dst);
+      const Cell zero{};
+      for (int c = 0; c < d.count(); ++c) {
+        CopyLanes(d, c, {&zero, 0, 0, d.type}, 0, mask);
+      }
       break;
     }
     case VmOp::kShuffle: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc s = read(in.a);
-      lanes.ForEach([&](int l) {
-        Cell* dc = d.at(l).data();
-        const Cell* sc = s.at(l).data();
-        for (int k = 0; k < in.n; ++k) {
-          dc[k] = sc[(in.aux >> (8 * k)) & 0xffu];
-        }
-      });
+      const PlaneDst d = views.Dst(in.dst);
+      const PlaneSrc s = views.Read(in.a);
+      for (int k = 0; k < in.n; ++k) {
+        CopyLanes(d, k, s, static_cast<int>((in.aux >> (8 * k)) & 0xffu),
+                  mask);
+      }
       break;
     }
     case VmOp::kExtract: {
-      IndexStep step;
-      step.limit = static_cast<int>(in.aux);
-      step.elem_cells = in.n;
-      const LaneDst d = dst(in.dst);
-      const LaneSrc a = read(in.a);
-      const LaneSrc b = read(in.b);
-      lanes.ForEach([&](int l) {
-        EvalExtractInto(a.at(l), step, b.at(l).I(0), d.at(l));
+      // a[clamp(b)], the index per lane.
+      const PlaneDst d = views.Dst(in.dst);
+      const PlaneSrc a = views.Read(in.a);
+      const PlaneSrc b = views.Read(in.b);
+      const int limit = static_cast<int>(in.aux);
+      ForEachLane(mask, [&](int l) {
+        const int i = std::min(std::max(b.at(0, l).i, 0), limit - 1);
+        for (int k = 0; k < in.n; ++k) d.at(k, l) = a.at(i * in.n + k, l);
       });
       break;
     }
-    case VmOp::kArith: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc a = read(in.a);
-      const LaneSrc b = read(in.b);
-      const BinOp op = static_cast<BinOp>(in.u8);
-      // SoA-tagged (lowering-time table lookup): one whole-instruction
-      // kernel call — shape/op dispatch once, then tight lane loops
-      // through the same AluModel entry points (and therefore the same
-      // counts and rounding) as a per-lane EvalArithInto sequence. The
-      // untagged remainder (linear-algebra multiplies) replays per lane.
-      if (in.soa != 0) {
-        EvalArithBatch(alu_, op, a, b, d, lanes.Mask());
-        break;
-      }
-      lanes.ForEach([&](int l) {
-        EvalArithInto(alu_, op, a.at(l), b.at(l), d.at(l));
-      });
+    case VmOp::kArith:
+      EvalArithBatch(alu_, static_cast<BinOp>(in.u8), views.Read(in.a),
+                     views.Read(in.b), views.Dst(in.dst), mask);
       break;
-    }
-    case VmOp::kNeg: {
-      EvalNegBatch(alu_, read(in.a), dst(in.dst), lanes.Mask());
+    case VmOp::kNeg:
+      EvalNegBatch(alu_, views.Read(in.a), views.Dst(in.dst), mask);
       break;
-    }
-    case VmOp::kNot: {
-      EvalNotBatch(alu_, read(in.a), dst(in.dst), lanes.Mask());
+    case VmOp::kNot:
+      EvalNotBatch(alu_, views.Read(in.a), views.Dst(in.dst), mask);
       break;
-    }
     case VmOp::kXor: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc a = read(in.a);
-      const LaneSrc b = read(in.b);
-      lanes.ForEach([&](int l) {
-        d.at(l).SetB(0, a.at(l).B(0) != b.at(l).B(0));
+      const PlaneDst d = views.Dst(in.dst);
+      const PlaneSrc a = views.Read(in.a);
+      const PlaneSrc b = views.Read(in.b);
+      ForEachLane(mask, [&](int l) {
+        d.at(0, l).i = (a.at(0, l).i != 0) != (b.at(0, l).i != 0) ? 1 : 0;
       });
       break;
     }
     case VmOp::kBoolNorm: {
-      const LaneDst d = dst(in.dst);
-      const LaneSrc a = read(in.a);
-      lanes.ForEach([&](int l) { d.at(l).SetB(0, a.at(l).B(0)); });
+      const PlaneDst d = views.Dst(in.dst);
+      const PlaneSrc a = views.Read(in.a);
+      ForEachLane(mask,
+                  [&](int l) { d.at(0, l).i = a.at(0, l).i != 0 ? 1 : 0; });
       break;
     }
     case VmOp::kCtor: {
-      const LaneDst d = dst(in.dst);
-      std::array<LaneSrc, 16> av;
-      for (int i = 0; i < in.n; ++i) {
-        av[static_cast<std::size_t>(i)] =
-            read(prog_->arg_ops[in.aux + static_cast<std::uint32_t>(i)]);
-      }
-      // SoA-tagged (scalar/vector targets): whole-instruction kernel with
-      // the shape analysis and the fresh-value clear hoisted per batch.
-      if (in.soa != 0) {
-        EvalCtorBatch(alu_, std::span<const LaneSrc>(av.data(), in.n), d,
-                      lanes.Mask());
-        break;
-      }
-      const int cells = d.base->count();
-      lanes.ForEach([&](int l) {
-        std::array<const Value*, 16> ptrs;
-        for (int i = 0; i < in.n; ++i) {
-          ptrs[static_cast<std::size_t>(i)] =
-              &av[static_cast<std::size_t>(i)].at(l);
-        }
-        Value& out = d.at(l);
-        std::memset(out.data(), 0,
-                    static_cast<std::size_t>(cells) * sizeof(Cell));
-        EvalCtorInto(alu_,
-                     std::span<const Value* const>(ptrs.data(), in.n), out);
-      });
+      std::array<PlaneSrc, 16> av;
+      EvalCtorBatch(alu_, args(std::span<PlaneSrc>(av.data(), in.n)),
+                    views.Dst(in.dst), mask);
       break;
     }
     case VmOp::kBuiltin: {
-      const LaneDst d = dst(in.dst);
-      std::array<LaneSrc, kMaxBuiltinArgs> av;
-      for (int i = 0; i < in.n; ++i) {
-        av[static_cast<std::size_t>(i)] =
-            read(prog_->arg_ops[in.aux + static_cast<std::uint32_t>(i)]);
-      }
-      // SoA-tagged (every non-texture builtin): one batch kernel call.
-      // Texture builtins stay per lane so batch_lane_ tracks the lane each
-      // TMU access belongs to — the gles2 context replays accesses in lane
-      // order, reproducing the scalar engine's fragment-sequential cache
-      // order (and tmu_miss counts) exactly.
-      if (in.soa != 0) {
-        EvalBuiltinBatch(static_cast<Builtin>(in.u8), in.type,
-                         std::span<const LaneSrc>(av.data(), in.n), alu_,
-                         texture_, d, lanes.Mask());
-        break;
-      }
-      lanes.ForEach([&](int l) {
-        batch_lane_ = l;  // lane-aware texture callbacks read this
-        std::array<const Value*, kMaxBuiltinArgs> ptrs;
-        for (int i = 0; i < in.n; ++i) {
-          ptrs[static_cast<std::size_t>(i)] =
-              &av[static_cast<std::size_t>(i)].at(l);
-        }
-        EvalBuiltinInto(static_cast<Builtin>(in.u8), in.type,
-                        std::span<const Value* const>(ptrs.data(), in.n),
-                        alu_, texture_, d.at(l));
-      });
+      std::array<PlaneSrc, kMaxBuiltinArgs> av;
+      EvalBuiltinBatch(static_cast<Builtin>(in.u8),
+                       args(std::span<PlaneSrc>(av.data(), in.n)), alu_,
+                       texture_, views.Dst(in.dst), mask);
       break;
     }
     case VmOp::kRefVar: {
-      const LaneDst v = dst(in.a);
-      lanes.ForEach([&](int l) {
-        ref_at(in.dst, l) = RefWhole(v.at(l), in.type);
+      const PlaneDst v = views.Dst(in.a);
+      ForEachLane(mask, [&](int l) {
+        ref_at(in.dst, l) = RefWhole(&v.at(0, l), v.comp_stride, in.type);
       });
       break;
     }
@@ -572,9 +467,9 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
       step.limit = static_cast<int>(in.aux);
       step.elem_cells = in.n;
       step.elem_type = in.type;
-      const LaneSrc b = read(in.b);
-      lanes.ForEach([&](int l) {
-        ref_at(in.dst, l) = RefIndex(ref_at(in.a, l), step, b.at(l).I(0));
+      const PlaneSrc b = views.Read(in.b);
+      ForEachLane(mask, [&](int l) {
+        ref_at(in.dst, l) = RefIndex(ref_at(in.a, l), step, b.at(0, l).i);
       });
       break;
     }
@@ -584,37 +479,64 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
         comps[static_cast<std::size_t>(k)] =
             static_cast<std::uint8_t>((in.aux >> (8 * k)) & 0xffu);
       }
-      lanes.ForEach([&](int l) {
+      ForEachLane(mask, [&](int l) {
         ref_at(in.dst, l) =
             RefSwizzle(ref_at(in.a, l), in.type, comps.data(), in.n);
       });
       break;
     }
     case VmOp::kReadRef: {
-      const LaneDst d = dst(in.dst);
-      lanes.ForEach([&](int l) { ReadRefInto(ref_at(in.a, l), d.at(l)); });
+      const PlaneDst d = views.Dst(in.dst);
+      ForEachLane(mask, [&](int l) {
+        const LRef& r = ref_at(in.a, l);
+        for (int k = 0; k < r.size(); ++k) d.at(k, l) = r.cell(k);
+      });
       break;
     }
     case VmOp::kWriteRef: {
-      const LaneSrc a = read(in.a);
-      lanes.ForEach([&](int l) { WriteRef(ref_at(in.dst, l), a.at(l)); });
+      const PlaneSrc a = views.Read(in.a);
+      ForEachLane(mask, [&](int l) {
+        const LRef& r = ref_at(in.dst, l);
+        for (int k = 0; k < r.size(); ++k) r.cell(k) = a.at(k, l);
+      });
       break;
     }
     case VmOp::kIncDec: {
-      const LaneDst d = dst(in.dst);
-      lanes.ForEach([&](int l) {
+      // Rare (++ on an indexed or swizzled l-value): each lane runs the
+      // scalar EvalIncDecInto through its ref into a scratch Value, which
+      // is scattered into the lane's destination plane.
+      const PlaneDst d = views.Dst(in.dst);
+      Value out(d.type);
+      ForEachLane(mask, [&](int l) {
         EvalIncDecInto(alu_, ref_at(in.a, l), (in.u8 & 1) != 0,
-                       (in.u8 & 2) != 0, d.at(l));
+                       (in.u8 & 2) != 0, out);
+        for (int k = 0; k < out.count(); ++k) d.at(k, l) = out.data()[k];
       });
       break;
     }
     case VmOp::kIncDecVar: {
-      const LaneDst v = dst(in.a);
-      const LaneDst d = dst(in.dst);
-      lanes.ForEach([&](int l) {
-        EvalIncDecVar(alu_, v.at(l), (in.u8 & 1) != 0, (in.u8 & 2) != 0,
-                      d.at(l));
-      });
+      // Whole-variable ++/-- (loop counters): EvalIncDecVar per cell.
+      const PlaneDst v = views.Dst(in.a);
+      const PlaneDst d = views.Dst(in.dst);
+      const bool post = (in.u8 & 2) != 0;
+      const int step = (in.u8 & 1) != 0 ? 1 : -1;
+      alu_.Count(std::popcount(mask) * v.count());
+      if (v.scalar() == BaseType::kFloat) {
+        const RoundSpec rs = alu_.round_spec();
+        ForEachCell(v.count(), mask, [&](int c, int l) {
+          const float old = v.at(c, l).f;
+          const float updated = rs(old + static_cast<float>(step));
+          v.at(c, l).f = updated;
+          d.at(c, l).f = post ? old : updated;
+        });
+      } else {
+        ForEachCell(v.count(), mask, [&](int c, int l) {
+          const std::int32_t old = v.at(c, l).i;
+          const std::int32_t updated = old + step;
+          v.at(c, l).i = updated;
+          d.at(c, l).i = post ? old : updated;
+        });
+      }
       break;
     }
     default:
@@ -624,9 +546,7 @@ void VmExec::ExecBatchOp(const VmInst& in, const Lanes& lanes) {
 
 std::uint32_t VmExec::ExecuteBatchUniform(int n) {
   const VmInst* const code = prog_->code.data();
-  const LaneViews views{lane_regs_.data(), lane_globals_.data(),
-                        globals_.data(), prog_->consts.data(),
-                        prog_->lane_global_index.data()};
+  const LaneViews views = Views();
   const std::uint32_t full =
       n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
   std::array<std::uint32_t, kMaxCallDepth + 1> ret_stack;
@@ -636,7 +556,6 @@ std::uint32_t VmExec::ExecuteBatchUniform(int n) {
   // trips at exactly the same guard as in a scalar run.
   loop_steps_ = 0;
   std::uint32_t pc = prog_->run_entry;
-  const LaneRange lanes{n};
 
   while (true) {
     const VmInst& in = code[pc];
@@ -649,7 +568,8 @@ std::uint32_t VmExec::ExecuteBatchUniform(int n) {
         // Uniform-control-flow programs: the analysis guarantees every
         // active lane holds the same condition value, so lane 0 decides
         // for the batch.
-        if (views.Read(in.a).at(0).B(0) == (in.op == VmOp::kJumpIfTrue)) {
+        if ((views.Read(in.a).at(0, 0).i != 0) ==
+            (in.op == VmOp::kJumpIfTrue)) {
           pc = in.aux;
           continue;
         }
@@ -683,7 +603,7 @@ std::uint32_t VmExec::ExecuteBatchUniform(int n) {
       case VmOp::kTrap:
         throw ShaderRuntimeError(prog_->messages[in.aux], /*trap_lane=*/0);
       default:
-        ExecBatchOp(in, lanes);
+        ExecBatchOp(in, full, views);
         break;
     }
     ++pc;
@@ -736,12 +656,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
   // under its own lane mask, and every lane performs exactly its scalar
   // instruction sequence — per-lane op counts and TMU access order stay
   // exact.
-  const LaneViews views{lane_regs_.data(), lane_globals_.data(),
-                        globals_.data(), prog_->consts.data(),
-                        prog_->lane_global_index.data()};
-  const auto cond_src = [&views](std::uint32_t operand) {
-    return views.Read(operand);
-  };
+  const LaneViews views = Views();
 
   bool converged = true;
   std::uint32_t pc = prog_->run_entry;
@@ -767,17 +682,17 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         const VmInst& in = code[pc];
         switch (in.op) {
           case VmOp::kJump:
-            LaneMask{mask}.ForEach([&](int l) {
+            ForEachLane(mask, [&](int l) {
               lane_pc_[static_cast<std::size_t>(l)] = in.aux;
             });
             continue;
           case VmOp::kJumpIfFalse:
           case VmOp::kJumpIfTrue: {
-            const LaneSrc cond = cond_src(in.a);
+            const PlaneSrc cond = views.Read(in.a);
             const bool jump_on = in.op == VmOp::kJumpIfTrue;
-            LaneMask{mask}.ForEach([&](int l) {
+            ForEachLane(mask, [&](int l) {
               lane_pc_[static_cast<std::size_t>(l)] =
-                  cond.at(l).B(0) == jump_on ? in.aux : pc + 1;
+                  (cond.at(0, l).i != 0) == jump_on ? in.aux : pc + 1;
             });
             continue;
           }
@@ -789,7 +704,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
               continue;
             }
             std::uint32_t over = 0;
-            LaneMask{mask}.ForEach([&](int l) {
+            ForEachLane(mask, [&](int l) {
               if (++lane_steps_[static_cast<std::size_t>(l)] > loop_budget_) {
                 over |= 1u << static_cast<unsigned>(l);
               }
@@ -803,7 +718,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
           }
           case VmOp::kCall: {
             std::uint32_t deep = 0;
-            LaneMask{mask}.ForEach([&](int l) {
+            ForEachLane(mask, [&](int l) {
               const std::size_t li = static_cast<std::size_t>(l);
               if (lane_sp_[li] > kMaxCallDepth) {
                 deep |= 1u << static_cast<unsigned>(l);
@@ -822,7 +737,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
             continue;
           }
           case VmOp::kRet:
-            LaneMask{mask}.ForEach([&](int l) {
+            ForEachLane(mask, [&](int l) {
               const std::size_t li = static_cast<std::size_t>(l);
               if (lane_sp_[li] == 0) {
                 // main returned: the lane is done (and not discarded).
@@ -847,11 +762,12 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
             kept &= ~mask;
             continue;
           default:
-            ExecBatchOp(in, LaneMask{mask});
+            ExecBatchOp(in, mask, views);
             break;
         }
-        LaneMask{mask}.ForEach(
-            [&](int l) { lane_pc_[static_cast<std::size_t>(l)] = pc + 1; });
+        ForEachLane(mask, [&](int l) {
+          lane_pc_[static_cast<std::size_t>(l)] = pc + 1;
+        });
         continue;
       }
     }
@@ -866,11 +782,11 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         continue;
       case VmOp::kJumpIfFalse:
       case VmOp::kJumpIfTrue: {
-        const LaneSrc cond = cond_src(in.a);
+        const PlaneSrc cond = views.Read(in.a);
         const bool jump_on = in.op == VmOp::kJumpIfTrue;
         std::uint32_t taken = 0;
-        LaneMask{running}.ForEach([&](int l) {
-          if (cond.at(l).B(0) == jump_on) {
+        ForEachLane(running, [&](int l) {
+          if ((cond.at(0, l).i != 0) == jump_on) {
             taken |= 1u << static_cast<unsigned>(l);
           }
         });
@@ -880,7 +796,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
           pc = in.aux;
         } else {
           // The batch splits here: spill per-lane pcs and go grouped.
-          LaneMask{running}.ForEach([&](int l) {
+          ForEachLane(running, [&](int l) {
             lane_pc_[static_cast<std::size_t>(l)] =
                 ((taken >> static_cast<unsigned>(l)) & 1u) != 0 ? in.aux
                                                                 : pc + 1;
@@ -900,7 +816,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         // (reconverged from unequal trip counts), so the budget is checked
         // per lane; survivors stay converged at the next pc.
         std::uint32_t over = 0;
-        LaneMask{running}.ForEach([&](int l) {
+        ForEachLane(running, [&](int l) {
           if (++lane_steps_[static_cast<std::size_t>(l)] > loop_budget_) {
             over |= 1u << static_cast<unsigned>(l);
           }
@@ -914,7 +830,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
       }
       case VmOp::kCall: {
         std::uint32_t deep = 0;
-        LaneMask{running}.ForEach([&](int l) {
+        ForEachLane(running, [&](int l) {
           const std::size_t li = static_cast<std::size_t>(l);
           if (lane_sp_[li] > kMaxCallDepth) {
             deep |= 1u << static_cast<unsigned>(l);
@@ -938,7 +854,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         std::uint32_t done = 0;
         std::uint32_t next = ~0u;
         bool same = true;
-        LaneMask{running}.ForEach([&](int l) {
+        ForEachLane(running, [&](int l) {
           const std::size_t li = static_cast<std::size_t>(l);
           if (lane_sp_[li] == 0) {
             done |= 1u << static_cast<unsigned>(l);
@@ -976,14 +892,7 @@ std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
         running = 0;
         continue;
       default:
-        // A full lane set iterates as a plain counted loop — cheaper than
-        // walking mask bits, and the common case until a discard punches
-        // holes into `running`.
-        if (running == full) {
-          ExecBatchOp(in, LaneRange{n});
-        } else {
-          ExecBatchOp(in, LaneMask{running});
-        }
+        ExecBatchOp(in, running, views);
         break;
     }
     ++pc;

@@ -47,7 +47,7 @@ class VmExec final : public ShaderEngine {
 
   bool Run() override;
 
-  // --- lane-batched (SoA) execution ---
+  // --- lane-batched execution over component planes ---
   // Executes the run chunk once for lanes [0, n), n <= kVmLanes, looping
   // lanes *inside* each instruction instead of instructions inside each
   // invocation: instruction fetch, dispatch and operand resolution are paid
@@ -70,23 +70,18 @@ class VmExec final : public ShaderEngine {
   // aborted the draw on first. In the divergent executor trapping lanes
   // park while surviving lanes run to completion before the throw.
   //
-  // Per-fragment inputs/outputs live in per-lane global planes accessed via
-  // LaneGlobalAt; uniforms and other lane-invariant globals stay in the
+  // Per-fragment inputs/outputs live in per-lane component planes accessed
+  // via LaneGlobal; uniforms and other lane-invariant globals stay in the
   // scalar store shared by all lanes (so per-draw uniform sync cost is
   // independent of the lane width).
   std::uint32_t RunBatch(int n);
 
-  // Per-lane view of global `slot`: the lane's plane entry when the global
-  // is lane-varying, the shared scalar storage otherwise (lane-invariant
-  // globals are never written per lane). Allocates the planes on first use.
-  [[nodiscard]] Value& LaneGlobalAt(int slot, int lane);
-
-  // Address of the lane index the batched executor is currently running.
-  // Lane-aware texture callbacks capture it so deferred TMU-cache
-  // accounting can attribute fetches to lanes; the gles2 context replays
-  // them in lane order after the batch, reproducing the scalar engine's
-  // fragment-sequential cache access order exactly.
-  [[nodiscard]] const int* CurrentLanePtr() const { return &batch_lane_; }
+  // Component-plane view of global `slot` for the batched executors: a
+  // lane-varying global's arena plane (component stride kVmLanes, lane
+  // stride 1), or the shared scalar storage (1, 0) of a lane-invariant
+  // global, which is never written per lane. Allocates the lane state on
+  // first use; the view stays valid until SyncGlobalsFrom switches program.
+  [[nodiscard]] PlaneDst LaneGlobal(int slot);
 
   [[nodiscard]] int GlobalSlot(const std::string& name) const override {
     return prog_->GlobalSlot(name);
@@ -112,14 +107,16 @@ class VmExec final : public ShaderEngine {
  private:
   bool Execute(std::uint32_t pc);
 
+  // Resolves operands to component-plane views (defined in vm.cc).
+  struct LaneViews;
+  [[nodiscard]] LaneViews Views();
   void EnsureBatchState();
   std::uint32_t ExecuteBatchUniform(int n);
   std::uint32_t ExecuteBatchDivergent(int n);
-  // Executes one non-control-flow instruction for the lanes `Lanes::ForEach`
-  // yields (a contiguous range for the lockstep executor, a bitmask for the
-  // divergent one), with operand resolution hoisted out of the lane loop.
-  template <typename Lanes>
-  void ExecBatchOp(const VmInst& in, const Lanes& lanes);
+  // Executes one non-control-flow instruction for the lanes in `mask`, with
+  // operand resolution hoisted out of the lane loop.
+  void ExecBatchOp(const VmInst& in, std::uint32_t mask,
+                   const LaneViews& views);
 
   [[nodiscard]] Value& At(std::uint32_t operand) {
     const std::uint32_t idx = operand & kOperandIndexMask;
@@ -144,14 +141,21 @@ class VmExec final : public ShaderEngine {
   std::uint64_t loop_steps_ = 0;
   std::uint64_t loop_budget_ = kDefaultLoopBudget;
 
-  // --- per-lane batch state, allocated lazily on the first RunBatch ---
-  // SoA planes: register r's lanes are contiguous at [r * kVmLanes, ...),
-  // likewise dense lane-varying global g and ref slot s.
+  // --- lane state of the batched executors, allocated lazily on the first
+  // RunBatch ---
+  // One arena of 32-bit cells laid out as component planes, one plane per
+  // component of every register and lane-varying global: component c of
+  // lane l of a value at plane offset o sits at arena_[(o + c) * kVmLanes +
+  // l]. reg_plane_/global_plane_ hold each value's offset (kNoPlane for a
+  // lane-invariant global, which lives in globals_ only).
+  static constexpr std::uint32_t kNoPlane = ~0u;
   bool batch_ready_ = false;
-  std::vector<Value> lane_regs_;
-  std::vector<Value> lane_globals_;
+  std::vector<Cell> arena_;
+  std::vector<std::uint32_t> reg_plane_;
+  std::vector<std::uint32_t> global_plane_;
+  // Per-lane l-value refs (slot s of lane l at s * kVmLanes + l), pointing
+  // into the arena with stride kVmLanes or into the shared store.
   std::vector<LRef> lane_refs_;
-  int batch_lane_ = 0;
   // Divergent-executor control state (members so batches allocate nothing):
   // per-lane pc / call stack / loop budget.
   std::array<std::uint32_t, kVmLanes> lane_pc_{};

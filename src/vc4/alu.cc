@@ -50,24 +50,4 @@ float Vc4Alu::Log2(float x) {
   return Round(exact + err);
 }
 
-float Vc4Alu::Recip(float x) {
-  CountSfu(1);
-  // SFU estimate + one Newton-Raphson step emitted by the compiler: ~1 ulp.
-  return Round(1.0f / x);
-}
-
-float Vc4Alu::RecipSqrt(float x) {
-  CountSfu(1);
-  return Round(1.0f / std::sqrt(x));
-}
-
-float Vc4Alu::Round(float x) {
-  if (profile_.flush_denormals && x != 0.0f &&
-      std::fabs(x) < 1.17549435e-38f) {
-    return x < 0.0f ? -0.0f : 0.0f;
-  }
-  if (profile_.alu_mantissa_bits >= 23) return x;
-  return mgpu::RoundToMantissaBits(x, profile_.alu_mantissa_bits);
-}
-
 }  // namespace mgpu::vc4

@@ -1,10 +1,10 @@
 // The VideoCore-class ALU model: IEEE fp32 add/mul pipes, denormal flush,
 // and a special function unit whose EXP2/LOG2 deliver only ~16 good bits —
 // the mechanistic source of the paper's float-precision result (§V).
-// RECIP/RECIPSQRT are modeled near-exact because the shader compiler emits a
-// Newton-Raphson refinement step for them (as the real VC4 driver does),
-// which is also why the paper's *integer* path stays exact: its byte
-// decomposition uses division but never exp2/log2.
+// RECIP/RECIPSQRT are modeled near-exact (AluModel's rounded 1/x) because
+// the shader compiler emits a Newton-Raphson refinement step for them (as
+// the real VC4 driver does), which is also why the paper's *integer* path
+// stays exact: its byte decomposition uses division but never exp2/log2.
 #ifndef MGPU_VC4_ALU_H_
 #define MGPU_VC4_ALU_H_
 
@@ -16,17 +16,11 @@ namespace mgpu::vc4 {
 class Vc4Alu final : public glsl::AluModel {
  public:
   explicit Vc4Alu(const GpuProfile& profile) : profile_(profile) {
-    // Round() is the identity exactly when the profile keeps full fp32
-    // mantissas and does not flush denormals (e.g. the IeeeExact profile).
-    SetRoundIdentity(!profile_.flush_denormals &&
-                     profile_.alu_mantissa_bits >= 23);
+    SetRoundSpec({profile_.flush_denormals, profile_.alu_mantissa_bits});
   }
 
   float Exp2(float x) override;
   float Log2(float x) override;
-  float Recip(float x) override;
-  float RecipSqrt(float x) override;
-  float Round(float x) override;
 
   // Precision behaviour is pure (a deterministic function of the inputs and
   // the profile), so a fork with fresh counters is exactly equivalent — and

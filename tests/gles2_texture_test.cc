@@ -210,6 +210,65 @@ TEST(TextureTest, WrapModes) {
                   t.Sample(0.75f, 0.5f, 0.0f)[0]);
 }
 
+// Shader-controlled coordinates far outside the texture: s * width past the
+// int range, infinities and NaN address a defined texel under every wrap
+// mode (the texel index is derived before any float-to-int conversion).
+TEST(TextureTest, CoordinatesOutsideIntRangeAreDefined) {
+  // 4x4 texture; texel (x, y) has red = 10 + 50x.
+  std::vector<std::uint8_t> px;
+  for (int y = 0; y < 4; ++y) {
+    for (int x = 0; x < 4; ++x) {
+      px.insert(px.end(), {static_cast<std::uint8_t>(10 + 50 * x),
+                           static_cast<std::uint8_t>(10 + 50 * y), 0, 255});
+    }
+  }
+  const auto red = [](int x) {
+    return static_cast<float>(10 + 50 * x) / 255.0f;
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const int row = 2 * 4;  // t = 0.5 addresses row 2
+  for (const GLenum wrap : {GL_CLAMP_TO_EDGE, GL_REPEAT, GL_MIRRORED_REPEAT}) {
+    SCOPED_TRACE(wrap);
+    Texture t = MakeRgba(4, 4, px);
+    ASSERT_EQ(t.SetParameter(GL_TEXTURE_WRAP_S, static_cast<GLint>(wrap)),
+              GL_NO_ERROR);
+    // In range, for reference: s * 4 = 6 clamps to 3, repeats to 2 and
+    // mirrors to 1.
+    const int in_range = wrap == GL_CLAMP_TO_EDGE ? 3
+                         : wrap == GL_REPEAT      ? 2
+                                                  : 1;
+    EXPECT_EQ(t.NearestTexelIndex(1.5f, 0.5f), row + in_range);
+    // Far positive: the right edge under CLAMP_TO_EDGE. Under the repeating
+    // modes s * 4 is a multiple of the period there (every float past 2^31
+    // is a multiple of 256), and +inf takes that limit: texel 0.
+    const int right = wrap == GL_CLAMP_TO_EDGE ? 3 : 0;
+    for (const float s : {1e9f, 1e30f, inf}) {
+      SCOPED_TRACE(s);
+      EXPECT_EQ(t.NearestTexelIndex(s, 0.5f), row + right);
+      EXPECT_FLOAT_EQ(t.Sample(s, 0.5f, 0.0f)[0], red(right));
+    }
+    // Far negative: the left edge under every mode.
+    for (const float s : {-1e30f, -inf}) {
+      SCOPED_TRACE(s);
+      EXPECT_EQ(t.NearestTexelIndex(s, 0.5f), row);
+      EXPECT_FLOAT_EQ(t.Sample(s, 0.5f, 0.0f)[0], red(0));
+    }
+    // NaN addresses texel 0 of its axis.
+    EXPECT_EQ(t.NearestTexelIndex(nan, 0.5f), row);
+    EXPECT_EQ(t.NearestTexelIndex(0.5f, nan), 2);
+    EXPECT_FLOAT_EQ(t.Sample(nan, 0.5f, 0.0f)[0], red(0));
+
+    // Bilinear: a non-finite coordinate samples its corner texel (no NaN
+    // blend weight); huge finite ones blend nothing past the edge.
+    ASSERT_EQ(t.SetParameter(GL_TEXTURE_MAG_FILTER, GL_LINEAR), GL_NO_ERROR);
+    EXPECT_FLOAT_EQ(t.Sample(inf, 0.5f, 0.0f)[0], red(right));
+    EXPECT_FLOAT_EQ(t.Sample(1e30f, 0.5f, 0.0f)[0], red(right));
+    EXPECT_FLOAT_EQ(t.Sample(-inf, 0.5f, 0.0f)[0], red(0));
+    EXPECT_FLOAT_EQ(t.Sample(nan, 0.5f, 0.0f)[0], red(0));
+  }
+}
+
 TEST(TextureTest, BilinearInterpolatesMidpoint) {
   std::vector<std::uint8_t> px = {0, 0, 0, 255, 200, 0, 0, 255};
   Texture t = MakeRgba(2, 1, px);

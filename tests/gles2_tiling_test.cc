@@ -251,6 +251,85 @@ void main() { gl_FragColor = texture2D(u_tex, v_uv * 0.9 + 0.05); }
   testutil::DrawFullscreenQuad(ctx, prog);
 }
 
+// Texture state the per-draw sampler table resolves: two complete units (a
+// POT texture with REPEAT/MIRRORED_REPEAT wrapping and LINEAR
+// magnification, and an NPOT clamped NEAREST one sampled with a bias), an
+// incomplete texture (default mipmapped min filter), a sampler on a unit
+// with nothing bound, and a texture re-specified between two blended draws.
+void ScenarioTexturedMultiUnit(Context& ctx) {
+  const auto make_image = [](int w, int h, int salt) {
+    std::vector<std::uint8_t> img(static_cast<std::size_t>(w * h * 4));
+    for (std::size_t i = 0; i < img.size(); ++i) {
+      img[i] = static_cast<std::uint8_t>(
+          (i * 29 + static_cast<std::size_t>(salt)) & 0xff);
+    }
+    return img;
+  };
+  GLuint tex[3] = {};
+  ctx.GenTextures(3, tex);
+  // Unit 0: POT, repeating wrap modes, bilinear magnification.
+  ctx.ActiveTexture(GL_TEXTURE0);
+  ctx.BindTexture(GL_TEXTURE_2D, tex[0]);
+  const std::vector<std::uint8_t> pot = make_image(16, 8, 3);
+  ctx.TexImage2D(GL_TEXTURE_2D, 0, GL_RGBA, 16, 8, 0, GL_RGBA,
+                 GL_UNSIGNED_BYTE, pot.data());
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MIN_FILTER, GL_NEAREST);
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MAG_FILTER, GL_LINEAR);
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_WRAP_S, GL_REPEAT);
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_WRAP_T, GL_MIRRORED_REPEAT);
+  // Unit 1: incomplete — the default min filter wants mipmaps.
+  ctx.ActiveTexture(GL_TEXTURE0 + 1);
+  ctx.BindTexture(GL_TEXTURE_2D, tex[1]);
+  const std::vector<std::uint8_t> inc = make_image(8, 8, 101);
+  ctx.TexImage2D(GL_TEXTURE_2D, 0, GL_RGBA, 8, 8, 0, GL_RGBA,
+                 GL_UNSIGNED_BYTE, inc.data());
+  // Unit 2: NPOT, clamped, nearest; re-specified before the second draw.
+  ctx.ActiveTexture(GL_TEXTURE0 + 2);
+  ctx.BindTexture(GL_TEXTURE_2D, tex[2]);
+  const std::vector<std::uint8_t> npot = make_image(21, 13, 57);
+  ctx.TexImage2D(GL_TEXTURE_2D, 0, GL_RGBA, 21, 13, 0, GL_RGBA,
+                 GL_UNSIGNED_BYTE, npot.data());
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MIN_FILTER, GL_NEAREST);
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MAG_FILTER, GL_NEAREST);
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_WRAP_S, GL_CLAMP_TO_EDGE);
+  ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_WRAP_T, GL_CLAMP_TO_EDGE);
+  const GLuint prog = testutil::BuildProgramOrDie(
+      ctx, testutil::kPassthroughVs,
+      R"(
+precision highp float;
+varying vec2 v_uv;
+uniform sampler2D u_pot;
+uniform sampler2D u_incomplete;
+uniform sampler2D u_npot;
+uniform sampler2D u_unbound;
+void main() {
+  vec4 a = texture2D(u_pot, v_uv * 3.7 - vec2(1.3, 0.6));
+  vec4 b = texture2D(u_incomplete, v_uv);
+  vec4 c = texture2D(u_npot, v_uv.yx, 0.5);
+  vec4 d = texture2D(u_unbound, v_uv + 0.25);
+  gl_FragColor = vec4(a.rgb * 0.5 + c.gbr * 0.25 + b.rgb * 0.125 +
+                      d.rgb * 0.125, 0.5 + a.a * 0.25);
+}
+)");
+  ctx.UseProgram(prog);
+  ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_pot"), 0);
+  ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_incomplete"), 1);
+  ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_npot"), 2);
+  ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_unbound"), 5);
+  ctx.Clear(GL_COLOR_BUFFER_BIT);
+  testutil::DrawFullscreenQuad(ctx, prog);
+  // Re-specify unit 2 with new size and contents, then blend a second draw
+  // over the first: its samples must see the new texture.
+  const std::vector<std::uint8_t> respec = make_image(5, 19, 211);
+  ctx.TexImage2D(GL_TEXTURE_2D, 0, GL_RGBA, 5, 19, 0, GL_RGBA,
+                 GL_UNSIGNED_BYTE, respec.data());
+  ctx.Enable(GL_BLEND);
+  ctx.BlendFunc(GL_SRC_ALPHA, GL_ONE_MINUS_SRC_ALPHA);
+  testutil::DrawFullscreenQuad(ctx, prog);
+  ctx.Disable(GL_BLEND);
+  ctx.ActiveTexture(GL_TEXTURE0);
+}
+
 void ScenarioDepthBlend(Context& ctx) {
   const GLuint prog = testutil::BuildProgramOrDie(
       ctx,
@@ -340,6 +419,7 @@ void main() { gl_FragColor = vec4(v_uv, gl_PointCoord.x, 1.0); }
 constexpr Scenario kScenarios[] = {
     {"quad_math", ScenarioQuadMath},
     {"textured", ScenarioTextured},
+    {"textured_multi_unit", ScenarioTexturedMultiUnit},
     {"depth_blend", ScenarioDepthBlend},
     {"discard", ScenarioDiscard},
     {"points_and_lines", ScenarioPointsAndLines},

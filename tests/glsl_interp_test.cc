@@ -14,6 +14,7 @@ namespace mgpu::glsl {
 namespace {
 
 using testutil::MustCompile;
+using testutil::PerTexel;
 using testutil::RunFragment;
 using testutil::RunFragmentSource;
 
@@ -324,12 +325,12 @@ TEST(InterpTest, TextureFetchGoesThroughCallback) {
   exec.GlobalAt(exec.GlobalSlot("u_tex")).SetI(0, 3);
   int seen_unit = -1;
   float seen_s = -1.0f, seen_t = -1.0f;
-  exec.SetTextureFn([&](int unit, float s, float t, float) {
+  exec.SetTextureFn(PerTexel([&](int unit, float s, float t, float) {
     seen_unit = unit;
     seen_s = s;
     seen_t = t;
     return std::array<float, 4>{0.1f, 0.2f, 0.3f, 0.4f};
-  });
+  }));
   ASSERT_TRUE(exec.Run());
   EXPECT_EQ(seen_unit, 3);
   EXPECT_FLOAT_EQ(seen_s, 0.25f);

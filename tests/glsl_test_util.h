@@ -3,10 +3,12 @@
 #define MGPU_TESTS_GLSL_TEST_UTIL_H_
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "glsl/alu.h"
+#include "glsl/builtins.h"
 #include "glsl/compile.h"
 #include "glsl/interp.h"
 
@@ -64,6 +66,25 @@ inline std::array<float, 4> RunFragmentSource(const std::string& src,
   EXPECT_TRUE(exec.Run());
   const Value& v = exec.GlobalAt(exec.GlobalSlot("gl_FragColor"));
   return {v.F(0), v.F(1), v.F(2), v.F(3)};
+}
+
+// Adapts a per-texel callback (unit, s, t, lod) -> RGBA into a batched
+// TextureFn that serves each lane of a fetch in turn. The callback stays
+// behind a std::function so one-lane and batched fetches run the same
+// machine code for it: inlined into the lane loop it could be vectorized,
+// and when both operands of, say, `s + t` are NaN, which payload survives
+// depends on the operand order the compiler picks for each copy.
+using TexelCallback =
+    std::function<std::array<float, 4>(int unit, float s, float t, float lod)>;
+inline TextureFn PerTexel(TexelCallback texel) {
+  return [texel = std::move(texel)](TexelFetch& fetch) {
+    ForEachLane(fetch.mask, [&](int l) {
+      const std::size_t li = static_cast<std::size_t>(l);
+      const std::array<float, 4> rgba =
+          texel(fetch.unit[li], fetch.s[li], fetch.t[li], fetch.lod[li]);
+      for (std::size_t c = 0; c < 4; ++c) fetch.rgba[c][li] = rgba[c];
+    });
+  };
 }
 
 }  // namespace mgpu::glsl::testutil

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "glsl/interp.h"
 #include "glsl/ir.h"
 #include "glsl/vm.h"
+#include "glsl_test_util.h"
 #include "vc4/alu.h"
 #include "vc4/profiles.h"
 
@@ -847,22 +849,48 @@ void SetUniforms(Engine& e) {
   if (const int s = e.GlobalSlot("u_tex"); s >= 0) {
     e.GlobalAt(s).SetI(0, 2);
   }
-  e.SetTextureFn([](int unit, float s, float t, float lod) {
-    return std::array<float, 4>{s * 0.5f + static_cast<float>(unit) * 0.125f,
-                                t * 0.25f, s + t, lod + 0.75f};
-  });
+  e.SetTextureFn(
+      testutil::PerTexel([](int unit, float s, float t, float lod) {
+        return std::array<float, 4>{
+            s * 0.5f + static_cast<float>(unit) * 0.125f, t * 0.25f, s + t,
+            lod + 0.75f};
+      }));
 }
 
 // Runs one generated program through all the engines; any mismatch is a
 // test failure tagged with the seed. Vertex-stage programs run the
 // identical sweep with gl_Position as the compared output (no lane ever
 // discards).
-void RunFuzzCase(std::uint64_t seed, bool vc4_alu, Stage stage) {
+// ALU models of the seeded-program sweep: IEEE-exact, the VideoCore IV
+// (denormal flush, 23-bit mantissa) and the Mali-400 (denormal flush,
+// 10-bit mantissa — RoundSpec's mantissa-rounding branch).
+enum class FuzzAlu { kExact, kVc4, kMali400 };
+
+const char* FuzzAluName(FuzzAlu kind) {
+  switch (kind) {
+    case FuzzAlu::kVc4: return "vc4";
+    case FuzzAlu::kMali400: return "mali400";
+    default: return "exact";
+  }
+}
+
+std::unique_ptr<AluModel> MakeFuzzAlu(FuzzAlu kind) {
+  switch (kind) {
+    case FuzzAlu::kVc4:
+      return std::make_unique<vc4::Vc4Alu>(vc4::VideoCoreIV());
+    case FuzzAlu::kMali400:
+      return std::make_unique<vc4::Vc4Alu>(vc4::Mali400());
+    default:
+      return std::make_unique<ExactAlu>();
+  }
+}
+
+void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
   GlslFuzzer gen(seed, stage);
   const std::string src = gen.Generate();
   SCOPED_TRACE(StrFormat("seed=%llu alu=%s stage=%s",
                          static_cast<unsigned long long>(seed),
-                         vc4_alu ? "vc4" : "exact",
+                         FuzzAluName(kind),
                          stage == Stage::kVertex ? "vertex" : "fragment"));
 
   CompileResult cr = CompileGlsl(src, stage);
@@ -870,12 +898,12 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, Stage stage) {
                      << "):\n" << cr.info_log << "\nsource:\n" << src;
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
 
-  const vc4::GpuProfile profile = vc4::VideoCoreIV();
-  ExactAlu exact_t, exact_s, exact_b;
-  vc4::Vc4Alu vc4_t(profile), vc4_s(profile), vc4_b(profile);
-  AluModel& alu_t = vc4_alu ? static_cast<AluModel&>(vc4_t) : exact_t;
-  AluModel& alu_s = vc4_alu ? static_cast<AluModel&>(vc4_s) : exact_s;
-  AluModel& alu_b = vc4_alu ? static_cast<AluModel&>(vc4_b) : exact_b;
+  const std::unique_ptr<AluModel> alu_t_owned = MakeFuzzAlu(kind);
+  const std::unique_ptr<AluModel> alu_s_owned = MakeFuzzAlu(kind);
+  const std::unique_ptr<AluModel> alu_b_owned = MakeFuzzAlu(kind);
+  AluModel& alu_t = *alu_t_owned;
+  AluModel& alu_s = *alu_s_owned;
+  AluModel& alu_b = *alu_b_owned;
 
   ShaderExec tree(*cr.shader, alu_t);
   VmExec scalar(prog, alu_s);
@@ -949,11 +977,11 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, Stage stage) {
     for (int n = 1; n <= kVmLanes; ++n) {
       SCOPED_TRACE(StrFormat("%s tail=%d", what, n));
       alu_e.ResetCounts();
+      const PlaneDst in = eng.LaneGlobal(in_slot);
       for (int l = 0; l < n; ++l) {
-        Value& v = eng.LaneGlobalAt(in_slot, l);
         for (int k = 0; k < 4; ++k) {
-          v.SetF(k, lane_in[static_cast<std::size_t>(l)]
-                           [static_cast<std::size_t>(k)]);
+          in.at(k, l).f = lane_in[static_cast<std::size_t>(l)]
+                                 [static_cast<std::size_t>(k)];
         }
       }
       std::uint32_t kept = 0;
@@ -967,14 +995,14 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, Stage stage) {
       for (int l = 0; l < n; ++l) {
         want += ref[static_cast<std::size_t>(l)].delta;
       }
+      const PlaneDst color = eng.LaneGlobal(color_slot);
       for (int l = 0; l < n; ++l) {
         const LaneRef& r = ref[static_cast<std::size_t>(l)];
         EXPECT_EQ(((kept >> static_cast<unsigned>(l)) & 1u) != 0, r.kept)
             << "lane " << l << " discard (" << what << ")";
         if (!r.kept) continue;
-        const Value& cv = eng.LaneGlobalAt(color_slot, l);
         for (int k = 0; k < 4; ++k) {
-          EXPECT_EQ(FloatToBits(cv.F(k)),
+          EXPECT_EQ(FloatToBits(color.at(k, l).f),
                     r.color[static_cast<std::size_t>(k)])
               << "lane " << l << " comp " << k << " (" << what << ")";
         }
@@ -985,10 +1013,10 @@ void RunFuzzCase(std::uint64_t seed, bool vc4_alu, Stage stage) {
   check_tails(batch, alu_b, "batch vs vm");
 }
 
-void RunFuzzSweep(bool vc4_alu, Stage stage, std::uint64_t seed_base) {
+void RunFuzzSweep(FuzzAlu kind, Stage stage, std::uint64_t seed_base) {
   for (int i = 0; i < g_fuzz_iters; ++i) {
     const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(i);
-    RunFuzzCase(seed, vc4_alu, stage);
+    RunFuzzCase(seed, kind, stage);
     if (::testing::Test::HasFailure()) {
       // Stop at the first failing seed and log everything needed to
       // reproduce it: the seed drives both the program generator and the
@@ -998,7 +1026,7 @@ void RunFuzzSweep(bool vc4_alu, Stage stage, std::uint64_t seed_base) {
                    "[fuzz] FAILURE seed=%llu (%s alu, %s stage) — "
                    "source:\n%s\n",
                    static_cast<unsigned long long>(seed),
-                   vc4_alu ? "vc4" : "exact",
+                   FuzzAluName(kind),
                    stage == Stage::kVertex ? "vertex" : "fragment",
                    gen.Generate().c_str());
       FAIL() << "fuzz differential failed at seed " << seed
@@ -1011,22 +1039,26 @@ constexpr std::uint64_t kFragSeedBase = 20260727;
 constexpr std::uint64_t kVertSeedBase = 20260815;
 
 TEST(VmFuzzDifferentialTest, SeededProgramsExactAlu) {
-  RunFuzzSweep(/*vc4_alu=*/false, Stage::kFragment, kFragSeedBase);
+  RunFuzzSweep(FuzzAlu::kExact, Stage::kFragment, kFragSeedBase);
 }
 
 TEST(VmFuzzDifferentialTest, SeededProgramsVc4Alu) {
-  RunFuzzSweep(/*vc4_alu=*/true, Stage::kFragment, kFragSeedBase);
+  RunFuzzSweep(FuzzAlu::kVc4, Stage::kFragment, kFragSeedBase);
+}
+
+TEST(VmFuzzDifferentialTest, SeededProgramsMali400Alu) {
+  RunFuzzSweep(FuzzAlu::kMali400, Stage::kFragment, kFragSeedBase);
 }
 
 // The vertex corpus through the same three-engine, every-tail sweep: this is
 // the VM-level half of the vertex-batching lockdown (the whole-draw corpus
 // below covers the gles2 gather/scatter plumbing around it).
 TEST(VmFuzzDifferentialTest, SeededVertexProgramsExactAlu) {
-  RunFuzzSweep(/*vc4_alu=*/false, Stage::kVertex, kVertSeedBase);
+  RunFuzzSweep(FuzzAlu::kExact, Stage::kVertex, kVertSeedBase);
 }
 
 TEST(VmFuzzDifferentialTest, SeededVertexProgramsVc4Alu) {
-  RunFuzzSweep(/*vc4_alu=*/true, Stage::kVertex, kVertSeedBase);
+  RunFuzzSweep(FuzzAlu::kVc4, Stage::kVertex, kVertSeedBase);
 }
 
 // ---------------------------------------------------------------------------
@@ -1238,11 +1270,11 @@ void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, int* trap_lanes,
           break;
         }
       }
+      const PlaneDst in = eng.LaneGlobal(in_slot);
       for (int l = 0; l < n; ++l) {
-        Value& v = eng.LaneGlobalAt(in_slot, l);
         for (int k = 0; k < 4; ++k) {
-          v.SetF(k, lane_in[static_cast<std::size_t>(l)]
-                           [static_cast<std::size_t>(k)]);
+          in.at(k, l).f = lane_in[static_cast<std::size_t>(l)]
+                                 [static_cast<std::size_t>(k)];
         }
       }
       alu_e.ResetCounts();
@@ -1256,14 +1288,14 @@ void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, int* trap_lanes,
         for (int l = 0; l < n; ++l) {
           want += ref[static_cast<std::size_t>(l)].delta;
         }
+        const PlaneDst color = eng.LaneGlobal(color_slot);
         for (int l = 0; l < n; ++l) {
           const TrapLaneRef& r = ref[static_cast<std::size_t>(l)];
           EXPECT_EQ(((kept >> static_cast<unsigned>(l)) & 1u) != 0, r.kept)
               << "lane " << l << " discard (" << what << ")";
           if (!r.kept) continue;
-          const Value& cv = eng.LaneGlobalAt(color_slot, l);
           for (int k = 0; k < 4; ++k) {
-            EXPECT_EQ(FloatToBits(cv.F(k)),
+            EXPECT_EQ(FloatToBits(color.at(k, l).f),
                       r.color[static_cast<std::size_t>(k)])
                 << "lane " << l << " comp " << k << " (" << what << ")";
           }

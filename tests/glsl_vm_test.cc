@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,10 +74,12 @@ EngineRun RunEngine(Engine& exec, AluModel& alu, const Case& c) {
     }
   }
   if (c.with_texture) {
-    exec.SetTextureFn([](int unit, float s, float t, float lod) {
-      return std::array<float, 4>{s * 0.5f + static_cast<float>(unit) * 0.125f,
-                                  t * 0.25f, s + t, lod + 0.75f};
-    });
+    exec.SetTextureFn(
+        testutil::PerTexel([](int unit, float s, float t, float lod) {
+          return std::array<float, 4>{
+              s * 0.5f + static_cast<float>(unit) * 0.125f, t * 0.25f, s + t,
+              lod + 0.75f};
+        }));
   }
   alu.ResetCounts();
   r.kept = exec.Run();
@@ -879,6 +882,44 @@ void main() {
   gl_FragColor = mn + vec4(step(0.5, d)) * 0.125 - a * 0.5;
 })",
        /*expect_uniform_flow=*/true});
+  // --- products below FLT_MIN (flushed under the VC4/Mali models) and
+  // values whose mantissas round at reduced precision, through arithmetic,
+  // negation, constructors, a matrix product and rounding builtins ------
+  cases.push_back(
+      {"denormal_flush_and_mediump",
+       R"(precision highp float;
+varying vec4 v_in;
+void main() {
+  vec4 tiny = v_in * 1.0e-20 + vec4(1.0e-25);
+  vec4 sub = tiny * vec4(1.0e-19, 3.0e-19, 1.0e-18, 7.0e-20);
+  vec4 neg = -sub;
+  vec4 r = v_in * 1.2345678 + vec4(0.3333333, 1.0 / 3.0, 2.7182818, 3.1415926);
+  vec4 q = r / (v_in + vec4(1.7));
+  mat2 m = mat2(r.xy, q.zw) * mat2(1.1, 0.3, -0.7, 2.9);
+  float s = smoothstep(0.0, 2.0, r.x) + mod(r.y, 0.7) + inversesqrt(r.z);
+  gl_FragColor = vec4(sub.x * 1.0e30, neg.y * 1.0e30 + q.x,
+                      m[0][0] + m[1][1] * s,
+                      dot(r, q) + float(sub.z == 0.0) + mix(r.w, q.w, v_in.x));
+})",
+       /*expect_uniform_flow=*/true});
+  // --- NaNs of both signs meeting in two-NaN operations (arithmetic, a
+  // matrix product, mix, mod): the batch kernels and the scalar path must
+  // return the same NaN bits whatever operand order each copy compiles to
+  cases.push_back(
+      {"nan_operand_order",
+       R"(precision highp float;
+varying vec4 v_in;
+void main() {
+  float z = v_in.x * 0.0;
+  float qn = z / z;
+  float pn = -qn;
+  vec4 a = vec4(qn, pn, qn + v_in.y, pn * v_in.z);
+  vec4 b = vec4(pn, qn, pn, qn);
+  mat2 m = mat2(a.xy, b.zw) * mat2(b.xy, a.zw);
+  gl_FragColor = vec4(a.x + b.x, b.y * a.y, mix(a.z, b.z, a.w) - m[1][0],
+                      mod(b.w, a.x) + m[0][1]);
+})",
+       /*expect_uniform_flow=*/true});
   return cases;
 }
 
@@ -892,27 +933,44 @@ std::array<float, 4> LaneInput(int lane) {
           fract_helper(f * 0.71f + 0.05f), fract_helper(f * 0.13f + 0.61f)};
 }
 
-void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, bool vc4_alu) {
+// The ALU models the batch differential runs under: IEEE-exact, the
+// VideoCore IV (denormal flush, 23-bit mantissa) and the Mali-400 (denormal
+// flush, 10-bit mantissa — the mantissa-rounding branch of RoundSpec).
+enum class BatchAlu { kExact, kVc4, kMali400 };
+
+std::unique_ptr<AluModel> MakeBatchAlu(BatchAlu kind) {
+  switch (kind) {
+    case BatchAlu::kVc4:
+      return std::make_unique<vc4::Vc4Alu>(vc4::VideoCoreIV());
+    case BatchAlu::kMali400:
+      return std::make_unique<vc4::Vc4Alu>(vc4::Mali400());
+    default:
+      return std::make_unique<ExactAlu>();
+  }
+}
+
+void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
   SCOPED_TRACE(std::string(c.label) + " lanes=" + std::to_string(lanes) +
-               (vc4_alu ? " vc4" : " exact"));
+               " alu=" + std::to_string(static_cast<int>(kind)));
   CompileResult cr = CompileGlsl(c.source, Stage::kFragment);
   ASSERT_TRUE(cr.ok) << cr.info_log;
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
   EXPECT_EQ(prog->uniform_control_flow, c.expect_uniform_flow)
       << "uniform-control-flow analysis disagrees with the corpus label";
 
-  const vc4::GpuProfile profile = vc4::VideoCoreIV();
-  ExactAlu exact_s, exact_b;
-  vc4::Vc4Alu vc4_s(profile), vc4_b(profile);
-  AluModel& alu_s = vc4_alu ? static_cast<AluModel&>(vc4_s) : exact_s;
-  AluModel& alu_b = vc4_alu ? static_cast<AluModel&>(vc4_b) : exact_b;
+  const std::unique_ptr<AluModel> alu_s_owned = MakeBatchAlu(kind);
+  const std::unique_ptr<AluModel> alu_b_owned = MakeBatchAlu(kind);
+  AluModel& alu_s = *alu_s_owned;
+  AluModel& alu_b = *alu_b_owned;
   VmExec scalar(prog, alu_s);
   VmExec batch(prog, alu_b);
 
-  const auto texture = [](int unit, float s, float t, float lod) {
-    return std::array<float, 4>{s * 0.5f + static_cast<float>(unit) * 0.125f,
-                                t * 0.25f, s + t, lod + 0.75f};
-  };
+  const TextureFn texture =
+      testutil::PerTexel([](int unit, float s, float t, float lod) {
+        return std::array<float, 4>{
+            s * 0.5f + static_cast<float>(unit) * 0.125f, t * 0.25f, s + t,
+            lod + 0.75f};
+      });
   if (c.with_texture) {
     scalar.SetTextureFn(texture);
     batch.SetTextureFn(texture);
@@ -951,22 +1009,24 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, bool vc4_alu) {
 
   // Batched: same lanes in one RunBatch.
   alu_b.ResetCounts();
+  const PlaneDst in_plane = batch.LaneGlobal(in_slot);
   for (int l = 0; l < lanes; ++l) {
     const std::array<float, 4> in = LaneInput(l);
-    Value& v = batch.LaneGlobalAt(in_slot, l);
-    for (int k = 0; k < 4; ++k) v.SetF(k, in[static_cast<std::size_t>(k)]);
+    for (int k = 0; k < 4; ++k) {
+      in_plane.at(k, l).f = in[static_cast<std::size_t>(k)];
+    }
   }
   const std::uint32_t kept = batch.RunBatch(lanes);
   const OpCounts got = alu_b.counts();
 
+  const PlaneDst color = batch.LaneGlobal(color_slot);
   for (int l = 0; l < lanes; ++l) {
     const bool lane_kept = ((kept >> static_cast<unsigned>(l)) & 1u) != 0;
     EXPECT_EQ(lane_kept, ref_kept[static_cast<std::size_t>(l)])
         << "lane " << l << " discard disagreement";
     if (!lane_kept) continue;
-    const Value& cv = batch.LaneGlobalAt(color_slot, l);
     for (int k = 0; k < 4; ++k) {
-      EXPECT_EQ(FloatToBits(cv.F(k)),
+      EXPECT_EQ(FloatToBits(color.at(k, l).f),
                 ref_color[static_cast<std::size_t>(l)]
                          [static_cast<std::size_t>(k)])
           << "lane " << l << " component " << k;
@@ -981,7 +1041,7 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, bool vc4_alu) {
 TEST(VmBatchDifferentialTest, AllTailSizesMatchScalarExactAlu) {
   for (const BatchCase& c : BatchCorpus()) {
     for (int lanes = 1; lanes <= kVmLanes; ++lanes) {
-      ExpectBatchMatchesScalar(c, lanes, /*vc4_alu=*/false);
+      ExpectBatchMatchesScalar(c, lanes, BatchAlu::kExact);
     }
   }
 }
@@ -989,7 +1049,15 @@ TEST(VmBatchDifferentialTest, AllTailSizesMatchScalarExactAlu) {
 TEST(VmBatchDifferentialTest, AllTailSizesMatchScalarVc4Alu) {
   for (const BatchCase& c : BatchCorpus()) {
     for (int lanes = 1; lanes <= kVmLanes; ++lanes) {
-      ExpectBatchMatchesScalar(c, lanes, /*vc4_alu=*/true);
+      ExpectBatchMatchesScalar(c, lanes, BatchAlu::kVc4);
+    }
+  }
+}
+
+TEST(VmBatchDifferentialTest, AllTailSizesMatchScalarMali400Alu) {
+  for (const BatchCase& c : BatchCorpus()) {
+    for (int lanes = 1; lanes <= kVmLanes; ++lanes) {
+      ExpectBatchMatchesScalar(c, lanes, BatchAlu::kMali400);
     }
   }
 }
@@ -999,7 +1067,7 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
   // later batches must not see residue from earlier ones.
   const BatchCase c = BatchCorpus()[3];  // divergent loop trip counts
   for (int round = 0; round < 3; ++round) {
-    ExpectBatchMatchesScalar(c, kVmLanes, /*vc4_alu=*/false);
+    ExpectBatchMatchesScalar(c, kVmLanes, BatchAlu::kExact);
   }
   CompileResult cr = CompileGlsl(c.source, Stage::kFragment);
   ASSERT_TRUE(cr.ok);
@@ -1011,29 +1079,25 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
   const int color_slot = scalar.GlobalSlot("gl_FragColor");
   for (int round = 0; round < 4; ++round) {
     const int lanes = 1 + (round * 5) % kVmLanes;  // varying tails per round
+    const PlaneDst bv = batch.LaneGlobal(in_slot);
     for (int l = 0; l < lanes; ++l) {
       const float base = static_cast<float>(round) * 0.21f;
-      Value& sv = scalar.GlobalAt(in_slot);
-      Value& bv = batch.LaneGlobalAt(in_slot, l);
       for (int k = 0; k < 4; ++k) {
-        const float f =
+        bv.at(k, l).f =
             fract_helper(base + static_cast<float>(l * 4 + k) * 0.17f);
-        bv.SetF(k, f);
       }
-      (void)sv;
     }
     const std::uint32_t kept = batch.RunBatch(lanes);
+    const PlaneDst bc = batch.LaneGlobal(color_slot);
     for (int l = 0; l < lanes; ++l) {
       Value& sv = scalar.GlobalAt(in_slot);
-      const Value& bv = batch.LaneGlobalAt(in_slot, l);
-      for (int k = 0; k < 4; ++k) sv.SetF(k, bv.F(k));
+      for (int k = 0; k < 4; ++k) sv.SetF(k, bv.at(k, l).f);
       const bool ref_kept = scalar.Run();
       EXPECT_EQ(((kept >> static_cast<unsigned>(l)) & 1u) != 0, ref_kept);
       if (!ref_kept) continue;
       const Value& sc = scalar.GlobalAt(color_slot);
-      const Value& bc = batch.LaneGlobalAt(color_slot, l);
       for (int k = 0; k < 4; ++k) {
-        EXPECT_EQ(FloatToBits(bc.F(k)), FloatToBits(sc.F(k)))
+        EXPECT_EQ(FloatToBits(bc.at(k, l).f), FloatToBits(sc.F(k)))
             << "round " << round << " lane " << l << " comp " << k;
       }
     }

@@ -96,6 +96,26 @@ TEST(Vc4AluTest, ExactAluIsExact) {
   EXPECT_EQ(alu.Div(1.0f, 3.0f), 1.0f / 3.0f);
 }
 
+TEST(Vc4AluTest, TwoNanOperandsKeepTheFirstOperandsNan) {
+  // Which NaN a two-NaN operation returns must not depend on the operand
+  // order the compiler emits: the first operand's, quieted, always.
+  const float neg = BitsToFloat(0xffc00000u);  // x86's default NaN
+  const float pos = BitsToFloat(0x7fc00000u);
+  const float snan = BitsToFloat(0x7fa00000u);
+  for (const bool vc4 : {false, true}) {
+    Vc4Alu vc4_alu(VideoCoreIV());
+    glsl::ExactAlu exact_alu;
+    glsl::AluModel& alu =
+        vc4 ? static_cast<glsl::AluModel&>(vc4_alu) : exact_alu;
+    EXPECT_EQ(FloatToBits(alu.Add(neg, pos)), 0xffc00000u);
+    EXPECT_EQ(FloatToBits(alu.Add(pos, neg)), 0x7fc00000u);
+    EXPECT_EQ(FloatToBits(alu.Sub(pos, neg)), 0x7fc00000u);
+    EXPECT_EQ(FloatToBits(alu.Mul(neg, pos)), 0xffc00000u);
+    EXPECT_EQ(FloatToBits(alu.Mul(snan, neg)), 0x7fe00000u);
+    EXPECT_EQ(FloatToBits(alu.Div(pos, neg)), 0x7fc00000u);
+  }
+}
+
 TEST(Vc4AluTest, OpCountsAccumulateAcrossKinds) {
   Vc4Alu alu(VideoCoreIV());
   (void)alu.Add(1.0f, 2.0f);
