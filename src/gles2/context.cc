@@ -13,7 +13,6 @@
 #include "common/fault.h"
 #include "common/strings.h"
 #include "common/threadpool.h"
-#include "gles2/cmdstream.h"
 #include "gles2/raster.h"
 #include "gles2/tiler.h"
 #include "glsl/compile.h"
@@ -38,6 +37,34 @@ constexpr const char kBudgetMsg[] =
 ExecEngine Canonical(ExecEngine engine) {
   return engine == ExecEngine::kCompiled ? ExecEngine::kBatchedVm : engine;
 }
+
+// LRU eviction shared by the worker and vertex maps: once `map` holds more
+// than ShadeStateCache::kCapacity entries, erases the least-recently-used
+// one other than `keep` (the entry just touched). Returns whether it did.
+template <typename Map>
+bool EvictLeastRecent(Map& map, const typename Map::mapped_type& keep) {
+  if (map.size() <= ShadeStateCache::kCapacity) return false;
+  auto victim = map.end();
+  for (auto it = map.begin(); it != map.end(); ++it) {
+    if (&it->second == &keep) continue;
+    if (victim == map.end() || it->second.last_use < victim->second.last_use) {
+      victim = it;
+    }
+  }
+  map.erase(victim);
+  return true;
+}
+
+// The engine's view of global `slot` in the draw stages: the VM's lane
+// plane when it runs `batched`, else a one-lane view of the engine's Value
+// (lane stride 0, so lane l of it is the engine's only lane). A null base
+// marks a slot the program does not use (slot < 0).
+glsl::PlaneDst GlobalPlane(glsl::ShaderEngine& engine, glsl::VmExec* vm,
+                           bool batched, int slot) {
+  if (slot < 0) return {};
+  return batched ? vm->LaneGlobal(slot)
+                 : glsl::ValuePlane(engine.GlobalAt(slot));
+}
 }  // namespace
 
 ShadeStateCache::WorkerState::~WorkerState() {
@@ -60,21 +87,7 @@ ShadeStateCache::Entry* ShadeStateCache::Find(GLuint program, int threads) {
 ShadeStateCache::Entry& ShadeStateCache::Insert(GLuint program, int threads) {
   Entry& e = entries_[{program, threads}];
   e.last_use = ++use_tick_;
-  if (entries_.size() > capacity_) {
-    // Evict the least-recently-drawn entry (never the one just touched).
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (&it->second == &e) continue;
-      if (victim == entries_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    if (victim != entries_.end()) {
-      entries_.erase(victim);
-      ++evictions_;
-    }
-  }
+  if (EvictLeastRecent(entries_, e)) ++evictions_;
   return e;
 }
 
@@ -88,20 +101,9 @@ ShadeStateCache::VertexState* ShadeStateCache::FindVertex(GLuint program) {
 ShadeStateCache::VertexState& ShadeStateCache::InsertVertex(GLuint program) {
   VertexState& e = vertex_entries_[program];
   e.last_use = ++use_tick_;
-  if (vertex_entries_.size() > capacity_) {
-    auto victim = vertex_entries_.end();
-    for (auto it = vertex_entries_.begin(); it != vertex_entries_.end();
-         ++it) {
-      if (&it->second == &e) continue;
-      if (victim == vertex_entries_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    // Not tallied in evictions_: that counter tracks worker-entry
-    // behaviour for the cache tests.
-    if (victim != vertex_entries_.end()) vertex_entries_.erase(victim);
-  }
+  // Not tallied in evictions_: that counter tracks worker-entry behaviour
+  // for the cache tests.
+  EvictLeastRecent(vertex_entries_, e);
   return e;
 }
 
@@ -115,8 +117,6 @@ void ShadeStateCache::InvalidateProgram(GLuint program) {
 Context::Context(const ContextConfig& config, glsl::AluModel* alu)
     : config_(config), alu_(alu != nullptr ? alu : &default_alu_) {
   config_.exec_engine = Canonical(config_.exec_engine);
-  shade_cache_.SetCapacity(
-      static_cast<std::size_t>(std::max(config_.shade_cache_capacity, 1)));
   draw_budget_ = config_.draw_budget;
   if (const char* env = std::getenv("MGPU_DRAW_BUDGET")) {
     // Only a whole decimal number overrides the configured budget: "abc",
@@ -1276,190 +1276,63 @@ void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
 // Drawing
 // ---------------------------------------------------------------------------
 
-bool Context::FetchAttribute(const AttribState& a, GLint vertex,
-                             std::array<float, 4>* out) const {
-  *out = {0.0f, 0.0f, 0.0f, 1.0f};
-  if (!a.enabled) {
-    *out = a.constant;
-    return true;
-  }
-  int elem_size = 4;
-  switch (a.type) {
-    case GL_FLOAT: elem_size = 4; break;
-    case GL_UNSIGNED_BYTE: case GL_BYTE: elem_size = 1; break;
-    case GL_UNSIGNED_SHORT: case GL_SHORT: elem_size = 2; break;
-    default: return false;
-  }
-  const int stride = a.stride != 0 ? a.stride : a.size * elem_size;
-  const std::uint8_t* base = nullptr;
-  if (a.buffer != 0) {
-    const auto it = buffers_.find(a.buffer);
-    if (it == buffers_.end()) return false;
-    const std::vector<std::uint8_t>& data = it->second->data;
-    const std::uintptr_t off = reinterpret_cast<std::uintptr_t>(a.pointer);
-    // The highest byte this fetch touches must exist in the store. 64-bit
-    // math: stride * vertex can overflow the 32-bit range the individual
-    // arguments were validated in.
-    if (off > data.size() ||
-        static_cast<std::uint64_t>(stride) *
-                static_cast<std::uint64_t>(static_cast<GLuint>(vertex)) +
-                static_cast<std::uint64_t>(a.size) *
-                    static_cast<std::uint64_t>(elem_size) >
-            data.size() - off) {
-      return false;
-    }
-    base = data.data() + off;
-  } else {
-    base = static_cast<const std::uint8_t*>(a.pointer);
-  }
-  if (base == nullptr) return false;
-  const std::uint8_t* src = base + static_cast<std::ptrdiff_t>(stride) * vertex;
-  for (int c = 0; c < a.size; ++c) {
-    float v = 0.0f;
-    switch (a.type) {
-      case GL_FLOAT: {
-        float f;
-        std::memcpy(&f, src + c * 4, 4);
-        v = f;
-        break;
-      }
-      case GL_UNSIGNED_BYTE: {
-        const std::uint8_t b = src[c];
-        v = a.normalized != GL_FALSE ? b / 255.0f : static_cast<float>(b);
-        break;
-      }
-      case GL_BYTE: {
-        std::int8_t b;
-        std::memcpy(&b, src + c, 1);
-        v = a.normalized != GL_FALSE
-                ? std::max(b / 127.0f, -1.0f)
-                : static_cast<float>(b);
-        break;
-      }
-      case GL_UNSIGNED_SHORT: {
-        std::uint16_t s;
-        std::memcpy(&s, src + c * 2, 2);
-        v = a.normalized != GL_FALSE ? s / 65535.0f : static_cast<float>(s);
-        break;
-      }
-      case GL_SHORT: {
-        std::int16_t s;
-        std::memcpy(&s, src + c * 2, 2);
-        v = a.normalized != GL_FALSE
-                ? std::max(s / 32767.0f, -1.0f)
-                : static_cast<float>(s);
-        break;
-      }
-      default:
-        return false;
-    }
-    (*out)[static_cast<std::size_t>(c)] = v;
-  }
-  return true;
-}
+bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
+                            const std::function<GLuint(GLsizei)>& index_at,
+                            std::vector<RasterVertex>& verts,
+                            const glsl::OpCounts& draw_start_counts) {
+  // The engine fixes the plane views and the lane width: the batched VM
+  // runs up to kVmLanes vertices per RunBatch pass over its lane planes;
+  // the oracles run one vertex per Run() through one-lane views.
+  const bool batched = config_.exec_engine == ExecEngine::kBatchedVm;
+  glsl::ShaderEngine& engine =
+      config_.exec_engine == ExecEngine::kTreeWalk
+          ? static_cast<glsl::ShaderEngine&>(*prog->vexec)
+          : *prog->vvm;
+  const int lanes = batched ? glsl::kVmLanes : 1;
 
-bool Context::ShadeVerticesScalar(
-    ProgramObject* prog, bool use_vm, GLsizei count,
-    const std::function<GLuint(GLsizei)>& index_at,
-    std::vector<RasterVertex>& verts,
-    const glsl::OpCounts& draw_start_counts) {
-  glsl::ShaderEngine& vexec =
-      use_vm ? static_cast<glsl::ShaderEngine&>(*prog->vvm) : *prog->vexec;
-  try {
-    for (GLsizei i = 0; i < count; ++i) {
-      const GLuint vi = index_at(i);
-      for (const AttribInfo& ai : prog->attribs) {
-        std::array<float, 4> v{};
-        if (!FetchAttribute(attribs_[static_cast<std::size_t>(ai.location)],
-                            static_cast<GLint>(vi), &v)) {
-          alu_->SetCounts(draw_start_counts);
-          SetError(GL_INVALID_OPERATION);
-          return false;
-        }
-        Value& dst = vexec.GlobalAt(ai.vs_slot);
-        const int cells = std::min(ai.type.CellCount(), 4);
-        for (int c = 0; c < cells; ++c) {
-          dst.SetF(c, v[static_cast<std::size_t>(c)]);
-        }
-      }
-      vexec.Run();
-      if (draw_budget_ != 0 &&
-          alu_->counts().alu - draw_start_counts.alu > draw_budget_) {
-        alu_->SetCounts(draw_start_counts);
-        last_draw_error_ = kBudgetMsg;
-        reset_status_ = GL_GUILTY_CONTEXT_RESET;
-        SetError(GL_OUT_OF_MEMORY);
-        return false;
-      }
-      RasterVertex& out = verts[static_cast<std::size_t>(i)];
-      out.clip = {0.0f, 0.0f, 0.0f, 1.0f};
-      out.point_size = 1.0f;
-      if (prog->vs_position_slot >= 0) {
-        const Value& pos = vexec.GlobalAt(prog->vs_position_slot);
-        out.clip = {pos.F(0), pos.F(1), pos.F(2), pos.F(3)};
-      }
-      if (prog->vs_point_size_slot >= 0) {
-        out.point_size = vexec.GlobalAt(prog->vs_point_size_slot).F(0);
-        if (out.point_size <= 0.0f) out.point_size = 1.0f;
-      }
-      out.varyings.resize(static_cast<std::size_t>(prog->varying_cells));
-      for (const VaryingLink& link : prog->varyings) {
-        const Value& v = vexec.GlobalAt(link.vs_slot);
-        for (int c = 0; c < link.cells; ++c) {
-          out.varyings[static_cast<std::size_t>(link.offset + c)] = v.F(c);
-        }
-      }
-    }
-  } catch (const glsl::ShaderRuntimeError& e) {
-    // Vertex-stage trap: no framebuffer byte was touched yet, so restoring
-    // the counter snapshot completes the abort.
-    alu_->SetCounts(draw_start_counts);
-    last_draw_error_ = e.what();
-    reset_status_ = GL_GUILTY_CONTEXT_RESET;
-    SetError(GL_INVALID_OPERATION);
-    return false;
-  }
-  return true;
-}
-
-bool Context::ShadeVerticesBatched(
-    ProgramObject* prog, GLsizei count,
-    const std::function<GLuint(GLsizei)>& index_at,
-    std::vector<RasterVertex>& verts,
-    const glsl::OpCounts& draw_start_counts) {
-  glsl::VmExec& vm = *prog->vvm;
-
-  // Lane plumbing, resolved once per program and cached: component-plane
-  // views into vvm's lane state. Uniform (non-lane) slots resolve to the
-  // shared store, so per-draw uniform sync needs nothing extra here.
+  // Plane views, resolved once per program and cached. Uniform (non-lane)
+  // slots resolve to the shared store, so per-draw uniform sync needs
+  // nothing extra here.
   ShadeStateCache::VertexState* vstate =
       shade_cache_.FindVertex(current_program_);
   if (vstate == nullptr) {
     vstate = &shade_cache_.InsertVertex(current_program_);
-    const auto plane = [&vm](int slot) {
-      return slot >= 0 ? vm.LaneGlobal(slot) : glsl::PlaneDst{};
+    const auto plane = [&](int slot) {
+      return GlobalPlane(engine, prog->vvm.get(), batched, slot);
     };
     vstate->position = plane(prog->vs_position_slot);
     vstate->point_size = plane(prog->vs_point_size_slot);
     vstate->attribs.clear();
     vstate->attribs.reserve(prog->attribs.size());
     for (const AttribInfo& ai : prog->attribs) {
-      vstate->attribs.push_back({vm.LaneGlobal(ai.vs_slot), ai.location,
+      vstate->attribs.push_back({plane(ai.vs_slot), ai.location,
                                  std::min(ai.type.CellCount(), 4)});
     }
     vstate->varyings.clear();
     vstate->varyings.reserve(prog->varyings.size());
     for (const VaryingLink& link : prog->varyings) {
       vstate->varyings.push_back(
-          {vm.LaneGlobal(link.vs_slot), link.cells, link.offset});
+          {plane(link.vs_slot), link.cells, link.offset});
     }
   }
 
-  // Per-draw attribute sources, resolved once: the batched FetchAttribute.
-  // Every failure FetchAttribute can report (missing buffer, null base,
-  // unknown type enum) is independent of the vertex index, so failing here
-  // — before any lane ran — reproduces the scalar loop's first-vertex
-  // failure exactly.
+  // Indices, decoded once: the bounds gate below needs the largest, and
+  // every chunk reads its lanes' indices from here.
+  std::vector<GLuint>& indices = scratch_indices_;
+  indices.resize(static_cast<std::size_t>(count));
+  GLuint max_index = 0;
+  for (GLsizei i = 0; i < count; ++i) {
+    const GLuint vi = index_at(i);
+    indices[static_cast<std::size_t>(i)] = vi;
+    max_index = std::max(max_index, vi);
+  }
+
+  // Per-draw attribute sources, resolved once. Every fetch failure — a
+  // missing buffer, an offset past the store, a null base, an unknown type
+  // enum, or a VBO too short for the draw's largest index — is reported
+  // here, before any vertex shades, so it cannot race a shader trap: no
+  // counter moved yet, GL_INVALID_OPERATION, no reset. Client arrays are
+  // unbounded by the GL contract.
   vstate->sources.resize(vstate->attribs.size());
   for (std::size_t k = 0; k < vstate->attribs.size(); ++k) {
     const AttribState& a =
@@ -1470,87 +1343,52 @@ bool Context::ShadeVerticesBatched(
       s.constant = a.constant.data();
       continue;
     }
-    const std::uint8_t* base = nullptr;
-    std::size_t bound = SIZE_MAX;
-    if (a.buffer != 0) {
-      const auto it = buffers_.find(a.buffer);
-      if (it == buffers_.end()) {
-        alu_->SetCounts(draw_start_counts);
-        SetError(GL_INVALID_OPERATION);
-        return false;
-      }
-      const std::vector<std::uint8_t>& data = it->second->data;
-      const std::uintptr_t off = reinterpret_cast<std::uintptr_t>(a.pointer);
-      if (off > data.size()) {
-        // Offset already past the store: every fetch would read out of
-        // bounds, same as the scalar path's first-vertex failure.
-        alu_->SetCounts(draw_start_counts);
-        SetError(GL_INVALID_OPERATION);
-        return false;
-      }
-      base = data.data() + off;
-      bound = data.size() - off;
-    } else {
-      base = static_cast<const std::uint8_t*>(a.pointer);
-    }
-    int elem_size = 4;
+    int elem_size = 0;
     switch (a.type) {
       case GL_FLOAT: elem_size = 4; break;
       case GL_UNSIGNED_BYTE: case GL_BYTE: elem_size = 1; break;
       case GL_UNSIGNED_SHORT: case GL_SHORT: elem_size = 2; break;
-      default: base = nullptr; break;
+      default: break;
     }
-    if (base == nullptr) {
-      alu_->SetCounts(draw_start_counts);
+    const int stride = a.stride != 0 ? a.stride : a.size * elem_size;
+    const std::uint8_t* base = nullptr;
+    if (a.buffer == 0) {
+      base = static_cast<const std::uint8_t*>(a.pointer);
+    } else if (const auto it = buffers_.find(a.buffer);
+               it != buffers_.end()) {
+      const std::vector<std::uint8_t>& data = it->second->data;
+      const std::uintptr_t off = reinterpret_cast<std::uintptr_t>(a.pointer);
+      // The highest byte the draw fetches must exist in the store. 64-bit
+      // math: stride * max_index can overflow the 32-bit range the
+      // individual arguments were validated in.
+      if (off <= data.size() &&
+          static_cast<std::uint64_t>(stride) * max_index +
+                  static_cast<std::uint64_t>(a.size) *
+                      static_cast<std::uint64_t>(elem_size) <=
+              data.size() - off) {
+        base = data.data() + off;
+      }
+    }
+    if (base == nullptr || elem_size == 0) {
       SetError(GL_INVALID_OPERATION);
       return false;
     }
     s.base = base;
-    s.stride = a.stride != 0 ? a.stride : a.size * elem_size;
+    s.stride = stride;
     s.type = a.type;
     s.normalized = a.normalized != GL_FALSE;
     s.size = a.size;
-    s.bound = bound;
-    s.tail = a.size * elem_size;
   }
 
-  std::array<GLuint, glsl::kVmLanes> vidx{};
   try {
-    for (GLsizei b0 = 0; b0 < count; b0 += glsl::kVmLanes) {
-      const int n = static_cast<int>(
-          std::min<GLsizei>(glsl::kVmLanes, count - b0));
-      for (int l = 0; l < n; ++l) {
-        vidx[static_cast<std::size_t>(l)] = index_at(b0 + l);
-      }
-
-      // Bounds gate for VBO-backed sources, per chunk: the highest vertex
-      // index in the chunk must fetch entirely inside the buffer store.
-      // Client arrays (bound == SIZE_MAX) are the caller's contract, as in
-      // the scalar path. Same failure surface as ShadeVerticesScalar's
-      // FetchAttribute failure: counters restored, GL_INVALID_OPERATION,
-      // no framebuffer byte touched.
-      GLuint chunk_max = 0;
-      for (int l = 0; l < n; ++l) {
-        chunk_max = std::max(chunk_max, vidx[static_cast<std::size_t>(l)]);
-      }
-      for (const ShadeStateCache::VertexState::AttribSource& s :
-           vstate->sources) {
-        if (s.base == nullptr || s.bound == SIZE_MAX) continue;
-        if (static_cast<std::uint64_t>(s.stride) *
-                    static_cast<std::uint64_t>(chunk_max) +
-                static_cast<std::uint64_t>(s.tail) >
-            s.bound) {
-          alu_->SetCounts(draw_start_counts);
-          SetError(GL_INVALID_OPERATION);
-          return false;
-        }
-      }
+    for (GLsizei b0 = 0; b0 < count; b0 += lanes) {
+      const int n = static_cast<int>(std::min<GLsizei>(lanes, count - b0));
+      const GLuint* const vidx = indices.data() + b0;
 
       // Gather: decode each enabled attribute's array elements straight
-      // into the lane planes — FetchAttribute's per-component conversion
-      // with the base/stride/type resolution hoisted out of the loop.
-      // Components past the array size keep the (0,0,0,1) defaults the
-      // scalar path writes.
+      // into the engine's planes, with the base/stride/type resolution
+      // hoisted out of the loop. Components past the array size take the
+      // (0,0,0,1) defaults.
       for (std::size_t k = 0; k < vstate->attribs.size(); ++k) {
         const ShadeStateCache::VertexState::AttribLanes& al =
             vstate->attribs[k];
@@ -1567,8 +1405,7 @@ bool Context::ShadeVerticesBatched(
         }
         for (int l = 0; l < n; ++l) {
           const std::uint8_t* src =
-              s.base + static_cast<std::ptrdiff_t>(s.stride) *
-                           vidx[static_cast<std::size_t>(l)];
+              s.base + static_cast<std::ptrdiff_t>(s.stride) * vidx[l];
           for (int c = 0; c < al.cells; ++c) {
             float v = c == 3 ? 1.0f : 0.0f;
             if (c < s.size) {
@@ -1611,15 +1448,19 @@ bool Context::ShadeVerticesBatched(
         }
       }
 
-      // One instruction-stream pass over the chunk. Lane order == vertex
-      // order, so a trapping chunk's minimum trapping lane is the first
-      // trapping vertex and the thrown message matches the scalar loop's.
-      // (Vertex programs cannot discard; the kept mask is all-ones.)
-      (void)vm.RunBatch(n);
+      // Run the chunk. Lane order == vertex order, so a trapping chunk's
+      // minimum trapping lane is the first trapping vertex, and the thrown
+      // message is the same on every engine. (Vertex programs cannot
+      // discard; the kept mask is all-ones.)
+      if (batched) {
+        (void)prog->vvm->RunBatch(n);
+      } else {
+        (void)engine.Run();
+      }
 
-      // Watchdog, per chunk instead of per vertex: the totals are monotone
-      // toward the same engine-invariant sum, so the trip-vs-not decision
-      // is unchanged, and a tripped draw restores the snapshot either way.
+      // Watchdog, per chunk: the totals are monotone toward the same
+      // engine-invariant sum, so the trip-vs-not decision does not depend
+      // on the lane width, and a tripped draw restores the snapshot.
       if (draw_budget_ != 0 &&
           alu_->counts().alu - draw_start_counts.alu > draw_budget_) {
         alu_->SetCounts(draw_start_counts);
@@ -1782,7 +1623,7 @@ void Context::DrawArrays(GLenum mode, GLint first, GLsizei count) {
     return;
   }
   DrawGeneric(mode, count, [first](GLsizei i) {
-    return static_cast<GLuint>(first + i);
+    return static_cast<GLuint>(first) + static_cast<GLuint>(i);
   });
 }
 
@@ -1863,12 +1704,9 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
 
   // --- engine selection: the lane-batched VM is the production path; the
   // scalar VM and the tree-walking interpreter are switchable reference
-  // oracles. Under the batched engine both stages run lane-batched
-  // (vertices through ShadeVerticesBatched); the oracle engines keep the
-  // scalar per-vertex loop. ---
-  const bool use_tree = config_.exec_engine == ExecEngine::kTreeWalk;
-  const bool use_vm = !use_tree;
-  const bool use_batch = config_.exec_engine == ExecEngine::kBatchedVm;
+  // oracles that run the same vertex stage and fragment-batch flush one
+  // lane at a time. Only the bytecode VMs clone for parallel shading. ---
+  const bool use_vm = config_.exec_engine != ExecEngine::kTreeWalk;
 
   // --- vertex stage ---
   // Post-transform vertices live in context-owned scratch: resize keeps the
@@ -1878,11 +1716,7 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // would have carried.
   std::vector<RasterVertex>& verts = scratch_verts_;
   verts.resize(static_cast<std::size_t>(count));
-  if (use_batch
-          ? !ShadeVerticesBatched(prog, count, index_at, verts,
-                                  draw_start_counts)
-          : !ShadeVerticesScalar(prog, use_vm, count, index_at, verts,
-                                 draw_start_counts)) {
+  if (!ShadeVertices(prog, count, index_at, verts, draw_start_counts)) {
     return;
   }
 
@@ -1988,7 +1822,7 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // and TMU-cache model; tiles partition the framebuffer, so pixel writes
   // are lock-free and results are byte-identical for any worker count
   // (counter shards merge by summation at join). All per-draw plumbing —
-  // sinks/flushes, slot pointers, texture callbacks, batch scratch — is
+  // flushes, plane views, texture callbacks, batch scratch — is
   // cached in ShadeStateCache worker slots and merely *refreshed* here, so
   // a steady-state draw allocates nothing.
 
@@ -2140,39 +1974,24 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     tile_rs.clip_y1 = tile.rect.y1;
     for (const std::uint32_t pi : tile.prims) {
       const TilePrim& p = prims[pi];
-      if (use_batch) {
-        switch (p.kind) {
-          case TilePrim::Kind::kTriangle:
-            RasterizeTriangle(verts[p.v0], verts[p.v1], verts[p.v2], vc,
-                              tile_rs, w.batch, w.flush);
-            break;
-          case TilePrim::Kind::kPoint:
-            RasterizePoint(verts[p.v0], vc, tile_rs, w.batch, w.flush);
-            break;
-          case TilePrim::Kind::kLine:
-            RasterizeLine(verts[p.v0], verts[p.v1], vc, tile_rs, w.batch,
-                          w.flush);
-            break;
-        }
-      } else {
-        switch (p.kind) {
-          case TilePrim::Kind::kTriangle:
-            RasterizeTriangle(verts[p.v0], verts[p.v1], verts[p.v2], vc,
-                              tile_rs, w.sink);
-            break;
-          case TilePrim::Kind::kPoint:
-            RasterizePoint(verts[p.v0], vc, tile_rs, w.sink);
-            break;
-          case TilePrim::Kind::kLine:
-            RasterizeLine(verts[p.v0], verts[p.v1], vc, tile_rs, w.sink);
-            break;
-        }
+      switch (p.kind) {
+        case TilePrim::Kind::kTriangle:
+          RasterizeTriangle(verts[p.v0], verts[p.v1], verts[p.v2], vc,
+                            tile_rs, w.batch, w.flush);
+          break;
+        case TilePrim::Kind::kPoint:
+          RasterizePoint(verts[p.v0], vc, tile_rs, w.batch, w.flush);
+          break;
+        case TilePrim::Kind::kLine:
+          RasterizeLine(verts[p.v0], verts[p.v1], vc, tile_rs, w.batch,
+                        w.flush);
+          break;
       }
     }
     // Shade the batch tail before leaving the tile: the next tile resets
     // the TMU-cache model, and deferred TMU replay must land in this
     // tile's cache session.
-    if (use_batch) w.flush();
+    w.flush();
   };
 
   // A failure outside any worker's shader (allocation mid-shading, a pool
@@ -2184,7 +2003,7 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     try {
       for (const std::uint32_t t : work) shade_tile(t, 0);
     } catch (const std::exception& e) {
-      // Shader traps are caught inside the sink/flush closures; anything
+      // Shader traps are caught inside the flush closure; anything
       // reaching here is a resource failure of the pipeline itself.
       infra_error = e.what();
       infra_error_kind = DrawErrorKind::kResource;
@@ -2300,98 +2119,21 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
 
 void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
                                   ProgramObject* prog) {
-  const bool use_batch =
-      config_.exec_engine == ExecEngine::kBatchedVm && w.vm != nullptr;
+  // The rasterizer appends covered fragments into the worker's batch; the
+  // flush scatters it into the engine's per-fragment input planes, shades
+  // it, replays the deferred TMU accesses in lane order (the
+  // fragment-sequential texture-cache order) and drains surviving lanes to
+  // the framebuffer in emission order. The batched VM shades the whole
+  // batch in one RunBatch pass over its lane planes; the oracles shade it
+  // one lane at a time through one-lane views of their global Values and
+  // stop at the first trapping lane.
+  const bool batched = config_.exec_engine == ExecEngine::kBatchedVm;
   ShadeStateCache::WorkerState* const wp = &w;
   const int color_slot = prog->uses_frag_data ? prog->fs_frag_data_slot
                                               : prog->fs_frag_color_slot;
-
-  if (!use_batch) {
-    // Scalar engines: one Run() per fragment through a cached sink.
-    // Resolving the engine's per-fragment input/output slots through the
-    // virtual GlobalAt per fragment is measurable on tiny kernels; global
-    // storage is stable for the life of the entry, so resolve them once.
-    w.engine->SetTextureFn(MakeTextureFn(wp));
-    glsl::ShaderEngine& eng = *w.engine;
-    Value* const fc_v = prog->fs_frag_coord_slot >= 0
-                            ? &eng.GlobalAt(prog->fs_frag_coord_slot)
-                            : nullptr;
-    Value* const ff_v = prog->fs_front_facing_slot >= 0
-                            ? &eng.GlobalAt(prog->fs_front_facing_slot)
-                            : nullptr;
-    Value* const pc_v = prog->fs_point_coord_slot >= 0
-                            ? &eng.GlobalAt(prog->fs_point_coord_slot)
-                            : nullptr;
-    const Value* const color_v =
-        color_slot >= 0 ? &eng.GlobalAt(color_slot) : nullptr;
-    struct VaryingDst {
-      Value* value;
-      int cells;
-      int offset;
-    };
-    std::vector<VaryingDst> varying_dsts;
-    varying_dsts.reserve(prog->varyings.size());
-    for (const VaryingLink& link : prog->varyings) {
-      varying_dsts.push_back(
-          {&eng.GlobalAt(link.fs_slot), link.cells, link.offset});
-    }
-    w.flush = nullptr;
-    w.sink = [this, wp, fc_v, ff_v, pc_v, color_v,
-              varying_dsts = std::move(varying_dsts)](
-                 int x, int y, float depth, const float* vars, bool front,
-                 float ps, float pt) {
-      if (draw_failed_.load(std::memory_order_relaxed)) return;
-      try {
-        if (fc_v != nullptr) {
-          fc_v->SetF(0, static_cast<float>(x) + 0.5f);
-          fc_v->SetF(1, static_cast<float>(y) + 0.5f);
-          fc_v->SetF(2, depth);
-          fc_v->SetF(3, 1.0f);
-        }
-        if (ff_v != nullptr) ff_v->SetB(0, front);
-        if (pc_v != nullptr) {
-          pc_v->SetF(0, ps);
-          pc_v->SetF(1, pt);
-        }
-        for (const VaryingDst& vd : varying_dsts) {
-          for (int c = 0; c < vd.cells; ++c) {
-            vd.value->SetF(c, vars[vd.offset + c]);
-          }
-        }
-        const bool kept = wp->engine->Run();
-        ReplayTmuLog(wp, 1);
-        if (draw_budget_ != 0) CheckDrawBudget(wp);
-        if (!kept) return;  // discarded
-        std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
-        if (color_v != nullptr) {
-          color = {color_v->F(0), color_v->F(1), color_v->F(2),
-                   color_v->F(3)};
-        }
-        WritePixel(draw_rt_, x, y, depth, color, /*depth_valid=*/true,
-                   wp->active_journal);
-      } catch (const glsl::ShaderRuntimeError& e) {
-        wp->error = e.what();
-        if (wp->error_kind == DrawErrorKind::kNone) {
-          wp->error_kind = DrawErrorKind::kTrap;
-        }
-        draw_failed_.store(true, std::memory_order_relaxed);
-        wp->tmu_log[0].clear();
-      }
-    };
-    return;
-  }
-
-  // Batched engine: the rasterizer appends covered fragments into the
-  // worker's batch; the flush scatters it into the VM's per-lane global
-  // planes, runs the whole batch through one instruction-stream pass,
-  // replays the deferred TMU accesses in lane order (reproducing the scalar
-  // engine's fragment-sequential texture-cache order), and drains
-  // surviving lanes to the framebuffer in emission order.
   w.engine->SetTextureFn(MakeTextureFn(wp));
-  glsl::VmExec& vm = *w.vm;
-  // A null base marks a slot the program does not use.
-  const auto plane = [&vm](int slot) {
-    return slot >= 0 ? vm.LaneGlobal(slot) : glsl::PlaneDst{};
+  const auto plane = [&w, batched](int slot) {
+    return GlobalPlane(*w.engine, w.vm, batched, slot);
   };
   const glsl::PlaneDst fc = plane(prog->fs_frag_coord_slot);
   const glsl::PlaneDst ff = plane(prog->fs_front_facing_slot);
@@ -2407,16 +2149,16 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
   for (const VaryingLink& link : prog->varyings) {
     varying_dsts.push_back({plane(link.fs_slot), link.cells, link.offset});
   }
-  w.sink = nullptr;
-  w.flush = [this, wp, fc, ff, pc, col,
+  w.flush = [this, wp, batched, fc, ff, pc, col,
              varying_dsts = std::move(varying_dsts)]() {
     FragmentBatch& b = wp->batch;
     const int n = b.count;
     b.count = 0;
     if (n == 0) return;
     if (draw_failed_.load(std::memory_order_relaxed)) return;
-    try {
-      for (int l = 0; l < n; ++l) {
+    // Scatters lanes [lo, hi) of the batch into the input planes.
+    const auto scatter = [&](int lo, int hi) {
+      for (int l = lo; l < hi; ++l) {
         const std::size_t li = static_cast<std::size_t>(l);
         if (fc.base != nullptr) {
           fc.at(0, l).f = static_cast<float>(b.x[li]) + 0.5f;
@@ -2435,24 +2177,38 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
           const float* src =
               &b.varyings[static_cast<std::size_t>(vd.offset + c) *
                           kFragBatchWidth];
-          for (int l = 0; l < n; ++l) vd.value.at(c, l).f = src[l];
+          for (int l = lo; l < hi; ++l) vd.value.at(c, l).f = src[l];
         }
       }
-      const std::uint32_t kept = wp->vm->RunBatch(n);
-      if (draw_budget_ != 0) CheckDrawBudget(wp);
-      // Deferred TMU accounting: lane order == the order the scalar engine
-      // would have run these fragments, so modeled miss counts match.
-      ReplayTmuLog(wp, n);
-      for (int l = 0; l < n; ++l) {
-        if (((kept >> static_cast<unsigned>(l)) & 1u) == 0) continue;
-        const std::size_t li = static_cast<std::size_t>(l);
-        std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
-        if (col.base != nullptr) {
-          color = {col.at(0, l).f, col.at(1, l).f, col.at(2, l).f,
-                   col.at(3, l).f};
+    };
+    // Writes lane l's color output to its pixel.
+    const auto drain = [&](int l) {
+      const std::size_t li = static_cast<std::size_t>(l);
+      std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
+      if (col.base != nullptr) {
+        color = {col.at(0, l).f, col.at(1, l).f, col.at(2, l).f,
+                 col.at(3, l).f};
+      }
+      WritePixel(draw_rt_, b.x[li], b.y[li], b.depth[li], color,
+                 /*depth_valid=*/true, wp->active_journal);
+    };
+    try {
+      if (batched) {
+        scatter(0, n);
+        const std::uint32_t kept = wp->vm->RunBatch(n);
+        if (draw_budget_ != 0) CheckDrawBudget(wp);
+        ReplayTmuLog(wp, n);
+        for (int l = 0; l < n; ++l) {
+          if (((kept >> static_cast<unsigned>(l)) & 1u) != 0) drain(l);
         }
-        WritePixel(draw_rt_, b.x[li], b.y[li], b.depth[li], color,
-                   /*depth_valid=*/true, wp->active_journal);
+      } else {
+        for (int l = 0; l < n; ++l) {
+          scatter(l, l + 1);
+          const bool kept = wp->engine->Run();
+          ReplayTmuLog(wp, 1);
+          if (draw_budget_ != 0) CheckDrawBudget(wp);
+          if (kept) drain(l);
+        }
       }
     } catch (const glsl::ShaderRuntimeError& e) {
       wp->error = e.what();

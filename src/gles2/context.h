@@ -46,11 +46,12 @@ enum class FbQuantization { kRoundNearest, kFloorPaper };
 //                 pixels through one instruction stream. Vertices are
 //                 shaded in lane batches too.
 //   kBytecodeVm — the scalar VM: the same bytecode dispatched once per
-//                 fragment. Kept as the first-tier differential oracle for
-//                 the batched engine.
+//                 vertex or fragment. Kept as the first-tier differential
+//                 oracle for the batched engine.
 //   kTreeWalk   — the tree-walking interpreter, the original reference
 //                 oracle, executing the annotated AST directly.
-// The two oracle engines run the scalar per-vertex loop.
+// Every engine goes through the same vertex stage and fragment-batch flush;
+// the two oracles run them one lane at a time (one Run() per lane).
 // kCompiled is kept only for e2ebench: the Context constructor and
 // SetExecEngine map it to kBatchedVm, so exec_engine() never returns it.
 enum class ExecEngine { kBatchedVm, kBytecodeVm, kTreeWalk, kCompiled };
@@ -63,10 +64,6 @@ struct ContextConfig {
   FbQuantization quantization = FbQuantization::kRoundNearest;
   ExecEngine exec_engine = ExecEngine::kBatchedVm;
   int max_texture_size = 4096;
-  // Entry cap of the per-worker shading-state cache (see ShadeStateCache):
-  // least-recently-drawn entries are evicted beyond this, so a workload
-  // cycling hundreds of linked programs cannot grow the cache unboundedly.
-  int shade_cache_capacity = 64;
   // Fragment-shading worker count for the tiled pipeline: <= 0 = one
   // worker per hardware thread (default), 1 = serial reference path
   // (shades on the calling thread with the program's own engine), N > 1 =
@@ -171,9 +168,9 @@ struct TmuCacheModel {
 // Building a worker slot is expensive — a VmExec clone (full global-store
 // copy with allocation), an AluModel fork, a TMU-cache model, plus the
 // per-draw plumbing that used to be rebuilt on every draw and now lives
-// here: the FragmentSink / batch-flush closures, the cached gl_* slot
-// pointers, the varying scatter tables, the lane-batch scratch and the
-// deferred TMU access log, and the engine's installed texture callback.
+// here: the batch-flush closure with its gl_* slot and varying plane views,
+// the fragment-batch scratch and the deferred TMU access log, and the
+// engine's installed texture callback.
 // None of it depends on anything but the program, the engine flavor and
 // the worker count, so steady-state draws allocate nothing at all.
 //
@@ -184,9 +181,9 @@ struct TmuCacheModel {
 // the uniforms/globals are re-synced into used parallel slots and the
 // counter shards reset. Invalidation: relinking or deleting a program
 // drops its entries (the cached clones pin the old bytecode); switching
-// ExecEngine or shader_threads drops everything. Entries beyond the
-// configured capacity are evicted least-recently-drawn first, so holding
-// hundreds of linked programs cannot grow the cache unboundedly.
+// ExecEngine or shader_threads drops everything. Entries beyond kCapacity
+// are evicted least-recently-drawn first, so holding hundreds of linked
+// programs cannot grow the cache unboundedly.
 class ShadeStateCache {
  public:
   // One shading worker's private state and cached draw plumbing. Pointees
@@ -205,15 +202,13 @@ class ShadeStateCache {
     glsl::AluModel* alu = nullptr;
     TmuCacheModel* tmu = nullptr;
 
-    // Cached draw plumbing. `sink` shades one fragment per call (scalar
-    // engines); `flush` shades and drains `batch` (batched engine).
-    FragmentSink sink;
+    // Cached draw plumbing: `flush` shades and drains `batch`.
     BatchFlushFn flush;
     FragmentBatch batch;
     // Deferred TMU accounting: texture-cache lines touched by each lane, in
-    // the lane's program order, replayed lane-ascending after each batch
-    // (lane 0 after each scalar Run) so the modeled miss count follows the
-    // fragment-sequential access order exactly.
+    // the lane's program order, replayed lane-ascending after each
+    // RunBatch (lane 0 after each one-lane Run) so the modeled miss count
+    // follows the fragment-sequential access order exactly.
     std::array<std::vector<std::uint64_t>, kFragBatchWidth> tmu_log;
     std::string error;  // first shader runtime error this draw, if any
     // Classification of `error` for the robustness API.
@@ -221,7 +216,7 @@ class ShadeStateCache {
     // Transactional-abort undo log for the framebuffer writes this worker
     // performed during the current draw.
     UndoJournal journal;
-    // Journal the cached sink/flush closures actually write through:
+    // Journal the cached flush closure actually writes through:
     // &journal when the current draw can abort mid-write (trap-capable
     // fragment shader, armed watchdog, armed fault site), nullptr when it
     // provably cannot — refreshed per draw, so the trap-free hot path
@@ -245,14 +240,16 @@ class ShadeStateCache {
     std::uint64_t last_use = 0;
   };
 
-  // Cached vertex-stage lane plumbing for the batched vertex path: per-lane
-  // Value* tables into the program's own vertex VM lane planes — attribute
-  // gather destinations, and gl_Position / gl_PointSize / varying scatter
-  // sources. The vertex stage runs on the calling thread against the
-  // program's long-lived vvm, so entries depend only on the linked program
-  // and are keyed by program id alone; the same invalidation points as the
-  // worker entries (relink, delete, engine/thread switch) keep the cached
-  // pointers alive exactly as long as the planes they aim into.
+  // Cached vertex-stage plumbing: component-plane views into the program's
+  // own vertex engine — attribute gather destinations, and gl_Position /
+  // gl_PointSize / varying scatter sources. Under kBatchedVm they are the
+  // VM's lane planes; under the oracles, one-lane views of the engine's
+  // global Values. The vertex stage runs on the calling thread against the
+  // program's long-lived engine, so entries depend only on the linked
+  // program (and the engine, whose switch clears the cache) and are keyed
+  // by program id alone; the same invalidation points as the worker entries
+  // (relink, delete, engine/thread switch) keep the cached views alive
+  // exactly as long as the storage they aim into.
   struct VertexState {
     struct AttribLanes {
       glsl::PlaneDst dst;
@@ -264,9 +261,9 @@ class ShadeStateCache {
       int cells = 0;
       int offset = 0;  // cell offset into RasterVertex::varyings
     };
-    // Per-draw resolved attribute sources — the batched FetchAttribute's
-    // hoisted base/stride/type state. Sized alongside `attribs` and fully
-    // rewritten each draw, so steady-state draws allocate nothing here.
+    // Per-draw resolved attribute sources: base/stride/type state hoisted
+    // out of the gather. Sized alongside `attribs` and fully rewritten each
+    // draw, so steady-state draws allocate nothing here.
     struct AttribSource {
       const std::uint8_t* base = nullptr;  // null => constant fill
       int stride = 0;
@@ -274,19 +271,13 @@ class ShadeStateCache {
       bool normalized = false;
       int size = 0;
       const float* constant = nullptr;
-      // Bytes readable from `base` (VBO sources: Buffer::data.size() minus
-      // the attrib offset; client arrays: SIZE_MAX, unbounded by the GL
-      // contract). The gather validates stride*last_vertex + tail against
-      // this before touching memory.
-      std::size_t bound = SIZE_MAX;
-      int tail = 0;  // bytes of one fetched element: size * elem_size
     };
     std::vector<AttribLanes> attribs;
     std::vector<AttribSource> sources;
     std::vector<VaryingSrc> varyings;
     // Builtin scatter sources; a null base when the stage never declares
     // the builtin. A slot without a per-lane plane (never written) is a
-    // (1, 0) view of the shared store — the value the scalar loop reads.
+    // (1, 0) view of the shared store — the value a one-lane run reads.
     glsl::PlaneSrc position;
     glsl::PlaneSrc point_size;
     std::uint64_t last_use = 0;
@@ -306,10 +297,10 @@ class ShadeStateCache {
     vertex_entries_.clear();
   }
 
-  // LRU capacity: inserting beyond it evicts the least-recently-used
-  // entry. At least 1.
-  void SetCapacity(std::size_t cap) { capacity_ = cap < 1 ? 1 : cap; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  // LRU capacity of each map: inserting beyond it evicts the
+  // least-recently-used entry.
+  static constexpr std::size_t kCapacity = 64;
+  [[nodiscard]] std::size_t capacity() const { return kCapacity; }
 
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
@@ -319,7 +310,6 @@ class ShadeStateCache {
  private:
   std::map<std::pair<GLuint, int>, Entry> entries_;
   std::map<GLuint, VertexState> vertex_entries_;
-  std::size_t capacity_ = 64;
   std::uint64_t use_tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -483,8 +473,9 @@ class Context {
   // off). Settable at any time; applies to subsequent draws.
   [[nodiscard]] std::uint64_t draw_budget() const { return draw_budget_; }
   void SetDrawBudget(std::uint64_t ops) { draw_budget_ = ops; }
-  // Whether draws run the lane-batched vertex stage: true exactly under
-  // kBatchedVm.
+  // Whether draws shade vertices kVmLanes at a time: true exactly under
+  // kBatchedVm (the oracles run the same stage one lane at a time). Kept
+  // for e2ebench, which reports it.
   [[nodiscard]] bool vertex_batch_enabled() const {
     return config_.exec_engine == ExecEngine::kBatchedVm;
   }
@@ -528,26 +519,19 @@ class Context {
   void SetUniformValue(const UniformInfo& u, int element, int comps,
                        const float* fdata, const GLint* idata, int count,
                        bool is_matrix);
-  bool FetchAttribute(const AttribState& a, GLint vertex,
-                      std::array<float, 4>* out) const;
-  // Lane-batched vertex stage (kBatchedVm): gathers attributes
-  // for chunks of up to kVmLanes vertices straight into the vertex VM's
-  // lane planes, executes one RunBatch pass per chunk, and scatters
-  // clip position / point size / varyings back into `verts` in lane
-  // order. Returns false after fully reporting a draw abort
-  // (attribute fetch failure, watchdog trip, shader trap) with the same
-  // observable state as the scalar loop — the caller just returns.
-  bool ShadeVerticesBatched(ProgramObject* prog, GLsizei count,
-                            const std::function<GLuint(GLsizei)>& index_at,
-                            std::vector<RasterVertex>& verts,
-                            const glsl::OpCounts& draw_start_counts);
-  // Scalar per-vertex reference loop (the oracle engines, and so the
-  // differential tests' reference): one FetchAttribute + Run() round trip
-  // per vertex. Same false-means-aborted contract as ShadeVerticesBatched.
-  bool ShadeVerticesScalar(ProgramObject* prog, bool use_vm, GLsizei count,
-                           const std::function<GLuint(GLsizei)>& index_at,
-                           std::vector<RasterVertex>& verts,
-                           const glsl::OpCounts& draw_start_counts);
+  // The vertex stage, for every engine: decodes the draw's indices,
+  // validates every VBO-backed attribute against the largest index before
+  // any vertex shades, then gathers attributes for chunks of up to the
+  // engine's lane width (kVmLanes under kBatchedVm, 1 under the oracles)
+  // straight into the vertex engine's planes, runs each chunk (RunBatch or
+  // Run) and scatters clip position / point size / varyings back into
+  // `verts` in lane order. Returns false after fully reporting a draw abort
+  // (attribute fetch failure, watchdog trip, shader trap) — the caller
+  // just returns.
+  bool ShadeVertices(ProgramObject* prog, GLsizei count,
+                     const std::function<GLuint(GLsizei)>& index_at,
+                     std::vector<RasterVertex>& verts,
+                     const glsl::OpCounts& draw_start_counts);
   void DrawGeneric(GLenum mode, GLsizei count,
                    const std::function<GLuint(GLsizei)>& index_at);
   // Writes one shaded fragment (scissor, depth test, blend, masks). Every
@@ -564,14 +548,15 @@ class Context {
   // The worker's batched texture fetch, for every engine: samples through
   // the per-draw sampler table immediately (contents are immutable during
   // a draw) and logs each lane's touched cache line to w->tmu_log, which
-  // the sink/flush replays through the worker's cache model and counter
+  // the flush replays through the worker's cache model and counter
   // shard (thread-safe: each worker owns its log, cache and counters).
   [[nodiscard]] glsl::TextureFn MakeTextureFn(ShadeStateCache::WorkerState* w);
   // Replays and clears the first `lanes` TMU logs of `w`, lane-ascending.
   static void ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes);
-  // Builds a worker slot's cached draw plumbing — texture callback,
-  // fragment sink (scalar engines) or batch flush (batched engine), with
-  // the program's gl_* slot and varying destinations resolved once.
+  // Builds a worker slot's cached draw plumbing — texture callback and
+  // batch flush, with the program's gl_* slot and varying destinations
+  // resolved once into plane views (lane planes under kBatchedVm, one-lane
+  // Value views under the oracles).
   void BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
                            ProgramObject* prog);
 
@@ -607,7 +592,7 @@ class Context {
   // Cached per-worker shading state (serial and parallel draws); see
   // ShadeStateCache.
   ShadeStateCache shade_cache_;
-  // Per-draw state the cached sink/flush closures reach through stable
+  // Per-draw state the cached flush closures reach through stable
   // addresses: the resolved render target and the first-failure latch.
   RenderTarget draw_rt_;
   std::atomic<bool> draw_failed_{false};
@@ -620,10 +605,11 @@ class Context {
   };
   std::array<DrawSampler, 8> draw_samplers_{};
   // Draw-loop scratch, context-owned so steady-state draws recycle the
-  // allocations: the sparse tile binner, the post-transform vertex array
-  // (inner varying vectors keep their capacity too), the assembled
-  // primitive list, and the non-empty-tile work list.
+  // allocations: the sparse tile binner, the decoded vertex indices, the
+  // post-transform vertex array (inner varying vectors keep their capacity
+  // too), the assembled primitive list, and the non-empty-tile work list.
   TileBinner binner_;
+  std::vector<GLuint> scratch_indices_;
   std::vector<RasterVertex> scratch_verts_;
   std::vector<TilePrim> scratch_prims_;
   std::vector<std::uint32_t> scratch_work_;

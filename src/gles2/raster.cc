@@ -9,47 +9,25 @@ namespace {
 
 constexpr float kNearEps = 1e-6f;
 
-// Emitter policies: how a covered fragment leaves the pixel loops. The
-// templated emission code writes interpolated varying cell k at
-// VarBase()[k * kVarStride] and then calls Commit — so the scalar emitter
-// (kVarStride == 1, a local buffer handed to the FragmentSink) and the
-// batch emitter (kVarStride == kFragBatchWidth, writing the current lane's
-// column of the SoA planes directly) share one set of coverage and
-// interpolation loops, and therefore emit identical fragments in identical
-// order by construction.
-struct SinkEmitter {
-  const FragmentSink& sink;
-  // Only the first `varying_cells` cells are ever written and read; the
-  // tail stays uninitialized on purpose (zero-filling all cells per pixel
-  // dominated small-kernel rasterization).
-  std::array<float, kMaxVaryingCells> vars;
+// Appends a covered fragment to lane `b.count` (its varyings were already
+// written to that lane's column of the planes) and flushes a full batch.
+void Append(FragmentBatch& b, const BatchFlushFn& flush, int px, int py,
+            float z, bool front, float ps, float pt) {
+  const std::size_t l = static_cast<std::size_t>(b.count);
+  b.x[l] = px;
+  b.y[l] = py;
+  b.depth[l] = z;
+  b.front[l] = front ? 1 : 0;
+  b.point_s[l] = ps;
+  b.point_t[l] = pt;
+  if (++b.count == kFragBatchFill) flush();
+}
 
-  static constexpr int kVarStride = 1;
-  [[nodiscard]] float* VarBase() { return vars.data(); }
-  void Commit(int px, int py, float z, bool front, float ps, float pt) {
-    sink(px, py, z, vars.data(), front, ps, pt);
-  }
-};
-
-struct BatchEmitter {
-  FragmentBatch& b;
-  const BatchFlushFn& flush;
-
-  static constexpr int kVarStride = kFragBatchWidth;
-  [[nodiscard]] float* VarBase() {
-    return &b.varyings[static_cast<std::size_t>(b.count)];
-  }
-  void Commit(int px, int py, float z, bool front, float ps, float pt) {
-    const std::size_t l = static_cast<std::size_t>(b.count);
-    b.x[l] = px;
-    b.y[l] = py;
-    b.depth[l] = z;
-    b.front[l] = front ? 1 : 0;
-    b.point_s[l] = ps;
-    b.point_t[l] = pt;
-    if (++b.count == kFragBatchFill) flush();
-  }
-};
+// Varying cell k of the next fragment goes to
+// LaneVaryings(b)[k * kFragBatchWidth].
+float* LaneVaryings(FragmentBatch& b) {
+  return &b.varyings[static_cast<std::size_t>(b.count)];
+}
 
 struct DeviceVertex {
   double x = 0.0, y = 0.0, z = 0.0;  // window coordinates
@@ -145,10 +123,10 @@ bool CullTest(double area, const RasterState& s, bool* front) {
   return *front == (s.cull_face == GL_FRONT);
 }
 
-template <typename Emitter>
 void EmitTriangle(const DeviceVertex& d0, const DeviceVertex& d1,
                   const DeviceVertex& d2, int varying_cells,
-                  const RasterState& s, Emitter& emit) {
+                  const RasterState& s, FragmentBatch& batch,
+                  const BatchFlushFn& flush) {
   const double area = Orient2d(d0.x, d0.y, d1.x, d1.y, d2.x, d2.y);
   if (area == 0.0) return;
 
@@ -210,24 +188,26 @@ void EmitTriangle(const DeviceVertex& d0, const DeviceVertex& d1,
       const double pb = bb * b.inv_w;
       const double pc = bc * c.inv_w;
       const double denom = pa + pb + pc;
-      float* const vb = emit.VarBase();
+      float* const vb = LaneVaryings(batch);
       for (int k = 0; k < varying_cells; ++k) {
         const std::size_t ki = static_cast<std::size_t>(k);
-        vb[static_cast<std::size_t>(k) * Emitter::kVarStride] =
+        vb[ki * kFragBatchWidth] =
             static_cast<float>((pa * a.varyings[ki] + pb * b.varyings[ki] +
                                 pc * c.varyings[ki]) /
                                denom);
       }
-      emit.Commit(px, py, static_cast<float>(std::clamp(z, 0.0, 1.0)), front,
-                  0.0f, 0.0f);
+      Append(batch, flush, px, py, static_cast<float>(std::clamp(z, 0.0, 1.0)),
+             front, 0.0f, 0.0f);
     }
   }
 }
 
-template <typename Emitter>
-void RasterizeTriangleT(const RasterVertex& v0, const RasterVertex& v1,
-                        const RasterVertex& v2, int varying_cells,
-                        const RasterState& state, Emitter& emit) {
+}  // namespace
+
+void RasterizeTriangle(const RasterVertex& v0, const RasterVertex& v1,
+                       const RasterVertex& v2, int varying_cells,
+                       const RasterState& state, FragmentBatch& batch,
+                       const BatchFlushFn& flush) {
   // Near-plane (w > 0) clipping; everything else is handled by the scissor
   // to the render target in EmitTriangle.
   const bool in0 = v0.clip[3] >= kNearEps;
@@ -237,7 +217,7 @@ void RasterizeTriangleT(const RasterVertex& v0, const RasterVertex& v1,
     EmitTriangle(ToDevice(v0, varying_cells, state),
                  ToDevice(v1, varying_cells, state),
                  ToDevice(v2, varying_cells, state), varying_cells, state,
-                 emit);
+                 batch, flush);
     return;
   }
   const std::vector<RasterVertex> poly =
@@ -247,13 +227,13 @@ void RasterizeTriangleT(const RasterVertex& v0, const RasterVertex& v1,
   for (std::size_t i = 1; i + 1 < poly.size(); ++i) {
     EmitTriangle(d0, ToDevice(poly[i], varying_cells, state),
                  ToDevice(poly[i + 1], varying_cells, state), varying_cells,
-                 state, emit);
+                 state, batch, flush);
   }
 }
 
-template <typename Emitter>
-void RasterizePointT(const RasterVertex& v, int varying_cells,
-                     const RasterState& state, Emitter& emit) {
+void RasterizePoint(const RasterVertex& v, int varying_cells,
+                    const RasterState& state, FragmentBatch& batch,
+                    const BatchFlushFn& flush) {
   if (v.clip[3] < kNearEps) return;
   const DeviceVertex d = ToDevice(v, varying_cells, state);
   const double size = std::max(1.0f, d.point_size);
@@ -273,45 +253,15 @@ void RasterizePointT(const RasterVertex& v, int varying_cells,
       if (std::fabs(sx - d.x) > half || std::fabs(sy - d.y) > half) continue;
       const float ps = static_cast<float>((sx - (d.x - half)) / size);
       const float pt = static_cast<float>(1.0 - (sy - (d.y - half)) / size);
-      float* const vb = emit.VarBase();
+      float* const vb = LaneVaryings(batch);
       for (int k = 0; k < varying_cells; ++k) {
-        vb[static_cast<std::size_t>(k) * Emitter::kVarStride] =
-            d.varyings[static_cast<std::size_t>(k)];
+        const std::size_t ki = static_cast<std::size_t>(k);
+        vb[ki * kFragBatchWidth] = d.varyings[ki];
       }
-      emit.Commit(px, py, static_cast<float>(std::clamp(d.z, 0.0, 1.0)),
-                  true, ps, pt);
+      Append(batch, flush, px, py,
+             static_cast<float>(std::clamp(d.z, 0.0, 1.0)), true, ps, pt);
     }
   }
-}
-
-}  // namespace
-
-void RasterizeTriangle(const RasterVertex& v0, const RasterVertex& v1,
-                       const RasterVertex& v2, int varying_cells,
-                       const RasterState& state, const FragmentSink& sink) {
-  SinkEmitter emit{sink, {}};
-  RasterizeTriangleT(v0, v1, v2, varying_cells, state, emit);
-}
-
-void RasterizeTriangle(const RasterVertex& v0, const RasterVertex& v1,
-                       const RasterVertex& v2, int varying_cells,
-                       const RasterState& state, FragmentBatch& batch,
-                       const BatchFlushFn& flush) {
-  BatchEmitter emit{batch, flush};
-  RasterizeTriangleT(v0, v1, v2, varying_cells, state, emit);
-}
-
-void RasterizePoint(const RasterVertex& v, int varying_cells,
-                    const RasterState& state, const FragmentSink& sink) {
-  SinkEmitter emit{sink, {}};
-  RasterizePointT(v, varying_cells, state, emit);
-}
-
-void RasterizePoint(const RasterVertex& v, int varying_cells,
-                    const RasterState& state, FragmentBatch& batch,
-                    const BatchFlushFn& flush) {
-  BatchEmitter emit{batch, flush};
-  RasterizePointT(v, varying_cells, state, emit);
 }
 
 namespace {
@@ -342,12 +292,9 @@ void WalkLine(const DeviceVertex& a, const DeviceVertex& b, Fn&& fn) {
 
 }  // namespace
 
-namespace {
-
-template <typename Emitter>
-void RasterizeLineT(const RasterVertex& v0, const RasterVertex& v1,
-                    int varying_cells, const RasterState& state,
-                    Emitter& emit) {
+void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
+                   int varying_cells, const RasterState& state,
+                   FragmentBatch& batch, const BatchFlushFn& flush) {
   if (v0.clip[3] < kNearEps || v1.clip[3] < kNearEps) return;
   const DeviceVertex a = ToDevice(v0, varying_cells, state);
   const DeviceVertex b = ToDevice(v1, varying_cells, state);
@@ -375,35 +322,19 @@ void RasterizeLineT(const RasterVertex& v0, const RasterVertex& v1,
     }
     // Perspective-correct parameter along the line.
     const double pw = (1.0 - t) * a.inv_w + t * b.inv_w;
-    float* const vb = emit.VarBase();
+    float* const vb = LaneVaryings(batch);
     for (int k = 0; k < varying_cells; ++k) {
       const std::size_t ki = static_cast<std::size_t>(k);
-      vb[static_cast<std::size_t>(k) * Emitter::kVarStride] =
+      vb[ki * kFragBatchWidth] =
           static_cast<float>(((1.0 - t) * a.inv_w * a.varyings[ki] +
                               t * b.inv_w * b.varyings[ki]) /
                              pw);
     }
     const double z = (1.0 - t) * a.z + t * b.z;
-    emit.Commit(px, py, static_cast<float>(std::clamp(z, 0.0, 1.0)), true,
-                0.0f, 0.0f);
+    Append(batch, flush, px, py, static_cast<float>(std::clamp(z, 0.0, 1.0)),
+           true, 0.0f, 0.0f);
     return true;
   });
-}
-
-}  // namespace
-
-void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
-                   int varying_cells, const RasterState& state,
-                   const FragmentSink& sink) {
-  SinkEmitter emit{sink, {}};
-  RasterizeLineT(v0, v1, varying_cells, state, emit);
-}
-
-void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
-                   int varying_cells, const RasterState& state,
-                   FragmentBatch& batch, const BatchFlushFn& flush) {
-  BatchEmitter emit{batch, flush};
-  RasterizeLineT(v0, v1, varying_cells, state, emit);
 }
 
 namespace {

@@ -51,15 +51,8 @@ struct RasterState {
   int clip_y1 = std::numeric_limits<int>::max();
 };
 
-// Fragment callback: window x, y (integer pixel coords), window-space depth
-// in [0,1], interpolated varyings (varying_cells floats), facingness and the
-// point-sprite coordinate (points only; (0,0) otherwise).
-using FragmentSink = std::function<void(
-    int x, int y, float depth, const float* varyings, bool front_facing,
-    float point_s, float point_t)>;
-
 // Upper bound on flattened varying cells a draw interpolates (8 varying
-// vec4s); shared by the scalar scratch buffers and the batch planes.
+// vec4s); sizes the batch's varying planes.
 inline constexpr int kMaxVaryingCells = 64;
 
 // Lane width of a fragment batch's storage planes. Must equal
@@ -75,10 +68,14 @@ static_assert(kFragBatchFill <= kFragBatchWidth);
 // A fixed-width batch of covered fragments in SoA ("structure of planes")
 // layout: per-fragment scalars in parallel arrays, interpolated varyings as
 // cell-major planes so the batched VM reads each varying cell's lanes
-// contiguously. The batch rasterizer appends fragments in emission order
-// (which is what makes batched depth/blend results byte-identical to the
-// scalar path: writes drain in append order) and calls the flush callback
-// when the batch fills; the tile loop flushes the tail.
+// contiguously. The rasterizer appends fragments in emission order (writes
+// drain in append order, so depth/blend results do not depend on how a
+// batch is shaded) and calls the flush callback when the batch fills; the
+// tile loop flushes the tail. Lane l of a fragment is:
+//   x[l], y[l]              window pixel (integer coordinates)
+//   depth[l]                window-space depth in [0,1]
+//   front[l]                facingness (1 = front)
+//   point_s[l], point_t[l]  point-sprite coordinate (points; 0 otherwise)
 struct FragmentBatch {
   int count = 0;
   std::array<std::int32_t, kFragBatchWidth> x;
@@ -94,23 +91,10 @@ struct FragmentBatch {
 // Shades and drains a full batch (must leave batch.count == 0).
 using BatchFlushFn = std::function<void()>;
 
-void RasterizeTriangle(const RasterVertex& v0, const RasterVertex& v1,
-                       const RasterVertex& v2, int varying_cells,
-                       const RasterState& state, const FragmentSink& sink);
-
-void RasterizePoint(const RasterVertex& v, int varying_cells,
-                    const RasterState& state, const FragmentSink& sink);
-
-void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
-                   int varying_cells, const RasterState& state,
-                   const FragmentSink& sink);
-
-// Batch-accumulating variants for the lane-batched shading path: identical
-// coverage, interpolation and emission order to the per-fragment overloads
-// (same templated pixel loops), but covered fragments are appended straight
-// into `batch`'s SoA planes — no per-fragment std::function call — and
-// `flush` fires whenever the batch fills. Callers flush the tail themselves
-// (the tile loop does it per tile, before the TMU-cache model resets).
+// Rasterizers: covered fragments are appended in emission order straight
+// into `batch`'s SoA planes, and `flush` fires whenever the batch fills.
+// Callers flush the tail themselves (the tile loop does it per tile, before
+// the TMU-cache model resets).
 void RasterizeTriangle(const RasterVertex& v0, const RasterVertex& v1,
                        const RasterVertex& v2, int varying_cells,
                        const RasterState& state, FragmentBatch& batch,

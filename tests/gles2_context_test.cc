@@ -370,15 +370,26 @@ TEST(ContextTest, VboVertexFetch) {
   EXPECT_EQ(px[0], 255);
 }
 
+const char* EngineName(ExecEngine engine) {
+  switch (engine) {
+    case ExecEngine::kBatchedVm: return "batched";
+    case ExecEngine::kBytecodeVm: return "scalar-vm";
+    case ExecEngine::kTreeWalk: return "tree";
+    default: return "other";
+  }
+}
+
+constexpr ExecEngine kEngines[] = {ExecEngine::kBatchedVm,
+                                   ExecEngine::kBytecodeVm,
+                                   ExecEngine::kTreeWalk};
+
 // Attribute fetches from a VBO must be validated against the buffer store
 // at draw time: a range that runs past the end fails the draw with
-// GL_INVALID_OPERATION instead of reading out-of-bounds heap memory. Both
-// vertex paths (the batched engine's gather and the scalar VM's reference
-// loop) must agree.
+// GL_INVALID_OPERATION instead of reading out-of-bounds heap memory. Every
+// engine runs the same gather at its own lane width and must agree.
 TEST(ContextTest, VboDrawBeyondBufferSetsErrorNotOob) {
-  for (const ExecEngine engine :
-       {ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm}) {
-    SCOPED_TRACE(engine == ExecEngine::kBatchedVm ? "batched" : "scalar-vm");
+  for (const ExecEngine engine : kEngines) {
+    SCOPED_TRACE(EngineName(engine));
     ContextConfig cfg = SmallConfig();
     cfg.exec_engine = engine;
     Context ctx(cfg);
@@ -414,9 +425,8 @@ TEST(ContextTest, VboDrawBeyondBufferSetsErrorNotOob) {
 // An attribute offset past the end of the store must fail the same way —
 // the offset alone can place every fetch out of bounds.
 TEST(ContextTest, VboAttribOffsetBeyondBufferSetsError) {
-  for (const ExecEngine engine :
-       {ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm}) {
-    SCOPED_TRACE(engine == ExecEngine::kBatchedVm ? "batched" : "scalar-vm");
+  for (const ExecEngine engine : kEngines) {
+    SCOPED_TRACE(EngineName(engine));
     ContextConfig cfg = SmallConfig();
     cfg.exec_engine = engine;
     Context ctx(cfg);
@@ -436,6 +446,52 @@ TEST(ContextTest, VboAttribOffsetBeyondBufferSetsError) {
         reinterpret_cast<const void*>(static_cast<std::uintptr_t>(1 << 20)));
     ctx.DrawArrays(GL_TRIANGLES, 0, 6);
     EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
+  }
+}
+
+// The bounds gate runs before any vertex shades, so a too-short VBO wins
+// over a vertex shader that would trap: every engine reports the fetch
+// failure alone — GL_INVALID_OPERATION, no reset, no draw error — and
+// leaves the framebuffer untouched.
+TEST(ContextTest, ShortVboBeatsVertexTrapOnEveryEngine) {
+  // `poison` is declared but never defined: calling it traps.
+  constexpr char kTrapVs[] = R"(
+attribute vec2 a_pos;
+varying vec2 v_uv;
+float poison(float x);
+void main() {
+  v_uv = a_pos * 0.5 + 0.5;
+  gl_Position = vec4(a_pos * poison(a_pos.x), 0.0, 1.0);
+}
+)";
+  for (const ExecEngine engine : kEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    ContextConfig cfg = SmallConfig();
+    cfg.exec_engine = engine;
+    Context ctx(cfg);
+    const GLuint p = BuildProgramOrDie(
+        ctx, kTrapVs,
+        "precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }");
+    ctx.UseProgram(p);
+    GLuint vbo;
+    ctx.GenBuffers(1, &vbo);
+    ctx.BindBuffer(GL_ARRAY_BUFFER, vbo);
+    // Room for exactly 4 vec2 vertices; the draw reads 6.
+    ctx.BufferData(GL_ARRAY_BUFFER, sizeof(float) * 8, testutil::kQuad.data(),
+                   GL_STATIC_DRAW);
+    const GLint loc = ctx.GetAttribLocation(p, "a_pos");
+    ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+    ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE,
+                            0, nullptr);
+    ctx.ClearColor(0.0f, 0.0f, 1.0f, 1.0f);
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    const auto before = ReadRgba(ctx, 4, 4);
+
+    ctx.DrawArrays(GL_TRIANGLES, 0, 6);
+    EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
+    EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
+    EXPECT_EQ(ctx.last_draw_error(), "");
+    EXPECT_EQ(ReadRgba(ctx, 4, 4), before) << "aborted draw touched pixels";
   }
 }
 

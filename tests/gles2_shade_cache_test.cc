@@ -310,20 +310,18 @@ TEST(ShadeStateCacheTest, DefaultCapacityIsSixtyFour) {
 }
 
 TEST(ShadeStateCacheTest, LruCapEvictsLeastRecentlyDrawnAndStaysCorrect) {
-  // A 2-entry cache under a 4-program round-robin: every program's entry is
-  // evicted before its next draw, so the stream runs at maximum churn — and
-  // must still produce exactly the bytes of an uncapped context.
-  ContextConfig capped_cfg;
-  capped_cfg.width = kW;
-  capped_cfg.height = kH;
-  capped_cfg.shader_threads = 1;
-  capped_cfg.shade_cache_capacity = 2;
-  Context capped(capped_cfg);
-  ContextConfig roomy_cfg = capped_cfg;
-  roomy_cfg.shade_cache_capacity = 64;
-  Context roomy(roomy_cfg);
+  // More programs than the cache holds, drawn round-robin: every program's
+  // entry is evicted before its next draw, so the stream runs at maximum
+  // churn — and must still produce exactly the bytes of cold draws (the
+  // cache dropped before every draw).
+  ContextConfig cfg;
+  cfg.width = kW;
+  cfg.height = kH;
+  cfg.shader_threads = 1;
+  Context churned(cfg);
+  Context cold(cfg);
 
-  constexpr int kPrograms = 4;
+  constexpr int kPrograms = static_cast<int>(ShadeStateCache::kCapacity) + 4;
   const auto build = [&](Context& ctx) {
     std::vector<GLuint> progs;
     for (int p = 0; p < kPrograms; ++p) {
@@ -332,16 +330,18 @@ TEST(ShadeStateCacheTest, LruCapEvictsLeastRecentlyDrawnAndStaysCorrect) {
           "varying vec2 v_uv;\n"
           "uniform vec4 u_tint;\n"
           "void main() { gl_FragColor = vec4(v_uv.x * u_tint.x, " +
-          std::to_string(0.1 + 0.2 * p) + ", v_uv.y, 1.0); }\n";
+          std::to_string((p + 1.0) / (kPrograms + 1.0)) +
+          ", v_uv.y, 1.0); }\n";
       progs.push_back(testutil::BuildProgramOrDie(ctx, kVs, fs.c_str()));
     }
     return progs;
   };
-  const std::vector<GLuint> capped_progs = build(capped);
-  const std::vector<GLuint> roomy_progs = build(roomy);
+  const std::vector<GLuint> churned_progs = build(churned);
+  const std::vector<GLuint> cold_progs = build(cold);
 
   const auto draw_round_robin = [&](Context& ctx,
-                                    const std::vector<GLuint>& progs) {
+                                    const std::vector<GLuint>& progs,
+                                    bool drop_cache) {
     ctx.ClearColor(0.0f, 0.0f, 0.0f, 1.0f);
     ctx.Clear(GL_COLOR_BUFFER_BIT);
     for (int round = 0; round < 3; ++round) {
@@ -353,26 +353,30 @@ TEST(ShadeStateCacheTest, LruCapEvictsLeastRecentlyDrawnAndStaysCorrect) {
         ctx.VertexAttribPointer(static_cast<GLuint>(a_pos), 2, GL_FLOAT,
                                 GL_FALSE, 0, kTri.data());
         ctx.Uniform2f(ctx.GetUniformLocation(prog, "u_offset"),
-                      -0.9f + 0.4f * p, -0.9f + 0.3f * round);
+                      -0.9f + 0.025f * p, -0.9f + 0.3f * round);
         ctx.Uniform1f(ctx.GetUniformLocation(prog, "u_scale"), 0.3f);
         ctx.Uniform4f(ctx.GetUniformLocation(prog, "u_tint"), 1.0f, 0.5f,
                       0.25f, 1.0f);
+        // Re-setting the thread count drops every cached entry.
+        if (drop_cache) ctx.SetShaderThreads(1);
         ctx.DrawArrays(GL_TRIANGLES, 0, 3);
         ASSERT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
       }
     }
   };
-  draw_round_robin(capped, capped_progs);
-  draw_round_robin(roomy, roomy_progs);
+  draw_round_robin(churned, churned_progs, /*drop_cache=*/false);
+  draw_round_robin(cold, cold_progs, /*drop_cache=*/true);
 
-  EXPECT_LE(capped.shade_state_cache().entry_count(), 2u);
-  EXPECT_GT(capped.shade_state_cache().evictions(), 0u);
-  EXPECT_EQ(roomy.shade_state_cache().evictions(), 0u);
-  EXPECT_EQ(roomy.shade_state_cache().entry_count(),
-            static_cast<std::size_t>(kPrograms));
-  EXPECT_EQ(testutil::ReadRgba(capped, kW, kH),
-            testutil::ReadRgba(roomy, kW, kH))
-      << "eviction-churned draws must be byte-identical to the roomy cache";
+  EXPECT_LE(churned.shade_state_cache().entry_count(),
+            ShadeStateCache::kCapacity);
+  EXPECT_GT(churned.shade_state_cache().evictions(), 0u);
+  EXPECT_EQ(churned.shade_state_cache().hits(), 0u)
+      << "round-robin over more programs than the cap never hits";
+  EXPECT_EQ(cold.shade_state_cache().evictions(), 0u);
+  EXPECT_EQ(cold.shade_state_cache().hits(), 0u);
+  EXPECT_EQ(testutil::ReadRgba(churned, kW, kH),
+            testutil::ReadRgba(cold, kW, kH))
+      << "eviction-churned draws must be byte-identical to cold draws";
 }
 
 TEST(ShadeStateCacheTest, ChangingShaderThreadsMidStreamStaysIdentical) {

@@ -1369,9 +1369,10 @@ TEST(VmTrapParityTest, SeededTrapProgramsVc4Alu) {
 // and the framebuffer bytes, ALU/SFU/TMU totals and error state must be
 // byte-identical across kTreeWalk / kBytecodeVm / kBatchedVm and at more
 // than one fragment worker count. The reference leg is the bytecode VM,
-// whose scalar vertex loop makes every other configuration — including the
-// batched engine's lane-batched vertex stage — measured
-// against the per-vertex per-fragment reference semantics.
+// which runs the shared vertex stage and fragment flush one lane at a
+// time, so every other configuration — including the batched engine's
+// 32-lane vertex chunks — is measured against per-vertex, per-fragment
+// reference semantics.
 
 namespace mgpu::gles2 {
 namespace {
@@ -1392,6 +1393,7 @@ struct DrawScene {
   int point_verts = 0;  // GL_POINTS draw over [tri_verts, total)
   int threads = 1;
   bool use_buffers = false;  // buffer objects vs client pointers
+  bool short_vbo = false;    // a_in's buffer store one vertex short
   bool mix_enabled = true;   // a_mix as array vs constant attribute
   GLenum mix_type = GL_FLOAT;
   bool mix_normalized = false;
@@ -1520,9 +1522,10 @@ DrawOutcome RunWholeDraw(const DrawScene& sc, ExecEngine engine,
     const GLuint loc = static_cast<GLuint>(in_loc);
     ctx.EnableVertexAttribArray(loc);
     if (sc.use_buffers) {
+      const std::size_t floats = sc.a_in.size() - (sc.short_vbo ? 4 : 0);
       ctx.BindBuffer(GL_ARRAY_BUFFER, bufs[0]);
       ctx.BufferData(GL_ARRAY_BUFFER,
-                     static_cast<GLsizeiptr>(sc.a_in.size() * sizeof(float)),
+                     static_cast<GLsizeiptr>(floats * sizeof(float)),
                      sc.a_in.data(), GL_STATIC_DRAW);
       ctx.VertexAttribPointer(loc, 4, GL_FLOAT, GL_FALSE, 0, nullptr);
       ctx.BindBuffer(GL_ARRAY_BUFFER, 0);
@@ -1657,14 +1660,24 @@ TEST(WholeDrawFuzzTest, ThreeEngineDifferentialVc4Alu) {
   RunWholeDrawSweep(/*vc4_alu=*/true);
 }
 
+// Tallies of one trap sweep, per outcome.
+struct TrapTally {
+  int aborted = 0;        // shader trap or watchdog trip
+  int completed = 0;      // drew without error
+  int vbo_aborted = 0;    // VBO shape, short store: the bounds gate failed
+  int vbo_completed = 0;  // VBO shape, full store: drew without error
+};
+
 // Vertex-stage abort parity end-to-end: a draw whose VERTEX stage traps
 // (declared-but-undefined call behind a lane-varying condition) or trips
 // the draw_budget watchdog must abort transactionally with the identical
-// GL error, reset status and message — the batched path reports the FIRST
-// trapping vertex's message, same as the scalar loop — and a clean seed
-// must render identically, across every engine leg.
-void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, int* aborted,
-                          int* completed) {
+// GL error, reset status and message — every leg reports the FIRST
+// trapping vertex's message — and a clean seed must render identically,
+// across every engine leg. The short-VBO shape feeds a_in from a buffer
+// object whose store is one vertex short on some seeds: the bounds gate
+// must fail those draws before any vertex shades, identically on every
+// leg, even when a vertex would also trap or trip the watchdog.
+void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, TrapTally* tally) {
   Rng rng(seed ^ 0x7e57ab1eull);
   DrawScene sc;
   sc.tri_verts = 3 * static_cast<int>(rng.NextInt(1, 25));
@@ -1709,15 +1722,31 @@ void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, int* aborted,
       "void main() { gl_FragColor = fract(v_in); }\n";
   sc.a_in.resize(static_cast<std::size_t>(sc.tri_verts) * 4);
   for (float& f : sc.a_in) f = rng.NextFloat(-1.2f, 1.8f);
+  // Drawn after every other input, so the shaders and vertex data of each
+  // seed do not depend on the shape.
+  const int vbo_roll = static_cast<int>(rng.NextInt(0, 99));
+  sc.use_buffers = vbo_roll < 50;
+  sc.short_vbo = vbo_roll < 25;
 
   SCOPED_TRACE(StrFormat(
-      "trap-draw seed=%llu alu=%s shape=%s tris=%d budget=%llu",
+      "trap-draw seed=%llu alu=%s shape=%s%s tris=%d budget=%llu",
       static_cast<unsigned long long>(seed), vc4_alu ? "vc4" : "exact",
-      budget_shape ? "budget" : "poison", sc.tri_verts,
-      static_cast<unsigned long long>(budget)));
+      budget_shape ? "budget" : "poison",
+      sc.short_vbo ? "+short-vbo" : (sc.use_buffers ? "+vbo" : ""),
+      sc.tri_verts, static_cast<unsigned long long>(budget)));
   const DrawOutcome ref =
       RunWholeDraw(sc, ExecEngine::kBytecodeVm, vc4_alu, budget);
-  ++*(ref.draw_error.empty() ? completed : aborted);
+  if (sc.short_vbo) {
+    EXPECT_EQ(ref.err, GL_INVALID_OPERATION) << "short VBO drew";
+    EXPECT_EQ(ref.reset, GL_NO_ERROR);
+    EXPECT_EQ(ref.draw_error, "");
+    ++tally->vbo_aborted;
+  } else if (!ref.draw_error.empty()) {
+    ++tally->aborted;
+  } else {
+    ++tally->completed;
+    if (sc.use_buffers) ++tally->vbo_completed;
+  }
   for (const EngineLeg& leg : kDrawLegs) {
     const DrawOutcome got =
         RunWholeDraw(sc, leg.engine, vc4_alu, budget);
@@ -1727,12 +1756,11 @@ void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, int* aborted,
 
 void RunWholeDrawTrapSweep(bool vc4_alu) {
   constexpr std::uint64_t kTrapDrawSeedBase = 20260921;
-  int aborted = 0;
-  int completed = 0;
+  TrapTally tally;
   for (int i = 0; i < g_draw_iters; ++i) {
     const std::uint64_t seed =
         kTrapDrawSeedBase + static_cast<std::uint64_t>(i);
-    RunWholeDrawTrapCase(seed, vc4_alu, &aborted, &completed);
+    RunWholeDrawTrapCase(seed, vc4_alu, &tally);
     if (::testing::Test::HasFailure()) {
       FAIL() << "whole-draw trap parity failed at seed " << seed
              << " (iteration " << i << " of " << g_draw_iters << ")";
@@ -1741,8 +1769,10 @@ void RunWholeDrawTrapSweep(bool vc4_alu) {
   // The corpus must mix outcomes: some draws abort, some complete (guarded
   // so a tiny --draw_iters smoke run cannot fail spuriously).
   if (g_draw_iters >= 10) {
-    EXPECT_GT(aborted, 0) << "trap-draw corpus produced no aborted draw";
-    EXPECT_GT(completed, 0) << "trap-draw corpus produced no clean draw";
+    EXPECT_GT(tally.aborted, 0) << "trap-draw corpus produced no aborted draw";
+    EXPECT_GT(tally.completed, 0) << "trap-draw corpus produced no clean draw";
+    EXPECT_GT(tally.vbo_aborted, 0) << "short-VBO shape never failed a draw";
+    EXPECT_GT(tally.vbo_completed, 0) << "VBO shape never drew cleanly";
   }
 }
 
