@@ -156,6 +156,12 @@ void Context::SetError(GLenum e) {
   if (error_ == GL_NO_ERROR) error_ = e;
 }
 
+bool Context::RejectNegative(GLsizei n) {
+  if (n >= 0) return false;
+  SetError(GL_INVALID_VALUE);
+  return true;
+}
+
 GLenum Context::GetError() {
   const GLenum e = error_;
   error_ = GL_NO_ERROR;
@@ -673,22 +679,26 @@ void Context::Uniform1i(GLint loc, GLint x) {
 }
 
 void Context::Uniform1fv(GLint loc, GLsizei count, const GLfloat* v) {
+  if (RejectNegative(count)) return;
   MGPU_RESOLVE_LOC_OR_RETURN();
   SetUniformValue(u, entry.element, 1, v, nullptr, count, false);
 }
 
 void Context::Uniform2fv(GLint loc, GLsizei count, const GLfloat* v) {
+  if (RejectNegative(count)) return;
   MGPU_RESOLVE_LOC_OR_RETURN();
   SetUniformValue(u, entry.element, 2, v, nullptr, count, false);
 }
 
 void Context::Uniform4fv(GLint loc, GLsizei count, const GLfloat* v) {
+  if (RejectNegative(count)) return;
   MGPU_RESOLVE_LOC_OR_RETURN();
   SetUniformValue(u, entry.element, 4, v, nullptr, count, false);
 }
 
 void Context::UniformMatrix4fv(GLint loc, GLsizei count, GLboolean transpose,
                                const GLfloat* v) {
+  if (RejectNegative(count)) return;
   if (transpose != GL_FALSE) {
     SetError(GL_INVALID_VALUE);  // must be FALSE in ES 2.0
     return;
@@ -759,6 +769,7 @@ BufferObject* Context::GetBuffer(GLuint id) {
 }
 
 void Context::GenBuffers(GLsizei n, GLuint* ids) {
+  if (RejectNegative(n)) return;
   for (GLsizei i = 0; i < n; ++i) {
     const GLuint id = next_id_++;
     buffers_[id] = std::make_unique<BufferObject>();
@@ -808,8 +819,11 @@ void Context::BufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
     SetError(GL_INVALID_OPERATION);
     return;
   }
+  // Compared without forming offset + size, which can overflow.
   if (offset < 0 || size < 0 ||
-      static_cast<std::size_t>(offset + size) > b->data.size()) {
+      static_cast<std::size_t>(offset) > b->data.size() ||
+      static_cast<std::size_t>(size) >
+          b->data.size() - static_cast<std::size_t>(offset)) {
     SetError(GL_INVALID_VALUE);
     return;
   }
@@ -817,6 +831,7 @@ void Context::BufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
 }
 
 void Context::DeleteBuffers(GLsizei n, const GLuint* ids) {
+  if (RejectNegative(n)) return;
   for (GLsizei i = 0; i < n; ++i) {
     buffers_.erase(ids[i]);
     if (array_buffer_ == ids[i]) array_buffer_ = 0;
@@ -845,6 +860,7 @@ Texture* Context::GetTextureObject(GLuint id) {
 }
 
 void Context::GenTextures(GLsizei n, GLuint* ids) {
+  if (RejectNegative(n)) return;
   for (GLsizei i = 0; i < n; ++i) {
     const GLuint id = next_id_++;
     textures_[id] = std::make_unique<Texture>();
@@ -937,6 +953,7 @@ void Context::TexParameteri(GLenum target, GLenum pname, GLint param) {
 }
 
 void Context::DeleteTextures(GLsizei n, const GLuint* ids) {
+  if (RejectNegative(n)) return;
   for (GLsizei i = 0; i < n; ++i) {
     textures_.erase(ids[i]);
     for (TextureUnit& u : units_) {
@@ -975,6 +992,7 @@ FramebufferObject* Context::GetFramebuffer(GLuint id) {
 }
 
 void Context::GenRenderbuffers(GLsizei n, GLuint* ids) {
+  if (RejectNegative(n)) return;
   for (GLsizei i = 0; i < n; ++i) {
     const GLuint id = next_id_++;
     renderbuffers_[id] = std::make_unique<RenderbufferObject>();
@@ -1027,6 +1045,7 @@ void Context::RenderbufferStorage(GLenum target, GLenum internal_format,
 }
 
 void Context::DeleteRenderbuffers(GLsizei n, const GLuint* ids) {
+  if (RejectNegative(n)) return;
   for (GLsizei i = 0; i < n; ++i) {
     renderbuffers_.erase(ids[i]);
     if (bound_renderbuffer_ == ids[i]) bound_renderbuffer_ = 0;
@@ -1047,6 +1066,7 @@ void Context::DeleteRenderbuffers(GLsizei n, const GLuint* ids) {
 }
 
 void Context::GenFramebuffers(GLsizei n, GLuint* ids) {
+  if (RejectNegative(n)) return;
   for (GLsizei i = 0; i < n; ++i) {
     const GLuint id = next_id_++;
     framebuffers_[id] = std::make_unique<FramebufferObject>();
@@ -1180,6 +1200,7 @@ GLenum Context::CheckFramebufferStatus(GLenum target) {
 }
 
 void Context::DeleteFramebuffers(GLsizei n, const GLuint* ids) {
+  if (RejectNegative(n)) return;
   for (GLsizei i = 0; i < n; ++i) {
     framebuffers_.erase(ids[i]);
     if (bound_framebuffer_ == ids[i]) bound_framebuffer_ = 0;

@@ -510,6 +510,9 @@ class Context {
   };
 
   void SetError(GLenum e);
+  // ES 2.0: a negative count is GL_INVALID_VALUE and the call has no other
+  // effect. True when `n` was rejected.
+  bool RejectNegative(GLsizei n);
   [[nodiscard]] ShaderObject* GetShader(GLuint id);
   [[nodiscard]] ProgramObject* GetProgram(GLuint id);
   [[nodiscard]] BufferObject* GetBuffer(GLuint id);

@@ -121,29 +121,15 @@ struct VmProgram {
   std::uint32_t ref_slot_count = 0;
   std::vector<VmGlobal> globals;
 
-  // --- lane-batching metadata (filled by the uniform-control-flow pass at
-  // lowering time; see AnalyzeLaneBatching in lower.cc) ---
-  // Globals that need one storage plane per lane when the program runs
-  // batched: per-fragment inputs (varyings, gl_FragCoord, gl_FrontFacing,
-  // gl_PointCoord) plus every global the run chunk or user code writes
-  // (outputs, re-initialized plain globals, address-taken globals). All
-  // other globals (uniforms, const tables) stay shared across lanes, so
-  // per-draw uniform sync cost is independent of the lane width.
-  // lane_global_index maps a global slot to its dense per-lane plane index,
-  // or -1 when the global is shared.
-  std::vector<std::int32_t> lane_global_index;
-  std::uint32_t lane_global_count = 0;
-  // Per-pc flag for kJumpIfFalse/kJumpIfTrue: true when the condition can
-  // differ between lanes (derives from a lane-varying input), i.e. the
-  // branch may diverge. Diagnostic metadata for introspection and the
-  // MGPU_LANE_DEBUG log — the executors key off uniform_control_flow
-  // below, and the masked executor re-evaluates every branch condition per
-  // lane regardless of this bit.
-  std::vector<std::uint8_t> divergent_branch;
-  // True when no branch in the program is divergent: the whole program runs
-  // in lockstep with a single shared pc (the fast batch path). Divergent
-  // programs run under the per-lane-pc masked executor instead.
-  bool uniform_control_flow = true;
+  // Per-lane storage map (filled at lowering time by AnalyzeLaneBatching in
+  // lower.cc): nonzero for a global that needs one storage plane per lane
+  // when the program runs batched — per-fragment inputs (varyings,
+  // gl_FragCoord, gl_FrontFacing, gl_PointCoord) plus every global the run
+  // chunk or user code writes (outputs, re-initialized plain globals,
+  // address-taken globals). All other globals (uniforms, const tables) stay
+  // shared across lanes, so per-draw uniform sync cost is independent of
+  // the lane width.
+  std::vector<std::uint8_t> lane_global;
 
   // True when any instruction can raise a runtime trap: a loop guard (the
   // runaway-loop budget, also the injection point for the kVmInstruction

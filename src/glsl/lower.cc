@@ -5,8 +5,6 @@
 // behaviour — so the VM's results and AluModel op counts are identical.
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "common/strings.h"
@@ -1081,47 +1079,31 @@ class Lowerer {
 };
 
 // ---------------------------------------------------------------------------
-// Uniform-control-flow ("lane") analysis for the batched executor.
+// Per-lane storage analysis for the batch executor.
 //
-// Classifies every value as lane-invariant (identical in all lanes of a
-// fragment batch: uniforms, constants, and anything computed only from
-// them) or lane-varying (derives from a per-fragment input), then marks
-// each conditional branch whose condition may vary between lanes as
-// divergent. A program with no divergent branch executes fully batched
-// under a single shared pc; otherwise the per-lane-pc masked executor runs
-// it (vm.cc). The analysis is flow-insensitive (a value is varying if ANY
-// write to it is varying), which is sound here because a program classified
-// uniform executes every instruction for every lane in lockstep — there is
-// no masked write that could make an "invariant" value differ by lane, and
-// divergent programs never consult the per-branch bits at runtime.
-//
-// The same pass decides which globals need per-lane storage planes when
-// batched: per-fragment inputs plus every global written outside the
+// Decides which globals need per-lane storage planes when batched:
+// per-fragment inputs plus every global written outside the
 // construction-time const-init chunk (outputs, per-run re-initialized plain
 // globals, globals written through refs). Uniforms and const tables stay
 // shared, keeping per-draw uniform sync independent of the lane width.
 void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
-  const std::size_t n_regs = prog.reg_types.size();
   const std::size_t n_globals = prog.globals.size();
-  const std::size_t n_refs = prog.ref_slot_count;
+  std::vector<std::uint8_t>& lane = prog.lane_global;
+  lane.assign(n_globals, 0);
 
-  const auto is_reg = [](std::uint32_t op) {
-    return op != kOperandNone && (op & ~kOperandIndexMask) == kSpaceReg;
-  };
   const auto is_global = [](std::uint32_t op) {
     return op != kOperandNone && (op & ~kOperandIndexMask) == kSpaceGlobal;
   };
-  const auto index_of = [](std::uint32_t op) {
-    return static_cast<std::size_t>(op & kOperandIndexMask);
+  const auto mark = [&](std::uint32_t op) {
+    if (is_global(op)) lane[op & kOperandIndexMask] = 1;
   };
 
-  // Pass 1: globals written outside the const-init chunk
+  // Globals written outside the const-init chunk
   // [const_init_entry, run_entry) — direct destinations plus every global
   // whose address a kRefVar takes (refs are how dynamic-index and swizzled
   // stores write). Function bodies are shared between chunks and scanned
   // unconditionally; over-marking a const-init-only write merely gives that
   // global a (correctly initialized) per-lane plane.
-  std::vector<std::uint8_t> written(n_globals, 0);
   for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
     if (pc >= prog.const_init_entry && pc < prog.run_entry) continue;
     const VmInst& in = prog.code[pc];
@@ -1131,176 +1113,29 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
       case VmOp::kNot: case VmOp::kXor: case VmOp::kBoolNorm:
       case VmOp::kCtor: case VmOp::kBuiltin: case VmOp::kReadRef:
       case VmOp::kIncDec:
-        if (is_global(in.dst)) written[index_of(in.dst)] = 1;
+        mark(in.dst);
         break;
       case VmOp::kIncDecVar:
-        if (is_global(in.dst)) written[index_of(in.dst)] = 1;
-        if (is_global(in.a)) written[index_of(in.a)] = 1;
+        mark(in.dst);
+        mark(in.a);
         break;
       case VmOp::kRefVar:
-        if (is_global(in.a)) written[index_of(in.a)] = 1;
+        mark(in.a);
         break;
       default:
         break;
     }
   }
 
-  // Per-fragment inputs: lane-varying by definition (and per-lane storage,
-  // written per fragment by the draw loop rather than by shader code).
-  std::vector<std::uint8_t> input(n_globals, 0);
+  // Per-fragment inputs: written per fragment by the draw loop rather than
+  // by shader code.
   for (std::size_t i = 0; i < n_globals && i < cs.globals.size(); ++i) {
     const VarDecl* g = cs.globals[i];
-    if (g->qual == Qualifier::kVarying || g->qual == Qualifier::kAttribute) {
-      input[i] = 1;
-    } else if (g->is_builtin &&
-               (g->name == "gl_FragCoord" || g->name == "gl_FrontFacing" ||
-                g->name == "gl_PointCoord")) {
-      input[i] = 1;
-    }
-  }
-
-  // Taint seeds: inputs, plus per-lane-stored globals whose start-of-run
-  // value is whatever the previous invocation left there (no per-run
-  // re-initialization — e.g. gl_FragColor, or a plain global without an
-  // initializer): histories differ by lane, so reads before the first
-  // write must be treated as varying.
-  std::vector<std::uint8_t> reg_taint(n_regs, 0);
-  std::vector<std::uint8_t> glob_taint(n_globals, 0);
-  std::vector<std::uint8_t> ref_taint(n_refs, 0);
-  std::vector<std::vector<std::uint32_t>> ref_vars(n_refs);
-  for (std::size_t i = 0; i < n_globals; ++i) {
-    const bool reinit = i < cs.globals.size() &&
-                        cs.globals[i]->init != nullptr &&
-                        !cs.globals[i]->is_builtin &&
-                        cs.globals[i]->qual == Qualifier::kNone;
-    if (input[i] != 0 || (written[i] != 0 && !reinit)) glob_taint[i] = 1;
-  }
-
-  const auto src = [&](std::uint32_t op) -> bool {
-    if (op == kOperandNone) return false;
-    if (is_reg(op)) return reg_taint[index_of(op)] != 0;
-    if (is_global(op)) return glob_taint[index_of(op)] != 0;
-    return false;  // constants
-  };
-  bool changed = true;
-  const auto sink = [&](std::uint32_t op, bool t) {
-    if (!t || (!is_reg(op) && !is_global(op))) return;
-    std::uint8_t& cell =
-        is_reg(op) ? reg_taint[index_of(op)] : glob_taint[index_of(op)];
-    if (cell == 0) {
-      cell = 1;
-      changed = true;
-    }
-  };
-  const auto ref_sink = [&](std::uint32_t slot, bool t) {
-    if (t && ref_taint[slot] == 0) {
-      ref_taint[slot] = 1;
-      changed = true;
-    }
-  };
-  const auto ref_merge_vars = [&](std::uint32_t dst, std::uint32_t var_op) {
-    auto& vars = ref_vars[dst];
-    for (const std::uint32_t v : vars) {
-      if (v == var_op) return;
-    }
-    vars.push_back(var_op);
-    changed = true;
-  };
-
-  // Pass 2: taint fixpoint. Monotone over a finite lattice, so the loop
-  // terminates; in practice two or three sweeps suffice.
-  while (changed) {
-    changed = false;
-    for (const VmInst& in : prog.code) {
-      switch (in.op) {
-        case VmOp::kCopy: case VmOp::kShuffle: case VmOp::kNeg:
-        case VmOp::kNot: case VmOp::kBoolNorm:
-          sink(in.dst, src(in.a));
-          break;
-        case VmOp::kZero:
-          break;  // a zero is lane-invariant
-        case VmOp::kExtract: case VmOp::kArith: case VmOp::kXor:
-          sink(in.dst, src(in.a) || src(in.b));
-          break;
-        case VmOp::kCtor: case VmOp::kBuiltin: {
-          // Texture fetches included: contents are immutable during a draw,
-          // so the result varies only when the coordinates do.
-          bool t = false;
-          for (int i = 0; i < in.n && !t; ++i) {
-            t = src(prog.arg_ops[in.aux + static_cast<std::uint32_t>(i)]);
-          }
-          sink(in.dst, t);
-          break;
-        }
-        case VmOp::kRefVar:
-          ref_merge_vars(in.dst, in.a);
-          ref_sink(in.dst, src(in.a));
-          break;
-        case VmOp::kRefIndex:
-          for (const std::uint32_t v : ref_vars[in.a]) {
-            ref_merge_vars(in.dst, v);
-          }
-          // A lane-varying index selects different elements per lane, so
-          // both reads and writes through the ref become varying.
-          ref_sink(in.dst, ref_taint[in.a] != 0 || src(in.b));
-          break;
-        case VmOp::kRefSwizzle:
-          for (const std::uint32_t v : ref_vars[in.a]) {
-            ref_merge_vars(in.dst, v);
-          }
-          ref_sink(in.dst, ref_taint[in.a] != 0);
-          break;
-        case VmOp::kReadRef:
-          sink(in.dst, ref_taint[in.a] != 0);
-          break;
-        case VmOp::kWriteRef: {
-          const bool t = src(in.a) || ref_taint[in.dst] != 0;
-          for (const std::uint32_t v : ref_vars[in.dst]) sink(v, t);
-          break;
-        }
-        case VmOp::kIncDec: {
-          const bool t = ref_taint[in.a] != 0;
-          for (const std::uint32_t v : ref_vars[in.a]) sink(v, t);
-          sink(in.dst, t);
-          break;
-        }
-        case VmOp::kIncDecVar:
-          sink(in.dst, src(in.a));
-          break;
-        default:
-          break;  // control flow carries no data
-      }
-    }
-  }
-
-  // Pass 3: branch classification and the per-lane global index map.
-  prog.divergent_branch.assign(prog.code.size(), 0);
-  prog.uniform_control_flow = true;
-  for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
-    const VmInst& in = prog.code[pc];
-    if (in.op != VmOp::kJumpIfFalse && in.op != VmOp::kJumpIfTrue) continue;
-    if (src(in.a)) {
-      prog.divergent_branch[pc] = 1;
-      prog.uniform_control_flow = false;
-    }
-  }
-  // Opt-in classification log (MGPU_LANE_DEBUG=1): one line per lowered
-  // program, for inspecting why a shader runs lockstep vs masked.
-  if (std::getenv("MGPU_LANE_DEBUG") != nullptr) {
-    int nd = 0;
-    for (const std::uint8_t b : prog.divergent_branch) nd += b;
-    std::fprintf(stderr,
-                 "lane-analysis: stage=%s uniform=%d divergent_branches=%d "
-                 "code=%zu\n",
-                 prog.stage == Stage::kVertex ? "vertex" : "fragment",
-                 prog.uniform_control_flow ? 1 : 0, nd, prog.code.size());
-  }
-  prog.lane_global_index.assign(n_globals, -1);
-  prog.lane_global_count = 0;
-  for (std::size_t i = 0; i < n_globals; ++i) {
-    if (input[i] != 0 || written[i] != 0) {
-      prog.lane_global_index[i] =
-          static_cast<std::int32_t>(prog.lane_global_count++);
+    if (g->qual == Qualifier::kVarying || g->qual == Qualifier::kAttribute ||
+        (g->is_builtin &&
+         (g->name == "gl_FragCoord" || g->name == "gl_FrontFacing" ||
+          g->name == "gl_PointCoord"))) {
+      lane[i] = 1;
     }
   }
 }

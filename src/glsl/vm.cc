@@ -26,10 +26,10 @@ constexpr char kInjectedTrapMsg[] = "injected fault: shader trap";
 }  // namespace
 
 // The one place operands resolve to component-plane views — value ops and
-// branch conditions in both batched executors go through the same space
-// dispatch, so the encodings cannot drift apart. Built once per executor
-// entry from the engine's storage base pointers (none of the vectors
-// resize during execution). Registers and lane-varying globals resolve to
+// branch conditions of the batch executor go through the same space
+// dispatch, so the encodings cannot drift apart. Built once per batch from
+// the engine's storage base pointers (none of the vectors resize during
+// execution). Registers and lane-varying globals resolve to
 // their arena planes (kVmLanes, 1); constants, uniforms and other
 // lane-invariant globals to their shared Value (1, 0). Keeping resolution
 // out of the lane loop is the point of batching: the scalar engine
@@ -323,7 +323,7 @@ void VmExec::EnsureBatchState() {
   }
   global_plane_.assign(prog_->globals.size(), kNoPlane);
   for (std::size_t g = 0; g < global_plane_.size(); ++g) {
-    if (prog_->lane_global_index[g] < 0) continue;
+    if (prog_->lane_global[g] == 0) continue;
     global_plane_[g] = planes;
     planes += static_cast<std::uint32_t>(prog_->globals[g].type.CellCount());
   }
@@ -363,8 +363,7 @@ VmExec::LaneViews VmExec::Views() {
 std::uint32_t VmExec::RunBatch(int n) {
   if (n <= 0) return 0;
   EnsureBatchState();
-  return prog_->uniform_control_flow ? ExecuteBatchUniform(n)
-                                     : ExecuteBatchDivergent(n);
+  return ExecuteBatch(n);
 }
 
 void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask,
@@ -540,77 +539,11 @@ void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask,
       break;
     }
     default:
-      break;  // control-flow ops are handled by the executor loops
+      break;  // control-flow ops are handled by ExecuteBatch
   }
 }
 
-std::uint32_t VmExec::ExecuteBatchUniform(int n) {
-  const VmInst* const code = prog_->code.data();
-  const LaneViews views = Views();
-  const std::uint32_t full =
-      n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
-  std::array<std::uint32_t, kMaxCallDepth + 1> ret_stack;
-  int sp = 0;
-  // One budget counter stands in for every lane's: with uniform control
-  // flow all lanes take identical trip counts, so the per-fragment budget
-  // trips at exactly the same guard as in a scalar run.
-  loop_steps_ = 0;
-  std::uint32_t pc = prog_->run_entry;
-
-  while (true) {
-    const VmInst& in = code[pc];
-    switch (in.op) {
-      case VmOp::kJump:
-        pc = in.aux;
-        continue;
-      case VmOp::kJumpIfFalse:
-      case VmOp::kJumpIfTrue: {
-        // Uniform-control-flow programs: the analysis guarantees every
-        // active lane holds the same condition value, so lane 0 decides
-        // for the batch.
-        if ((views.Read(in.a).at(0, 0).i != 0) ==
-            (in.op == VmOp::kJumpIfTrue)) {
-          pc = in.aux;
-          continue;
-        }
-        break;
-      }
-      case VmOp::kLoopGuard:
-        // Traps under uniform control flow hit every lane on the same step,
-        // so the minimum trapping lane is always lane 0.
-        if (fault::ShouldFail(fault::Site::kVmInstruction)) {
-          throw ShaderRuntimeError(kInjectedTrapMsg, /*trap_lane=*/0);
-        }
-        if (++loop_steps_ > loop_budget_) {
-          throw ShaderRuntimeError(kLoopBudgetMsg, /*trap_lane=*/0);
-        }
-        break;
-      case VmOp::kCall:
-        if (sp > kMaxCallDepth) {
-          throw ShaderRuntimeError(kCallDepthMsg, /*trap_lane=*/0);
-        }
-        ret_stack[static_cast<std::size_t>(sp++)] = pc + 1;
-        pc = prog_->functions[in.aux].entry;
-        continue;
-      case VmOp::kRet:
-        if (sp == 0) return full;  // main returned for every lane
-        pc = ret_stack[static_cast<std::size_t>(--sp)];
-        continue;
-      case VmOp::kDiscard:
-        return 0;  // all lanes reached it together
-      case VmOp::kHalt:
-        return full;
-      case VmOp::kTrap:
-        throw ShaderRuntimeError(prog_->messages[in.aux], /*trap_lane=*/0);
-      default:
-        ExecBatchOp(in, full, views);
-        break;
-    }
-    ++pc;
-  }
-}
-
-std::uint32_t VmExec::ExecuteBatchDivergent(int n) {
+std::uint32_t VmExec::ExecuteBatch(int n) {
   const VmInst* const code = prog_->code.data();
   const std::uint32_t full =
       n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);

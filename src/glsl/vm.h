@@ -51,12 +51,13 @@ class VmExec final : public ShaderEngine {
   // Executes the run chunk once for lanes [0, n), n <= kVmLanes, looping
   // lanes *inside* each instruction instead of instructions inside each
   // invocation: instruction fetch, dispatch and operand resolution are paid
-  // once per instruction per batch, not once per fragment. Uniform-control-
-  // flow programs (see VmProgram::uniform_control_flow) run in lockstep
-  // under one shared pc; divergent programs run under the per-lane-pc
-  // masked executor, which executes both sides of a divergent branch with
-  // the lanes that took each side (reconverging at the minimum pc). Every
-  // lane performs exactly the evalcore operations a scalar Run() would, so
+  // once per instruction per batch, not once per fragment. One executor
+  // (ExecuteBatch) runs every program: lanes stay in lockstep under one
+  // shared pc while they agree, and a branch whose condition actually
+  // differs between lanes splits them into per-lane pcs, executing both
+  // sides with the lanes that took each (reconverging at the minimum pc),
+  // like the QPU's per-element condition flags. Every lane performs
+  // exactly the evalcore operations a scalar Run() would, so
   // results and AluModel op counts are byte-identical to n scalar runs by
   // construction — with one caveat: a global that carries state *between*
   // invocations without being re-initialized per run (a read GLSL leaves
@@ -67,8 +68,8 @@ class VmExec final : public ShaderEngine {
   // ShaderRuntimeError iff a scalar run of any lane would, attributing the
   // trap (ShaderRuntimeError::lane, and its message) to the smallest
   // trapping lane — the fragment a scalar engine sequence would have
-  // aborted the draw on first. In the divergent executor trapping lanes
-  // park while surviving lanes run to completion before the throw.
+  // aborted the draw on first. Trapping lanes park while surviving lanes
+  // run to completion before the throw.
   //
   // Per-fragment inputs/outputs live in per-lane component planes accessed
   // via LaneGlobal; uniforms and other lane-invariant globals stay in the
@@ -76,7 +77,7 @@ class VmExec final : public ShaderEngine {
   // independent of the lane width).
   std::uint32_t RunBatch(int n);
 
-  // Component-plane view of global `slot` for the batched executors: a
+  // Component-plane view of global `slot` for the batch executor: a
   // lane-varying global's arena plane (component stride kVmLanes, lane
   // stride 1), or the shared scalar storage (1, 0) of a lane-invariant
   // global, which is never written per lane. Allocates the lane state on
@@ -111,8 +112,7 @@ class VmExec final : public ShaderEngine {
   struct LaneViews;
   [[nodiscard]] LaneViews Views();
   void EnsureBatchState();
-  std::uint32_t ExecuteBatchUniform(int n);
-  std::uint32_t ExecuteBatchDivergent(int n);
+  std::uint32_t ExecuteBatch(int n);
   // Executes one non-control-flow instruction for the lanes in `mask`, with
   // operand resolution hoisted out of the lane loop.
   void ExecBatchOp(const VmInst& in, std::uint32_t mask,
@@ -141,7 +141,7 @@ class VmExec final : public ShaderEngine {
   std::uint64_t loop_steps_ = 0;
   std::uint64_t loop_budget_ = kDefaultLoopBudget;
 
-  // --- lane state of the batched executors, allocated lazily on the first
+  // --- lane state of the batch executor, allocated lazily on the first
   // RunBatch ---
   // One arena of 32-bit cells laid out as component planes, one plane per
   // component of every register and lane-varying global: component c of
@@ -156,8 +156,8 @@ class VmExec final : public ShaderEngine {
   // Per-lane l-value refs (slot s of lane l at s * kVmLanes + l), pointing
   // into the arena with stride kVmLanes or into the shared store.
   std::vector<LRef> lane_refs_;
-  // Divergent-executor control state (members so batches allocate nothing):
-  // per-lane pc / call stack / loop budget.
+  // Per-lane control state (members so batches allocate nothing): pc /
+  // call stack / loop budget.
   std::array<std::uint32_t, kVmLanes> lane_pc_{};
   std::array<int, kVmLanes> lane_sp_{};
   std::array<std::uint64_t, kVmLanes> lane_steps_{};

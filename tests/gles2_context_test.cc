@@ -6,9 +6,11 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -595,6 +597,115 @@ TEST(ContextTest, DeletedRenderbufferDetachesFromFramebuffer) {
   EXPECT_EQ(ctx.CheckFramebufferStatus(GL_FRAMEBUFFER),
             static_cast<GLenum>(GL_FRAMEBUFFER_INCOMPLETE_MISSING_ATTACHMENT));
   EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+}
+
+// BufferSubData's range check must not overflow: a range whose end lies
+// past INTPTR_MAX is GL_INVALID_VALUE and leaves the store untouched.
+TEST(ContextTest, BufferSubDataHugeRangeSetsInvalidValue) {
+  Context ctx(SmallConfig());
+  const GLuint p = BuildProgramOrDie(
+      ctx, testutil::kPassthroughVs,
+      "precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }");
+  ctx.UseProgram(p);
+  GLuint vbo;
+  ctx.GenBuffers(1, &vbo);
+  ctx.BindBuffer(GL_ARRAY_BUFFER, vbo);
+  constexpr GLsizeiptr kBytes = sizeof(float) * 12;
+  ctx.BufferData(GL_ARRAY_BUFFER, kBytes, testutil::kQuad.data(),
+                 GL_STATIC_DRAW);
+  const std::vector<std::uint8_t> junk(16, 0xff);
+  constexpr GLintptr kMax = std::numeric_limits<GLintptr>::max();
+  ctx.BufferSubData(GL_ARRAY_BUFFER, kMax, 1, junk.data());
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE);
+  ctx.BufferSubData(GL_ARRAY_BUFFER, 1, kMax, junk.data());
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE);
+  ctx.BufferSubData(GL_ARRAY_BUFFER, kBytes, 1, junk.data());
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE);
+  ctx.BufferSubData(GL_ARRAY_BUFFER, kBytes, 0, junk.data());
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+
+  // The untouched quad still covers every pixel.
+  const GLint loc = ctx.GetAttribLocation(p, "a_pos");
+  ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+  ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE, 0,
+                          nullptr);
+  ctx.DrawArrays(GL_TRIANGLES, 0, 6);
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  const auto px = ReadRgba(ctx, 4, 4);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(px[i * 4], 255) << "pixel " << i;
+}
+
+// ES 2.0: a negative count is GL_INVALID_VALUE, and the call changes no
+// state — no ids written, no object deleted, no uniform stored.
+TEST(ContextTest, NegativeCountsSetInvalidValueWithoutEffect) {
+  Context ctx(SmallConfig());
+  const GLuint p = BuildProgramOrDie(
+      ctx, testutil::kPassthroughVs,
+      "precision mediump float;\nuniform vec4 u_color;\nvoid main() { "
+      "gl_FragColor = u_color; }");
+  ctx.UseProgram(p);
+  const GLint loc = ctx.GetUniformLocation(p, "u_color");
+  ASSERT_GE(loc, 0);
+  ctx.Uniform4f(loc, 0.2f, 0.4f, 0.6f, 0.8f);
+  GLuint buf, tex, rb, fb_tex, fb_rb;
+  ctx.GenBuffers(1, &buf);
+  ctx.GenTextures(1, &tex);
+  ctx.BindTexture(GL_TEXTURE_2D, tex);
+  ctx.TexImage2D(GL_TEXTURE_2D, 0, GL_RGBA, 4, 4, 0, GL_RGBA,
+                 GL_UNSIGNED_BYTE, nullptr);
+  ctx.GenRenderbuffers(1, &rb);
+  ctx.BindRenderbuffer(GL_RENDERBUFFER, rb);
+  ctx.RenderbufferStorage(GL_RENDERBUFFER, GL_RGB565, 4, 4);
+  ctx.GenFramebuffers(1, &fb_tex);
+  ctx.BindFramebuffer(GL_FRAMEBUFFER, fb_tex);
+  ctx.FramebufferTexture2D(GL_FRAMEBUFFER, GL_COLOR_ATTACHMENT0,
+                           GL_TEXTURE_2D, tex, 0);
+  ctx.GenFramebuffers(1, &fb_rb);
+  ctx.BindFramebuffer(GL_FRAMEBUFFER, fb_rb);
+  ctx.FramebufferRenderbuffer(GL_FRAMEBUFFER, GL_COLOR_ATTACHMENT0,
+                              GL_RENDERBUFFER, rb);
+  ctx.BindFramebuffer(GL_FRAMEBUFFER, 0);
+  ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+
+  constexpr GLuint kSentinel = 0xdeadbeefu;
+  GLuint out = kSentinel;
+  const std::array<float, 16> junk{};
+  const std::pair<const char*, std::function<void()>> calls[] = {
+      {"Uniform1fv", [&] { ctx.Uniform1fv(loc, -1, junk.data()); }},
+      {"Uniform2fv", [&] { ctx.Uniform2fv(loc, -1, junk.data()); }},
+      {"Uniform4fv", [&] { ctx.Uniform4fv(loc, -1, junk.data()); }},
+      {"UniformMatrix4fv",
+       [&] { ctx.UniformMatrix4fv(loc, -1, GL_FALSE, junk.data()); }},
+      {"GenBuffers", [&] { ctx.GenBuffers(-1, &out); }},
+      {"GenTextures", [&] { ctx.GenTextures(-1, &out); }},
+      {"GenRenderbuffers", [&] { ctx.GenRenderbuffers(-1, &out); }},
+      {"GenFramebuffers", [&] { ctx.GenFramebuffers(-1, &out); }},
+      {"DeleteBuffers", [&] { ctx.DeleteBuffers(-1, &buf); }},
+      {"DeleteTextures", [&] { ctx.DeleteTextures(-1, &tex); }},
+      {"DeleteRenderbuffers", [&] { ctx.DeleteRenderbuffers(-1, &rb); }},
+      {"DeleteFramebuffers", [&] { ctx.DeleteFramebuffers(-1, &fb_tex); }},
+  };
+  for (const auto& [name, call] : calls) {
+    call();
+    EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE) << name;
+    EXPECT_EQ(out, kSentinel) << name << " wrote an id";
+  }
+
+  // Every object survived, and the uniform kept its value.
+  for (const GLuint fb : {fb_tex, fb_rb}) {
+    ctx.BindFramebuffer(GL_FRAMEBUFFER, fb);
+    EXPECT_EQ(ctx.CheckFramebufferStatus(GL_FRAMEBUFFER),
+              static_cast<GLenum>(GL_FRAMEBUFFER_COMPLETE))
+        << "framebuffer " << fb;
+  }
+  ctx.BindFramebuffer(GL_FRAMEBUFFER, 0);
+  DrawFullscreenQuad(ctx, p);
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  const auto px = ReadRgba(ctx, 4, 4);
+  EXPECT_EQ(px[0], 51);
+  EXPECT_EQ(px[1], 102);
+  EXPECT_EQ(px[2], 153);
+  EXPECT_EQ(px[3], 204);
 }
 
 TEST(ContextTest, RunawayShaderSetsDrawError) {

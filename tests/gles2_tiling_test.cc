@@ -535,7 +535,7 @@ TEST(EngineDifferentialTest, AllEnginesAgreeOnScenarioCorpusVc4Alu) {
 
 // Divergence-heavy scenario: per-pixel branches, varying loop trip counts,
 // calls inside divergent branches, divergent discard, and texture fetches
-// in one branch side — the masked executor's whole menu in one draw.
+// in one branch side — the diverged phase's whole menu in one draw.
 void ScenarioDivergent(Context& ctx) {
   GLuint tex = 0;
   ctx.GenTextures(1, &tex);

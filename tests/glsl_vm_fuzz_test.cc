@@ -1084,11 +1084,12 @@ struct TrapProgram {
 // Deterministic trappy-program generator. Four shapes:
 //   0: lane-varying loop trip count, tiny budget (some lanes exhaust it)
 //   1: same loop plus an undefined call behind a lane-varying condition
-//   2: no loop; undefined call behind a lane-varying condition (divergent
-//      executor, trap only — generous budget)
+//   2: no loop; undefined call behind a lane-varying condition (the
+//      diverged phase, trap only — generous budget)
 //   3: uniform control flow that traps every lane identically (an
 //      unconditional undefined call, or a uniform loop longer than the
-//      budget) — exercises the lockstep executor's lane-0 attribution
+//      budget) — every lane traps in the converged phase, attributed to
+//      lane 0
 TrapProgram GenTrapProgram(std::uint64_t seed) {
   Rng rng(seed);
   static const char* kComp[] = {"x", "y", "z", "w"};
@@ -1703,7 +1704,7 @@ void RunWholeDrawTrapCase(std::uint64_t seed, bool vc4_alu, TrapTally* tally) {
     budget = static_cast<std::uint64_t>(rng.NextInt(200, 40000));
   } else {
     // Divergent trap shape: non-uniform control flow, so the batched leg
-    // runs the masked (per-lane pc) executor.
+    // splits into per-lane pcs.
     sc.vs = StrFormat(
         "attribute vec4 a_in;\n"
         "varying vec4 v_in;\n"

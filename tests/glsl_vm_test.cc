@@ -671,7 +671,6 @@ TEST(VmGles2Test, DrawsAreByteIdenticalAcrossEngines) {
 struct BatchCase {
   const char* label;
   std::string source;
-  bool expect_uniform_flow = false;  // analysis sanity check
   bool with_texture = false;
 };
 
@@ -686,8 +685,7 @@ void main() {
   vec4 a = v_in * 2.0 + u_bias;
   float s = sin(a.x) + cos(a.y) * sqrt(abs(a.z) + 1.0);
   gl_FragColor = vec4(fract(s), a.y * 0.25, pow(abs(a.w) + 0.5, 1.3), 1.0);
-})",
-       /*expect_uniform_flow=*/true});
+})"});
   cases.push_back(
       {"uniform_branch_and_loop",
        R"(precision highp float;
@@ -695,12 +693,11 @@ varying vec4 v_in;
 uniform float u_mode;
 void main() {
   float acc = v_in.x;
-  // Branch + trip count depend only on the uniform: still lockstep.
+  // Branch + trip count depend only on the uniform: lanes never split.
   if (u_mode > 0.5) { acc += 3.0; } else { acc -= 1.0; }
   for (int i = 0; i < 5; ++i) acc += v_in.y * float(i);
   gl_FragColor = vec4(acc, v_in.z, 0.0, 1.0);
-})",
-       /*expect_uniform_flow=*/true});
+})"});
   cases.push_back(
       {"divergent_if_else",
        R"(precision highp float;
@@ -759,9 +756,9 @@ void main() {
   cases.push_back(
       {"lockstep_dynamic_index_stores",
        // Lane-varying *indices* are data, not control: the loop bounds are
-       // uniform and there is no varying branch, so this runs fully
-       // lockstep while every lane writes a different array element
-       // through a per-lane ref.
+       // uniform and there is no varying branch, so the lanes never split
+       // while every lane writes a different array element through a
+       // per-lane ref.
        R"(precision highp float;
 varying vec4 v_in;
 void main() {
@@ -772,10 +769,9 @@ void main() {
   vec4 v = vec4(0.1, 0.2, 0.3, 0.4);
   v[int(mod(v_in.z * 7.0, 4.0))] = v_in.w;
   gl_FragColor = vec4(tbl[j], tbl[3 - j], v.x + v.w, 1.0);
-})",
-       /*expect_uniform_flow=*/true});
+})"});
   cases.push_back(
-      {"texture_in_divergent_branch",
+      {"texture_in_divergent_if",
        R"(precision highp float;
 varying vec4 v_in;
 uniform sampler2D u_tex;
@@ -784,7 +780,7 @@ void main() {
   if (v_in.x > 0.45) t = texture2D(u_tex, v_in.xy);
   gl_FragColor = t + texture2D(u_tex, v_in.zw) * 0.25;
 })",
-       /*expect_uniform_flow=*/false, /*with_texture=*/true});
+       /*with_texture=*/true});
   cases.push_back(
       {"divergent_early_return_and_ternary",
        R"(precision highp float;
@@ -798,7 +794,7 @@ void main() {
   }
   gl_FragColor = vec4(pick * 0.5, 0.25, both ? 0.5 : 0.125, 1.0);
 })"});
-  // --- vector ops inside divergent flow: the masked executor must invoke
+  // --- vector ops inside divergent flow: the diverged phase must invoke
   // the SoA kernels with partial lane masks, not just full batches ---------
   cases.push_back(
       {"normalize_in_varying_trip_loop",
@@ -831,7 +827,7 @@ void main() {
   gl_FragColor = c * c;
 })"});
   cases.push_back(
-      {"vector_compare_in_divergent_branch",
+      {"vector_compare_in_divergent_if",
        R"(precision highp float;
 varying vec4 v_in;
 void main() {
@@ -848,12 +844,12 @@ void main() {
   gl_FragColor = c;
 })"});
   cases.push_back(
-      {"matrix_algebra_in_divergent_branch",
+      {"matrix_algebra_in_divergent_if",
        R"(precision highp float;
 varying vec4 v_in;
 void main() {
-  // mat*vec / mat*mat take the per-lane replay path inside the masked
-  // executor; mat+mat and mat*scalar take the component-wise SoA kernel.
+  // mat*vec / mat*mat and mat+mat / mat*scalar run under the partial
+  // lane masks of the diverged phase.
   mat2 m = mat2(v_in.x, 1.0, -0.5, v_in.y + 0.25);
   vec2 r;
   if (v_in.z > 0.4) {
@@ -880,8 +876,7 @@ void main() {
   vec4 f = floor(m * 7.5) - fract(m) + ceil(m * 0.5);
   vec4 mn = min(max(f, -a), abs(m));
   gl_FragColor = mn + vec4(step(0.5, d)) * 0.125 - a * 0.5;
-})",
-       /*expect_uniform_flow=*/true});
+})"});
   // --- products below FLT_MIN (flushed under the VC4/Mali models) and
   // values whose mantissas round at reduced precision, through arithmetic,
   // negation, constructors, a matrix product and rounding builtins ------
@@ -900,8 +895,7 @@ void main() {
   gl_FragColor = vec4(sub.x * 1.0e30, neg.y * 1.0e30 + q.x,
                       m[0][0] + m[1][1] * s,
                       dot(r, q) + float(sub.z == 0.0) + mix(r.w, q.w, v_in.x));
-})",
-       /*expect_uniform_flow=*/true});
+})"});
   // --- NaNs of both signs meeting in two-NaN operations (arithmetic, a
   // matrix product, mix, mod): the batch kernels and the scalar path must
   // return the same NaN bits whatever operand order each copy compiles to
@@ -918,8 +912,7 @@ void main() {
   mat2 m = mat2(a.xy, b.zw) * mat2(b.xy, a.zw);
   gl_FragColor = vec4(a.x + b.x, b.y * a.y, mix(a.z, b.z, a.w) - m[1][0],
                       mod(b.w, a.x) + m[0][1]);
-})",
-       /*expect_uniform_flow=*/true});
+})"});
   return cases;
 }
 
@@ -955,8 +948,6 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
   CompileResult cr = CompileGlsl(c.source, Stage::kFragment);
   ASSERT_TRUE(cr.ok) << cr.info_log;
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
-  EXPECT_EQ(prog->uniform_control_flow, c.expect_uniform_flow)
-      << "uniform-control-flow analysis disagrees with the corpus label";
 
   const std::unique_ptr<AluModel> alu_s_owned = MakeBatchAlu(kind);
   const std::unique_ptr<AluModel> alu_b_owned = MakeBatchAlu(kind);
@@ -1102,6 +1093,39 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
       }
     }
   }
+}
+
+// The lane pass gives a global per-lane planes iff a fragment supplies it
+// or the run chunk writes it; everything else stays in the shared store.
+TEST(VmLaneStorageTest, PerLaneGlobalsAreInputsAndWrittenGlobals) {
+  const std::string src = R"(precision highp float;
+varying vec4 v_in;
+uniform vec4 u_bias;
+const vec4 kRead = vec4(0.5, 1.5, 2.5, 3.5);
+float g_reinit = 0.25;
+float g_tbl[4];
+void main() {
+  int j = int(mod(v_in.x * 11.0, 4.0));
+  g_tbl[j] = v_in.y;
+  g_reinit += kRead[j] + gl_FragCoord.x;
+  gl_FragColor = vec4(g_tbl[j], g_reinit, 0.0, 1.0) + u_bias;
+})";
+  CompileResult cr = CompileGlsl(src, Stage::kFragment);
+  ASSERT_TRUE(cr.ok) << cr.info_log;
+  std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
+  ASSERT_EQ(prog->lane_global.size(), prog->globals.size());
+  const auto per_lane = [&](const char* name) {
+    const int slot = prog->GlobalSlot(name);
+    EXPECT_GE(slot, 0) << name;
+    return slot >= 0 && prog->lane_global[static_cast<std::size_t>(slot)] != 0;
+  };
+  EXPECT_TRUE(per_lane("v_in")) << "varying";
+  EXPECT_TRUE(per_lane("gl_FragCoord")) << "per-fragment builtin input";
+  EXPECT_TRUE(per_lane("gl_FragColor")) << "output";
+  EXPECT_TRUE(per_lane("g_reinit")) << "re-initialized plain global";
+  EXPECT_TRUE(per_lane("g_tbl")) << "table written through a dynamic index";
+  EXPECT_FALSE(per_lane("u_bias")) << "uniform";
+  EXPECT_FALSE(per_lane("kRead")) << "const table only read";
 }
 
 }  // namespace
