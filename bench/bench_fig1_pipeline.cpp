@@ -99,9 +99,9 @@ SweepResult RunSweep(gles2::ExecEngine engine, int shader_threads = 1,
 // The Fig. 1 sweep's self-index kernel is scalar-float-only, which the
 // batched engine already fast-pathed in PR 4; this scene measures the SoA
 // win where it matters — whole-vector arithmetic, normalize/dot/pow — with
-// uniform control flow, so the batch never leaves its converged phase and
-// the vector kernels run on full 16-lane batches. Byte-identical across engines by construction
-// (FNV hash of the framebuffer is a gated deterministic metric).
+// uniform control flow, so the lanes never split and the vector kernels
+// run on full kVmLanes-wide batches. Byte-identical across engines by
+// construction (FNV hash of the framebuffer is a gated deterministic metric).
 
 using namespace mgpu::gles2;
 

@@ -151,7 +151,7 @@ void Kernel::Run(PackedBuffer& out, std::span<PackedBuffer* const> inputs) {
 
   // Challenge 2: the screen-covering quad as two triangles. The draw is
   // the kernel loop: under the default batched engine the rasterizer packs
-  // the quad's fragments into 16-lane SoA batches and each batch makes one
+  // the quad's fragments into kVmLanes-wide SoA batches and each makes one
   // pass through the kernel's instruction stream (VmExec::RunBatch), so
   // per-element interpreter overhead is amortized across lanes exactly as
   // QPU lockstep amortizes instruction issue across pixels.

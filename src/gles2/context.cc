@@ -1484,10 +1484,7 @@ bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
       // on the lane width, and a tripped draw restores the snapshot.
       if (draw_budget_ != 0 &&
           alu_->counts().alu - draw_start_counts.alu > draw_budget_) {
-        alu_->SetCounts(draw_start_counts);
-        last_draw_error_ = kBudgetMsg;
-        reset_status_ = GL_GUILTY_CONTEXT_RESET;
-        SetError(GL_OUT_OF_MEMORY);
+        AbortDraw(DrawErrorKind::kBudget, kBudgetMsg, draw_start_counts);
         return false;
       }
 
@@ -1519,10 +1516,7 @@ bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
   } catch (const glsl::ShaderRuntimeError& e) {
     // Vertex-stage trap: no framebuffer byte was touched yet, so restoring
     // the counter snapshot completes the abort.
-    alu_->SetCounts(draw_start_counts);
-    last_draw_error_ = e.what();
-    reset_status_ = GL_GUILTY_CONTEXT_RESET;
-    SetError(GL_INVALID_OPERATION);
+    AbortDraw(DrawErrorKind::kTrap, e.what(), draw_start_counts);
     return false;
   }
   return true;
@@ -1830,10 +1824,8 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     // Allocation failure (injectable: fault::Site::kBinnerGrow) while
     // binning: nothing has touched the framebuffer yet, so restoring the
     // counter snapshot makes the abort a pure no-op draw.
-    alu_->SetCounts(draw_start_counts);
-    last_draw_error_ = "tile binner allocation failed";
-    reset_status_ = GL_INNOCENT_CONTEXT_RESET;
-    SetError(GL_OUT_OF_MEMORY);
+    AbortDraw(DrawErrorKind::kResource, "tile binner allocation failed",
+              draw_start_counts);
     return;
   }
   const std::vector<std::uint32_t>& work = scratch_work_;
@@ -1940,10 +1932,8 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     // inconsistent state, so drop the program's entries — the next draw
     // rebuilds from scratch. No framebuffer byte was touched yet.
     shade_cache_.InvalidateProgram(current_program_);
-    alu_->SetCounts(draw_start_counts);
-    last_draw_error_ = "shading-state allocation failed";
-    reset_status_ = GL_INNOCENT_CONTEXT_RESET;
-    SetError(GL_OUT_OF_MEMORY);
+    AbortDraw(DrawErrorKind::kResource, "shading-state allocation failed",
+              draw_start_counts);
     return;
   }
 
@@ -2015,21 +2005,35 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     w.flush();
   };
 
-  // A failure outside any worker's shader (allocation mid-shading, a pool
-  // task dying before it ran): recorded draw-wide and classified as an
-  // implementation fault, not a shader fault.
-  std::string infra_error;
-  DrawErrorKind infra_error_kind = DrawErrorKind::kNone;
-  if (slot_count == 1) {
+  // One shading body for every slot: it claims tiles off a shared counter
+  // until none is left. Shader traps and watchdog trips are caught inside
+  // the flush closure; anything else escaping a tile (an allocation failure
+  // mid-shading) is a resource failure of the pipeline, attributed to the
+  // slot.
+  const int tile_count = static_cast<int>(work.size());
+  std::atomic<int> next_tile{0};
+  const auto shade_slot = [&](int slot_index) {
+    ShadeStateCache::WorkerState& w =
+        *entry->workers[static_cast<std::size_t>(slot_index)];
     try {
-      for (const std::uint32_t t : work) shade_tile(t, 0);
+      for (int item = next_tile.fetch_add(1, std::memory_order_relaxed);
+           item < tile_count;
+           item = next_tile.fetch_add(1, std::memory_order_relaxed)) {
+        shade_tile(work[static_cast<std::size_t>(item)], slot_index);
+      }
     } catch (const std::exception& e) {
-      // Shader traps are caught inside the flush closure; anything
-      // reaching here is a resource failure of the pipeline itself.
-      infra_error = e.what();
-      infra_error_kind = DrawErrorKind::kResource;
+      if (w.error_kind == DrawErrorKind::kNone) {
+        w.error = e.what();
+        w.error_kind = DrawErrorKind::kResource;
+      }
       draw_failed_.store(true, std::memory_order_relaxed);
     }
+  };
+  // A pool task that died before its body ran: an implementation fault of
+  // no particular slot.
+  std::string pool_error;
+  if (slot_count == 1) {
+    shade_slot(0);
   } else {
     // The pool is sized by the configured thread count, not by this draw's
     // slot count, so alternating draws with different tile counts reuse the
@@ -2039,41 +2043,13 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     if (pool_ == nullptr || pool_->size() != threads) {
       pool_ = std::make_unique<common::ThreadPool>(threads);
     }
-    const int tile_count = static_cast<int>(work.size());
-    std::atomic<int> next_tile{0};
     try {
-      pool_->RunOn(slot_count, [&](int slot_index) {
-        // An exception escaping a pool worker's body is captured by the
-        // pool and rethrown from RunOn; catch shading failures here so
-        // they are attributed to the right worker slot instead.
-        ShadeStateCache::WorkerState& w =
-            *entry->workers[static_cast<std::size_t>(slot_index)];
-        try {
-          for (int item = next_tile.fetch_add(1, std::memory_order_relaxed);
-               item < tile_count;
-               item = next_tile.fetch_add(1, std::memory_order_relaxed)) {
-            shade_tile(work[static_cast<std::size_t>(item)], slot_index);
-          }
-        } catch (const glsl::ShaderRuntimeError& e) {
-          w.error = e.what();
-          if (w.error_kind == DrawErrorKind::kNone) {
-            w.error_kind = DrawErrorKind::kTrap;
-          }
-          draw_failed_.store(true, std::memory_order_relaxed);
-        } catch (const std::exception& e) {
-          w.error = e.what();
-          if (w.error_kind == DrawErrorKind::kNone) {
-            w.error_kind = DrawErrorKind::kResource;
-          }
-          draw_failed_.store(true, std::memory_order_relaxed);
-        }
-      });
+      pool_->RunOn(slot_count, shade_slot);
     } catch (const std::exception& e) {
-      // A pool task failed before its body ran (injectable:
-      // fault::Site::kPoolTask). The join completed — every other worker
-      // finished — so the abort below sees a quiesced, consistent state.
-      infra_error = e.what();
-      infra_error_kind = DrawErrorKind::kResource;
+      // Injectable: fault::Site::kPoolTask. The join completed — every
+      // other worker finished — so the abort below sees a quiesced,
+      // consistent state.
+      pool_error = e.what();
       draw_failed_.store(true, std::memory_order_relaxed);
     }
     if (!draw_failed_.load(std::memory_order_relaxed)) {
@@ -2112,30 +2088,37 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
       }
       w.journal.Clear();
     }
-    alu_->SetCounts(draw_start_counts);
-    last_draw_error_ = infra_error;
-    DrawErrorKind kind = infra_error_kind;
+    // The lowest slot that failed names the abort; a pool failure only
+    // when no slot did.
+    std::string message = pool_error;
+    DrawErrorKind kind = pool_error.empty() ? DrawErrorKind::kTrap
+                                            : DrawErrorKind::kResource;
     for (int i = 0; i < slot_count; ++i) {
       const ShadeStateCache::WorkerState& w =
           *entry->workers[static_cast<std::size_t>(i)];
       if (!w.error.empty()) {
-        last_draw_error_ = w.error;
+        message = w.error;
         kind = w.error_kind;
         break;
       }
     }
-    if (kind == DrawErrorKind::kNone) kind = DrawErrorKind::kTrap;
-    reset_status_ = kind == DrawErrorKind::kResource
-                        ? GL_INNOCENT_CONTEXT_RESET
-                        : GL_GUILTY_CONTEXT_RESET;
-    SetError(kind == DrawErrorKind::kTrap ? GL_INVALID_OPERATION
-                                          : GL_OUT_OF_MEMORY);
+    AbortDraw(kind, message, draw_start_counts);
     return;
   }
   // Committed: the journals exist only to be replayed on abort.
   for (int i = 0; i < slot_count; ++i) {
     entry->workers[static_cast<std::size_t>(i)]->journal.Clear();
   }
+}
+
+void Context::AbortDraw(DrawErrorKind kind, const std::string& message,
+                        const glsl::OpCounts& draw_start_counts) {
+  alu_->SetCounts(draw_start_counts);
+  last_draw_error_ = message;
+  reset_status_ = kind == DrawErrorKind::kResource ? GL_INNOCENT_CONTEXT_RESET
+                                                   : GL_GUILTY_CONTEXT_RESET;
+  SetError(kind == DrawErrorKind::kTrap ? GL_INVALID_OPERATION
+                                        : GL_OUT_OF_MEMORY);
 }
 
 void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,

@@ -537,6 +537,11 @@ class Context {
                      const glsl::OpCounts& draw_start_counts);
   void DrawGeneric(GLenum mode, GLsizei count,
                    const std::function<GLuint(GLsizei)>& index_at);
+  // Reports a draw abort of `kind` (see DrawErrorKind): restores the
+  // counter snapshot taken when the draw started, records `message` as
+  // last_draw_error() and sets the reset status and GL error `kind` maps to.
+  void AbortDraw(DrawErrorKind kind, const std::string& message,
+                 const glsl::OpCounts& draw_start_counts);
   // Writes one shaded fragment (scissor, depth test, blend, masks). Every
   // framebuffer byte / depth float about to be overwritten is recorded in
   // `journal` first (non-null during draws) so an abort can undo it.

@@ -20,7 +20,7 @@ void Append(FragmentBatch& b, const BatchFlushFn& flush, int px, int py,
   b.front[l] = front ? 1 : 0;
   b.point_s[l] = ps;
   b.point_t[l] = pt;
-  if (++b.count == kFragBatchFill) flush();
+  if (++b.count == kFragBatchWidth) flush();
 }
 
 // Varying cell k of the next fragment goes to

@@ -55,15 +55,11 @@ struct RasterState {
 // vec4s); sizes the batch's varying planes.
 inline constexpr int kMaxVaryingCells = 64;
 
-// Lane width of a fragment batch's storage planes. Must equal
-// glsl::kVmLanes (the raster layer stays glsl-free; gles2::Context
-// static_asserts the match).
+// Lane width of a fragment batch: the rasterizer flushes once this many
+// fragments are queued, so one batched shader dispatch covers a full batch.
+// Must equal glsl::kVmLanes (the raster layer stays glsl-free;
+// gles2::Context static_asserts the match).
 inline constexpr int kFragBatchWidth = 32;
-// Fill width of a fragment batch: the rasterizer flushes once this many
-// fragments are queued, so one batched shader dispatch covers up to 16
-// fragments — the 16-pixel group a VC4 QPU shades per instruction.
-inline constexpr int kFragBatchFill = 16;
-static_assert(kFragBatchFill <= kFragBatchWidth);
 
 // A fixed-width batch of covered fragments in SoA ("structure of planes")
 // layout: per-fragment scalars in parallel arrays, interpolated varyings as

@@ -42,10 +42,11 @@ struct ShaderRuntimeError : std::runtime_error {
 };
 
 // Width of the batched VM's lane planes: RunBatch executes up to this many
-// invocations in lockstep through one instruction stream (paper §II: a QPU
-// shades 16-pixel groups through one program). Must fit a std::uint32_t
-// lane mask. The vertex stage fills whole kVmLanes batches; the raster
-// pipeline fills fragment batches to gles2::kFragBatchFill (16) lanes.
+// invocations through one instruction stream (paper §II: a QPU shades a
+// pixel group through one program). Must fit a std::uint32_t lane mask.
+// The vertex stage and the raster pipeline both fill whole kVmLanes
+// batches (gles2::kFragBatchWidth == kVmLanes). The modeled VC4 time is
+// built from op counts, so this host batch width never enters it.
 inline constexpr int kVmLanes = 32;
 
 // L-value reference: maps result components onto cells of a storage block

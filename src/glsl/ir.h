@@ -131,15 +131,21 @@ struct VmProgram {
   // the lane width.
   std::vector<std::uint8_t> lane_global;
 
-  // True when any instruction can raise a runtime trap: a loop guard (the
+  // The run chunk's static call depth exceeds the 64-frame budget. The
+  // lowerer then keeps every call as kCall, and a run that reaches the
+  // deepest chain traps at its 65th nested call.
+  bool deep_calls = false;
+
+  // True when a run can raise a runtime trap: a loop guard (the
   // runaway-loop budget, also the injection point for the kVmInstruction
-  // fault site) or a lowered kTrap (call to a declared-but-undefined
-  // function). kCall's depth check is excluded deliberately — recursion is
-  // rejected at parse and static call depth is bounded at lowering, so the
-  // runtime check is unreachable for any program that links. Drawing code
-  // uses this to skip per-pixel undo journaling for programs that cannot
-  // abort mid-draw (see Context::DrawGeneric).
+  // fault site), a lowered kTrap (call to a declared-but-undefined
+  // function) or a call chain past the frame budget (deep_calls). A kCall
+  // alone does not count — every run chunk calls main — since a program
+  // whose calls fit the budget cannot overflow it. Drawing code uses this
+  // to skip per-pixel undo journaling for programs that cannot abort
+  // mid-draw (see Context::DrawGeneric).
   [[nodiscard]] bool CanTrap() const {
+    if (deep_calls) return true;
     for (const VmInst& in : code) {
       if (in.op == VmOp::kLoopGuard || in.op == VmOp::kTrap) return true;
     }

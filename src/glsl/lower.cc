@@ -120,7 +120,8 @@ class Lowerer {
     for (const VarDecl* g : cs_.globals) {
       if (g->init != nullptr) depth = std::max(depth, ExprCallDepth(*g->init));
     }
-    inline_enabled_ = depth <= kMaxStaticCallDepth;
+    prog_->deep_calls = depth > kMaxStaticCallDepth;
+    inline_enabled_ = !prog_->deep_calls;
 
     // Chunk 1: construction-time initialization of every global with an
     // initializer (slot order), mirroring ShaderExec::InitGlobals.

@@ -549,7 +549,6 @@ std::uint32_t VmExec::ExecuteBatch(int n) {
       n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
   constexpr std::size_t kStackStride = kMaxCallDepth + 1;
   for (int l = 0; l < n; ++l) {
-    lane_pc_[static_cast<std::size_t>(l)] = prog_->run_entry;
     lane_sp_[static_cast<std::size_t>(l)] = 0;
     lane_steps_[static_cast<std::size_t>(l)] = 0;
   }
@@ -565,171 +564,78 @@ std::uint32_t VmExec::ExecuteBatch(int n) {
   // exactly the fragment the scalar engines would have aborted the draw on.
   int trap_lane = -1;
   std::string trap_msg;
-  const auto record_trap = [&](std::uint32_t lanes_bits,
-                               const std::string& msg) {
-    const int l = std::countr_zero(lanes_bits);
+  const auto trap = [&](std::uint32_t lanes, const std::string& msg) {
+    const int l = std::countr_zero(lanes);
     if (trap_lane < 0 || l < trap_lane) {
       trap_lane = l;
       trap_msg = msg;
     }
+    running &= ~lanes;
+    kept &= ~lanes;
   };
 
-  // Hybrid scheduling. Converged phase (the common case, entered at start):
-  // every running lane sits at the same pc, so instructions execute in
-  // lockstep with a single shared pc and none of the per-lane bookkeeping —
-  // branch conditions are still read per lane, and only a branch (or ret)
-  // whose outcome actually differs between lanes ends the phase by spilling
-  // per-lane pcs. Diverged phase: minimum-pc scheduling — each step
-  // executes the one instruction at the smallest pc any running lane waits
-  // on, with exactly the lanes parked there. Structured lowering places a
-  // branch's taken-earlier block before its taken-later block and loop
-  // bodies before their exits, so split lanes re-join at the join point's
-  // pc, where the mask covers every running lane again and the converged
-  // phase resumes. Both sides of a divergent branch thus execute, each
+  // Each step executes the instruction at the smallest pc any running lane
+  // waits on, for exactly the lanes parked there (`mask`). While every
+  // running lane is in that group the batch is converged: the lanes share
+  // `pc` and no per-lane pc is scanned or stored. A branch (or ret) whose
+  // outcome differs between the group's lanes splits it into per-lane pcs
+  // (lane_pc_). Structured lowering places a branch's taken-earlier block
+  // before its taken-later block and loop bodies before their exits, so
+  // split lanes re-join at the join point's pc, where the group covers every
+  // running lane again. Both sides of a divergent branch thus execute, each
   // under its own lane mask, and every lane performs exactly its scalar
   // instruction sequence — per-lane op counts and TMU access order stay
   // exact.
   const LaneViews views = Views();
-
   bool converged = true;
   std::uint32_t pc = prog_->run_entry;
+  std::uint32_t mask = running;
+  // The group continues at `next`.
+  const auto go = [&](std::uint32_t next) {
+    if (converged) {
+      pc = next;
+    } else {
+      ForEachLane(mask, [&](int l) {
+        lane_pc_[static_cast<std::size_t>(l)] = next;
+      });
+    }
+  };
   while (running != 0) {
+    mask = running;
     if (!converged) {
-      // Diverged: find the minimum pc and its lane group; if the group is
-      // every running lane, the batch has reconverged.
       pc = ~0u;
       for (std::uint32_t m = running; m != 0; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        pc = std::min(pc, lane_pc_[static_cast<std::size_t>(l)]);
+        pc = std::min(pc, lane_pc_[static_cast<std::size_t>(
+                              std::countr_zero(m))]);
       }
-      std::uint32_t mask = 0;
+      mask = 0;
       for (std::uint32_t m = running; m != 0; m &= m - 1) {
         const int l = std::countr_zero(m);
         if (lane_pc_[static_cast<std::size_t>(l)] == pc) {
           mask |= 1u << static_cast<unsigned>(l);
         }
       }
-      if (mask == running) {
-        converged = true;
-      } else {
-        const VmInst& in = code[pc];
-        switch (in.op) {
-          case VmOp::kJump:
-            ForEachLane(mask, [&](int l) {
-              lane_pc_[static_cast<std::size_t>(l)] = in.aux;
-            });
-            continue;
-          case VmOp::kJumpIfFalse:
-          case VmOp::kJumpIfTrue: {
-            const PlaneSrc cond = views.Read(in.a);
-            const bool jump_on = in.op == VmOp::kJumpIfTrue;
-            ForEachLane(mask, [&](int l) {
-              lane_pc_[static_cast<std::size_t>(l)] =
-                  (cond.at(0, l).i != 0) == jump_on ? in.aux : pc + 1;
-            });
-            continue;
-          }
-          case VmOp::kLoopGuard: {
-            if (fault::ShouldFail(fault::Site::kVmInstruction)) {
-              record_trap(mask, kInjectedTrapMsg);
-              running &= ~mask;
-              kept &= ~mask;
-              continue;
-            }
-            std::uint32_t over = 0;
-            ForEachLane(mask, [&](int l) {
-              if (++lane_steps_[static_cast<std::size_t>(l)] > loop_budget_) {
-                over |= 1u << static_cast<unsigned>(l);
-              }
-            });
-            if (over != 0) {
-              record_trap(over, kLoopBudgetMsg);
-              running &= ~over;
-              kept &= ~over;
-            }
-            break;
-          }
-          case VmOp::kCall: {
-            std::uint32_t deep = 0;
-            ForEachLane(mask, [&](int l) {
-              const std::size_t li = static_cast<std::size_t>(l);
-              if (lane_sp_[li] > kMaxCallDepth) {
-                deep |= 1u << static_cast<unsigned>(l);
-                return;
-              }
-              lane_ret_stack_[li * kStackStride +
-                              static_cast<std::size_t>(lane_sp_[li]++)] =
-                  pc + 1;
-              lane_pc_[li] = prog_->functions[in.aux].entry;
-            });
-            if (deep != 0) {
-              record_trap(deep, kCallDepthMsg);
-              running &= ~deep;
-              kept &= ~deep;
-            }
-            continue;
-          }
-          case VmOp::kRet:
-            ForEachLane(mask, [&](int l) {
-              const std::size_t li = static_cast<std::size_t>(l);
-              if (lane_sp_[li] == 0) {
-                // main returned: the lane is done (and not discarded).
-                running &= ~(1u << static_cast<unsigned>(l));
-              } else {
-                lane_pc_[li] =
-                    lane_ret_stack_[li * kStackStride +
-                                    static_cast<std::size_t>(--lane_sp_[li])];
-              }
-            });
-            continue;
-          case VmOp::kDiscard:
-            kept &= ~mask;
-            running &= ~mask;
-            continue;
-          case VmOp::kHalt:
-            running &= ~mask;
-            continue;
-          case VmOp::kTrap:
-            record_trap(mask, prog_->messages[in.aux]);
-            running &= ~mask;
-            kept &= ~mask;
-            continue;
-          default:
-            ExecBatchOp(in, mask, views);
-            break;
-        }
-        ForEachLane(mask, [&](int l) {
-          lane_pc_[static_cast<std::size_t>(l)] = pc + 1;
-        });
-        continue;
-      }
+      converged = mask == running;
     }
-
-    // Converged: lockstep over `running` with a single shared pc. Per-lane
-    // call stacks stay live (lanes reconverged from different call paths
-    // may hold different return chains), but no per-step scanning happens.
     const VmInst& in = code[pc];
     switch (in.op) {
       case VmOp::kJump:
-        pc = in.aux;
+        go(in.aux);
         continue;
       case VmOp::kJumpIfFalse:
       case VmOp::kJumpIfTrue: {
         const PlaneSrc cond = views.Read(in.a);
         const bool jump_on = in.op == VmOp::kJumpIfTrue;
         std::uint32_t taken = 0;
-        ForEachLane(running, [&](int l) {
+        ForEachLane(mask, [&](int l) {
           if ((cond.at(0, l).i != 0) == jump_on) {
             taken |= 1u << static_cast<unsigned>(l);
           }
         });
-        if (taken == 0) {
-          ++pc;
-        } else if (taken == running) {
-          pc = in.aux;
+        if (taken == 0 || taken == mask) {
+          go(taken == 0 ? pc + 1 : in.aux);
         } else {
-          // The batch splits here: spill per-lane pcs and go grouped.
-          ForEachLane(running, [&](int l) {
+          ForEachLane(mask, [&](int l) {
             lane_pc_[static_cast<std::size_t>(l)] =
                 ((taken >> static_cast<unsigned>(l)) & 1u) != 0 ? in.aux
                                                                 : pc + 1;
@@ -740,30 +646,23 @@ std::uint32_t VmExec::ExecuteBatch(int n) {
       }
       case VmOp::kLoopGuard: {
         if (fault::ShouldFail(fault::Site::kVmInstruction)) {
-          record_trap(running, kInjectedTrapMsg);
-          kept &= ~running;
-          running = 0;
+          trap(mask, kInjectedTrapMsg);
           continue;
         }
-        // Lanes may carry different step counts into a converged guard
-        // (reconverged from unequal trip counts), so the budget is checked
-        // per lane; survivors stay converged at the next pc.
+        // Lanes may carry different step counts into one guard (re-joined
+        // from unequal trip counts), so the budget is checked per lane.
         std::uint32_t over = 0;
-        ForEachLane(running, [&](int l) {
+        ForEachLane(mask, [&](int l) {
           if (++lane_steps_[static_cast<std::size_t>(l)] > loop_budget_) {
             over |= 1u << static_cast<unsigned>(l);
           }
         });
-        if (over != 0) {
-          record_trap(over, kLoopBudgetMsg);
-          kept &= ~over;
-          running &= ~over;
-        }
+        if (over != 0) trap(over, kLoopBudgetMsg);
         break;
       }
       case VmOp::kCall: {
         std::uint32_t deep = 0;
-        ForEachLane(running, [&](int l) {
+        ForEachLane(mask, [&](int l) {
           const std::size_t li = static_cast<std::size_t>(l);
           if (lane_sp_[li] > kMaxCallDepth) {
             deep |= 1u << static_cast<unsigned>(l);
@@ -772,63 +671,47 @@ std::uint32_t VmExec::ExecuteBatch(int n) {
           lane_ret_stack_[li * kStackStride +
                           static_cast<std::size_t>(lane_sp_[li]++)] = pc + 1;
         });
-        if (deep != 0) {
-          record_trap(deep, kCallDepthMsg);
-          kept &= ~deep;
-          running &= ~deep;
-          if (running == 0) continue;
-        }
-        pc = prog_->functions[in.aux].entry;
+        if (deep != 0) trap(deep, kCallDepthMsg);
+        go(prog_->functions[in.aux].entry);
         continue;
       }
       case VmOp::kRet: {
-        // Pop per lane; lanes whose stacks agree keep lockstep, otherwise
-        // (reconvergence joined different call chains) spill and group.
-        std::uint32_t done = 0;
+        // Every lane is inside main or deeper (the run chunk enters main
+        // through kCall), so each pops a return pc. Lanes re-joined from
+        // different call sites pop different pcs and split.
         std::uint32_t next = ~0u;
         bool same = true;
-        ForEachLane(running, [&](int l) {
+        ForEachLane(mask, [&](int l) {
           const std::size_t li = static_cast<std::size_t>(l);
-          if (lane_sp_[li] == 0) {
-            done |= 1u << static_cast<unsigned>(l);
-            return;
-          }
           const std::uint32_t ret =
               lane_ret_stack_[li * kStackStride +
                               static_cast<std::size_t>(--lane_sp_[li])];
           lane_pc_[li] = ret;
-          if (next == ~0u) {
-            next = ret;
-          } else if (ret != next) {
-            same = false;
-          }
+          same = same && (next == ~0u || ret == next);
+          next = ret;
         });
-        running &= ~done;  // main returned for those lanes (not discarded)
-        if (running == 0) continue;  // outer loop exits
         if (same) {
-          pc = next;
+          go(next);
         } else {
           converged = false;
         }
         continue;
       }
       case VmOp::kDiscard:
-        kept &= ~running;
-        running = 0;
+        kept &= ~mask;
+        running &= ~mask;
         continue;
       case VmOp::kHalt:
-        running = 0;
+        running &= ~mask;
         continue;
       case VmOp::kTrap:
-        record_trap(running, prog_->messages[in.aux]);
-        kept &= ~running;
-        running = 0;
+        trap(mask, prog_->messages[in.aux]);
         continue;
       default:
-        ExecBatchOp(in, running, views);
+        ExecBatchOp(in, mask, views);
         break;
     }
-    ++pc;
+    go(pc + 1);
   }
   if (trap_lane >= 0) throw ShaderRuntimeError(trap_msg, trap_lane);
   return kept;

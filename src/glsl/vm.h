@@ -52,12 +52,12 @@ class VmExec final : public ShaderEngine {
   // lanes *inside* each instruction instead of instructions inside each
   // invocation: instruction fetch, dispatch and operand resolution are paid
   // once per instruction per batch, not once per fragment. One executor
-  // (ExecuteBatch) runs every program: lanes stay in lockstep under one
-  // shared pc while they agree, and a branch whose condition actually
-  // differs between lanes splits them into per-lane pcs, executing both
-  // sides with the lanes that took each (reconverging at the minimum pc),
-  // like the QPU's per-element condition flags. Every lane performs
-  // exactly the evalcore operations a scalar Run() would, so
+  // (ExecuteBatch, one switch over the opcodes) runs every program: each
+  // step executes the instruction at the smallest pc any lane waits on, for
+  // the lanes parked there, so lanes that agree share one pc and a branch
+  // whose condition differs between lanes runs both sides, each with the
+  // lanes that took it, like the QPU's per-element condition flags. Every
+  // lane performs exactly the evalcore operations a scalar Run() would, so
   // results and AluModel op counts are byte-identical to n scalar runs by
   // construction — with one caveat: a global that carries state *between*
   // invocations without being re-initialized per run (a read GLSL leaves

@@ -22,6 +22,7 @@
 #include "common/fault.h"
 #include "gles2/context.h"
 #include "gles2_test_util.h"
+#include "glsl_test_util.h"
 #include "gtest/gtest.h"
 
 namespace mgpu::gles2 {
@@ -174,6 +175,44 @@ TEST(FaultInjection, VertexStageTrapAbortsBeforeAnyPixel) {
   EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
   EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_GUILTY_CONTEXT_RESET);
   ExpectSnapshotEq(Snap(ctx), before, "post-vertex-trap");
+}
+
+// A fragment shader whose static call depth exceeds the 64-frame budget
+// traps at run time, and only on the fragments that enter the chain (the top
+// half of the screen), after the others have been written. The draw must
+// journal and abort like any other shader trap, although the program has no
+// loop and no call to an undefined function.
+TEST(FaultInjection, CallDepthTrapAbortRestoresPreDrawStateEverywhere) {
+  const std::string deep_fs = "precision mediump float;\n"
+                              "varying vec2 v_uv;\n" +
+                              glsl::testutil::DeepCallChain(65) + R"(
+void main() {
+  float v = v_uv.x;
+  if (v_uv.y > 0.5) { v = deep64(v); }
+  gl_FragColor = vec4(v, v_uv.y, 0.25, 1.0);
+}
+)";
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
+  for (const ExecEngine engine : engines) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
+                   std::to_string(threads));
+      Context ctx(MakeConfig(engine, threads));
+      const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
+      const GLuint deep = BuildProgramOrDie(ctx, kPassthroughVs, deep_fs);
+      DrawFullscreenQuad(ctx, clean);
+      ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+      const Snapshot before = Snap(ctx);
+
+      DrawFullscreenQuad(ctx, deep);
+      EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
+      EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_GUILTY_CONTEXT_RESET);
+      EXPECT_NE(ctx.last_draw_error().find("call depth"), std::string::npos)
+          << ctx.last_draw_error();
+      ExpectSnapshotEq(Snap(ctx), before, "post-call-depth-abort");
+    }
+  }
 }
 
 // The watchdog trips iff the draw's total modeled ALU ops exceed the

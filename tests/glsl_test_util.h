@@ -87,6 +87,21 @@ inline TextureFn PerTexel(TexelCallback texel) {
   };
 }
 
+// GLSL source of a call chain deep0 .. deep<depth-1>, each deep<k> calling
+// deep<k-1>, so a call to deep<depth-1> nests `depth` user calls. Past 64
+// (the frame budget every engine enforces) the lowerer keeps every call of
+// the program as kCall/kRet instead of inlining it, and a run that enters
+// the chain traps with "shader call depth exceeded". Needs a default float
+// precision in scope.
+inline std::string DeepCallChain(int depth) {
+  std::string src = "float deep0(float x) { return x * 0.5 + 0.25; }\n";
+  for (int k = 1; k < depth; ++k) {
+    src += "float deep" + std::to_string(k) + "(float x) { return deep" +
+           std::to_string(k - 1) + "(x) + 0.125; }\n";
+  }
+  return src;
+}
+
 }  // namespace mgpu::glsl::testutil
 
 #endif  // MGPU_TESTS_GLSL_TEST_UTIL_H_

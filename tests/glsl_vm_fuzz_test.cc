@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/bits.h"
+#include "common/fault.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "gles2/context.h"
@@ -125,8 +126,18 @@ class GlslFuzzer {
     // 0-2 helper functions, generated before main so calls never recurse.
     const int n_helpers = static_cast<int>(rng_.NextInt(0, 2));
     for (int h = 0; h < n_helpers; ++h) src += GenHelper();
-    src += GenMain();
-    return src;
+    std::string main_src = GenMain();
+    // A share of programs also carry a call chain one frame past the budget
+    // behind a condition no lane takes (u_s1 is -1.5 everywhere): its static
+    // depth turns inlining off, so the helpers run through kCall/kRet, in
+    // step and split. Decided last, so the rest of the program is the one
+    // the seed generated without it.
+    if (Chance(20)) {
+      src += testutil::DeepCallChain(65);
+      main_src.insert(std::strlen("void main() {\n"),
+                      "  float deep_guard = u_s1 > 1.0 ? deep64(u_s0) : 0.0;\n");
+    }
+    return src + main_src;
   }
 
  private:
@@ -1158,9 +1169,9 @@ struct TrapLaneRef {
 // trap parity plus min-trapping-lane attribution at every batch tail.
 // Increments *trap_lanes / *clean_lanes so the sweep can assert the seeded
 // corpus actually produced both outcomes.
-void RunTrapParityCase(std::uint64_t seed, bool vc4_alu, int* trap_lanes,
-                       int* clean_lanes) {
-  const TrapProgram tp = GenTrapProgram(seed);
+// `seed` also drives the per-lane inputs.
+void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
+                       bool vc4_alu, int* trap_lanes, int* clean_lanes) {
   SCOPED_TRACE(StrFormat("trap seed=%llu alu=%s budget=%llu",
                          static_cast<unsigned long long>(seed),
                          vc4_alu ? "vc4" : "exact",
@@ -1324,7 +1335,8 @@ void RunTrapParitySweep(bool vc4_alu) {
   int clean_lanes = 0;
   for (int i = 0; i < g_fuzz_iters; ++i) {
     const std::uint64_t seed = kTrapSeedBase + static_cast<std::uint64_t>(i);
-    RunTrapParityCase(seed, vc4_alu, &trap_lanes, &clean_lanes);
+    RunTrapParityCase(GenTrapProgram(seed), seed, vc4_alu, &trap_lanes,
+                      &clean_lanes);
     if (::testing::Test::HasFailure()) {
       std::fprintf(stderr,
                    "[trap-parity] FAILURE seed=%llu (%s alu, budget=%llu) — "
@@ -1352,6 +1364,99 @@ TEST(VmTrapParityTest, SeededTrapProgramsExactAlu) {
 
 TEST(VmTrapParityTest, SeededTrapProgramsVc4Alu) {
   RunTrapParitySweep(/*vc4_alu=*/true);
+}
+
+// Call-depth traps: main enters a chain of 65 nested user calls, one past
+// the frame budget, so the lowerer keeps every call as kCall/kRet and the
+// innermost call traps. With the chain before main, the lanes that take a
+// lane-varying branch into it trap while the others wait at the join; with
+// the chain after main, the other lanes finish first and the calling lanes
+// trap on their own; an unconditional call traps every lane at once.
+TEST(VmTrapParityTest, CallDepthTrapsInSomeOrAllLanes) {
+  const std::string head =
+      "precision highp float;\n"
+      "varying vec4 v_in;\n"
+      "uniform float u_s0;\n";
+  const std::string chain = testutil::DeepCallChain(65);
+  const auto main_calling = [](const char* call) {
+    return StrFormat(
+        "void main() {\n"
+        "  float acc = u_s0 + v_in.x;\n"
+        "  %s\n"
+        "  gl_FragColor = vec4(acc, v_in.y, v_in.z, 1.0);\n"
+        "}\n",
+        call);
+  };
+  const char* some = "if (v_in.y > 0.5) { acc = deep64(acc); }";
+  const std::vector<TrapProgram> programs = {
+      {head + chain + main_calling(some), 1u << 20},
+      {head + "float deep64(float x);\n" + main_calling(some) + chain,
+       1u << 20},
+      {head + chain + main_calling("acc = deep64(acc);"), 1u << 20},
+  };
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    int trap_lanes = 0;
+    int clean_lanes = 0;
+    RunTrapParityCase(programs[i], 20261017 + i, /*vc4_alu=*/false,
+                      &trap_lanes, &clean_lanes);
+    EXPECT_GT(trap_lanes, 0) << "program " << i;
+    if (i < 2) {
+      EXPECT_GT(clean_lanes, 0) << "program " << i;
+    }
+  }
+}
+
+// The kVmInstruction fault site fires at a loop guard. Lane 0 leaves the loop
+// in its first iteration and the other lanes keep looping, so the first
+// guard runs with every lane in step and each later guard only with lanes
+// 1.. — an injected trap there is attributed to the smallest lane the guard
+// ran for, and after disarming the same engine shades the batch cleanly.
+TEST(VmTrapParityTest, InjectedLoopGuardTrapInEachPhase) {
+  CompileResult cr = CompileGlsl(R"(precision highp float;
+varying vec4 v_in;
+void main() {
+  float acc = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    if (float(i) >= v_in.x * 8.0) break;
+    acc += v_in.y;
+  }
+  gl_FragColor = vec4(acc, v_in.y, 0.0, 1.0);
+})",
+                                 Stage::kFragment);
+  ASSERT_TRUE(cr.ok) << cr.info_log;
+  ExactAlu alu;
+  VmExec batch(LowerToBytecode(*cr.shader), alu);
+  const int in_slot = batch.GlobalSlot("v_in");
+  const int color_slot = batch.GlobalSlot("gl_FragColor");
+  const PlaneDst in = batch.LaneGlobal(in_slot);
+  for (int l = 0; l < kVmLanes; ++l) {
+    in.at(0, l).f = l == 0 ? 0.0f : 1.0f;
+    in.at(1, l).f = 0.25f * static_cast<float>(l);
+  }
+  fault::Arm(fault::Site::kVmInstruction, ~0ull);
+  ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
+  const std::uint64_t guards = fault::Hits(fault::Site::kVmInstruction);
+  ASSERT_EQ(guards, 9u);  // lanes 1.. run eight iterations and the exit test
+  for (std::uint64_t nth = 0; nth < guards; ++nth) {
+    SCOPED_TRACE(StrFormat("nth=%llu", static_cast<unsigned long long>(nth)));
+    fault::Arm(fault::Site::kVmInstruction, nth);
+    try {
+      (void)batch.RunBatch(kVmLanes);
+      ADD_FAILURE() << "armed loop guard did not trap";
+    } catch (const ShaderRuntimeError& e) {
+      EXPECT_EQ(e.lane, nth == 0 ? 0 : 1);
+      EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos)
+          << e.what();
+    }
+  }
+  fault::DisarmAll();
+  ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
+  const PlaneDst color = batch.LaneGlobal(color_slot);
+  EXPECT_EQ(color.at(0, 0).f, 0.0f);
+  for (int l = 1; l < kVmLanes; ++l) {
+    EXPECT_EQ(color.at(0, l).f, 8.0f * 0.25f * static_cast<float>(l))
+        << "lane " << l;
+  }
 }
 
 }  // namespace

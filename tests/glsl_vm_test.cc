@@ -475,21 +475,18 @@ void main() {
 // --- targeted VM behaviour ------------------------------------------------
 
 // Builds a helper-call chain main -> f1 -> ... -> fN returning N.
-std::string DeepCallChain(int depth) {
-  std::string src = "precision highp float;\n";
-  src += StrFormat("float f%d() { return %d.0; }\n", depth, depth);
-  for (int i = depth - 1; i >= 1; --i) {
-    src += StrFormat("float f%d() { return f%d(); }\n", i, i + 1);
-  }
-  src += "void main() { gl_FragColor = vec4(f1()); }\n";
-  return src;
+// main calls a chain of `depth` nested user functions.
+std::string DeepCallProgram(int depth) {
+  return "precision highp float;\n" + testutil::DeepCallChain(depth) +
+         StrFormat("void main() { gl_FragColor = vec4(deep%d(1.0)); }\n",
+                   depth - 1);
 }
 
 TEST(VmDifferentialTest, CallDepthLimitMatchesInterpreter) {
   // 64 concurrently active user calls are allowed; 65 throw. Both engines
   // must sit on the same boundary.
   {
-    auto shader = testutil::MustCompile(DeepCallChain(64));
+    auto shader = testutil::MustCompile(DeepCallProgram(64));
     ExactAlu alu_a, alu_b;
     ShaderExec interp(*shader, alu_a);
     VmExec vm(LowerToBytecode(*shader), alu_b);
@@ -499,13 +496,29 @@ TEST(VmDifferentialTest, CallDepthLimitMatchesInterpreter) {
               vm.GlobalAt(vm.GlobalSlot("gl_FragColor")).F(0));
   }
   {
-    auto shader = testutil::MustCompile(DeepCallChain(65));
+    auto shader = testutil::MustCompile(DeepCallProgram(65));
     ExactAlu alu_a, alu_b;
     ShaderExec interp(*shader, alu_a);
     VmExec vm(LowerToBytecode(*shader), alu_b);
     EXPECT_THROW(interp.Run(), ShaderRuntimeError);
     EXPECT_THROW(vm.Run(), ShaderRuntimeError);
   }
+}
+
+// Drawing code journals framebuffer writes only for trap-capable programs.
+// A call chain within the 64-frame budget is inlined and cannot trap; one
+// past it keeps its kCall/kRet and traps at run time, so it must count.
+TEST(VmProgramTest, CanTrapCountsCallChainsPastTheFrameBudget) {
+  EXPECT_FALSE(LowerToBytecode(*testutil::MustCompile(DeepCallProgram(64)))
+                   ->CanTrap());
+  EXPECT_TRUE(LowerToBytecode(*testutil::MustCompile(DeepCallProgram(65)))
+                  ->CanTrap());
+  auto helper = testutil::MustCompile(R"(
+precision highp float;
+float twice(float x) { return x * 2.0; }
+void main() { gl_FragColor = vec4(twice(gl_FragCoord.x)); }
+)");
+  EXPECT_FALSE(LowerToBytecode(*helper)->CanTrap());
 }
 
 TEST(VmExecTest, RunawayLoopRaisesRuntimeError) {
@@ -913,13 +926,44 @@ void main() {
   gl_FragColor = vec4(a.x + b.x, b.y * a.y, mix(a.z, b.z, a.w) - m[1][0],
                       mod(b.w, a.x) + m[0][1]);
 })"});
+  // --- inlining off: a reachable call chain deeper than the 64-frame
+  // budget keeps every user call as kCall/kRet. One helper (before main)
+  // runs its calls and returns split across a divergent if; the other
+  // (after main) is entered by both sides, so the lanes reconverge inside
+  // it and its ret pops different return pcs for the two groups ---------
+  cases.push_back(
+      {"calls_inlining_off_from_both_sides_of_divergent_if",
+       "precision highp float;\n"
+       "varying vec4 v_in;\n"
+       "uniform float u_mode;\n" +
+           testutil::DeepCallChain(65) + R"(
+float before_main(float x, out float extra) {
+  extra = x * 0.5;
+  if (x > 0.25) return sin(x);
+  return cos(x) + 1.0;
+}
+float after_main(float x);
+void main() {
+  float e = 0.0;
+  float r = 0.0;
+  // Never taken (u_mode is 0.75), but its static depth turns inlining off.
+  if (u_mode > 2.0) r = deep64(v_in.x);
+  if (v_in.x > 0.5) {
+    r += before_main(v_in.y, e) + after_main(v_in.z);
+  } else {
+    r += before_main(v_in.z, e) * 2.0 + after_main(v_in.w) * 0.5;
+  }
+  gl_FragColor = vec4(r, e, v_in.w, 1.0);
+}
+float after_main(float x) { return fract(x * 7.0) + x; }
+)"});
   return cases;
 }
 
 float fract_helper(float x) { return x - std::floor(x); }
 
 // Deterministic per-lane varying values in a range that exercises every
-// branch side across a 16-lane batch.
+// branch side across a kVmLanes-wide batch.
 std::array<float, 4> LaneInput(int lane) {
   const float f = static_cast<float>(lane);
   return {fract_helper(f * 0.37f + 0.11f), fract_helper(f * 0.53f + 0.29f),
