@@ -30,8 +30,8 @@ struct DeviceOptions {
   // kCompiled is an alias of kBatchedVm (see gles2::ExecEngine).
   gles2::ExecEngine exec_engine = gles2::ExecEngine::kBatchedVm;
   // Fragment-shading workers for the tiled rasterizer: 0 = one per hardware
-  // thread (default), 1 = serial reference path. Results (output bytes and
-  // ALU/SFU/TMU op counts) are identical for every value; see
+  // thread (default), 1 = serial (the calling thread). Results (output
+  // bytes and ALU/SFU/TMU op counts) are identical for every value; see
   // gles2::ContextConfig::shader_threads.
   int shader_threads = 0;
   int max_texture_size = 4096;

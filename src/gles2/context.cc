@@ -38,43 +38,20 @@ ExecEngine Canonical(ExecEngine engine) {
   return engine == ExecEngine::kCompiled ? ExecEngine::kBatchedVm : engine;
 }
 
-// LRU eviction shared by the worker and vertex maps: once `map` holds more
-// than ShadeStateCache::kCapacity entries, erases the least-recently-used
-// one other than `keep` (the entry just touched). Returns whether it did.
-template <typename Map>
-bool EvictLeastRecent(Map& map, const typename Map::mapped_type& keep) {
-  if (map.size() <= ShadeStateCache::kCapacity) return false;
-  auto victim = map.end();
-  for (auto it = map.begin(); it != map.end(); ++it) {
-    if (&it->second == &keep) continue;
-    if (victim == map.end() || it->second.last_use < victim->second.last_use) {
-      victim = it;
-    }
-  }
-  map.erase(victim);
-  return true;
-}
-
 // The engine's view of global `slot` in the draw stages: the VM's lane
 // plane when it runs `batched`, else a one-lane view of the engine's Value
 // (lane stride 0, so lane l of it is the engine's only lane). A null base
 // marks a slot the program does not use (slot < 0).
-glsl::PlaneDst GlobalPlane(glsl::ShaderEngine& engine, glsl::VmExec* vm,
-                           bool batched, int slot) {
+glsl::PlaneDst GlobalPlane(glsl::ShaderEngine& engine, bool batched,
+                           int slot) {
   if (slot < 0) return {};
-  return batched ? vm->LaneGlobal(slot)
+  return batched ? static_cast<glsl::VmExec&>(engine).LaneGlobal(slot)
                  : glsl::ValuePlane(engine.GlobalAt(slot));
 }
 }  // namespace
 
-ShadeStateCache::WorkerState::~WorkerState() {
-  if (engine_owned == nullptr && engine != nullptr) {
-    engine->SetTextureFn(glsl::TextureFn{});
-  }
-}
-
-ShadeStateCache::Entry* ShadeStateCache::Find(GLuint program, int threads) {
-  const auto it = entries_.find({program, threads});
+ShadeStateCache::Entry* ShadeStateCache::Find(GLuint program) {
+  const auto it = entries_.find(program);
   if (it == entries_.end()) {
     ++misses_;
     return nullptr;
@@ -84,34 +61,18 @@ ShadeStateCache::Entry* ShadeStateCache::Find(GLuint program, int threads) {
   return &it->second;
 }
 
-ShadeStateCache::Entry& ShadeStateCache::Insert(GLuint program, int threads) {
-  Entry& e = entries_[{program, threads}];
+ShadeStateCache::Entry& ShadeStateCache::Insert(GLuint program) {
+  Entry& e = entries_[program];
   e.last_use = ++use_tick_;
-  if (EvictLeastRecent(entries_, e)) ++evictions_;
-  return e;
-}
-
-ShadeStateCache::VertexState* ShadeStateCache::FindVertex(GLuint program) {
-  const auto it = vertex_entries_.find(program);
-  if (it == vertex_entries_.end()) return nullptr;
-  it->second.last_use = ++use_tick_;
-  return &it->second;
-}
-
-ShadeStateCache::VertexState& ShadeStateCache::InsertVertex(GLuint program) {
-  VertexState& e = vertex_entries_[program];
-  e.last_use = ++use_tick_;
-  // Not tallied in evictions_: that counter tracks worker-entry behaviour
-  // for the cache tests.
-  EvictLeastRecent(vertex_entries_, e);
-  return e;
-}
-
-void ShadeStateCache::InvalidateProgram(GLuint program) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = it->first.first == program ? entries_.erase(it) : std::next(it);
+  if (entries_.size() > kCapacity) {
+    // `e` holds the newest tick, so it is never the victim.
+    entries_.erase(std::min_element(
+        entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+          return a.second.last_use < b.second.last_use;
+        }));
+    ++evictions_;
   }
-  vertex_entries_.erase(program);
+  return e;
 }
 
 Context::Context(const ContextConfig& config, glsl::AluModel* alu)
@@ -475,6 +436,10 @@ void Context::BindAttribLocation(GLuint program, GLuint index,
   }
   if (name.rfind("gl_", 0) == 0) {
     SetError(GL_INVALID_OPERATION);
+    return;
+  }
+  if (index >= attribs_.size()) {  // GL_MAX_VERTEX_ATTRIBS
+    SetError(GL_INVALID_VALUE);
     return;
   }
   p->bound_attribs[name] = static_cast<GLint>(index);
@@ -1297,10 +1262,11 @@ void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
 // Drawing
 // ---------------------------------------------------------------------------
 
-bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
-                            const std::function<GLuint(GLsizei)>& index_at,
-                            std::vector<RasterVertex>& verts,
-                            const glsl::OpCounts& draw_start_counts) {
+ShadeStateCache::Entry* Context::ShadeVertices(
+    ProgramObject* prog, GLsizei count,
+    const std::function<GLuint(GLsizei)>& index_at,
+    std::vector<RasterVertex>& verts,
+    const glsl::OpCounts& draw_start_counts) {
   // The engine fixes the plane views and the lane width: the batched VM
   // runs up to kVmLanes vertices per RunBatch pass over its lane planes;
   // the oracles run one vertex per Run() through one-lane views.
@@ -1311,31 +1277,29 @@ bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
           : *prog->vvm;
   const int lanes = batched ? glsl::kVmLanes : 1;
 
-  // Plane views, resolved once per program and cached. Uniform (non-lane)
-  // slots resolve to the shared store, so per-draw uniform sync needs
-  // nothing extra here.
-  ShadeStateCache::VertexState* vstate =
-      shade_cache_.FindVertex(current_program_);
-  if (vstate == nullptr) {
-    vstate = &shade_cache_.InsertVertex(current_program_);
+  // The draw's one cache lookup. Plane views are resolved once per program,
+  // on the miss that creates its entry. Uniform (non-lane) slots resolve to
+  // the shared store, so per-draw uniform sync needs nothing extra here.
+  ShadeStateCache::Entry* entry = shade_cache_.Find(current_program_);
+  if (entry == nullptr) {
+    entry = &shade_cache_.Insert(current_program_);
+    ShadeStateCache::VertexState& v = entry->vertex;
     const auto plane = [&](int slot) {
-      return GlobalPlane(engine, prog->vvm.get(), batched, slot);
+      return GlobalPlane(engine, batched, slot);
     };
-    vstate->position = plane(prog->vs_position_slot);
-    vstate->point_size = plane(prog->vs_point_size_slot);
-    vstate->attribs.clear();
-    vstate->attribs.reserve(prog->attribs.size());
+    v.position = plane(prog->vs_position_slot);
+    v.point_size = plane(prog->vs_point_size_slot);
+    v.attribs.reserve(prog->attribs.size());
     for (const AttribInfo& ai : prog->attribs) {
-      vstate->attribs.push_back({plane(ai.vs_slot), ai.location,
-                                 std::min(ai.type.CellCount(), 4)});
+      v.attribs.push_back({plane(ai.vs_slot), ai.location,
+                           std::min(ai.type.CellCount(), 4)});
     }
-    vstate->varyings.clear();
-    vstate->varyings.reserve(prog->varyings.size());
+    v.varyings.reserve(prog->varyings.size());
     for (const VaryingLink& link : prog->varyings) {
-      vstate->varyings.push_back(
-          {plane(link.vs_slot), link.cells, link.offset});
+      v.varyings.push_back({plane(link.vs_slot), link.cells, link.offset});
     }
   }
+  ShadeStateCache::VertexState* const vstate = &entry->vertex;
 
   // Indices, decoded once: the bounds gate below needs the largest, and
   // every chunk reads its lanes' indices from here.
@@ -1392,7 +1356,7 @@ bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
     }
     if (base == nullptr || elem_size == 0) {
       SetError(GL_INVALID_OPERATION);
-      return false;
+      return nullptr;
     }
     s.base = base;
     s.stride = stride;
@@ -1485,7 +1449,7 @@ bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
       if (draw_budget_ != 0 &&
           alu_->counts().alu - draw_start_counts.alu > draw_budget_) {
         AbortDraw(DrawErrorKind::kBudget, kBudgetMsg, draw_start_counts);
-        return false;
+        return nullptr;
       }
 
       // Scatter, in lane order.
@@ -1517,9 +1481,9 @@ bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
     // Vertex-stage trap: no framebuffer byte was touched yet, so restoring
     // the counter snapshot completes the abort.
     AbortDraw(DrawErrorKind::kTrap, e.what(), draw_start_counts);
-    return false;
+    return nullptr;
   }
-  return true;
+  return entry;
 }
 
 void Context::WritePixel(RenderTarget& rt, int x, int y, float depth,
@@ -1717,12 +1681,6 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // restored state does not depend on where shading stopped.
   const glsl::OpCounts draw_start_counts = alu_->counts();
 
-  // --- engine selection: the lane-batched VM is the production path; the
-  // scalar VM and the tree-walking interpreter are switchable reference
-  // oracles that run the same vertex stage and fragment-batch flush one
-  // lane at a time. Only the bytecode VMs clone for parallel shading. ---
-  const bool use_vm = config_.exec_engine != ExecEngine::kTreeWalk;
-
   // --- vertex stage ---
   // Post-transform vertices live in context-owned scratch: resize keeps the
   // outer capacity and surviving elements' varying-vector capacity, so a
@@ -1731,9 +1689,9 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // would have carried.
   std::vector<RasterVertex>& verts = scratch_verts_;
   verts.resize(static_cast<std::size_t>(count));
-  if (!ShadeVertices(prog, count, index_at, verts, draw_start_counts)) {
-    return;
-  }
+  ShadeStateCache::Entry* const entry =
+      ShadeVertices(prog, count, index_at, verts, draw_start_counts);
+  if (entry == nullptr) return;
 
   // --- fragment stage: two-phase tiled pipeline (VC4-style) ---
   // Phase 1 binning: assemble primitives (strip/fan/loop orderings resolved
@@ -1831,13 +1789,14 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   const std::vector<std::uint32_t>& work = scratch_work_;
   if (work.empty()) return;
 
-  // Phase 2 shading: each worker owns a private engine, ALU-counter shard
-  // and TMU-cache model; tiles partition the framebuffer, so pixel writes
-  // are lock-free and results are byte-identical for any worker count
-  // (counter shards merge by summation at join). All per-draw plumbing —
-  // flushes, plane views, texture callbacks, batch scratch — is
-  // cached in ShadeStateCache worker slots and merely *refreshed* here, so
-  // a steady-state draw allocates nothing.
+  // Phase 2 shading: each worker slot owns a clone of the program's
+  // fragment engine, an ALU-counter shard and a TMU-cache model, for every
+  // engine and worker count; tiles partition the framebuffer, so pixel
+  // writes are lock-free and results are byte-identical for any worker
+  // count (counter shards merge by summation at commit). All per-draw
+  // plumbing — flushes, plane views, texture callbacks, batch scratch — is
+  // cached in the program's ShadeStateCache entry and merely *refreshed*
+  // here, so a steady-state draw allocates nothing.
 
   // <= 0 selects one worker per hardware thread; a hard cap keeps a bogus
   // huge knob value from spawning thousands of OS threads (or throwing
@@ -1846,90 +1805,43 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   int threads = config_.shader_threads;
   if (threads <= 0) threads = common::DefaultThreadCount();
   threads = std::min(threads, kMaxShaderThreads);
-  const int workers = std::min(threads, static_cast<int>(work.size()));
+  const int slot_count = std::min(threads, static_cast<int>(work.size()));
 
-  ShadeStateCache::Entry* entry = nullptr;
-  int slot_count = 1;
+  // Every slot clones, and re-syncs from, the program's fragment engine of
+  // the configured kind. Slots grow lazily to the most workers any draw has
+  // needed (never past `threads`), so a 2-tile first draw on a big pool
+  // builds 2 slots, not `threads` — and a freshly built slot is already
+  // current (the clone copies today's globals), so only pre-existing slots
+  // pay the re-sync.
+  const glsl::ShaderEngine& base =
+      config_.exec_engine == ExecEngine::kTreeWalk
+          ? static_cast<const glsl::ShaderEngine&>(*prog->fexec)
+          : *prog->fvm;
   try {
-    if (workers > 1 && use_vm) {
-      // Parallel shading needs per-worker engine clones (bytecode VM only)
-      // and per-worker counter shards (forkable AluModel only). Entries grow
-      // lazily to the largest `workers` any draw has needed (never past
-      // `threads`), so a 2-tile first draw on a big pool builds 2 slots, not
-      // `threads` — and a freshly built slot is already current (the clone
-      // copies today's globals), so only pre-existing slots pay the re-sync.
-      auto build_worker = [&](std::unique_ptr<glsl::AluModel> shard) {
-        // Injectable build failure: slot construction is the allocation-
-        // heavy part of a draw (VM clone with a full global-store copy).
-        if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
-          throw std::bad_alloc();
-        }
-        auto w = std::make_unique<ShadeStateCache::WorkerState>();
-        w->alu_owned = std::move(shard);
-        w->engine_owned =
-            std::make_unique<glsl::VmExec>(*prog->fvm, *w->alu_owned);
-        w->tmu_owned = std::make_unique<TmuCacheModel>();
-        w->engine = w->engine_owned.get();
-        w->vm = w->engine_owned.get();
-        w->alu = w->alu_owned.get();
-        w->tmu = w->tmu_owned.get();
-        BuildWorkerPlumbing(*w, prog);
-        return w;
-      };
-      entry = shade_cache_.Find(current_program_, threads);
-      if (entry != nullptr) {
-        const int have =
-            std::min(workers, static_cast<int>(entry->workers.size()));
-        for (int i = 0; i < have; ++i) {
-          ShadeStateCache::WorkerState& w =
-              *entry->workers[static_cast<std::size_t>(i)];
-          w.vm->SyncGlobalsFrom(*prog->fvm);
-          w.alu->ResetCounts();
-        }
-      } else {
-        // A miss is only usable when the ALU model forks; probe with the
-        // first shard so non-forkable models never create an entry.
-        std::unique_ptr<glsl::AluModel> first = alu_->Fork();
-        if (first != nullptr) {
-          entry = &shade_cache_.Insert(current_program_, threads);
-          entry->workers.reserve(static_cast<std::size_t>(workers));
-          entry->workers.push_back(build_worker(std::move(first)));
-        }
-      }
-      if (entry != nullptr) {
-        while (static_cast<int>(entry->workers.size()) < workers) {
-          entry->workers.push_back(build_worker(alu_->Fork()));
-        }
-        slot_count = workers;
-      }
+    const int have =
+        std::min(slot_count, static_cast<int>(entry->workers.size()));
+    for (int i = 0; i < have; ++i) {
+      ShadeStateCache::WorkerState& w =
+          *entry->workers[static_cast<std::size_t>(i)];
+      w.engine->SyncGlobalsFrom(base);
+      w.alu->ResetCounts();
     }
-    if (entry == nullptr) {
-      // Serial path (single tile, threads == 1, the tree oracle, or a
-      // non-forkable ALU model): one cached slot that borrows the program's
-      // own engine, the context's ALU model (counts land there directly, no
-      // merge) and the context-owned serial TMU cache.
-      slot_count = 1;
-      entry = shade_cache_.Find(current_program_, 1);
-      if (entry == nullptr) {
-        if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
-          throw std::bad_alloc();
-        }
-        entry = &shade_cache_.Insert(current_program_, 1);
-        auto w = std::make_unique<ShadeStateCache::WorkerState>();
-        w->engine = use_vm
-                        ? static_cast<glsl::ShaderEngine*>(prog->fvm.get())
-                        : prog->fexec.get();
-        w->vm = use_vm ? prog->fvm.get() : nullptr;
-        w->alu = alu_;
-        w->tmu = &serial_tmu_cache_;
-        BuildWorkerPlumbing(*w, prog);
-        entry->workers.push_back(std::move(w));
+    while (static_cast<int>(entry->workers.size()) < slot_count) {
+      // Injectable build failure: slot construction is the allocation-
+      // heavy part of a draw (engine clone with a full global-store copy).
+      if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
+        throw std::bad_alloc();
       }
+      auto w = std::make_unique<ShadeStateCache::WorkerState>();
+      w->alu = alu_->Fork();
+      w->engine = base.Clone(*w->alu);
+      BuildWorkerPlumbing(*w, prog);
+      entry->workers.push_back(std::move(w));
     }
   } catch (const std::bad_alloc&) {
     // Allocation failure (injectable: fault::Site::kShadeCacheAlloc) while
     // building shading state: a partially built cache entry pins
-    // inconsistent state, so drop the program's entries — the next draw
+    // inconsistent state, so drop the program's entry — the next draw
     // rebuilds from scratch. No framebuffer byte was touched yet.
     shade_cache_.InvalidateProgram(current_program_);
     AbortDraw(DrawErrorKind::kResource, "shading-state allocation failed",
@@ -1977,7 +1889,7 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     ShadeStateCache::WorkerState& w =
         *entry->workers[static_cast<std::size_t>(slot_index)];
     const TileBinner::Tile& tile = binner_.tile(tile_index);
-    w.tmu->Reset();
+    w.tmu.Reset();
     RasterState tile_rs = rs;
     tile_rs.clip_x0 = tile.rect.x0;
     tile_rs.clip_y0 = tile.rect.y0;
@@ -2052,15 +1964,6 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
       pool_error = e.what();
       draw_failed_.store(true, std::memory_order_relaxed);
     }
-    if (!draw_failed_.load(std::memory_order_relaxed)) {
-      // Merge the per-worker counter shards only on success: a trapped
-      // draw discards them, and the snapshot restore below is what makes
-      // the counters read "never issued".
-      for (int i = 0; i < slot_count; ++i) {
-        alu_->AddCounts(
-            entry->workers[static_cast<std::size_t>(i)]->alu->counts());
-      }
-    }
   }
 
   if (draw_failed_.load(std::memory_order_relaxed)) {
@@ -2105,9 +2008,14 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     AbortDraw(kind, message, draw_start_counts);
     return;
   }
-  // Committed: the journals exist only to be replayed on abort.
+  // Committed: merge the counter shards (a failed draw discards them, and
+  // the snapshot restore is what makes the counters read "never issued");
+  // the journals exist only to be replayed on abort.
   for (int i = 0; i < slot_count; ++i) {
-    entry->workers[static_cast<std::size_t>(i)]->journal.Clear();
+    ShadeStateCache::WorkerState& w =
+        *entry->workers[static_cast<std::size_t>(i)];
+    alu_->AddCounts(w.alu->counts());
+    w.journal.Clear();
   }
 }
 
@@ -2133,11 +2041,13 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
   // stop at the first trapping lane.
   const bool batched = config_.exec_engine == ExecEngine::kBatchedVm;
   ShadeStateCache::WorkerState* const wp = &w;
+  glsl::VmExec* const vm =
+      batched ? static_cast<glsl::VmExec*>(w.engine.get()) : nullptr;
   const int color_slot = prog->uses_frag_data ? prog->fs_frag_data_slot
                                               : prog->fs_frag_color_slot;
   w.engine->SetTextureFn(MakeTextureFn(wp));
   const auto plane = [&w, batched](int slot) {
-    return GlobalPlane(*w.engine, w.vm, batched, slot);
+    return GlobalPlane(*w.engine, batched, slot);
   };
   const glsl::PlaneDst fc = plane(prog->fs_frag_coord_slot);
   const glsl::PlaneDst ff = plane(prog->fs_front_facing_slot);
@@ -2153,7 +2063,7 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
   for (const VaryingLink& link : prog->varyings) {
     varying_dsts.push_back({plane(link.fs_slot), link.cells, link.offset});
   }
-  w.flush = [this, wp, batched, fc, ff, pc, col,
+  w.flush = [this, wp, vm, fc, ff, pc, col,
              varying_dsts = std::move(varying_dsts)]() {
     FragmentBatch& b = wp->batch;
     const int n = b.count;
@@ -2197,9 +2107,9 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
                  /*depth_valid=*/true, wp->active_journal);
     };
     try {
-      if (batched) {
+      if (vm != nullptr) {
         scatter(0, n);
-        const std::uint32_t kept = wp->vm->RunBatch(n);
+        const std::uint32_t kept = vm->RunBatch(n);
         if (draw_budget_ != 0) CheckDrawBudget(wp);
         ReplayTmuLog(wp, n);
         for (int l = 0; l < n; ++l) {
@@ -2260,7 +2170,7 @@ void Context::ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes) {
   for (int l = 0; l < lanes; ++l) {
     std::vector<std::uint64_t>& log = w->tmu_log[static_cast<std::size_t>(l)];
     for (const std::uint64_t line : log) {
-      if (w->tmu->Access(line)) w->alu->CountTmuMiss(1);
+      if (w->tmu.Access(line)) w->alu->CountTmuMiss(1);
     }
     log.clear();
   }

@@ -64,19 +64,18 @@ struct ContextConfig {
   FbQuantization quantization = FbQuantization::kRoundNearest;
   ExecEngine exec_engine = ExecEngine::kBatchedVm;
   int max_texture_size = 4096;
-  // Fragment-shading worker count for the tiled pipeline: <= 0 = one
-  // worker per hardware thread (default), 1 = serial reference path
-  // (shades on the calling thread with the program's own engine), N > 1 =
-  // exactly N workers (capped at 256). Because 64x64 tiles partition the framebuffer and each worker
-  // owns a private engine / ALU-counter shard / TMU-cache model, every
-  // successful draw produces identical framebuffer bytes and ALU/SFU/TMU
-  // op counts for every value. (A draw that raises a shader runtime error
-  // is aborted *transactionally*: framebuffer, depth and counters are
-  // restored to the pre-draw state byte for byte — identical for every
-  // engine and worker count — and the GL error / last_draw_error / reset
-  // status report the failure; a real GPU would hang or be reset.)
-  // Parallel shading needs a VM engine (kBatchedVm or kBytecodeVm) and a
-  // forkable AluModel; kTreeWalk and non-forkable models shade serially.
+  // Fragment-shading worker count for the tiled pipeline, for every
+  // engine: <= 0 = one worker per hardware thread (default), 1 = serial
+  // (shades on the calling thread), N > 1 = exactly N pool workers (capped
+  // at 256). Because 64x64 tiles partition the framebuffer and each worker
+  // — the serial one too — owns a private engine clone / ALU-counter shard
+  // / TMU-cache model, every successful draw produces identical framebuffer
+  // bytes and ALU/SFU/TMU op counts for every value. (A draw that raises a
+  // shader runtime error is aborted *transactionally*: framebuffer, depth
+  // and counters are restored to the pre-draw state byte for byte —
+  // identical for every engine and worker count — and the GL error /
+  // last_draw_error / reset status report the failure; a real GPU would
+  // hang or be reset.)
   int shader_threads = 0;
   // Per-draw total-work budget in modeled ALU ops (vertex + fragment,
   // OpCounts::alu accounting): a watchdog in the spirit of a kernel
@@ -163,27 +162,26 @@ struct TmuCacheModel {
   }
 };
 
-// Caches the per-worker shading state of the tiled fragment pipeline so a
-// draw's setup cost is amortized across draws instead of paid per draw.
-// Building a worker slot is expensive — a VmExec clone (full global-store
+// Caches the shading state of the draw pipeline so a draw's setup cost is
+// amortized across draws instead of paid per draw. One entry per program
+// holds the vertex stage's plane views and the fragment stage's worker
+// slots. Building a slot is expensive — an engine clone (full global-store
 // copy with allocation), an AluModel fork, a TMU-cache model, plus the
-// per-draw plumbing that used to be rebuilt on every draw and now lives
-// here: the batch-flush closure with its gl_* slot and varying plane views,
-// the fragment-batch scratch and the deferred TMU access log, and the
-// engine's installed texture callback.
+// per-draw plumbing that lives here: the batch-flush closure with its gl_*
+// slot and varying plane views, the fragment-batch scratch and the deferred
+// TMU access log, and the engine's installed texture callback.
 // None of it depends on anything but the program, the engine flavor and
 // the worker count, so steady-state draws allocate nothing at all.
 //
-// Entries are keyed by (program id, configured thread count); the serial
-// path (1 effective worker) caches under thread count 1 with a slot that
-// *borrows* the program's own engine, the context ALU model and the
-// context-owned serial TMU cache instead of owning clones. Per draw only
-// the uniforms/globals are re-synced into used parallel slots and the
-// counter shards reset. Invalidation: relinking or deleting a program
-// drops its entries (the cached clones pin the old bytecode); switching
-// ExecEngine or shader_threads drops everything. Entries beyond kCapacity
-// are evicted least-recently-drawn first, so holding hundreds of linked
-// programs cannot grow the cache unboundedly.
+// Every slot owns its state, for every engine and thread count: a serial
+// draw shades on slot 0 exactly as a pooled draw shades on slots
+// [0, workers). Per draw only the globals (uniforms) are re-synced into the
+// used slots and their counter shards reset; the shards merge into the
+// context's model when the draw commits. Invalidation: relinking or
+// deleting a program drops its entry (the cached clones pin the old
+// program); switching ExecEngine or shader_threads drops everything.
+// Entries beyond kCapacity are evicted least-recently-drawn first, so
+// holding hundreds of linked programs cannot grow the cache unboundedly.
 class ShadeStateCache {
  public:
   // One shading worker's private state and cached draw plumbing. Pointees
@@ -191,16 +189,12 @@ class ShadeStateCache {
   // texture callback capture them by address), so WorkerStates are held by
   // unique_ptr — lazy slot growth must not move them.
   struct WorkerState {
-    // Owned state — parallel worker slots only. The serial slot borrows
-    // the program's engine, the context's ALU model and serial TMU cache.
-    std::unique_ptr<glsl::VmExec> engine_owned;
-    std::unique_ptr<glsl::AluModel> alu_owned;
-    std::unique_ptr<TmuCacheModel> tmu_owned;
-    // Views the draw loop uses (into the owned state or the borrowed one).
-    glsl::ShaderEngine* engine = nullptr;
-    glsl::VmExec* vm = nullptr;  // non-null when `engine` is a bytecode VM
-    glsl::AluModel* alu = nullptr;
-    TmuCacheModel* tmu = nullptr;
+    // Counter shard Fork()ed from the context's model, and a clone of the
+    // program's fragment engine doing its math on it (declared after the
+    // shard, so it is destroyed first).
+    std::unique_ptr<glsl::AluModel> alu;
+    std::unique_ptr<glsl::ShaderEngine> engine;
+    TmuCacheModel tmu;
 
     // Cached draw plumbing: `flush` shades and drains `batch`.
     BatchFlushFn flush;
@@ -226,18 +220,6 @@ class ShadeStateCache {
     // to the draw's watchdog accumulator (delta reporting keeps the
     // budget check O(1) per fragment / per batch flush).
     std::uint64_t budget_reported = 0;
-
-    // Uninstalls the texture callback from a *borrowed* engine: the serial
-    // slot installs a callback capturing this WorkerState on the program's
-    // long-lived engine, and LRU eviction or a cache clear must not leave
-    // that engine holding a reference to freed state. (Owned engines die
-    // with the slot; invalidation always runs before the program itself is
-    // destroyed, so the borrowed engine is still alive here.)
-    ~WorkerState();
-  };
-  struct Entry {
-    std::vector<std::unique_ptr<WorkerState>> workers;
-    std::uint64_t last_use = 0;
   };
 
   // Cached vertex-stage plumbing: component-plane views into the program's
@@ -245,11 +227,9 @@ class ShadeStateCache {
   // gl_PointSize / varying scatter sources. Under kBatchedVm they are the
   // VM's lane planes; under the oracles, one-lane views of the engine's
   // global Values. The vertex stage runs on the calling thread against the
-  // program's long-lived engine, so entries depend only on the linked
-  // program (and the engine, whose switch clears the cache) and are keyed
-  // by program id alone; the same invalidation points as the worker entries
-  // (relink, delete, engine/thread switch) keep the cached views alive
-  // exactly as long as the storage they aim into.
+  // program's long-lived engine; the entry's invalidation points (relink,
+  // delete, engine or thread switch) drop the views no later than the
+  // storage they aim into.
   struct VertexState {
     struct AttribLanes {
       glsl::PlaneDst dst;
@@ -280,25 +260,24 @@ class ShadeStateCache {
     // (1, 0) view of the shared store — the value a one-lane run reads.
     glsl::PlaneSrc position;
     glsl::PlaneSrc point_size;
+  };
+
+  struct Entry {
+    VertexState vertex;
+    // Grown lazily to the most workers any draw has needed (never past the
+    // configured thread count).
+    std::vector<std::unique_ptr<WorkerState>> workers;
     std::uint64_t last_use = 0;
   };
 
-  // Returns the entry for (program, threads), or nullptr on a miss. Hit /
-  // miss tallies feed the cache-behaviour tests.
-  [[nodiscard]] Entry* Find(GLuint program, int threads);
-  Entry& Insert(GLuint program, int threads);
-  // Vertex-state lookup, same LRU cap. Deliberately outside the hit/miss
-  // tallies: those count worker-entry behaviour for the cache tests.
-  [[nodiscard]] VertexState* FindVertex(GLuint program);
-  VertexState& InsertVertex(GLuint program);
-  void InvalidateProgram(GLuint program);
-  void Clear() {
-    entries_.clear();
-    vertex_entries_.clear();
-  }
+  // Returns the program's entry, or nullptr on a miss. Hit / miss tallies
+  // feed the cache-behaviour tests.
+  [[nodiscard]] Entry* Find(GLuint program);
+  Entry& Insert(GLuint program);
+  void InvalidateProgram(GLuint program) { entries_.erase(program); }
+  void Clear() { entries_.clear(); }
 
-  // LRU capacity of each map: inserting beyond it evicts the
-  // least-recently-used entry.
+  // LRU capacity: inserting beyond it evicts the least-recently-used entry.
   static constexpr std::size_t kCapacity = 64;
   [[nodiscard]] std::size_t capacity() const { return kCapacity; }
 
@@ -308,8 +287,7 @@ class ShadeStateCache {
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
-  std::map<std::pair<GLuint, int>, Entry> entries_;
-  std::map<GLuint, VertexState> vertex_entries_;
+  std::map<GLuint, Entry> entries_;
   std::uint64_t use_tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -528,13 +506,15 @@ class Context {
   // engine's lane width (kVmLanes under kBatchedVm, 1 under the oracles)
   // straight into the vertex engine's planes, runs each chunk (RunBatch or
   // Run) and scatters clip position / point size / varyings back into
-  // `verts` in lane order. Returns false after fully reporting a draw abort
-  // (attribute fetch failure, watchdog trip, shader trap) — the caller
-  // just returns.
-  bool ShadeVertices(ProgramObject* prog, GLsizei count,
-                     const std::function<GLuint(GLsizei)>& index_at,
-                     std::vector<RasterVertex>& verts,
-                     const glsl::OpCounts& draw_start_counts);
+  // `verts` in lane order. Returns the program's shade-state entry (its
+  // vertex views resolved once, on the miss that creates it), or nullptr
+  // after fully reporting a draw abort (attribute fetch failure, watchdog
+  // trip, shader trap) — the caller just returns.
+  ShadeStateCache::Entry* ShadeVertices(
+      ProgramObject* prog, GLsizei count,
+      const std::function<GLuint(GLsizei)>& index_at,
+      std::vector<RasterVertex>& verts,
+      const glsl::OpCounts& draw_start_counts);
   void DrawGeneric(GLenum mode, GLsizei count,
                    const std::function<GLuint(GLsizei)>& index_at);
   // Reports a draw abort of `kind` (see DrawErrorKind): restores the
@@ -593,12 +573,7 @@ class Context {
   // Worker pool for the tiled fragment pipeline, created lazily on the
   // first parallel draw and resized when shader_threads changes.
   std::unique_ptr<common::ThreadPool> pool_;
-  // TMU cache used by the serial shading path. Context-owned (not
-  // draw-local) so the texture callback installed on the long-lived
-  // program engines never refers into a finished draw's stack frame.
-  TmuCacheModel serial_tmu_cache_;
-  // Cached per-worker shading state (serial and parallel draws); see
-  // ShadeStateCache.
+  // Cached per-program shading state; see ShadeStateCache.
   ShadeStateCache shade_cache_;
   // Per-draw state the cached flush closures reach through stable
   // addresses: the resolved render target and the first-failure latch.

@@ -170,19 +170,16 @@ class AluModel {
   [[nodiscard]] bool round_identity() const { return round_.identity(); }
 
   // Creates an independent model with the same precision behaviour and zeroed
-  // counters, for use as a per-worker counter shard by the multithreaded
-  // fragment pipeline. Returns nullptr when the subclass does not support
-  // forking (the draw then falls back to single-threaded shading).
+  // counters, for use as a per-worker counter shard by the fragment
+  // pipeline (every shading slot, serial or pooled, owns one).
   //
   // Shard reuse contract: the gles2 shade-state cache keeps a Fork()ed
   // shard alive across draws and re-arms it per draw with ResetCounts()
-  // instead of re-forking. A subclass that supports Fork() must therefore
-  // keep all non-counter state immutable after construction (precision
-  // behaviour a pure function of inputs), so that a reset shard is
-  // indistinguishable from a fresh fork.
-  [[nodiscard]] virtual std::unique_ptr<AluModel> Fork() const {
-    return nullptr;
-  }
+  // instead of re-forking. A subclass must therefore keep all non-counter
+  // state immutable after construction (precision behaviour a pure
+  // function of inputs), so that a reset shard is indistinguishable from a
+  // fresh fork.
+  [[nodiscard]] virtual std::unique_ptr<AluModel> Fork() const = 0;
 
  protected:
   // Set once by the subclass constructor; defaults to full fp32.

@@ -1,6 +1,7 @@
 #include "glsl/interp.h"
 
 #include <array>
+#include <cassert>
 #include <cmath>
 
 #include "common/fault.h"
@@ -17,6 +18,19 @@ constexpr int kMaxCallDepth = 64;
 ShaderExec::ShaderExec(const CompiledShader& cs, AluModel& alu)
     : cs_(cs), alu_(alu) {
   InitGlobals();
+}
+
+ShaderExec::ShaderExec(const ShaderExec& base, AluModel& alu)
+    : cs_(base.cs_), alu_(alu), globals_(base.globals_),
+      reinit_slots_(base.reinit_slots_), loop_budget_(base.loop_budget_) {}
+
+void ShaderExec::SyncGlobalsFrom(const ShaderEngine& engine) {
+  const ShaderExec& base = static_cast<const ShaderExec&>(engine);
+  assert(&cs_ == &base.cs_ && "a clone syncs from its own base engine");
+  // Element-wise copy-assign: each Value keeps its cell storage.
+  for (std::size_t i = 0; i < globals_.size(); ++i) {
+    globals_[i] = base.globals_[i];
+  }
 }
 
 int ShaderExec::GlobalSlot(const std::string& name) const {
@@ -47,7 +61,7 @@ Value ShaderExec::EvalInit(const Expr& e) {
 
 bool ShaderExec::Run() {
   if (cs_.main == nullptr || cs_.main->body == nullptr) {
-    throw RuntimeError("shader has no executable main()");
+    throw ShaderRuntimeError("shader has no executable main()");
   }
   loop_steps_ = 0;
   call_depth_ = 0;
@@ -63,11 +77,12 @@ bool ShaderExec::Run() {
 
 void ShaderExec::CheckLoopGuard() {
   if (fault::ShouldFail(fault::Site::kVmInstruction)) {
-    throw RuntimeError("injected fault: shader trap");
+    throw ShaderRuntimeError("injected fault: shader trap");
   }
   if (++loop_steps_ > loop_budget_) {
-    throw RuntimeError("shader exceeded the loop iteration budget (a real "
-                       "GPU would hang or be reset here)");
+    throw ShaderRuntimeError(
+        "shader exceeded the loop iteration budget (a real GPU would hang or "
+        "be reset here)");
   }
 }
 
@@ -184,7 +199,7 @@ LRef ShaderExec::EvalLValue(const Expr& e, Frame& f) {
       return RefSwizzle(base, sw.type, sw.comps.data(), sw.count);
     }
     default:
-      throw RuntimeError("internal error: expression is not an l-value");
+      throw ShaderRuntimeError("internal error: expression is not an l-value");
   }
 }
 
@@ -213,7 +228,7 @@ Value ShaderExec::Eval(const Expr& e, Frame& f) {
       args.reserve(call.args.size());
       for (const auto& a : call.args) args.push_back(Eval(*a, f));
       if (args.size() > static_cast<std::size_t>(kMaxBuiltinArgs)) {
-        throw RuntimeError("internal error: builtin argument count");
+        throw ShaderRuntimeError("internal error: builtin argument count");
       }
       std::array<const Value*, kMaxBuiltinArgs> ptrs{};
       for (std::size_t i = 0; i < args.size(); ++i) ptrs[i] = &args[i];
@@ -350,7 +365,7 @@ Value ShaderExec::CallFunction(const FunctionDecl& fn, const CallExpr& call,
                                Frame& caller) {
   if (++call_depth_ > kMaxCallDepth) {
     --call_depth_;
-    throw RuntimeError("shader call depth exceeded");
+    throw ShaderRuntimeError("shader call depth exceeded");
   }
   // Find the *definition* (a prototype may have been registered).
   const FunctionDecl* def = &fn;
@@ -373,8 +388,8 @@ Value ShaderExec::CallFunction(const FunctionDecl& fn, const CallExpr& call,
     }
     if (def->body == nullptr) {
       --call_depth_;
-      throw RuntimeError(StrFormat("call to undefined function '%s'",
-                                   fn.name.c_str()));
+      throw ShaderRuntimeError(
+          StrFormat("call to undefined function '%s'", fn.name.c_str()));
     }
   }
 

@@ -12,6 +12,7 @@
 #define MGPU_GLSL_INTERP_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,10 +27,17 @@ namespace mgpu::glsl {
 
 class ShaderExec final : public ShaderEngine {
  public:
-  // Historic name, kept for callers that predate the engine split.
-  using RuntimeError = ShaderRuntimeError;
-
   ShaderExec(const CompiledShader& cs, AluModel& alu);
+  // Worker clone (ShaderEngine::Clone): shares `base`'s analyzed shader and
+  // copies its globals; initializers are not re-evaluated.
+  ShaderExec(const ShaderExec& base, AluModel& alu);
+
+  [[nodiscard]] std::unique_ptr<ShaderEngine> Clone(
+      AluModel& alu) const override {
+    return std::make_unique<ShaderExec>(*this, alu);
+  }
+  // `base` must be a ShaderExec.
+  void SyncGlobalsFrom(const ShaderEngine& base) override;
 
   void SetTextureFn(TextureFn fn) override { texture_ = std::move(fn); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstring>
 #include <utility>
 
@@ -93,24 +94,9 @@ VmExec::VmExec(const VmExec& base, AluModel& alu)
   refs_.resize(prog_->ref_slot_count);
 }
 
-void VmExec::SyncGlobalsFrom(const VmExec& base) {
-  if (prog_.get() != base.prog_.get() ||
-      globals_.size() != base.globals_.size()) {
-    // Layout mismatch: fall back to a full re-clone of the global store
-    // (never hit through the shade-state cache, which is invalidated on
-    // relink; kept so direct callers cannot corrupt the register file).
-    prog_ = base.prog_;
-    globals_ = base.globals_;
-    regs_ = base.regs_;
-    refs_.resize(prog_->ref_slot_count);
-    // The per-lane planes were sized and typed for the old program.
-    batch_ready_ = false;
-    arena_.clear();
-    reg_plane_.clear();
-    global_plane_.clear();
-    lane_refs_.clear();
-    return;
-  }
+void VmExec::SyncGlobalsFrom(const ShaderEngine& engine) {
+  const VmExec& base = static_cast<const VmExec&>(engine);
+  assert(prog_ == base.prog_ && "a clone syncs from its own base engine");
   // Element-wise copy-assign: Value reuses its existing cell storage when
   // the layout matches, so this is a flat copy with no allocation — the
   // cheap per-draw path the shade-state cache relies on.
@@ -129,8 +115,8 @@ bool VmExec::Execute(std::uint32_t pc) {
   const std::uint32_t* const arg_ops = prog_->arg_ops.data();
   // Local copies of the storage base pointers: none of these vectors are
   // resized during execution, and keeping them in locals lets the compiler
-  // hold them in registers across the opaque Eval* calls (the member-based
-  // At()/Read() would be reloaded after every call).
+  // hold them in registers across the opaque Eval* calls (member pointers
+  // would be reloaded after every call).
   Value* const regs = regs_.data();
   Value* const globals = globals_.data();
   const Value* const consts = prog_->consts.data();

@@ -29,21 +29,18 @@ class VmExec final : public ShaderEngine {
   // work at its own construction, so per-Run counts stay comparable).
   VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu);
 
-  // Worker clone for the tiled fragment pipeline: shares the immutable
-  // program, copies the primed globals (constant initializers + uniforms
-  // already mirrored into `base`) and routes math through `alu` — typically
-  // a per-worker Fork() of the context's model, so op counts shard cleanly.
-  // The constant-initializer chunk is NOT re-run (its results arrive via the
-  // copied globals), so no ops are charged here.
+  // Worker clone (ShaderEngine::Clone): shares the immutable program and
+  // copies the primed globals (constant initializers + uniforms already
+  // mirrored into `base`). The constant-initializer chunk is NOT re-run.
   VmExec(const VmExec& base, AluModel& alu);
 
-  // Cheap per-draw refresh for a cached worker clone: re-copies `base`'s
-  // globals (fresh uniforms plus whatever shader code mutated since the
-  // clone was made) without reallocating — each Value's storage is reused,
-  // so a draw loop that recycles clones performs no allocation here. After
-  // the call the clone's observable state is exactly that of a clone
-  // constructed from `base` now. `base` must share this clone's program.
-  void SyncGlobalsFrom(const VmExec& base);
+  [[nodiscard]] std::unique_ptr<ShaderEngine> Clone(
+      AluModel& alu) const override {
+    return std::make_unique<VmExec>(*this, alu);
+  }
+  // `base` must be a VmExec. Each Value's storage is reused, so a draw loop
+  // that recycles clones performs no allocation here.
+  void SyncGlobalsFrom(const ShaderEngine& base) override;
 
   bool Run() override;
 
@@ -81,7 +78,7 @@ class VmExec final : public ShaderEngine {
   // lane-varying global's arena plane (component stride kVmLanes, lane
   // stride 1), or the shared scalar storage (1, 0) of a lane-invariant
   // global, which is never written per lane. Allocates the lane state on
-  // first use; the view stays valid until SyncGlobalsFrom switches program.
+  // first use; the view stays valid for the engine's lifetime.
   [[nodiscard]] PlaneDst LaneGlobal(int slot);
 
   [[nodiscard]] int GlobalSlot(const std::string& name) const override {
@@ -117,20 +114,6 @@ class VmExec final : public ShaderEngine {
   // operand resolution hoisted out of the lane loop.
   void ExecBatchOp(const VmInst& in, std::uint32_t mask,
                    const LaneViews& views);
-
-  [[nodiscard]] Value& At(std::uint32_t operand) {
-    const std::uint32_t idx = operand & kOperandIndexMask;
-    return (operand & ~kOperandIndexMask) == kSpaceReg ? regs_[idx]
-                                                       : globals_[idx];
-  }
-  [[nodiscard]] const Value& Read(std::uint32_t operand) const {
-    const std::uint32_t idx = operand & kOperandIndexMask;
-    switch (operand & ~kOperandIndexMask) {
-      case kSpaceReg: return regs_[idx];
-      case kSpaceGlobal: return globals_[idx];
-      default: return prog_->consts[idx];
-    }
-  }
 
   std::shared_ptr<const VmProgram> prog_;
   AluModel& alu_;

@@ -228,6 +228,32 @@ TEST(ContextTest, VaryingTypeMismatchFailsLink) {
   EXPECT_EQ(ok, GL_FALSE);
 }
 
+// ES 2.0: an index at or past GL_MAX_VERTEX_ATTRIBS is GL_INVALID_VALUE at
+// the call and records no binding, so it cannot fail the link later.
+TEST(ContextTest, BindAttribLocationRejectsOutOfRangeIndex) {
+  Context ctx(SmallConfig());
+  GLint max_attribs = 0;
+  ctx.GetIntegerv(GL_MAX_VERTEX_ATTRIBS, &max_attribs);
+  const GLuint vs =
+      CompileShaderOrDie(ctx, GL_VERTEX_SHADER, testutil::kPassthroughVs);
+  const GLuint fs = CompileShaderOrDie(
+      ctx, GL_FRAGMENT_SHADER,
+      "precision mediump float;\nvarying vec2 v_uv;\nvoid main() { "
+      "gl_FragColor = vec4(v_uv, 0.0, 1.0); }");
+  const GLuint p = ctx.CreateProgram();
+  ctx.AttachShader(p, vs);
+  ctx.AttachShader(p, fs);
+  ctx.BindAttribLocation(p, 3, "a_pos");
+  EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+  ctx.BindAttribLocation(p, static_cast<GLuint>(max_attribs), "a_pos");
+  EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_INVALID_VALUE));
+  ctx.LinkProgram(p);
+  GLint ok = GL_FALSE;
+  ctx.GetProgramiv(p, GL_LINK_STATUS, &ok);
+  EXPECT_EQ(ok, GL_TRUE) << ctx.GetProgramInfoLog(p);
+  EXPECT_EQ(ctx.GetAttribLocation(p, "a_pos"), 3);
+}
+
 TEST(ContextTest, CompileErrorReportedInInfoLog) {
   Context ctx(SmallConfig());
   const GLuint s = ctx.CreateShader(GL_FRAGMENT_SHADER);

@@ -37,8 +37,8 @@ using testutil::ReadRgba;
 int g_fault_iters = 60;
 
 // 128x128 = a 2x2 grid of 64x64 tiles, so parallel configurations really
-// engage the worker pool (a single-tile target would fall back to serial
-// and never reach the pool-task fault site).
+// engage the worker pool (a single-tile target shades on the calling
+// thread and never reaches the pool-task fault site).
 constexpr int kW = 128;
 constexpr int kH = 128;
 constexpr std::uint64_t kSeedBase = 20260808;

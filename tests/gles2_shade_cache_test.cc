@@ -1,11 +1,13 @@
 // Shade-state-cache invariants. The cache (gles2::ShadeStateCache) keeps
-// per-worker VmExec clones, forked ALU counter shards and TMU-cache models
-// alive across draws, refreshing only uniforms/globals per draw — and it
-// must be *invisible*: a warm-cache draw stream produces the same
-// framebuffer bytes and the same ALU/SFU/TMU operation counts as cold-state
-// draws and as the serial reference path. Relinking a program, switching
-// the execution engine, and changing the worker count mid-stream must all
-// drop stale entries without perturbing results.
+// one entry per program — the vertex stage's plane views plus worker slots
+// that each own an engine clone, a forked ALU counter shard and a
+// TMU-cache model — alive across draws, refreshing only uniforms/globals
+// per draw, for every engine and thread count. It must be *invisible*: a
+// warm-cache draw stream produces the same framebuffer bytes and the same
+// ALU/SFU/TMU operation counts as cold-state draws and as a serial
+// (one-slot) context. Relinking a program, switching the execution engine,
+// and changing the worker count mid-stream must all drop stale entries
+// without perturbing results.
 #include <array>
 #include <cstdint>
 #include <string>
@@ -62,12 +64,12 @@ struct DrawSpec {
   std::array<float, 4> tint;
 };
 
-// A mix of tiny draws (single tile: the serial path, cached under thread
-// count 1) and spanning draws (parallel shading; every slot used, including
+// A mix of tiny draws (single tile: one slot, shaded on the calling
+// thread) and spanning draws (pooled shading; every slot used, including
 // slots left stale by smaller draws before them). Four draws are tiny and
-// four span several tiles, so a warm 2+-thread context builds exactly two
-// entries — one serial, one parallel — and hits on every draw after each
-// entry's first.
+// four span several tiles. Each program has one entry whatever the draw
+// shape, so a warm context builds it on the first draw and hits on every
+// draw after.
 constexpr std::size_t kSpanningDraws = 4;
 constexpr std::size_t kTinyDraws = 4;
 const std::vector<DrawSpec>& Corpus() {
@@ -181,14 +183,14 @@ TEST(ShadeStateCacheTest, WarmDrawsAreByteAndCountIdenticalToColdDraws) {
     cold.Draw(d);
     serial.Draw(d);
   }
-  // The warm context really did reuse state: one parallel entry plus one
-  // serial entry (single-tile draws cache their plumbing under thread
-  // count 1), a hit on every draw after each entry's first. The cold
-  // context never hit (its cache is cleared before every draw).
-  EXPECT_EQ(warm.ctx().shade_state_cache().entry_count(), 2u);
+  // The warm context really did reuse state: one entry for the program
+  // and one lookup per draw, so a miss on the first draw and a hit on
+  // every draw after. The cold context never hit (its cache is cleared
+  // before every draw).
+  EXPECT_EQ(warm.ctx().shade_state_cache().entry_count(), 1u);
   EXPECT_EQ(warm.ctx().shade_state_cache().hits(),
-            (kSpanningDraws - 1) + (kTinyDraws - 1));
-  EXPECT_EQ(warm.ctx().shade_state_cache().misses(), 2u);
+            kSpanningDraws + kTinyDraws - 1);
+  EXPECT_EQ(warm.ctx().shade_state_cache().misses(), 1u);
   EXPECT_EQ(cold.ctx().shade_state_cache().hits(), 0u);
   EXPECT_EQ(cold.ctx().shade_state_cache().misses(),
             kSpanningDraws + kTinyDraws);
@@ -203,18 +205,25 @@ TEST(ShadeStateCacheTest, WarmDrawsAreByteAndCountIdenticalToColdDraws) {
 }
 
 TEST(ShadeStateCacheTest, WarmDrawsMatchSerialUnderVc4Alu) {
-  vc4::Vc4Alu warm_alu(vc4::VideoCoreIV());
-  vc4::Vc4Alu serial_alu(vc4::VideoCoreIV());
-  StormRig warm(/*threads=*/3, /*textured=*/true, &warm_alu);
-  StormRig serial(/*threads=*/1, /*textured=*/true, &serial_alu);
-  for (const DrawSpec& d : Corpus()) {
-    warm.Draw(d);
-    serial.Draw(d);
+  for (const ExecEngine engine : {ExecEngine::kBatchedVm,
+                                  ExecEngine::kBytecodeVm,
+                                  ExecEngine::kTreeWalk}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    vc4::Vc4Alu warm_alu(vc4::VideoCoreIV());
+    vc4::Vc4Alu serial_alu(vc4::VideoCoreIV());
+    StormRig warm(/*threads=*/3, /*textured=*/true, &warm_alu);
+    StormRig serial(/*threads=*/1, /*textured=*/true, &serial_alu);
+    warm.ctx().SetExecEngine(engine);
+    serial.ctx().SetExecEngine(engine);
+    for (const DrawSpec& d : Corpus()) {
+      warm.Draw(d);
+      serial.Draw(d);
+    }
+    const RunResult w = warm.Finish();
+    const RunResult s = serial.Finish();
+    EXPECT_EQ(w.fb, s.fb);
+    ExpectSameCounts(w.counts, s.counts, "vc4 warm vs serial");
   }
-  const RunResult w = warm.Finish();
-  const RunResult s = serial.Finish();
-  EXPECT_EQ(w.fb, s.fb);
-  ExpectSameCounts(w.counts, s.counts, "vc4 warm vs serial");
 }
 
 // ---------------------------------------------------------------------------
@@ -228,8 +237,8 @@ TEST(ShadeStateCacheTest, RelinkDropsStaleEntriesAndUsesNewBytecode) {
     warm.Draw(d);
     serial.Draw(d);
   }
-  // One parallel entry + one serial entry (the corpus has both shapes).
-  ASSERT_EQ(warm.ctx().shade_state_cache().entry_count(), 2u);
+  // One entry for the program, whatever the draw shape.
+  ASSERT_EQ(warm.ctx().shade_state_cache().entry_count(), 1u);
 
   // Relink both programs with a different fragment shader. The cached
   // clones pin the old bytecode; the entries must be gone...

@@ -511,6 +511,7 @@ void ExpectEngineAgreement(const Scenario& sc, bool vc4_alu) {
       {ExecEngine::kBatchedVm, 3, "batched threaded"},
       {ExecEngine::kBytecodeVm, 3, "scalar threaded"},
       {ExecEngine::kTreeWalk, 1, "tree-walk oracle"},
+      {ExecEngine::kTreeWalk, 3, "tree-walk threaded"},
   };
   for (const Config& c : configs) {
     const RunResult got =
@@ -628,8 +629,8 @@ void main() {
   }
 }
 
-// The tree-walking oracle cannot be cloned per worker; a multithreaded
-// request must fall back to the serial path and still match the VM.
+// The tree-walking oracle clones per worker like the VMs: a multithreaded
+// tree-walk context shades on the pool and must match the parallel VM.
 TEST(ThreadDifferentialTest, TreeWalkOracleMatchesParallelVm) {
   const Scenario& sc = kScenarios[0];
   const RunResult vm = RunScenario(sc, 4);

@@ -346,7 +346,7 @@ TEST(InterpTest, RunawayLoopRaisesRuntimeError) {
       "+= 1.0; } gl_FragColor = vec4(a); }");
   ExactAlu alu;
   ShaderExec exec(*shader, alu);
-  EXPECT_THROW(exec.Run(), ShaderExec::RuntimeError);
+  EXPECT_THROW(exec.Run(), ShaderRuntimeError);
 }
 
 TEST(InterpTest, OpCountsAccumulate) {
