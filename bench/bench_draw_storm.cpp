@@ -182,18 +182,18 @@ int main(int argc, char** argv) {
   std::printf("  pooled (2 threads):  %8.3f s  (%8.0f draws/s, best of %d)\n",
               pooled.seconds, draws / pooled.seconds, kReps);
 
-  // Same storm on the scalar VM: the per-draw dispatch tax the lane-batched
-  // engine amortizes, measured on identical hardware in the same process.
+  // Same storm on the one-lane VM: the per-draw dispatch tax the
+  // lane-batched engine amortizes, measured on identical hardware in the same process.
   const StormResult scalar =
       best_of(/*shader_threads=*/1, gles2::ExecEngine::kBytecodeVm);
-  std::printf("  scalar VM (1 thread):%8.3f s  (%8.0f draws/s, batched "
+  std::printf("  1-lane VM (1 thread):%8.3f s  (%8.0f draws/s, batched "
               "speedup %.2fx)\n",
               scalar.seconds, draws / scalar.seconds,
               scalar.seconds / serial.seconds);
 
   // Determinism invariants: the worker pool (and any per-draw state caching
   // behind it) must be invisible — same framebuffer bytes, same op counts —
-  // and the batched engine must be byte-identical to the scalar VM.
+  // and the batched engine must be byte-identical to the one-lane VM.
   const bool identical = serial.fb_hash == pooled.fb_hash &&
                          serial.alu_ops == pooled.alu_ops;
   std::printf("  serial vs pooled:    %s (hash %08x vs %08x, alu %llu vs "
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(pooled.alu_ops));
   const bool batched_identical = serial.fb_hash == scalar.fb_hash &&
                                  serial.alu_ops == scalar.alu_ops;
-  std::printf("  batched vs scalar:   %s (hash %08x vs %08x, alu %llu vs "
+  std::printf("  batched vs 1-lane:   %s (hash %08x vs %08x, alu %llu vs "
               "%llu)\n",
               batched_identical ? "identical" : "MISMATCH", serial.fb_hash,
               scalar.fb_hash, static_cast<unsigned long long>(serial.alu_ops),

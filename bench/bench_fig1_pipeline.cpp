@@ -251,13 +251,13 @@ int main(int argc, char** argv) {
   std::printf("\nexecution engines (same sweep, wall clock):\n");
   std::printf("  batched VM (default):  %8.3f s  [coverage %s]\n",
               batched.seconds, batched.ok ? "ok" : "FAILURE");
-  std::printf("  scalar bytecode VM:    %8.3f s  [coverage %s]\n", vm.seconds,
+  std::printf("  one-lane bytecode VM:  %8.3f s  [coverage %s]\n", vm.seconds,
               vm.ok ? "ok" : "FAILURE");
   std::printf("  tree-walking oracle:   %8.3f s  [coverage %s]\n",
               tree.seconds, tree.ok ? "ok" : "FAILURE");
-  std::printf("  scalar VM speedup vs oracle:   %.2fx\n",
+  std::printf("  one-lane VM speedup vs oracle: %.2fx\n",
               tree.seconds / vm.seconds);
-  std::printf("  batched speedup vs scalar VM:  %.2fx\n",
+  std::printf("  batched speedup vs 1-lane VM:  %.2fx\n",
               vm.seconds / batched.seconds);
 
   // --- vector-heavy lighting scene: the SoA-kernel showcase ---------------
@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
               "normalize/dot/pow per fragment):\n",
               vh_size, vh_size);
   std::printf("  batched VM:  %8.3f s\n", vh_batched.seconds);
-  std::printf("  scalar VM:   %8.3f s  (batched speedup %.2fx, "
+  std::printf("  1-lane VM:   %8.3f s  (batched speedup %.2fx, "
               "framebuffers %s)\n",
               vh_scalar.seconds, vh_scalar.seconds / vh_batched.seconds,
               vh_identical ? "identical" : "MISMATCH");

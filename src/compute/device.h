@@ -23,8 +23,8 @@ struct DeviceOptions {
   // lane-batched VM: each kernel dispatch gathers covered fragments into
   // SoA batches and executes the lowered bytecode once per
   // instruction over all lanes, the way a VC4 QPU runs pixel groups through
-  // one instruction stream. kBytecodeVm selects the scalar VM (one
-  // dispatch-loop pass per fragment) and kTreeWalk the tree-walking
+  // one instruction stream. kBytecodeVm runs the same executor one lane
+  // wide (one pass per fragment) and kTreeWalk the tree-walking
   // interpreter; all three produce identical output bytes and ALU/SFU/TMU
   // op counts, so either oracle can differentially check the batched path.
   // kCompiled is an alias of kBatchedVm (see gles2::ExecEngine).

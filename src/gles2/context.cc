@@ -38,15 +38,11 @@ ExecEngine Canonical(ExecEngine engine) {
   return engine == ExecEngine::kCompiled ? ExecEngine::kBatchedVm : engine;
 }
 
-// The engine's view of global `slot` in the draw stages: the VM's lane
-// plane when it runs `batched`, else a one-lane view of the engine's Value
-// (lane stride 0, so lane l of it is the engine's only lane). A null base
-// marks a slot the program does not use (slot < 0).
-glsl::PlaneDst GlobalPlane(glsl::ShaderEngine& engine, bool batched,
-                           int slot) {
+// The engine's view of global `slot` in the draw stages. A null base marks
+// a slot the program does not use (slot < 0).
+glsl::PlaneDst GlobalPlane(glsl::ShaderEngine& engine, int slot) {
   if (slot < 0) return {};
-  return batched ? static_cast<glsl::VmExec&>(engine).LaneGlobal(slot)
-                 : glsl::ValuePlane(engine.GlobalAt(slot));
+  return engine.LaneGlobal(slot);
 }
 }  // namespace
 
@@ -1267,15 +1263,13 @@ ShadeStateCache::Entry* Context::ShadeVertices(
     const std::function<GLuint(GLsizei)>& index_at,
     std::vector<RasterVertex>& verts,
     const glsl::OpCounts& draw_start_counts) {
-  // The engine fixes the plane views and the lane width: the batched VM
-  // runs up to kVmLanes vertices per RunBatch pass over its lane planes;
-  // the oracles run one vertex per Run() through one-lane views.
-  const bool batched = config_.exec_engine == ExecEngine::kBatchedVm;
+  // Each RunBatch pass shades up to LaneWidth() vertices over the engine's
+  // lane planes.
   glsl::ShaderEngine& engine =
       config_.exec_engine == ExecEngine::kTreeWalk
           ? static_cast<glsl::ShaderEngine&>(*prog->vexec)
           : *prog->vvm;
-  const int lanes = batched ? glsl::kVmLanes : 1;
+  const int lanes = LaneWidth();
 
   // The draw's one cache lookup. Plane views are resolved once per program,
   // on the miss that creates its entry. Uniform (non-lane) slots resolve to
@@ -1284,9 +1278,7 @@ ShadeStateCache::Entry* Context::ShadeVertices(
   if (entry == nullptr) {
     entry = &shade_cache_.Insert(current_program_);
     ShadeStateCache::VertexState& v = entry->vertex;
-    const auto plane = [&](int slot) {
-      return GlobalPlane(engine, batched, slot);
-    };
+    const auto plane = [&](int slot) { return GlobalPlane(engine, slot); };
     v.position = plane(prog->vs_position_slot);
     v.point_size = plane(prog->vs_point_size_slot);
     v.attribs.reserve(prog->attribs.size());
@@ -1437,11 +1429,7 @@ ShadeStateCache::Entry* Context::ShadeVertices(
       // minimum trapping lane is the first trapping vertex, and the thrown
       // message is the same on every engine. (Vertex programs cannot
       // discard; the kept mask is all-ones.)
-      if (batched) {
-        (void)prog->vvm->RunBatch(n);
-      } else {
-        (void)engine.Run();
-      }
+      (void)engine.RunBatch(n);
 
       // Watchdog, per chunk: the totals are monotone toward the same
       // engine-invariant sum, so the trip-vs-not decision does not depend
@@ -2035,20 +2023,15 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
   // flush scatters it into the engine's per-fragment input planes, shades
   // it, replays the deferred TMU accesses in lane order (the
   // fragment-sequential texture-cache order) and drains surviving lanes to
-  // the framebuffer in emission order. The batched VM shades the whole
-  // batch in one RunBatch pass over its lane planes; the oracles shade it
-  // one lane at a time through one-lane views of their global Values and
-  // stop at the first trapping lane.
-  const bool batched = config_.exec_engine == ExecEngine::kBatchedVm;
+  // the framebuffer in emission order, in chunks of the engine's lane
+  // width: the batched VM shades the whole batch in one RunBatch pass, the
+  // oracles one lane per pass, stopping at the first trapping lane.
   ShadeStateCache::WorkerState* const wp = &w;
-  glsl::VmExec* const vm =
-      batched ? static_cast<glsl::VmExec*>(w.engine.get()) : nullptr;
+  const int width = LaneWidth();
   const int color_slot = prog->uses_frag_data ? prog->fs_frag_data_slot
                                               : prog->fs_frag_color_slot;
   w.engine->SetTextureFn(MakeTextureFn(wp));
-  const auto plane = [&w, batched](int slot) {
-    return GlobalPlane(*w.engine, batched, slot);
-  };
+  const auto plane = [&w](int slot) { return GlobalPlane(*w.engine, slot); };
   const glsl::PlaneDst fc = plane(prog->fs_frag_coord_slot);
   const glsl::PlaneDst ff = plane(prog->fs_front_facing_slot);
   const glsl::PlaneDst pc = plane(prog->fs_point_coord_slot);
@@ -2063,65 +2046,59 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
   for (const VaryingLink& link : prog->varyings) {
     varying_dsts.push_back({plane(link.fs_slot), link.cells, link.offset});
   }
-  w.flush = [this, wp, vm, fc, ff, pc, col,
+  w.flush = [this, wp, width, fc, ff, pc, col,
              varying_dsts = std::move(varying_dsts)]() {
     FragmentBatch& b = wp->batch;
     const int n = b.count;
     b.count = 0;
     if (n == 0) return;
     if (draw_failed_.load(std::memory_order_relaxed)) return;
-    // Scatters lanes [lo, hi) of the batch into the input planes.
-    const auto scatter = [&](int lo, int hi) {
-      for (int l = lo; l < hi; ++l) {
-        const std::size_t li = static_cast<std::size_t>(l);
+    // Scatters batch lanes [lo, lo + m) into engine lanes [0, m).
+    const auto scatter = [&](int lo, int m) {
+      for (int l = 0; l < m; ++l) {
+        const std::size_t bi = static_cast<std::size_t>(lo + l);
         if (fc.base != nullptr) {
-          fc.at(0, l).f = static_cast<float>(b.x[li]) + 0.5f;
-          fc.at(1, l).f = static_cast<float>(b.y[li]) + 0.5f;
-          fc.at(2, l).f = b.depth[li];
+          fc.at(0, l).f = static_cast<float>(b.x[bi]) + 0.5f;
+          fc.at(1, l).f = static_cast<float>(b.y[bi]) + 0.5f;
+          fc.at(2, l).f = b.depth[bi];
           fc.at(3, l).f = 1.0f;
         }
-        if (ff.base != nullptr) ff.at(0, l).i = b.front[li] != 0 ? 1 : 0;
+        if (ff.base != nullptr) ff.at(0, l).i = b.front[bi] != 0 ? 1 : 0;
         if (pc.base != nullptr) {
-          pc.at(0, l).f = b.point_s[li];
-          pc.at(1, l).f = b.point_t[li];
+          pc.at(0, l).f = b.point_s[bi];
+          pc.at(1, l).f = b.point_t[bi];
         }
       }
       for (const LaneVaryingDst& vd : varying_dsts) {
         for (int c = 0; c < vd.cells; ++c) {
           const float* src =
               &b.varyings[static_cast<std::size_t>(vd.offset + c) *
-                          kFragBatchWidth];
-          for (int l = lo; l < hi; ++l) vd.value.at(c, l).f = src[l];
+                              kFragBatchWidth +
+                          static_cast<std::size_t>(lo)];
+          for (int l = 0; l < m; ++l) vd.value.at(c, l).f = src[l];
         }
       }
     };
-    // Writes lane l's color output to its pixel.
-    const auto drain = [&](int l) {
-      const std::size_t li = static_cast<std::size_t>(l);
+    // Writes engine lane l's color output to batch lane lo + l's pixel.
+    const auto drain = [&](int lo, int l) {
+      const std::size_t bi = static_cast<std::size_t>(lo + l);
       std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
       if (col.base != nullptr) {
         color = {col.at(0, l).f, col.at(1, l).f, col.at(2, l).f,
                  col.at(3, l).f};
       }
-      WritePixel(draw_rt_, b.x[li], b.y[li], b.depth[li], color,
+      WritePixel(draw_rt_, b.x[bi], b.y[bi], b.depth[bi], color,
                  /*depth_valid=*/true, wp->active_journal);
     };
     try {
-      if (vm != nullptr) {
-        scatter(0, n);
-        const std::uint32_t kept = vm->RunBatch(n);
+      for (int lo = 0; lo < n; lo += width) {
+        const int m = std::min(width, n - lo);
+        scatter(lo, m);
+        const std::uint32_t kept = wp->engine->RunBatch(m);
         if (draw_budget_ != 0) CheckDrawBudget(wp);
-        ReplayTmuLog(wp, n);
-        for (int l = 0; l < n; ++l) {
-          if (((kept >> static_cast<unsigned>(l)) & 1u) != 0) drain(l);
-        }
-      } else {
-        for (int l = 0; l < n; ++l) {
-          scatter(l, l + 1);
-          const bool kept = wp->engine->Run();
-          ReplayTmuLog(wp, 1);
-          if (draw_budget_ != 0) CheckDrawBudget(wp);
-          if (kept) drain(l);
+        ReplayTmuLog(wp, m);
+        for (int l = 0; l < m; ++l) {
+          if (((kept >> static_cast<unsigned>(l)) & 1u) != 0) drain(lo, l);
         }
       }
     } catch (const glsl::ShaderRuntimeError& e) {

@@ -45,13 +45,13 @@ enum class FbQuantization { kRoundNearest, kFloorPaper };
 //                 resolution across the batch the way a VC4 QPU runs 16
 //                 pixels through one instruction stream. Vertices are
 //                 shaded in lane batches too.
-//   kBytecodeVm — the scalar VM: the same bytecode dispatched once per
-//                 vertex or fragment. Kept as the first-tier differential
-//                 oracle for the batched engine.
-//   kTreeWalk   — the tree-walking interpreter, the original reference
+//   kBytecodeVm — the same batch executor one lane wide: one RunBatch(1)
+//                 per vertex or fragment. Kept as the differential oracle
+//                 for lane masks and divergence in the batched engine.
+//   kTreeWalk   — the tree-walking interpreter, the independent reference
 //                 oracle, executing the annotated AST directly.
 // Every engine goes through the same vertex stage and fragment-batch flush;
-// the two oracles run them one lane at a time (one Run() per lane).
+// the two oracles run them one lane at a time (see Context::LaneWidth).
 // kCompiled is kept only for e2ebench: the Context constructor and
 // SetExecEngine map it to kBatchedVm, so exec_engine() never returns it.
 enum class ExecEngine { kBatchedVm, kBytecodeVm, kTreeWalk, kCompiled };
@@ -201,8 +201,8 @@ class ShadeStateCache {
     FragmentBatch batch;
     // Deferred TMU accounting: texture-cache lines touched by each lane, in
     // the lane's program order, replayed lane-ascending after each
-    // RunBatch (lane 0 after each one-lane Run) so the modeled miss count
-    // follows the fragment-sequential access order exactly.
+    // RunBatch so the modeled miss count follows the fragment-sequential
+    // access order exactly.
     std::array<std::vector<std::uint64_t>, kFragBatchWidth> tmu_log;
     std::string error;  // first shader runtime error this draw, if any
     // Classification of `error` for the robustness API.
@@ -224,9 +224,8 @@ class ShadeStateCache {
 
   // Cached vertex-stage plumbing: component-plane views into the program's
   // own vertex engine — attribute gather destinations, and gl_Position /
-  // gl_PointSize / varying scatter sources. Under kBatchedVm they are the
-  // VM's lane planes; under the oracles, one-lane views of the engine's
-  // global Values. The vertex stage runs on the calling thread against the
+  // gl_PointSize / varying scatter sources, all ShaderEngine::LaneGlobal
+  // views. The vertex stage runs on the calling thread against the
   // program's long-lived engine; the entry's invalidation points (relink,
   // delete, engine or thread switch) drop the views no later than the
   // storage they aim into.
@@ -451,12 +450,9 @@ class Context {
   // off). Settable at any time; applies to subsequent draws.
   [[nodiscard]] std::uint64_t draw_budget() const { return draw_budget_; }
   void SetDrawBudget(std::uint64_t ops) { draw_budget_ = ops; }
-  // Whether draws shade vertices kVmLanes at a time: true exactly under
-  // kBatchedVm (the oracles run the same stage one lane at a time). Kept
-  // for e2ebench, which reports it.
-  [[nodiscard]] bool vertex_batch_enabled() const {
-    return config_.exec_engine == ExecEngine::kBatchedVm;
-  }
+  // Whether draws shade vertices kVmLanes at a time (LaneWidth() > 1).
+  // Kept for e2ebench, which reports it.
+  [[nodiscard]] bool vertex_batch_enabled() const { return LaneWidth() > 1; }
   // Always false; kept only for e2ebench, which reports it.
   [[nodiscard]] bool async_submit_enabled() const { return false; }
   // Always all zero; kept only for e2ebench, which reports it.
@@ -487,6 +483,11 @@ class Context {
     int height = 0;
   };
 
+  // Lanes per RunBatch pass in both draw stages: kVmLanes under
+  // kBatchedVm, 1 under the oracles.
+  [[nodiscard]] int LaneWidth() const {
+    return config_.exec_engine == ExecEngine::kBatchedVm ? glsl::kVmLanes : 1;
+  }
   void SetError(GLenum e);
   // ES 2.0: a negative count is GL_INVALID_VALUE and the call has no other
   // effect. True when `n` was rejected.
@@ -503,10 +504,9 @@ class Context {
   // The vertex stage, for every engine: decodes the draw's indices,
   // validates every VBO-backed attribute against the largest index before
   // any vertex shades, then gathers attributes for chunks of up to the
-  // engine's lane width (kVmLanes under kBatchedVm, 1 under the oracles)
-  // straight into the vertex engine's planes, runs each chunk (RunBatch or
-  // Run) and scatters clip position / point size / varyings back into
-  // `verts` in lane order. Returns the program's shade-state entry (its
+  // engine's lane width (LaneWidth) straight into the vertex engine's
+  // planes, runs each chunk through RunBatch and scatters clip position /
+  // point size / varyings back into `verts` in lane order. Returns the program's shade-state entry (its
   // vertex views resolved once, on the miss that creates it), or nullptr
   // after fully reporting a draw abort (attribute fetch failure, watchdog
   // trip, shader trap) — the caller just returns.
@@ -543,8 +543,7 @@ class Context {
   static void ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes);
   // Builds a worker slot's cached draw plumbing — texture callback and
   // batch flush, with the program's gl_* slot and varying destinations
-  // resolved once into plane views (lane planes under kBatchedVm, one-lane
-  // Value views under the oracles).
+  // resolved once into the engine's LaneGlobal plane views.
   void BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
                            ProgramObject* prog);
 

@@ -5,8 +5,8 @@
 // binned by their window-space bounds, and the draw loop (gles2::Context)
 // shades the non-empty tiles — serially or on a worker pool, with each
 // tile's covered fragments gathered into fixed-width SoA lane batches and
-// dispatched through VmExec::RunBatch under the default batched engine
-// (the batch tail flushes at tile end, inside the tile's TMU-cache
+// dispatched through ShaderEngine::RunBatch, kVmLanes wide under the default
+// batched engine (the batch tail flushes at tile end, inside the tile's TMU-cache
 // session). Because tiles partition the framebuffer and each bin preserves
 // primitive submission order, the shaded result is byte-identical for any
 // tile execution order and any worker count.

@@ -748,23 +748,16 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
   }
 }
 
-void EvalBuiltinInto(Builtin b, Type /*result_type*/,
-                     std::span<const Value* const> argp, AluModel& alu,
-                     const TextureFn& texture, Value& dst) {
-  // One-lane views over the batch kernel: one implementation of builtin
-  // semantics serves the tree-walking oracle, the scalar VM, and the
-  // batched VM alike.
-  std::array<PlaneSrc, kMaxBuiltinArgs> av;
-  for (std::size_t i = 0; i < argp.size(); ++i) av[i] = ValuePlane(*argp[i]);
-  EvalBuiltinBatch(b, std::span<const PlaneSrc>(av.data(), argp.size()), alu,
-                   texture, ValuePlane(dst), 0x1u);
-}
-
 Value EvalBuiltin(Builtin b, Type result_type,
                   std::span<const Value* const> args, AluModel& alu,
                   const TextureFn& texture) {
+  // One-lane views over the batch kernel: one implementation of builtin
+  // semantics serves the tree-walking oracle and the VM alike.
+  std::array<PlaneSrc, kMaxBuiltinArgs> av;
+  for (std::size_t i = 0; i < args.size(); ++i) av[i] = ValuePlane(*args[i]);
   Value out(result_type);
-  EvalBuiltinInto(b, result_type, args, alu, texture, out);
+  EvalBuiltinBatch(b, std::span<const PlaneSrc>(av.data(), args.size()), alu,
+                   texture, ValuePlane(out), 0x1u);
   return out;
 }
 

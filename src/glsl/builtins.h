@@ -56,7 +56,7 @@ struct BuiltinResolution {
 // lane l in `mask` samples texture unit unit[l] at (s[l], t[l]) with lod
 // bias (fragment) or level (vertex) lod[l]; the callback writes the texel's
 // RGBA in [0,1] to rgba[c][l]. Entries of lanes outside `mask` are
-// unspecified and must not be read. A scalar engine issues one-lane
+// unspecified and must not be read. The tree walker issues one-lane
 // fetches (mask 1). Callbacks that model per-fragment state (the gles2
 // texture-cache log) keep it per lane, in the order fetches arrive — which
 // is each lane's program order.
@@ -73,14 +73,8 @@ struct TexelFetch {
 // every fetch reads (0, 0, 0, 1).
 using TextureFn = std::function<void(TexelFetch& fetch)>;
 
-// Evaluates a resolved builtin. `args` are pointers to already-evaluated
-// argument values (pointers so the bytecode VM can pass its registers
-// without copying). The Into form writes the result into `dst`, which must
-// be pre-typed with `result_type` (every case overwrites all result cells);
-// the value-returning form wraps it for tree-walking callers.
-void EvalBuiltinInto(Builtin b, Type result_type,
-                     std::span<const Value* const> args, AluModel& alu,
-                     const TextureFn& texture, Value& dst);
+// Evaluates a resolved builtin for the tree walker. `args` are pointers to
+// already-evaluated argument values.
 [[nodiscard]] Value EvalBuiltin(Builtin b, Type result_type,
                                 std::span<const Value* const> args,
                                 AluModel& alu, const TextureFn& texture);
@@ -88,9 +82,9 @@ void EvalBuiltinInto(Builtin b, Type result_type,
 // Lane-batched evaluation over component planes: builtin and shape
 // dispatch run once per instruction, then loops over components and the
 // mask's lanes. This is the ONLY implementation of builtin semantics —
-// EvalBuiltinInto calls it with one-lane views — so the tree-walking
-// oracle, the scalar VM and the batched VM share one code path and cannot
-// drift in results or AluModel counts. Texture builtins issue one
+// EvalBuiltin calls it with one-lane views — so the tree-walking oracle and
+// the VM at every width share one code path and cannot drift in results or
+// AluModel counts. Texture builtins issue one
 // TexelFetch for the whole mask.
 void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> args,
                       AluModel& alu, const TextureFn& texture,

@@ -1,11 +1,13 @@
 // Common interface of the shader execution engines: the tree-walking
-// ShaderExec (reference oracle) and the bytecode VmExec, which runs both the
-// scalar oracle and the lane-batched default. The gles2 draw pipeline
-// programs against this interface so the engine is switchable per context;
-// every engine clones, so every engine shades on per-worker clones.
+// ShaderExec (reference oracle, one lane) and the bytecode VmExec (the
+// lane-batched executor, run kVmLanes wide by default and one lane wide as
+// the kBytecodeVm oracle). The gles2 draw pipeline programs against this
+// interface so the engine is switchable per context; every engine clones,
+// so every engine shades on per-worker clones.
 #ifndef MGPU_GLSL_ENGINE_H_
 #define MGPU_GLSL_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -20,13 +22,19 @@ class ShaderEngine {
  public:
   virtual ~ShaderEngine() = default;
 
-  // Executes main(). Returns false if the invocation was discarded. Throws
-  // ShaderRuntimeError on conditions a real GPU would hang on.
-  virtual bool Run() = 0;
+  // Executes main() for lanes [0, n) of the engine's lane planes; n is at
+  // most the engine's lane width (kVmLanes for VmExec, 1 for ShaderExec).
+  // Returns the bitmask of lanes not discarded. Throws ShaderRuntimeError
+  // on conditions a real GPU would hang on.
+  virtual std::uint32_t RunBatch(int n) = 0;
 
   // Slot of a global (uniform, attribute, varying, gl_*); -1 when absent.
   [[nodiscard]] virtual int GlobalSlot(const std::string& name) const = 0;
   [[nodiscard]] virtual Value& GlobalAt(int slot) = 0;
+  // Component-plane view of global `slot` as RunBatch reads and writes it:
+  // per-fragment inputs and outputs go through this view, lane l at
+  // at(c, l). Stays valid for the engine's lifetime.
+  [[nodiscard]] virtual PlaneDst LaneGlobal(int slot) = 0;
 
   // Texture fetch callback, installed by the gles2 draw pipeline.
   virtual void SetTextureFn(TextureFn fn) = 0;

@@ -70,13 +70,9 @@ LRef RefSwizzle(const LRef& base, const Type& result_type,
 
 Value ReadRef(const LRef& r) {
   Value v(r.type);
-  ReadRefInto(r, v);
-  return v;
-}
-
-void ReadRefInto(const LRef& r, Value& out) {
-  Cell* dst = out.data();
+  Cell* dst = v.data();
   for (int i = 0; i < r.size(); ++i) dst[i] = r.cell(i);
+  return v;
 }
 
 void WriteRef(const LRef& r, const Value& v) {
@@ -299,27 +295,6 @@ void EvalIncDecInto(AluModel& alu, const LRef& ref, bool increment, bool post,
   }
   WriteRef(ref, updated);
   out = post ? old : updated;
-}
-
-void EvalIncDecVar(AluModel& alu, Value& var, bool increment, bool post,
-                   Value& out) {
-  const float delta = increment ? 1.0f : -1.0f;
-  const bool is_float = var.scalar() == BaseType::kFloat;
-  const int n = var.count();
-  for (int i = 0; i < n; ++i) {
-    if (is_float) {
-      const float old = var.F(i);
-      const float updated = alu.Add(old, delta);
-      var.SetF(i, updated);
-      out.SetF(i, post ? old : updated);
-    } else {
-      alu.Count(1);
-      const std::int32_t old = var.I(i);
-      const std::int32_t updated = old + static_cast<std::int32_t>(delta);
-      var.SetI(i, updated);
-      out.SetI(i, post ? old : updated);
-    }
-  }
 }
 
 void EvalExtractInto(const Value& base, const IndexStep& step, int i,

@@ -36,8 +36,8 @@ struct ShaderRuntimeError : std::runtime_error {
       : std::runtime_error(what), lane(trap_lane) {}
   // Batch lane the trap is attributed to: for the batched executors this is
   // the smallest lane index that traps — i.e. the first fragment of the
-  // batch a scalar engine would have trapped on — and -1 for the scalar
-  // engines (the caller knows which invocation it was running).
+  // batch a one-lane sequence would have trapped on — and -1 for the tree
+  // walker (the caller knows which invocation it was running).
   int lane = -1;
 };
 
@@ -94,9 +94,6 @@ struct IndexStep {
 
 [[nodiscard]] Value ReadRef(const LRef& r);
 void WriteRef(const LRef& r, const Value& v);
-// ReadRef without the zero-initialized temporary: gathers straight into
-// `out` (pre-typed by the caller; the bytecode VM's registers already are).
-void ReadRefInto(const LRef& r, Value& out);
 
 // Deep equality across all components (GLSL == on vectors yields a single
 // bool that is true only when all components match).
@@ -123,12 +120,6 @@ void EvalNotInto(AluModel& alu, const Value& v, Value& out);
 void EvalIncDecInto(AluModel& alu, const LRef& ref, bool increment, bool post,
                     Value& out);
 
-// Whole-variable ++/-- (the VM's fast path for plain loop counters):
-// identical arithmetic and counts as EvalIncDecInto, minus the LRef and
-// Value round trips.
-void EvalIncDecVar(AluModel& alu, Value& var, bool increment, bool post,
-                   Value& out);
-
 // R-value dynamic indexing with the runtime clamp: out = base[i].
 void EvalExtractInto(const Value& base, const IndexStep& step, int i,
                      Value& out);
@@ -144,14 +135,14 @@ void EvalExtractInto(const Value& base, const IndexStep& step, int i,
 // popcount(mask) x cells (integer sums, so order-free) and rounding is the
 // model's inline RoundSpec. Per lane, each kernel reads and writes cells in
 // the order the scalar Eval*Into above does and rounds every intermediate
-// the same way, so results and ALU/SFU counts are byte-identical to
-// per-lane scalar execution (locked down by tests/glsl_vm_test.cc and the
-// seeded differential fuzz harness, tests/glsl_vm_fuzz_test.cc).
+// the same way, so results and ALU/SFU counts are byte-identical to the
+// tree walker's scalar execution (locked down by tests/glsl_vm_test.cc and
+// the seeded differential fuzz harness, tests/glsl_vm_fuzz_test.cc).
 
 // Component-plane operand view: component c of lane l sits at
 // base[c * comp_stride + l * lane_stride]. The batched VM's lane planes use
-// (kVmLanes, 1); storage shared by every lane (constants, uniforms, a
-// scalar engine's Value) uses (1, 0). `type` is the operand's static type,
+// (kVmLanes, 1); storage shared by every lane (constants, uniforms, the
+// tree walker's Values) uses (1, 0). `type` is the operand's static type,
 // the same for every lane.
 template <typename C>
 struct PlaneView {
@@ -173,7 +164,7 @@ struct PlaneView {
 using PlaneSrc = PlaneView<const Cell>;
 using PlaneDst = PlaneView<Cell>;
 
-// One-lane views of a scalar engine's Value.
+// One-lane views of a Value (the tree walker's globals, constants, uniforms).
 [[nodiscard]] inline PlaneSrc ValuePlane(const Value& v) {
   return {v.data(), 1, 0, v.type()};
 }

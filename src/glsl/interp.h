@@ -11,6 +11,7 @@
 #ifndef MGPU_GLSL_INTERP_H_
 #define MGPU_GLSL_INTERP_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,7 +51,14 @@ class ShaderExec final : public ShaderEngine {
   }
 
   // Executes main(). Returns false if the invocation was discarded.
-  bool Run() override;
+  bool Run();
+  std::uint32_t RunBatch([[maybe_unused]] int n) override {
+    assert(n == 1 && "the tree walker runs one lane at a time");
+    return Run() ? 1u : 0u;
+  }
+  [[nodiscard]] PlaneDst LaneGlobal(int slot) override {
+    return ValuePlane(GlobalAt(slot));
+  }
 
   // Loop-iteration budget (default kDefaultLoopBudget), same semantics as
   // VmExec::SetLoopBudget so differential tests can trip traps cheaply on

@@ -62,7 +62,7 @@ enum class VmOp : std::uint8_t {
   kLoopGuard,   // count an iteration against the runaway-loop budget
   kCall,        // push pc; pc = functions[aux].entry
   kRet,         // pop pc (empty stack: main returned -> halt)
-  kDiscard,     // fragment killed: Run() returns false
+  kDiscard,     // fragment killed: its lane leaves RunBatch's kept mask
   kHalt,        // normal end of chunk
   kTrap,        // throw ShaderRuntimeError(messages[aux])
   // L-value references (dynamic indexing / swizzled stores).
@@ -110,7 +110,7 @@ struct VmProgram {
   // Chunk executed once at VmExec construction: all global initializers
   // (const + plain), mirroring ShaderExec::InitGlobals.
   std::uint32_t const_init_entry = 0;
-  // Chunk executed per Run(): plain-global re-initialization, then a call
+  // Chunk executed per RunBatch: plain-global re-initialization, then a call
   // into main, mirroring ShaderExec::Run.
   std::uint32_t run_entry = 0;
   std::vector<VmFunction> functions;

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <utility>
 
 #include "common/fault.h"
@@ -33,7 +32,7 @@ constexpr char kInjectedTrapMsg[] = "injected fault: shader trap";
 // execution). Registers and lane-varying globals resolve to
 // their arena planes (kVmLanes, 1); constants, uniforms and other
 // lane-invariant globals to their shared Value (1, 0). Keeping resolution
-// out of the lane loop is the point of batching: the scalar engine
+// out of the lane loop is the point of batching: a one-lane batch
 // re-decodes operands once per fragment per instruction.
 struct VmExec::LaneViews {
   Cell* arena;
@@ -50,7 +49,7 @@ struct VmExec::LaneViews {
   }
   // Destination view. A lane-invariant global destination resolves to its
   // shared storage: every lane stores into it and the last lane wins,
-  // identical to the scalar engine storing it once per fragment.
+  // identical to a one-lane sequence storing it once per fragment.
   [[nodiscard]] PlaneDst Dst(std::uint32_t operand) const {
     const std::uint32_t idx = operand & kOperandIndexMask;
     if ((operand & ~kOperandIndexMask) == kSpaceReg) {
@@ -72,27 +71,27 @@ VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
     : prog_(std::move(program)), alu_(alu) {
   globals_.reserve(prog_->globals.size());
   for (const VmGlobal& g : prog_->globals) globals_.emplace_back(g.type);
-  regs_.reserve(prog_->reg_types.size());
-  for (const Type& t : prog_->reg_types) regs_.emplace_back(t);
-  refs_.resize(prog_->ref_slot_count);
+  LayOutPlanes();
 
   // One-time global initialization (consts and initial values of plain
-  // globals). The oracle counts this work at its own construction, so the
-  // counter snapshot keeps link-time totals unchanged when both engines are
+  // globals), one lane wide with every global resolved to the shared store;
+  // only then do the lane-varying globals' planes take those values. The
+  // oracle counts this work at its own construction, so the counter
+  // snapshot keeps link-time totals unchanged when both engines are
   // instantiated side by side.
+  const std::vector<std::uint32_t> shared(globals_.size(), kNoPlane);
+  LaneViews views = Views();
+  views.global_plane = shared.data();
   const OpCounts saved = alu_.counts();
-  loop_steps_ = 0;
-  (void)Execute(prog_->const_init_entry);
+  (void)ExecuteBatch(prog_->const_init_entry, 1, views);
   alu_.SetCounts(saved);
+  FillLaneGlobals();
+  batch_ready_ = true;
 }
 
 VmExec::VmExec(const VmExec& base, AluModel& alu)
     : prog_(base.prog_), alu_(alu), globals_(base.globals_),
-      regs_(base.regs_), loop_budget_(base.loop_budget_) {
-  // Refs are rebuilt before use by every invocation; fresh ones avoid
-  // aliasing the base engine's storage.
-  refs_.resize(prog_->ref_slot_count);
-}
+      loop_budget_(base.loop_budget_) {}
 
 void VmExec::SyncGlobalsFrom(const ShaderEngine& engine) {
   const VmExec& base = static_cast<const VmExec&>(engine);
@@ -105,202 +104,11 @@ void VmExec::SyncGlobalsFrom(const ShaderEngine& engine) {
   }
 }
 
-bool VmExec::Run() {
-  loop_steps_ = 0;
-  return Execute(prog_->run_entry);
-}
-
-bool VmExec::Execute(std::uint32_t pc) {
-  const VmInst* const code = prog_->code.data();
-  const std::uint32_t* const arg_ops = prog_->arg_ops.data();
-  // Local copies of the storage base pointers: none of these vectors are
-  // resized during execution, and keeping them in locals lets the compiler
-  // hold them in registers across the opaque Eval* calls (member pointers
-  // would be reloaded after every call).
-  Value* const regs = regs_.data();
-  Value* const globals = globals_.data();
-  const Value* const consts = prog_->consts.data();
-  const auto At = [regs, globals](std::uint32_t operand) -> Value& {
-    const std::uint32_t idx = operand & kOperandIndexMask;
-    return (operand & ~kOperandIndexMask) == kSpaceReg ? regs[idx]
-                                                       : globals[idx];
-  };
-  const auto Read = [regs, globals,
-                     consts](std::uint32_t operand) -> const Value& {
-    const std::uint32_t idx = operand & kOperandIndexMask;
-    switch (operand & ~kOperandIndexMask) {
-      case kSpaceReg: return regs[idx];
-      case kSpaceGlobal: return globals[idx];
-      default: return consts[idx];
-    }
-  };
-  // One extra slot: the run chunk's call into main occupies the stack but
-  // does not count against the interpreter's user-call depth limit.
-  std::array<std::uint32_t, kMaxCallDepth + 1> ret_stack;
-  int sp = 0;
-
-  while (true) {
-    const VmInst& in = code[pc];
-    switch (in.op) {
-      case VmOp::kCopy: {
-        Value& d = At(in.dst);
-        const Value& s = Read(in.a);
-        const int n = d.count();
-        if (n <= 4) {
-          for (int k = 0; k < n; ++k) d.data()[k] = s.data()[k];
-        } else {
-          std::memmove(d.data(), s.data(),
-                       static_cast<std::size_t>(n) * sizeof(Cell));
-        }
-        break;
-      }
-      case VmOp::kZero: {
-        Value& d = At(in.dst);
-        const int n = d.count();
-        if (n <= 4) {
-          for (int k = 0; k < n; ++k) d.data()[k].i = 0;
-        } else {
-          std::memset(d.data(), 0,
-                      static_cast<std::size_t>(n) * sizeof(Cell));
-        }
-        break;
-      }
-      case VmOp::kShuffle: {
-        Value& d = At(in.dst);
-        const Value& s = Read(in.a);
-        for (int k = 0; k < in.n; ++k) {
-          d.data()[k] = s.data()[(in.aux >> (8 * k)) & 0xffu];
-        }
-        break;
-      }
-      case VmOp::kExtract: {
-        IndexStep step;
-        step.limit = static_cast<int>(in.aux);
-        step.elem_cells = in.n;
-        EvalExtractInto(Read(in.a), step, Read(in.b).I(0), At(in.dst));
-        break;
-      }
-      case VmOp::kArith:
-        EvalArithInto(alu_, static_cast<BinOp>(in.u8), Read(in.a), Read(in.b),
-                      At(in.dst));
-        break;
-      case VmOp::kNeg:
-        EvalNegInto(alu_, Read(in.a), At(in.dst));
-        break;
-      case VmOp::kNot:
-        EvalNotInto(alu_, Read(in.a), At(in.dst));
-        break;
-      case VmOp::kXor:
-        At(in.dst).SetB(0, Read(in.a).B(0) != Read(in.b).B(0));
-        break;
-      case VmOp::kBoolNorm:
-        At(in.dst).SetB(0, Read(in.a).B(0));
-        break;
-      case VmOp::kCtor: {
-        std::array<const Value*, 16> ptrs;
-        for (int i = 0; i < in.n; ++i) ptrs[i] = &Read(arg_ops[in.aux + i]);
-        Value& d = At(in.dst);
-        // Fresh-value semantics: the interpreter constructs into a zeroed
-        // Value; clear so partially-covering (malformed) ctors still match.
-        std::memset(d.data(), 0,
-                    static_cast<std::size_t>(d.count()) * sizeof(Cell));
-        EvalCtorInto(alu_,
-                     std::span<const Value* const>(ptrs.data(), in.n), d);
-        break;
-      }
-      case VmOp::kBuiltin: {
-        std::array<const Value*, kMaxBuiltinArgs> ptrs;
-        for (int i = 0; i < in.n; ++i) ptrs[i] = &Read(arg_ops[in.aux + i]);
-        EvalBuiltinInto(static_cast<Builtin>(in.u8), in.type,
-                        std::span<const Value* const>(ptrs.data(), in.n),
-                        alu_, texture_, At(in.dst));
-        break;
-      }
-      case VmOp::kJump:
-        pc = in.aux;
-        continue;
-      case VmOp::kJumpIfFalse:
-        if (!Read(in.a).B(0)) {
-          pc = in.aux;
-          continue;
-        }
-        break;
-      case VmOp::kJumpIfTrue:
-        if (Read(in.a).B(0)) {
-          pc = in.aux;
-          continue;
-        }
-        break;
-      case VmOp::kLoopGuard:
-        if (fault::ShouldFail(fault::Site::kVmInstruction)) {
-          throw ShaderRuntimeError(kInjectedTrapMsg);
-        }
-        if (++loop_steps_ > loop_budget_) {
-          throw ShaderRuntimeError(kLoopBudgetMsg);
-        }
-        break;
-      case VmOp::kCall:
-        if (sp > kMaxCallDepth) {
-          throw ShaderRuntimeError(kCallDepthMsg);
-        }
-        ret_stack[static_cast<std::size_t>(sp++)] = pc + 1;
-        pc = prog_->functions[in.aux].entry;
-        continue;
-      case VmOp::kRet:
-        if (sp == 0) return true;  // main returned
-        pc = ret_stack[static_cast<std::size_t>(--sp)];
-        continue;
-      case VmOp::kDiscard:
-        return false;
-      case VmOp::kHalt:
-        return true;
-      case VmOp::kTrap:
-        throw ShaderRuntimeError(prog_->messages[in.aux]);
-      case VmOp::kRefVar:
-        refs_[in.dst] = RefWhole(At(in.a), in.type);
-        break;
-      case VmOp::kRefIndex: {
-        IndexStep step;
-        step.limit = static_cast<int>(in.aux);
-        step.elem_cells = in.n;
-        step.elem_type = in.type;
-        refs_[in.dst] = RefIndex(refs_[in.a], step, Read(in.b).I(0));
-        break;
-      }
-      case VmOp::kRefSwizzle: {
-        std::array<std::uint8_t, 4> comps{};
-        for (int k = 0; k < in.n; ++k) {
-          comps[static_cast<std::size_t>(k)] =
-              static_cast<std::uint8_t>((in.aux >> (8 * k)) & 0xffu);
-        }
-        refs_[in.dst] = RefSwizzle(refs_[in.a], in.type, comps.data(), in.n);
-        break;
-      }
-      case VmOp::kReadRef:
-        ReadRefInto(refs_[in.a], At(in.dst));
-        break;
-      case VmOp::kWriteRef:
-        WriteRef(refs_[in.dst], Read(in.a));
-        break;
-      case VmOp::kIncDec:
-        EvalIncDecInto(alu_, refs_[in.a], (in.u8 & 1) != 0, (in.u8 & 2) != 0,
-                       At(in.dst));
-        break;
-      case VmOp::kIncDecVar:
-        EvalIncDecVar(alu_, At(in.a), (in.u8 & 1) != 0, (in.u8 & 2) != 0,
-                      At(in.dst));
-        break;
-    }
-    ++pc;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Lane-batched execution over component planes
 // ---------------------------------------------------------------------------
 
-void VmExec::EnsureBatchState() {
-  if (batch_ready_) return;
+void VmExec::LayOutPlanes() {
   std::uint32_t planes = 0;
   reg_plane_.resize(prog_->reg_types.size());
   for (std::size_t r = 0; r < reg_plane_.size(); ++r) {
@@ -314,10 +122,17 @@ void VmExec::EnsureBatchState() {
     planes += static_cast<std::uint32_t>(prog_->globals[g].type.CellCount());
   }
   arena_.assign(static_cast<std::size_t>(planes) * kVmLanes, Cell{});
-  // Per-lane globals start as copies of the shared store, which at this
-  // point holds the const-init results and current uniforms. Globals the
-  // run chunk re-initializes are overwritten per batch anyway; const tables
-  // that user code may write keep their correct initial value per lane.
+  lane_refs_.assign(
+      static_cast<std::size_t>(prog_->ref_slot_count) * kVmLanes, LRef{});
+  lane_ret_stack_.assign(
+      static_cast<std::size_t>(kVmLanes) * (kMaxCallDepth + 1), 0);
+}
+
+void VmExec::FillLaneGlobals() {
+  // The shared store holds the const-init results and current uniforms.
+  // Globals the run chunk re-initializes are overwritten per batch anyway;
+  // const tables that user code may write keep their correct initial value
+  // per lane.
   for (std::size_t g = 0; g < global_plane_.size(); ++g) {
     if (global_plane_[g] == kNoPlane) continue;
     const Value& v = globals_[g];
@@ -327,10 +142,12 @@ void VmExec::EnsureBatchState() {
                   kVmLanes, v.data()[c]);
     }
   }
-  lane_refs_.assign(
-      static_cast<std::size_t>(prog_->ref_slot_count) * kVmLanes, LRef{});
-  lane_ret_stack_.assign(
-      static_cast<std::size_t>(kVmLanes) * (kMaxCallDepth + 1), 0);
+}
+
+void VmExec::EnsureBatchState() {
+  if (batch_ready_) return;
+  LayOutPlanes();
+  FillLaneGlobals();
   batch_ready_ = true;
 }
 
@@ -349,7 +166,7 @@ VmExec::LaneViews VmExec::Views() {
 std::uint32_t VmExec::RunBatch(int n) {
   if (n <= 0) return 0;
   EnsureBatchState();
-  return ExecuteBatch(n);
+  return ExecuteBatch(prog_->run_entry, n, Views());
 }
 
 void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask,
@@ -500,7 +317,8 @@ void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask,
       break;
     }
     case VmOp::kIncDecVar: {
-      // Whole-variable ++/-- (loop counters): EvalIncDecVar per cell.
+      // Whole-variable ++/-- (loop counters): EvalIncDecInto's arithmetic
+      // and counts, minus the ref.
       const PlaneDst v = views.Dst(in.a);
       const PlaneDst d = views.Dst(in.dst);
       const bool post = (in.u8 & 2) != 0;
@@ -529,7 +347,8 @@ void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask,
   }
 }
 
-std::uint32_t VmExec::ExecuteBatch(int n) {
+std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
+                                   const LaneViews views) {
   const VmInst* const code = prog_->code.data();
   const std::uint32_t full =
       n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
@@ -543,11 +362,11 @@ std::uint32_t VmExec::ExecuteBatch(int n) {
 
   // Pending-trap state. A trapping lane does not unwind the batch on the
   // spot: min-pc scheduling executes lanes out of lane order, so the lane
-  // that traps *first in scheduling order* need not be the lane a scalar
+  // that traps *first in scheduling order* need not be the lane a one-lane
   // fragment sequence would have trapped on first. Instead the trapping
   // lanes are parked (removed from `running`), the surviving lanes run to
   // completion, and the batch then throws the minimum trapping lane's trap —
-  // exactly the fragment the scalar engines would have aborted the draw on.
+  // exactly the fragment the oracles would have aborted the draw on.
   int trap_lane = -1;
   std::string trap_msg;
   const auto trap = [&](std::uint32_t lanes, const std::string& msg) {
@@ -569,12 +388,11 @@ std::uint32_t VmExec::ExecuteBatch(int n) {
   // before its taken-later block and loop bodies before their exits, so
   // split lanes re-join at the join point's pc, where the group covers every
   // running lane again. Both sides of a divergent branch thus execute, each
-  // under its own lane mask, and every lane performs exactly its scalar
+  // under its own lane mask, and every lane performs exactly its one-lane
   // instruction sequence — per-lane op counts and TMU access order stay
   // exact.
-  const LaneViews views = Views();
   bool converged = true;
-  std::uint32_t pc = prog_->run_entry;
+  std::uint32_t pc = entry;
   std::uint32_t mask = running;
   // The group continues at `next`.
   const auto go = [&](std::uint32_t next) {
@@ -662,9 +480,10 @@ std::uint32_t VmExec::ExecuteBatch(int n) {
         continue;
       }
       case VmOp::kRet: {
-        // Every lane is inside main or deeper (the run chunk enters main
-        // through kCall), so each pops a return pc. Lanes re-joined from
-        // different call sites pop different pcs and split.
+        // Every kRet runs inside a function its chunk entered through kCall
+        // (the run chunk enters main that way; both chunks end in kHalt),
+        // so each lane pops a return pc. Lanes re-joined from different
+        // call sites pop different pcs and split.
         std::uint32_t next = ~0u;
         bool same = true;
         ForEachLane(mask, [&](int l) {

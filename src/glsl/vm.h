@@ -1,10 +1,10 @@
-// Bytecode VM executor: the default execution engine for shader
-// invocations. A VmExec instantiates the register file / globals / ref
-// slots of a lowered VmProgram once, then Run() executes the flat
-// instruction stream with a tight dispatch loop — no recursion, no
-// per-invocation allocation. All float math routes through the AluModel via
-// the evaluation core shared with the tree-walking oracle (evalcore.h), so
-// results and op counts are identical to ShaderExec by construction.
+// Bytecode VM executor: runs the flat instruction stream of a lowered
+// VmProgram over up to kVmLanes invocations at a time, with no recursion and
+// no per-invocation allocation. The production engine (kBatchedVm) runs it
+// kVmLanes wide; the kBytecodeVm oracle runs the same executor one lane
+// wide. All float math routes through the AluModel via the evaluation core
+// shared with the tree-walking oracle (evalcore.h), so results and op
+// counts are identical to ShaderExec by construction.
 #ifndef MGPU_GLSL_VM_H_
 #define MGPU_GLSL_VM_H_
 
@@ -24,14 +24,16 @@ namespace mgpu::glsl {
 
 class VmExec final : public ShaderEngine {
  public:
-  // Evaluates the program's constant-initializer chunk once; the ops it
+  // Lays out the lane planes and evaluates the program's constant-
+  // initializer chunk once, one lane wide on the shared store; the ops it
   // spends are excluded from `alu`'s counters (the oracle charged the same
-  // work at its own construction, so per-Run counts stay comparable).
+  // work at its own construction, so per-run counts stay comparable).
   VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu);
 
   // Worker clone (ShaderEngine::Clone): shares the immutable program and
   // copies the primed globals (constant initializers + uniforms already
-  // mirrored into `base`). The constant-initializer chunk is NOT re-run.
+  // mirrored into `base`). The constant-initializer chunk is NOT re-run,
+  // and the lane planes are built on first use.
   VmExec(const VmExec& base, AluModel& alu);
 
   [[nodiscard]] std::unique_ptr<ShaderEngine> Clone(
@@ -42,9 +44,6 @@ class VmExec final : public ShaderEngine {
   // that recycles clones performs no allocation here.
   void SyncGlobalsFrom(const ShaderEngine& base) override;
 
-  bool Run() override;
-
-  // --- lane-batched execution over component planes ---
   // Executes the run chunk once for lanes [0, n), n <= kVmLanes, looping
   // lanes *inside* each instruction instead of instructions inside each
   // invocation: instruction fetch, dispatch and operand resolution are paid
@@ -54,32 +53,30 @@ class VmExec final : public ShaderEngine {
   // the lanes parked there, so lanes that agree share one pc and a branch
   // whose condition differs between lanes runs both sides, each with the
   // lanes that took it, like the QPU's per-element condition flags. Every
-  // lane performs exactly the evalcore operations a scalar Run() would, so
-  // results and AluModel op counts are byte-identical to n scalar runs by
+  // lane performs exactly the evalcore operations a one-lane run would, so
+  // results and AluModel op counts are byte-identical to n one-lane runs by
   // construction — with one caveat: a global that carries state *between*
   // invocations without being re-initialized per run (a read GLSL leaves
   // undefined, e.g. an initializer-less accumulator or an unwritten
-  // gl_FragColor) carries per-lane-slot history here versus per-engine
-  // history in a scalar sequence, so such shaders read different garbage.
-  // Returns the bitmask of lanes NOT killed by `discard`. Throws
-  // ShaderRuntimeError iff a scalar run of any lane would, attributing the
-  // trap (ShaderRuntimeError::lane, and its message) to the smallest
-  // trapping lane — the fragment a scalar engine sequence would have
-  // aborted the draw on first. Trapping lanes park while surviving lanes
-  // run to completion before the throw.
+  // gl_FragColor) carries per-lane-slot history, so such shaders read
+  // different garbage at different widths. Returns the bitmask of lanes
+  // NOT killed by `discard`. Throws ShaderRuntimeError iff a one-lane run of
+  // any lane would, attributing the trap (ShaderRuntimeError::lane, and its
+  // message) to the smallest trapping lane — the fragment a one-lane
+  // sequence would have aborted the draw on first. Trapping lanes park
+  // while surviving lanes run to completion before the throw.
   //
   // Per-fragment inputs/outputs live in per-lane component planes accessed
   // via LaneGlobal; uniforms and other lane-invariant globals stay in the
   // scalar store shared by all lanes (so per-draw uniform sync cost is
   // independent of the lane width).
-  std::uint32_t RunBatch(int n);
+  std::uint32_t RunBatch(int n) override;
 
-  // Component-plane view of global `slot` for the batch executor: a
-  // lane-varying global's arena plane (component stride kVmLanes, lane
-  // stride 1), or the shared scalar storage (1, 0) of a lane-invariant
-  // global, which is never written per lane. Allocates the lane state on
-  // first use; the view stays valid for the engine's lifetime.
-  [[nodiscard]] PlaneDst LaneGlobal(int slot);
+  // Component-plane view of global `slot`: a lane-varying global's arena
+  // plane (component stride kVmLanes, lane stride 1), or the shared scalar
+  // storage (1, 0) of a lane-invariant global, which is never written per
+  // lane. The view stays valid for the engine's lifetime.
+  [[nodiscard]] PlaneDst LaneGlobal(int slot) override;
 
   [[nodiscard]] int GlobalSlot(const std::string& name) const override {
     return prog_->GlobalSlot(name);
@@ -103,13 +100,17 @@ class VmExec final : public ShaderEngine {
   [[nodiscard]] std::uint64_t loop_budget() const { return loop_budget_; }
 
  private:
-  bool Execute(std::uint32_t pc);
-
   // Resolves operands to component-plane views (defined in vm.cc).
   struct LaneViews;
   [[nodiscard]] LaneViews Views();
+  // Sizes the arena, the per-lane refs and return stacks, and assigns
+  // every register and lane-varying global its plane offset.
+  void LayOutPlanes();
+  // Copies the shared store's value of every lane-varying global into all
+  // of its lanes.
+  void FillLaneGlobals();
   void EnsureBatchState();
-  std::uint32_t ExecuteBatch(int n);
+  std::uint32_t ExecuteBatch(std::uint32_t entry, int n, LaneViews views);
   // Executes one non-control-flow instruction for the lanes in `mask`, with
   // operand resolution hoisted out of the lane loop.
   void ExecBatchOp(const VmInst& in, std::uint32_t mask,
@@ -119,13 +120,9 @@ class VmExec final : public ShaderEngine {
   AluModel& alu_;
   TextureFn texture_;
   std::vector<Value> globals_;
-  std::vector<Value> regs_;
-  std::vector<LRef> refs_;
-  std::uint64_t loop_steps_ = 0;
   std::uint64_t loop_budget_ = kDefaultLoopBudget;
 
-  // --- lane state of the batch executor, allocated lazily on the first
-  // RunBatch ---
+  // --- lane state, built at construction (clones: on first use) ---
   // One arena of 32-bit cells laid out as component planes, one plane per
   // component of every register and lane-varying global: component c of
   // lane l of a value at plane offset o sits at arena_[(o + c) * kVmLanes +

@@ -471,7 +471,7 @@ TEST(ThreadDifferentialTest, NThreadMatchesSerialReferenceExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential: batched VM vs scalar VM vs tree-walking oracle
+// Engine differential: batched VM vs one-lane VM vs tree-walking oracle
 // ---------------------------------------------------------------------------
 
 RunResult RunScenarioOnEngine(const Scenario& sc, ExecEngine engine,
@@ -498,7 +498,7 @@ RunResult RunScenarioOnEngine(const Scenario& sc, ExecEngine engine,
 
 void ExpectEngineAgreement(const Scenario& sc, bool vc4_alu) {
   SCOPED_TRACE(std::string(sc.name) + (vc4_alu ? " vc4" : " exact"));
-  // Scalar VM, serial: the reference.
+  // One-lane VM, serial: the reference.
   const RunResult ref =
       RunScenarioOnEngine(sc, ExecEngine::kBytecodeVm, 1, vc4_alu);
   struct Config {
@@ -586,7 +586,7 @@ TEST(EngineDifferentialTest, DivergentControlFlowAgreesAcrossEngines) {
 
 // Batch-tail coverage: draws of exactly n pixels for every n in
 // [1, kFragBatchWidth + 1] — each ends in a RunBatch tail of size
-// n % width — must match the scalar engine bit for bit, bytes and counts.
+// n % width — must match the one-lane engine bit for bit, bytes and counts.
 TEST(EngineDifferentialTest, EveryBatchTailSizeMatchesScalar) {
   for (int n = 1; n <= kFragBatchWidth + 1; ++n) {
     SCOPED_TRACE("pixels=" + std::to_string(n));

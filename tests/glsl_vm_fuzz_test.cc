@@ -4,10 +4,11 @@
 // produces random-but-valid GLSL ES 1.00 fragment shaders over vector
 // arithmetic, builtins, control flow, helper functions, arrays and dynamic
 // indexing. Every program runs through all THREE engines — the tree-walking
-// ShaderExec oracle, the scalar bytecode VmExec, and the lane-batched
-// VmExec::RunBatch at every tail size 1..kVmLanes — and must produce
-// byte-identical gl_FragColor bits, identical per-lane discard decisions,
-// and identical ALU/SFU/TMU op counts (ExactAlu and Vc4Alu).
+// ShaderExec oracle, the bytecode VmExec one lane wide (RunBatch(1) per
+// invocation), and the same VmExec lane-batched at every tail size
+// 1..kVmLanes — and must produce byte-identical gl_FragColor bits,
+// identical per-lane discard decisions, and identical ALU/SFU/TMU op
+// counts (ExactAlu and Vc4Alu).
 //
 // The same generator also emits VERTEX-stage programs (attribute input,
 // gl_Position output, no discard) for the identical engine sweep, and a
@@ -18,10 +19,11 @@
 // (trap message, GL error, reset status). That covers attribute decode for
 // every GL type, varying interpolation and the TMU cache model end-to-end.
 //
-// This is the lockdown for the SoA evaluation core: the batched VM
-// dispatches whole-instruction SoA kernels (evalcore/builtins) while the
-// scalar engines run per-invocation code, so any drift between the two
-// implementations shows up here as a bit mismatch with the seed printed.
+// This is the lockdown for the SoA evaluation core and the lane masks: the
+// tree walker runs the AST through the scalar evalcore, the one-lane VM runs
+// the bytecode with no divergence, and the batched VM splits and re-joins
+// lanes, so any drift between them shows up here as a bit mismatch with the
+// seed printed.
 //
 // Usage: glsl_vm_fuzz_test [--fuzz_iters=N] [--draw_iters=M] [gtest flags]
 //   N defaults to 200; CI passes 200 on the build matrix and 50 under
@@ -917,17 +919,17 @@ void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
   AluModel& alu_b = *alu_b_owned;
 
   ShaderExec tree(*cr.shader, alu_t);
-  VmExec scalar(prog, alu_s);
+  VmExec one_lane(prog, alu_s);
   VmExec batch(prog, alu_b);
   SetUniforms(tree);
-  SetUniforms(scalar);
+  SetUniforms(one_lane);
   SetUniforms(batch);
 
   const char* out_name =
       stage == Stage::kVertex ? "gl_Position" : "gl_FragColor";
-  const int in_slot = scalar.GlobalSlot("v_in");
+  const int in_slot = one_lane.GlobalSlot("v_in");
   ASSERT_GE(in_slot, 0);
-  const int color_slot = scalar.GlobalSlot(out_name);
+  const int color_slot = one_lane.GlobalSlot(out_name);
   ASSERT_GE(color_slot, 0);
   const int tree_in = tree.GlobalSlot("v_in");
   const int tree_color = tree.GlobalSlot(out_name);
@@ -940,37 +942,37 @@ void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
     for (float& f : lane) f = lane_rng.NextFloat01();
   }
 
-  // Scalar references: tree-walk and scalar VM, fragment-sequential, with
-  // per-lane count deltas (prefix sums give the expected totals for every
-  // batch tail size).
+  // One-lane references: tree walk and the one-lane VM, fragment-
+  // sequential, with per-lane count deltas (prefix sums give the expected
+  // totals for every batch tail size).
   std::array<LaneRef, kVmLanes> ref;
   alu_t.ResetCounts();
   alu_s.ResetCounts();
+  const PlaneDst sv = one_lane.LaneGlobal(in_slot);
+  const PlaneDst sc = one_lane.LaneGlobal(color_slot);
   try {
     for (int l = 0; l < kVmLanes; ++l) {
       const OpCounts before_t = alu_t.counts();
       const OpCounts before_s = alu_s.counts();
       Value& tv = tree.GlobalAt(tree_in);
-      Value& sv = scalar.GlobalAt(in_slot);
       for (int k = 0; k < 4; ++k) {
         tv.SetF(k, lane_in[static_cast<std::size_t>(l)]
                           [static_cast<std::size_t>(k)]);
-        sv.SetF(k, lane_in[static_cast<std::size_t>(l)]
-                          [static_cast<std::size_t>(k)]);
+        sv.at(k, 0).f = lane_in[static_cast<std::size_t>(l)]
+                               [static_cast<std::size_t>(k)];
       }
       const bool tree_kept = tree.Run();
       LaneRef& r = ref[static_cast<std::size_t>(l)];
-      r.kept = scalar.Run();
+      r.kept = one_lane.RunBatch(1) != 0;
       r.delta = Minus(alu_s.counts(), before_s);
 
-      // Tree oracle vs scalar VM, per lane.
+      // Tree oracle vs one-lane VM, per lane.
       EXPECT_EQ(tree_kept, r.kept) << "lane " << l << " discard (tree vs vm)";
-      const Value& sc = scalar.GlobalAt(color_slot);
       const Value& tc = tree.GlobalAt(tree_color);
       for (int k = 0; k < 4; ++k) {
-        r.color[static_cast<std::size_t>(k)] = FloatToBits(sc.F(k));
+        r.color[static_cast<std::size_t>(k)] = FloatToBits(sc.at(k, 0).f);
         if (r.kept) {
-          EXPECT_EQ(FloatToBits(tc.F(k)), FloatToBits(sc.F(k)))
+          EXPECT_EQ(FloatToBits(tc.F(k)), FloatToBits(sc.at(k, 0).f))
               << "lane " << l << " comp " << k << " (tree vs vm)";
         }
       }
@@ -978,11 +980,11 @@ void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
                      "tree vs vm lane");
     }
   } catch (const ShaderRuntimeError& e) {
-    FAIL() << "scalar engines threw (seed " << seed << "): " << e.what()
+    FAIL() << "one-lane engines threw (seed " << seed << "): " << e.what()
            << "\nsource:\n" << src;
   }
 
-  // The batched engine at every tail size, against the scalar per-lane
+  // The batched engine at every tail size, against the one-lane per-lane
   // references.
   auto check_tails = [&](VmExec& eng, AluModel& alu_e, const char* what) {
     for (int n = 1; n <= kVmLanes; ++n) {
@@ -1083,7 +1085,7 @@ TEST(VmFuzzDifferentialTest, SeededVertexProgramsVc4Alu) {
 // three engines must agree per lane on trap-vs-complete AND on the exact
 // trap message, and the batched VM must attribute its trap to the smallest
 // trapping lane index at every tail size 1..kVmLanes (the first fragment a
-// scalar engine would have trapped on). Tails whose lanes all complete fall
+// one-lane engine would have trapped on). Tails whose lanes all complete fall
 // through to the usual color/discard/op-count byte comparison, so the trap
 // machinery is also shown not to perturb clean lanes.
 
@@ -1190,18 +1192,18 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
   AluModel& alu_b = vc4_alu ? static_cast<AluModel&>(vc4_b) : exact_b;
 
   ShaderExec tree(*cr.shader, alu_t);
-  VmExec scalar(prog, alu_s);
+  VmExec one_lane(prog, alu_s);
   VmExec batch(prog, alu_b);
   tree.SetLoopBudget(tp.budget);
-  scalar.SetLoopBudget(tp.budget);
+  one_lane.SetLoopBudget(tp.budget);
   batch.SetLoopBudget(tp.budget);
   SetUniforms(tree);
-  SetUniforms(scalar);
+  SetUniforms(one_lane);
   SetUniforms(batch);
 
-  const int in_slot = scalar.GlobalSlot("v_in");
+  const int in_slot = one_lane.GlobalSlot("v_in");
   ASSERT_GE(in_slot, 0);
-  const int color_slot = scalar.GlobalSlot("gl_FragColor");
+  const int color_slot = one_lane.GlobalSlot("gl_FragColor");
   ASSERT_GE(color_slot, 0);
   const int tree_in = tree.GlobalSlot("v_in");
   const int tree_color = tree.GlobalSlot("gl_FragColor");
@@ -1212,18 +1214,19 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
     for (float& f : lane) f = lane_rng.NextFloat01();
   }
 
-  // Scalar references: both per-invocation engines, per lane, recording
-  // trap-vs-complete and the message. A trapped Run must leave the engine
-  // reusable for the next lane (loop/call-depth state resets per Run).
+  // One-lane references: both per-invocation engines, per lane, recording
+  // trap-vs-complete and the message. A trapped run must leave the engine
+  // reusable for the next lane (loop/call-depth state resets per run).
   std::array<TrapLaneRef, kVmLanes> ref;
+  const PlaneDst sv = one_lane.LaneGlobal(in_slot);
+  const PlaneDst sc = one_lane.LaneGlobal(color_slot);
   for (int l = 0; l < kVmLanes; ++l) {
     Value& tv = tree.GlobalAt(tree_in);
-    Value& sv = scalar.GlobalAt(in_slot);
     for (int k = 0; k < 4; ++k) {
       tv.SetF(k, lane_in[static_cast<std::size_t>(l)]
                         [static_cast<std::size_t>(k)]);
-      sv.SetF(k, lane_in[static_cast<std::size_t>(l)]
-                        [static_cast<std::size_t>(k)]);
+      sv.at(k, 0).f = lane_in[static_cast<std::size_t>(l)]
+                             [static_cast<std::size_t>(k)];
     }
     bool tree_trapped = false;
     bool tree_kept = false;
@@ -1238,11 +1241,11 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
     TrapLaneRef& r = ref[static_cast<std::size_t>(l)];
     const OpCounts before_s = alu_s.counts();
     try {
-      r.kept = scalar.Run();
+      r.kept = one_lane.RunBatch(1) != 0;
     } catch (const ShaderRuntimeError& e) {
       r.trapped = true;
       r.message = e.what();
-      EXPECT_EQ(e.lane, -1) << "scalar vm trap carries no lane";
+      EXPECT_EQ(e.lane, 0) << "one-lane vm trap is attributed to lane 0";
     }
     EXPECT_EQ(tree_trapped, r.trapped)
         << "lane " << l << " trap-vs-complete (tree vs vm)";
@@ -1257,20 +1260,19 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
     ++*clean_lanes;
     r.delta = Minus(alu_s.counts(), before_s);
     EXPECT_EQ(tree_kept, r.kept) << "lane " << l << " discard (tree vs vm)";
-    const Value& sc = scalar.GlobalAt(color_slot);
     const Value& tc = tree.GlobalAt(tree_color);
     for (int k = 0; k < 4; ++k) {
-      r.color[static_cast<std::size_t>(k)] = FloatToBits(sc.F(k));
+      r.color[static_cast<std::size_t>(k)] = FloatToBits(sc.at(k, 0).f);
       if (r.kept) {
-        EXPECT_EQ(FloatToBits(tc.F(k)), FloatToBits(sc.F(k)))
+        EXPECT_EQ(FloatToBits(tc.F(k)), FloatToBits(sc.at(k, 0).f))
             << "lane " << l << " comp " << k << " (tree vs vm)";
       }
     }
   }
 
   // The batched engine at every tail: must throw iff some lane < n
-  // trapped scalar-side, attributing the min trapping lane and its exact
-  // message; trap-free tails must stay byte-identical to the scalar
+  // trapped one lane wide, attributing the min trapping lane and its exact
+  // message; trap-free tails must stay byte-identical to the one-lane
   // references.
   auto check_tails = [&](VmExec& eng, AluModel& alu_e, const char* what) {
     for (int n = 1; n <= kVmLanes; ++n) {
@@ -1293,7 +1295,7 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
       try {
         const std::uint32_t kept = eng.RunBatch(n);
         EXPECT_EQ(min_trap, -1)
-            << what << " completed but scalar engines trapped at lane "
+            << what << " completed but one-lane engines trapped at lane "
             << min_trap;
         if (min_trap != -1) continue;
         OpCounts want;
@@ -1315,7 +1317,7 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
         ExpectCountsEq(alu_e.counts(), want, what);
       } catch (const ShaderRuntimeError& e) {
         if (min_trap == -1) {
-          ADD_FAILURE() << what << " trapped but no scalar lane did: "
+          ADD_FAILURE() << what << " trapped but no one-lane run did: "
                         << e.what();
           continue;
         }

@@ -1,7 +1,8 @@
 // Differential harness for the bytecode VM: every shader in the corpus runs
 // through BOTH engines — the tree-walking ShaderExec oracle and the bytecode
-// VmExec — and must produce bit-identical outputs and identical AluModel op
-// counts. The corpus covers the same ground as the conformance suite
+// VmExec, one lane wide — and must produce bit-identical outputs and
+// identical AluModel op counts. The lane-batched section below then checks
+// the VM at every width 1..kVmLanes against its own one-lane runs. The corpus covers the same ground as the conformance suite
 // (expressions, control flow, functions, arrays, swizzled stores) plus
 // VM-specific hazards (register clobbering across calls, side effects in
 // argument lists, discard inside helpers).
@@ -35,7 +36,7 @@ struct EngineRun {
   OpCounts counts;
 };
 
-// Uniform assignments applied before Run(): name -> up to 16 float cells
+// Uniform assignments applied before the run: name -> up to 16 float cells
 // (or int for samplers/ints via the int flag).
 struct UniformF {
   const char* name;
@@ -54,8 +55,9 @@ struct Case {
   bool with_texture = false;
 };
 
-template <typename Engine>
-EngineRun RunEngine(Engine& exec, AluModel& alu, const Case& c) {
+// One lane through the common engine interface: uniforms go through the
+// shared store (GlobalAt), the output through lane 0 of its plane.
+EngineRun RunEngine(ShaderEngine& exec, AluModel& alu, const Case& c) {
   EngineRun r;
   for (const UniformF& u : c.funiforms) {
     const int slot = exec.GlobalSlot(u.name);
@@ -82,14 +84,14 @@ EngineRun RunEngine(Engine& exec, AluModel& alu, const Case& c) {
         }));
   }
   alu.ResetCounts();
-  r.kept = exec.Run();
+  r.kept = exec.RunBatch(1) != 0;
   r.counts = alu.counts();
   r.ok = true;
   const int slot = exec.GlobalSlot("gl_FragColor");
   if (slot >= 0) {
-    const Value& v = exec.GlobalAt(slot);
+    const PlaneDst v = exec.LaneGlobal(slot);
     for (int i = 0; i < 4; ++i) r.color[static_cast<std::size_t>(i)] =
-        FloatToBits(v.F(i));
+        FloatToBits(v.at(i, 0).f);
   }
   return r;
 }
@@ -491,9 +493,9 @@ TEST(VmDifferentialTest, CallDepthLimitMatchesInterpreter) {
     ShaderExec interp(*shader, alu_a);
     VmExec vm(LowerToBytecode(*shader), alu_b);
     ASSERT_TRUE(interp.Run());
-    ASSERT_TRUE(vm.Run());
+    ASSERT_EQ(vm.RunBatch(1), 1u);
     EXPECT_EQ(interp.GlobalAt(interp.GlobalSlot("gl_FragColor")).F(0),
-              vm.GlobalAt(vm.GlobalSlot("gl_FragColor")).F(0));
+              vm.LaneGlobal(vm.GlobalSlot("gl_FragColor")).at(0, 0).f);
   }
   {
     auto shader = testutil::MustCompile(DeepCallProgram(65));
@@ -501,7 +503,7 @@ TEST(VmDifferentialTest, CallDepthLimitMatchesInterpreter) {
     ShaderExec interp(*shader, alu_a);
     VmExec vm(LowerToBytecode(*shader), alu_b);
     EXPECT_THROW(interp.Run(), ShaderRuntimeError);
-    EXPECT_THROW(vm.Run(), ShaderRuntimeError);
+    EXPECT_THROW(vm.RunBatch(1), ShaderRuntimeError);
   }
 }
 
@@ -527,7 +529,7 @@ TEST(VmExecTest, RunawayLoopRaisesRuntimeError) {
       "+= 1.0; } gl_FragColor = vec4(a); }");
   ExactAlu alu;
   VmExec vm(LowerToBytecode(*shader), alu);
-  EXPECT_THROW(vm.Run(), ShaderRuntimeError);
+  EXPECT_THROW(vm.RunBatch(1), ShaderRuntimeError);
 }
 
 TEST(VmExecTest, UndefinedPrototypeTrapsOnlyWhenCalled) {
@@ -543,10 +545,11 @@ void main() {
   ExactAlu alu;
   VmExec vm(LowerToBytecode(*shader), alu);
   vm.GlobalAt(vm.GlobalSlot("u_sel")).SetF(0, 0.0f);
-  EXPECT_TRUE(vm.Run());
-  EXPECT_FLOAT_EQ(vm.GlobalAt(vm.GlobalSlot("gl_FragColor")).F(0), 2.0f);
+  EXPECT_EQ(vm.RunBatch(1), 1u);
+  EXPECT_FLOAT_EQ(vm.LaneGlobal(vm.GlobalSlot("gl_FragColor")).at(0, 0).f,
+                  2.0f);
   vm.GlobalAt(vm.GlobalSlot("u_sel")).SetF(0, 1.0f);
-  EXPECT_THROW(vm.Run(), ShaderRuntimeError);
+  EXPECT_THROW(vm.RunBatch(1), ShaderRuntimeError);
 }
 
 TEST(VmExecTest, RunIsRepeatableAfterStateChange) {
@@ -557,8 +560,9 @@ TEST(VmExecTest, RunIsRepeatableAfterStateChange) {
   VmExec vm(LowerToBytecode(*shader), alu);
   for (float x : {1.0f, 2.0f, 3.0f, 4.0f}) {
     vm.GlobalAt(vm.GlobalSlot("u_x")).SetF(0, x);
-    ASSERT_TRUE(vm.Run());
-    EXPECT_FLOAT_EQ(vm.GlobalAt(vm.GlobalSlot("gl_FragColor")).F(0), x * x);
+    ASSERT_EQ(vm.RunBatch(1), 1u);
+    EXPECT_FLOAT_EQ(vm.LaneGlobal(vm.GlobalSlot("gl_FragColor")).at(0, 0).f,
+                    x * x);
   }
 }
 
@@ -568,15 +572,15 @@ TEST(VmExecTest, VertexStageWritesPosition) {
       Stage::kVertex);
   ExactAlu alu;
   VmExec vm(LowerToBytecode(*shader), alu);
-  Value& attr = vm.GlobalAt(vm.GlobalSlot("a_pos"));
-  attr.SetF(0, 0.5f);
-  attr.SetF(1, -0.5f);
-  attr.SetF(2, 0.0f);
-  attr.SetF(3, 1.0f);
-  ASSERT_TRUE(vm.Run());
-  const Value& pos = vm.GlobalAt(vm.GlobalSlot("gl_Position"));
-  EXPECT_FLOAT_EQ(pos.F(0), 1.0f);
-  EXPECT_FLOAT_EQ(pos.F(1), -1.0f);
+  const PlaneDst attr = vm.LaneGlobal(vm.GlobalSlot("a_pos"));
+  attr.at(0, 0).f = 0.5f;
+  attr.at(1, 0).f = -0.5f;
+  attr.at(2, 0).f = 0.0f;
+  attr.at(3, 0).f = 1.0f;
+  ASSERT_EQ(vm.RunBatch(1), 1u);
+  const PlaneDst pos = vm.LaneGlobal(vm.GlobalSlot("gl_Position"));
+  EXPECT_FLOAT_EQ(pos.at(0, 0).f, 1.0f);
+  EXPECT_FLOAT_EQ(pos.at(1, 0).f, -1.0f);
 }
 
 TEST(VmExecTest, ConstructionDoesNotChargeAluCounters) {
@@ -597,7 +601,7 @@ void main() { gl_FragColor = vec4(plain); }
   oracle_alu.ResetCounts();
   ASSERT_TRUE(oracle.Run());
   alu.ResetCounts();
-  ASSERT_TRUE(vm.Run());
+  ASSERT_EQ(vm.RunBatch(1), 1u);
   EXPECT_EQ(alu.counts().alu, oracle_alu.counts().alu);
 }
 
@@ -672,12 +676,12 @@ TEST(VmGles2Test, DrawsAreByteIdenticalAcrossEngines) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-batched execution: RunBatch vs per-lane scalar Run
+// Lane-batched execution: RunBatch(n) vs n one-lane RunBatch(1) runs
 // ---------------------------------------------------------------------------
 //
 // Every shader below reads the varying `v_in`, so lanes carry distinct data;
 // the divergent cases branch/loop/discard/call on it. For each batch size n
-// in [1, kVmLanes] the batched engine must reproduce the scalar engine's
+// in [1, kVmLanes] the batched engine must reproduce a one-lane engine's
 // per-lane gl_FragColor bits, per-lane discard decisions, and the summed
 // ALU/SFU/TMU counts exactly.
 
@@ -997,7 +1001,7 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
   const std::unique_ptr<AluModel> alu_b_owned = MakeBatchAlu(kind);
   AluModel& alu_s = *alu_s_owned;
   AluModel& alu_b = *alu_b_owned;
-  VmExec scalar(prog, alu_s);
+  VmExec one_lane(prog, alu_s);
   VmExec batch(prog, alu_b);
 
   const TextureFn texture =
@@ -1007,19 +1011,19 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
             lod + 0.75f};
       });
   if (c.with_texture) {
-    scalar.SetTextureFn(texture);
+    one_lane.SetTextureFn(texture);
     batch.SetTextureFn(texture);
   }
-  const int in_slot = scalar.GlobalSlot("v_in");
+  const int in_slot = one_lane.GlobalSlot("v_in");
   ASSERT_GE(in_slot, 0);
-  const int bias_slot = scalar.GlobalSlot("u_bias");
-  const int mode_slot = scalar.GlobalSlot("u_mode");
-  const int color_slot = scalar.GlobalSlot("gl_FragColor");
+  const int bias_slot = one_lane.GlobalSlot("u_bias");
+  const int mode_slot = one_lane.GlobalSlot("u_mode");
+  const int color_slot = one_lane.GlobalSlot("gl_FragColor");
   ASSERT_GE(color_slot, 0);
 
-  // Uniforms land in the shared store of both engines (before the batch
-  // engine builds its per-lane planes, as the gles2 sync path does too).
-  for (VmExec* e : {&scalar, &batch}) {
+  // Uniforms land in the shared store of both engines, which every lane
+  // reads (as the gles2 sync path does too).
+  for (VmExec* e : {&one_lane, &batch}) {
     if (bias_slot >= 0) {
       Value& v = e->GlobalAt(bias_slot);
       v.SetF(0, 0.25f); v.SetF(1, -0.5f); v.SetF(2, 1.5f); v.SetF(3, 0.125f);
@@ -1027,18 +1031,21 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
     if (mode_slot >= 0) e->GlobalAt(mode_slot).SetF(0, 0.75f);
   }
 
-  // Scalar reference: one Run per lane, fragment-sequential.
+  // One-lane reference: one RunBatch(1) per lane, fragment-sequential.
   alu_s.ResetCounts();
   std::vector<bool> ref_kept;
   std::vector<std::array<std::uint32_t, 4>> ref_color;
+  const PlaneDst s_in = one_lane.LaneGlobal(in_slot);
+  const PlaneDst s_color = one_lane.LaneGlobal(color_slot);
   for (int l = 0; l < lanes; ++l) {
     const std::array<float, 4> in = LaneInput(l);
-    Value& v = scalar.GlobalAt(in_slot);
-    for (int k = 0; k < 4; ++k) v.SetF(k, in[static_cast<std::size_t>(k)]);
-    ref_kept.push_back(scalar.Run());
-    const Value& cv = scalar.GlobalAt(color_slot);
-    ref_color.push_back({FloatToBits(cv.F(0)), FloatToBits(cv.F(1)),
-                         FloatToBits(cv.F(2)), FloatToBits(cv.F(3))});
+    for (int k = 0; k < 4; ++k) {
+      s_in.at(k, 0).f = in[static_cast<std::size_t>(k)];
+    }
+    ref_kept.push_back(one_lane.RunBatch(1) != 0);
+    ref_color.push_back(
+        {FloatToBits(s_color.at(0, 0).f), FloatToBits(s_color.at(1, 0).f),
+         FloatToBits(s_color.at(2, 0).f), FloatToBits(s_color.at(3, 0).f)});
   }
   const OpCounts want = alu_s.counts();
 
@@ -1108,10 +1115,10 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
   ASSERT_TRUE(cr.ok);
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
   ExactAlu alu_s, alu_b;
-  VmExec scalar(prog, alu_s);
+  VmExec one_lane(prog, alu_s);
   VmExec batch(prog, alu_b);
-  const int in_slot = scalar.GlobalSlot("v_in");
-  const int color_slot = scalar.GlobalSlot("gl_FragColor");
+  const int in_slot = one_lane.GlobalSlot("v_in");
+  const int color_slot = one_lane.GlobalSlot("gl_FragColor");
   for (int round = 0; round < 4; ++round) {
     const int lanes = 1 + (round * 5) % kVmLanes;  // varying tails per round
     const PlaneDst bv = batch.LaneGlobal(in_slot);
@@ -1124,17 +1131,97 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
     }
     const std::uint32_t kept = batch.RunBatch(lanes);
     const PlaneDst bc = batch.LaneGlobal(color_slot);
+    const PlaneDst sv = one_lane.LaneGlobal(in_slot);
+    const PlaneDst sc = one_lane.LaneGlobal(color_slot);
     for (int l = 0; l < lanes; ++l) {
-      Value& sv = scalar.GlobalAt(in_slot);
-      for (int k = 0; k < 4; ++k) sv.SetF(k, bv.at(k, l).f);
-      const bool ref_kept = scalar.Run();
+      for (int k = 0; k < 4; ++k) sv.at(k, 0).f = bv.at(k, l).f;
+      const bool ref_kept = one_lane.RunBatch(1) != 0;
       EXPECT_EQ(((kept >> static_cast<unsigned>(l)) & 1u) != 0, ref_kept);
       if (!ref_kept) continue;
-      const Value& sc = scalar.GlobalAt(color_slot);
       for (int k = 0; k < 4; ++k) {
-        EXPECT_EQ(FloatToBits(bc.at(k, l).f), FloatToBits(sc.F(k)))
+        EXPECT_EQ(FloatToBits(bc.at(k, l).f), FloatToBits(sc.at(k, 0).f))
             << "round " << round << " lane " << l << " comp " << k;
       }
+    }
+  }
+}
+
+// The constructor runs the const-init chunk one lane wide with every global
+// in the shared store, and only then fills the lane planes from it. `g_acc`
+// has an initializer and main() writes it, so it owns a lane plane that must
+// hold the initializer in every lane before the first batch, in the engine
+// and in a lazily built clone. `kRows` is a const table that main() indexes
+// dynamically, so it stays in the shared store. At widths 1 and kVmLanes the
+// lanes must match the tree walker lane by lane, run after run.
+TEST(VmExecTest, ConstInitFillsLanePlanesBeforeTheFirstBatch) {
+  auto shader = testutil::MustCompile(R"(precision highp float;
+varying vec4 v_in;
+const mat3 kRows = mat3(0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5);
+float g_acc = 0.75 * 3.0;
+void main() {
+  int j = int(mod(v_in.x * 11.0, 3.0));
+  g_acc += kRows[j].y * v_in.y;
+  gl_FragColor = vec4(g_acc, kRows[j].x, v_in.z, 1.0);
+})");
+  const std::shared_ptr<const VmProgram> prog = LowerToBytecode(*shader);
+  const int acc_slot = prog->GlobalSlot("g_acc");
+  const int rows_slot = prog->GlobalSlot("kRows");
+  ASSERT_GE(acc_slot, 0);
+  ASSERT_GE(rows_slot, 0);
+  ASSERT_NE(prog->lane_global[static_cast<std::size_t>(acc_slot)], 0);
+  ASSERT_EQ(prog->lane_global[static_cast<std::size_t>(rows_slot)], 0);
+
+  ExactAlu alu_base, alu_clone;
+  VmExec base(prog, alu_base);
+  const std::unique_ptr<ShaderEngine> clone = base.Clone(alu_clone);
+  for (ShaderEngine* e : {static_cast<ShaderEngine*>(&base), clone.get()}) {
+    const PlaneDst acc = e->LaneGlobal(acc_slot);
+    const PlaneDst rows = e->LaneGlobal(rows_slot);
+    for (int l = 0; l < kVmLanes; ++l) {
+      EXPECT_EQ(acc.at(0, l).f, 2.25f) << "g_acc lane " << l;
+      for (int c = 0; c < 9; ++c) {
+        EXPECT_EQ(rows.at(c, l).f, 0.5f + static_cast<float>(c))
+            << "kRows cell " << c << " lane " << l;
+      }
+    }
+  }
+
+  for (const int width : {1, kVmLanes}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    ExactAlu alu_t, alu_v;
+    ShaderExec tree(*shader, alu_t);
+    VmExec vm(prog, alu_v);
+    const PlaneDst v_in = vm.LaneGlobal(vm.GlobalSlot("v_in"));
+    const PlaneDst color = vm.LaneGlobal(vm.GlobalSlot("gl_FragColor"));
+    const PlaneDst t_in = tree.LaneGlobal(tree.GlobalSlot("v_in"));
+    const PlaneDst t_color = tree.LaneGlobal(tree.GlobalSlot("gl_FragColor"));
+    const std::uint32_t all = width == kVmLanes ? ~0u : 1u;
+    for (int round = 0; round < 3; ++round) {
+      alu_t.ResetCounts();
+      alu_v.ResetCounts();
+      for (int lo = 0; lo < kVmLanes; lo += width) {
+        for (int l = 0; l < width; ++l) {
+          const std::array<float, 4> in = LaneInput(lo + l + round * 7);
+          for (int k = 0; k < 4; ++k) {
+            v_in.at(k, l).f = in[static_cast<std::size_t>(k)];
+          }
+        }
+        ASSERT_EQ(vm.RunBatch(width), all);
+        for (int l = 0; l < width; ++l) {
+          const std::array<float, 4> in = LaneInput(lo + l + round * 7);
+          for (int k = 0; k < 4; ++k) {
+            t_in.at(k, 0).f = in[static_cast<std::size_t>(k)];
+          }
+          ASSERT_EQ(tree.RunBatch(1), 1u);
+          for (int k = 0; k < 4; ++k) {
+            EXPECT_EQ(FloatToBits(color.at(k, l).f),
+                      FloatToBits(t_color.at(k, 0).f))
+                << "round " << round << " lane " << lo + l << " comp " << k;
+          }
+        }
+      }
+      EXPECT_EQ(alu_v.counts().alu, alu_t.counts().alu) << "round " << round;
+      EXPECT_EQ(alu_v.counts().sfu, alu_t.counts().sfu) << "round " << round;
     }
   }
 }
