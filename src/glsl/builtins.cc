@@ -413,7 +413,7 @@ float DotLane(const PlaneSrc& a, const PlaneSrc& b, int l, AluModel& alu) {
 // texels into dst's four components.
 void FetchTexels(TexelFetch& fetch, const TextureFn& texture, AluModel& alu,
                  const PlaneDst& dst) {
-  alu.CountTmu(std::popcount(fetch.mask));
+  alu.CountTmu(LaneCount(fetch.mask));
   if (texture) {
     texture(fetch);
   } else {
@@ -439,7 +439,7 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
   constexpr float kPi = 3.14159265358979323846f;
   const RoundSpec rs = alu.round_spec();
   // Result cells this instruction produces; per-cell ALU costs scale it.
-  const int cells = std::popcount(mask) * dst.count();
+  const int cells = LaneCount(mask) * dst.count();
   switch (b) {
     case Builtin::kRadians:
       alu.Count(cells);
@@ -692,7 +692,7 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
     case Builtin::kAll: {
       const PlaneSrc& a = args(0);
       const bool any = b == Builtin::kAny;
-      alu.Count(std::popcount(mask) * a.count());
+      alu.Count(LaneCount(mask) * a.count());
       ForEachLane(mask, [&](int l) {
         bool r = !any;
         for (int i = 0; i < a.count(); ++i) {

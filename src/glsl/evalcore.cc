@@ -350,20 +350,25 @@ Cell ConvertCell(Cell v, BaseType from, BaseType to) {
   return out;
 }
 
-// out(c) = fn(l(c * ls), r(c * rs)) for components [0, n) over the mask's
-// lanes. A lane range [0, k) into a lane-plane destination — every lockstep
-// instruction — runs as unit-stride loops with a shared operand hoisted
-// into a local, which the compiler vectorizes.
-template <typename Fn>
-void MapFloatLanes(int n, std::uint32_t mask, const PlaneSrc& l, int ls,
-                   const PlaneSrc& r, int rs, const PlaneDst& out, Fn fn) {
-  if ((mask & (mask + 1u)) != 0 || out.lane_stride != 1) {
-    ForEachCell(n, mask, [&](int c, int lane) {
-      out.at(c, lane).f = fn(l.at(c * ls, lane).f, r.at(c * rs, lane).f);
-    });
-    return;
+// a op b for the four float arithmetic ops, rounding each result (and a
+// division's reciprocal, the SFU's) through `round` as the ALU model does.
+// Every lane of every arithmetic kernel computes its float math here.
+template <typename Round>
+float FloatArith(BinOp op, const Round& round, float a, float b) {
+  switch (op) {
+    case BinOp::kAdd: return round(FAdd(a, b));
+    case BinOp::kSub: return round(FSub(a, b));
+    case BinOp::kMul: return round(FMul(a, b));
+    default: return round(FMul(a, round(1.0f / b)));
   }
-  const int lanes = std::popcount(mask);
+}
+
+// out(c) = fn(l(c * ls), r(c * rs)) for components [0, n) over lanes
+// [0, lanes) of a lane-plane destination: unit-stride loops with a shared
+// operand hoisted into a local, which the compiler vectorizes.
+template <typename Fn>
+void MapFloatLanes(int n, int lanes, const PlaneSrc& l, int ls,
+                   const PlaneSrc& r, int rs, const PlaneDst& out, Fn fn) {
   for (int c = 0; c < n; ++c) {
     Cell* o = &out.at(c, 0);
     const Cell* a = &l.at(c * ls, 0);
@@ -388,7 +393,7 @@ void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
   const BaseType lb = l.type.base;
   const BaseType rb = r.type.base;
   const bool is_float = ScalarOf(lb) == BaseType::kFloat;
-  const int lanes = std::popcount(mask);
+  const int lanes = LaneCount(mask);
   const RoundSpec rs = alu.round_spec();
 
   // Linear-algebra multiplies: output cell `o` of each lane is the scalar
@@ -471,20 +476,36 @@ void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
   if (is_float) {
     // Div is a * recip(b), the reciprocal on the SFU.
     if (op == BinOp::kDiv) alu.CountSfu(lanes * n);
+    if ((mask & (mask + 1u)) != 0 || lanes == 1 || out.lane_stride != 1) {
+      // A sparse or single-lane mask: one pass over its cells.
+      ForEachCell(n, mask, [&](int c, int lane) {
+        out.at(c, lane).f = FloatArith(op, rs, l.at(c * ls, lane).f,
+                                       r.at(c * rsx, lane).f);
+      });
+      return;
+    }
+    // A lane range [0, k), k > 1 — every converged instruction of a batch
+    // wider than one lane: vectorizable loops, one per op and rounding.
     WithRounding(rs, [&](auto round) {
       const auto map = [&](auto fn) {
-        MapFloatLanes(n, mask, l, ls, r, rsx, out, fn);
+        MapFloatLanes(n, lanes, l, ls, r, rsx, out, fn);
       };
       switch (op) {
         case BinOp::kAdd:
-          return map([round](float a, float b) { return round(FAdd(a, b)); });
+          return map([round](float a, float b) {
+            return FloatArith(BinOp::kAdd, round, a, b);
+          });
         case BinOp::kSub:
-          return map([round](float a, float b) { return round(FSub(a, b)); });
+          return map([round](float a, float b) {
+            return FloatArith(BinOp::kSub, round, a, b);
+          });
         case BinOp::kMul:
-          return map([round](float a, float b) { return round(FMul(a, b)); });
+          return map([round](float a, float b) {
+            return FloatArith(BinOp::kMul, round, a, b);
+          });
         default:
           return map([round](float a, float b) {
-            return round(FMul(a, round(1.0f / b)));
+            return FloatArith(BinOp::kDiv, round, a, b);
           });
       }
     });
@@ -508,7 +529,7 @@ void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
 void EvalNegBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
                   std::uint32_t mask) {
   const int n = v.count();
-  alu.Count(std::popcount(mask) * n);
+  alu.Count(LaneCount(mask) * n);
   if (v.scalar() == BaseType::kFloat) {
     const RoundSpec rs = alu.round_spec();
     ForEachCell(n, mask, [&](int c, int lane) {
@@ -523,7 +544,7 @@ void EvalNegBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
 
 void EvalNotBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
                   std::uint32_t mask) {
-  alu.Count(std::popcount(mask));
+  alu.Count(LaneCount(mask));
   ForEachLane(mask, [&](int lane) {
     out.at(0, lane).i = v.at(0, lane).i == 0 ? 1 : 0;
   });
@@ -533,7 +554,7 @@ void EvalCtorBatch(AluModel& alu, std::span<const PlaneSrc> args,
                    const PlaneDst& out, std::uint32_t mask) {
   const BaseType target = out.type.base;
   const int n = out.count();
-  alu.Count(std::popcount(mask) * n);  // conversion/mov cost
+  alu.Count(LaneCount(mask) * n);  // conversion/mov cost
 
   // Where each result cell comes from, decided once per instruction with
   // EvalCtorInto's rules: argument `arg`'s component `comp`, or (arg < 0)

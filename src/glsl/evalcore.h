@@ -172,12 +172,24 @@ using PlaneDst = PlaneView<Cell>;
   return {v.data(), 1, 0, v.type()};
 }
 
+// Number of lanes in `mask`. A mask of lanes [0, n) — every converged
+// batch — counts with one bit scan: std::popcount is a library call on
+// baseline x86-64, paid once or more per instruction.
+[[nodiscard]] inline int LaneCount(std::uint32_t mask) {
+  return (mask & (mask + 1u)) == 0 ? std::countr_one(mask)
+                                   : std::popcount(mask);
+}
+
+// The three lane-loop helpers below are always inlined: each is a loop or
+// two, and the VM's one opcode switch is too large for the compiler to
+// inline them into it on its own.
+
 // Calls f(lane) for each set bit of `mask`, ascending. A mask of lanes
-// [0, n) — every lockstep batch — runs as a plain counted loop.
+// [0, n) — every converged batch — runs as a plain counted loop.
 template <typename F>
-void ForEachLane(std::uint32_t mask, F&& f) {
+[[gnu::always_inline]] inline void ForEachLane(std::uint32_t mask, F&& f) {
   if ((mask & (mask + 1u)) == 0) {
-    const int n = std::popcount(mask);
+    const int n = std::countr_one(mask);
     for (int l = 0; l < n; ++l) f(l);
     return;
   }
@@ -190,19 +202,22 @@ void ForEachLane(std::uint32_t mask, F&& f) {
 // inner: every lane sees its components in scalar order, which keeps
 // in-place compound ops (dst == lhs) exact.
 template <typename F>
-void ForEachCell(int n, std::uint32_t mask, F&& f) {
+[[gnu::always_inline]] inline void ForEachCell(int n, std::uint32_t mask,
+                                               F&& f) {
   for (int c = 0; c < n; ++c) {
     ForEachLane(mask, [&](int l) { f(c, l); });
   }
 }
 
 // Copies source component `sc` into destination component `dc` for the
-// mask's lanes. A lane range [0, k) into a lane-plane destination moves the
-// component as one block (or fills it, from storage shared by every lane).
-inline void CopyLanes(const PlaneDst& d, int dc, const PlaneSrc& s, int sc,
-                      std::uint32_t mask) {
-  if ((mask & (mask + 1u)) == 0 && d.lane_stride == 1) {
-    const int lanes = std::popcount(mask);
+// mask's lanes. A lane range [0, k), k > 1, into a lane-plane destination
+// moves the component as one block (or fills it, from storage shared by
+// every lane); a single lane moves its one cell, cheaper than a block call.
+[[gnu::always_inline]] inline void CopyLanes(const PlaneDst& d, int dc,
+                                             const PlaneSrc& s, int sc,
+                                             std::uint32_t mask) {
+  if ((mask & (mask + 1u)) == 0 && mask > 1 && d.lane_stride == 1) {
+    const int lanes = std::countr_one(mask);
     Cell* o = &d.at(dc, 0);
     const Cell* a = &s.at(sc, 0);
     if (s.lane_stride != 0) {

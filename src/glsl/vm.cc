@@ -26,44 +26,27 @@ constexpr char kInjectedTrapMsg[] = "injected fault: shader trap";
 }  // namespace
 
 // The one place operands resolve to component-plane views — value ops and
-// branch conditions of the batch executor go through the same space
-// dispatch, so the encodings cannot drift apart. Built once per batch from
-// the engine's storage base pointers (none of the vectors resize during
-// execution). Registers and lane-varying globals resolve to
-// their arena planes (kVmLanes, 1); constants, uniforms and other
-// lane-invariant globals to their shared Value (1, 0). Keeping resolution
-// out of the lane loop is the point of batching: a one-lane batch
-// re-decodes operands once per fragment per instruction.
+// branch conditions go through the same tables, so the encodings cannot
+// drift apart. Every register, global and constant has its view resolved
+// once, when the engine lays out its storage (none of the storage moves
+// afterwards), so reading an operand is one table load and a one-lane pass
+// pays no more per operand than a full batch.
+static_assert(kSpaceReg >> 30 == 0 && kSpaceGlobal >> 30 == 1 &&
+              kSpaceConst >> 30 == 2);
 struct VmExec::LaneViews {
-  Cell* arena;
-  const std::uint32_t* reg_plane;
-  const std::uint32_t* global_plane;
-  const Type* reg_types;
-  const VmGlobal* global_decls;
-  Value* globals;
-  const Value* consts;
+  // Indexed by an operand's space tag: registers, globals, constants.
+  std::array<const PlaneSrc*, 3> space;
 
-  [[nodiscard]] PlaneDst Plane(std::uint32_t offset, const Type& t) const {
-    return {arena + static_cast<std::size_t>(offset) * kVmLanes, kVmLanes, 1,
-            t};
+  [[nodiscard]] const PlaneSrc& Read(std::uint32_t operand) const {
+    return space[operand >> 30][operand & kOperandIndexMask];
   }
-  // Destination view. A lane-invariant global destination resolves to its
-  // shared storage: every lane stores into it and the last lane wins,
-  // identical to a one-lane sequence storing it once per fragment.
+  // Registers and globals live in the engine's own, writable storage. A
+  // lane-invariant global destination resolves to its shared storage:
+  // every lane stores into it and the last lane wins, identical to a
+  // one-lane sequence storing it once per fragment.
   [[nodiscard]] PlaneDst Dst(std::uint32_t operand) const {
-    const std::uint32_t idx = operand & kOperandIndexMask;
-    if ((operand & ~kOperandIndexMask) == kSpaceReg) {
-      return Plane(reg_plane[idx], reg_types[idx]);
-    }
-    const std::uint32_t plane = global_plane[idx];
-    return plane != kNoPlane ? Plane(plane, global_decls[idx].type)
-                             : ValuePlane(globals[idx]);
-  }
-  [[nodiscard]] PlaneSrc Read(std::uint32_t operand) const {
-    if ((operand & ~kOperandIndexMask) == kSpaceConst) {
-      return ValuePlane(consts[operand & kOperandIndexMask]);
-    }
-    return Dst(operand);
+    const PlaneSrc& v = Read(operand);
+    return {const_cast<Cell*>(v.base), v.comp_stride, v.lane_stride, v.type};
   }
 };
 
@@ -79,26 +62,31 @@ VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
   // oracle counts this work at its own construction, so the counter
   // snapshot keeps link-time totals unchanged when both engines are
   // instantiated side by side.
-  const std::vector<std::uint32_t> shared(globals_.size(), kNoPlane);
-  LaneViews views = Views();
-  views.global_plane = shared.data();
+  std::vector<PlaneSrc> shared;
+  shared.reserve(globals_.size());
+  for (const Value& g : globals_) shared.push_back(ValuePlane(g));
   const OpCounts saved = alu_.counts();
-  (void)ExecuteBatch(prog_->const_init_entry, 1, views);
+  (void)ExecuteBatch(
+      prog_->const_init_entry, 1,
+      {{reg_views_.data(), shared.data(), const_views_.data()}});
   alu_.SetCounts(saved);
   FillLaneGlobals();
-  batch_ready_ = true;
 }
 
 VmExec::VmExec(const VmExec& base, AluModel& alu)
     : prog_(base.prog_), alu_(alu), globals_(base.globals_),
-      loop_budget_(base.loop_budget_) {}
+      loop_budget_(base.loop_budget_) {
+  LayOutPlanes();
+  FillLaneGlobals();
+}
 
 void VmExec::SyncGlobalsFrom(const ShaderEngine& engine) {
   const VmExec& base = static_cast<const VmExec&>(engine);
   assert(prog_ == base.prog_ && "a clone syncs from its own base engine");
   // Element-wise copy-assign: Value reuses its existing cell storage when
-  // the layout matches, so this is a flat copy with no allocation — the
-  // cheap per-draw path the shade-state cache relies on.
+  // the layout matches, so this is a flat copy with no allocation (the
+  // cheap per-draw path the shade-state cache relies on), and the resolved
+  // views of the shared globals stay valid.
   for (std::size_t i = 0; i < globals_.size(); ++i) {
     globals_[i] = base.globals_[i];
   }
@@ -109,19 +97,26 @@ void VmExec::SyncGlobalsFrom(const ShaderEngine& engine) {
 // ---------------------------------------------------------------------------
 
 void VmExec::LayOutPlanes() {
-  std::uint32_t planes = 0;
-  reg_plane_.resize(prog_->reg_types.size());
-  for (std::size_t r = 0; r < reg_plane_.size(); ++r) {
-    reg_plane_[r] = planes;
-    planes += static_cast<std::uint32_t>(prog_->reg_types[r].CellCount());
+  std::size_t planes = 0;
+  for (const Type& t : prog_->reg_types) planes += t.CellCount();
+  for (std::size_t g = 0; g < globals_.size(); ++g) {
+    if (prog_->lane_global[g] != 0) planes += globals_[g].count();
   }
-  global_plane_.assign(prog_->globals.size(), kNoPlane);
-  for (std::size_t g = 0; g < global_plane_.size(); ++g) {
-    if (prog_->lane_global[g] == 0) continue;
-    global_plane_[g] = planes;
-    planes += static_cast<std::uint32_t>(prog_->globals[g].type.CellCount());
+  arena_.assign(planes * kVmLanes, Cell{});
+  // Hands out the next planes of the arena, one per cell of type `t`.
+  Cell* next = arena_.data();
+  const auto plane = [&next](const Type& t) {
+    const PlaneSrc v{next, kVmLanes, 1, t};
+    next += static_cast<std::size_t>(t.CellCount()) * kVmLanes;
+    return v;
+  };
+  for (const Type& t : prog_->reg_types) reg_views_.push_back(plane(t));
+  for (std::size_t g = 0; g < globals_.size(); ++g) {
+    global_views_.push_back(prog_->lane_global[g] != 0
+                                ? plane(globals_[g].type())
+                                : ValuePlane(std::as_const(globals_[g])));
   }
-  arena_.assign(static_cast<std::size_t>(planes) * kVmLanes, Cell{});
+  for (const Value& c : prog_->consts) const_views_.push_back(ValuePlane(c));
   lane_refs_.assign(
       static_cast<std::size_t>(prog_->ref_slot_count) * kVmLanes, LRef{});
   lane_ret_stack_.assign(
@@ -133,218 +128,27 @@ void VmExec::FillLaneGlobals() {
   // Globals the run chunk re-initializes are overwritten per batch anyway;
   // const tables that user code may write keep their correct initial value
   // per lane.
-  for (std::size_t g = 0; g < global_plane_.size(); ++g) {
-    if (global_plane_[g] == kNoPlane) continue;
+  for (std::size_t g = 0; g < globals_.size(); ++g) {
+    if (prog_->lane_global[g] == 0) continue;
     const Value& v = globals_[g];
+    const PlaneDst plane = LaneGlobal(static_cast<int>(g));
     for (int c = 0; c < v.count(); ++c) {
-      std::fill_n(&arena_[(global_plane_[g] + static_cast<std::size_t>(c)) *
-                          kVmLanes],
-                  kVmLanes, v.data()[c]);
+      std::fill_n(&plane.at(c, 0), kVmLanes, v.data()[c]);
     }
   }
 }
 
-void VmExec::EnsureBatchState() {
-  if (batch_ready_) return;
-  LayOutPlanes();
-  FillLaneGlobals();
-  batch_ready_ = true;
-}
-
 PlaneDst VmExec::LaneGlobal(int slot) {
-  EnsureBatchState();
   return Views().Dst(kSpaceGlobal | static_cast<std::uint32_t>(slot));
 }
 
-VmExec::LaneViews VmExec::Views() {
-  return {arena_.data(),           reg_plane_.data(),
-          global_plane_.data(),     prog_->reg_types.data(),
-          prog_->globals.data(),    globals_.data(),
-          prog_->consts.data()};
+VmExec::LaneViews VmExec::Views() const {
+  return {{reg_views_.data(), global_views_.data(), const_views_.data()}};
 }
 
 std::uint32_t VmExec::RunBatch(int n) {
   if (n <= 0) return 0;
-  EnsureBatchState();
   return ExecuteBatch(prog_->run_entry, n, Views());
-}
-
-void VmExec::ExecBatchOp(const VmInst& in, std::uint32_t mask,
-                         const LaneViews& views) {
-  const auto ref_at = [this](std::uint32_t slot, int lane) -> LRef& {
-    return lane_refs_[static_cast<std::size_t>(slot) * kVmLanes +
-                      static_cast<std::size_t>(lane)];
-  };
-  const auto args = [&](std::span<PlaneSrc> av) {
-    for (std::size_t i = 0; i < av.size(); ++i) {
-      av[i] = views.Read(prog_->arg_ops[in.aux + i]);
-    }
-    return std::span<const PlaneSrc>(av);
-  };
-
-  switch (in.op) {
-    case VmOp::kCopy: {
-      const PlaneDst d = views.Dst(in.dst);
-      const PlaneSrc s = views.Read(in.a);
-      for (int c = 0; c < d.count(); ++c) CopyLanes(d, c, s, c, mask);
-      break;
-    }
-    case VmOp::kZero: {
-      const PlaneDst d = views.Dst(in.dst);
-      const Cell zero{};
-      for (int c = 0; c < d.count(); ++c) {
-        CopyLanes(d, c, {&zero, 0, 0, d.type}, 0, mask);
-      }
-      break;
-    }
-    case VmOp::kShuffle: {
-      const PlaneDst d = views.Dst(in.dst);
-      const PlaneSrc s = views.Read(in.a);
-      for (int k = 0; k < in.n; ++k) {
-        CopyLanes(d, k, s, static_cast<int>((in.aux >> (8 * k)) & 0xffu),
-                  mask);
-      }
-      break;
-    }
-    case VmOp::kExtract: {
-      // a[clamp(b)], the index per lane.
-      const PlaneDst d = views.Dst(in.dst);
-      const PlaneSrc a = views.Read(in.a);
-      const PlaneSrc b = views.Read(in.b);
-      const int limit = static_cast<int>(in.aux);
-      ForEachLane(mask, [&](int l) {
-        const int i = std::min(std::max(b.at(0, l).i, 0), limit - 1);
-        for (int k = 0; k < in.n; ++k) d.at(k, l) = a.at(i * in.n + k, l);
-      });
-      break;
-    }
-    case VmOp::kArith:
-      EvalArithBatch(alu_, static_cast<BinOp>(in.u8), views.Read(in.a),
-                     views.Read(in.b), views.Dst(in.dst), mask);
-      break;
-    case VmOp::kNeg:
-      EvalNegBatch(alu_, views.Read(in.a), views.Dst(in.dst), mask);
-      break;
-    case VmOp::kNot:
-      EvalNotBatch(alu_, views.Read(in.a), views.Dst(in.dst), mask);
-      break;
-    case VmOp::kXor: {
-      const PlaneDst d = views.Dst(in.dst);
-      const PlaneSrc a = views.Read(in.a);
-      const PlaneSrc b = views.Read(in.b);
-      ForEachLane(mask, [&](int l) {
-        d.at(0, l).i = (a.at(0, l).i != 0) != (b.at(0, l).i != 0) ? 1 : 0;
-      });
-      break;
-    }
-    case VmOp::kBoolNorm: {
-      const PlaneDst d = views.Dst(in.dst);
-      const PlaneSrc a = views.Read(in.a);
-      ForEachLane(mask,
-                  [&](int l) { d.at(0, l).i = a.at(0, l).i != 0 ? 1 : 0; });
-      break;
-    }
-    case VmOp::kCtor: {
-      std::array<PlaneSrc, 16> av;
-      EvalCtorBatch(alu_, args(std::span<PlaneSrc>(av.data(), in.n)),
-                    views.Dst(in.dst), mask);
-      break;
-    }
-    case VmOp::kBuiltin: {
-      std::array<PlaneSrc, kMaxBuiltinArgs> av;
-      EvalBuiltinBatch(static_cast<Builtin>(in.u8),
-                       args(std::span<PlaneSrc>(av.data(), in.n)), alu_,
-                       texture_, views.Dst(in.dst), mask);
-      break;
-    }
-    case VmOp::kRefVar: {
-      const PlaneDst v = views.Dst(in.a);
-      ForEachLane(mask, [&](int l) {
-        ref_at(in.dst, l) = RefWhole(&v.at(0, l), v.comp_stride, in.type);
-      });
-      break;
-    }
-    case VmOp::kRefIndex: {
-      IndexStep step;
-      step.limit = static_cast<int>(in.aux);
-      step.elem_cells = in.n;
-      step.elem_type = in.type;
-      const PlaneSrc b = views.Read(in.b);
-      ForEachLane(mask, [&](int l) {
-        ref_at(in.dst, l) = RefIndex(ref_at(in.a, l), step, b.at(0, l).i);
-      });
-      break;
-    }
-    case VmOp::kRefSwizzle: {
-      std::array<std::uint8_t, 4> comps{};
-      for (int k = 0; k < in.n; ++k) {
-        comps[static_cast<std::size_t>(k)] =
-            static_cast<std::uint8_t>((in.aux >> (8 * k)) & 0xffu);
-      }
-      ForEachLane(mask, [&](int l) {
-        ref_at(in.dst, l) =
-            RefSwizzle(ref_at(in.a, l), in.type, comps.data(), in.n);
-      });
-      break;
-    }
-    case VmOp::kReadRef: {
-      const PlaneDst d = views.Dst(in.dst);
-      ForEachLane(mask, [&](int l) {
-        const LRef& r = ref_at(in.a, l);
-        for (int k = 0; k < r.size(); ++k) d.at(k, l) = r.cell(k);
-      });
-      break;
-    }
-    case VmOp::kWriteRef: {
-      const PlaneSrc a = views.Read(in.a);
-      ForEachLane(mask, [&](int l) {
-        const LRef& r = ref_at(in.dst, l);
-        for (int k = 0; k < r.size(); ++k) r.cell(k) = a.at(k, l);
-      });
-      break;
-    }
-    case VmOp::kIncDec: {
-      // Rare (++ on an indexed or swizzled l-value): each lane runs the
-      // scalar EvalIncDecInto through its ref into a scratch Value, which
-      // is scattered into the lane's destination plane.
-      const PlaneDst d = views.Dst(in.dst);
-      Value out(d.type);
-      ForEachLane(mask, [&](int l) {
-        EvalIncDecInto(alu_, ref_at(in.a, l), (in.u8 & 1) != 0,
-                       (in.u8 & 2) != 0, out);
-        for (int k = 0; k < out.count(); ++k) d.at(k, l) = out.data()[k];
-      });
-      break;
-    }
-    case VmOp::kIncDecVar: {
-      // Whole-variable ++/-- (loop counters): EvalIncDecInto's arithmetic
-      // and counts, minus the ref.
-      const PlaneDst v = views.Dst(in.a);
-      const PlaneDst d = views.Dst(in.dst);
-      const bool post = (in.u8 & 2) != 0;
-      const int step = (in.u8 & 1) != 0 ? 1 : -1;
-      alu_.Count(std::popcount(mask) * v.count());
-      if (v.scalar() == BaseType::kFloat) {
-        const RoundSpec rs = alu_.round_spec();
-        ForEachCell(v.count(), mask, [&](int c, int l) {
-          const float old = v.at(c, l).f;
-          const float updated = rs(old + static_cast<float>(step));
-          v.at(c, l).f = updated;
-          d.at(c, l).f = post ? old : updated;
-        });
-      } else {
-        ForEachCell(v.count(), mask, [&](int c, int l) {
-          const std::int32_t old = v.at(c, l).i;
-          const std::int32_t updated = old + step;
-          v.at(c, l).i = updated;
-          d.at(c, l).i = post ? old : updated;
-        });
-      }
-      break;
-    }
-    default:
-      break;  // control-flow ops are handled by ExecuteBatch
-  }
 }
 
 std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
@@ -357,6 +161,18 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
     lane_sp_[static_cast<std::size_t>(l)] = 0;
     lane_steps_[static_cast<std::size_t>(l)] = 0;
   }
+  const auto ref_at = [this](std::uint32_t slot, int lane) -> LRef& {
+    return lane_refs_[static_cast<std::size_t>(slot) * kVmLanes +
+                      static_cast<std::size_t>(lane)];
+  };
+  // Resolves instruction `in`'s argument list (ctor/builtin operands).
+  const auto args = [&](const VmInst& in, std::span<PlaneSrc> av) {
+    for (std::size_t i = 0; i < av.size(); ++i) {
+      av[i] = views.Read(prog_->arg_ops[in.aux + i]);
+    }
+    return std::span<const PlaneSrc>(av);
+  };
+
   std::uint32_t running = full;
   std::uint32_t kept = full;
 
@@ -428,7 +244,7 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
         continue;
       case VmOp::kJumpIfFalse:
       case VmOp::kJumpIfTrue: {
-        const PlaneSrc cond = views.Read(in.a);
+        const PlaneSrc& cond = views.Read(in.a);
         const bool jump_on = in.op == VmOp::kJumpIfTrue;
         std::uint32_t taken = 0;
         ForEachLane(mask, [&](int l) {
@@ -512,9 +328,167 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
       case VmOp::kTrap:
         trap(mask, prog_->messages[in.aux]);
         continue;
-      default:
-        ExecBatchOp(in, mask, views);
+      // Data ops run for the lanes in `mask` with their operands resolved
+      // once, outside the lane loop; the group then moves on to pc + 1.
+      case VmOp::kCopy: {
+        const PlaneDst d = views.Dst(in.dst);
+        const PlaneSrc& s = views.Read(in.a);
+        for (int c = 0; c < d.count(); ++c) CopyLanes(d, c, s, c, mask);
         break;
+      }
+      case VmOp::kZero: {
+        const PlaneDst d = views.Dst(in.dst);
+        const Cell zero{};
+        for (int c = 0; c < d.count(); ++c) {
+          CopyLanes(d, c, {&zero, 0, 0, d.type}, 0, mask);
+        }
+        break;
+      }
+      case VmOp::kShuffle: {
+        const PlaneDst d = views.Dst(in.dst);
+        const PlaneSrc& s = views.Read(in.a);
+        for (int k = 0; k < in.n; ++k) {
+          CopyLanes(d, k, s, static_cast<int>((in.aux >> (8 * k)) & 0xffu),
+                    mask);
+        }
+        break;
+      }
+      case VmOp::kExtract: {
+        // a[clamp(b)], the index per lane.
+        const PlaneDst d = views.Dst(in.dst);
+        const PlaneSrc& a = views.Read(in.a);
+        const PlaneSrc& b = views.Read(in.b);
+        const int limit = static_cast<int>(in.aux);
+        ForEachLane(mask, [&](int l) {
+          const int i = std::min(std::max(b.at(0, l).i, 0), limit - 1);
+          for (int k = 0; k < in.n; ++k) d.at(k, l) = a.at(i * in.n + k, l);
+        });
+        break;
+      }
+      case VmOp::kArith:
+        EvalArithBatch(alu_, static_cast<BinOp>(in.u8), views.Read(in.a),
+                       views.Read(in.b), views.Dst(in.dst), mask);
+        break;
+      case VmOp::kNeg:
+        EvalNegBatch(alu_, views.Read(in.a), views.Dst(in.dst), mask);
+        break;
+      case VmOp::kNot:
+        EvalNotBatch(alu_, views.Read(in.a), views.Dst(in.dst), mask);
+        break;
+      case VmOp::kXor: {
+        const PlaneDst d = views.Dst(in.dst);
+        const PlaneSrc& a = views.Read(in.a);
+        const PlaneSrc& b = views.Read(in.b);
+        ForEachLane(mask, [&](int l) {
+          d.at(0, l).i = (a.at(0, l).i != 0) != (b.at(0, l).i != 0) ? 1 : 0;
+        });
+        break;
+      }
+      case VmOp::kBoolNorm: {
+        const PlaneDst d = views.Dst(in.dst);
+        const PlaneSrc& a = views.Read(in.a);
+        ForEachLane(mask,
+                    [&](int l) { d.at(0, l).i = a.at(0, l).i != 0 ? 1 : 0; });
+        break;
+      }
+      case VmOp::kCtor: {
+        std::array<PlaneSrc, 16> av;
+        EvalCtorBatch(alu_, args(in, std::span<PlaneSrc>(av.data(), in.n)),
+                      views.Dst(in.dst), mask);
+        break;
+      }
+      case VmOp::kBuiltin: {
+        std::array<PlaneSrc, kMaxBuiltinArgs> av;
+        EvalBuiltinBatch(static_cast<Builtin>(in.u8),
+                         args(in, std::span<PlaneSrc>(av.data(), in.n)), alu_,
+                         texture_, views.Dst(in.dst), mask);
+        break;
+      }
+      case VmOp::kRefVar: {
+        const PlaneDst v = views.Dst(in.a);
+        ForEachLane(mask, [&](int l) {
+          ref_at(in.dst, l) = RefWhole(&v.at(0, l), v.comp_stride, in.type);
+        });
+        break;
+      }
+      case VmOp::kRefIndex: {
+        IndexStep step;
+        step.limit = static_cast<int>(in.aux);
+        step.elem_cells = in.n;
+        step.elem_type = in.type;
+        const PlaneSrc& b = views.Read(in.b);
+        ForEachLane(mask, [&](int l) {
+          ref_at(in.dst, l) = RefIndex(ref_at(in.a, l), step, b.at(0, l).i);
+        });
+        break;
+      }
+      case VmOp::kRefSwizzle: {
+        std::array<std::uint8_t, 4> comps{};
+        for (int k = 0; k < in.n; ++k) {
+          comps[static_cast<std::size_t>(k)] =
+              static_cast<std::uint8_t>((in.aux >> (8 * k)) & 0xffu);
+        }
+        ForEachLane(mask, [&](int l) {
+          ref_at(in.dst, l) =
+              RefSwizzle(ref_at(in.a, l), in.type, comps.data(), in.n);
+        });
+        break;
+      }
+      case VmOp::kReadRef: {
+        const PlaneDst d = views.Dst(in.dst);
+        ForEachLane(mask, [&](int l) {
+          const LRef& r = ref_at(in.a, l);
+          for (int k = 0; k < r.size(); ++k) d.at(k, l) = r.cell(k);
+        });
+        break;
+      }
+      case VmOp::kWriteRef: {
+        const PlaneSrc& a = views.Read(in.a);
+        ForEachLane(mask, [&](int l) {
+          const LRef& r = ref_at(in.dst, l);
+          for (int k = 0; k < r.size(); ++k) r.cell(k) = a.at(k, l);
+        });
+        break;
+      }
+      case VmOp::kIncDec: {
+        // Rare (++ on an indexed or swizzled l-value): each lane runs the
+        // scalar EvalIncDecInto through its ref into a scratch Value, which
+        // is scattered into the lane's destination plane.
+        const PlaneDst d = views.Dst(in.dst);
+        Value out(d.type);
+        ForEachLane(mask, [&](int l) {
+          EvalIncDecInto(alu_, ref_at(in.a, l), (in.u8 & 1) != 0,
+                         (in.u8 & 2) != 0, out);
+          for (int k = 0; k < out.count(); ++k) d.at(k, l) = out.data()[k];
+        });
+        break;
+      }
+      case VmOp::kIncDecVar: {
+        // Whole-variable ++/-- (loop counters): EvalIncDecInto's arithmetic
+        // and counts, minus the ref.
+        const PlaneDst v = views.Dst(in.a);
+        const PlaneDst d = views.Dst(in.dst);
+        const bool post = (in.u8 & 2) != 0;
+        const int step = (in.u8 & 1) != 0 ? 1 : -1;
+        alu_.Count(LaneCount(mask) * v.count());
+        if (v.scalar() == BaseType::kFloat) {
+          const RoundSpec rs = alu_.round_spec();
+          ForEachCell(v.count(), mask, [&](int c, int l) {
+            const float old = v.at(c, l).f;
+            const float updated = rs(old + static_cast<float>(step));
+            v.at(c, l).f = updated;
+            d.at(c, l).f = post ? old : updated;
+          });
+        } else {
+          ForEachCell(v.count(), mask, [&](int c, int l) {
+            const std::int32_t old = v.at(c, l).i;
+            const std::int32_t updated = old + step;
+            v.at(c, l).i = updated;
+            d.at(c, l).i = post ? old : updated;
+          });
+        }
+        break;
+      }
     }
     go(pc + 1);
   }

@@ -32,9 +32,12 @@ class VmExec final : public ShaderEngine {
 
   // Worker clone (ShaderEngine::Clone): shares the immutable program and
   // copies the primed globals (constant initializers + uniforms already
-  // mirrored into `base`). The constant-initializer chunk is NOT re-run,
-  // and the lane planes are built on first use.
+  // mirrored into `base`), then lays out and fills its own lane planes.
+  // The constant-initializer chunk is NOT re-run.
   VmExec(const VmExec& base, AluModel& alu);
+  // The operand views point into this engine's own storage.
+  VmExec(const VmExec&) = delete;
+  VmExec& operator=(const VmExec&) = delete;
 
   [[nodiscard]] std::unique_ptr<ShaderEngine> Clone(
       AluModel& alu) const override {
@@ -102,19 +105,14 @@ class VmExec final : public ShaderEngine {
  private:
   // Resolves operands to component-plane views (defined in vm.cc).
   struct LaneViews;
-  [[nodiscard]] LaneViews Views();
-  // Sizes the arena, the per-lane refs and return stacks, and assigns
-  // every register and lane-varying global its plane offset.
+  [[nodiscard]] LaneViews Views() const;
+  // Sizes the arena, the per-lane refs and return stacks, and resolves the
+  // view of every register, global and constant.
   void LayOutPlanes();
   // Copies the shared store's value of every lane-varying global into all
   // of its lanes.
   void FillLaneGlobals();
-  void EnsureBatchState();
   std::uint32_t ExecuteBatch(std::uint32_t entry, int n, LaneViews views);
-  // Executes one non-control-flow instruction for the lanes in `mask`, with
-  // operand resolution hoisted out of the lane loop.
-  void ExecBatchOp(const VmInst& in, std::uint32_t mask,
-                   const LaneViews& views);
 
   std::shared_ptr<const VmProgram> prog_;
   AluModel& alu_;
@@ -122,17 +120,16 @@ class VmExec final : public ShaderEngine {
   std::vector<Value> globals_;
   std::uint64_t loop_budget_ = kDefaultLoopBudget;
 
-  // --- lane state, built at construction (clones: on first use) ---
+  // --- lane state, built at construction (base and clones alike) ---
   // One arena of 32-bit cells laid out as component planes, one plane per
   // component of every register and lane-varying global: component c of
-  // lane l of a value at plane offset o sits at arena_[(o + c) * kVmLanes +
-  // l]. reg_plane_/global_plane_ hold each value's offset (kNoPlane for a
-  // lane-invariant global, which lives in globals_ only).
-  static constexpr std::uint32_t kNoPlane = ~0u;
-  bool batch_ready_ = false;
+  // lane l sits at plane c's cell l (views (kVmLanes, 1)). A lane-invariant
+  // global lives in globals_ only and a constant in the program's pool;
+  // their views are the shared Value (1, 0), so neither ever resizes.
   std::vector<Cell> arena_;
-  std::vector<std::uint32_t> reg_plane_;
-  std::vector<std::uint32_t> global_plane_;
+  std::vector<PlaneSrc> reg_views_;
+  std::vector<PlaneSrc> global_views_;
+  std::vector<PlaneSrc> const_views_;
   // Per-lane l-value refs (slot s of lane l at s * kVmLanes + l), pointing
   // into the arena with stride kVmLanes or into the shared store.
   std::vector<LRef> lane_refs_;

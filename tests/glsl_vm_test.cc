@@ -1150,7 +1150,7 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
 // in the shared store, and only then fills the lane planes from it. `g_acc`
 // has an initializer and main() writes it, so it owns a lane plane that must
 // hold the initializer in every lane before the first batch, in the engine
-// and in a lazily built clone. `kRows` is a const table that main() indexes
+// and in a clone. `kRows` is a const table that main() indexes
 // dynamically, so it stays in the shared store. At widths 1 and kVmLanes the
 // lanes must match the tree walker lane by lane, run after run.
 TEST(VmExecTest, ConstInitFillsLanePlanesBeforeTheFirstBatch) {
