@@ -8,8 +8,8 @@
 // (production path) and the tree-walking interpreter (oracle) — plus a
 // thread-scaling sweep over the tiled rasterizer's worker pool (1/2/4/
 // hardware_concurrency shading workers), and emits
-// BENCH_fig1_pipeline.json and BENCH_threads_scaling.json for the perf
-// trajectory.
+// BENCH_fig1_pipeline.json (with `fragments_n<elements>`, the exact
+// fragment count of each sweep size) and BENCH_threads_scaling.json.
 // Usage: bench_fig1_pipeline [--quick]
 //   --quick: CI smoke size — truncated sweep and a 1/2-thread-only scaling
 //   pass. Metric names match the full run, but values are size-dependent:
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -291,10 +292,13 @@ int main(int argc, char** argv) {
   json.Add("vm_sweep", vm.seconds, "s");
   json.Add("tree_sweep", tree.seconds, "s");
   json.Add("batched_sweep", batched.seconds, "s");
-  json.Add("vm_speedup", tree.seconds / vm.seconds, "x");
   json.Add("batched_speedup_vs_scalar", vm.seconds / batched.seconds, "x");
   json.Add("coverage_ok",
            batched.ok && vm.ok && tree.ok ? 1.0 : 0.0, "bool");
+  for (const SweepRow& r : batched.rows) {
+    json.Add("fragments_n" + std::to_string(r.elements),
+             static_cast<double>(r.fragments), "count");
+  }
   json.Add("vector_heavy_batched", vh_batched.seconds, "s");
   json.Add("vector_heavy_scalar", vh_scalar.seconds, "s");
   json.Add("vector_heavy_speedup", vh_scalar.seconds / vh_batched.seconds,

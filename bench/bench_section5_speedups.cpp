@@ -1,20 +1,23 @@
-// Experiment E1 (DESIGN.md): regenerates the paper's Section V results —
-// GPU-vs-CPU speedups for the `sum` and `sgemm` benchmarks in integer and
-// floating-point configurations at 1024-element-per-dimension scale,
-// "including time spent in data transfers and kernel compilations".
+// Regenerates the paper's Section V results: GPU-vs-CPU speedups for the
+// `sum` and `sgemm` benchmarks in integer and floating-point configurations
+// at 1024-element-per-dimension scale, "including time spent in data
+// transfers and kernel compilations".
 //
 // GPU operation counts are MEASURED by running the kernels through the
 // GLES2 simulator at calibration sizes and extrapolating exactly (linear
 // for sum, affine-in-K for sgemm); times come from the VideoCore IV /
 // ARM1176 timing model (vc4/timing.h). CPU counts are the analytic formulas
 // of cpuref, validated by tests. Machine constants were calibrated once
-// against the paper's four published speedups — see EXPERIMENTS.md.
+// against the paper's four published speedups; the `*_within_1pct` flags
+// below gate that fit.
 //
 // Writes BENCH_section5_speedups.json: per row the measured shader ops and
 // fragments, the modeled speedup and whether it is within 1% of the
-// paper's, plus the three shape checks. Every value is a deterministic
-// function of op counts, so CI's check_bench.py gates the op counts and
-// flags exactly.
+// paper's, the three shape checks, and the sum crossover: the smallest
+// power of two from 2^8 to 2^22 elements at which the GPU, fixed compile
+// and draw costs included, beats the CPU (0 if none). Every value is a
+// deterministic function of op counts, so CI's check_bench.py gates the op
+// counts, flags and crossovers exactly.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -103,6 +106,32 @@ int main() {
              "bool");
     json.Add(p + "speedup", r.speedup(), "x");
   }
+  // Sum crossover: scale the two measured sum rows (linear in n, fixed
+  // compile and draw costs) down and up the power-of-two sizes.
+  const auto crossover = [&](const vc4::GpuWork& w,
+                             vc4::CpuWork (*cpu_work)(std::uint64_t)) {
+    for (int lg = 8; lg <= 22; ++lg) {
+      const std::uint64_t n = 1ull << lg;
+      const vc4::GpuWork scaled =
+          bench::ScaleLinear(w, static_cast<double>(n) / kSumN);
+      if (vc4::CpuSeconds(cpu, cpu_work(n)) >
+          vc4::GpuSeconds(gpu, cpu, scaled).total()) {
+        return n;
+      }
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t cross_int = crossover(works[0], cpuref::AddWorkI32);
+  const std::uint64_t cross_float = crossover(works[1], cpuref::AddWorkF32);
+  std::printf("\nsum crossover (GPU starts winning): int at %llu elements, "
+              "float at %llu\n",
+              static_cast<unsigned long long>(cross_int),
+              static_cast<unsigned long long>(cross_float));
+
+  json.Add("sum_int_crossover_elements", static_cast<double>(cross_int),
+           "count");
+  json.Add("sum_float_crossover_elements", static_cast<double>(cross_float),
+           "count");
   json.Add("gpu_wins_all", gpu_wins ? 1.0 : 0.0, "bool");
   json.Add("int_beats_float_sum", int_beats_float_sum ? 1.0 : 0.0, "bool");
   json.Add("int_beats_float_sgemm", int_beats_float_gemm ? 1.0 : 0.0, "bool");

@@ -1,8 +1,8 @@
 // Shared benchmark plumbing: runs workloads through the simulator at
 // calibration sizes, measures the interpreter's operation counters, and
-// extrapolates to paper-scale workloads (DESIGN.md "Benchmark sizing note":
-// per-fragment cost is constant for streaming kernels and affine in K for
-// GEMM, so two calibration points determine the paper-scale counts exactly).
+// extrapolates to paper-scale workloads (per-fragment cost is constant for
+// streaming kernels and affine in K for GEMM, so two calibration points
+// determine the paper-scale counts exactly).
 #ifndef MGPU_BENCH_BENCH_UTIL_H_
 #define MGPU_BENCH_BENCH_UTIL_H_
 
@@ -163,7 +163,7 @@ inline vc4::GpuWork MeasureGemmWork(compute::Device& d, compute::ElemType t,
   // at n <= 32 both matrices fit in the 4 KB texture cache, while at the
   // paper's n = 1024 a column of B walks 1024 distinct lines (full miss)
   // and each fragment's A-row walk (n/8 = 128 lines) is evicted between
-  // fragments (1-in-8 miss). Analytic counts per DESIGN.md:
+  // fragments (1-in-8 miss). The analytic count:
   //   misses = n^3 (B) + n^3/8 (A).
   const double n3 = static_cast<double>(n) * n * n;
   w.shader_ops.tmu_miss = static_cast<std::uint64_t>(n3 * (1.0 + 1.0 / 8.0));

@@ -28,10 +28,12 @@ Usage:
   check_bench.py --skip-timing ...   # deterministic metrics only (e.g. the
                                      # clang matrix leg, whose codegen makes
                                      # timings incomparable to the baseline)
-  check_bench.py --update ...        # rewrite the baseline from the given
-                                     # BENCH files (run on a quiet machine,
+  check_bench.py --update ...        # replace the given BENCH files'
+                                     # benchmarks in the baseline and keep
+                                     # the rest (run on a quiet machine,
                                      # commit the result); records this
-                                     # machine's class in `meta` unless
+                                     # machine's class in `meta` (the
+                                     # latest refresh's) unless
                                      # --machine-class/--source override it.
                                      # CI uploads a ready-to-commit refresh
                                      # as the `bench-baseline-refresh`
@@ -73,6 +75,9 @@ def local_machine_class():
 
 def update_baseline(baseline_path, bench_files, machine_class, source):
     benchmarks = {}
+    if os.path.exists(baseline_path):
+        with open(baseline_path) as f:
+            benchmarks = json.load(f)["benchmarks"]
     for path in bench_files:
         name, metrics = load_bench_file(path)
         benchmarks[name] = metrics
@@ -177,14 +182,13 @@ def check(baseline_path, bench_files, skip_timing):
     for f_ in failures:
         print(f"  FAIL  {f_}")
     if failures:
+        files = " ".join(f"BENCH_{b}.json" for b in sorted(baseline))
         print(f"\nbench gate: {len(failures)} failure(s). If a legitimate "
-              "change moved the numbers, refresh the baseline from --quick "
-              "runs (the size CI executes):\n"
-              "  ./build/bench_fig1_pipeline --quick && "
-              "./build/bench_draw_storm --quick\n"
-              "  python3 scripts/check_bench.py --update --baseline "
-              "ci/bench_baseline.json \\\n"
-              "      BENCH_fig1_pipeline.json BENCH_draw_storm.json\n"
+              "change moved the numbers, re-run the benches at the size CI "
+              "executes (--quick where they take it) and refresh the "
+              "baseline:\n"
+              f"  python3 scripts/check_bench.py --update --baseline "
+              f"{baseline_path} {files}\n"
               "and commit it with an explanation of the speedup/behaviour "
               "change.")
         return 1
@@ -198,7 +202,8 @@ def main():
     ap.add_argument("--skip-timing", action="store_true",
                     help="gate only deterministic metrics")
     ap.add_argument("--update", action="store_true",
-                    help="rewrite the baseline from the given BENCH files")
+                    help="replace the given BENCH files' benchmarks in the "
+                         "baseline, keeping the others")
     ap.add_argument("--machine-class", default=None,
                     help="machine class recorded in the baseline meta "
                          "(default: derived from this machine)")

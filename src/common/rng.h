@@ -1,5 +1,5 @@
 // Deterministic PRNG used by tests, examples and benchmark workload
-// generators, so that every experiment in EXPERIMENTS.md is reproducible
+// generators, so that every gated bench metric and test is reproducible
 // bit-for-bit across runs.
 #ifndef MGPU_COMMON_RNG_H_
 #define MGPU_COMMON_RNG_H_

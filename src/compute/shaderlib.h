@@ -7,8 +7,8 @@
 // Two pack conventions are provided for the framebuffer write (inverse
 // transforms): the robust form (b + 0.25) / 255, which survives both the
 // floor conversion of the paper's Eq. (2) and the round-to-nearest
-// conversion of real drivers, and a paper-literal delta form used by tests
-// to demonstrate equivalence (see DESIGN.md errata).
+// conversion of real drivers, and a paper-literal delta form (Eq. 3-5 with
+// the corrected delta = 1/65280) that shaderlib_test proves equivalent.
 #ifndef MGPU_COMPUTE_SHADERLIB_H_
 #define MGPU_COMPUTE_SHADERLIB_H_
 

@@ -33,7 +33,7 @@ namespace mgpu::gles2 {
 // How fragment colors are quantized into the byte framebuffer. The paper's
 // Eq. (2) states floor(f * 255); most real drivers round to nearest. Both
 // are provided so the robustness of the pack/unpack algebra can be verified
-// under either (see bench_ablation_readback and the packing tests).
+// under either (see KernelTest.IdentityF32WorksUnderPaperQuantization).
 enum class FbQuantization { kRoundNearest, kFloorPaper };
 
 // Which shader execution engine draws run on. Three engines, all

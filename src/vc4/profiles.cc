@@ -40,32 +40,4 @@ GpuProfile Mali400() {
   return p;
 }
 
-GpuProfile Adreno200() {
-  GpuProfile p;
-  p.name = "Adreno 200";
-  p.limits.fragment_highp_float = true;
-  p.sfu_error_bits = 16;
-  p.alu_mantissa_bits = 23;
-  p.flush_denormals = true;
-  p.shader_cores = 8;
-  p.lanes_per_core = 4;
-  p.clock_hz = 133e6;
-  p.dual_issue = false;
-  return p;
-}
-
-GpuProfile PowerVRSGX530() {
-  GpuProfile p;
-  p.name = "PowerVR SGX530";
-  p.limits.fragment_highp_float = true;
-  p.sfu_error_bits = 16;
-  p.alu_mantissa_bits = 23;
-  p.flush_denormals = true;
-  p.shader_cores = 2;
-  p.lanes_per_core = 4;
-  p.clock_hz = 200e6;
-  p.dual_issue = true;
-  return p;
-}
-
 }  // namespace mgpu::vc4

@@ -1,7 +1,7 @@
 // GPU platform profiles for the low-end mobile GPUs the paper names
-// (VideoCore IV, Mali-400, Adreno 2xx, PowerVR SGX): GLSL limits, arithmetic
-// precision characteristics and the throughput parameters of the timing
-// model.
+// (VideoCore IV, and Mali-400 for its mediump-only fragment pipe): GLSL
+// limits, arithmetic precision characteristics and the throughput
+// parameters of the timing model.
 #ifndef MGPU_VC4_PROFILES_H_
 #define MGPU_VC4_PROFILES_H_
 
@@ -49,8 +49,8 @@ struct GpuProfile {
   double tmu_miss_cycles = 156.0;
   // The interpreter counts one "op" per scalar AST operation; a real shader
   // compiler emits fewer native QPU instructions (vectorized moves, folded
-  // address math). Calibrated against hand-written QPU kernels of the same
-  // workloads (see EXPERIMENTS.md).
+  // address math). Calibrated with the other machine constants against the
+  // paper's four Section V speedups (bench_section5_speedups gates the fit).
   double interp_ops_per_native = 2.8;
   // The Pi's GPU owns the memory controller: texture upload/readback run as
   // burst DMA, far faster than CPU-side load/store streaming.
@@ -69,10 +69,6 @@ struct GpuProfile {
 [[nodiscard]] GpuProfile IeeeExact();
 // ARM Mali-400 MP: highp float unavailable in the fragment processor.
 [[nodiscard]] GpuProfile Mali400();
-// Qualcomm Adreno 2xx.
-[[nodiscard]] GpuProfile Adreno200();
-// Imagination PowerVR SGX 530.
-[[nodiscard]] GpuProfile PowerVRSGX530();
 
 }  // namespace mgpu::vc4
 

@@ -3,7 +3,7 @@
 // interpreter's AluModel counters), CPU time from analytic per-kernel
 // operation counts and an ARM1176 cost table. Machine constants are
 // calibrated once against the paper's published speedups (the paper reports
-// no raw times); the calibration is documented in EXPERIMENTS.md.
+// no raw times); bench_section5_speedups gates the fit (`*_within_1pct`).
 #ifndef MGPU_VC4_TIMING_H_
 #define MGPU_VC4_TIMING_H_
 
@@ -23,7 +23,7 @@ namespace mgpu::vc4 {
 // and the loop body pays heavy per-iteration overhead (index arithmetic,
 // bounds, stack traffic of unoptimized builds). The constants were
 // calibrated once against the paper's four published speedups
-// (EXPERIMENTS.md documents the fit).
+// (bench_section5_speedups gates the fit).
 struct CpuModel {
   std::string name = "ARM1176JZF-S @ 700 MHz";
   double clock_hz = 700e6;

@@ -261,11 +261,7 @@ TEST(KernelTest, MultiKernelSplitsOutputs) {
   in.Upload(std::span<const float>(v));
   PackedBuffer sum(d, ElemType::kF32, 1);
   PackedBuffer prod(d, ElemType::kF32, 1);
-  MultiKernel mk(d, {.name = "sumprod",
-                     .inputs = {{"u_src", ElemType::kF32}},
-                     .outputs = {ElemType::kF32, ElemType::kF32},
-                     .extra_decls = "",
-                     .body = R"(
+  const std::string body = R"(
 void gp_kernel_multi(vec2 p, out float o0, out float o1) {
   float a = gp_fetch_u_src(0.0);
   float b = gp_fetch_u_src(1.0);
@@ -274,14 +270,36 @@ void gp_kernel_multi(vec2 p, out float o0, out float o1) {
   o0 = a + b + c + e;
   o1 = a * b * c * e;
 }
-)"});
+)";
+  MultiKernel mk(d, {.name = "sumprod",
+                     .inputs = {{"u_src", ElemType::kF32}},
+                     .outputs = {ElemType::kF32, ElemType::kF32},
+                     .extra_decls = "",
+                     .body = body});
+  Kernel one(d, {.name = "sum_only",
+                 .inputs = {{"u_src", ElemType::kF32}},
+                 .output = ElemType::kF32,
+                 .extra_decls = "",
+                 .body = body + "float gp_kernel(vec2 p) { float o0; float "
+                                "o1; gp_kernel_multi(p, o0, o1); return o0; "
+                                "}\n"});
   EXPECT_EQ(mk.output_count(), 2);
+  (void)d.ConsumeWork();
+  one.Run(sum, {&in});
+  const vc4::GpuWork single = d.ConsumeWork();
   mk.Run({&sum, &prod}, {&in});
+  const vc4::GpuWork split = d.ConsumeWork();
   float s = 0.0f, p = 0.0f;
   sum.Download(std::span<float>(&s, 1));
   prod.Download(std::span<float>(&p, 1));
   EXPECT_EQ(s, 11.0f);
   EXPECT_EQ(p, -42.0f);
+  // §III-8: ES 2.0 has one fragment output, so each output re-runs the
+  // whole body: the split costs exactly twice one output's fragments and
+  // texture fetches.
+  EXPECT_GT(single.fragments, 0u);
+  EXPECT_EQ(split.fragments, 2 * single.fragments);
+  EXPECT_EQ(split.shader_ops.tmu, 2 * single.shader_ops.tmu);
 }
 
 TEST(KernelTest, MultiKernelRejectsByteOutputs) {

@@ -1,8 +1,8 @@
-// The paper's §V precision experiment as a test (experiment E2 in
-// DESIGN.md): float values round-tripped through the GPU pipeline are
-// accurate within ~15 most-significant mantissa bits on the VideoCore IV
-// model, exactly reproducible on the IEEE-exact model, and collapse on a
-// mediump-only fragment pipe (Mali-400 class, §IV-E footnote 1).
+// The paper's §V precision experiment as a test: float values round-tripped
+// through the GPU pipeline are accurate within ~15 most-significant mantissa
+// bits on the VideoCore IV model, exactly reproducible on the IEEE-exact
+// model, and collapse on a mediump-only fragment pipe (Mali-400 class, §IV-E
+// footnote 1).
 #include <cmath>
 #include <vector>
 

@@ -5,7 +5,10 @@
 
 #include "gles2/context.h"
 #include "gles2_test_util.h"
+#include "glsl/alu.h"
 #include "gtest/gtest.h"
+#include "vc4/alu.h"
+#include "vc4/profiles.h"
 
 namespace mgpu::gles2 {
 namespace {
@@ -180,6 +183,51 @@ TEST(FboTest, SwitchingBackToDefaultFramebuffer) {
   EXPECT_EQ(px[0], 0);
   EXPECT_EQ(px[1], 255);
   EXPECT_EQ(ctx.GetTextureObject(tex)->TexelAt(0, 0)[0], 255);
+}
+
+TEST(FboTest, PassThroughCopyPreservesEveryTexelByte) {
+  // Challenge 7: an intermediate texture reaches ReadPixels only through an
+  // extra pass-through copy into an FBO-attached texture. That pass must
+  // not perturb a single byte, under the exact ALU or the VC4 model.
+  constexpr int kSize = 16;
+  std::vector<std::uint8_t> src(kSize * kSize * 4);
+  for (int i = 0; i < kSize * kSize; ++i) {
+    // Each channel is a bijection of the texel index: every byte value
+    // appears once per channel.
+    src[i * 4 + 0] = static_cast<std::uint8_t>(i);
+    src[i * 4 + 1] = static_cast<std::uint8_t>(255 - i);
+    src[i * 4 + 2] = static_cast<std::uint8_t>(i * 7);
+    src[i * 4 + 3] = static_cast<std::uint8_t>(i + 128);
+  }
+  glsl::ExactAlu exact;
+  vc4::Vc4Alu vc4_alu(vc4::VideoCoreIV());
+  for (glsl::AluModel* alu : {static_cast<glsl::AluModel*>(&exact),
+                              static_cast<glsl::AluModel*>(&vc4_alu)}) {
+    Context ctx(Cfg(kSize, kSize), alu);
+    const GLuint src_tex = MakeTargetTexture(ctx, kSize, kSize);
+    ctx.TexSubImage2D(GL_TEXTURE_2D, 0, 0, 0, kSize, kSize, GL_RGBA,
+                      GL_UNSIGNED_BYTE, src.data());
+    const GLuint dst_tex = MakeTargetTexture(ctx, kSize, kSize);
+    GLuint fbo;
+    ctx.GenFramebuffers(1, &fbo);
+    ctx.BindFramebuffer(GL_FRAMEBUFFER, fbo);
+    ctx.FramebufferTexture2D(GL_FRAMEBUFFER, GL_COLOR_ATTACHMENT0,
+                             GL_TEXTURE_2D, dst_tex, 0);
+    ASSERT_EQ(ctx.CheckFramebufferStatus(GL_FRAMEBUFFER),
+              GL_FRAMEBUFFER_COMPLETE);
+    const GLuint p = BuildProgramOrDie(
+        ctx, testutil::kPassthroughVs,
+        "precision mediump float;\nvarying vec2 v_uv;\nuniform sampler2D "
+        "u_src;\nvoid main() { gl_FragColor = texture2D(u_src, v_uv); }");
+    ctx.UseProgram(p);
+    ctx.Viewport(0, 0, kSize, kSize);
+    ctx.ActiveTexture(GL_TEXTURE0);
+    ctx.BindTexture(GL_TEXTURE_2D, src_tex);
+    ctx.Uniform1i(ctx.GetUniformLocation(p, "u_src"), 0);
+    DrawFullscreenQuad(ctx, p);
+    EXPECT_EQ(testutil::ReadRgba(ctx, kSize, kSize), src);
+    EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  }
 }
 
 TEST(FboTest, DepthRenderbufferWithFbo) {

@@ -1,6 +1,6 @@
-// Paper-scale functional validation (DESIGN.md sizing note): the timing
-// model extrapolates from small sizes, but CORRECTNESS is validated here at
-// the paper's actual sizes — the full 1M-element sum and the largest
+// Paper-scale functional validation: the timing model extrapolates from
+// small calibration sizes (bench/bench_util.h), but CORRECTNESS is
+// validated here at the paper's actual sizes — the full 1M-element sum and the largest
 // interpreted GEMM — against the CPU references, on the real VideoCore IV
 // platform model ("we ... validate the results with the CPU", §V).
 #include <cstdint>
@@ -56,7 +56,7 @@ TEST(PaperScaleTest, SumFloat1MElementsWithin15Bits) {
 
 TEST(PaperScaleTest, Sgemm128FloatEndToEnd) {
   Device d;
-  const int n = 128;  // largest fully interpreted GEMM (DESIGN.md)
+  const int n = 128;  // largest GEMM interpreted in full at test speed
   const std::size_t e = static_cast<std::size_t>(n) * n;
   Rng rng(44);
   const auto a = rng.FloatVector(e, -1.0f, 1.0f);

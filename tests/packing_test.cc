@@ -32,12 +32,17 @@ TEST(PackingTest, FloatRotationFieldPlacement) {
 }
 
 TEST(PackingTest, FloatRotationRoundTripExhaustiveExponents) {
-  // Every (sign, exponent) pair with assorted mantissas.
+  // Every (sign, exponent) pair with assorted mantissas; each lands in the
+  // Fig. 2 texel bytes: byte3 = exponent, bit 23 = sign, low 23 = mantissa.
   for (std::uint32_t s = 0; s <= 1; ++s) {
     for (std::uint32_t e = 0; e <= 255; ++e) {
       for (const std::uint32_t m : {0u, 1u, 0x2aaaaau, 0x7fffffu}) {
         const std::uint32_t bits = MakeFloatBits(s, e, m);
-        EXPECT_EQ(RotateFloatBitsFromGpu(RotateFloatBitsForGpu(bits)), bits);
+        const std::uint32_t g = RotateFloatBitsForGpu(bits);
+        EXPECT_EQ(g >> 24, e);
+        EXPECT_EQ((g >> 23) & 1u, s);
+        EXPECT_EQ(g & 0x7fffffu, m);
+        EXPECT_EQ(RotateFloatBitsFromGpu(g), bits);
       }
     }
   }
@@ -150,7 +155,8 @@ TEST(PackingTest, HostWorkModelsFusedRotation) {
   // §V: floats need the CPU-side bit re-arrangement, but its ALU ops hide
   // in the copy loop's load-use stalls on the ARM1176, so the model charges
   // zero marginal host work for every format (the transfer-bandwidth term
-  // carries the copy itself) — see the calibration notes in EXPERIMENTS.md.
+  // carries the copy itself); the Section V speedups were calibrated with
+  // this zero and bench_section5_speedups gates them.
   const auto wf = HostPackWork(ElemType::kF32, 1000);
   const auto wi = HostPackWork(ElemType::kI32, 1000);
   EXPECT_EQ(vc4::CpuSeconds(vc4::Arm1176(), wf), 0.0);

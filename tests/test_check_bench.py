@@ -182,3 +182,30 @@ def test_cpu_count_mismatch_soft_warns_but_passes(tmp_path, capsys):
     cur = write_bench(tmp_path / "BENCH_b.json", "b", [("wall", "s", 0.1)])
     assert cb.check(base, [cur], False) == 0
     assert "timing gates may be unreliable" in capsys.readouterr().out
+
+
+def test_update_keeps_benchmarks_it_is_not_given(tmp_path):
+    # A partial refresh must not drop the other gates: the next check would
+    # pass them by silently no longer knowing them.
+    base = write_baseline(tmp_path / "baseline.json",
+                          {"kept": [("fb_hash", "hash", 42)],
+                           "b": [("wall", "s", 0.1), ("old", "s", 0.1)]})
+    cur = write_bench(tmp_path / "BENCH_b.json", "b", [("wall", "s", 0.2)])
+    assert cb.update_baseline(base, [cur], None, "local") == 0
+    data = json.loads(Path(base).read_text())
+    assert data["benchmarks"]["kept"] == {
+        "fb_hash": {"unit": "hash", "value": 42}}
+    # The given benchmark is replaced whole, so a removed metric goes.
+    assert data["benchmarks"]["b"] == {"wall": {"unit": "s", "value": 0.2}}
+
+
+def test_failure_hint_names_every_baseline_benchmark(tmp_path, capsys):
+    base = write_baseline(tmp_path / "baseline.json",
+                          {"alpha": [("h", "hash", 1)],
+                           "beta": [("h", "hash", 1)]})
+    a = write_bench(tmp_path / "BENCH_alpha.json", "alpha", [("h", "hash", 2)])
+    b = write_bench(tmp_path / "BENCH_beta.json", "beta", [("h", "hash", 1)])
+    assert cb.check(base, [a, b], False) == 1
+    hint = capsys.readouterr().out.split("bench gate:")[-1]
+    assert "--update" in hint
+    assert "BENCH_alpha.json BENCH_beta.json" in hint
