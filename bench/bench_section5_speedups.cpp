@@ -13,9 +13,11 @@
 //
 // Writes BENCH_section5_speedups.json: per row the measured shader ops and
 // fragments, the modeled speedup and whether it is within 1% of the
-// paper's, the three shape checks, and the sum crossover: the smallest
-// power of two from 2^8 to 2^22 elements at which the GPU, fixed compile
-// and draw costs included, beats the CPU (0 if none). Every value is a
+// paper's, the bytecode VM's batch steps over the row's calibration runs
+// (host executor work, not a modeled op), the three shape checks, and the
+// sum crossover: the smallest power of two from 2^8 to 2^22 elements at
+// which the GPU, fixed compile and draw costs included, beats the CPU (0
+// if none). Every value is a
 // deterministic function of op counts, so CI's check_bench.py gates the op
 // counts, flags and crossovers exactly.
 #include <cmath>
@@ -42,9 +44,15 @@ int main() {
 
   std::vector<bench::SpeedupRow> rows;
   std::vector<vc4::GpuWork> works;
+  std::vector<std::uint64_t> vm_steps;
+  std::uint64_t steps_seen = device.alu().counts().vm_steps;
+  // Runs after its arguments, so the step delta is the measurement's own.
   const auto add = [&](const char* kernel, const char* type,
                        const vc4::GpuWork& w, const vc4::CpuWork& cw,
                        double paper) {
+    const std::uint64_t steps_now = device.alu().counts().vm_steps;
+    vm_steps.push_back(steps_now - steps_seen);
+    steps_seen = steps_now;
     works.push_back(w);
     rows.push_back({kernel, type, vc4::CpuSeconds(cpu, cw),
                     vc4::GpuSeconds(gpu, cpu, w), paper});
@@ -100,6 +108,8 @@ int main() {
     json.Add(p + "sfu_ops", static_cast<double>(w.shader_ops.sfu), "ops");
     json.Add(p + "tmu_ops", static_cast<double>(w.shader_ops.tmu), "ops");
     json.Add(p + "fragments", static_cast<double>(w.fragments), "ops");
+    json.Add("vm_steps_" + p.substr(0, p.size() - 1),
+             static_cast<double>(vm_steps[i]), "count");
     json.Add(p + "within_1pct",
              std::fabs(r.speedup() / r.paper_speedup - 1.0) <= 0.01 ? 1.0
                                                                     : 0.0,

@@ -6,6 +6,7 @@
 #ifndef MGPU_BENCH_BENCH_UTIL_H_
 #define MGPU_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -63,6 +64,23 @@ class JsonBenchWriter {
   std::string benchmark_;
   std::vector<Row> rows_;
 };
+
+// Median over rounds of num[r] / den[r], where each round timed the two
+// legs of a ratio back to back. On a shared host any single run may land
+// in a fast or a slow spell; a ratio of per-leg minimums flips whenever only
+// one leg catches a fast run, while the median of same-round ratios moves
+// only if most rounds split the same way.
+inline double MedianRatio(const std::vector<double>& num,
+                          const std::vector<double>& den) {
+  std::vector<double> r;
+  for (std::size_t i = 0; i < num.size() && i < den.size(); ++i) {
+    r.push_back(num[i] / den[i]);
+  }
+  if (r.empty()) return 0.0;
+  std::sort(r.begin(), r.end());
+  const std::size_t m = r.size() / 2;
+  return r.size() % 2 != 0 ? r[m] : 0.5 * (r[m - 1] + r[m]);
+}
 
 // Scales the linear parts of a measured workload by `factor` (streaming
 // kernels: everything except compiles and draw calls scales with n).

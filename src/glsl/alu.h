@@ -25,6 +25,11 @@ struct OpCounts {
   std::uint64_t sfu_trans = 0;  // transcendental SFU ops (exp2, log2, trig)
   std::uint64_t tmu = 0;  // texture fetches (total)
   std::uint64_t tmu_miss = 0;  // fetches that missed the texture cache
+  // Host-side cost of the bytecode VM, not a modeled GPU op: batch steps
+  // dispatched (one instruction over one lane group). It depends on the
+  // engine and lane width, so it is the one field the engines do not share;
+  // the tree walker never counts it.
+  std::uint64_t vm_steps = 0;
 
   OpCounts& operator+=(const OpCounts& o) {
     alu += o.alu;
@@ -32,6 +37,7 @@ struct OpCounts {
     sfu_trans += o.sfu_trans;
     tmu += o.tmu;
     tmu_miss += o.tmu_miss;
+    vm_steps += o.vm_steps;
     return *this;
   }
 };
@@ -147,6 +153,7 @@ class AluModel {
   void CountTmuMiss(int n) {
     counts_.tmu_miss += static_cast<std::uint64_t>(n);
   }
+  void CountVmSteps(std::uint64_t n) { counts_.vm_steps += n; }
 
   [[nodiscard]] const OpCounts& counts() const { return counts_; }
   void ResetCounts() { counts_ = OpCounts{}; }

@@ -7,10 +7,24 @@
 //
 // Design notes:
 //  - Values live in a flat register file typed at lowering time. Every
-//    VarDecl (local or parameter) owns a dedicated register; expression
-//    temporaries get fresh registers. Since GLSL ES 1.00 statically rejects
-//    recursion (sema), each function's frame is allocated exactly once and
-//    calls are a jump plus argument copies — no dynamic frames.
+//    VarDecl (local or parameter) owns a dedicated register; an expression
+//    result gets a fresh register unless it is already an operand: a
+//    variable, a constant, or a component alias of one (a one-component or
+//    contiguous swizzle, which costs no instruction). Since GLSL ES 1.00
+//    statically rejects recursion (sema), each function's frame is
+//    allocated exactly once and calls are a jump plus argument copies — no
+//    dynamic frames.
+//  - Calls within the 64-frame budget are inlined. An inlined call's
+//    `return` writes a result register of its own call site; an `in`
+//    parameter its body never writes reads the argument operand directly;
+//    the fell-off-the-end zero of the result is emitted only when some path
+//    can leave the body without a value. Only bodies a kCall can reach are
+//    emitted.
+//  - After lowering, a copy of a single-use temporary is folded into the
+//    instruction that defined it, forward jumps are threaded through
+//    unconditional forward jumps, jumps to the next instruction are
+//    dropped, and the code and register file are compacted. None of these
+//    touch an op the AluModel counts.
 //  - Structured control flow (if/for/while/ternary/&&/||) is lowered to
 //    conditional branches; `discard` and the loop-iteration guard are
 //    dedicated ops.
@@ -32,13 +46,16 @@
 
 namespace mgpu::glsl {
 
-// Operands address one of three value spaces through a 2-bit tag:
+// Operands address one of four value spaces through a 2-bit tag:
 // registers (temporaries, locals, parameters), shader globals (uniforms,
-// attributes, varyings, gl_*), and the constant pool.
+// attributes, varyings, gl_*), the constant pool, and component aliases
+// (VmProgram::aliases). An alias is read-only: it is never a destination.
 inline constexpr std::uint32_t kOperandIndexMask = 0x3fffffffu;
 inline constexpr std::uint32_t kSpaceReg = 0u << 30;
 inline constexpr std::uint32_t kSpaceGlobal = 1u << 30;
 inline constexpr std::uint32_t kSpaceConst = 2u << 30;
+inline constexpr std::uint32_t kSpaceAlias = 3u << 30;
+inline constexpr std::uint32_t kSpaceMask = ~kOperandIndexMask;
 inline constexpr std::uint32_t kOperandNone = 0xffffffffu;
 
 enum class VmOp : std::uint8_t {
@@ -97,6 +114,16 @@ struct VmFunction {
   std::uint32_t ret_reg = kOperandNone;  // register holding the return value
 };
 
+// Components [comp, comp + type's cells) of a register, global or
+// constant operand `base`, read as a value of `type`: the lowering of a
+// one-component or contiguous swizzle. The VM resolves it once to the
+// base's view offset by comp components.
+struct VmAlias {
+  std::uint32_t base = kOperandNone;
+  std::uint32_t comp = 0;
+  Type type;
+};
+
 // A global of the shader, mirrored into the VM so a VmExec is
 // self-contained (slot-ordered, identical slots to the interpreter).
 struct VmGlobal {
@@ -116,6 +143,7 @@ struct VmProgram {
   std::vector<VmFunction> functions;
   std::vector<Type> reg_types;       // register file layout
   std::vector<Value> consts;         // literal pool
+  std::vector<VmAlias> aliases;      // component aliases (kSpaceAlias)
   std::vector<std::uint32_t> arg_ops;  // flattened ctor/builtin operand lists
   std::vector<std::string> messages;   // trap texts
   std::uint32_t ref_slot_count = 0;
@@ -143,14 +171,10 @@ struct VmProgram {
   // alone does not count — every run chunk calls main — since a program
   // whose calls fit the budget cannot overflow it. Drawing code uses this
   // to skip per-pixel undo journaling for programs that cannot abort
-  // mid-draw (see Context::DrawGeneric).
-  [[nodiscard]] bool CanTrap() const {
-    if (deep_calls) return true;
-    for (const VmInst& in : code) {
-      if (in.op == VmOp::kLoopGuard || in.op == VmOp::kTrap) return true;
-    }
-    return false;
-  }
+  // mid-draw (see Context::DrawGeneric). Set at lowering time from the
+  // emitted code, which holds only bodies a kCall can reach.
+  bool can_trap = false;
+  [[nodiscard]] bool CanTrap() const { return can_trap; }
 
   [[nodiscard]] int GlobalSlot(const std::string& name) const {
     for (std::size_t i = 0; i < globals.size(); ++i) {

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "common/strings.h"
 #include "glsl/builtins.h"
@@ -15,64 +17,137 @@
 namespace mgpu::glsl {
 namespace {
 
+// Calls f(sub) for every direct subexpression of `e`.
+template <typename F>
+void ForEachSubExpr(const Expr& e, F&& f) {
+  switch (e.kind) {
+    case ExprKind::kIntLit:
+    case ExprKind::kFloatLit:
+    case ExprKind::kBoolLit:
+    case ExprKind::kVarRef:
+      return;
+    case ExprKind::kCall:
+      for (const auto& a : static_cast<const CallExpr&>(e).args) f(*a);
+      return;
+    case ExprKind::kCtor:
+      for (const auto& a : static_cast<const CtorExpr&>(e).args) f(*a);
+      return;
+    case ExprKind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(e);
+      f(*b.lhs);
+      f(*b.rhs);
+      return;
+    }
+    case ExprKind::kUnary:
+      f(*static_cast<const UnaryExpr&>(e).operand);
+      return;
+    case ExprKind::kAssign: {
+      const auto& a = static_cast<const AssignExpr&>(e);
+      f(*a.lhs);
+      f(*a.rhs);
+      return;
+    }
+    case ExprKind::kTernary: {
+      const auto& t = static_cast<const TernaryExpr&>(e);
+      f(*t.cond);
+      f(*t.then_expr);
+      f(*t.else_expr);
+      return;
+    }
+    case ExprKind::kIndex: {
+      const auto& ix = static_cast<const IndexExpr&>(e);
+      f(*ix.base);
+      f(*ix.index);
+      return;
+    }
+    case ExprKind::kSwizzle:
+      f(*static_cast<const SwizzleExpr&>(e).base);
+      return;
+    case ExprKind::kComma: {
+      const auto& c = static_cast<const CommaExpr&>(e);
+      f(*c.lhs);
+      f(*c.rhs);
+      return;
+    }
+  }
+}
+
+// Calls on_stmt / on_expr for the direct child statements and expressions
+// of `s`.
+template <typename S, typename E>
+void ForEachChild(const Stmt& s, S&& on_stmt, E&& on_expr) {
+  switch (s.kind) {
+    case StmtKind::kBlock:
+      for (const StmtPtr& c : static_cast<const BlockStmt&>(s).stmts) {
+        on_stmt(*c);
+      }
+      return;
+    case StmtKind::kExpr:
+      if (const auto& e = static_cast<const ExprStmt&>(s).expr) on_expr(*e);
+      return;
+    case StmtKind::kDecl:
+      for (const auto& vd : static_cast<const DeclStmt&>(s).decls) {
+        if (vd->init) on_expr(*vd->init);
+      }
+      return;
+    case StmtKind::kIf: {
+      const auto& is = static_cast<const IfStmt&>(s);
+      on_expr(*is.cond);
+      on_stmt(*is.then_stmt);
+      if (is.else_stmt) on_stmt(*is.else_stmt);
+      return;
+    }
+    case StmtKind::kFor: {
+      const auto& fs = static_cast<const ForStmt&>(s);
+      if (fs.init) on_stmt(*fs.init);
+      if (fs.cond) on_expr(*fs.cond);
+      if (fs.step) on_expr(*fs.step);
+      on_stmt(*fs.body);
+      return;
+    }
+    case StmtKind::kWhile: {
+      const auto& ws = static_cast<const WhileStmt&>(s);
+      on_expr(*ws.cond);
+      on_stmt(*ws.body);
+      return;
+    }
+    case StmtKind::kDoWhile: {
+      const auto& ds = static_cast<const DoWhileStmt&>(s);
+      on_stmt(*ds.body);
+      on_expr(*ds.cond);
+      return;
+    }
+    case StmtKind::kReturn:
+      if (const auto& v = static_cast<const ReturnStmt&>(s).value) on_expr(*v);
+      return;
+    case StmtKind::kBreak:
+    case StmtKind::kContinue:
+    case StmtKind::kDiscard:
+      return;
+  }
+}
+
+[[nodiscard]] bool IsIncDec(UnOp op) {
+  return op == UnOp::kPreInc || op == UnOp::kPreDec ||
+         op == UnOp::kPostInc || op == UnOp::kPostDec;
+}
+
 // True when evaluating `e` can mutate shader state (assignments, ++/--, or
 // a call into user code, which may write globals or out-parameters). Used to
 // decide when an already-lowered operand must be materialized into a
 // temporary before a sibling expression executes — mirroring the
 // interpreter, which always evaluates sub-expressions into copies.
 bool HasSideEffects(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kIntLit:
-    case ExprKind::kFloatLit:
-    case ExprKind::kBoolLit:
-    case ExprKind::kVarRef:
-      return false;
-    case ExprKind::kAssign:
-      return true;
-    case ExprKind::kUnary: {
-      const auto& u = static_cast<const UnaryExpr&>(e);
-      if (u.op == UnOp::kPreInc || u.op == UnOp::kPreDec ||
-          u.op == UnOp::kPostInc || u.op == UnOp::kPostDec) {
-        return true;
-      }
-      return HasSideEffects(*u.operand);
-    }
-    case ExprKind::kCall: {
-      const auto& c = static_cast<const CallExpr&>(e);
-      if (c.fn != nullptr) return true;  // user call: may write globals
-      for (const auto& a : c.args) {
-        if (HasSideEffects(*a)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kCtor: {
-      const auto& c = static_cast<const CtorExpr&>(e);
-      for (const auto& a : c.args) {
-        if (HasSideEffects(*a)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      return HasSideEffects(*b.lhs) || HasSideEffects(*b.rhs);
-    }
-    case ExprKind::kTernary: {
-      const auto& t = static_cast<const TernaryExpr&>(e);
-      return HasSideEffects(*t.cond) || HasSideEffects(*t.then_expr) ||
-             HasSideEffects(*t.else_expr);
-    }
-    case ExprKind::kIndex: {
-      const auto& ix = static_cast<const IndexExpr&>(e);
-      return HasSideEffects(*ix.base) || HasSideEffects(*ix.index);
-    }
-    case ExprKind::kSwizzle:
-      return HasSideEffects(*static_cast<const SwizzleExpr&>(e).base);
-    case ExprKind::kComma: {
-      const auto& c = static_cast<const CommaExpr&>(e);
-      return HasSideEffects(*c.lhs) || HasSideEffects(*c.rhs);
-    }
+  if (e.kind == ExprKind::kAssign ||
+      (e.kind == ExprKind::kUnary &&
+       IsIncDec(static_cast<const UnaryExpr&>(e).op)) ||
+      (e.kind == ExprKind::kCall &&
+       static_cast<const CallExpr&>(e).fn != nullptr)) {
+    return true;  // a user call may write globals
   }
-  return true;  // unknown node: be conservative
+  bool any = false;
+  ForEachSubExpr(e, [&](const Expr& c) { any = any || HasSideEffects(c); });
+  return any;
 }
 
 std::uint32_t PackComps(const std::uint8_t* comps, int count) {
@@ -95,12 +170,76 @@ std::vector<bool> LaterEffects(const std::vector<ExprPtr>& args) {
   return later;
 }
 
+[[nodiscard]] std::uint32_t IndexOf(std::uint32_t op) {
+  return op & kOperandIndexMask;
+}
+
+[[nodiscard]] bool InSpace(std::uint32_t op, std::uint32_t space) {
+  return op != kOperandNone && (op & kSpaceMask) == space;
+}
+
+[[nodiscard]] const Type& OperandType(const VmProgram& p, std::uint32_t op) {
+  switch (op & kSpaceMask) {
+    case kSpaceReg: return p.reg_types[IndexOf(op)];
+    case kSpaceGlobal: return p.globals[IndexOf(op)].type;
+    case kSpaceConst: return p.consts[IndexOf(op)].type();
+    default: return p.aliases[IndexOf(op)].type;
+  }
+}
+
+// The register, global or constant an operand reads (an alias reads its
+// base).
+[[nodiscard]] std::uint32_t BaseOf(const VmProgram& p, std::uint32_t op) {
+  return InSpace(op, kSpaceAlias) ? p.aliases[IndexOf(op)].base : op;
+}
+
+// The variable an l-value expression stores into, or null.
+const VarRefExpr* LValueRoot(const Expr& e) {
+  const Expr* x = &e;
+  while (x->kind == ExprKind::kIndex || x->kind == ExprKind::kSwizzle) {
+    x = x->kind == ExprKind::kIndex
+            ? static_cast<const IndexExpr*>(x)->base.get()
+            : static_cast<const SwizzleExpr*>(x)->base.get();
+  }
+  return x->kind == ExprKind::kVarRef ? static_cast<const VarRefExpr*>(x)
+                                      : nullptr;
+}
+
+// True when every path through `s` ends in a `return` (a value-less one
+// only exists in void functions, which have no result to zero).
+bool AlwaysReturns(const Stmt& s) {
+  switch (s.kind) {
+    case StmtKind::kReturn:
+      return true;
+    case StmtKind::kBlock:
+      for (const StmtPtr& c : static_cast<const BlockStmt&>(s).stmts) {
+        if (AlwaysReturns(*c)) return true;
+      }
+      return false;
+    case StmtKind::kIf: {
+      const auto& is = static_cast<const IfStmt&>(s);
+      return is.else_stmt != nullptr && AlwaysReturns(*is.then_stmt) &&
+             AlwaysReturns(*is.else_stmt);
+    }
+    default:
+      return false;  // a loop body may run zero times
+  }
+}
+
+bool ContainsDiscard(const Stmt& s) {
+  bool any = s.kind == StmtKind::kDiscard;
+  ForEachChild(
+      s, [&](const Stmt& c) { any = any || ContainsDiscard(c); },
+      [](const Expr&) {});
+  return any;
+}
+
 class Lowerer {
  public:
   explicit Lowerer(const CompiledShader& cs)
       : cs_(cs), prog_(std::make_shared<VmProgram>()) {}
 
-  std::shared_ptr<const VmProgram> Lower() {
+  std::shared_ptr<VmProgram> Lower() {
     prog_->stage = cs_.stage;
     for (const VarDecl* g : cs_.globals) {
       prog_->globals.push_back({g->name, g->type});
@@ -155,10 +294,15 @@ class Lowerer {
     }
     Emit(MakeInst(VmOp::kHalt));
 
-    // Function bodies (iterate the TU so the emission order is stable).
-    for (const auto& fn : cs_.tu->functions) {
-      const auto it = fn_index_.find(fn.get());
-      if (it != fn_index_.end()) LowerFunction(*fn, it->second);
+    // Function bodies, only those a kCall reaches: with inlining on that is
+    // main alone. The scan runs over the bodies it appends, in call order.
+    std::vector<bool> lowered(fn_decls_.size(), false);
+    for (std::size_t pc = 0; pc < prog_->code.size(); ++pc) {
+      if (prog_->code[pc].op != VmOp::kCall) continue;
+      const std::uint32_t idx = prog_->code[pc].aux;
+      if (lowered[idx]) continue;
+      lowered[idx] = true;
+      LowerFunction(*fn_decls_[idx], idx);
     }
     return prog_;
   }
@@ -182,10 +326,20 @@ class Lowerer {
     prog_->code[at].aux = target;
   }
 
+  // A fresh temporary: written only while its own expression evaluates.
   [[nodiscard]] std::uint32_t NewReg(const Type& t) {
     prog_->reg_types.push_back(t);
+    var_reg_.push_back(false);
     return kSpaceReg |
            static_cast<std::uint32_t>(prog_->reg_types.size() - 1);
+  }
+
+  // The register of a variable, parameter or called function's result,
+  // which code outside the current expression may store into.
+  [[nodiscard]] std::uint32_t NewVarReg(const Type& t) {
+    const std::uint32_t r = NewReg(t);
+    var_reg_.back() = true;
+    return r;
   }
 
   [[nodiscard]] static std::uint32_t GlobalOperand(int slot) {
@@ -220,12 +374,53 @@ class Lowerer {
   }
 
   // Copies `op` into a fresh temporary of type `t` so later side effects
-  // cannot change its value. Constants are immutable already.
+  // cannot change its value. Constants are immutable already, and no
+  // sibling expression can store into another expression's temporary.
   [[nodiscard]] std::uint32_t Materialize(std::uint32_t op, const Type& t) {
-    if ((op & ~kOperandIndexMask) == kSpaceConst) return op;
+    const std::uint32_t base = BaseOf(*prog_, op);
+    if (InSpace(base, kSpaceConst) ||
+        (InSpace(base, kSpaceReg) && !var_reg_[IndexOf(base)])) {
+      return op;
+    }
     const std::uint32_t tmp = NewReg(t);
     EmitCopy(tmp, op);
     return tmp;
+  }
+
+  // Lets the next LowerExpr of `e` — a ternary or a user call — write its
+  // result into `reg` instead of a fresh temporary. The caller guarantees
+  // nothing reads `reg` while `e` evaluates; the hint is taken by the
+  // first ternary or call lowered, so it never reaches a subexpression.
+  void HintResult(const Expr& e, std::uint32_t reg) {
+    if (e.kind == ExprKind::kTernary ||
+        (e.kind == ExprKind::kCall &&
+         static_cast<const CallExpr&>(e).fn != nullptr)) {
+      result_hint_ = reg;
+    }
+  }
+
+  // A read-only operand for components [comp, comp + t's cells) of `op`.
+  // An alias of an alias names the underlying operand, and equal aliases
+  // share one table entry.
+  [[nodiscard]] std::uint32_t Alias(std::uint32_t op, std::uint32_t comp,
+                                    const Type& t) {
+    if (InSpace(op, kSpaceAlias)) {
+      const VmAlias& a = prog_->aliases[IndexOf(op)];
+      comp += a.comp;
+      op = a.base;
+    }
+    if (comp == 0 && OperandType(*prog_, op) == t) return op;
+    const std::uint64_t key = (std::uint64_t{op} << 16) | (comp << 8) |
+                              static_cast<std::uint32_t>(t.CellCount());
+    const auto [it, added] = alias_ids_.try_emplace(
+        key, kSpaceAlias | static_cast<std::uint32_t>(prog_->aliases.size()));
+    if (added) prog_->aliases.push_back({op, comp, t});
+    return it->second;
+  }
+
+  [[nodiscard]] std::uint32_t VarOperand(const VarRefExpr& v) const {
+    return v.scope == VarScope::kGlobal ? GlobalOperand(v.slot)
+                                        : var_regs_.at(v.decl);
   }
 
   // --- functions ---------------------------------------------------------
@@ -235,16 +430,17 @@ class Lowerer {
       if (fn->body == nullptr) continue;
       VmFunction f;
       if (fn->return_type.base != BaseType::kVoid) {
-        f.ret_reg = NewReg(fn->return_type);
+        f.ret_reg = NewVarReg(fn->return_type);
       }
       const std::uint32_t idx =
           static_cast<std::uint32_t>(prog_->functions.size());
       prog_->functions.push_back(f);
+      fn_decls_.push_back(fn.get());
       fn_index_[fn.get()] = idx;
       auto& params = param_regs_[fn.get()];
       for (const auto& p : fn->params) {
         if (p->type.base == BaseType::kVoid) continue;
-        const std::uint32_t r = NewReg(p->type);
+        const std::uint32_t r = NewVarReg(p->type);
         params.push_back(r);
         var_regs_[p.get()] = r;
       }
@@ -271,12 +467,75 @@ class Lowerer {
     return nullptr;
   }
 
+  // What the inliner needs to know of a function body.
+  struct FnFacts {
+    // Every path returns a value: none falls off the end or leaves through
+    // `discard` (an early return without one).
+    bool always_returns = false;
+    // Locals and parameters the body stores into (assignment, ++/--, or an
+    // out/inout argument).
+    std::unordered_set<const VarDecl*> written_vars;
+    // Global slots the body or any function it calls stores into.
+    std::unordered_set<int> written_globals;
+  };
+
+  // The scan follows calls into their callees; sema rejects static
+  // recursion, so the call graph it walks has no cycle.
+  const FnFacts& Facts(const FunctionDecl& fn) {
+    if (const auto it = facts_.find(&fn); it != facts_.end()) {
+      return it->second;
+    }
+    FnFacts f;
+    f.always_returns = !ContainsDiscard(*fn.body) && AlwaysReturns(*fn.body);
+    ScanWrites(*fn.body, f);
+    return facts_[&fn] = std::move(f);
+  }
+
+  void MarkWritten(const Expr& lvalue, FnFacts& f) {
+    const VarRefExpr* v = LValueRoot(lvalue);
+    if (v == nullptr) return;
+    if (v->scope == VarScope::kGlobal) {
+      f.written_globals.insert(v->slot);
+    } else {
+      f.written_vars.insert(v->decl);
+    }
+  }
+
+  void ScanWrites(const Stmt& s, FnFacts& f) {
+    ForEachChild(
+        s, [&](const Stmt& c) { ScanWrites(c, f); },
+        [&](const Expr& e) { ScanWrites(e, f); });
+  }
+
+  void ScanWrites(const Expr& e, FnFacts& f) {
+    if (e.kind == ExprKind::kAssign) {
+      MarkWritten(*static_cast<const AssignExpr&>(e).lhs, f);
+    } else if (e.kind == ExprKind::kUnary &&
+               IsIncDec(static_cast<const UnaryExpr&>(e).op)) {
+      MarkWritten(*static_cast<const UnaryExpr&>(e).operand, f);
+    } else if (e.kind == ExprKind::kCall) {
+      const auto& c = static_cast<const CallExpr&>(e);
+      const FunctionDecl* def = c.fn != nullptr ? ResolveDef(*c.fn) : nullptr;
+      for (std::size_t i = 0; c.fn != nullptr && i < c.args.size(); ++i) {
+        if (c.fn->params[i]->dir != ParamDir::kIn) MarkWritten(*c.args[i], f);
+      }
+      if (def != nullptr) {
+        const FnFacts& callee = Facts(*def);
+        f.written_globals.insert(callee.written_globals.begin(),
+                                 callee.written_globals.end());
+      }
+    }
+    ForEachSubExpr(e, [&](const Expr& c) { ScanWrites(c, f); });
+  }
+
   void LowerFunction(const FunctionDecl& fn, std::uint32_t idx) {
     current_fn_ = &fn;
     prog_->functions[idx].entry = Pc();
     // Fell-off-the-end semantics: a non-void function that never executes
-    // `return` yields a zero value, so the return register starts zeroed.
-    if (prog_->functions[idx].ret_reg != kOperandNone) {
+    // `return` yields a zero value, so the return register starts zeroed
+    // unless every path returns one.
+    if (prog_->functions[idx].ret_reg != kOperandNone &&
+        !Facts(fn).always_returns) {
       VmInst z = MakeInst(VmOp::kZero);
       z.dst = prog_->functions[idx].ret_reg;
       Emit(z);
@@ -304,9 +563,12 @@ class Lowerer {
       case StmtKind::kDecl: {
         const auto& ds = static_cast<const DeclStmt&>(s);
         for (const auto& vd : ds.decls) {
-          const std::uint32_t reg = NewReg(vd->type);
+          const std::uint32_t reg = NewVarReg(vd->type);
           var_regs_[vd.get()] = reg;
           if (vd->init) {
+            // The variable is out of scope in its own initializer, so a
+            // ternary or inlined call may write its result straight in.
+            HintResult(*vd->init, reg);
             const std::uint32_t v = LowerExpr(*vd->init);
             EmitCopy(reg, v);
           } else {
@@ -413,12 +675,13 @@ class Lowerer {
       case StmtKind::kReturn: {
         const auto& rs = static_cast<const ReturnStmt&>(s);
         if (!inline_stack_.empty()) {
-          // Inlined body: `return` copies into the function's return
-          // register and jumps to the end of this inline instance. (Read
+          // Inlined body: `return` writes the call site's result register
+          // and jumps to the end of this inline instance. (Read
           // ret_reg by value and re-fetch back() after LowerExpr — nested
           // inlining inside the return expression may grow the stack.)
           const std::uint32_t ret_reg = inline_stack_.back().ret_reg;
           if (rs.value) {
+            HintResult(*rs.value, ret_reg);
             const std::uint32_t v = LowerExpr(*rs.value);
             if (ret_reg != kOperandNone) EmitCopy(ret_reg, v);
           }
@@ -478,11 +741,8 @@ class Lowerer {
       case ExprKind::kBoolLit:
         return NewConst(
             Value::MakeBool(static_cast<const BoolLitExpr&>(e).value));
-      case ExprKind::kVarRef: {
-        const auto& v = static_cast<const VarRefExpr&>(e);
-        if (v.scope == VarScope::kGlobal) return GlobalOperand(v.slot);
-        return var_regs_.at(v.decl);
-      }
+      case ExprKind::kVarRef:
+        return VarOperand(static_cast<const VarRefExpr&>(e));
       case ExprKind::kCall: {
         const auto& call = static_cast<const CallExpr&>(e);
         if (call.fn != nullptr) return LowerUserCall(call);
@@ -502,7 +762,8 @@ class Lowerer {
         return LowerAssign(static_cast<const AssignExpr&>(e));
       case ExprKind::kTernary: {
         const auto& t = static_cast<const TernaryExpr&>(e);
-        const std::uint32_t dst = NewReg(t.type);
+        const std::uint32_t hint = std::exchange(result_hint_, kOperandNone);
+        const std::uint32_t dst = hint != kOperandNone ? hint : NewReg(t.type);
         const std::uint32_t cond = LowerExpr(*t.cond);
         VmInst jf = MakeInst(VmOp::kJumpIfFalse);
         jf.a = cond;
@@ -532,8 +793,16 @@ class Lowerer {
         return x.dst;
       }
       case ExprKind::kSwizzle: {
+        // One component or a contiguous run is an alias of the base
+        // operand; only a permuting or repeating swizzle gathers.
         const auto& sw = static_cast<const SwizzleExpr&>(e);
         const std::uint32_t base = LowerExpr(*sw.base);
+        bool contiguous = true;
+        for (int i = 1; i < sw.count; ++i) {
+          contiguous = contiguous && sw.comps[static_cast<std::size_t>(i)] ==
+                                         sw.comps[0] + i;
+        }
+        if (contiguous) return Alias(base, sw.comps[0], sw.type);
         VmInst sh = MakeInst(VmOp::kShuffle);
         sh.dst = NewReg(sw.type);
         sh.a = base;
@@ -641,10 +910,8 @@ class Lowerer {
         if (u.operand->kind == ExprKind::kVarRef) {
           // Whole-variable ++/-- (the classic loop counter): skip the
           // l-value reference machinery entirely.
-          const auto& v = static_cast<const VarRefExpr&>(*u.operand);
           i.op = VmOp::kIncDecVar;
-          i.a = v.scope == VarScope::kGlobal ? GlobalOperand(v.slot)
-                                             : var_regs_.at(v.decl);
+          i.a = VarOperand(static_cast<const VarRefExpr&>(*u.operand));
         } else {
           i.op = VmOp::kIncDec;
           i.a = LowerLValue(*u.operand);
@@ -664,12 +931,17 @@ class Lowerer {
     // copy, so if evaluating the l-value can mutate state the RHS operand
     // must be snapshotted first.
     std::uint32_t rhs = LowerExpr(*a.rhs);
-    if (HasSideEffects(*a.lhs)) rhs = Materialize(rhs, a.rhs->type);
+    // An alias of the stored variable would change under the store (a
+    // broadcast `v += v.x`, a shifted `v.yz = v.xy`), so it is read into a
+    // temporary first, as the interpreter's copy of the RHS.
+    const VarRefExpr* root = LValueRoot(*a.lhs);
+    if (HasSideEffects(*a.lhs) ||
+        (root != nullptr && InSpace(rhs, kSpaceAlias) &&
+         BaseOf(*prog_, rhs) == VarOperand(*root))) {
+      rhs = Materialize(rhs, a.rhs->type);
+    }
     if (a.lhs->kind == ExprKind::kVarRef) {
-      const auto& v = static_cast<const VarRefExpr&>(*a.lhs);
-      const std::uint32_t var = v.scope == VarScope::kGlobal
-                                    ? GlobalOperand(v.slot)
-                                    : var_regs_.at(v.decl);
+      const std::uint32_t var = VarOperand(*root);
       if (a.op == AssignOp::kAssign) {
         EmitCopy(var, rhs);
         return rhs;
@@ -766,6 +1038,7 @@ class Lowerer {
   }
 
   std::uint32_t LowerUserCall(const CallExpr& call) {
+    const std::uint32_t hint = std::exchange(result_hint_, kOperandNone);
     const FunctionDecl* def = ResolveDef(*call.fn);
     if (def == nullptr) {
       // Matches the interpreter: the error fires only if the call executes.
@@ -811,22 +1084,6 @@ class Lowerer {
         }
       }
     }
-    // Phase 2 — fill the callee frame and call.
-    for (std::size_t i = 0; i < call.args.size(); ++i) {
-      const std::uint32_t param = params[i];
-      switch (plan[i].dir) {
-        case ParamDir::kIn:
-        case ParamDir::kInOut:
-          EmitCopy(param, plan[i].value);
-          break;
-        case ParamDir::kOut: {
-          VmInst z = MakeInst(VmOp::kZero);
-          z.dst = param;
-          Emit(z);
-          break;
-        }
-      }
-    }
     // Either inline the body here or emit a call. Inlining removes the
     // call/return dispatch and is exactly equivalent: the same parameter
     // and local registers are reused (lifetimes cannot overlap — GLSL ES
@@ -838,18 +1095,61 @@ class Lowerer {
     constexpr std::size_t kInlineCodeBudget = 1 << 16;
     bool in_stack = false;
     for (const InlineCtx& ic : inline_stack_) in_stack |= ic.fn == def;
-    if (inline_enabled_ && !in_stack && def != cs_.main &&
-        prog_->code.size() < kInlineCodeBudget) {
-      const std::uint32_t ret_reg = prog_->functions[fn_idx].ret_reg;
-      if (ret_reg != kOperandNone) {
-        // Fell-off-the-end semantics, as at the top of LowerFunction.
-        VmInst z = MakeInst(VmOp::kZero);
-        z.dst = ret_reg;
-        Emit(z);
+    const bool inline_call = inline_enabled_ && !in_stack &&
+                             def != cs_.main &&
+                             prog_->code.size() < kInlineCodeBudget;
+
+    // Phase 2 — fill the callee frame. An inlined `in` parameter that the
+    // body never stores into reads its argument operand in place when
+    // nothing the body does can change that operand: a constant, a
+    // register (no callee can name a caller's registers), or a global the
+    // body and its callees never store into.
+    const FnFacts* facts = inline_call ? &Facts(*def) : nullptr;
+    std::vector<std::pair<const VarDecl*, std::uint32_t>> forwarded;
+    for (std::size_t i = 0; i < call.args.size(); ++i) {
+      const std::uint32_t param = params[i];
+      const VarDecl* p = def->params[i].get();
+      switch (plan[i].dir) {
+        case ParamDir::kIn: {
+          const std::uint32_t base = BaseOf(*prog_, plan[i].value);
+          if (facts != nullptr && !facts->written_vars.contains(p) &&
+              (!InSpace(base, kSpaceGlobal) ||
+               !facts->written_globals.contains(
+                   static_cast<int>(IndexOf(base))))) {
+            forwarded.emplace_back(p, var_regs_.at(p));
+            var_regs_[p] = plan[i].value;
+            break;
+          }
+          EmitCopy(param, plan[i].value);
+          break;
+        }
+        case ParamDir::kInOut:
+          EmitCopy(param, plan[i].value);
+          break;
+        case ParamDir::kOut: {
+          VmInst z = MakeInst(VmOp::kZero);
+          z.dst = param;
+          Emit(z);
+          break;
+        }
+      }
+    }
+    std::uint32_t result = kOperandNone;
+    if (inline_call) {
+      // Each inlined call returns into a register of its own, so no later
+      // call can clobber the result and no snapshot is needed.
+      if (def->return_type.base != BaseType::kVoid) {
+        result = hint != kOperandNone ? hint : NewReg(def->return_type);
+        if (!facts->always_returns) {
+          // Fell-off-the-end semantics, as at the top of LowerFunction.
+          VmInst z = MakeInst(VmOp::kZero);
+          z.dst = result;
+          Emit(z);
+        }
       }
       const FunctionDecl* const saved_fn = current_fn_;
       current_fn_ = def;
-      inline_stack_.push_back({def, ret_reg, {}});
+      inline_stack_.push_back({def, result, {}});
       // The callee's breaks/continues must not bind to the caller's loops.
       std::vector<LoopCtx> saved_loops;
       saved_loops.swap(loops_);
@@ -859,6 +1159,7 @@ class Lowerer {
       for (const std::uint32_t fx : done.end_fixups) Patch(fx, Pc());
       loops_.swap(saved_loops);
       current_fn_ = saved_fn;
+      for (const auto& [p, reg] : forwarded) var_regs_[p] = reg;
     } else {
       VmInst c = MakeInst(VmOp::kCall);
       c.aux = fn_idx;
@@ -872,6 +1173,7 @@ class Lowerer {
       w.a = params[i];
       Emit(w);
     }
+    if (inline_call) return result;
     // The return register is clobbered by the next call to the same
     // function, so snapshot it immediately.
     const std::uint32_t ret = prog_->functions[fn_idx].ret_reg;
@@ -901,114 +1203,27 @@ class Lowerer {
   }
 
   int StmtCallDepth(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kBlock: {
-        int d = 0;
-        for (const StmtPtr& c : static_cast<const BlockStmt&>(s).stmts) {
-          d = std::max(d, StmtCallDepth(*c));
-        }
-        return d;
-      }
-      case StmtKind::kExpr: {
-        const auto& es = static_cast<const ExprStmt&>(s);
-        return es.expr ? ExprCallDepth(*es.expr) : 0;
-      }
-      case StmtKind::kDecl: {
-        int d = 0;
-        for (const auto& vd : static_cast<const DeclStmt&>(s).decls) {
-          if (vd->init) d = std::max(d, ExprCallDepth(*vd->init));
-        }
-        return d;
-      }
-      case StmtKind::kIf: {
-        const auto& is = static_cast<const IfStmt&>(s);
-        int d = std::max(ExprCallDepth(*is.cond),
-                         StmtCallDepth(*is.then_stmt));
-        if (is.else_stmt) d = std::max(d, StmtCallDepth(*is.else_stmt));
-        return d;
-      }
-      case StmtKind::kFor: {
-        const auto& fs = static_cast<const ForStmt&>(s);
-        int d = StmtCallDepth(*fs.body);
-        if (fs.init) d = std::max(d, StmtCallDepth(*fs.init));
-        if (fs.cond) d = std::max(d, ExprCallDepth(*fs.cond));
-        if (fs.step) d = std::max(d, ExprCallDepth(*fs.step));
-        return d;
-      }
-      case StmtKind::kWhile: {
-        const auto& ws = static_cast<const WhileStmt&>(s);
-        return std::max(ExprCallDepth(*ws.cond), StmtCallDepth(*ws.body));
-      }
-      case StmtKind::kDoWhile: {
-        const auto& ds = static_cast<const DoWhileStmt&>(s);
-        return std::max(ExprCallDepth(*ds.cond), StmtCallDepth(*ds.body));
-      }
-      case StmtKind::kReturn: {
-        const auto& rs = static_cast<const ReturnStmt&>(s);
-        return rs.value ? ExprCallDepth(*rs.value) : 0;
-      }
-      case StmtKind::kBreak:
-      case StmtKind::kContinue:
-      case StmtKind::kDiscard:
-        return 0;
-    }
-    return 0;
+    int d = 0;
+    ForEachChild(
+        s, [&](const Stmt& c) { d = std::max(d, StmtCallDepth(c)); },
+        [&](const Expr& e) { d = std::max(d, ExprCallDepth(e)); });
+    return d;
   }
 
   int ExprCallDepth(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kIntLit:
-      case ExprKind::kFloatLit:
-      case ExprKind::kBoolLit:
-      case ExprKind::kVarRef:
-        return 0;
-      case ExprKind::kCall: {
-        const auto& c = static_cast<const CallExpr&>(e);
-        int d = 0;
-        for (const auto& a : c.args) d = std::max(d, ExprCallDepth(*a));
-        if (c.fn != nullptr) {
-          const FunctionDecl* def = ResolveDef(*c.fn);
-          // An undefined callee traps without a frame; count it as one
-          // frame anyway — overestimating can only disable inlining.
-          const int callee = def != nullptr ? FnCallDepth(def) : 0;
-          d = std::max(d, 1 + callee);
-        }
-        return d;
-      }
-      case ExprKind::kCtor: {
-        int d = 0;
-        for (const auto& a : static_cast<const CtorExpr&>(e).args) {
-          d = std::max(d, ExprCallDepth(*a));
-        }
-        return d;
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        return std::max(ExprCallDepth(*b.lhs), ExprCallDepth(*b.rhs));
-      }
-      case ExprKind::kUnary:
-        return ExprCallDepth(*static_cast<const UnaryExpr&>(e).operand);
-      case ExprKind::kAssign: {
-        const auto& a = static_cast<const AssignExpr&>(e);
-        return std::max(ExprCallDepth(*a.lhs), ExprCallDepth(*a.rhs));
-      }
-      case ExprKind::kTernary: {
-        const auto& t = static_cast<const TernaryExpr&>(e);
-        return std::max({ExprCallDepth(*t.cond), ExprCallDepth(*t.then_expr),
-                         ExprCallDepth(*t.else_expr)});
-      }
-      case ExprKind::kIndex: {
-        const auto& ix = static_cast<const IndexExpr&>(e);
-        return std::max(ExprCallDepth(*ix.base), ExprCallDepth(*ix.index));
-      }
-      case ExprKind::kSwizzle:
-        return ExprCallDepth(*static_cast<const SwizzleExpr&>(e).base);
-      case ExprKind::kComma: {
-        const auto& c = static_cast<const CommaExpr&>(e);
-        return std::max(ExprCallDepth(*c.lhs), ExprCallDepth(*c.rhs));
+    int d = 0;
+    ForEachSubExpr(e, [&](const Expr& c) { d = std::max(d, ExprCallDepth(c)); });
+    if (e.kind == ExprKind::kCall) {
+      const auto& c = static_cast<const CallExpr&>(e);
+      if (c.fn != nullptr) {
+        const FunctionDecl* def = ResolveDef(*c.fn);
+        // An undefined callee traps without a frame; count it as one
+        // frame anyway — overestimating can only disable inlining.
+        const int callee = def != nullptr ? FnCallDepth(def) : 0;
+        d = std::max(d, 1 + callee);
       }
     }
-    return 0;
+    return d;
   }
 
   // --- l-values ----------------------------------------------------------
@@ -1019,8 +1234,7 @@ class Lowerer {
         const auto& v = static_cast<const VarRefExpr&>(e);
         VmInst r = MakeInst(VmOp::kRefVar);
         r.dst = NewRefSlot();
-        r.a = v.scope == VarScope::kGlobal ? GlobalOperand(v.slot)
-                                           : var_regs_.at(v.decl);
+        r.a = VarOperand(v);
         r.type = v.type;
         Emit(r);
         return r.dst;
@@ -1061,6 +1275,11 @@ class Lowerer {
   const CompiledShader& cs_;
   std::shared_ptr<VmProgram> prog_;
   std::unordered_map<const FunctionDecl*, std::uint32_t> fn_index_;
+  std::vector<const FunctionDecl*> fn_decls_;  // by function index
+  std::unordered_map<const FunctionDecl*, FnFacts> facts_;
+  std::unordered_map<std::uint64_t, std::uint32_t> alias_ids_;
+  std::vector<bool> var_reg_;  // by register: see NewVarReg
+  std::uint32_t result_hint_ = kOperandNone;  // see HintResult
   std::unordered_map<const FunctionDecl*, std::vector<std::uint32_t>>
       param_regs_;
   std::unordered_map<const VarDecl*, std::uint32_t> var_regs_;
@@ -1070,7 +1289,7 @@ class Lowerer {
   // (innermost last). Non-empty changes how `return`/`discard` lower.
   struct InlineCtx {
     const FunctionDecl* fn = nullptr;
-    std::uint32_t ret_reg = kOperandNone;
+    std::uint32_t ret_reg = kOperandNone;   // the call site's result
     std::vector<std::uint32_t> end_fixups;  // jumps to the instance end
   };
   std::vector<InlineCtx> inline_stack_;
@@ -1078,6 +1297,232 @@ class Lowerer {
   std::unordered_map<const FunctionDecl*, int> fn_depth_;
   std::vector<const FunctionDecl*> depth_stack_;
 };
+
+// ---------------------------------------------------------------------------
+// Post-lowering passes over the emitted code. They remove and retarget only
+// copies and jumps, which the AluModel never counts, so results and op
+// counts cannot change; each keeps every lane's instruction sequence, minus
+// the removed steps.
+
+[[nodiscard]] bool IsJump(VmOp op) {
+  return op == VmOp::kJump || op == VmOp::kJumpIfFalse ||
+         op == VmOp::kJumpIfTrue;
+}
+
+// Ends a straight-line block: transfers control or stops a lane.
+[[nodiscard]] bool IsControl(VmOp op) {
+  switch (op) {
+    case VmOp::kJump: case VmOp::kJumpIfFalse: case VmOp::kJumpIfTrue:
+    case VmOp::kLoopGuard: case VmOp::kCall: case VmOp::kRet:
+    case VmOp::kDiscard: case VmOp::kHalt: case VmOp::kTrap:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Calls f(operand, read, written) for every value operand field of `in`
+// (ref slots, jump targets and function indices are not operands). kRefVar
+// takes its variable's address, so it both reads and writes it; reads and
+// writes through a ref are not listed.
+template <typename F>
+void ForEachOperand(VmInst& in, std::vector<std::uint32_t>& arg_ops, F&& f) {
+  switch (in.op) {
+    case VmOp::kCopy: case VmOp::kShuffle: case VmOp::kNeg:
+    case VmOp::kNot: case VmOp::kBoolNorm:
+      f(in.a, true, false);
+      f(in.dst, false, true);
+      return;
+    case VmOp::kZero: case VmOp::kReadRef: case VmOp::kIncDec:
+      f(in.dst, false, true);
+      return;
+    case VmOp::kExtract: case VmOp::kArith: case VmOp::kXor:
+      f(in.a, true, false);
+      f(in.b, true, false);
+      f(in.dst, false, true);
+      return;
+    case VmOp::kCtor: case VmOp::kBuiltin:
+      for (std::uint32_t i = 0; i < in.n; ++i) {
+        f(arg_ops[in.aux + i], true, false);
+      }
+      f(in.dst, false, true);
+      return;
+    case VmOp::kJumpIfFalse: case VmOp::kJumpIfTrue: case VmOp::kWriteRef:
+      f(in.a, true, false);
+      return;
+    case VmOp::kRefVar:
+      f(in.a, true, true);
+      return;
+    case VmOp::kRefIndex:
+      f(in.b, true, false);
+      return;
+    case VmOp::kIncDecVar:
+      f(in.a, true, true);
+      f(in.dst, false, true);
+      return;
+    default:
+      return;
+  }
+}
+
+// An op whose `dst` is a value operand it overwrites whole, reading only
+// its value operands.
+[[nodiscard]] bool DefinesDst(VmOp op) {
+  switch (op) {
+    case VmOp::kCopy: case VmOp::kZero: case VmOp::kShuffle:
+    case VmOp::kExtract: case VmOp::kArith: case VmOp::kNeg:
+    case VmOp::kNot: case VmOp::kXor: case VmOp::kBoolNorm:
+    case VmOp::kCtor: case VmOp::kBuiltin: case VmOp::kIncDecVar:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Copy coalescing: `t = <op>; ...; d = t`, where the copy is the only read
+// of register t anywhere, becomes `d = <op>` — when the copy lies in the
+// same straight-line block (no control op and no jump target in between),
+// nothing in between reads or writes d or goes through a ref, and <op>
+// does not read d. Chains of single-use temporaries collapse one link per
+// copy, in pc order. The backward search is bounded, so the pass is linear
+// in code size.
+void CoalesceCopies(VmProgram& p, std::vector<bool>& dead) {
+  const std::size_t n = p.code.size();
+  std::vector<std::uint32_t> reads(p.reg_types.size(), 0);
+  std::vector<bool> target(n + 1, false);
+  for (VmInst& in : p.code) {
+    ForEachOperand(in, p.arg_ops, [&](std::uint32_t& op, bool read, bool) {
+      const std::uint32_t b = BaseOf(p, op);
+      if (read && InSpace(b, kSpaceReg)) ++reads[IndexOf(b)];
+    });
+    if (IsJump(in.op)) target[in.aux] = true;
+  }
+  target[p.const_init_entry] = true;
+  target[p.run_entry] = true;
+  for (const VmFunction& f : p.functions) target[f.entry] = true;
+
+  constexpr std::size_t kWindow = 64;
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    const VmInst& copy = p.code[pc];
+    if (copy.op != VmOp::kCopy || !InSpace(copy.a, kSpaceReg) ||
+        reads[IndexOf(copy.a)] != 1 ||
+        !(OperandType(p, copy.a) == OperandType(p, copy.dst))) {
+      continue;
+    }
+    const std::uint32_t t = copy.a;
+    const std::uint32_t d = copy.dst;
+    for (std::size_t q = pc; q-- > 0 && pc - q <= kWindow;) {
+      if (target[q + 1]) break;
+      if (dead[q]) continue;
+      VmInst& o = p.code[q];
+      if (IsControl(o.op) || o.op == VmOp::kReadRef ||
+          o.op == VmOp::kWriteRef || o.op == VmOp::kIncDec) {
+        break;
+      }
+      bool touches_d = false;
+      bool writes_t = false;
+      ForEachOperand(o, p.arg_ops,
+                     [&](std::uint32_t& op, bool, bool written) {
+                       touches_d = touches_d || BaseOf(p, op) == d;
+                       writes_t = writes_t || (written && op == t);
+                     });
+      if (writes_t && !touches_d && DefinesDst(o.op) && o.dst == t &&
+          o.a != t) {
+        o.dst = d;
+        dead[pc] = true;
+        --reads[IndexOf(t)];
+      }
+      if (writes_t || touches_d) break;
+    }
+  }
+}
+
+// Jump threading and compaction. A forward jump whose target is an
+// unconditional forward jump takes that jump's target (only forward: a
+// forward jump rethreaded backward would let its lanes run ahead of lanes
+// still inside the range it skips, so min-pc scheduling would no longer
+// re-join them); a jump to the next live instruction is dropped. The live
+// code then closes up, and every jump target, function entry and chunk
+// entry moves with it.
+void CompactCode(VmProgram& p, std::vector<bool>& dead) {
+  const std::uint32_t n = static_cast<std::uint32_t>(p.code.size());
+  const auto live_from = [&](std::uint32_t pc) {
+    while (pc < n && dead[pc]) ++pc;
+    return pc;
+  };
+  for (std::uint32_t pc = 0; pc < n; ++pc) {
+    VmInst& in = p.code[pc];
+    if (dead[pc] || !IsJump(in.op)) continue;
+    std::uint32_t to = live_from(in.aux);
+    for (int hop = 0; hop < 64 && to > pc && to < n &&
+                      p.code[to].op == VmOp::kJump && p.code[to].aux > to;
+         ++hop) {
+      to = live_from(p.code[to].aux);
+    }
+    in.aux = to;
+  }
+  for (std::uint32_t pc = n; pc-- > 0;) {
+    if (!dead[pc] && IsJump(p.code[pc].op) &&
+        live_from(p.code[pc].aux) == live_from(pc + 1)) {
+      dead[pc] = true;
+    }
+  }
+  std::vector<std::uint32_t> new_pc(n + 1);
+  std::vector<VmInst> code;
+  for (std::uint32_t pc = 0; pc < n; ++pc) {
+    new_pc[pc] = static_cast<std::uint32_t>(code.size());
+    if (!dead[pc]) code.push_back(p.code[pc]);
+  }
+  new_pc[n] = static_cast<std::uint32_t>(code.size());
+  for (VmInst& in : code) {
+    if (IsJump(in.op)) in.aux = new_pc[in.aux];
+  }
+  p.code = std::move(code);
+  p.const_init_entry = new_pc[p.const_init_entry];
+  p.run_entry = new_pc[p.run_entry];
+  for (VmFunction& f : p.functions) f.entry = new_pc[f.entry];
+}
+
+// Renumbers the registers and aliases the code still uses, in first-use
+// order, and drops the rest (parameters read in place, unreached bodies'
+// frames, folded temporaries), so every VmExec lays out planes only for
+// live registers.
+void CompactRegisters(VmProgram& p) {
+  std::vector<std::uint32_t> reg_map(p.reg_types.size(), kOperandNone);
+  std::vector<std::uint32_t> alias_map(p.aliases.size(), kOperandNone);
+  std::vector<Type> regs;
+  std::vector<VmAlias> aliases;
+  const auto reg = [&](std::uint32_t& op) {
+    if (!InSpace(op, kSpaceReg)) return;
+    std::uint32_t& m = reg_map[IndexOf(op)];
+    if (m == kOperandNone) {
+      m = kSpaceReg | static_cast<std::uint32_t>(regs.size());
+      regs.push_back(p.reg_types[IndexOf(op)]);
+    }
+    op = m;
+  };
+  for (VmInst& in : p.code) {
+    ForEachOperand(in, p.arg_ops, [&](std::uint32_t& op, bool, bool) {
+      if (!InSpace(op, kSpaceAlias)) {
+        reg(op);
+        return;
+      }
+      std::uint32_t& m = alias_map[IndexOf(op)];
+      if (m == kOperandNone) {
+        VmAlias a = p.aliases[IndexOf(op)];
+        reg(a.base);
+        m = kSpaceAlias | static_cast<std::uint32_t>(aliases.size());
+        aliases.push_back(std::move(a));
+      }
+      op = m;
+    });
+  }
+  for (VmFunction& f : p.functions) {
+    if (InSpace(f.ret_reg, kSpaceReg)) f.ret_reg = reg_map[IndexOf(f.ret_reg)];
+  }
+  p.reg_types = std::move(regs);
+  p.aliases = std::move(aliases);
+}
 
 // ---------------------------------------------------------------------------
 // Per-lane storage analysis for the batch executor.
@@ -1107,25 +1552,10 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
   // global a (correctly initialized) per-lane plane.
   for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
     if (pc >= prog.const_init_entry && pc < prog.run_entry) continue;
-    const VmInst& in = prog.code[pc];
-    switch (in.op) {
-      case VmOp::kCopy: case VmOp::kZero: case VmOp::kShuffle:
-      case VmOp::kExtract: case VmOp::kArith: case VmOp::kNeg:
-      case VmOp::kNot: case VmOp::kXor: case VmOp::kBoolNorm:
-      case VmOp::kCtor: case VmOp::kBuiltin: case VmOp::kReadRef:
-      case VmOp::kIncDec:
-        mark(in.dst);
-        break;
-      case VmOp::kIncDecVar:
-        mark(in.dst);
-        mark(in.a);
-        break;
-      case VmOp::kRefVar:
-        mark(in.a);
-        break;
-      default:
-        break;
-    }
+    ForEachOperand(prog.code[pc], prog.arg_ops,
+                   [&](std::uint32_t& op, bool, bool written) {
+                     if (written) mark(op);
+                   });
   }
 
   // Per-fragment inputs: written per fragment by the draw loop rather than
@@ -1144,10 +1574,20 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
 }  // namespace
 
 std::shared_ptr<const VmProgram> LowerToBytecode(const CompiledShader& cs) {
-  std::shared_ptr<const VmProgram> prog = Lowerer(cs).Lower();
-  // Safe cast: Lower() is the sole owner at this point; the const view is
-  // what escapes.
-  AnalyzeLaneBatching(const_cast<VmProgram&>(*prog), cs);
+  std::shared_ptr<VmProgram> prog = Lowerer(cs).Lower();
+  // Jumps go first, so fewer of them split the blocks copies fold in.
+  std::vector<bool> dead(prog->code.size(), false);
+  CompactCode(*prog, dead);
+  dead.assign(prog->code.size(), false);
+  CoalesceCopies(*prog, dead);
+  CompactCode(*prog, dead);
+  CompactRegisters(*prog);
+  prog->can_trap = prog->deep_calls;
+  for (const VmInst& in : prog->code) {
+    prog->can_trap = prog->can_trap || in.op == VmOp::kLoopGuard ||
+                     in.op == VmOp::kTrap;
+  }
+  AnalyzeLaneBatching(*prog, cs);
   return prog;
 }
 

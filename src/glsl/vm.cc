@@ -27,28 +27,49 @@ constexpr char kInjectedTrapMsg[] = "injected fault: shader trap";
 
 // The one place operands resolve to component-plane views — value ops and
 // branch conditions go through the same tables, so the encodings cannot
-// drift apart. Every register, global and constant has its view resolved
-// once, when the engine lays out its storage (none of the storage moves
-// afterwards), so reading an operand is one table load and a one-lane pass
-// pays no more per operand than a full batch.
+// drift apart. Every register, global, constant and alias has its view
+// resolved once, when the engine lays out its storage (none of the storage
+// moves afterwards), so reading an operand is one table load and a
+// one-lane pass pays no more per operand than a full batch.
 static_assert(kSpaceReg >> 30 == 0 && kSpaceGlobal >> 30 == 1 &&
-              kSpaceConst >> 30 == 2);
+              kSpaceConst >> 30 == 2 && kSpaceAlias >> 30 == 3);
 struct VmExec::LaneViews {
-  // Indexed by an operand's space tag: registers, globals, constants.
-  std::array<const PlaneSrc*, 3> space;
+  // Indexed by an operand's space tag: registers, globals, constants,
+  // aliases.
+  std::array<const PlaneSrc*, 4> space;
 
   [[nodiscard]] const PlaneSrc& Read(std::uint32_t operand) const {
     return space[operand >> 30][operand & kOperandIndexMask];
   }
-  // Registers and globals live in the engine's own, writable storage. A
-  // lane-invariant global destination resolves to its shared storage:
-  // every lane stores into it and the last lane wins, identical to a
-  // one-lane sequence storing it once per fragment.
+  // Registers and globals live in the engine's own, writable storage (an
+  // alias is never a destination). A lane-invariant global destination
+  // resolves to its shared storage: every lane stores into it and the last
+  // lane wins, identical to a one-lane sequence storing it once per
+  // fragment.
   [[nodiscard]] PlaneDst Dst(std::uint32_t operand) const {
     const PlaneSrc& v = Read(operand);
     return {const_cast<Cell*>(v.base), v.comp_stride, v.lane_stride, v.type};
   }
 };
+
+namespace {
+
+// Views of the program's aliases over the given register, global and
+// constant views: the base operand's view, moved on by `comp` components.
+std::vector<PlaneSrc> AliasViews(const VmProgram& prog,
+                                 const std::array<const PlaneSrc*, 3>& bases) {
+  std::vector<PlaneSrc> views;
+  views.reserve(prog.aliases.size());
+  for (const VmAlias& a : prog.aliases) {
+    const PlaneSrc& b = bases[a.base >> 30][a.base & kOperandIndexMask];
+    views.push_back({b.base + static_cast<std::ptrdiff_t>(a.comp) *
+                                  b.comp_stride,
+                     b.comp_stride, b.lane_stride, a.type});
+  }
+  return views;
+}
+
+}  // namespace
 
 VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
     : prog_(std::move(program)), alu_(alu) {
@@ -65,10 +86,12 @@ VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
   std::vector<PlaneSrc> shared;
   shared.reserve(globals_.size());
   for (const Value& g : globals_) shared.push_back(ValuePlane(g));
+  const std::vector<PlaneSrc> shared_aliases = AliasViews(
+      *prog_, {reg_views_.data(), shared.data(), const_views_.data()});
   const OpCounts saved = alu_.counts();
-  (void)ExecuteBatch(
-      prog_->const_init_entry, 1,
-      {{reg_views_.data(), shared.data(), const_views_.data()}});
+  (void)ExecuteBatch(prog_->const_init_entry, 1,
+                     {{reg_views_.data(), shared.data(), const_views_.data(),
+                       shared_aliases.data()}});
   alu_.SetCounts(saved);
   FillLaneGlobals();
 }
@@ -117,6 +140,8 @@ void VmExec::LayOutPlanes() {
                                 : ValuePlane(std::as_const(globals_[g])));
   }
   for (const Value& c : prog_->consts) const_views_.push_back(ValuePlane(c));
+  alias_views_ = AliasViews(
+      *prog_, {reg_views_.data(), global_views_.data(), const_views_.data()});
   lane_refs_.assign(
       static_cast<std::size_t>(prog_->ref_slot_count) * kVmLanes, LRef{});
   lane_ret_stack_.assign(
@@ -143,7 +168,8 @@ PlaneDst VmExec::LaneGlobal(int slot) {
 }
 
 VmExec::LaneViews VmExec::Views() const {
-  return {{reg_views_.data(), global_views_.data(), const_views_.data()}};
+  return {{reg_views_.data(), global_views_.data(), const_views_.data(),
+           alias_views_.data()}};
 }
 
 std::uint32_t VmExec::RunBatch(int n) {
@@ -210,6 +236,7 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
   bool converged = true;
   std::uint32_t pc = entry;
   std::uint32_t mask = running;
+  std::uint64_t steps = 0;
   // The group continues at `next`.
   const auto go = [&](std::uint32_t next) {
     if (converged) {
@@ -238,6 +265,7 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
       converged = mask == running;
     }
     const VmInst& in = code[pc];
+    ++steps;
     switch (in.op) {
       case VmOp::kJump:
         go(in.aux);
@@ -492,6 +520,7 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
     }
     go(pc + 1);
   }
+  alu_.CountVmSteps(steps);
   if (trap_lane >= 0) throw ShaderRuntimeError(trap_msg, trap_lane);
   return kept;
 }

@@ -69,6 +69,9 @@ class VmExec final : public ShaderEngine {
   // sequence would have aborted the draw on first. Trapping lanes park
   // while surviving lanes run to completion before the throw.
   //
+  // Each step (one instruction over one lane group) adds one to the ALU
+  // model's vm_steps counter.
+  //
   // Per-fragment inputs/outputs live in per-lane component planes accessed
   // via LaneGlobal; uniforms and other lane-invariant globals stay in the
   // scalar store shared by all lanes (so per-draw uniform sync cost is
@@ -107,7 +110,7 @@ class VmExec final : public ShaderEngine {
   struct LaneViews;
   [[nodiscard]] LaneViews Views() const;
   // Sizes the arena, the per-lane refs and return stacks, and resolves the
-  // view of every register, global and constant.
+  // view of every register, global, constant and alias.
   void LayOutPlanes();
   // Copies the shared store's value of every lane-varying global into all
   // of its lanes.
@@ -125,11 +128,13 @@ class VmExec final : public ShaderEngine {
   // component of every register and lane-varying global: component c of
   // lane l sits at plane c's cell l (views (kVmLanes, 1)). A lane-invariant
   // global lives in globals_ only and a constant in the program's pool;
-  // their views are the shared Value (1, 0), so neither ever resizes.
+  // their views are the shared Value (1, 0), so neither ever resizes. An
+  // alias's view is its base's, moved on to its first component.
   std::vector<Cell> arena_;
   std::vector<PlaneSrc> reg_views_;
   std::vector<PlaneSrc> global_views_;
   std::vector<PlaneSrc> const_views_;
+  std::vector<PlaneSrc> alias_views_;
   // Per-lane l-value refs (slot s of lane l at s * kVmLanes + l), pointing
   // into the arena with stride kVmLanes or into the shared store.
   std::vector<LRef> lane_refs_;

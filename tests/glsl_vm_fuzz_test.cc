@@ -123,7 +123,10 @@ class GlslFuzzer {
     src +=
         "uniform float u_s0;\n"
         "uniform float u_s1;\n"
-        "uniform vec4 u_v0;\n";
+        "uniform vec4 u_v0;\n"
+        // A plain global, re-initialized every run: main and some helpers
+        // store into it while expressions read it through swizzles.
+        "vec4 g_s = vec4(0.25, -0.5, 0.75, 1.5);\n";
     if (allow_texture()) src += "uniform sampler2D u_tex;\n";
     // 0-2 helper functions, generated before main so calls never recurse.
     const int n_helpers = static_cast<int>(rng_.NextInt(0, 2));
@@ -210,7 +213,8 @@ class GlslFuzzer {
       case 0: return FloatLit();
       case 1: {
         static const char* kComp[] = {"x", "y", "z", "w"};
-        return StrFormat("%s.%s", in_name_, kComp[rng_.NextInt(0, 3)]);
+        const char* base = Chance(20) ? "g_s" : in_name_;
+        return StrFormat("%s.%s", base, kComp[rng_.NextInt(0, 3)]);
       }
       case 2: return Chance(50) ? "u_s0" : "u_s1";
       case 3: {
@@ -300,11 +304,41 @@ class GlslFuzzer {
                          b.c_str());
       }
       case 14: {
-        if (!helpers_sigs_.empty() && Chance(60)) {
+        if (!helpers_.empty() && Chance(60)) {
           const std::size_t h = static_cast<std::size_t>(rng_.NextInt(
-              0, static_cast<std::int64_t>(helpers_sigs_.size()) - 1));
-          const std::string a = GenFloat(d - 1);
-          const std::string b = GenVec(3, d - 1);
+              0, static_cast<std::int64_t>(helpers_.size()) - 1));
+          // An out/inout parameter takes an assignable variable of its
+          // type; without one in scope the call is not generated.
+          std::string a;
+          if (helpers_[h] == HelperKind::kInOut) {
+            const Var* v = PickVar(GType::kF, false, true);
+            if (v == nullptr) return FloatLit();
+            a = v->name;
+          } else if (Chance(25)) {
+            // A swizzle read of g_s beside an argument that may store
+            // into it: the operand must be read before that argument runs.
+            static const char* kComp[] = {"x", "y", "z", "w"};
+            a = StrFormat("g_s.%s", kComp[rng_.NextInt(0, 3)]);
+          } else {
+            a = GenFloat(d - 1);
+          }
+          std::string b;
+          if (helpers_[h] == HelperKind::kOut) {
+            const Var* v = PickVar(GType::kV3, false, true);
+            if (v == nullptr) return FloatLit();
+            b = v->name;
+          } else if (helpers_[h] == HelperKind::kWritesGlobal && Chance(50)) {
+            b = Chance(50) ? "g_s.xyz" : "g_s.yzw";
+          } else if (helpers_[h] == HelperKind::kAssignsParams &&
+                     Chance(30)) {
+            // A later argument re-enters the same helper, which stores
+            // into the parameters the outer call's first argument fills.
+            const std::string ia = GenFloat(d - 2);
+            const std::string ib = GenVec(3, d - 2);
+            b = StrFormat("vec3(h%zu(%s, %s))", h, ia.c_str(), ib.c_str());
+          } else {
+            b = GenVec(3, d - 1);
+          }
           return StrFormat("h%zu(%s, %s)", h, a.c_str(), b.c_str());
         }
         return StrFormat("float(%s)", GenInt(d - 1).c_str());
@@ -333,7 +367,8 @@ class GlslFuzzer {
                                   : kSw4[rng_.NextInt(0, 2)];
         const Var* v = PickVar(GType::kV4);
         const char* base = v != nullptr && Chance(60) ? v->name.c_str()
-                                                      : in_name_;
+                           : Chance(20)              ? "g_s"
+                                                     : in_name_;
         if (w == 4 && Chance(30)) return base;
         return StrFormat("%s.%s", base, sw);
       }
@@ -659,19 +694,63 @@ class GlslFuzzer {
     }
   }
 
+  // The shapes of helper a function can take. Each exercises a lowering
+  // path of calls: plain `in` parameters ending in a return; an `out` vec3
+  // (zeroed on entry, copied out); an `inout` float; a store into the plain
+  // global g_s, which callers' arguments read too; a last statement that
+  // returns only conditionally, so the result can fall off the end (zero);
+  // and stores into its own `in` parameters, which stay local copies.
+  enum class HelperKind {
+    kPlain, kOut, kInOut, kWritesGlobal, kFallsOff, kAssignsParams
+  };
+
   std::string GenHelper() {
-    const std::size_t idx = helpers_sigs_.size();
+    const std::size_t idx = helpers_.size();
+    const auto kind = static_cast<HelperKind>(rng_.NextInt(0, 5));
     scope_.clear();
     scope_.push_back(Var{"x", GType::kF, false});
     scope_.push_back(Var{"w", GType::kV3, false});
     std::string body;
+    switch (kind) {
+      case HelperKind::kOut:
+        body += StrFormat("  w = %s;\n", GenVec(3, 2).c_str());
+        break;
+      case HelperKind::kInOut:
+        body += StrFormat("  x += %s;\n", GenFloat(2).c_str());
+        break;
+      case HelperKind::kWritesGlobal: {
+        static const char* kStore[] = {"g_s.xy += w.yz", "g_s = g_s.wzyx",
+                                       "g_s.z = x", "g_s *= x"};
+        body += StrFormat("  %s;\n", kStore[rng_.NextInt(0, 3)]);
+        break;
+      }
+      case HelperKind::kAssignsParams:
+        body += StrFormat("  x = x * 0.5 + %s;\n  w.xy = w.yz;\n",
+                          FloatLit().c_str());
+        break;
+      default:
+        break;
+    }
     const int n = static_cast<int>(rng_.NextInt(1, 3));
     for (int s = 0; s < n; ++s) GenStmt(body, 1, /*in_helper=*/true);
-    body += StrFormat("  return %s;\n", GenFloat(3).c_str());
+    if (kind == HelperKind::kFallsOff) {
+      const std::string cond = GenBool(2);
+      const std::string ret = GenFloat(3);
+      body += StrFormat("  if (%s) { return %s; }\n", cond.c_str(),
+                        ret.c_str());
+    } else if (kind == HelperKind::kWritesGlobal) {
+      // Read the parameters after the store: they must hold the argument
+      // values from before it.
+      body += StrFormat("  return x - w.z + %s;\n", GenFloat(3).c_str());
+    } else {
+      body += StrFormat("  return %s;\n", GenFloat(3).c_str());
+    }
     scope_.clear();
-    helpers_sigs_.push_back(idx);
-    return StrFormat("float h%zu(float x, vec3 w) {\n%s}\n", idx,
-                     body.c_str());
+    helpers_.push_back(kind);
+    const char* x_dir = kind == HelperKind::kInOut ? "inout " : "";
+    const char* w_dir = kind == HelperKind::kOut ? "out " : "";
+    return StrFormat("float h%zu(%sfloat x, %svec3 w) {\n%s}\n", idx, x_dir,
+                     w_dir, body.c_str());
   }
 
   // A straight-line run of float vector arithmetic: a burst of
@@ -751,6 +830,7 @@ class GlslFuzzer {
 
   std::string GenMain() {
     scope_.clear();
+    scope_.push_back(Var{"g_s", GType::kV4, false});
     if (stage_ == Stage::kVertex && whole_draw_) {
       // The second attribute reads like any vec2 local, but assigning to
       // an attribute is a sema error, so it enters scope read-only.
@@ -811,7 +891,7 @@ class GlslFuzzer {
   bool whole_draw_ = false;
   const char* in_name_ = "v_in";
   std::vector<Var> scope_;
-  std::vector<std::size_t> helpers_sigs_;
+  std::vector<HelperKind> helpers_;  // by helper index
   int next_id_ = 0;
 };
 

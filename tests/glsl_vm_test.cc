@@ -392,6 +392,58 @@ vec3 d = vec3(1.0, 2.0, 5.0);
 gl_FragColor = vec4(a == b ? 1.0 : 0.0, a == d ? 1.0 : 0.0,
                     a != d ? 1.0 : 0.0, 0.0);)"));
 
+  // Component aliases (one-component and contiguous swizzles read in
+  // place) must still see the value from before a later sibling's store.
+  add("alias_read_before_later_argument_stores", R"(
+precision highp float;
+float bump(inout vec4 q) { q = q.wxyz + vec4(1.0); return q.y; }
+float pair(float a, float b) { return a * 2.0 - b; }
+void main() {
+  vec4 v = vec4(1.0, 2.0, 3.0, 4.0);
+  float r = pair(v.x, bump(v));
+  float s = pair(v.yz.y, v.w += 0.5);
+  v += v.x;
+  v.yz = v.xy;
+  gl_FragColor = vec4(r, s, v.y, v.z);
+}
+)");
+  // Global initializers read component aliases of other globals in the
+  // construction-time chunk (shared store) and again in the per-run
+  // re-initialization (lane planes).
+  add("global_initializers_read_aliases", R"(
+precision highp float;
+const vec4 K = vec4(1.0, 2.0, 3.0, 4.0);
+vec4 g_a = K * 0.5;
+float g_b = g_a.z;
+vec3 g_tail = K.yzw + g_a.xyz;
+void main() {
+  g_tail.y += g_b;
+  gl_FragColor = vec4(g_tail.xy, g_b, g_a.w + K.x);
+}
+)");
+  // An `in` parameter reads its argument in place only when nothing in
+  // the body can change it: here the body stores into the argument's
+  // global first.
+  add("in_param_keeps_global_argument_value", R"(
+precision highp float;
+vec4 g = vec4(1.0, 2.0, 3.0, 4.0);
+float h(float x, vec3 w) { g = g.wzyx * 2.0; return x + w.y * 10.0; }
+void main() {
+  float r = h(g.x, g.yzw);
+  gl_FragColor = vec4(r, g.x, g.w, 1.0);
+}
+)");
+  // The first argument must not land in the parameter register before a
+  // later argument's call into the same function has used it.
+  add("argument_outlives_nested_call_of_same_function", R"(
+precision highp float;
+uniform vec4 u_v;
+float f(float x, float y) { x = x * 0.5; return x + y; }
+void main() {
+  float r = f(u_v.x * 3.0 + 1.0, f(u_v.y + 5.0, 1.0));
+  gl_FragColor = vec4(r, 0.0, 0.0, 1.0);
+}
+)");
   // --- builtins ----------------------------------------------------------
   add("builtin_sweep_math", Frag(R"(
 float x = 0.7;
@@ -521,6 +573,88 @@ float twice(float x) { return x * 2.0; }
 void main() { gl_FragColor = vec4(twice(gl_FragCoord.x)); }
 )");
   EXPECT_FALSE(LowerToBytecode(*helper)->CanTrap());
+}
+
+// Only bodies a kCall reaches are lowered: a loop in a helper nothing
+// calls cannot make the program trap-capable.
+TEST(VmProgramTest, UncalledHelperLoopDoesNotMakeProgramTrapCapable) {
+  auto shader = testutil::MustCompile(R"(
+precision highp float;
+float unused(float x) { for (int i = 0; i < 4; ++i) { x += 1.0; } return x; }
+void main() { gl_FragColor = vec4(gl_FragCoord.x); }
+)");
+  EXPECT_FALSE(LowerToBytecode(*shader)->CanTrap());
+}
+
+// The shape the lowering passes leave a gemm-like kernel in: an unpack
+// with early returns inside a fetch, both inlined twice per iteration of
+// a loop over K.
+const char kGemmLike[] = R"(
+precision highp float;
+varying vec2 v_uv;
+uniform sampler2D u_a;
+float unpack(vec4 t) {
+  vec4 b = floor(t * 255.0 + vec4(0.5));
+  if (b.a == 0.0) { return 0.0; }
+  float hi = b.b < 128.0 ? b.b : b.b - 128.0;
+  return b.r + b.g * 256.0 + hi * 65536.0;
+}
+float fetch(float x, float y) {
+  return unpack(texture2D(u_a, (vec2(x, y) + 0.5) / 16.0));
+}
+void main() {
+  float acc = 0.0;
+  for (int k = 0; k < 16; ++k) {
+    acc += fetch(float(k), v_uv.y) * fetch(v_uv.x, float(k));
+  }
+  gl_FragColor = vec4(acc, v_uv.xy, 1.0);
+}
+)";
+
+TEST(VmLoweringShapeTest, NoJumpToTheNextInstruction) {
+  auto prog = LowerToBytecode(*testutil::MustCompile(kGemmLike));
+  for (std::size_t pc = 0; pc < prog->code.size(); ++pc) {
+    const VmInst& in = prog->code[pc];
+    if (in.op == VmOp::kJump || in.op == VmOp::kJumpIfFalse ||
+        in.op == VmOp::kJumpIfTrue) {
+      EXPECT_NE(in.aux, pc + 1) << "pc " << pc;
+    }
+  }
+}
+
+TEST(VmLoweringShapeTest, OnlyPermutingSwizzlesShuffle) {
+  auto prog = LowerToBytecode(*testutil::MustCompile(kGemmLike));
+  EXPECT_FALSE(prog->aliases.empty());  // b.a, b.b, v_uv.xy, ...
+  for (const VmInst& in : prog->code) {
+    if (in.op != VmOp::kShuffle) continue;
+    bool contiguous = true;
+    for (int k = 1; k < in.n; ++k) {
+      contiguous = contiguous && ((in.aux >> (8 * k)) & 0xffu) ==
+                                     (in.aux & 0xffu) + static_cast<unsigned>(k);
+    }
+    EXPECT_FALSE(contiguous) << "shuffle of " << in.n << " component(s)";
+  }
+}
+
+TEST(VmLoweringShapeTest, ResultZeroOnlyWhenAPathFallsOffTheEnd) {
+  // unpack and fetch return on every path and the kernel declares no
+  // uninitialized local, so nothing is zeroed.
+  auto gemm = LowerToBytecode(*testutil::MustCompile(kGemmLike));
+  for (const VmInst& in : gemm->code) EXPECT_NE(in.op, VmOp::kZero);
+  for (const char* src : {R"(
+precision highp float;
+float maybe(float x) { if (x > 0.0) { return x * 2.0; } }
+void main() { gl_FragColor = vec4(maybe(3.0), maybe(-3.0), 0.0, 0.0); }
+)", R"(
+precision highp float;
+float risky(float x) { if (x > 0.0) { discard; } return 5.0; }
+void main() { gl_FragColor = vec4(risky(1.0), risky(-1.0), 0.0, 1.0); }
+)"}) {
+    auto prog = LowerToBytecode(*testutil::MustCompile(src));
+    int zeros = 0;
+    for (const VmInst& in : prog->code) zeros += in.op == VmOp::kZero;
+    EXPECT_EQ(zeros, 2) << src;  // one per call site
+  }
 }
 
 TEST(VmExecTest, RunawayLoopRaisesRuntimeError) {
@@ -961,6 +1095,20 @@ void main() {
 }
 float after_main(float x) { return fract(x * 7.0) + x; }
 )"});
+  cases.push_back(
+      {"alias_argument_before_later_store",
+       R"(precision highp float;
+varying vec4 v_in;
+float bump(inout vec4 q) { q = q.wxyz * 1.5 + vec4(v_in.x); return q.y; }
+float pair(float a, float b) { return a * 2.0 - b; }
+void main() {
+  vec4 v = v_in;
+  // v.x is read in place; the later argument stores into v first.
+  float r = pair(v.x, bump(v));
+  float s = pair(v.yz.y, v.w += v_in.z);
+  v += v.x;
+  gl_FragColor = vec4(r, s, v.y, v.w);
+})"});
   return cases;
 }
 
@@ -1257,6 +1405,20 @@ void main() {
   EXPECT_TRUE(per_lane("g_tbl")) << "table written through a dynamic index";
   EXPECT_FALSE(per_lane("u_bias")) << "uniform";
   EXPECT_FALSE(per_lane("kRead")) << "const table only read";
+}
+
+// A global that only an uncalled helper stores into is never written by
+// the lowered code, so it stays in the shared store.
+TEST(VmLaneStorageTest, GlobalWrittenOnlyByUncalledHelperStaysShared) {
+  auto shader = testutil::MustCompile(R"(precision highp float;
+float g_t;
+void unused() { g_t = 1.0; }
+void main() { gl_FragColor = vec4(g_t); }
+)");
+  std::shared_ptr<const VmProgram> prog = LowerToBytecode(*shader);
+  const int slot = prog->GlobalSlot("g_t");
+  ASSERT_GE(slot, 0);
+  EXPECT_EQ(prog->lane_global[static_cast<std::size_t>(slot)], 0);
 }
 
 }  // namespace
