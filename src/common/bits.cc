@@ -1,7 +1,6 @@
 #include "common/bits.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 
 namespace mgpu {
@@ -27,17 +26,6 @@ int MatchingMantissaBits(float expected, float actual) {
   int corrupted = 0;
   while ((1ll << corrupted) < ulp) ++corrupted;
   return std::clamp(23 - corrupted, 0, 23);
-}
-
-float RoundToMantissaBits(float x, int bits) {
-  if (bits >= 23 || !std::isfinite(x) || x == 0.0f) return x;
-  const int drop = 23 - bits;
-  const std::uint32_t b = FloatToBits(x);
-  const std::uint32_t half = 1u << (drop - 1);
-  // Round-to-nearest (ties away from zero on the mantissa field); exponent
-  // carry is handled naturally by integer addition into the exponent field.
-  const std::uint32_t rounded = (b + half) & ~((1u << drop) - 1u);
-  return BitsToFloat(rounded);
 }
 
 }  // namespace mgpu

@@ -45,10 +45,6 @@ namespace mgpu {
 // integer mapping of the float line).
 [[nodiscard]] std::int64_t UlpDistance(float a, float b);
 
-// Round a float to `bits` mantissa bits (round-to-nearest-even), used by the
-// reduced-precision ALU models (e.g. mediump emulation).
-[[nodiscard]] float RoundToMantissaBits(float x, int bits);
-
 }  // namespace mgpu
 
 #endif  // MGPU_COMMON_BITS_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -26,6 +27,8 @@ using glsl::Value;
 // flush path hands a FragmentBatch's lanes straight to VmExec::RunBatch.
 static_assert(kFragBatchWidth == glsl::kVmLanes,
               "fragment batch width must match the VM lane width");
+// A texture fetch computes one batch's texel indices in one call.
+static_assert(Texture::kMaxTexelRow >= glsl::kVmLanes);
 
 namespace {
 // Watchdog trip message: the budget is a per-draw total, so one string
@@ -2107,50 +2110,80 @@ void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
         wp->error_kind = DrawErrorKind::kTrap;
       }
       draw_failed_.store(true, std::memory_order_relaxed);
-      for (int l = 0; l < n; ++l) {
-        wp->tmu_log[static_cast<std::size_t>(l)].clear();
-      }
+      wp->tmu_log.clear();
     }
   };
 }
 
 glsl::TextureFn Context::MakeTextureFn(ShadeStateCache::WorkerState* w) {
   return [this, w](glsl::TexelFetch& f) {
-    glsl::ForEachLane(f.mask, [&](int l) {
-      const std::size_t li = static_cast<std::size_t>(l);
-      const int unit = f.unit[li];
-      std::array<float, 4> rgba{0.0f, 0.0f, 0.0f, 1.0f};
-      if (unit >= 0 && unit < static_cast<int>(draw_samplers_.size())) {
-        const DrawSampler& ds = draw_samplers_[static_cast<std::size_t>(unit)];
-        if (ds.tex != nullptr) {
-          // Texture-cache model: 32-byte lines = 8 RGBA8 texels. The
-          // nearest texel also addresses a NEAREST fetch.
-          const long long texel = ds.tex->NearestTexelIndex(f.s[li], f.t[li]);
-          if (texel >= 0) {
-            w->tmu_log[li].push_back(
-                (static_cast<std::uint64_t>(ds.id) << 40) |
-                static_cast<std::uint64_t>(texel >> 3));
-          }
-          if (ds.complete) {
-            rgba = ds.tex->mag_filter() == GL_NEAREST
-                       ? ds.tex->TexelColor(texel)
-                       : ds.tex->SampleLinear(f.s[li], f.t[li]);
+    const int top = glsl::TopLane(f.mask);
+    ShadeStateCache::WorkerState::TmuRecord& rec = w->tmu_log.emplace_back();
+    // Lanes [0, top) grouped by texture unit — one group in the paper's
+    // kernels, whose sampler is a uniform — each group's sampler, filter
+    // and wrap modes resolved once.
+    std::uint32_t pending = top == glsl::kVmLanes ? ~0u : (1u << top) - 1u;
+    while (pending != 0) {
+      const int unit = f.unit[static_cast<std::size_t>(
+          std::countr_zero(pending))];
+      std::uint32_t group = 0;
+      for (int l = 0; l < top; ++l) {
+        group |= f.unit[static_cast<std::size_t>(l)] == unit
+                     ? glsl::kLaneBit[static_cast<std::size_t>(l)]
+                     : 0u;
+      }
+      group &= pending;
+      pending &= ~group;
+      const bool in_range =
+          unit >= 0 && unit < static_cast<int>(draw_samplers_.size());
+      const DrawSampler ds =
+          in_range ? draw_samplers_[static_cast<std::size_t>(unit)]
+                   : DrawSampler{};
+      const auto in_group = [group](int l) {
+        return (group & glsl::kLaneBit[static_cast<std::size_t>(l)]) != 0;
+      };
+      if (ds.tex == nullptr || !ds.tex->has_storage()) {
+        for (int l = 0; l < top; ++l) {
+          if (!in_group(l)) continue;
+          for (std::size_t c = 0; c < 4; ++c) {
+            f.rgba[c][static_cast<std::size_t>(l)] = c == 3 ? 1.0f : 0.0f;
           }
         }
+        continue;
       }
-      for (std::size_t c = 0; c < 4; ++c) f.rgba[c][li] = rgba[c];
-    });
+      // Texture-cache model: 32-byte lines = 8 RGBA8 texels. The nearest
+      // texel also addresses a NEAREST fetch.
+      std::array<long long, glsl::kVmLanes> texel;
+      ds.tex->NearestTexelIndices(f.s.data(), f.t.data(), top, texel.data());
+      rec.mask |= group & f.mask;
+      const std::uint64_t tex_tag = static_cast<std::uint64_t>(ds.id) << 40;
+      const bool nearest = ds.tex->mag_filter() == GL_NEAREST;
+      for (int l = 0; l < top; ++l) {
+        if (!in_group(l)) continue;
+        const std::size_t li = static_cast<std::size_t>(l);
+        rec.line[li] = tex_tag | static_cast<std::uint64_t>(texel[li] >> 3);
+        std::array<float, 4> rgba{0.0f, 0.0f, 0.0f, 1.0f};
+        if (ds.complete) {
+          rgba = nearest ? ds.tex->TexelColor(texel[li])
+                         : ds.tex->SampleLinear(f.s[li], f.t[li]);
+        }
+        for (std::size_t c = 0; c < 4; ++c) f.rgba[c][li] = rgba[c];
+      }
+    }
   };
 }
 
 void Context::ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes) {
   for (int l = 0; l < lanes; ++l) {
-    std::vector<std::uint64_t>& log = w->tmu_log[static_cast<std::size_t>(l)];
-    for (const std::uint64_t line : log) {
-      if (w->tmu.Access(line)) w->alu->CountTmuMiss(1);
+    const std::uint32_t bit = 1u << static_cast<unsigned>(l);
+    for (const ShadeStateCache::WorkerState::TmuRecord& rec : w->tmu_log) {
+      if ((rec.mask & bit) != 0 &&
+          w->tmu.Access(rec.line[static_cast<std::size_t>(l)])) {
+        w->alu->CountTmuMiss(1);
+      }
     }
-    log.clear();
   }
+  w->tmu_log.clear();
 }
 
 }  // namespace mgpu::gles2

@@ -199,11 +199,16 @@ class ShadeStateCache {
     // Cached draw plumbing: `flush` shades and drains `batch`.
     BatchFlushFn flush;
     FragmentBatch batch;
-    // Deferred TMU accounting: texture-cache lines touched by each lane, in
-    // the lane's program order, replayed lane-ascending after each
-    // RunBatch so the modeled miss count follows the fragment-sequential
-    // access order exactly.
-    std::array<std::vector<std::uint64_t>, kFragBatchWidth> tmu_log;
+    // Deferred TMU accounting: one record per texture fetch instruction of
+    // the batch in flight, in instruction order — the lanes that touched
+    // the texture cache and each one's cache line. ReplayTmuLog walks it
+    // lane-major after each RunBatch, so the modeled miss count follows
+    // the fragment-sequential access order exactly.
+    struct TmuRecord {
+      std::uint32_t mask = 0;
+      std::array<std::uint64_t, kFragBatchWidth> line{};
+    };
+    std::vector<TmuRecord> tmu_log;
     std::string error;  // first shader runtime error this draw, if any
     // Classification of `error` for the robustness API.
     DrawErrorKind error_kind = DrawErrorKind::kNone;
@@ -533,13 +538,16 @@ class Context {
   // the draw's total exceeds draw_budget_. Deterministic trip-vs-not: the
   // total is monotone toward an engine- and thread-invariant final sum.
   void CheckDrawBudget(ShadeStateCache::WorkerState* w);
-  // The worker's batched texture fetch, for every engine: samples through
-  // the per-draw sampler table immediately (contents are immutable during
-  // a draw) and logs each lane's touched cache line to w->tmu_log, which
-  // the flush replays through the worker's cache model and counter
-  // shard (thread-safe: each worker owns its log, cache and counters).
+  // The worker's batched texture fetch, for every engine: groups the
+  // fetch's lanes by texture unit, resolves each group's sampler from the
+  // per-draw sampler table once (contents are immutable during a draw),
+  // samples it, and appends one record of the touched cache lines to
+  // w->tmu_log, which the flush replays through the worker's cache model
+  // and counter shard (thread-safe: each worker owns its log, cache and
+  // counters).
   [[nodiscard]] glsl::TextureFn MakeTextureFn(ShadeStateCache::WorkerState* w);
-  // Replays and clears the first `lanes` TMU logs of `w`, lane-ascending.
+  // Replays the TMU log of `w` for lanes [0, lanes), lane-ascending and
+  // each lane in instruction order, then clears it.
   static void ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes);
   // Builds a worker slot's cached draw plumbing — texture callback and
   // batch flush, with the program's gl_* slot and varying destinations

@@ -1,9 +1,12 @@
 #include "gles2/texture.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+
+#include "glsl/alu.h"
 
 namespace mgpu::gles2 {
 namespace {
@@ -252,9 +255,7 @@ void Texture::SetTexelAt(int x, int y,
 }
 
 std::array<float, 4> Texture::FetchTexel(int x, int y) const {
-  const auto t = TexelAt(x, y);
-  // Eq. (1): f = c / (2^8 - 1).
-  return {t[0] / 255.0f, t[1] / 255.0f, t[2] / 255.0f, t[3] / 255.0f};
+  return TexelColor(static_cast<long long>(y) * width_ + x);
 }
 
 int Texture::ReduceTexelCoord(float c, int size, GLenum mode) {
@@ -275,18 +276,40 @@ int Texture::TexelCoord(float c, int size, GLenum mode) {
   return WrapCoord(ReduceTexelCoord(std::floor(c), size, mode), size, mode);
 }
 
-long long Texture::NearestTexelIndex(float s, float t) const {
-  if (!has_storage()) return -1;
-  const int x = TexelCoord(s * static_cast<float>(width_), width_, wrap_s_);
-  const int y = TexelCoord(t * static_cast<float>(height_), height_, wrap_t_);
-  return static_cast<long long>(y) * width_ + x;
+void Texture::TexelCoords(const float* c, int n, int size, GLenum mode,
+                          int* out) {
+  const float fsize = static_cast<float>(size);
+  if (mode == GL_CLAMP_TO_EDGE) {
+    // TexelCoord's reduce-then-wrap collapses to one clamp of the floored
+    // coordinate into [0, size - 1], NaN to 0: a loop with no branch and
+    // no call.
+    const float last = static_cast<float>(size - 1);
+    for (int l = 0; l < n; ++l) {
+      const float f = glsl::FFloor(c[l] * fsize);
+      out[l] = static_cast<int>(f > 0.0f ? (f < last ? f : last) : 0.0f);
+    }
+    return;
+  }
+  for (int l = 0; l < n; ++l) out[l] = TexelCoord(c[l] * fsize, size, mode);
 }
 
-std::array<float, 4> Texture::TexelColor(long long index) const {
-  const std::size_t off = static_cast<std::size_t>(index) * 4;
-  // Eq. (1): f = c / (2^8 - 1).
-  return {rgba8_[off] / 255.0f, rgba8_[off + 1] / 255.0f,
-          rgba8_[off + 2] / 255.0f, rgba8_[off + 3] / 255.0f};
+void Texture::NearestTexelIndices(const float* s, const float* t, int n,
+                                  long long* index) const {
+  assert(n <= kMaxTexelRow);
+  std::array<int, kMaxTexelRow> x;
+  std::array<int, kMaxTexelRow> y;
+  TexelCoords(s, n, width_, wrap_s_, x.data());
+  TexelCoords(t, n, height_, wrap_t_, y.data());
+  for (int l = 0; l < n; ++l) {
+    index[l] = static_cast<long long>(y[l]) * width_ + x[l];
+  }
+}
+
+long long Texture::NearestTexelIndex(float s, float t) const {
+  if (!has_storage()) return -1;
+  long long index = 0;
+  NearestTexelIndices(&s, &t, 1, &index);
+  return index;
 }
 
 std::array<float, 4> Texture::Sample(float s, float t, float /*lod*/) const {

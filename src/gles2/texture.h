@@ -48,12 +48,31 @@ class Texture {
   // already needs the nearest texel index (the context's texture-cache
   // model) computes it once: the color of texel `index` (a
   // NearestTexelIndex result), and the bilinear sample at (s, t).
-  [[nodiscard]] std::array<float, 4> TexelColor(long long index) const;
+  [[nodiscard]] std::array<float, 4> TexelColor(long long index) const {
+    const std::uint8_t* p = &rgba8_[static_cast<std::size_t>(index) * 4];
+    return {kUnitOfByte[p[0]], kUnitOfByte[p[1]], kUnitOfByte[p[2]],
+            kUnitOfByte[p[3]]};
+  }
   [[nodiscard]] std::array<float, 4> SampleLinear(float s, float t) const;
 
   // Linear index of the texel a nearest-filter sample at (s, t) addresses;
   // used by the context's texture-cache model. -1 when there is no storage.
   [[nodiscard]] long long NearestTexelIndex(float s, float t) const;
+  // NearestTexelIndex of lanes [0, n), n <= kMaxTexelRow, at (s[l], t[l])
+  // into index[l], with each axis's wrap mode resolved once for the whole
+  // row, so the TMU model computes a batch's texels in plain loops.
+  // Requires storage.
+  static constexpr int kMaxTexelRow = 32;
+  void NearestTexelIndices(const float* s, const float* t, int n,
+                           long long* index) const;
+
+  // Eq. (1) of the paper, f = c / (2^8 - 1), for every byte c: decoding an
+  // RGBA8 texel is four table loads, with the division's exact values.
+  static constexpr std::array<float, 256> kUnitOfByte = [] {
+    std::array<float, 256> unit{};
+    for (int c = 0; c < 256; ++c) unit[c] = static_cast<float>(c) / 255.0f;
+    return unit;
+  }();
 
   // Direct texel access for tests and ReadPixels-through-FBO.
   [[nodiscard]] std::array<std::uint8_t, 4> TexelAt(int x, int y) const;
@@ -80,6 +99,9 @@ class Texture {
   [[nodiscard]] static int ReduceTexelCoord(float c, int size, GLenum mode);
   // Texel index along one axis for texel-space coordinate c (nearest).
   [[nodiscard]] static int TexelCoord(float c, int size, GLenum mode);
+  // TexelCoord(c[l] * size, size, mode) for lanes [0, n).
+  static void TexelCoords(const float* c, int n, int size, GLenum mode,
+                          int* out);
 
   GLsizei width_ = 0;
   GLsizei height_ = 0;

@@ -367,37 +367,38 @@ inline float FmaxScalar(float x, float y) {
   return QuietFirstNan(ux, uy);
 }
 
-// Component-wise maps over a result's cells: cell c of lane l is
-// fn(a(c), b(c), ...), with a scalar b/c broadcasting against a vector a.
-// Callers charge per-cell ALU costs once per instruction; `fn` itself only
-// makes calls that count themselves (the SFU functions).
+// Component-wise float maps over a result's cells, in the masked loop
+// shape (evalcore.h's MapLanes): cell c of lane l is fn(a(c), b(c), ...),
+// with a scalar b/c broadcasting against a vector a. `fn` is a pure
+// formula — it also runs on inactive lanes below the top one — and the
+// callers charge its per-cell costs once per instruction.
 template <typename F>
 void MapUnaryBatch(const PlaneDst& dst, const PlaneSrc& a, std::uint32_t mask,
-                   F&& fn) {
-  ForEachCell(a.count(), mask, [&](int c, int l) {
-    dst.at(c, l).f = fn(a.at(c, l).f);
-  });
+                   F fn) {
+  MapLanes(dst, a.count(), mask, [fn](Cell x) { return FCell(fn(x.f)); },
+           LaneOperand{a});
 }
 
 template <typename F>
 void MapBinaryBatch(const PlaneDst& dst, const PlaneSrc& a, const PlaneSrc& b,
-                    std::uint32_t mask, F&& fn) {
+                    std::uint32_t mask, F fn) {
   const int n = a.count();
   const int bs = b.count() == 1 && n > 1 ? 0 : 1;
-  ForEachCell(n, mask, [&](int c, int l) {
-    dst.at(c, l).f = fn(a.at(c, l).f, b.at(c * bs, l).f);
-  });
+  MapLanes(
+      dst, n, mask, [fn](Cell x, Cell y) { return FCell(fn(x.f, y.f)); },
+      LaneOperand{a}, LaneOperand{b, bs});
 }
 
 template <typename F>
 void MapTernaryBatch(const PlaneDst& dst, const PlaneSrc& a, const PlaneSrc& b,
-                     const PlaneSrc& c, std::uint32_t mask, F&& fn) {
+                     const PlaneSrc& c, std::uint32_t mask, F fn) {
   const int n = a.count();
   const int bs = b.count() == 1 && n > 1 ? 0 : 1;
   const int cs = c.count() == 1 && n > 1 ? 0 : 1;
-  ForEachCell(n, mask, [&](int k, int l) {
-    dst.at(k, l).f = fn(a.at(k, l).f, b.at(k * bs, l).f, c.at(k * cs, l).f);
-  });
+  MapLanes(
+      dst, n, mask,
+      [fn](Cell x, Cell y, Cell z) { return FCell(fn(x.f, y.f, z.f)); },
+      LaneOperand{a}, LaneOperand{b, bs}, LaneOperand{c, cs});
 }
 
 // Lane `l`'s dot product of a and b, accumulated in component order.
@@ -409,25 +410,165 @@ float DotLane(const PlaneSrc& a, const PlaneSrc& b, int l, AluModel& alu) {
   return acc;
 }
 
-// Issues `fetch` (coordinates already filled for its mask) and scatters the
-// texels into dst's four components.
+// A row of per-lane float accumulators.
+using FloatRow = std::array<float, kVmLanes>;
+
+// Lanes [0, top) of dot(a, b) into acc, accumulated in component order and
+// rounded as DotLane's AluModel calls are.
+template <typename Round>
+void DotRows(const PlaneSrc& a, const PlaneSrc& b, int top, Round rs,
+             FloatRow& acc) {
+  LaneRow ba, bb;
+  const Cell* x = RowOf(a, 0, top, ba);
+  const Cell* y = RowOf(b, 0, top, bb);
+  for (int l = 0; l < top; ++l) acc[l] = rs(FMul(x[l].f, y[l].f));
+  for (int i = 1; i < a.count(); ++i) {
+    x = RowOf(a, i, top, ba);
+    y = RowOf(b, i, top, bb);
+    for (int l = 0; l < top; ++l) {
+      acc[l] = rs(FAdd(acc[l], rs(FMul(x[l].f, y[l].f))));
+    }
+  }
+}
+
+// dst = sqrt(row) for the mask's lanes, counted as AluModel::Sqrt: an SFU
+// op per lane and an ALU op per lane whose operand is not zero.
+template <typename Round>
+void SqrtRow(AluModel& alu, const FloatRow& row, Round rs,
+             const PlaneDst& dst, std::uint32_t mask, int top) {
+  alu.CountSfu(LaneCount(mask));
+  int nonzero = 0;
+  ForEachLane(mask, [&](int l) { nonzero += row[l] != 0.0f; });
+  alu.Count(nonzero);
+  CommitLanes(dst, 0, mask, top,
+              [&](int l) { return FCell(SfuSqrt(row[l], rs)); });
+}
+
+// Issues `fetch` (coordinates already filled for lanes [0, top)) and
+// commits the texels into dst's four components under its mask.
 void FetchTexels(TexelFetch& fetch, const TextureFn& texture, AluModel& alu,
                  const PlaneDst& dst) {
   alu.CountTmu(LaneCount(fetch.mask));
+  const int top = TopLane(fetch.mask);
   if (texture) {
     texture(fetch);
   } else {
-    ForEachLane(fetch.mask, [&](int l) {
-      for (int c = 0; c < 4; ++c) {
-        fetch.rgba[static_cast<std::size_t>(c)][static_cast<std::size_t>(l)] =
-            c == 3 ? 1.0f : 0.0f;
-      }
-    });
+    for (std::size_t c = 0; c < 4; ++c) {
+      std::fill_n(fetch.rgba[c].begin(), top, c == 3 ? 1.0f : 0.0f);
+    }
   }
-  ForEachCell(4, fetch.mask, [&](int c, int l) {
-    dst.at(c, l).f =
-        fetch.rgba[static_cast<std::size_t>(c)][static_cast<std::size_t>(l)];
-  });
+  for (int c = 0; c < 4; ++c) {
+    const auto& texel = fetch.rgba[static_cast<std::size_t>(c)];
+    CommitLanes(dst, c, fetch.mask, top,
+                [&texel](int l) { return FCell(texel[l]); });
+  }
+}
+
+// The geometric builtins in rows, for one rounding functor: each lane
+// rounds and counts exactly as the AluModel calls of its scalar lowering
+// would (a dot product is n multiplies and n - 1 adds, in component order).
+template <typename Round>
+void GeometricBatch(Builtin b, std::span<const PlaneSrc> argp, AluModel& alu,
+                    const PlaneDst& dst, std::uint32_t mask, Round rs) {
+  const auto args = [&](std::size_t i) -> const PlaneSrc& { return argp[i]; };
+  const int lanes = LaneCount(mask);
+  const int top = TopLane(mask);
+  switch (b) {
+    case Builtin::kLength: {
+      const int n = args(0).count();
+      alu.Count(lanes * (2 * n - 1));
+      FloatRow d;
+      DotRows(args(0), args(0), top, rs, d);
+      return SqrtRow(alu, d, rs, dst, mask, top);
+    }
+    case Builtin::kDistance: {
+      // (a - b) . (a - b), the differences rounded first.
+      const int n = args(0).count();
+      alu.Count(lanes * (3 * n - 1));
+      LaneRow ba, bb;
+      FloatRow acc;
+      for (int i = 0; i < n; ++i) {
+        const Cell* x = RowOf(args(0), i, top, ba);
+        const Cell* y = RowOf(args(1), i, top, bb);
+        for (int l = 0; l < top; ++l) {
+          const float diff = rs(FSub(x[l].f, y[l].f));
+          const float sq = rs(FMul(diff, diff));
+          acc[l] = i == 0 ? sq : rs(FAdd(acc[l], sq));
+        }
+      }
+      return SqrtRow(alu, acc, rs, dst, mask, top);
+    }
+    case Builtin::kDot: {
+      alu.Count(lanes * (2 * args(0).count() - 1));
+      FloatRow d;
+      DotRows(args(0), args(1), top, rs, d);
+      return CommitLanes(dst, 0, mask, top,
+                         [&d](int l) { return FCell(d[l]); });
+    }
+    case Builtin::kCross: {
+      alu.Count(lanes * 9);
+      std::array<LaneRow, 6> bufs;
+      std::array<const Cell*, 6> r;  // a.xyz, c.xyz
+      for (int i = 0; i < 3; ++i) {
+        r[static_cast<std::size_t>(i)] = RowOf(args(0), i, top, bufs[i]);
+        r[static_cast<std::size_t>(i + 3)] =
+            RowOf(args(1), i, top, bufs[static_cast<std::size_t>(i + 3)]);
+      }
+      std::array<LaneRow, 3> out;
+      for (int i = 0; i < 3; ++i) {
+        const Cell* a1 = r[static_cast<std::size_t>((i + 1) % 3)];
+        const Cell* a2 = r[static_cast<std::size_t>((i + 2) % 3)];
+        const Cell* c1 = r[static_cast<std::size_t>(3 + (i + 1) % 3)];
+        const Cell* c2 = r[static_cast<std::size_t>(3 + (i + 2) % 3)];
+        for (int l = 0; l < top; ++l) {
+          out[static_cast<std::size_t>(i)][l].f =
+              rs(FSub(rs(FMul(a1[l].f, c2[l].f)), rs(FMul(a2[l].f, c1[l].f))));
+        }
+      }
+      for (int i = 0; i < 3; ++i) {
+        CommitRow(dst, i, out[static_cast<std::size_t>(i)].data(), mask, top);
+      }
+      return;
+    }
+    case Builtin::kNormalize: {
+      // a * rsqrt(a . a): the reciprocal square root on the SFU.
+      const PlaneSrc& a = args(0);
+      const int n = a.count();
+      alu.Count(lanes * (3 * n - 1));
+      alu.CountSfu(lanes);
+      FloatRow inv;
+      LaneRow buf;
+      DotRows(a, a, top, rs, inv);
+      for (int l = 0; l < top; ++l) inv[l] = rs(1.0f / std::sqrt(inv[l]));
+      for (int i = 0; i < n; ++i) {
+        const Cell* x = RowOf(a, i, top, buf);
+        CommitLanes(dst, i, mask, top, [&](int l) {
+          return FCell(rs(FMul(x[l].f, inv[l])));
+        });
+      }
+      return;
+    }
+    case Builtin::kReflect: {
+      // i - 2 * (n . i) * n.
+      const PlaneSrc& in = args(0);
+      const int n = in.count();
+      alu.Count(lanes * (4 * n));
+      FloatRow two_d;
+      LaneRow bi, bn;
+      DotRows(args(1), in, top, rs, two_d);
+      for (int l = 0; l < top; ++l) two_d[l] = rs(FMul(2.0f, two_d[l]));
+      for (int i = 0; i < n; ++i) {
+        const Cell* x = RowOf(in, i, top, bi);
+        const Cell* nv = RowOf(args(1), i, top, bn);
+        CommitLanes(dst, i, mask, top, [&](int l) {
+          return FCell(rs(FSub(x[l].f, rs(FMul(two_d[l], nv[l].f)))));
+        });
+      }
+      return;
+    }
+    default:
+      return;
+  }
 }
 
 }  // namespace
@@ -438,8 +579,17 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
   const auto args = [&](std::size_t i) -> const PlaneSrc& { return argp[i]; };
   constexpr float kPi = 3.14159265358979323846f;
   const RoundSpec rs = alu.round_spec();
+  const float sfu = alu.sfu_spec().scale;
+  const int lanes = LaneCount(mask);
+  const int top = TopLane(mask);
   // Result cells this instruction produces; per-cell ALU costs scale it.
-  const int cells = LaneCount(mask) * dst.count();
+  const int cells = lanes * dst.count();
+  // A unary libm function the mobile compilers lower to a polynomial:
+  // exact, with an SFU-equivalent cost.
+  const auto trans = [&](auto fn) {
+    alu.CountSfuTrans(cells);
+    MapUnaryBatch(dst, args(0), mask, [rs, fn](float x) { return rs(fn(x)); });
+  };
   switch (b) {
     case Builtin::kRadians:
       alu.Count(cells);
@@ -450,44 +600,65 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
       return MapUnaryBatch(dst, args(0), mask,
                            [rs](float x) { return rs(x * (180.0f / kPi)); });
     case Builtin::kSin:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Sin(x); });
+      return trans([](float x) { return std::sin(x); });
     case Builtin::kCos:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Cos(x); });
+      return trans([](float x) { return std::cos(x); });
     case Builtin::kTan:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Tan(x); });
+      return trans([](float x) { return std::tan(x); });
     case Builtin::kAsin:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Asin(x); });
+      return trans([](float x) { return std::asin(x); });
     case Builtin::kAcos:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Acos(x); });
+      return trans([](float x) { return std::acos(x); });
     case Builtin::kAtan:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Atan(x); });
+      return trans([](float x) { return std::atan(x); });
     case Builtin::kAtan2:
+      alu.CountSfuTrans(cells);
       return MapBinaryBatch(dst, args(0), args(1), mask,
-                            [&](float y, float x) { return alu.Atan2(y, x); });
+                            [rs](float y, float x) {
+                              return rs(std::atan2(y, x));
+                            });
+    // The AluModel's lowerings, inlined: pow(x, y) = exp2(y * log2(x)),
+    // exp(x) = exp2(x * log2(e)), log(x) = log2(x) * ln(2).
     case Builtin::kPow:
+      alu.CountSfuTrans(2 * cells);
+      alu.Count(cells);
       return MapBinaryBatch(dst, args(0), args(1), mask,
-                            [&](float x, float y) { return alu.Pow(x, y); });
+                            [rs, sfu](float x, float y) {
+                              return SfuExp2(rs(FMul(y, SfuLog2(x, sfu, rs))),
+                                             sfu, rs);
+                            });
     case Builtin::kExp:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Exp(x); });
+      alu.CountSfuTrans(cells);
+      alu.Count(cells);
+      return MapUnaryBatch(dst, args(0), mask, [rs, sfu](float x) {
+        return SfuExp2(rs(FMul(x, 1.4426950408889634f)), sfu, rs);
+      });
     case Builtin::kLog:
-      return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Log(x); });
+      alu.CountSfuTrans(cells);
+      alu.Count(cells);
+      return MapUnaryBatch(dst, args(0), mask, [rs, sfu](float x) {
+        return rs(FMul(SfuLog2(x, sfu, rs), 0.6931471805599453f));
+      });
     case Builtin::kExp2:
+      alu.CountSfuTrans(cells);
       return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Exp2(x); });
+                           [rs, sfu](float x) { return SfuExp2(x, sfu, rs); });
     case Builtin::kLog2:
+      alu.CountSfuTrans(cells);
       return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Log2(x); });
-    case Builtin::kSqrt:
+                           [rs, sfu](float x) { return SfuLog2(x, sfu, rs); });
+    case Builtin::kSqrt: {
+      // SfuSqrt: one SFU op per cell, one ALU op per non-zero cell.
+      alu.CountSfu(cells);
+      int nonzero = 0;
+      for (int c = 0; c < dst.count(); ++c) {
+        ForEachLane(mask,
+                    [&](int l) { nonzero += args(0).at(c, l).f != 0.0f; });
+      }
+      alu.Count(nonzero);
       return MapUnaryBatch(dst, args(0), mask,
-                           [&](float x) { return alu.Sqrt(x); });
+                           [rs](float x) { return SfuSqrt(x, rs); });
+    }
     case Builtin::kInverseSqrt:
       alu.CountSfu(cells);
       return MapUnaryBatch(dst, args(0), mask, [rs](float x) {
@@ -506,7 +677,7 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
     case Builtin::kFloor:
       alu.Count(cells);
       return MapUnaryBatch(dst, args(0), mask,
-                           [](float x) { return std::floor(x); });
+                           [](float x) { return FFloor(x); });
     case Builtin::kCeil:
       alu.Count(cells);
       return MapUnaryBatch(dst, args(0), mask,
@@ -515,7 +686,7 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
       // x - floor(x), one ALU op for the floor and one for the subtract.
       alu.Count(2 * cells);
       return MapUnaryBatch(dst, args(0), mask,
-                           [rs](float x) { return rs(x - std::floor(x)); });
+                           [rs](float x) { return rs(x - FFloor(x)); });
     case Builtin::kMod:
       // mod(x, y) = x - y * floor(x / y), per spec: div (ALU + SFU
       // reciprocal), floor, mul, sub.
@@ -524,14 +695,16 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
       return MapBinaryBatch(dst, args(0), args(1), mask,
                             [rs](float x, float y) {
                               const float q = rs(FMul(x, rs(1.0f / y)));
-                              return rs(FSub(x, rs(FMul(y, std::floor(q)))));
+                              return rs(FSub(x, rs(FMul(y, FFloor(q)))));
                             });
     case Builtin::kMin:
       alu.Count(cells);
-      return MapBinaryBatch(dst, args(0), args(1), mask, FminScalar);
+      return MapBinaryBatch(dst, args(0), args(1), mask,
+                            [](float x, float y) { return FminScalar(x, y); });
     case Builtin::kMax:
       alu.Count(cells);
-      return MapBinaryBatch(dst, args(0), args(1), mask, FmaxScalar);
+      return MapBinaryBatch(dst, args(0), args(1), mask,
+                            [](float x, float y) { return FmaxScalar(x, y); });
     case Builtin::kClamp:
       alu.Count(2 * cells);
       return MapTernaryBatch(dst, args(0), args(1), args(2), mask,
@@ -568,45 +741,14 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
                              });
 
     case Builtin::kLength:
-      ForEachLane(mask, [&](int l) {
-        dst.at(0, l).f = alu.Sqrt(DotLane(args(0), args(0), l, alu));
-      });
-      return;
     case Builtin::kDistance:
-      ForEachLane(mask, [&](int l) {
-        const PlaneSrc& a = args(0);
-        float acc = 0.0f;
-        for (int i = 0; i < a.count(); ++i) {
-          const float d = alu.Sub(a.at(i, l).f, args(1).at(i, l).f);
-          const float sq = alu.Mul(d, d);
-          acc = i == 0 ? sq : alu.Add(acc, sq);
-        }
-        dst.at(0, l).f = alu.Sqrt(acc);
-      });
-      return;
     case Builtin::kDot:
-      ForEachLane(mask, [&](int l) {
-        dst.at(0, l).f = DotLane(args(0), args(1), l, alu);
-      });
-      return;
     case Builtin::kCross:
-      ForEachLane(mask, [&](int l) {
-        const auto a = [&](int i) { return args(0).at(i, l).f; };
-        const auto c = [&](int i) { return args(1).at(i, l).f; };
-        dst.at(0, l).f = alu.Sub(alu.Mul(a(1), c(2)), alu.Mul(a(2), c(1)));
-        dst.at(1, l).f = alu.Sub(alu.Mul(a(2), c(0)), alu.Mul(a(0), c(2)));
-        dst.at(2, l).f = alu.Sub(alu.Mul(a(0), c(1)), alu.Mul(a(1), c(0)));
-      });
-      return;
     case Builtin::kNormalize:
-      ForEachLane(mask, [&](int l) {
-        const PlaneSrc& a = args(0);
-        const float inv = alu.RecipSqrt(DotLane(a, a, l, alu));
-        for (int i = 0; i < a.count(); ++i) {
-          dst.at(i, l).f = alu.Mul(a.at(i, l).f, inv);
-        }
+    case Builtin::kReflect:
+      return WithRounding(rs, [&](auto round) {
+        GeometricBatch(b, argp, alu, dst, mask, round);
       });
-      return;
     case Builtin::kFaceforward:
       ForEachLane(mask, [&](int l) {
         const PlaneSrc& n = args(0);
@@ -618,17 +760,6 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
           } else {
             dst.at(i, l).f = alu.Sub(0.0f, n.at(i, l).f);
           }
-        }
-      });
-      return;
-    case Builtin::kReflect:
-      ForEachLane(mask, [&](int l) {
-        const PlaneSrc& in = args(0);
-        const float d = DotLane(args(1), in, l, alu);
-        const float two_d = alu.Mul(2.0f, d);
-        for (int i = 0; i < in.count(); ++i) {
-          dst.at(i, l).f =
-              alu.Sub(in.at(i, l).f, alu.Mul(two_d, args(1).at(i, l).f));
         }
       });
       return;
@@ -667,11 +798,17 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
       const PlaneSrc& c = args(1);
       const bool is_float = a.scalar() == BaseType::kFloat;
       const auto compare = [&](auto pred) {
-        ForEachCell(a.count(), mask, [&](int i, int l) {
-          const bool r = is_float ? pred(a.at(i, l).f, c.at(i, l).f)
-                                  : pred(a.at(i, l).i, c.at(i, l).i);
-          dst.at(i, l).i = r ? 1 : 0;
-        });
+        if (is_float) {
+          MapLanes(
+              dst, a.count(), mask,
+              [pred](Cell x, Cell y) { return ICell(pred(x.f, y.f)); },
+              LaneOperand{a}, LaneOperand{c});
+        } else {
+          MapLanes(
+              dst, a.count(), mask,
+              [pred](Cell x, Cell y) { return ICell(pred(x.i, y.i)); },
+              LaneOperand{a}, LaneOperand{c});
+        }
       };
       switch (b) {
         case Builtin::kLessThan:
@@ -690,24 +827,28 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
     }
     case Builtin::kAny:
     case Builtin::kAll: {
+      // any: the OR of the components' truth, all: the AND.
       const PlaneSrc& a = args(0);
       const bool any = b == Builtin::kAny;
-      alu.Count(LaneCount(mask) * a.count());
-      ForEachLane(mask, [&](int l) {
-        bool r = !any;
-        for (int i = 0; i < a.count(); ++i) {
-          r = any ? (r || a.at(i, l).i != 0) : (r && a.at(i, l).i != 0);
+      alu.Count(lanes * a.count());
+      LaneRow buf, acc;
+      for (int l = 0; l < top; ++l) acc[l].i = any ? 0 : 1;
+      for (int i = 0; i < a.count(); ++i) {
+        const Cell* x = RowOf(a, i, top, buf);
+        for (int l = 0; l < top; ++l) {
+          const std::int32_t t = x[l].i != 0 ? 1 : 0;
+          acc[l].i = any ? (acc[l].i | t) : (acc[l].i & t);
         }
-        dst.at(0, l).i = r ? 1 : 0;
-      });
+      }
+      CommitRow(dst, 0, acc.data(), mask, top);
       return;
     }
     case Builtin::kNot:
       alu.Count(cells);
-      ForEachCell(args(0).count(), mask, [&](int i, int l) {
-        dst.at(i, l).i = args(0).at(i, l).i == 0 ? 1 : 0;
-      });
-      return;
+      return MapLanes(
+          dst, args(0).count(), mask,
+          [](Cell x) { return ICell(x.i == 0 ? 1 : 0); },
+          LaneOperand{args(0)});
 
     // Texture builtins: one batched TMU fetch for the whole mask.
     case Builtin::kTexture2D:
@@ -730,18 +871,33 @@ void EvalBuiltinBatch(Builtin b, std::span<const PlaneSrc> argp,
       const PlaneSrc& uv = args(1);
       TexelFetch fetch;
       fetch.mask = mask;
-      ForEachLane(mask, [&](int l) {
-        const std::size_t li = static_cast<std::size_t>(l);
-        fetch.unit[li] = args(0).at(0, l).i;
-        if (proj3 || proj4) {
-          fetch.s[li] = alu.Div(uv.at(0, l).f, uv.at(q, l).f);
-          fetch.t[li] = alu.Div(uv.at(1, l).f, uv.at(q, l).f);
-        } else {
-          fetch.s[li] = uv.at(0, l).f;
-          fetch.t[li] = uv.at(1, l).f;
+      LaneRow bs, bt, bq, bu, bl;
+      const Cell* unit = RowOf(args(0), 0, top, bu);
+      const Cell* s = RowOf(uv, 0, top, bs);
+      const Cell* t = RowOf(uv, 1, top, bt);
+      for (int l = 0; l < top; ++l) fetch.unit[l] = unit[l].i;
+      if (proj3 || proj4) {
+        // s / q and t / q, each a division: an ALU op and an SFU
+        // reciprocal per lane.
+        alu.Count(2 * lanes);
+        alu.CountSfu(2 * lanes);
+        const Cell* w = RowOf(uv, q, top, bq);
+        for (int l = 0; l < top; ++l) {
+          fetch.s[l] = rs(FMul(s[l].f, rs(1.0f / w[l].f)));
+          fetch.t[l] = rs(FMul(t[l].f, rs(1.0f / w[l].f)));
         }
-        fetch.lod[li] = argp.size() > 2 ? args(2).at(0, l).f : 0.0f;
-      });
+      } else {
+        for (int l = 0; l < top; ++l) {
+          fetch.s[l] = s[l].f;
+          fetch.t[l] = t[l].f;
+        }
+      }
+      if (argp.size() > 2) {
+        const Cell* lod = RowOf(args(2), 0, top, bl);
+        for (int l = 0; l < top; ++l) fetch.lod[l] = lod[l].f;
+      } else {
+        std::fill_n(fetch.lod.begin(), top, 0.0f);
+      }
       FetchTexels(fetch, texture, alu, dst);
       return;
     }

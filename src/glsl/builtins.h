@@ -52,13 +52,17 @@ struct BuiltinResolution {
 [[nodiscard]] BuiltinResolution ResolveBuiltin(
     const std::string& name, const std::vector<Type>& arg_types, Stage stage);
 
-// One batched texture fetch: the TMU request of a whole instruction. Every
-// lane l in `mask` samples texture unit unit[l] at (s[l], t[l]) with lod
-// bias (fragment) or level (vertex) lod[l]; the callback writes the texel's
-// RGBA in [0,1] to rgba[c][l]. Entries of lanes outside `mask` are
-// unspecified and must not be read. The tree walker issues one-lane
-// fetches (mask 1). Callbacks that model per-fragment state (the gles2
-// texture-cache log) keep it per lane, in the order fetches arrive — which
+// One batched texture fetch: the TMU request of a whole instruction, in
+// the kernels' masked loop shape (evalcore.h). Every lane l in `mask`
+// samples texture unit unit[l] at (s[l], t[l]) with lod bias (fragment)
+// or level (vertex) lod[l]. unit/s/t/lod are filled for lanes [0, top),
+// top = TopLane(mask); the lanes in that range outside `mask` carry stale
+// values. The callback writes the texel's RGBA in [0,1] to rgba[c][l] for
+// every lane in [0, top) — any value for the lanes outside `mask`, whose
+// results are never stored — and must treat any coordinate and unit as
+// valid input. The tree walker issues one-lane fetches (mask 1).
+// Callbacks that model per-fragment state (the gles2 texture-cache log)
+// record it for the mask's lanes only, in the order fetches arrive — which
 // is each lane's program order.
 struct TexelFetch {
   std::uint32_t mask = 0;

@@ -180,10 +180,10 @@ void EvalArithInto(AluModel& alu, BinOp op, const Value& l, const Value& r,
       const std::int32_t b = r.I(ri);
       alu.Count(1);
       switch (op) {
-        case BinOp::kAdd: out.SetI(i, a + b); break;
-        case BinOp::kSub: out.SetI(i, a - b); break;
-        case BinOp::kMul: out.SetI(i, a * b); break;
-        case BinOp::kDiv: out.SetI(i, b == 0 ? 0 : a / b); break;
+        case BinOp::kAdd: out.SetI(i, IAdd(a, b)); break;
+        case BinOp::kSub: out.SetI(i, ISub(a, b)); break;
+        case BinOp::kMul: out.SetI(i, IMul(a, b)); break;
+        case BinOp::kDiv: out.SetI(i, IDiv(a, b)); break;
         case BinOp::kLt: out.SetB(i, a < b); break;
         case BinOp::kGt: out.SetB(i, a > b); break;
         case BinOp::kLe: out.SetB(i, a <= b); break;
@@ -269,7 +269,7 @@ void EvalNegInto(AluModel& alu, const Value& v, Value& out) {
     if (is_float) {
       out.SetF(i, alu.Round(-v.F(i)));
     } else {
-      out.SetI(i, -v.I(i));
+      out.SetI(i, INeg(v.I(i)));
     }
   }
 }
@@ -290,7 +290,7 @@ void EvalIncDecInto(AluModel& alu, const LRef& ref, bool increment, bool post,
       updated.SetF(i, alu.Add(old.F(i), delta));
     } else {
       alu.Count(1);
-      updated.SetI(i, old.I(i) + static_cast<std::int32_t>(delta));
+      updated.SetI(i, IAdd(old.I(i), static_cast<std::int32_t>(delta)));
     }
   }
   WriteRef(ref, updated);
@@ -312,21 +312,6 @@ void EvalExtractInto(const Value& base, const IndexStep& step, int i,
 
 namespace {
 
-// Calls body(round) with a rounding functor equivalent to `spec`, chosen
-// once: the identity, the denormal flush alone, or the full spec. Loops
-// inside `body` then carry no per-element branch on the spec, so the
-// common full-mantissa models get plain (vectorizable) loops.
-template <typename Body>
-void WithRounding(const RoundSpec& spec, Body&& body) {
-  if (spec.identity()) {
-    body([](float x) { return x; });
-  } else if (spec.mantissa_bits >= 23) {
-    body([](float x) { return RoundSpec::FlushDenormal(x); });
-  } else {
-    body(spec);
-  }
-}
-
 // Mirrors Value::SetConverted for one cell: float sources convert through
 // SetFromFloat, integer-class sources keep their bits except where the
 // target is float or bool.
@@ -338,7 +323,7 @@ Cell ConvertCell(Cell v, BaseType from, BaseType to) {
     } else if (to == BaseType::kBool) {
       out.i = v.f != 0.0f ? 1 : 0;
     } else {
-      out.i = static_cast<std::int32_t>(v.f);
+      out.i = FloatToInt(v.f);
     }
   } else if (to == BaseType::kFloat) {
     out.f = static_cast<float>(v.i);
@@ -350,38 +335,36 @@ Cell ConvertCell(Cell v, BaseType from, BaseType to) {
   return out;
 }
 
-// a op b for the four float arithmetic ops, rounding each result (and a
-// division's reciprocal, the SFU's) through `round` as the ALU model does.
-// Every lane of every arithmetic kernel computes its float math here.
+// out = l op r for the four float arithmetic ops over the mask's lanes,
+// rounding each result (and a division's reciprocal, the SFU's) through
+// `round` as the ALU model does.
 template <typename Round>
-float FloatArith(BinOp op, const Round& round, float a, float b) {
+[[gnu::always_inline]] inline void FloatArithLanes(
+    BinOp op, Round round, const PlaneDst& out, int n, std::uint32_t mask,
+    LaneOperand l, LaneOperand r) {
   switch (op) {
-    case BinOp::kAdd: return round(FAdd(a, b));
-    case BinOp::kSub: return round(FSub(a, b));
-    case BinOp::kMul: return round(FMul(a, b));
-    default: return round(FMul(a, round(1.0f / b)));
-  }
-}
-
-// out(c) = fn(l(c * ls), r(c * rs)) for components [0, n) over lanes
-// [0, lanes) of a lane-plane destination: unit-stride loops with a shared
-// operand hoisted into a local, which the compiler vectorizes.
-template <typename Fn>
-void MapFloatLanes(int n, int lanes, const PlaneSrc& l, int ls,
-                   const PlaneSrc& r, int rs, const PlaneDst& out, Fn fn) {
-  for (int c = 0; c < n; ++c) {
-    Cell* o = &out.at(c, 0);
-    const Cell* a = &l.at(c * ls, 0);
-    const Cell* b = &r.at(c * rs, 0);
-    if (l.lane_stride != 0 && r.lane_stride != 0) {
-      for (int i = 0; i < lanes; ++i) o[i].f = fn(a[i].f, b[i].f);
-    } else if (l.lane_stride != 0) {
-      const float y = b->f;
-      for (int i = 0; i < lanes; ++i) o[i].f = fn(a[i].f, y);
-    } else {
-      const float x = a->f;
-      for (int i = 0; i < lanes; ++i) o[i].f = fn(x, b[i * r.lane_stride].f);
-    }
+    case BinOp::kAdd:
+      return MapLanes(
+          out, n, mask,
+          [round](Cell a, Cell b) { return FCell(round(FAdd(a.f, b.f))); }, l,
+          r);
+    case BinOp::kSub:
+      return MapLanes(
+          out, n, mask,
+          [round](Cell a, Cell b) { return FCell(round(FSub(a.f, b.f))); }, l,
+          r);
+    case BinOp::kMul:
+      return MapLanes(
+          out, n, mask,
+          [round](Cell a, Cell b) { return FCell(round(FMul(a.f, b.f))); }, l,
+          r);
+    default:
+      return MapLanes(
+          out, n, mask,
+          [round](Cell a, Cell b) {
+            return FCell(round(FMul(a.f, round(1.0f / b.f))));
+          },
+          l, r);
   }
 }
 
@@ -394,6 +377,7 @@ void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
   const BaseType rb = r.type.base;
   const bool is_float = ScalarOf(lb) == BaseType::kFloat;
   const int lanes = LaneCount(mask);
+  const int top = TopLane(mask);
   const RoundSpec rs = alu.round_spec();
 
   // Linear-algebra multiplies: output cell `o` of each lane is the scalar
@@ -401,15 +385,17 @@ void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
   // k-th term to its left/right operand components.
   const auto linalg = [&](int cells, int n, auto li, auto ri) {
     alu.Count(lanes * cells * (2 * n - 1));
+    LaneRow ra, rb, acc;
     for (int o = 0; o < cells; ++o) {
-      ForEachLane(mask, [&](int lane) {
-        float acc = rs(FMul(l.at(li(o, 0), lane).f, r.at(ri(o, 0), lane).f));
-        for (int k = 1; k < n; ++k) {
-          acc = rs(FAdd(
-              acc, rs(FMul(l.at(li(o, k), lane).f, r.at(ri(o, k), lane).f))));
+      for (int k = 0; k < n; ++k) {
+        const Cell* x = RowOf(l, li(o, k), top, ra);
+        const Cell* y = RowOf(r, ri(o, k), top, rb);
+        for (int i = 0; i < top; ++i) {
+          const float p = rs(FMul(x[i].f, y[i].f));
+          acc[i].f = k == 0 ? p : rs(FAdd(acc[i].f, p));
         }
-        out.at(o, lane).f = acc;
-      });
+      }
+      CommitRow(out, o, acc.data(), mask, top);
     }
   };
   if (op == BinOp::kMul && IsMatrix(lb) && IsMatrix(rb)) {
@@ -437,32 +423,42 @@ void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
   // EqualAll). One ALU op per lane.
   if (op >= BinOp::kLt && op <= BinOp::kNe) {
     alu.Count(lanes);
-    if (op == BinOp::kEq || op == BinOp::kNe) {
-      const int n = l.count();
-      const bool same_shape = n == r.count();
-      const int want = op == BinOp::kEq ? 1 : 0;
-      ForEachLane(mask, [&](int lane) {
-        bool eq = same_shape;
-        for (int c = 0; eq && c < n; ++c) {
-          eq = is_float ? l.at(c, lane).f == r.at(c, lane).f
-                        : l.at(c, lane).i == r.at(c, lane).i;
+    const int n = l.count();
+    if ((op == BinOp::kEq || op == BinOp::kNe) && (n > 1 || r.count() > 1)) {
+      // Whole-vector equality: the AND of the components' equality.
+      LaneRow ra, rb, eq;
+      for (int i = 0; i < top; ++i) eq[i].i = n == r.count() ? 1 : 0;
+      for (int c = 0; c < n && n == r.count(); ++c) {
+        const Cell* x = RowOf(l, c, top, ra);
+        const Cell* y = RowOf(r, c, top, rb);
+        for (int i = 0; i < top; ++i) {
+          eq[i].i &= is_float ? x[i].f == y[i].f : x[i].i == y[i].i;
         }
-        out.at(0, lane).i = eq ? want : 1 - want;
-      });
+      }
+      if (op == BinOp::kNe) {
+        for (int i = 0; i < top; ++i) eq[i].i ^= 1;
+      }
+      CommitRow(out, 0, eq.data(), mask, top);
       return;
     }
     const auto compare = [&](auto pred) {
-      ForEachLane(mask, [&](int lane) {
-        const bool v = is_float ? pred(l.at(0, lane).f, r.at(0, lane).f)
-                                : pred(l.at(0, lane).i, r.at(0, lane).i);
-        out.at(0, lane).i = v ? 1 : 0;
-      });
+      if (is_float) {
+        MapLanes(out, 1, mask,
+                 [pred](Cell a, Cell b) { return ICell(pred(a.f, b.f)); },
+                 LaneOperand{l}, LaneOperand{r});
+      } else {
+        MapLanes(out, 1, mask,
+                 [pred](Cell a, Cell b) { return ICell(pred(a.i, b.i)); },
+                 LaneOperand{l}, LaneOperand{r});
+      }
     };
     switch (op) {
       case BinOp::kLt: return compare([](auto a, auto b) { return a < b; });
       case BinOp::kGt: return compare([](auto a, auto b) { return a > b; });
       case BinOp::kLe: return compare([](auto a, auto b) { return a <= b; });
-      default: return compare([](auto a, auto b) { return a >= b; });
+      case BinOp::kGe: return compare([](auto a, auto b) { return a >= b; });
+      case BinOp::kEq: return compare([](auto a, auto b) { return a == b; });
+      default: return compare([](auto a, auto b) { return a != b; });
     }
   }
 
@@ -473,56 +469,25 @@ void EvalArithBatch(AluModel& alu, BinOp op, const PlaneSrc& l,
   const int ls = l.count() == 1 && n > 1 ? 0 : 1;
   const int rsx = r.count() == 1 && n > 1 ? 0 : 1;
   alu.Count(lanes * n);
+  const LaneOperand lo{l, ls};
+  const LaneOperand ro{r, rsx};
   if (is_float) {
     // Div is a * recip(b), the reciprocal on the SFU.
     if (op == BinOp::kDiv) alu.CountSfu(lanes * n);
-    if ((mask & (mask + 1u)) != 0 || lanes == 1 || out.lane_stride != 1) {
-      // A sparse or single-lane mask: one pass over its cells.
-      ForEachCell(n, mask, [&](int c, int lane) {
-        out.at(c, lane).f = FloatArith(op, rs, l.at(c * ls, lane).f,
-                                       r.at(c * rsx, lane).f);
-      });
-      return;
-    }
-    // A lane range [0, k), k > 1 — every converged instruction of a batch
-    // wider than one lane: vectorizable loops, one per op and rounding.
-    WithRounding(rs, [&](auto round) {
-      const auto map = [&](auto fn) {
-        MapFloatLanes(n, lanes, l, ls, r, rsx, out, fn);
-      };
-      switch (op) {
-        case BinOp::kAdd:
-          return map([round](float a, float b) {
-            return FloatArith(BinOp::kAdd, round, a, b);
-          });
-        case BinOp::kSub:
-          return map([round](float a, float b) {
-            return FloatArith(BinOp::kSub, round, a, b);
-          });
-        case BinOp::kMul:
-          return map([round](float a, float b) {
-            return FloatArith(BinOp::kMul, round, a, b);
-          });
-        default:
-          return map([round](float a, float b) {
-            return FloatArith(BinOp::kDiv, round, a, b);
-          });
-      }
+    return WithRounding(rs, [&](auto round) {
+      FloatArithLanes(op, round, out, n, mask, lo, ro);
     });
-    return;
   }
-  const auto map = [&](auto fn) {
-    ForEachCell(n, mask, [&](int c, int lane) {
-      out.at(c, lane).i = fn(l.at(c * ls, lane).i, r.at(c * rsx, lane).i);
-    });
-  };
-  using I = std::int32_t;
+  const auto map = [&](auto fn) { MapLanes(out, n, mask, fn, lo, ro); };
   switch (op) {
-    case BinOp::kAdd: return map([](I a, I b) { return a + b; });
-    case BinOp::kSub: return map([](I a, I b) { return a - b; });
-    case BinOp::kMul: return map([](I a, I b) { return a * b; });
-    case BinOp::kDiv: return map([](I a, I b) { return b == 0 ? 0 : a / b; });
-    default: return;
+    case BinOp::kAdd:
+      return map([](Cell a, Cell b) { return ICell(IAdd(a.i, b.i)); });
+    case BinOp::kSub:
+      return map([](Cell a, Cell b) { return ICell(ISub(a.i, b.i)); });
+    case BinOp::kMul:
+      return map([](Cell a, Cell b) { return ICell(IMul(a.i, b.i)); });
+    default:
+      return map([](Cell a, Cell b) { return ICell(IDiv(a.i, b.i)); });
   }
 }
 
@@ -531,23 +496,20 @@ void EvalNegBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
   const int n = v.count();
   alu.Count(LaneCount(mask) * n);
   if (v.scalar() == BaseType::kFloat) {
-    const RoundSpec rs = alu.round_spec();
-    ForEachCell(n, mask, [&](int c, int lane) {
-      out.at(c, lane).f = rs(-v.at(c, lane).f);
+    return WithRounding(alu.round_spec(), [&](auto round) {
+      MapLanes(out, n, mask, [round](Cell a) { return FCell(round(-a.f)); },
+               LaneOperand{v});
     });
-    return;
   }
-  ForEachCell(n, mask, [&](int c, int lane) {
-    out.at(c, lane).i = -v.at(c, lane).i;
-  });
+  MapLanes(out, n, mask, [](Cell a) { return ICell(INeg(a.i)); },
+           LaneOperand{v});
 }
 
 void EvalNotBatch(AluModel& alu, const PlaneSrc& v, const PlaneDst& out,
                   std::uint32_t mask) {
   alu.Count(LaneCount(mask));
-  ForEachLane(mask, [&](int lane) {
-    out.at(0, lane).i = v.at(0, lane).i == 0 ? 1 : 0;
-  });
+  MapLanes(out, 1, mask, [](Cell a) { return ICell(a.i == 0 ? 1 : 0); },
+           LaneOperand{v});
 }
 
 void EvalCtorBatch(AluModel& alu, std::span<const PlaneSrc> args,
@@ -609,19 +571,33 @@ void EvalCtorBatch(AluModel& alu, std::span<const PlaneSrc> args,
   for (int w = 0; w < n; ++w) {
     const Source& s = src[static_cast<std::size_t>(w)];
     if (s.arg < 0) {
-      Cell k;
-      k.f = s.k;  // 0.0f is the all-zero cell for every scalar kind
-      ForEachLane(mask, [&](int lane) { out.at(w, lane) = k; });
+      // 0.0f is the all-zero cell for every scalar kind.
+      const Cell k = FCell(s.k);
+      CopyLanes(out, w, {&k, 0, 0, out.type}, 0, mask);
       continue;
     }
     const PlaneSrc& a = args[static_cast<std::size_t>(s.arg)];
     const BaseType from = a.scalar();
     if (from == to && to != BaseType::kBool) {
       CopyLanes(out, w, a, s.comp, mask);
+      continue;
+    }
+    // One component through the conversion (a MapLanes over the component
+    // alone: `out` moved on to component w, `a` to component s.comp).
+    const PlaneDst o{&out.at(w, 0), out.comp_stride, out.lane_stride,
+                     out.type};
+    const PlaneSrc x{&a.at(s.comp, 0), a.comp_stride, a.lane_stride, a.type};
+    if (from == BaseType::kFloat && to == BaseType::kInt) {
+      MapLanes(o, 1, mask, [](Cell v) { return ICell(FloatToInt(v.f)); },
+               LaneOperand{x});
+    } else if (from == BaseType::kInt && to == BaseType::kFloat) {
+      MapLanes(o, 1, mask,
+               [](Cell v) { return FCell(static_cast<float>(v.i)); },
+               LaneOperand{x});
     } else {
-      ForEachLane(mask, [&](int lane) {
-        out.at(w, lane) = ConvertCell(a.at(s.comp, lane), from, to);
-      });
+      MapLanes(
+          o, 1, mask, [from, to](Cell v) { return ConvertCell(v, from, to); },
+          LaneOperand{x});
     }
   }
 }

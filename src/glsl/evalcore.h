@@ -14,6 +14,7 @@
 #include <span>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "glsl/alu.h"
 #include "glsl/ast.h"
@@ -180,9 +181,9 @@ using PlaneDst = PlaneView<Cell>;
                                    : std::popcount(mask);
 }
 
-// The three lane-loop helpers below are always inlined: each is a loop or
-// two, and the VM's one opcode switch is too large for the compiler to
-// inline them into it on its own.
+// The lane-loop helpers below are always inlined: each is a loop or two,
+// and the VM's one opcode switch is too large for the compiler to inline
+// them into it on its own.
 
 // Calls f(lane) for each set bit of `mask`, ascending. A mask of lanes
 // [0, n) — every converged batch — runs as a plain counted loop.
@@ -198,36 +199,167 @@ template <typename F>
   }
 }
 
-// Calls f(comp, lane) for components [0, n) outer and the mask's lanes
-// inner: every lane sees its components in scalar order, which keeps
-// in-place compound ops (dst == lhs) exact.
-template <typename F>
-[[gnu::always_inline]] inline void ForEachCell(int n, std::uint32_t mask,
-                                               F&& f) {
-  for (int c = 0; c < n; ++c) {
-    ForEachLane(mask, [&](int l) { f(c, l); });
+// The masked loop shape of every plane kernel: a kernel computes lanes
+// [0, top) of a component into a row — top is the highest lane of the
+// mask plus one, so a one-lane run has top == 1 — and commits the row
+// under the mask. Lanes inside [0, top) but outside the mask compute on
+// whatever their cells hold, which is why every op a kernel maps is total
+// (the float formulas, and the integer helpers of alu.h); their results
+// are never stored. One shape serves dense, sparse and one-lane masks
+// alike, with plain unit-stride loops the compiler vectorizes.
+using LaneRow = std::array<Cell, kVmLanes>;
+
+// Highest lane of `mask` (non-zero) plus one.
+[[nodiscard]] inline int TopLane(std::uint32_t mask) {
+  return kVmLanes - std::countl_zero(mask);
+}
+
+// Lanes [0, top) of component `comp` of `v` as a unit-stride row: the
+// plane itself, or `buf` filled with the value shared by every lane.
+[[gnu::always_inline]] inline const Cell* RowOf(const PlaneSrc& v, int comp,
+                                                int top, LaneRow& buf) {
+  const Cell* p = &v.at(comp, 0);
+  if (v.lane_stride != 0) return p;
+  const std::int32_t bits = p->i;
+  for (int l = 0; l < top; ++l) buf[static_cast<std::size_t>(l)].i = bits;
+  return buf.data();
+}
+
+// Bit l of the lane mask, as data the commit loop can vectorize over.
+inline constexpr std::array<std::uint32_t, kVmLanes> kLaneBit = [] {
+  std::array<std::uint32_t, kVmLanes> bits{};
+  for (int l = 0; l < kVmLanes; ++l) bits[l] = 1u << l;
+  return bits;
+}();
+
+// Stores cell(l) for lanes l in [0, top) into component `comp` of `d`
+// where `mask` is set: every lane below top is computed and the store is
+// a bit select, so the loop is one straight vector loop for any mask. A
+// destination shared by every lane (lane_stride 0) takes the top lane's
+// value — the last store of a lane-ascending sequence — in the one store
+// a one-lane mask (top == 1) also reduces to. cell(l) may read
+// the destination component itself at lane l (in-place ops), but no
+// other lane of it: component planes either coincide or are disjoint.
+template <typename CellFn>
+[[gnu::always_inline]] inline void CommitLanes(const PlaneDst& d, int comp,
+                                               std::uint32_t mask, int top,
+                                               CellFn cell) {
+  Cell* o = &d.at(comp, 0);
+  if (top == 1 || d.lane_stride == 0) {
+    *o = cell(top - 1);
+    return;
+  }
+  // A mask of lanes [0, top) — every converged step — stores whole rows.
+  // The pragma tells the compiler what it cannot prove on its own, that
+  // cell(l) reads no other lane of o, so the loop vectorizes.
+  const bool dense = (mask & (mask + 1u)) == 0;
+#if defined(__clang__)
+#pragma clang loop vectorize(assume_safety)
+#elif defined(__GNUC__)
+#pragma GCC ivdep
+#endif
+  for (int l = 0; l < top; ++l) {
+    const std::int32_t v = cell(l).i;
+    const std::int32_t keep =
+        (mask & kLaneBit[static_cast<std::size_t>(l)]) != 0 ? -1 : 0;
+    o[l].i = dense ? v : (v & keep) | (o[l].i & ~keep);
   }
 }
 
+// CommitLanes of a row of cells.
+[[gnu::always_inline]] inline void CommitRow(const PlaneDst& d, int comp,
+                                             const Cell* row,
+                                             std::uint32_t mask, int top) {
+  CommitLanes(d, comp, mask, top, [row](int l) { return row[l]; });
+}
+
 // Copies source component `sc` into destination component `dc` for the
-// mask's lanes. A lane range [0, k), k > 1, into a lane-plane destination
-// moves the component as one block (or fills it, from storage shared by
-// every lane); a single lane moves its one cell, cheaper than a block call.
+// mask's lanes.
 [[gnu::always_inline]] inline void CopyLanes(const PlaneDst& d, int dc,
                                              const PlaneSrc& s, int sc,
                                              std::uint32_t mask) {
-  if ((mask & (mask + 1u)) == 0 && mask > 1 && d.lane_stride == 1) {
-    const int lanes = std::countr_one(mask);
-    Cell* o = &d.at(dc, 0);
-    const Cell* a = &s.at(sc, 0);
-    if (s.lane_stride != 0) {
-      std::copy_n(a, lanes, o);
-    } else {
-      std::fill_n(o, lanes, *a);
-    }
+  const int top = TopLane(mask);
+  if (top == 1) {
+    d.at(dc, 0) = s.at(sc, 0);
     return;
   }
-  ForEachLane(mask, [&](int l) { d.at(dc, l) = s.at(sc, l); });
+  LaneRow buf;
+  CommitRow(d, dc, RowOf(s, sc, top, buf), mask, top);
+}
+
+// An operand of MapLanes: a component-plane view and its component step
+// (0 broadcasts component 0 against a wider result).
+struct LaneOperand {
+  const PlaneSrc& v;
+  int step = 1;
+};
+
+// MapLanes' loop over rows of top > 1 lanes. Kept out of line, so a
+// one-lane caller does not pay for the row loops' frame and set-up.
+template <typename Fn, typename... Ops>
+[[gnu::noinline]] void MapRows(const PlaneDst& out, int n, std::uint32_t mask,
+                               int top, Fn fn, Ops... ops) {
+  std::array<LaneRow, sizeof...(Ops)> bufs;
+  std::array<const Cell*, sizeof...(Ops)> rows{};
+  for (int c = 0; c < n; ++c) {
+    // A broadcast operand's row is the same for every component.
+    std::size_t k = 0;
+    const auto load = [&](const LaneOperand& op) {
+      if (c == 0 || op.step != 0) {
+        rows[k] = RowOf(op.v, c * op.step, top, bufs[k]);
+      }
+      ++k;
+    };
+    (load(ops), ...);
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      CommitLanes(out, c, mask, top,
+                  [&](int l) { return fn(rows[I][l]...); });
+    }(std::index_sequence_for<Ops...>{});
+  }
+}
+
+// out(c) = fn(a(c * a.step), b(c * b.step), ...) for components c in
+// [0, n) of the mask's lanes, in the masked loop shape: each component is
+// computed and committed before the next one is read, the order the scalar
+// evaluation writes components in (which keeps in-place ops, dst == a,
+// exact). `fn` maps cells to a cell. A one-lane mask (top == 1) has rows
+// of one cell, so it reads and stores lane 0 directly.
+template <typename Fn, typename... Ops>
+[[gnu::always_inline]] inline void MapLanes(const PlaneDst& out, int n,
+                                            std::uint32_t mask, Fn fn,
+                                            Ops... ops) {
+  const int top = TopLane(mask);
+  if (top > 1) return MapRows(out, n, mask, top, fn, ops...);
+  for (int c = 0; c < n; ++c) {
+    out.at(c, 0) = fn(ops.v.at(c * ops.step, 0)...);
+  }
+}
+
+// Calls body(round) with a rounding functor equivalent to `spec`, chosen
+// once per instruction: the identity, the denormal flush alone, or the
+// full spec. The hot loops then carry only the work their spec needs.
+template <typename Body>
+[[gnu::always_inline]] inline void WithRounding(const RoundSpec& spec,
+                                                Body&& body) {
+  if (spec.identity()) {
+    body([](float x) { return x; });
+  } else if (spec.flush_only()) {
+    body([](float x) { return RoundSpec::FlushDenormal(x); });
+  } else {
+    body(spec);
+  }
+}
+
+// Cell constructors for the lambdas MapLanes runs.
+[[nodiscard]] inline Cell FCell(float f) {
+  Cell c;
+  c.f = f;
+  return c;
+}
+[[nodiscard]] inline Cell ICell(std::int32_t i) {
+  Cell c;
+  c.i = i;
+  return c;
 }
 
 // Binary arithmetic / comparison (EvalArithInto's cases: component-wise

@@ -570,7 +570,11 @@ class Lowerer {
             // ternary or inlined call may write its result straight in.
             HintResult(*vd->init, reg);
             const std::uint32_t v = LowerExpr(*vd->init);
-            EmitCopy(reg, v);
+            if (v != reg && ReadsInPlace(*vd, v)) {
+              var_regs_[vd.get()] = v;
+            } else {
+              EmitCopy(reg, v);
+            }
           } else {
             VmInst z = MakeInst(VmOp::kZero);
             z.dst = reg;
@@ -723,6 +727,30 @@ class Lowerer {
         return;
       }
     }
+  }
+
+  // True when local `vd`, initialized from operand `v`, can be `v` itself:
+  // the function stores into `vd` nowhere, and nothing in its scope — the
+  // rest of the function, which is all that runs while it lives — stores
+  // into `v`. `v` is a constant; a temporary (written only while its own
+  // expression evaluates); a global the function and its callees never
+  // store into; or a variable's register that no variable the function
+  // stores into lives in (no callee can name a caller's registers).
+  [[nodiscard]] bool ReadsInPlace(const VarDecl& vd, std::uint32_t v) {
+    const FnFacts& f = Facts(*current_fn_);
+    if (f.written_vars.contains(&vd)) return false;
+    const std::uint32_t base = BaseOf(*prog_, v);
+    if (InSpace(base, kSpaceGlobal)) {
+      return !f.written_globals.contains(static_cast<int>(IndexOf(base)));
+    }
+    if (!InSpace(base, kSpaceReg) || !var_reg_[IndexOf(base)]) return true;
+    for (const VarDecl* w : f.written_vars) {
+      const auto it = var_regs_.find(w);
+      if (it != var_regs_.end() && BaseOf(*prog_, it->second) == base) {
+        return false;
+      }
+    }
+    return true;
   }
 
   // --- expressions -------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "glsl/alu.h"
 #include "glsl/type.h"
 
 namespace mgpu::glsl {
@@ -81,8 +82,7 @@ class Value {
   }
   // Reads component i converted to int.
   [[nodiscard]] std::int32_t AsInt(int i) const {
-    return scalar() == BaseType::kFloat ? static_cast<std::int32_t>(F(i))
-                                        : I(i);
+    return scalar() == BaseType::kFloat ? FloatToInt(F(i)) : I(i);
   }
   // Writes component i from a float, converting to this value's category
   // (bool gets the != 0 semantics of GLSL constructors).
@@ -95,7 +95,7 @@ class Value {
         SetB(i, f != 0.0f);
         break;
       default:
-        SetI(i, static_cast<std::int32_t>(f));
+        SetI(i, FloatToInt(f));
         break;
     }
   }

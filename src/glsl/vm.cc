@@ -272,14 +272,18 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
         continue;
       case VmOp::kJumpIfFalse:
       case VmOp::kJumpIfTrue: {
+        // The taken mask, from the condition's bool row in one loop.
         const PlaneSrc& cond = views.Read(in.a);
-        const bool jump_on = in.op == VmOp::kJumpIfTrue;
-        std::uint32_t taken = 0;
-        ForEachLane(mask, [&](int l) {
-          if ((cond.at(0, l).i != 0) == jump_on) {
-            taken |= 1u << static_cast<unsigned>(l);
-          }
-        });
+        const int top = TopLane(mask);
+        LaneRow buf;
+        const Cell* c = RowOf(cond, 0, top, buf);
+        std::uint32_t truthy = 0;
+        for (int l = 0; l < top; ++l) {
+          truthy |= kLaneBit[static_cast<std::size_t>(l)] &
+                    (0u - static_cast<std::uint32_t>(c[l].i != 0));
+        }
+        const std::uint32_t taken =
+            (in.op == VmOp::kJumpIfTrue ? truthy : ~truthy) & mask;
         if (taken == 0 || taken == mask) {
           go(taken == 0 ? pc + 1 : in.aux);
         } else {
@@ -493,27 +497,30 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
       }
       case VmOp::kIncDecVar: {
         // Whole-variable ++/-- (loop counters): EvalIncDecInto's arithmetic
-        // and counts, minus the ref.
+        // and counts, minus the ref. Per component, the new row is computed
+        // from the variable's old cells; a postfix result takes the old
+        // cells before the variable is updated.
         const PlaneDst v = views.Dst(in.a);
         const PlaneDst d = views.Dst(in.dst);
         const bool post = (in.u8 & 2) != 0;
         const int step = (in.u8 & 1) != 0 ? 1 : -1;
-        alu_.Count(LaneCount(mask) * v.count());
-        if (v.scalar() == BaseType::kFloat) {
-          const RoundSpec rs = alu_.round_spec();
-          ForEachCell(v.count(), mask, [&](int c, int l) {
-            const float old = v.at(c, l).f;
-            const float updated = rs(old + static_cast<float>(step));
-            v.at(c, l).f = updated;
-            d.at(c, l).f = post ? old : updated;
-          });
-        } else {
-          ForEachCell(v.count(), mask, [&](int c, int l) {
-            const std::int32_t old = v.at(c, l).i;
-            const std::int32_t updated = old + step;
-            v.at(c, l).i = updated;
-            d.at(c, l).i = post ? old : updated;
-          });
+        const int n = v.count();
+        alu_.Count(LaneCount(mask) * n);
+        const int top = TopLane(mask);
+        const bool is_float = v.scalar() == BaseType::kFloat;
+        const RoundSpec rs = alu_.round_spec();
+        const float fstep = static_cast<float>(step);
+        LaneRow buf, updated;
+        for (int c = 0; c < n; ++c) {
+          const Cell* old = RowOf(v, c, top, buf);
+          if (is_float) {
+            for (int l = 0; l < top; ++l) updated[l].f = rs(old[l].f + fstep);
+          } else {
+            for (int l = 0; l < top; ++l) updated[l].i = IAdd(old[l].i, step);
+          }
+          if (post) CommitRow(d, c, old, mask, top);
+          CommitRow(v, c, updated.data(), mask, top);
+          if (!post) CommitRow(d, c, updated.data(), mask, top);
         }
         break;
       }

@@ -5,6 +5,8 @@
 // the shader compiler emits a Newton-Raphson refinement step for them (as
 // the real VC4 driver does), which is also why the paper's *integer* path
 // stays exact: its byte decomposition uses division but never exp2/log2.
+// The profile only sets plain data on the AluModel — its RoundSpec and
+// SfuSpec — so every kernel inlines the same rounding and SFU formulas.
 #ifndef MGPU_VC4_ALU_H_
 #define MGPU_VC4_ALU_H_
 
@@ -17,10 +19,8 @@ class Vc4Alu final : public glsl::AluModel {
  public:
   explicit Vc4Alu(const GpuProfile& profile) : profile_(profile) {
     SetRoundSpec({profile_.flush_denormals, profile_.alu_mantissa_bits});
+    SetSfuSpec(glsl::SfuSpec(profile_.sfu_error_bits));
   }
-
-  float Exp2(float x) override;
-  float Log2(float x) override;
 
   // Precision behaviour is pure (a deterministic function of the inputs and
   // the profile), so a fork with fresh counters is exactly equivalent — and
@@ -34,11 +34,6 @@ class Vc4Alu final : public glsl::AluModel {
   [[nodiscard]] const GpuProfile& profile() const { return profile_; }
 
  private:
-  // Deterministic signed perturbation with |eta| <= 2^-sfu_error_bits,
-  // derived from the input bit pattern (so repeated evaluation of the same
-  // value reproduces the same hardware error, as on silicon).
-  [[nodiscard]] float SfuPerturb(float exact, float input) const;
-
   GpuProfile profile_;
 };
 

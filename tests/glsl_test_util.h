@@ -2,6 +2,7 @@
 #ifndef MGPU_TESTS_GLSL_TEST_UTIL_H_
 #define MGPU_TESTS_GLSL_TEST_UTIL_H_
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -69,7 +70,8 @@ inline std::array<float, 4> RunFragmentSource(const std::string& src,
 }
 
 // Adapts a per-texel callback (unit, s, t, lod) -> RGBA into a batched
-// TextureFn that serves each lane of a fetch in turn. The callback stays
+// TextureFn that serves each lane of a fetch's mask in turn (and reads
+// zeros for the other lanes below its top one). The callback stays
 // behind a std::function so one-lane and batched fetches run the same
 // machine code for it: inlined into the lane loop it could be vectorized,
 // and when both operands of, say, `s + t` are NaN, which payload survives
@@ -78,6 +80,9 @@ using TexelCallback =
     std::function<std::array<float, 4>(int unit, float s, float t, float lod)>;
 inline TextureFn PerTexel(TexelCallback texel) {
   return [texel = std::move(texel)](TexelFetch& fetch) {
+    for (auto& row : fetch.rgba) {
+      std::fill_n(row.begin(), TopLane(fetch.mask), 0.0f);
+    }
     ForEachLane(fetch.mask, [&](int l) {
       const std::size_t li = static_cast<std::size_t>(l);
       const std::array<float, 4> rgba =

@@ -167,6 +167,16 @@ class GlslFuzzer {
   }
 
   std::string FloatLit() {
+    if (Chance(6)) {
+      // Edge values: denormal literals and products (flushed on the VC4
+      // profiles), NaNs of both signs, and an infinity.
+      static const char* kEdge[] = {"1.0e-40",        "(-1.0e-39)",
+                                    "(1.0e-30 * 1.0e-10)",
+                                    "(-2.0e-20 * 3.0e-20)",
+                                    "(0.0 / 0.0)",    "(-(0.0 / 0.0))",
+                                    "(1.0e38 * 10.0)"};
+      return kEdge[rng_.NextInt(0, 6)];
+    }
     const float v = rng_.NextFloat(-4.0f, 4.0f);
     return StrFormat("(%.5f)", static_cast<double>(v));
   }
@@ -448,25 +458,36 @@ class GlslFuzzer {
     }
   }
 
+  std::string IntLit() {
+    if (Chance(10)) {
+      // The int range's edges: overflow wraps, and INT_MIN / -1 is
+      // INT_MIN on every engine.
+      static const char* kEdge[] = {"2147483647", "(-2147483647 - 1)",
+                                    "(-1)"};
+      return kEdge[rng_.NextInt(0, 2)];
+    }
+    return StrFormat("%d", static_cast<int>(rng_.NextInt(0, 7)));
+  }
+
   std::string GenInt(int d) {
     const int c = static_cast<int>(rng_.NextInt(0, d <= 0 ? 1 : 5));
     switch (c) {
-      case 0: return StrFormat("%d", static_cast<int>(rng_.NextInt(0, 7)));
+      case 0: return IntLit();
       case 1: {
         if (const Var* v = PickVar(GType::kI)) return v->name;
-        return StrFormat("%d", static_cast<int>(rng_.NextInt(0, 7)));
+        return IntLit();
       }
       case 2:
       case 3: {
-        static const char* kOp[] = {"+", "-", "*"};
+        static const char* kOp[] = {"+", "-", "*", "/"};
         const std::string lhs = GenInt(d - 1);
-        const char* op = kOp[rng_.NextInt(0, 2)];
+        const char* op = kOp[rng_.NextInt(0, 3)];
         const std::string rhs = GenInt(d - 1);
         return StrFormat("(%s %s %s)", lhs.c_str(), op, rhs.c_str());
       }
       case 4:
-        // clamp() maps NaN/inf to the finite range before the int cast.
-        return StrFormat("int(clamp(%s, -8.0, 8.0))", GenFloat(d - 1).c_str());
+        // Any float converts: NaN and out-of-range values give INT_MIN.
+        return StrFormat("int(%s)", GenFloat(d - 1).c_str());
       default: {
         const std::string cond = GenBool(d - 1);
         const std::string a = GenInt(d - 1);

@@ -7,9 +7,14 @@
 // VM-specific hazards (register clobbering across calls, side effects in
 // argument lists, discard inside helpers).
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -654,6 +659,74 @@ void main() { gl_FragColor = vec4(risky(1.0), risky(-1.0), 0.0, 1.0); }
     int zeros = 0;
     for (const VmInst& in : prog->code) zeros += in.op == VmOp::kZero;
     EXPECT_EQ(zeros, 2) << src;  // one per call site
+  }
+}
+
+// A local nothing stores into after its initializer reads the
+// initializer's operand in place when nothing in its scope stores into
+// that operand (the f32 unpack's `float expo = b.a;`); a local stored to
+// later, or one whose source is stored to while it lives, keeps its copy.
+TEST(VmLoweringShapeTest, UnwrittenLocalReadsItsInitializerInPlace) {
+  const auto copies_of_alias = [](const std::string& body) {
+    auto prog = LowerToBytecode(*testutil::MustCompile(
+        "precision highp float;\nvarying vec4 v_in;\n" + body));
+    int n = 0;
+    for (const VmInst& in : prog->code) {
+      n += in.op == VmOp::kCopy && (in.a & (3u << 30)) == kSpaceAlias;
+    }
+    return n;
+  };
+  EXPECT_EQ(copies_of_alias(R"(
+float unpack(vec4 t) {
+  vec4 b = floor(t * 255.0 + vec4(0.5));
+  float expo = b.a;
+  if (expo == 0.0) { return 0.0; }
+  return expo * 2.0 + b.r;
+}
+void main() { gl_FragColor = vec4(unpack(v_in), unpack(v_in.wzyx), 0.0, 1.0); }
+)"),
+            0);
+  EXPECT_EQ(copies_of_alias(R"(
+void main() {
+  vec4 b = v_in * 2.0;
+  float e = b.a;
+  e += 1.0;
+  gl_FragColor = vec4(e);
+}
+)"),
+            1);
+  EXPECT_EQ(copies_of_alias(R"(
+void main() {
+  vec4 b = v_in * 2.0;
+  float e = b.a;
+  b.a = 3.0;
+  gl_FragColor = vec4(e, b.a, 0.0, 1.0);
+}
+)"),
+            1);
+}
+
+TEST(VmDifferentialTest, LocalsReadInPlaceKeepTheirValues) {
+  for (const char* body : {R"(
+  vec4 b = vec4(1.5, 2.5, 3.5, 4.5);
+  float e = b.a;
+  b.a = 3.0;
+  float k = 2.0;
+  vec2 uv = b.xy;
+  for (int i = 0; i < 3; ++i) {
+    float f = e + float(i);
+    b.x += f * k;
+  }
+  gl_FragColor = vec4(e, b.a, b.x, uv.y);)",
+                           R"(
+  float s = 0.0;
+  for (int i = 0; i < 4; ++i) {
+    vec2 v = vec2(float(i), 1.0);
+    float w = v.x;
+    s += w * v.y;
+  }
+  gl_FragColor = vec4(s);)"}) {
+    ExpectEnginesAgree({"in-place locals", Frag(body), {}, {}});
   }
 }
 
@@ -1419,6 +1492,581 @@ void main() { gl_FragColor = vec4(g_t); }
   const int slot = prog->GlobalSlot("g_t");
   ASSERT_GE(slot, 0);
   EXPECT_EQ(prog->lane_global[static_cast<std::size_t>(slot)], 0);
+}
+
+// ---------------------------------------------------------------------------
+// Integer ops and conversions are total
+// ---------------------------------------------------------------------------
+//
+// Two's-complement wrap for + - * and negation, INT_MIN / -1 == INT_MIN,
+// x / 0 == 0, and INT_MIN for a float-to-int conversion of NaN or a value
+// outside the int range — on both engines, so neither can trap the host.
+
+constexpr std::int32_t kIntMin = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kIntMax = std::numeric_limits<std::int32_t>::max();
+
+TEST(IntSemanticsTest, HelpersWrapAndDivideTotally) {
+  EXPECT_EQ(IAdd(kIntMax, 1), kIntMin);
+  EXPECT_EQ(ISub(kIntMin, 1), kIntMax);
+  EXPECT_EQ(IMul(kIntMin, -1), kIntMin);
+  EXPECT_EQ(IMul(65536, 65536), 0);
+  EXPECT_EQ(INeg(kIntMin), kIntMin);
+  EXPECT_EQ(IDiv(kIntMin, -1), kIntMin);
+  EXPECT_EQ(IDiv(7, 0), 0);
+  EXPECT_EQ(IDiv(-7, 2), -3);
+  EXPECT_EQ(FloatToInt(std::numeric_limits<float>::quiet_NaN()), kIntMin);
+  EXPECT_EQ(FloatToInt(3.0e9f), kIntMin);
+  EXPECT_EQ(FloatToInt(-3.0e9f), kIntMin);
+  EXPECT_EQ(FloatToInt(2147483648.0f), kIntMin);
+  EXPECT_EQ(FloatToInt(-2147483648.0f), kIntMin);
+  EXPECT_EQ(FloatToInt(2147483520.0f), 2147483520);
+  EXPECT_EQ(FloatToInt(-7.9f), -7);
+}
+
+TEST(IntSemanticsTest, IntMinOverMinusOneRunsOnBothEngines) {
+  Case c{"int_min_div", R"(precision highp float;
+uniform int u_m;
+uniform int u_d;
+uniform float u_f;
+void main() {
+  int m = u_m - 1;
+  int q = m / u_d;
+  int n = -m;
+  int w = u_m + u_m;
+  int k = m;
+  k--;
+  int z = m / (u_d + 1);
+  int c = int(u_f);
+  gl_FragColor = vec4(float(q), float(n), float(w + k), float(z + c));
+})",
+         {{"u_f", {std::numeric_limits<float>::quiet_NaN()}}},
+         {{"u_m", {-2147483647}}, {"u_d", {-1}}}};
+  ExpectEnginesAgree(c);
+  ExpectEnginesAgree(c, /*vc4_alu=*/true);
+
+  CompileResult cr = CompileGlsl(c.source, Stage::kFragment);
+  ASSERT_TRUE(cr.ok) << cr.info_log;
+  ExactAlu alu;
+  VmExec vm(LowerToBytecode(*cr.shader), alu);
+  const EngineRun r = RunEngine(vm, alu, c);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(BitsToFloat(r.color[0]), -2147483648.0f);  // INT_MIN / -1
+  EXPECT_EQ(BitsToFloat(r.color[1]), -2147483648.0f);  // -INT_MIN
+  // (-2147483647 * 2 wraps to 2) + (INT_MIN - 1 wraps to INT_MAX).
+  EXPECT_EQ(BitsToFloat(r.color[2]), static_cast<float>(IAdd(2, kIntMax)));
+  // INT_MIN / 0 == 0, plus int(NaN) == INT_MIN.
+  EXPECT_EQ(BitsToFloat(r.color[3]), -2147483648.0f);
+}
+
+// The constant initializer runs while the engines are built, i.e. while
+// the program links.
+TEST(IntSemanticsTest, ConstIntMinOverMinusOneLinks) {
+  const std::string fs = R"(precision highp float;
+const int k = (-2147483647 - 1) / -1;
+void main() { gl_FragColor = vec4(float(k), 0.0, 0.0, 1.0); }
+)";
+  ExpectEnginesAgree({"const_int_min_div", fs, {}, {}});
+
+  using namespace mgpu::gles2;
+  vc4::Vc4Alu alu(vc4::VideoCoreIV());
+  ContextConfig cfg;
+  cfg.width = 4;
+  cfg.height = 4;
+  Context gl(cfg, &alu);
+  const GLuint vs = gl.CreateShader(GL_VERTEX_SHADER);
+  gl.ShaderSource(vs, "attribute vec2 a_pos;\n"
+                      "void main() { gl_Position = vec4(a_pos, 0.0, 1.0); }\n");
+  gl.CompileShader(vs);
+  const GLuint frag = gl.CreateShader(GL_FRAGMENT_SHADER);
+  gl.ShaderSource(frag, fs.c_str());
+  gl.CompileShader(frag);
+  const GLuint prog = gl.CreateProgram();
+  gl.AttachShader(prog, vs);
+  gl.AttachShader(prog, frag);
+  gl.LinkProgram(prog);
+  GLint ok = GL_FALSE;
+  gl.GetProgramiv(prog, GL_LINK_STATUS, &ok);
+  EXPECT_EQ(ok, GL_TRUE) << gl.GetProgramInfoLog(prog);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel differential: batch kernels against the scalar evaluation core
+// ---------------------------------------------------------------------------
+//
+// Every plane kernel runs once over a lane mask and must give, on each lane
+// of the mask, the bits the scalar oracle (EvalArithInto, EvalNegInto,
+// EvalCtorInto, EvalBuiltin) gives for that lane's operands, and the summed
+// op counts; cells of lanes outside the mask are poisoned and must come
+// back untouched. The operands mix special values — NaNs of both signs
+// with different payloads (quiet and signaling), denormals of both signs,
+// +-0, +-inf, the int range edges and -1 — with ordinary ones.
+
+constexpr std::uint32_t kPoison = 0x7fbadbadu;
+
+// Special bit patterns for float operands, then for int operands.
+constexpr std::uint32_t kFloatSpecials[] = {
+    0x7fc00000u, 0xffc00001u, 0x7fa00005u, 0xff800007u,  // NaNs
+    0x00000001u, 0x80000001u, 0x007fffffu, 0x807fffffu,  // denormals
+    0x00400000u, 0x80400000u, 0x00000000u, 0x80000000u,  // denormal, +-0
+    0x7f800000u, 0xff800000u, 0x3f800000u, 0xbf800000u,  // +-inf, +-1
+    0x7f7fffffu, 0x00800000u, 0x80800001u, 0x4b000000u,  // FLT_MAX, FLT_MIN
+    0xcb000001u, 0x4f000000u, 0xcf000000u, 0x4effffffu,  // int range edges
+    0xcf000001u, 0x3f000000u, 0xbf000000u, 0xbeffffffu,  // +-0.5
+    0x00c00000u, 0x80c00000u, 0x42fe0000u, 0x437f0000u,  // near-denormal
+};
+constexpr std::int32_t kIntSpecials[] = {kIntMin, -1, 0,  1, kIntMax,
+                                         -2,      2,  -7, 1000000};
+
+class CellSource {
+ public:
+  explicit CellSource(std::uint64_t seed) : state_(seed) {}
+  Cell Next(bool is_float) {
+    const std::uint64_t r = NextBits();
+    Cell c;
+    if (is_float) {
+      if ((r & 1u) != 0) {
+        c.i = static_cast<std::int32_t>(
+            kFloatSpecials[(r >> 8) % std::size(kFloatSpecials)]);
+      } else {
+        // Ordinary values of mixed magnitude, and sometimes one whose
+        // products or quotients land in the denormal range.
+        const float unit =
+            static_cast<float>((r >> 16) & 0xffffu) / 32768.0f - 1.0f;
+        const float scale = (r & 6u) == 6u ? 1.0e-20f : 64.0f;
+        c.f = unit * scale;
+      }
+    } else {
+      c.i = (r & 1u) != 0
+                ? kIntSpecials[(r >> 8) % std::size(kIntSpecials)]
+                : static_cast<std::int32_t>((r >> 16) % 2001u) - 1000;
+    }
+    return c;
+  }
+
+ private:
+  std::uint64_t NextBits() {
+    state_ += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state_;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  std::uint64_t state_;
+};
+
+// One kernel operand: a lane plane (kVmLanes cells per component) or
+// storage shared by every lane (one cell per component, lane stride 0).
+struct KernelOperand {
+  Type type;
+  bool shared = false;
+  std::vector<Cell> cells;
+
+  KernelOperand(Type t, bool is_shared, CellSource& src)
+      : type(t), shared(is_shared) {
+    const bool is_float = ScalarOf(t.base) == BaseType::kFloat;
+    cells.resize(static_cast<std::size_t>(t.CellCount()) *
+                 (shared ? 1 : kVmLanes));
+    for (Cell& c : cells) c = src.Next(is_float);
+  }
+  [[nodiscard]] PlaneSrc View() const {
+    return shared ? PlaneSrc{cells.data(), 1, 0, type}
+                  : PlaneSrc{cells.data(), kVmLanes, 1, type};
+  }
+  [[nodiscard]] Value Lane(int lane) const {
+    Value v(type);
+    const PlaneSrc p = View();
+    for (int c = 0; c < v.count(); ++c) v.data()[c] = p.at(c, lane);
+    return v;
+  }
+};
+
+// Where the kernel writes: a fresh poisoned plane, operand 0's own plane
+// (in place), or poisoned storage shared by every lane.
+enum class KernelDst { kPlane, kInPlace, kShared };
+
+using BatchKernel = std::function<void(AluModel&, std::span<const PlaneSrc>,
+                                       const PlaneDst&, std::uint32_t)>;
+using ScalarKernel = std::function<void(
+    AluModel&, std::span<const Value* const>, Value&)>;
+
+void ExpectKernelMatchesScalar(const std::string& what, BatchAlu kind,
+                               std::vector<KernelOperand> ops,
+                               const Type& out_type, std::uint32_t mask,
+                               KernelDst dst_kind, const BatchKernel& batch,
+                               const ScalarKernel& scalar) {
+  SCOPED_TRACE(what + " alu=" + std::to_string(static_cast<int>(kind)) +
+               " mask=" + std::to_string(mask) +
+               " dst=" + std::to_string(static_cast<int>(dst_kind)));
+  const std::unique_ptr<AluModel> oracle_alu = MakeBatchAlu(kind);
+  const std::unique_ptr<AluModel> batch_alu = MakeBatchAlu(kind);
+  const int n = out_type.CellCount();
+
+  // The oracle, lane by lane, on the operands' values before the kernel.
+  std::array<Value, kVmLanes> expected;
+  for (int l = 0; l < kVmLanes; ++l) {
+    if ((mask >> l & 1u) == 0) continue;
+    std::vector<Value> args;
+    for (const KernelOperand& op : ops) args.push_back(op.Lane(l));
+    std::vector<const Value*> ptrs;
+    for (const Value& a : args) ptrs.push_back(&a);
+    expected[static_cast<std::size_t>(l)] = Value(out_type);
+    scalar(*oracle_alu, ptrs, expected[static_cast<std::size_t>(l)]);
+  }
+
+  std::vector<Cell> own(static_cast<std::size_t>(n) *
+                            (dst_kind == KernelDst::kShared ? 1 : kVmLanes),
+                        Cell{});
+  for (Cell& c : own) c.i = static_cast<std::int32_t>(kPoison);
+  std::vector<Cell>& dst_cells =
+      dst_kind == KernelDst::kInPlace ? ops[0].cells : own;
+  const std::vector<Cell> before = dst_cells;
+  const PlaneDst dst =
+      dst_kind == KernelDst::kShared
+          ? PlaneDst{dst_cells.data(), 1, 0, out_type}
+          : PlaneDst{dst_cells.data(), kVmLanes, 1, out_type};
+  std::vector<PlaneSrc> views;
+  for (const KernelOperand& op : ops) views.push_back(op.View());
+  batch(*batch_alu, views, dst, mask);
+
+  const int top = kVmLanes - std::countl_zero(mask);
+  for (int l = 0; l < kVmLanes; ++l) {
+    for (int c = 0; c < n; ++c) {
+      const std::uint32_t got = static_cast<std::uint32_t>(dst.at(c, l).i);
+      if (dst_kind == KernelDst::kShared) {
+        const Value& want = expected[static_cast<std::size_t>(top - 1)];
+        EXPECT_EQ(got, static_cast<std::uint32_t>(want.data()[c].i))
+            << "shared destination, comp " << c;
+        continue;
+      }
+      if ((mask >> l & 1u) == 0) {
+        EXPECT_EQ(got, static_cast<std::uint32_t>(
+                           before[static_cast<std::size_t>(c * kVmLanes +
+                                                           l)]
+                               .i))
+            << "stored outside the mask: lane " << l << " comp " << c;
+        continue;
+      }
+      const Value& want = expected[static_cast<std::size_t>(l)];
+      EXPECT_EQ(got, static_cast<std::uint32_t>(want.data()[c].i))
+          << "lane " << l << " comp " << c << ": batch "
+          << BitsToFloat(got) << " scalar " << want.F(c);
+    }
+    if (dst_kind == KernelDst::kShared) break;
+  }
+  const OpCounts& a = batch_alu->counts();
+  const OpCounts& b = oracle_alu->counts();
+  EXPECT_EQ(a.alu, b.alu);
+  EXPECT_EQ(a.sfu, b.sfu);
+  EXPECT_EQ(a.sfu_trans, b.sfu_trans);
+}
+
+constexpr std::uint32_t kKernelMasks[] = {
+    0xffffffffu,  // dense
+    0x5a3c96a5u,  // sparse
+    1u << 13,     // a single lane
+    0x80000000u,  // the top lane only
+    0x1u,         // one lane wide (the oracle engines' width)
+};
+constexpr BatchAlu kKernelAlus[] = {BatchAlu::kExact, BatchAlu::kVc4,
+                                    BatchAlu::kMali400};
+
+Type T(BaseType b) { return MakeType(b); }
+
+// Calls f(kind, mask, src) for every ALU model and mask, with a fresh
+// operand source per combination.
+template <typename F>
+void ForEachKernelRun(std::uint64_t seed, F f) {
+  for (const BatchAlu kind : kKernelAlus) {
+    for (const std::uint32_t mask : kKernelMasks) {
+      CellSource src(seed++ * 0x100000001b3ull);
+      f(kind, mask, src);
+    }
+  }
+}
+
+TEST(KernelDifferentialTest, ArithMatchesScalarOnEveryLane) {
+  const auto batch = [](BinOp op) -> BatchKernel {
+    return [op](AluModel& alu, std::span<const PlaneSrc> a,
+                const PlaneDst& d, std::uint32_t m) {
+      EvalArithBatch(alu, op, a[0], a[1], d, m);
+    };
+  };
+  const auto scalar = [](BinOp op) -> ScalarKernel {
+    return [op](AluModel& alu, std::span<const Value* const> a, Value& out) {
+      EvalArithInto(alu, op, *a[0], *a[1], out);
+    };
+  };
+  struct Shape {
+    const char* name;
+    BaseType l, r;
+    bool l_shared, r_shared;
+  };
+  const Shape kShapes[] = {
+      {"plane f", BaseType::kFloat, BaseType::kFloat, false, false},
+      {"plane vec4", BaseType::kVec4, BaseType::kVec4, false, false},
+      {"vec3 op broadcast f", BaseType::kVec3, BaseType::kFloat, false, false},
+      {"shared vec2 op plane", BaseType::kVec2, BaseType::kVec2, true, false},
+      {"plane f op shared", BaseType::kFloat, BaseType::kFloat, false, true},
+      {"plane int", BaseType::kInt, BaseType::kInt, false, false},
+      {"ivec3 op broadcast int", BaseType::kIVec3, BaseType::kInt, false,
+       false},
+      {"plane int op shared", BaseType::kInt, BaseType::kInt, false, true},
+  };
+  std::uint64_t seed = 1;
+  for (const BinOp op : {BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kDiv}) {
+    for (const Shape& sh : kShapes) {
+      ForEachKernelRun(seed++, [&](BatchAlu kind, std::uint32_t mask,
+                                   CellSource& src) {
+        std::vector<KernelOperand> ops;
+        ops.emplace_back(T(sh.l), sh.l_shared, src);
+        ops.emplace_back(T(sh.r), sh.r_shared, src);
+        const std::string what =
+            std::string(sh.name) + " op " + std::to_string(static_cast<int>(op));
+        for (const KernelDst dk :
+             {KernelDst::kPlane, KernelDst::kInPlace, KernelDst::kShared}) {
+          // In place needs a plane left operand of the result's shape.
+          if (dk == KernelDst::kInPlace && sh.l_shared) continue;
+          ExpectKernelMatchesScalar(what, kind, ops, T(sh.l), mask, dk,
+                                    batch(op), scalar(op));
+        }
+      });
+    }
+  }
+  // Comparisons: one bool per lane; ==/!= over whole vectors.
+  for (const BinOp op : {BinOp::kLt, BinOp::kGt, BinOp::kLe, BinOp::kGe,
+                         BinOp::kEq, BinOp::kNe}) {
+    for (const BaseType b : {BaseType::kFloat, BaseType::kInt}) {
+      ForEachKernelRun(seed++, [&](BatchAlu kind, std::uint32_t mask,
+                                   CellSource& src) {
+        std::vector<KernelOperand> ops;
+        ops.emplace_back(T(b), false, src);
+        ops.emplace_back(T(b), (mask & 1u) != 0, src);
+        ExpectKernelMatchesScalar("compare", kind, ops, T(BaseType::kBool),
+                                  mask, KernelDst::kPlane, batch(op),
+                                  scalar(op));
+      });
+    }
+  }
+  for (const BinOp op : {BinOp::kEq, BinOp::kNe}) {
+    ForEachKernelRun(seed++, [&](BatchAlu kind, std::uint32_t mask,
+                                 CellSource& src) {
+      std::vector<KernelOperand> ops;
+      ops.emplace_back(T(BaseType::kVec3), false, src);
+      ops.emplace_back(T(BaseType::kVec3), false, src);
+      // Equal lanes too, or == would be false almost everywhere.
+      for (std::size_t i = 0; i < ops[0].cells.size(); i += 3) {
+        ops[1].cells[i] = ops[0].cells[i];
+      }
+      ExpectKernelMatchesScalar("vec3 equality", kind, ops,
+                                T(BaseType::kBool), mask, KernelDst::kPlane,
+                                batch(op), scalar(op));
+    });
+  }
+  // The linear-algebra multiplies.
+  const struct {
+    BaseType l, r, out;
+  } kLinalg[] = {{BaseType::kMat2, BaseType::kVec2, BaseType::kVec2},
+                 {BaseType::kVec3, BaseType::kMat3, BaseType::kVec3},
+                 {BaseType::kMat2, BaseType::kMat2, BaseType::kMat2}};
+  for (const auto& la : kLinalg) {
+    ForEachKernelRun(seed++, [&](BatchAlu kind, std::uint32_t mask,
+                                 CellSource& src) {
+      std::vector<KernelOperand> ops;
+      ops.emplace_back(T(la.l), false, src);
+      ops.emplace_back(T(la.r), (mask & 2u) != 0, src);
+      ExpectKernelMatchesScalar("linalg", kind, ops, T(la.out), mask,
+                                KernelDst::kPlane, batch(BinOp::kMul),
+                                scalar(BinOp::kMul));
+    });
+  }
+}
+
+TEST(KernelDifferentialTest, NegAndCtorMatchScalarOnEveryLane) {
+  std::uint64_t seed = 1000;
+  for (const BaseType b : {BaseType::kFloat, BaseType::kVec4, BaseType::kInt,
+                           BaseType::kIVec2}) {
+    ForEachKernelRun(seed++, [&](BatchAlu kind, std::uint32_t mask,
+                                 CellSource& src) {
+      std::vector<KernelOperand> ops;
+      ops.emplace_back(T(b), false, src);
+      for (const KernelDst dk : {KernelDst::kPlane, KernelDst::kInPlace}) {
+        ExpectKernelMatchesScalar(
+            "neg", kind, ops, T(b), mask, dk,
+            [](AluModel& alu, std::span<const PlaneSrc> a, const PlaneDst& d,
+               std::uint32_t m) { EvalNegBatch(alu, a[0], d, m); },
+            [](AluModel& alu, std::span<const Value* const> a, Value& out) {
+              EvalNegInto(alu, *a[0], out);
+            });
+      }
+    });
+  }
+  const BatchKernel ctor = [](AluModel& alu, std::span<const PlaneSrc> a,
+                              const PlaneDst& d, std::uint32_t m) {
+    EvalCtorBatch(alu, a, d, m);
+  };
+  const ScalarKernel ctor_scalar = [](AluModel& alu,
+                                      std::span<const Value* const> a,
+                                      Value& out) { EvalCtorInto(alu, a, out); };
+  const struct {
+    const char* name;
+    BaseType out;
+    std::vector<BaseType> args;
+  } kCtors[] = {
+      {"int(float)", BaseType::kInt, {BaseType::kFloat}},
+      {"float(int)", BaseType::kFloat, {BaseType::kInt}},
+      {"bool(float)", BaseType::kBool, {BaseType::kFloat}},
+      {"ivec2(vec2)", BaseType::kIVec2, {BaseType::kVec2}},
+      {"vec4(f, f, vec2)",
+       BaseType::kVec4,
+       {BaseType::kFloat, BaseType::kFloat, BaseType::kVec2}},
+      {"vec3(int)", BaseType::kVec3, {BaseType::kInt}},
+      {"vec2(f, int)", BaseType::kVec2, {BaseType::kFloat, BaseType::kInt}},
+      {"mat2(f)", BaseType::kMat2, {BaseType::kFloat}},
+      {"mat3(mat2)", BaseType::kMat3, {BaseType::kMat2}},
+  };
+  for (const auto& ct : kCtors) {
+    ForEachKernelRun(seed++, [&](BatchAlu kind, std::uint32_t mask,
+                                 CellSource& src) {
+      std::vector<KernelOperand> ops;
+      bool shared = (mask & 4u) != 0;
+      for (const BaseType a : ct.args) {
+        ops.emplace_back(T(a), shared, src);
+        shared = !shared;
+      }
+      for (const KernelDst dk : {KernelDst::kPlane, KernelDst::kShared}) {
+        ExpectKernelMatchesScalar(ct.name, kind, ops, T(ct.out), mask, dk,
+                                  ctor, ctor_scalar);
+      }
+    });
+  }
+}
+
+TEST(KernelDifferentialTest, BuiltinsMatchScalarOnEveryLane) {
+  const auto batch = [](Builtin b) -> BatchKernel {
+    return [b](AluModel& alu, std::span<const PlaneSrc> a, const PlaneDst& d,
+               std::uint32_t m) { EvalBuiltinBatch(b, a, alu, {}, d, m); };
+  };
+  const auto scalar = [](Builtin b, Type result) -> ScalarKernel {
+    return [b, result](AluModel& alu, std::span<const Value* const> a,
+                       Value& out) {
+      out = EvalBuiltin(b, result, a, alu, {});
+    };
+  };
+  std::uint64_t seed = 2000;
+  const struct {
+    const char* name;
+    Builtin b;
+    std::vector<BaseType> args;
+    BaseType out;
+  } kBuiltins[] = {
+      {"exp2", Builtin::kExp2, {BaseType::kVec2}, BaseType::kVec2},
+      {"log2", Builtin::kLog2, {BaseType::kFloat}, BaseType::kFloat},
+      {"floor", Builtin::kFloor, {BaseType::kVec4}, BaseType::kVec4},
+      {"step(f, vec3)",
+       Builtin::kStep,
+       {BaseType::kFloat, BaseType::kVec3},
+       BaseType::kVec3},
+      {"step(vec2, vec2)",
+       Builtin::kStep,
+       {BaseType::kVec2, BaseType::kVec2},
+       BaseType::kVec2},
+      {"pow", Builtin::kPow, {BaseType::kFloat, BaseType::kFloat},
+       BaseType::kFloat},
+      {"sqrt", Builtin::kSqrt, {BaseType::kVec2}, BaseType::kVec2},
+      {"dot", Builtin::kDot, {BaseType::kVec3, BaseType::kVec3},
+       BaseType::kFloat},
+      {"length", Builtin::kLength, {BaseType::kVec2}, BaseType::kFloat},
+      {"distance", Builtin::kDistance, {BaseType::kVec4, BaseType::kVec4},
+       BaseType::kFloat},
+      {"cross", Builtin::kCross, {BaseType::kVec3, BaseType::kVec3},
+       BaseType::kVec3},
+      {"normalize", Builtin::kNormalize, {BaseType::kVec3}, BaseType::kVec3},
+      {"reflect", Builtin::kReflect, {BaseType::kVec2, BaseType::kVec2},
+       BaseType::kVec2},
+      {"faceforward",
+       Builtin::kFaceforward,
+       {BaseType::kVec2, BaseType::kVec2, BaseType::kVec2},
+       BaseType::kVec2},
+      {"refract",
+       Builtin::kRefract,
+       {BaseType::kVec3, BaseType::kVec3, BaseType::kFloat},
+       BaseType::kVec3},
+  };
+  for (const auto& bi : kBuiltins) {
+    ForEachKernelRun(seed++, [&](BatchAlu kind, std::uint32_t mask,
+                                 CellSource& src) {
+      std::vector<KernelOperand> ops;
+      for (const BaseType a : bi.args) {
+        ops.emplace_back(T(a), (mask & 8u) != 0 && ops.empty(), src);
+      }
+      for (const KernelDst dk : {KernelDst::kPlane, KernelDst::kShared}) {
+        ExpectKernelMatchesScalar(bi.name, kind, ops, T(bi.out), mask, dk,
+                                  batch(bi.b), scalar(bi.b, T(bi.out)));
+      }
+    });
+  }
+}
+
+// The formulas the kernels inline against their reference definitions:
+// FFloor against std::floor (which returns a NaN as is when GCC inlines it
+// and quiets a signaling one when it calls libm, so NaNs are checked
+// against the definition), and the SFU error model against the std::ldexp
+// form it replaces.
+TEST(KernelDifferentialTest, InlineFormulasMatchTheirReferences) {
+  CellSource src(77);
+  std::vector<std::uint32_t> inputs(std::begin(kFloatSpecials),
+                                    std::end(kFloatSpecials));
+  for (std::uint32_t e = 0; e < 256; ++e) {  // every exponent, both signs
+    for (std::uint32_t k = 0; k < 64; ++k) {
+      const std::uint32_t mant =
+          static_cast<std::uint32_t>(src.Next(false).i) & 0x7fffffu;
+      inputs.push_back((e << 23) | mant | (k & 1u) << 31);
+    }
+  }
+  // Two NaNs: the first operand's payload, quieted, in either order.
+  EXPECT_EQ(FloatToBits(FAdd(BitsToFloat(0x7fa00005u),
+                             BitsToFloat(0xffc00001u))),
+            0x7fe00005u);
+  EXPECT_EQ(FloatToBits(FMul(BitsToFloat(0xffc00001u),
+                             BitsToFloat(0x7fa00005u))),
+            0xffc00001u);
+  // The flush keeps a denormal's sign; the mantissa rounding keeps NaNs.
+  EXPECT_EQ(FloatToBits(RoundSpec::FlushDenormal(BitsToFloat(0x807fffffu))),
+            0x80000000u);
+  EXPECT_EQ(FloatToBits(RoundSpec(true, 23)(BitsToFloat(0x00000001u))),
+            0x00000000u);
+  EXPECT_EQ(FloatToBits(RoundSpec(false, 10)(BitsToFloat(0x7f800001u))),
+            0x7f800001u);
+  EXPECT_EQ(FloatToBits(RoundSpec(false, 10)(BitsToFloat(0x3f801000u))),
+            0x3f802000u);
+
+  const RoundSpec flush(true, 23);
+  for (const int bits : {0, 14, 16}) {
+    const SfuSpec sfu(bits);
+    for (const std::uint32_t u : inputs) {
+      const float x = BitsToFloat(u);
+      ASSERT_EQ(FloatToBits(FFloor(x)),
+                IsNanBits(u) ? u : FloatToBits(std::floor(x)))
+          << u;
+      // exp2: exact * (1 + eta) for finite non-zero results.
+      const float e = std::exp2(x);
+      const float unit = SfuErrorUnit(u);
+      const float eta = bits > 0 ? std::ldexp(unit, -bits) : 0.0f;
+      const float want_exp2 =
+          std::isfinite(e) && e != 0.0f ? e * (1.0f + eta) : e;
+      ASSERT_EQ(FloatToBits(SfuExp2(x, sfu.scale, flush)),
+                FloatToBits(flush(want_exp2)))
+          << u << " bits " << bits;
+      // log2: an absolute error in the output, non-finite results exact.
+      const float lg = std::log2(x);
+      const float unit2 = SfuErrorUnit(u ^ 0x9e3779b9u);
+      const float err = bits > 0 ? std::ldexp(unit2, -bits) : 0.0f;
+      const float want_log2 = std::isfinite(lg) ? flush(lg + err) : lg;
+      ASSERT_EQ(FloatToBits(SfuLog2(x, sfu.scale, flush)),
+                FloatToBits(want_log2))
+          << u << " bits " << bits;
+    }
+  }
 }
 
 }  // namespace
