@@ -27,12 +27,13 @@ struct DeviceOptions {
   // wide (one pass per fragment) and kTreeWalk the tree-walking
   // interpreter; all three produce identical output bytes and ALU/SFU/TMU
   // op counts, so either oracle can differentially check the batched path.
-  // kCompiled is an alias of kBatchedVm (see gles2::ExecEngine).
+  // Fixed for the device's lifetime; kCompiled is an alias of kBatchedVm
+  // (see gles2::ExecEngine).
   gles2::ExecEngine exec_engine = gles2::ExecEngine::kBatchedVm;
-  // Fragment-shading workers for the tiled rasterizer: 0 = one per hardware
-  // thread (default), 1 = serial (the calling thread). Results (output
-  // bytes and ALU/SFU/TMU op counts) are identical for every value; see
-  // gles2::ContextConfig::shader_threads.
+  // Fragment-shading workers for the tiled rasterizer, fixed for the
+  // device's lifetime: 0 = one per hardware thread (default), 1 = serial
+  // (the calling thread). Results (output bytes and ALU/SFU/TMU op counts)
+  // are identical for every value; see gles2::ContextConfig::shader_threads.
   int shader_threads = 0;
   int max_texture_size = 4096;
 };

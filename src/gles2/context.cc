@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -36,10 +37,8 @@ namespace {
 constexpr const char kBudgetMsg[] =
     "draw exceeded the per-draw ALU-op watchdog budget (MGPU_DRAW_BUDGET)";
 
-// kCompiled exists only for e2ebench; it names the lane-batched VM.
-ExecEngine Canonical(ExecEngine engine) {
-  return engine == ExecEngine::kCompiled ? ExecEngine::kBatchedVm : engine;
-}
+// x + w for w >= 0, saturated at INT_MAX: a scissor box's end.
+int SaturatedEnd(int x, int w) { return x > INT_MAX - w ? INT_MAX : x + w; }
 
 // The engine's view of global `slot` in the draw stages. A null base marks
 // a slot the program does not use (slot < 0).
@@ -76,7 +75,15 @@ ShadeStateCache::Entry& ShadeStateCache::Insert(GLuint program) {
 
 Context::Context(const ContextConfig& config, glsl::AluModel* alu)
     : config_(config), alu_(alu != nullptr ? alu : &default_alu_) {
-  config_.exec_engine = Canonical(config_.exec_engine);
+  // kCompiled exists only for e2ebench; it names the lane-batched VM.
+  if (config_.exec_engine == ExecEngine::kCompiled) {
+    config_.exec_engine = ExecEngine::kBatchedVm;
+  }
+  // <= 0 selects one worker per hardware thread; a hard cap of 256 keeps a
+  // bogus huge knob value from spawning thousands of OS threads.
+  shade_workers_ = config_.shader_threads > 0 ? config_.shader_threads
+                                              : common::DefaultThreadCount();
+  shade_workers_ = std::min(shade_workers_, 256);
   draw_budget_ = config_.draw_budget;
   if (const char* env = std::getenv("MGPU_DRAW_BUDGET")) {
     // Only a whole decimal number overrides the configured budget: "abc",
@@ -95,22 +102,12 @@ Context::Context(const ContextConfig& config, glsl::AluModel* alu)
   }
   vp_w_ = config_.width;
   vp_h_ = config_.height;
-  sc_w_ = config_.width;
-  sc_h_ = config_.height;
+  sc_x1_ = config_.width;
+  sc_y1_ = config_.height;
 }
 
 // Out of line: pool_ holds a ThreadPool, incomplete in the header.
 Context::~Context() = default;
-
-void Context::SetExecEngine(ExecEngine engine) {
-  config_.exec_engine = Canonical(engine);
-  shade_cache_.Clear();
-}
-
-void Context::SetShaderThreads(int n) {
-  config_.shader_threads = n;
-  shade_cache_.Clear();
-}
 
 void Context::SetError(GLenum e) {
   if (error_ == GL_NO_ERROR) error_ = e;
@@ -173,7 +170,8 @@ void Context::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
     SetError(GL_INVALID_VALUE);
     return;
   }
-  sc_x_ = x; sc_y_ = y; sc_w_ = w; sc_h_ = h;
+  sc_x0_ = x; sc_y0_ = y;
+  sc_x1_ = SaturatedEnd(x, w); sc_y1_ = SaturatedEnd(y, h);
 }
 
 void Context::ClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
@@ -453,7 +451,8 @@ void Context::LinkProgram(GLuint program) {
   // Cached worker clones pin the program's old bytecode and globals; a
   // relink (successful or not) makes them stale.
   shade_cache_.InvalidateProgram(program);
-  gles2::LinkProgram(*p, shaders_, *alu_, config_.limits);
+  gles2::LinkProgram(*p, shaders_, *alu_, config_.limits,
+                     config_.exec_engine);
 }
 
 void Context::GetProgramiv(GLuint program, GLenum pname, GLint* params) {
@@ -572,16 +571,10 @@ void Context::SetUniformValue(const UniformInfo& u, int element, int comps,
   }
   count = std::min(count, max_elements - element);
 
-  // Uniforms are mirrored into both execution engines of each stage so the
-  // ExecEngine switch can flip between draws without a re-sync.
-  const std::array<std::pair<glsl::ShaderEngine*, int>, 4> engines{{
-      {p->vexec.get(), u.vs_slot},
-      {p->vvm.get(), u.vs_slot},
-      {p->fexec.get(), u.fs_slot},
-      {p->fvm.get(), u.fs_slot},
-  }};
-  for (const auto& [exec, slot] : engines) {
-    if (exec == nullptr || slot < 0) continue;
+  // Each stage that declares the uniform holds it in its engine's store.
+  for (const auto& [exec, slot] : {std::pair{p->vertex.get(), u.vs_slot},
+                                   std::pair{p->fragment.get(), u.fs_slot}}) {
+    if (slot < 0) continue;
     Value& val = exec->GlobalAt(slot);
     for (int e = 0; e < count; ++e) {
       const int cell_base = (element + e) * type_comps;
@@ -754,15 +747,26 @@ void Context::BindBuffer(GLenum target, GLuint id) {
   }
 }
 
+BufferObject* Context::BoundBuffer(GLenum target) {
+  if (target != GL_ARRAY_BUFFER && target != GL_ELEMENT_ARRAY_BUFFER) {
+    SetError(GL_INVALID_ENUM);
+    return nullptr;
+  }
+  BufferObject* b = GetBuffer(
+      target == GL_ARRAY_BUFFER ? array_buffer_ : element_array_buffer_);
+  if (b == nullptr) SetError(GL_INVALID_OPERATION);
+  return b;
+}
+
 void Context::BufferData(GLenum target, GLsizeiptr size, const void* data,
                          GLenum usage) {
-  const GLuint id =
-      target == GL_ARRAY_BUFFER ? array_buffer_ : element_array_buffer_;
-  BufferObject* b = GetBuffer(id);
-  if (b == nullptr) {
-    SetError(GL_INVALID_OPERATION);
+  if (usage != GL_STATIC_DRAW && usage != GL_DYNAMIC_DRAW &&
+      usage != GL_STREAM_DRAW) {
+    SetError(GL_INVALID_ENUM);
     return;
   }
+  BufferObject* b = BoundBuffer(target);
+  if (b == nullptr) return;
   if (size < 0) {
     SetError(GL_INVALID_VALUE);
     return;
@@ -776,13 +780,8 @@ void Context::BufferData(GLenum target, GLsizeiptr size, const void* data,
 
 void Context::BufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
                             const void* data) {
-  const GLuint id =
-      target == GL_ARRAY_BUFFER ? array_buffer_ : element_array_buffer_;
-  BufferObject* b = GetBuffer(id);
-  if (b == nullptr) {
-    SetError(GL_INVALID_OPERATION);
-    return;
-  }
+  BufferObject* b = BoundBuffer(target);
+  if (b == nullptr) return;
   // Compared without forming offset + size, which can overflow.
   if (offset < 0 || size < 0 ||
       static_cast<std::size_t>(offset) > b->data.size() ||
@@ -979,6 +978,11 @@ void Context::RenderbufferStorage(GLenum target, GLenum internal_format,
                                   GLsizei w, GLsizei h) {
   if (target != GL_RENDERBUFFER) {
     SetError(GL_INVALID_ENUM);
+    return;
+  }
+  if (w < 0 || h < 0 || w > config_.max_texture_size ||
+      h > config_.max_texture_size) {
+    SetError(GL_INVALID_VALUE);
     return;
   }
   RenderbufferObject* rb = GetRenderbuffer(bound_renderbuffer_);
@@ -1181,12 +1185,10 @@ void Context::Clear(GLbitfield mask) {
     SetError(GL_INVALID_FRAMEBUFFER_OPERATION);
     return;
   }
-  const int x0 = scissor_enabled_ ? std::max(sc_x_, 0) : 0;
-  const int y0 = scissor_enabled_ ? std::max(sc_y_, 0) : 0;
-  const int x1 = scissor_enabled_ ? std::min(sc_x_ + sc_w_, rt.width)
-                                  : rt.width;
-  const int y1 = scissor_enabled_ ? std::min(sc_y_ + sc_h_, rt.height)
-                                  : rt.height;
+  const int x0 = scissor_enabled_ ? std::max(sc_x0_, 0) : 0;
+  const int y0 = scissor_enabled_ ? std::max(sc_y0_, 0) : 0;
+  const int x1 = scissor_enabled_ ? std::min(sc_x1_, rt.width) : rt.width;
+  const int y1 = scissor_enabled_ ? std::min(sc_y1_, rt.height) : rt.height;
   if ((mask & GL_COLOR_BUFFER_BIT) != 0 && rt.color != nullptr) {
     std::array<std::uint8_t, 4> c{};
     for (int i = 0; i < 4; ++i) {
@@ -1268,10 +1270,7 @@ ShadeStateCache::Entry* Context::ShadeVertices(
     const glsl::OpCounts& draw_start_counts) {
   // Each RunBatch pass shades up to LaneWidth() vertices over the engine's
   // lane planes.
-  glsl::ShaderEngine& engine =
-      config_.exec_engine == ExecEngine::kTreeWalk
-          ? static_cast<glsl::ShaderEngine&>(*prog->vexec)
-          : *prog->vvm;
+  glsl::ShaderEngine& engine = *prog->vertex;
   const int lanes = LaneWidth();
 
   // The draw's one cache lookup. Plane views are resolved once per program,
@@ -1481,7 +1480,7 @@ void Context::WritePixel(RenderTarget& rt, int x, int y, float depth,
                          const std::array<float, 4>& color, bool depth_valid,
                          UndoJournal* journal) {
   if (scissor_enabled_) {
-    if (x < sc_x_ || y < sc_y_ || x >= sc_x_ + sc_w_ || y >= sc_y_ + sc_h_) {
+    if (x < sc_x0_ || y < sc_y0_ || x >= sc_x1_ || y >= sc_y1_) {
       return;
     }
   }
@@ -1789,25 +1788,16 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // cached in the program's ShadeStateCache entry and merely *refreshed*
   // here, so a steady-state draw allocates nothing.
 
-  // <= 0 selects one worker per hardware thread; a hard cap keeps a bogus
-  // huge knob value from spawning thousands of OS threads (or throwing
-  // out of a GL entry point).
-  constexpr int kMaxShaderThreads = 256;
-  int threads = config_.shader_threads;
-  if (threads <= 0) threads = common::DefaultThreadCount();
-  threads = std::min(threads, kMaxShaderThreads);
-  const int slot_count = std::min(threads, static_cast<int>(work.size()));
+  const int slot_count =
+      std::min(shade_workers_, static_cast<int>(work.size()));
 
-  // Every slot clones, and re-syncs from, the program's fragment engine of
-  // the configured kind. Slots grow lazily to the most workers any draw has
-  // needed (never past `threads`), so a 2-tile first draw on a big pool
-  // builds 2 slots, not `threads` — and a freshly built slot is already
+  // Every slot clones, and re-syncs from, the program's fragment engine.
+  // Slots grow lazily to the most workers any draw has needed (never past
+  // shade_workers_), so a 2-tile first draw on a big pool builds 2 slots,
+  // not one per worker — and a freshly built slot is already
   // current (the clone copies today's globals), so only pre-existing slots
   // pay the re-sync.
-  const glsl::ShaderEngine& base =
-      config_.exec_engine == ExecEngine::kTreeWalk
-          ? static_cast<const glsl::ShaderEngine&>(*prog->fexec)
-          : *prog->fvm;
+  const glsl::ShaderEngine& base = *prog->fragment;
   try {
     const int have =
         std::min(slot_count, static_cast<int>(entry->workers.size()));
@@ -1938,13 +1928,13 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   if (slot_count == 1) {
     shade_slot(0);
   } else {
-    // The pool is sized by the configured thread count, not by this draw's
+    // The pool is sized by the configured worker count, not by this draw's
     // slot count, so alternating draws with different tile counts reuse the
     // parked workers instead of respawning threads every draw. Partial
     // dispatch: only one pool task per shading slot is issued, so a draw
     // covering two tiles wakes two workers, not the whole pool.
-    if (pool_ == nullptr || pool_->size() != threads) {
-      pool_ = std::make_unique<common::ThreadPool>(threads);
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<common::ThreadPool>(shade_workers_);
     }
     try {
       pool_->RunOn(slot_count, shade_slot);

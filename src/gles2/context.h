@@ -36,26 +36,6 @@ namespace mgpu::gles2 {
 // under either (see KernelTest.IdentityF32WorksUnderPaperQuantization).
 enum class FbQuantization { kRoundNearest, kFloorPaper };
 
-// Which shader execution engine draws run on. Three engines, all
-// byte-identical in framebuffer output and ALU/SFU/TMU op counts:
-//   kBatchedVm  — the production path: fragments are gathered into
-//                 kFragBatchWidth-lane SoA batches and the lowered bytecode
-//                 executes once per instruction over all lanes
-//                 (VmExec::RunBatch), amortizing dispatch and operand
-//                 resolution across the batch the way a VC4 QPU runs 16
-//                 pixels through one instruction stream. Vertices are
-//                 shaded in lane batches too.
-//   kBytecodeVm — the same batch executor one lane wide: one RunBatch(1)
-//                 per vertex or fragment. Kept as the differential oracle
-//                 for lane masks and divergence in the batched engine.
-//   kTreeWalk   — the tree-walking interpreter, the independent reference
-//                 oracle, executing the annotated AST directly.
-// Every engine goes through the same vertex stage and fragment-batch flush;
-// the two oracles run them one lane at a time (see Context::LaneWidth).
-// kCompiled is kept only for e2ebench: the Context constructor and
-// SetExecEngine map it to kBatchedVm, so exec_engine() never returns it.
-enum class ExecEngine { kBatchedVm, kBytecodeVm, kTreeWalk, kCompiled };
-
 struct ContextConfig {
   int width = 64;
   int height = 64;
@@ -65,17 +45,17 @@ struct ContextConfig {
   ExecEngine exec_engine = ExecEngine::kBatchedVm;
   int max_texture_size = 4096;
   // Fragment-shading worker count for the tiled pipeline, for every
-  // engine: <= 0 = one worker per hardware thread (default), 1 = serial
-  // (shades on the calling thread), N > 1 = exactly N pool workers (capped
-  // at 256). Because 64x64 tiles partition the framebuffer and each worker
-  // — the serial one too — owns a private engine clone / ALU-counter shard
-  // / TMU-cache model, every successful draw produces identical framebuffer
-  // bytes and ALU/SFU/TMU op counts for every value. (A draw that raises a
-  // shader runtime error is aborted *transactionally*: framebuffer, depth
-  // and counters are restored to the pre-draw state byte for byte —
-  // identical for every engine and worker count — and the GL error /
-  // last_draw_error / reset status report the failure; a real GPU would
-  // hang or be reset.)
+  // engine, fixed for the context's lifetime: <= 0 = one worker per
+  // hardware thread (default), 1 = serial (shades on the calling thread),
+  // N > 1 = exactly N pool workers (capped at 256). Because 64x64 tiles
+  // partition the framebuffer and each worker — the serial one too — owns
+  // a private engine clone / ALU-counter shard / TMU-cache model, every
+  // successful draw produces identical framebuffer bytes and ALU/SFU/TMU op
+  // counts for every value. (A draw that raises a shader runtime error is
+  // aborted *transactionally*: framebuffer, depth and counters are restored
+  // to the pre-draw state byte for byte — identical for every engine and
+  // worker count — and the GL error / last_draw_error / reset status report
+  // the failure; a real GPU would hang or be reset.)
   int shader_threads = 0;
   // Per-draw total-work budget in modeled ALU ops (vertex + fragment,
   // OpCounts::alu accounting): a watchdog in the spirit of a kernel
@@ -83,7 +63,7 @@ struct ContextConfig {
   // budget is aborted transactionally (framebuffer, depth and counters as
   // if never issued) with GL_OUT_OF_MEMORY and a guilty reset status. The
   // MGPU_DRAW_BUDGET environment variable, when it is a whole decimal
-  // number, overrides this at construction.
+  // number, overrides this at construction; the budget is fixed after.
   // The trip decision is deterministic across engines and worker counts
   // because the completed draw's op total is engine- and thread-invariant.
   std::uint64_t draw_budget = 0;
@@ -170,8 +150,9 @@ struct TmuCacheModel {
 // per-draw plumbing that lives here: the batch-flush closure with its gl_*
 // slot and varying plane views, the fragment-batch scratch and the deferred
 // TMU access log, and the engine's installed texture callback.
-// None of it depends on anything but the program, the engine flavor and
-// the worker count, so steady-state draws allocate nothing at all.
+// None of it depends on anything but the program (the engine kind and the
+// worker count are fixed per context), so steady-state draws allocate
+// nothing at all.
 //
 // Every slot owns its state, for every engine and thread count: a serial
 // draw shades on slot 0 exactly as a pooled draw shades on slots
@@ -179,7 +160,7 @@ struct TmuCacheModel {
 // used slots and their counter shards reset; the shards merge into the
 // context's model when the draw commits. Invalidation: relinking or
 // deleting a program drops its entry (the cached clones pin the old
-// program); switching ExecEngine or shader_threads drops everything.
+// program).
 // Entries beyond kCapacity are evicted least-recently-drawn first, so
 // holding hundreds of linked programs cannot grow the cache unboundedly.
 class ShadeStateCache {
@@ -232,8 +213,7 @@ class ShadeStateCache {
   // gl_PointSize / varying scatter sources, all ShaderEngine::LaneGlobal
   // views. The vertex stage runs on the calling thread against the
   // program's long-lived engine; the entry's invalidation points (relink,
-  // delete, engine or thread switch) drop the views no later than the
-  // storage they aim into.
+  // delete) drop the views no later than the storage they aim into.
   struct VertexState {
     struct AttribLanes {
       glsl::PlaneDst dst;
@@ -279,7 +259,6 @@ class ShadeStateCache {
   [[nodiscard]] Entry* Find(GLuint program);
   Entry& Insert(GLuint program);
   void InvalidateProgram(GLuint program) { entries_.erase(program); }
-  void Clear() { entries_.clear(); }
 
   // LRU capacity: inserting beyond it evicts the least-recently-used entry.
   static constexpr std::size_t kCapacity = 64;
@@ -421,16 +400,10 @@ class Context {
   // --- introspection for tests and the timing model ---
   [[nodiscard]] glsl::AluModel& alu() { return *alu_; }
   [[nodiscard]] const ContextConfig& config() const { return config_; }
-  // Execution-engine switch (applies to subsequent draws; programs carry
-  // both engines, compiled at link time). Drops all cached shading state:
-  // cached worker slots embed engine-specific clones.
+  // The configured engine (kCompiled reads as kBatchedVm) and worker count;
+  // both are fixed at construction (see ContextConfig).
   [[nodiscard]] ExecEngine exec_engine() const { return config_.exec_engine; }
-  void SetExecEngine(ExecEngine engine);
-  // Fragment-shading worker count (applies to subsequent draws; see
-  // ContextConfig::shader_threads for the semantics). Drops all cached
-  // shading state: entries are sized to the configured count.
   [[nodiscard]] int shader_threads() const { return config_.shader_threads; }
-  void SetShaderThreads(int n);
   // Cache of per-worker shading state, exposed for the cache-behaviour and
   // invalidation tests.
   [[nodiscard]] const ShadeStateCache& shade_state_cache() const {
@@ -451,10 +424,9 @@ class Context {
   // usable — subsequent draws behave as if the aborted one was never
   // issued, which is what the fault-injection tests assert.
   GLenum GetGraphicsResetStatus();
-  // The resolved per-draw watchdog budget (config / MGPU_DRAW_BUDGET; 0 =
-  // off). Settable at any time; applies to subsequent draws.
+  // The per-draw watchdog budget resolved at construction (config, then
+  // MGPU_DRAW_BUDGET; 0 = off).
   [[nodiscard]] std::uint64_t draw_budget() const { return draw_budget_; }
-  void SetDrawBudget(std::uint64_t ops) { draw_budget_ = ops; }
   // Whether draws shade vertices kVmLanes at a time (LaneWidth() > 1).
   // Kept for e2ebench, which reports it.
   [[nodiscard]] bool vertex_batch_enabled() const { return LaneWidth() > 1; }
@@ -500,6 +472,9 @@ class Context {
   [[nodiscard]] ShaderObject* GetShader(GLuint id);
   [[nodiscard]] ProgramObject* GetProgram(GLuint id);
   [[nodiscard]] BufferObject* GetBuffer(GLuint id);
+  // The buffer bound to `target`, or nullptr after setting GL_INVALID_ENUM
+  // (not a buffer target) or GL_INVALID_OPERATION (none bound).
+  [[nodiscard]] BufferObject* BoundBuffer(GLenum target);
   [[nodiscard]] RenderbufferObject* GetRenderbuffer(GLuint id);
   [[nodiscard]] FramebufferObject* GetFramebuffer(GLuint id);
   bool ResolveTarget(RenderTarget* out);  // false => incomplete framebuffer
@@ -564,6 +539,8 @@ class Context {
   // GetGraphicsResetStatus) and the resolved watchdog budget.
   GLenum reset_status_ = GL_NO_ERROR;
   std::uint64_t draw_budget_ = 0;
+  // Fragment-shading workers, resolved from shader_threads at construction.
+  int shade_workers_ = 1;
   // Watchdog accumulator: ALU ops consumed by the draw in flight, summed
   // across worker shards via relaxed fetch_add (monotone, so the trip
   // decision is deterministic even though intermediate interleavings vary).
@@ -577,8 +554,8 @@ class Context {
   std::map<GLuint, std::unique_ptr<RenderbufferObject>> renderbuffers_;
   std::map<GLuint, std::unique_ptr<FramebufferObject>> framebuffers_;
 
-  // Worker pool for the tiled fragment pipeline, created lazily on the
-  // first parallel draw and resized when shader_threads changes.
+  // Worker pool for the tiled fragment pipeline (shade_workers_ threads),
+  // created lazily on the first parallel draw.
   std::unique_ptr<common::ThreadPool> pool_;
   // Cached per-program shading state; see ShadeStateCache.
   ShadeStateCache shade_cache_;
@@ -619,7 +596,8 @@ class Context {
 
   // Fixed-function state.
   int vp_x_ = 0, vp_y_ = 0, vp_w_ = 0, vp_h_ = 0;
-  int sc_x_ = 0, sc_y_ = 0, sc_w_ = 0, sc_h_ = 0;
+  // Scissor box [x0, x1) x [y0, y1), its ends saturated at INT_MAX.
+  int sc_x0_ = 0, sc_y0_ = 0, sc_x1_ = 0, sc_y1_ = 0;
   bool scissor_enabled_ = false;
   bool depth_enabled_ = false;
   bool blend_enabled_ = false;

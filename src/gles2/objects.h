@@ -13,12 +13,30 @@
 #include "gles2/enums.h"
 #include "glsl/alu.h"
 #include "glsl/engine.h"
-#include "glsl/interp.h"
-#include "glsl/ir.h"
 #include "glsl/shader.h"
-#include "glsl/vm.h"
 
 namespace mgpu::gles2 {
+
+// The engine a context's programs link and draw with, fixed when the
+// context is built. Three engines, all byte-identical in framebuffer
+// output and ALU/SFU/TMU op counts:
+//   kBatchedVm  — the production path: fragments are gathered into
+//                 kFragBatchWidth-lane SoA batches and the lowered bytecode
+//                 executes once per instruction over all lanes
+//                 (VmExec::RunBatch), amortizing dispatch and operand
+//                 resolution across the batch the way a VC4 QPU runs 16
+//                 pixels through one instruction stream. Vertices are
+//                 shaded in lane batches too.
+//   kBytecodeVm — the same batch executor one lane wide: one RunBatch(1)
+//                 per vertex or fragment. Kept as the differential oracle
+//                 for lane masks and divergence in the batched engine.
+//   kTreeWalk   — the tree-walking interpreter, the independent reference
+//                 oracle, executing the annotated AST directly.
+// Every engine goes through the same vertex stage and fragment-batch flush;
+// the two oracles run them one lane at a time (see Context::LaneWidth).
+// kCompiled is kept only for e2ebench: the Context constructor maps it to
+// kBatchedVm, so exec_engine() never returns it.
+enum class ExecEngine { kBatchedVm, kBytecodeVm, kTreeWalk, kCompiled };
 
 struct ShaderObject {
   GLenum type = GL_FRAGMENT_SHADER;
@@ -84,24 +102,19 @@ struct ProgramObject {
   std::string info_log;
   std::map<std::string, GLint> bound_attribs;  // BindAttribLocation requests
 
-  // Link products. Each stage carries both execution engines: the bytecode
-  // VM (production path; lowered once here at link time) and the
-  // tree-walking interpreter (reference oracle). The context's ExecEngine
-  // selects which one draws use; uniforms are mirrored into both.
+  // Link products: the compiled shaders, declared first so they outlive
+  // the engines built from them, and one engine per stage, of the kind the
+  // linking context draws with. Uniforms are written into these engines;
+  // draws sync them into the shade-cache clones.
   std::shared_ptr<const glsl::CompiledShader> vs;
   std::shared_ptr<const glsl::CompiledShader> fs;
-  std::unique_ptr<glsl::ShaderExec> vexec;
-  std::unique_ptr<glsl::ShaderExec> fexec;
-  std::shared_ptr<const glsl::VmProgram> vs_bytecode;
-  std::shared_ptr<const glsl::VmProgram> fs_bytecode;
-  std::unique_ptr<glsl::VmExec> vvm;
-  std::unique_ptr<glsl::VmExec> fvm;
+  std::unique_ptr<glsl::ShaderEngine> vertex;
+  std::unique_ptr<glsl::ShaderEngine> fragment;
   std::vector<VaryingLink> varyings;
   // Whether the fragment stage can trap at runtime (VmProgram::CanTrap on
-  // the lowered bytecode; the tree-walk interpreter traps on exactly the
-  // same constructs, so one flag covers every engine). Cached at link so
-  // the draw loop's journal-or-not decision is a field read. Defaults to
-  // the conservative answer.
+  // the lowered bytecode). Cached at link so the draw loop's
+  // journal-or-not decision is a field read. A tree-walk link lowers
+  // nothing, so it keeps the conservative default.
   bool fs_can_trap = true;
   int varying_cells = 0;
   std::vector<AttribInfo> attribs;
@@ -129,10 +142,13 @@ struct ProgramObject {
 };
 
 // Links `prog` from its attached, successfully compiled shaders. Fills all
-// link products; on failure sets link_ok = false and the info log.
+// link products, building each stage's engine of kind `engine` (never
+// kCompiled) on `alu`, which is charged the global initializers' ops; on
+// failure sets link_ok = false and the info log.
 void LinkProgram(ProgramObject& prog,
                  const std::map<GLuint, std::unique_ptr<ShaderObject>>& shaders,
-                 glsl::AluModel& alu, const glsl::Limits& limits);
+                 glsl::AluModel& alu, const glsl::Limits& limits,
+                 ExecEngine engine);
 
 }  // namespace mgpu::gles2
 

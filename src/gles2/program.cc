@@ -3,6 +3,8 @@
 
 #include "common/strings.h"
 #include "gles2/objects.h"
+#include "glsl/interp.h"
+#include "glsl/vm.h"
 
 namespace mgpu::gles2 {
 namespace {
@@ -152,10 +154,14 @@ void Fail(ProgramObject& prog, std::string msg) {
 
 void LinkProgram(ProgramObject& prog,
                  const std::map<GLuint, std::unique_ptr<ShaderObject>>& shaders,
-                 glsl::AluModel& alu, const glsl::Limits& limits) {
+                 glsl::AluModel& alu, const glsl::Limits& limits,
+                 ExecEngine engine) {
   prog.linked = true;
   prog.link_ok = true;
   prog.info_log.clear();
+  // The old engines may reference the shaders of the previous link.
+  prog.vertex.reset();
+  prog.fragment.reset();
   prog.varyings.clear();
   prog.attribs.clear();
   prog.uniforms.clear();
@@ -308,23 +314,26 @@ void LinkProgram(ProgramObject& prog,
 
   if (!prog.link_ok) return;
 
-  // --- instantiate executors and cache gl_* slots. Both engines are built
-  // here: the interpreter oracle and the bytecode VM (lowered once, cached
-  // on the program object for the lifetime of the link).
-  prog.vexec = std::make_unique<glsl::ShaderExec>(*prog.vs, alu);
-  prog.fexec = std::make_unique<glsl::ShaderExec>(*prog.fs, alu);
-  prog.vs_bytecode = glsl::LowerToBytecode(*prog.vs);
-  prog.fs_bytecode = glsl::LowerToBytecode(*prog.fs);
-  prog.vvm = std::make_unique<glsl::VmExec>(prog.vs_bytecode, alu);
-  prog.fvm = std::make_unique<glsl::VmExec>(prog.fs_bytecode, alu);
-  prog.fs_can_trap = prog.fs_bytecode->CanTrap();
-  prog.vs_position_slot = prog.vexec->GlobalSlot("gl_Position");
-  prog.vs_point_size_slot = prog.vexec->GlobalSlot("gl_PointSize");
-  prog.fs_frag_color_slot = prog.fexec->GlobalSlot("gl_FragColor");
-  prog.fs_frag_data_slot = prog.fexec->GlobalSlot("gl_FragData");
-  prog.fs_frag_coord_slot = prog.fexec->GlobalSlot("gl_FragCoord");
-  prog.fs_front_facing_slot = prog.fexec->GlobalSlot("gl_FrontFacing");
-  prog.fs_point_coord_slot = prog.fexec->GlobalSlot("gl_PointCoord");
+  // --- instantiate one engine per stage and cache gl_* slots. Each
+  // engine's construction runs its stage's global initializers and charges
+  // their ops to `alu`, the same counts for every kind.
+  if (engine == ExecEngine::kTreeWalk) {
+    prog.vertex = std::make_unique<glsl::ShaderExec>(*prog.vs, alu);
+    prog.fragment = std::make_unique<glsl::ShaderExec>(*prog.fs, alu);
+  } else {
+    auto fs_code = glsl::LowerToBytecode(*prog.fs);
+    prog.fs_can_trap = fs_code->CanTrap();
+    prog.vertex = std::make_unique<glsl::VmExec>(
+        glsl::LowerToBytecode(*prog.vs), alu);
+    prog.fragment = std::make_unique<glsl::VmExec>(std::move(fs_code), alu);
+  }
+  prog.vs_position_slot = prog.vertex->GlobalSlot("gl_Position");
+  prog.vs_point_size_slot = prog.vertex->GlobalSlot("gl_PointSize");
+  prog.fs_frag_color_slot = prog.fragment->GlobalSlot("gl_FragColor");
+  prog.fs_frag_data_slot = prog.fragment->GlobalSlot("gl_FragData");
+  prog.fs_frag_coord_slot = prog.fragment->GlobalSlot("gl_FragCoord");
+  prog.fs_front_facing_slot = prog.fragment->GlobalSlot("gl_FrontFacing");
+  prog.fs_point_coord_slot = prog.fragment->GlobalSlot("gl_PointCoord");
 }
 
 }  // namespace mgpu::gles2

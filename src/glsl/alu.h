@@ -311,9 +311,8 @@ class AluModel {
   // sum over disjoint tiles is order-independent, so totals are identical
   // to a serial run).
   void AddCounts(const OpCounts& c) { counts_ += c; }
-  // Restores a snapshot taken via counts(). Used by the bytecode VM to keep
-  // its one-time constant-initializer evaluation out of the counters (the
-  // tree-walking oracle already charged those ops at construction).
+  // Restores a snapshot taken via counts(): an aborted draw's counters, and
+  // the bytecode VM's vm_steps across its one-time initializer run.
   void SetCounts(const OpCounts& c) { counts_ = c; }
 
   // Rounds an ALU result to the modeled register precision (the model's

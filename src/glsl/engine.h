@@ -2,8 +2,9 @@
 // ShaderExec (reference oracle, one lane) and the bytecode VmExec (the
 // lane-batched executor, run kVmLanes wide by default and one lane wide as
 // the kBytecodeVm oracle). The gles2 draw pipeline programs against this
-// interface so the engine is switchable per context; every engine clones,
-// so every engine shades on per-worker clones.
+// interface, so a context picks its engine once and a linked program holds
+// one engine per stage; every engine clones, so every engine shades on
+// per-worker clones.
 #ifndef MGPU_GLSL_ENGINE_H_
 #define MGPU_GLSL_ENGINE_H_
 

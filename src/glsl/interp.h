@@ -61,8 +61,8 @@ class ShaderExec final : public ShaderEngine {
   }
 
   // Loop-iteration budget (default kDefaultLoopBudget), same semantics as
-  // VmExec::SetLoopBudget so differential tests can trip traps cheaply on
-  // both engines.
+  // VmExec::SetLoopBudget, so a differential test that builds this engine
+  // and a VmExec side by side trips the same trap cheaply on each.
   void SetLoopBudget(std::uint64_t steps) { loop_budget_ = steps; }
   [[nodiscard]] std::uint64_t loop_budget() const { return loop_budget_; }
 

@@ -79,20 +79,22 @@ VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
 
   // One-time global initialization (consts and initial values of plain
   // globals), one lane wide with every global resolved to the shared store;
-  // only then do the lane-varying globals' planes take those values. The
-  // oracle counts this work at its own construction, so the counter
-  // snapshot keeps link-time totals unchanged when both engines are
-  // instantiated side by side.
+  // only then do the lane-varying globals' planes take those values. Its
+  // ALU/SFU/TMU ops are charged, exactly as the oracle charges them at its
+  // own construction; its batch steps are not, so vm_steps counts runs
+  // only.
   std::vector<PlaneSrc> shared;
   shared.reserve(globals_.size());
   for (const Value& g : globals_) shared.push_back(ValuePlane(g));
   const std::vector<PlaneSrc> shared_aliases = AliasViews(
       *prog_, {reg_views_.data(), shared.data(), const_views_.data()});
-  const OpCounts saved = alu_.counts();
+  const std::uint64_t steps = alu_.counts().vm_steps;
   (void)ExecuteBatch(prog_->const_init_entry, 1,
                      {{reg_views_.data(), shared.data(), const_views_.data(),
                        shared_aliases.data()}});
-  alu_.SetCounts(saved);
+  OpCounts counts = alu_.counts();
+  counts.vm_steps = steps;
+  alu_.SetCounts(counts);
   FillLaneGlobals();
 }
 

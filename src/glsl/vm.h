@@ -25,14 +25,14 @@ namespace mgpu::glsl {
 class VmExec final : public ShaderEngine {
  public:
   // Lays out the lane planes and evaluates the program's constant-
-  // initializer chunk once, one lane wide on the shared store; the ops it
-  // spends are excluded from `alu`'s counters (the oracle charged the same
-  // work at its own construction, so per-run counts stay comparable).
+  // initializer chunk once, one lane wide on the shared store. Its ALU/SFU/
+  // TMU ops are charged to `alu`, the same counts the oracle's construction
+  // charges; its batch steps are not added to vm_steps.
   VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu);
 
   // Worker clone (ShaderEngine::Clone): shares the immutable program and
   // copies the primed globals (constant initializers + uniforms already
-  // mirrored into `base`), then lays out and fills its own lane planes.
+  // written into `base`), then lays out and fills its own lane planes.
   // The constant-initializer chunk is NOT re-run.
   VmExec(const VmExec& base, AluModel& alu);
   // The operand views point into this engine's own storage.

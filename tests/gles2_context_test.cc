@@ -291,6 +291,33 @@ TEST(ContextTest, ScissorRestrictsDraw) {
   EXPECT_EQ(px[(3 * 4 + 3) * 4], 0);
 }
 
+// A scissor box whose end lies past INT_MAX holds no framebuffer pixel:
+// neither a Clear nor a draw may touch one (nor overflow computing it).
+TEST(ContextTest, ScissorBoxEndingPastIntMaxTouchesNoPixel) {
+  Context ctx(SmallConfig(8, 8));
+  const GLuint p = BuildProgramOrDie(
+      ctx, testutil::kPassthroughVs,
+      "precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }");
+  ctx.ClearColor(0.0f, 0.0f, 1.0f, 1.0f);
+  ctx.Clear(GL_COLOR_BUFFER_BIT);
+  const auto before = ReadRgba(ctx, 8, 8);
+  constexpr GLint kMax = std::numeric_limits<GLint>::max();
+  ctx.Enable(GL_SCISSOR_TEST);
+  ctx.ClearColor(1.0f, 0.0f, 0.0f, 1.0f);
+  for (const std::array<GLint, 4>& box :
+       {std::array<GLint, 4>{kMax - 1, 0, kMax, 8},
+        std::array<GLint, 4>{0, kMax - 1, 8, kMax}}) {
+    SCOPED_TRACE(StrFormat("scissor %d %d %d %d", box[0], box[1], box[2],
+                           box[3]));
+    ctx.Scissor(box[0], box[1], box[2], box[3]);
+    ctx.Clear(GL_COLOR_BUFFER_BIT);
+    EXPECT_EQ(ReadRgba(ctx, 8, 8), before) << "Clear";
+    DrawFullscreenQuad(ctx, p);
+    EXPECT_EQ(ReadRgba(ctx, 8, 8), before) << "draw";
+  }
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+}
+
 TEST(ContextTest, DepthTestKeepsNearestFragment) {
   Context ctx(SmallConfig(2, 2));
   const GLuint p = BuildProgramOrDie(
@@ -661,6 +688,85 @@ TEST(ContextTest, BufferSubDataHugeRangeSetsInvalidValue) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(px[i * 4], 255) << "pixel " << i;
 }
 
+// A buffer call names GL_ARRAY_BUFFER or GL_ELEMENT_ARRAY_BUFFER, and
+// BufferData one of the three usage hints; anything else is
+// GL_INVALID_ENUM and leaves both bound stores as they were.
+TEST(ContextTest, BufferCallsRejectBadTargetAndUsageWithoutEffect) {
+  Context ctx(SmallConfig());
+  const GLuint p = BuildProgramOrDie(
+      ctx, testutil::kPassthroughVs,
+      "precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }");
+  ctx.UseProgram(p);
+  GLuint bufs[2];
+  ctx.GenBuffers(2, bufs);
+  ctx.BindBuffer(GL_ARRAY_BUFFER, bufs[0]);
+  ctx.BufferData(GL_ARRAY_BUFFER, sizeof(float) * 12, testutil::kQuad.data(),
+                 GL_STATIC_DRAW);
+  ctx.BindBuffer(GL_ELEMENT_ARRAY_BUFFER, bufs[1]);
+  const std::uint8_t idx[] = {0, 1, 2, 3, 4, 5};
+  ctx.BufferData(GL_ELEMENT_ARRAY_BUFFER, sizeof idx, idx, GL_DYNAMIC_DRAW);
+  ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+
+  const std::vector<std::uint8_t> junk(64, 0xff);
+  ctx.BufferData(GL_TEXTURE_2D, 64, junk.data(), GL_STATIC_DRAW);
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_ENUM);
+  ctx.BufferSubData(GL_TEXTURE_2D, 0, 4, junk.data());
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_ENUM);
+  ctx.BufferData(GL_ARRAY_BUFFER, 64, junk.data(), GL_TEXTURE_2D);
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_ENUM);
+  ctx.BufferData(GL_ELEMENT_ARRAY_BUFFER, 64, junk.data(), 0);
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_ENUM);
+
+  // Both stores are intact: the indexed quad still covers every pixel.
+  const GLint loc = ctx.GetAttribLocation(p, "a_pos");
+  ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+  ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE, 0,
+                          nullptr);
+  ctx.DrawElements(GL_TRIANGLES, 6, GL_UNSIGNED_BYTE, nullptr);
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  const auto px = ReadRgba(ctx, 4, 4);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(px[i * 4], 255) << "pixel " << i;
+}
+
+// A negative size, or one above the implementation's maximum, is
+// GL_INVALID_VALUE and leaves the renderbuffer's storage and contents as
+// they were.
+TEST(ContextTest, RenderbufferStorageRejectsBadSizesWithoutEffect) {
+  ContextConfig cfg = SmallConfig();
+  cfg.max_texture_size = 64;
+  Context ctx(cfg);
+  GLuint rb;
+  ctx.GenRenderbuffers(1, &rb);
+  ctx.BindRenderbuffer(GL_RENDERBUFFER, rb);
+  ctx.RenderbufferStorage(GL_RENDERBUFFER, GL_RGBA4, 4, 4);
+  GLuint fbo;
+  ctx.GenFramebuffers(1, &fbo);
+  ctx.BindFramebuffer(GL_FRAMEBUFFER, fbo);
+  ctx.FramebufferRenderbuffer(GL_FRAMEBUFFER, GL_COLOR_ATTACHMENT0,
+                              GL_RENDERBUFFER, rb);
+  ctx.ClearColor(1.0f, 0.0f, 0.0f, 1.0f);
+  ctx.Clear(GL_COLOR_BUFFER_BIT);
+  ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+  const auto before = ReadRgba(ctx, 4, 4);
+
+  constexpr GLsizei kMin = std::numeric_limits<GLsizei>::min();
+  const std::array<std::pair<GLsizei, GLsizei>, 5> sizes = {
+      {{-1, 1}, {1, -1}, {kMin, 4}, {65, 1}, {1, 65}}};
+  for (const GLenum format : {GL_RGBA4, GL_DEPTH_COMPONENT16}) {
+    for (const auto& [w, h] : sizes) {
+      SCOPED_TRACE(StrFormat("format 0x%x, %d x %d", format, w, h));
+      ctx.RenderbufferStorage(GL_RENDERBUFFER, format, w, h);
+      EXPECT_EQ(ctx.GetError(), GL_INVALID_VALUE);
+    }
+  }
+  // The 4x4 storage and its contents survive every rejected call.
+  EXPECT_EQ(ctx.CheckFramebufferStatus(GL_FRAMEBUFFER),
+            static_cast<GLenum>(GL_FRAMEBUFFER_COMPLETE));
+  EXPECT_EQ(ReadRgba(ctx, 4, 4), before);
+  ctx.RenderbufferStorage(GL_RENDERBUFFER, GL_RGBA4, 64, 64);
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR) << "the maximum itself is valid";
+}
+
 // ES 2.0: a negative count is GL_INVALID_VALUE, and the call changes no
 // state — no ids written, no object deleted, no uniform stored.
 TEST(ContextTest, NegativeCountsSetInvalidValueWithoutEffect) {
@@ -776,14 +882,10 @@ TEST(ContextTest, GetStringAndIntegerQueries) {
   EXPECT_EQ(v, 8);
   ctx.GetIntegerv(GL_MAX_TEXTURE_SIZE, &v);
   EXPECT_EQ(v, 4096);
-  // kCompiled is an alias: both a context built with it and one switched
-  // to it report the batched VM.
+  // kCompiled is an alias: a context built with it reports the batched VM.
   ContextConfig cfg = SmallConfig();
   cfg.exec_engine = ExecEngine::kCompiled;
   EXPECT_EQ(Context(cfg).exec_engine(), ExecEngine::kBatchedVm);
-  ctx.SetExecEngine(ExecEngine::kTreeWalk);
-  ctx.SetExecEngine(ExecEngine::kCompiled);
-  EXPECT_EQ(ctx.exec_engine(), ExecEngine::kBatchedVm);
 }
 
 // Errors latch in call order: later invalid calls cannot displace the first.

@@ -236,35 +236,39 @@ TEST(FaultInjection, WatchdogBudgetTripsDeterministically) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(EngineName(engine)) + " threads=" +
                    std::to_string(threads));
-      Context ctx(MakeConfig(engine, threads));
-      const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
-      DrawFullscreenQuad(ctx, clean);
-      ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
-      const Snapshot before = Snap(ctx);
+      ContextConfig cfg = MakeConfig(engine, threads);
 
-      // Exactly at the total: must complete.
-      ctx.SetDrawBudget(total);
-      DrawFullscreenQuad(ctx, clean);
-      EXPECT_EQ(ctx.GetError(), GL_NO_ERROR) << ctx.last_draw_error();
-      EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
+      // Exactly at the total: every draw completes.
+      cfg.draw_budget = total;
+      {
+        Context ctx(cfg);
+        const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
+        for (int draw = 0; draw < 2; ++draw) {
+          DrawFullscreenQuad(ctx, clean);
+          EXPECT_EQ(ctx.GetError(), GL_NO_ERROR) << ctx.last_draw_error();
+          EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
+        }
+      }
 
-      // One op short: must abort with the watchdog mapping.
-      ctx.SetDrawBudget(total - 1);
-      const Snapshot pre_trip = Snap(ctx);
-      DrawFullscreenQuad(ctx, clean);
-      EXPECT_EQ(ctx.GetError(), GL_OUT_OF_MEMORY);
-      EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_GUILTY_CONTEXT_RESET);
-      EXPECT_NE(ctx.last_draw_error().find("watchdog"), std::string::npos)
-          << ctx.last_draw_error();
-      ExpectSnapshotEq(Snap(ctx), pre_trip, "post-watchdog-abort");
-
-      // The repeated draw writes the same image: only counters advanced.
-      EXPECT_EQ(pre_trip.fb, before.fb);
-
-      // Disabled again: draws succeed.
-      ctx.SetDrawBudget(0);
-      DrawFullscreenQuad(ctx, clean);
-      EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+      // One op short: every draw aborts with the watchdog mapping, leaving
+      // the framebuffer (cleared to a colour the draw overwrites) and the
+      // counters as they were.
+      cfg.draw_budget = total - 1;
+      {
+        Context ctx(cfg);
+        const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
+        ctx.ClearColor(0.25f, 0.5f, 0.75f, 1.0f);
+        ctx.Clear(GL_COLOR_BUFFER_BIT);
+        const Snapshot pre_trip = Snap(ctx);
+        for (int draw = 0; draw < 2; ++draw) {
+          DrawFullscreenQuad(ctx, clean);
+          EXPECT_EQ(ctx.GetError(), GL_OUT_OF_MEMORY);
+          EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_GUILTY_CONTEXT_RESET);
+          EXPECT_NE(ctx.last_draw_error().find("watchdog"), std::string::npos)
+              << ctx.last_draw_error();
+          ExpectSnapshotEq(Snap(ctx), pre_trip, "post-watchdog-abort");
+        }
+      }
     }
   }
 }
@@ -364,8 +368,6 @@ TEST(FaultInjection, DrawBudgetConfigKnob) {
   Context ctx(cfg);
   // The env var (unset in tests) must not clobber the config value.
   EXPECT_EQ(ctx.draw_budget(), 12345u);
-  ctx.SetDrawBudget(0);
-  EXPECT_EQ(ctx.draw_budget(), 0u);
   // MGPU_DRAW_BUDGET overrides the config only when it is a whole decimal
   // number; anything else keeps the configured budget.
   for (const char* bad : {"abc", "-1", "12x"}) {

@@ -5,9 +5,9 @@
 // per draw, for every engine and thread count. It must be *invisible*: a
 // warm-cache draw stream produces the same framebuffer bytes and the same
 // ALU/SFU/TMU operation counts as cold-state draws and as a serial
-// (one-slot) context. Relinking a program, switching the execution engine,
-// and changing the worker count mid-stream must all drop stale entries
-// without perturbing results.
+// (one-slot) context, on every engine. Relinking or deleting a program must
+// drop its entry without perturbing results. The engine and the worker
+// count are fixed per context, so each configuration gets its own context.
 #include <array>
 #include <cstdint>
 #include <string>
@@ -102,10 +102,11 @@ void ExpectSameCounts(const glsl::OpCounts& a, const glsl::OpCounts& b,
 
 class StormRig {
  public:
-  // `threads`: initial shader thread count. `textured`: sample a texture in
-  // the fragment shader so TMU / TMU-miss counts are exercised too.
-  StormRig(int threads, bool textured, glsl::AluModel* alu = nullptr)
-      : ctx_(MakeConfig(threads), alu) {
+  // `threads`: shader thread count. `textured`: sample a texture in the
+  // fragment shader so TMU / TMU-miss counts are exercised too.
+  StormRig(int threads, bool textured, glsl::AluModel* alu = nullptr,
+           ExecEngine engine = ExecEngine::kBatchedVm)
+      : ctx_(MakeConfig(threads, engine), alu) {
     program_ = testutil::BuildProgramOrDie(
         ctx_, kVs, textured ? kTexturedFs : kPlainFs);
     ctx_.UseProgram(program_);
@@ -144,6 +145,15 @@ class StormRig {
     ASSERT_EQ(ctx_.GetError(), static_cast<GLenum>(GL_NO_ERROR));
   }
 
+  // Relinks the program from the same shaders, which drops its cache
+  // entry: the next draw rebuilds its shading state from scratch. The
+  // shaders have no global initializers, so the link charges no ops, and
+  // the sampler uniform's default (unit 0) is the value it was set to.
+  void Relink() {
+    ctx_.LinkProgram(program_);
+    ASSERT_EQ(ctx_.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+  }
+
   [[nodiscard]] RunResult Finish() {
     RunResult r;
     r.fb = testutil::ReadRgba(ctx_, kW, kH);
@@ -155,11 +165,12 @@ class StormRig {
   [[nodiscard]] GLuint program() const { return program_; }
 
  private:
-  static ContextConfig MakeConfig(int threads) {
+  static ContextConfig MakeConfig(int threads, ExecEngine engine) {
     ContextConfig cfg;
     cfg.width = kW;
     cfg.height = kH;
     cfg.shader_threads = threads;
+    cfg.exec_engine = engine;
     return cfg;
   }
 
@@ -177,15 +188,15 @@ TEST(ShadeStateCacheTest, WarmDrawsAreByteAndCountIdenticalToColdDraws) {
   StormRig serial(/*threads=*/1, /*textured=*/true);
   for (const DrawSpec& d : Corpus()) {
     warm.Draw(d);
-    // Forcing the knob before every draw clears the cache: every cold draw
+    // A relink before every draw drops the program's entry: every cold draw
     // rebuilds its worker state from scratch, the pre-cache behaviour.
-    cold.ctx().SetShaderThreads(2);
+    cold.Relink();
     cold.Draw(d);
     serial.Draw(d);
   }
   // The warm context really did reuse state: one entry for the program
   // and one lookup per draw, so a miss on the first draw and a hit on
-  // every draw after. The cold context never hit (its cache is cleared
+  // every draw after. The cold context never hit (its entry is dropped
   // before every draw).
   EXPECT_EQ(warm.ctx().shade_state_cache().entry_count(), 1u);
   EXPECT_EQ(warm.ctx().shade_state_cache().hits(),
@@ -211,10 +222,8 @@ TEST(ShadeStateCacheTest, WarmDrawsMatchSerialUnderVc4Alu) {
     SCOPED_TRACE(static_cast<int>(engine));
     vc4::Vc4Alu warm_alu(vc4::VideoCoreIV());
     vc4::Vc4Alu serial_alu(vc4::VideoCoreIV());
-    StormRig warm(/*threads=*/3, /*textured=*/true, &warm_alu);
-    StormRig serial(/*threads=*/1, /*textured=*/true, &serial_alu);
-    warm.ctx().SetExecEngine(engine);
-    serial.ctx().SetExecEngine(engine);
+    StormRig warm(/*threads=*/3, /*textured=*/true, &warm_alu, engine);
+    StormRig serial(/*threads=*/1, /*textured=*/true, &serial_alu, engine);
     for (const DrawSpec& d : Corpus()) {
       warm.Draw(d);
       serial.Draw(d);
@@ -227,7 +236,7 @@ TEST(ShadeStateCacheTest, WarmDrawsMatchSerialUnderVc4Alu) {
 }
 
 // ---------------------------------------------------------------------------
-// Invalidation: relink, engine switch, thread-count switch
+// Invalidation: relink and delete
 // ---------------------------------------------------------------------------
 
 TEST(ShadeStateCacheTest, RelinkDropsStaleEntriesAndUsesNewBytecode) {
@@ -286,28 +295,6 @@ TEST(ShadeStateCacheTest, DeleteProgramDropsItsEntries) {
   EXPECT_EQ(warm.ctx().shade_state_cache().entry_count(), 0u);
 }
 
-TEST(ShadeStateCacheTest, SwitchingExecEngineDropsCacheAndStaysIdentical) {
-  StormRig warm(/*threads=*/2, /*textured=*/true);
-  StormRig serial(/*threads=*/1, /*textured=*/true);
-  int i = 0;
-  for (const DrawSpec& d : Corpus()) {
-    // Hop engines mid-stream: VM -> tree-walk -> VM. Cached VM clones must
-    // not survive the hop (they are engine-specific state).
-    if (i == 2) {
-      warm.ctx().SetExecEngine(ExecEngine::kTreeWalk);
-      EXPECT_EQ(warm.ctx().shade_state_cache().entry_count(), 0u);
-    }
-    if (i == 4) warm.ctx().SetExecEngine(ExecEngine::kBytecodeVm);
-    warm.Draw(d);
-    serial.Draw(d);
-    ++i;
-  }
-  const RunResult w = warm.Finish();
-  const RunResult s = serial.Finish();
-  EXPECT_EQ(w.fb, s.fb);
-  ExpectSameCounts(w.counts, s.counts, "engine-hop warm vs serial");
-}
-
 // ---------------------------------------------------------------------------
 // LRU capacity
 // ---------------------------------------------------------------------------
@@ -321,8 +308,8 @@ TEST(ShadeStateCacheTest, DefaultCapacityIsSixtyFour) {
 TEST(ShadeStateCacheTest, LruCapEvictsLeastRecentlyDrawnAndStaysCorrect) {
   // More programs than the cache holds, drawn round-robin: every program's
   // entry is evicted before its next draw, so the stream runs at maximum
-  // churn — and must still produce exactly the bytes of cold draws (the
-  // cache dropped before every draw).
+  // churn — and must still produce exactly the bytes of cold draws (each
+  // program's entry dropped by a relink right after its draw).
   ContextConfig cfg;
   cfg.width = kW;
   cfg.height = kH;
@@ -366,10 +353,11 @@ TEST(ShadeStateCacheTest, LruCapEvictsLeastRecentlyDrawnAndStaysCorrect) {
         ctx.Uniform1f(ctx.GetUniformLocation(prog, "u_scale"), 0.3f);
         ctx.Uniform4f(ctx.GetUniformLocation(prog, "u_tint"), 1.0f, 0.5f,
                       0.25f, 1.0f);
-        // Re-setting the thread count drops every cached entry.
-        if (drop_cache) ctx.SetShaderThreads(1);
         ctx.DrawArrays(GL_TRIANGLES, 0, 3);
         ASSERT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+        // A relink drops the entry the draw built, so the cache never
+        // holds another program's entry and every draw builds afresh.
+        if (drop_cache) ctx.LinkProgram(prog);
       }
     }
   };
@@ -386,30 +374,6 @@ TEST(ShadeStateCacheTest, LruCapEvictsLeastRecentlyDrawnAndStaysCorrect) {
   EXPECT_EQ(testutil::ReadRgba(churned, kW, kH),
             testutil::ReadRgba(cold, kW, kH))
       << "eviction-churned draws must be byte-identical to cold draws";
-}
-
-TEST(ShadeStateCacheTest, ChangingShaderThreadsMidStreamStaysIdentical) {
-  StormRig warm(/*threads=*/2, /*textured=*/true);
-  StormRig serial(/*threads=*/1, /*textured=*/true);
-  // One knob setting per corpus draw.
-  const std::array<int, 8> threads_at = {2, 2, 4, 4, 1, 3, 3, 2};
-  ASSERT_EQ(threads_at.size(), Corpus().size());
-  int i = 0;
-  for (const DrawSpec& d : Corpus()) {
-    if (i > 0 && threads_at[static_cast<std::size_t>(i)] !=
-                     threads_at[static_cast<std::size_t>(i - 1)]) {
-      warm.ctx().SetShaderThreads(threads_at[static_cast<std::size_t>(i)]);
-      EXPECT_EQ(warm.ctx().shade_state_cache().entry_count(), 0u)
-          << "thread-count change must drop all entries";
-    }
-    warm.Draw(d);
-    serial.Draw(d);
-    ++i;
-  }
-  const RunResult w = warm.Finish();
-  const RunResult s = serial.Finish();
-  EXPECT_EQ(w.fb, s.fb);
-  ExpectSameCounts(w.counts, s.counts, "thread-hop warm vs serial");
 }
 
 }  // namespace

@@ -790,21 +790,28 @@ TEST(VmExecTest, VertexStageWritesPosition) {
   EXPECT_FLOAT_EQ(pos.at(1, 0).f, -1.0f);
 }
 
-TEST(VmExecTest, ConstructionDoesNotChargeAluCounters) {
+// Construction runs the global initializers once and charges their ops
+// exactly as the oracle's construction does, without counting VM steps.
+TEST(VmExecTest, ConstructionChargesInitializerOpsLikeTheOracle) {
   auto shader = testutil::MustCompile(R"(
 precision highp float;
 const float kA = 1.0 + 2.0;
 float plain = kA * 3.0;
-void main() { gl_FragColor = vec4(plain); }
+float root = sqrt(kA);
+void main() { gl_FragColor = vec4(plain, root, 0.0, 1.0); }
 )");
   ExactAlu alu;
-  const OpCounts before = alu.counts();
   VmExec vm(LowerToBytecode(*shader), alu);
-  EXPECT_EQ(alu.counts().alu, before.alu);
-  // And the per-run re-initialization of `plain` IS charged, matching the
-  // oracle's Run().
   ExactAlu oracle_alu;
   ShaderExec oracle(*shader, oracle_alu);
+  EXPECT_GT(alu.counts().alu, 0u);
+  EXPECT_EQ(alu.counts().alu, oracle_alu.counts().alu);
+  EXPECT_EQ(alu.counts().sfu, oracle_alu.counts().sfu);
+  EXPECT_EQ(alu.counts().sfu_trans, oracle_alu.counts().sfu_trans);
+  EXPECT_EQ(alu.counts().tmu, oracle_alu.counts().tmu);
+  EXPECT_EQ(alu.counts().vm_steps, 0u);
+  // And the per-run re-initialization of `plain` IS charged, matching the
+  // oracle's Run().
   oracle_alu.ResetCounts();
   ASSERT_TRUE(oracle.Run());
   alu.ResetCounts();
@@ -812,17 +819,30 @@ void main() { gl_FragColor = vec4(plain); }
   EXPECT_EQ(alu.counts().alu, oracle_alu.counts().alu);
 }
 
-// --- full gles2 draw path: the ExecEngine switch ---------------------------
+// --- full gles2 draw path: one context per engine ---------------------------
+
+// Compiles and links `vs_src` + `fs_src` on `gl`; 0 when either fails.
+gles2::GLuint LinkOnContext(gles2::Context& gl, const char* vs_src,
+                            const char* fs_src) {
+  using namespace mgpu::gles2;
+  const GLuint vs = gl.CreateShader(GL_VERTEX_SHADER);
+  gl.ShaderSource(vs, vs_src);
+  gl.CompileShader(vs);
+  const GLuint fs = gl.CreateShader(GL_FRAGMENT_SHADER);
+  gl.ShaderSource(fs, fs_src);
+  gl.CompileShader(fs);
+  const GLuint prog = gl.CreateProgram();
+  gl.AttachShader(prog, vs);
+  gl.AttachShader(prog, fs);
+  gl.LinkProgram(prog);
+  GLint ok = GL_FALSE;
+  gl.GetProgramiv(prog, GL_LINK_STATUS, &ok);
+  EXPECT_EQ(ok, GL_TRUE) << gl.GetProgramInfoLog(prog);
+  return ok == GL_TRUE ? prog : 0;
+}
 
 TEST(VmGles2Test, DrawsAreByteIdenticalAcrossEngines) {
   using namespace mgpu::gles2;
-  const vc4::GpuProfile profile = vc4::VideoCoreIV();
-  vc4::Vc4Alu alu(profile);
-  ContextConfig cfg;
-  cfg.width = 32;
-  cfg.height = 32;
-  Context gl(cfg, &alu);
-
   const char* vs_src =
       "attribute vec2 a_pos;\n"
       "varying vec2 v_uv;\n"
@@ -836,31 +856,23 @@ TEST(VmGles2Test, DrawsAreByteIdenticalAcrossEngines) {
       "  float w = fract(v_uv.x * 7.0 + sin(v_uv.y * 13.0));\n"
       "  gl_FragColor = vec4(w * u_gain, v_uv, 1.0);\n"
       "}\n";
-  const GLuint vs = gl.CreateShader(GL_VERTEX_SHADER);
-  gl.ShaderSource(vs, vs_src);
-  gl.CompileShader(vs);
-  const GLuint fs = gl.CreateShader(GL_FRAGMENT_SHADER);
-  gl.ShaderSource(fs, fs_src);
-  gl.CompileShader(fs);
-  const GLuint prog = gl.CreateProgram();
-  gl.AttachShader(prog, vs);
-  gl.AttachShader(prog, fs);
-  gl.LinkProgram(prog);
-  GLint ok = GL_FALSE;
-  gl.GetProgramiv(prog, GL_LINK_STATUS, &ok);
-  ASSERT_EQ(ok, GL_TRUE) << gl.GetProgramInfoLog(prog);
-  gl.UseProgram(prog);
-  gl.Uniform1f(gl.GetUniformLocation(prog, "u_gain"), 0.8f);
-
   const float quad[12] = {-1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1};
-  const GLuint loc = static_cast<GLuint>(gl.GetAttribLocation(prog, "a_pos"));
-  gl.EnableVertexAttribArray(loc);
-  gl.VertexAttribPointer(loc, 2, GL_FLOAT, GL_FALSE, 0, quad);
 
+  // The engine is fixed per context, so each engine draws on its own.
   auto draw_and_read = [&](ExecEngine engine, glsl::OpCounts* counts) {
-    gl.SetExecEngine(engine);
-    gl.ClearColor(0, 0, 0, 0);
-    gl.Clear(GL_COLOR_BUFFER_BIT);
+    vc4::Vc4Alu alu(vc4::VideoCoreIV());
+    ContextConfig cfg;
+    cfg.width = 32;
+    cfg.height = 32;
+    cfg.exec_engine = engine;
+    Context gl(cfg, &alu);
+    const GLuint prog = LinkOnContext(gl, vs_src, fs_src);
+    gl.UseProgram(prog);
+    gl.Uniform1f(gl.GetUniformLocation(prog, "u_gain"), 0.8f);
+    const GLuint loc =
+        static_cast<GLuint>(gl.GetAttribLocation(prog, "a_pos"));
+    gl.EnableVertexAttribArray(loc);
+    gl.VertexAttribPointer(loc, 2, GL_FLOAT, GL_FALSE, 0, quad);
     alu.ResetCounts();
     gl.DrawArrays(GL_TRIANGLES, 0, 6);
     *counts = alu.counts();
@@ -870,16 +882,64 @@ TEST(VmGles2Test, DrawsAreByteIdenticalAcrossEngines) {
     return px;
   };
 
-  glsl::OpCounts vm_counts, tree_counts;
-  const auto vm_px = draw_and_read(ExecEngine::kBytecodeVm, &vm_counts);
+  glsl::OpCounts tree_counts;
   const auto tree_px = draw_and_read(ExecEngine::kTreeWalk, &tree_counts);
-  EXPECT_EQ(vm_px, tree_px);
-  EXPECT_EQ(vm_counts.alu, tree_counts.alu);
-  EXPECT_EQ(vm_counts.sfu, tree_counts.sfu);
-  EXPECT_EQ(vm_counts.sfu_trans, tree_counts.sfu_trans);
-  EXPECT_EQ(vm_counts.tmu, tree_counts.tmu);
-  EXPECT_EQ(vm_counts.tmu_miss, tree_counts.tmu_miss);
-  EXPECT_GT(vm_counts.alu, 0u);
+  EXPECT_GT(tree_counts.alu, 0u);
+  for (const ExecEngine engine :
+       {ExecEngine::kBytecodeVm, ExecEngine::kBatchedVm}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    glsl::OpCounts vm_counts;
+    const auto vm_px = draw_and_read(engine, &vm_counts);
+    EXPECT_EQ(vm_px, tree_px);
+    EXPECT_EQ(vm_counts.alu, tree_counts.alu);
+    EXPECT_EQ(vm_counts.sfu, tree_counts.sfu);
+    EXPECT_EQ(vm_counts.sfu_trans, tree_counts.sfu_trans);
+    EXPECT_EQ(vm_counts.tmu, tree_counts.tmu);
+    EXPECT_EQ(vm_counts.tmu_miss, tree_counts.tmu_miss);
+  }
+}
+
+// A link builds only the context's engine for each stage, and that
+// engine's construction charges the global initializers' ops: the same
+// ALU/SFU/TMU counts on every engine, and no VM batch steps.
+TEST(VmGles2Test, LinkChargesGlobalInitializersEquallyOnEveryEngine) {
+  using namespace mgpu::gles2;
+  const char* vs_src =
+      "attribute vec2 a_pos;\n"
+      "float g_scale = 3.0 / 7.0 + sqrt(2.0);\n"
+      "void main() { gl_Position = vec4(a_pos * g_scale, 0.0, 1.0); }\n";
+  const char* fs_src =
+      "precision highp float;\n"
+      "const vec3 kDir = normalize(vec3(1.0, 2.0, 2.0));\n"
+      "float g_gain = exp2(1.5) * kDir.y + 0.25;\n"
+      "void main() { gl_FragColor = vec4(kDir, g_gain); }\n";
+
+  auto link_counts = [&](ExecEngine engine) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    vc4::Vc4Alu alu(vc4::VideoCoreIV());
+    ContextConfig cfg;
+    cfg.exec_engine = engine;
+    Context gl(cfg, &alu);
+    // Compiling never touches the ALU model: every op counted is the link's.
+    EXPECT_NE(LinkOnContext(gl, vs_src, fs_src), 0u);
+    return alu.counts();
+  };
+
+  const glsl::OpCounts tree = link_counts(ExecEngine::kTreeWalk);
+  EXPECT_GT(tree.alu, 0u);
+  EXPECT_GT(tree.sfu, 0u);
+  EXPECT_GT(tree.sfu_trans, 0u);
+  EXPECT_EQ(tree.vm_steps, 0u);
+  for (const ExecEngine engine :
+       {ExecEngine::kBytecodeVm, ExecEngine::kBatchedVm}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    const glsl::OpCounts vm = link_counts(engine);
+    EXPECT_EQ(vm.alu, tree.alu);
+    EXPECT_EQ(vm.sfu, tree.sfu);
+    EXPECT_EQ(vm.sfu_trans, tree.sfu_trans);
+    EXPECT_EQ(vm.tmu, tree.tmu);
+    EXPECT_EQ(vm.vm_steps, 0u) << "a link runs no VM batch steps";
+  }
 }
 
 // ---------------------------------------------------------------------------
