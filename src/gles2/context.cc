@@ -162,7 +162,15 @@ void Context::Viewport(GLint x, GLint y, GLsizei w, GLsizei h) {
     SetError(GL_INVALID_VALUE);
     return;
   }
-  vp_x_ = x; vp_y_ = y; vp_w_ = w; vp_h_ = h;
+  // GL ES 2.0 §2.12.1: w and h are silently clamped to
+  // GL_MAX_VIEWPORT_DIMS.
+  const int max_dim = MaxViewportDim();
+  vp_x_ = x; vp_y_ = y;
+  vp_w_ = std::min(w, max_dim); vp_h_ = std::min(h, max_dim);
+}
+
+int Context::MaxViewportDim() const {
+  return std::max({config_.max_texture_size, config_.width, config_.height});
 }
 
 void Context::Scissor(GLint x, GLint y, GLsizei w, GLsizei h) {
@@ -254,6 +262,9 @@ void Context::GetIntegerv(GLenum pname, GLint* params) {
       break;
     case GL_IMPLEMENTATION_COLOR_READ_FORMAT: *params = GL_RGBA; break;
     case GL_IMPLEMENTATION_COLOR_READ_TYPE: *params = GL_UNSIGNED_BYTE; break;
+    case GL_MAX_VIEWPORT_DIMS:
+      params[0] = params[1] = MaxViewportDim();
+      break;
     case GL_VIEWPORT:
       params[0] = vp_x_; params[1] = vp_y_;
       params[2] = vp_w_; params[3] = vp_h_;

@@ -72,8 +72,9 @@ struct ContextConfig {
 
 // Classification of a draw abort, driving the GL error and reset status a
 // failed draw reports (see Context::GetGraphicsResetStatus):
-//   kTrap     — the shader itself trapped (loop budget, call depth,
-//               explicit trap): guilty reset + GL_INVALID_OPERATION.
+//   kTrap     — the shader itself trapped (loop budget, undefined
+//               function, explicit trap): guilty reset +
+//               GL_INVALID_OPERATION.
 //   kBudget   — the draw tripped the ContextConfig::draw_budget watchdog:
 //               guilty reset + GL_OUT_OF_MEMORY.
 //   kResource — the implementation failed under the draw (allocation or
@@ -439,6 +440,10 @@ class Context {
   [[nodiscard]] Texture* GetTextureObject(GLuint id);
 
  private:
+  // GL_MAX_VIEWPORT_DIMS (both dimensions): the largest render target, a
+  // texture of max_texture_size or the default framebuffer.
+  [[nodiscard]] int MaxViewportDim() const;
+
   struct TextureUnit {
     GLuint bound_2d = 0;
   };

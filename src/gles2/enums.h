@@ -169,6 +169,7 @@ inline constexpr GLbitfield GL_STENCIL_BUFFER_BIT = 0x00000400;
 
 // GetIntegerv / GetString.
 inline constexpr GLenum GL_MAX_TEXTURE_SIZE = 0x0D33;
+inline constexpr GLenum GL_MAX_VIEWPORT_DIMS = 0x0D3A;
 inline constexpr GLenum GL_MAX_VERTEX_ATTRIBS = 0x8869;
 inline constexpr GLenum GL_MAX_VARYING_VECTORS = 0x8DFC;
 inline constexpr GLenum GL_MAX_VERTEX_UNIFORM_VECTORS = 0x8DFB;

@@ -339,13 +339,18 @@ void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
 
 namespace {
 
-// Clamps a device-space bbox to the target and reports emptiness.
+// Clamps a device-space bbox to the target and reports emptiness. The
+// doubles are clamped before the cast (a NaN to `hi`): a viewport near
+// INT_MAX puts device coordinates past the int range.
 bool FinishRect(double fx0, double fy0, double fx1, double fy1,
                 const RasterState& s, PixelRect* out) {
-  out->x0 = std::max(static_cast<int>(std::floor(fx0)), 0);
-  out->y0 = std::max(static_cast<int>(std::floor(fy0)), 0);
-  out->x1 = std::min(static_cast<int>(std::ceil(fx1)), s.target_w);
-  out->y1 = std::min(static_cast<int>(std::ceil(fy1)), s.target_h);
+  const auto to_pixel = [](double v, int hi) {
+    return static_cast<int>(std::fmax(0.0, std::fmin(v, hi)));
+  };
+  out->x0 = to_pixel(std::floor(fx0), s.target_w);
+  out->y0 = to_pixel(std::floor(fy0), s.target_h);
+  out->x1 = to_pixel(std::ceil(fx1), s.target_w);
+  out->y1 = to_pixel(std::ceil(fy1), s.target_h);
   return !out->Empty();
 }
 

@@ -9,11 +9,6 @@
 #include "glsl/evalcore.h"
 
 namespace mgpu::glsl {
-namespace {
-
-constexpr int kMaxCallDepth = 64;
-
-}  // namespace
 
 ShaderExec::ShaderExec(const CompiledShader& cs, AluModel& alu)
     : cs_(cs), alu_(alu) {
@@ -64,7 +59,6 @@ bool ShaderExec::Run() {
     throw ShaderRuntimeError("shader has no executable main()");
   }
   loop_steps_ = 0;
-  call_depth_ = 0;
   for (const int slot : reinit_slots_) {
     globals_[static_cast<std::size_t>(slot)] =
         EvalInit(*cs_.globals[static_cast<std::size_t>(slot)]->init);
@@ -363,10 +357,7 @@ Value ShaderExec::EvalCtor(const CtorExpr& c, Frame& f) {
 
 Value ShaderExec::CallFunction(const FunctionDecl& fn, const CallExpr& call,
                                Frame& caller) {
-  if (++call_depth_ > kMaxCallDepth) {
-    --call_depth_;
-    throw ShaderRuntimeError("shader call depth exceeded");
-  }
+  // Sema bounds the call depth (sema.h), so there is no runtime check.
   // Find the *definition* (a prototype may have been registered).
   const FunctionDecl* def = &fn;
   if (def->body == nullptr) {
@@ -387,7 +378,6 @@ Value ShaderExec::CallFunction(const FunctionDecl& fn, const CallExpr& call,
       }
     }
     if (def->body == nullptr) {
-      --call_depth_;
       throw ShaderRuntimeError(
           StrFormat("call to undefined function '%s'", fn.name.c_str()));
     }
@@ -421,7 +411,6 @@ Value ShaderExec::CallFunction(const FunctionDecl& fn, const CallExpr& call,
       WriteRef(out_refs[i], frame.slots[static_cast<std::size_t>(p.slot)]);
     }
   }
-  --call_depth_;
   if (!frame.returned && def->return_type.base != BaseType::kVoid) {
     return Value(def->return_type);  // fell off the end: zero value
   }

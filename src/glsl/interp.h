@@ -100,7 +100,6 @@ class ShaderExec final : public ShaderEngine {
   std::vector<int> reinit_slots_;  // plain globals with initializers
   std::uint64_t loop_steps_ = 0;
   std::uint64_t loop_budget_ = kDefaultLoopBudget;
-  int call_depth_ = 0;
 };
 
 }  // namespace mgpu::glsl

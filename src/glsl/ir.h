@@ -10,16 +10,17 @@
 //    VarDecl (local or parameter) owns a dedicated register; an expression
 //    result gets a fresh register unless it is already an operand: a
 //    variable, a constant, or a component alias of one (a one-component or
-//    contiguous swizzle, which costs no instruction). Since GLSL ES 1.00
-//    statically rejects recursion (sema), each function's frame is
-//    allocated exactly once and calls are a jump plus argument copies — no
-//    dynamic frames.
-//  - Calls within the 64-frame budget are inlined. An inlined call's
-//    `return` writes a result register of its own call site; an `in`
+//    contiguous swizzle, which costs no instruction).
+//  - Every call is inlined, main's body too, so the IR has no call
+//    instruction and the VM no call stack, like the QPUs and their
+//    compiler. Sema rejects recursion and bounds the call depth and the
+//    inlined size (sema.h), so this always terminates. An inlined call's
+//    `return` writes a result register of its own call site and jumps to
+//    the end of its instance (main's to the run chunk's kHalt); an `in`
 //    parameter its body never writes reads the argument operand directly;
 //    the fell-off-the-end zero of the result is emitted only when some path
-//    can leave the body without a value. Only bodies a kCall can reach are
-//    emitted.
+//    can leave the body without a value. Functions nothing calls emit no
+//    code.
 //  - After lowering, a copy of a single-use temporary is folded into the
 //    instruction that defined it, forward jumps are threaded through
 //    unconditional forward jumps, jumps to the next instruction are
@@ -77,8 +78,6 @@ enum class VmOp : std::uint8_t {
   kJumpIfFalse, // if (!a.bool) pc = aux
   kJumpIfTrue,  // if (a.bool) pc = aux
   kLoopGuard,   // count an iteration against the runaway-loop budget
-  kCall,        // push pc; pc = functions[aux].entry
-  kRet,         // pop pc (empty stack: main returned -> halt)
   kDiscard,     // fragment killed: its lane leaves RunBatch's kept mask
   kHalt,        // normal end of chunk
   kTrap,        // throw ShaderRuntimeError(messages[aux])
@@ -109,11 +108,6 @@ struct VmInst {
   return i;
 }
 
-struct VmFunction {
-  std::uint32_t entry = 0;             // pc of the first instruction
-  std::uint32_t ret_reg = kOperandNone;  // register holding the return value
-};
-
 // Components [comp, comp + type's cells) of a register, global or
 // constant operand `base`, read as a value of `type`: the lowering of a
 // one-component or contiguous swizzle. The VM resolves it once to the
@@ -137,10 +131,9 @@ struct VmProgram {
   // Chunk executed once at VmExec construction: all global initializers
   // (const + plain), mirroring ShaderExec::InitGlobals.
   std::uint32_t const_init_entry = 0;
-  // Chunk executed per RunBatch: plain-global re-initialization, then a call
-  // into main, mirroring ShaderExec::Run.
+  // Chunk executed per RunBatch: plain-global re-initialization, then
+  // main's inlined body, mirroring ShaderExec::Run.
   std::uint32_t run_entry = 0;
-  std::vector<VmFunction> functions;
   std::vector<Type> reg_types;       // register file layout
   std::vector<Value> consts;         // literal pool
   std::vector<VmAlias> aliases;      // component aliases (kSpaceAlias)
@@ -159,20 +152,13 @@ struct VmProgram {
   // the lane width.
   std::vector<std::uint8_t> lane_global;
 
-  // The run chunk's static call depth exceeds the 64-frame budget. The
-  // lowerer then keeps every call as kCall, and a run that reaches the
-  // deepest chain traps at its 65th nested call.
-  bool deep_calls = false;
-
   // True when a run can raise a runtime trap: a loop guard (the
   // runaway-loop budget, also the injection point for the kVmInstruction
-  // fault site), a lowered kTrap (call to a declared-but-undefined
-  // function) or a call chain past the frame budget (deep_calls). A kCall
-  // alone does not count — every run chunk calls main — since a program
-  // whose calls fit the budget cannot overflow it. Drawing code uses this
-  // to skip per-pixel undo journaling for programs that cannot abort
-  // mid-draw (see Context::DrawGeneric). Set at lowering time from the
-  // emitted code, which holds only bodies a kCall can reach.
+  // fault site) or a lowered kTrap (call to a declared-but-undefined
+  // function). Drawing code uses this to skip per-pixel undo journaling
+  // for programs that cannot abort mid-draw (see Context::DrawGeneric).
+  // Set at lowering time from the emitted code, which holds only the
+  // bodies main and the global initializers call.
   bool can_trap = false;
   [[nodiscard]] bool CanTrap() const { return can_trap; }
 

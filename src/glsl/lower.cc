@@ -244,23 +244,7 @@ class Lowerer {
     for (const VarDecl* g : cs_.globals) {
       prog_->globals.push_back({g->name, g->type});
     }
-    PrepassFunctions();
-
-    // Inlining must not change the call-depth boundary the interpreter
-    // enforces (64 concurrently active user calls; the 65th throws). Call
-    // depth is fully static in GLSL ES (no recursion), so: if every path
-    // stays within the budget, the interpreter never throws and inlining
-    // is invisible; otherwise (deeper, or malformed recursive input)
-    // disable inlining entirely so the runtime kCall path reproduces the
-    // oracle's behaviour exactly.
-    int depth = cs_.main != nullptr && cs_.main->body != nullptr
-                    ? FnCallDepth(cs_.main)
-                    : 0;
-    for (const VarDecl* g : cs_.globals) {
-      if (g->init != nullptr) depth = std::max(depth, ExprCallDepth(*g->init));
-    }
-    prog_->deep_calls = depth > kMaxStaticCallDepth;
-    inline_enabled_ = !prog_->deep_calls;
+    PrepassParams();
 
     // Chunk 1: construction-time initialization of every global with an
     // initializer (slot order), mirroring ShaderExec::InitGlobals.
@@ -273,8 +257,9 @@ class Lowerer {
     }
     Emit(MakeInst(VmOp::kHalt));
 
-    // Chunk 2: the per-Run prologue — re-initialize plain globals, then run
-    // main — mirroring ShaderExec::Run.
+    // Chunk 2: the per-Run prologue — re-initialize plain globals — then
+    // main's body, inlined like any call, whose `return` jumps to the
+    // chunk's kHalt; mirroring ShaderExec::Run.
     prog_->run_entry = Pc();
     for (const VarDecl* g : cs_.globals) {
       if (g->init != nullptr && !g->is_builtin &&
@@ -288,22 +273,9 @@ class Lowerer {
     if (main_def == nullptr) {
       EmitTrap("shader has no executable main()");
     } else {
-      VmInst call = MakeInst(VmOp::kCall);
-      call.aux = fn_index_.at(main_def);
-      Emit(call);
+      LowerInline(*main_def, kOperandNone);
     }
     Emit(MakeInst(VmOp::kHalt));
-
-    // Function bodies, only those a kCall reaches: with inlining on that is
-    // main alone. The scan runs over the bodies it appends, in call order.
-    std::vector<bool> lowered(fn_decls_.size(), false);
-    for (std::size_t pc = 0; pc < prog_->code.size(); ++pc) {
-      if (prog_->code[pc].op != VmOp::kCall) continue;
-      const std::uint32_t idx = prog_->code[pc].aux;
-      if (lowered[idx]) continue;
-      lowered[idx] = true;
-      LowerFunction(*fn_decls_[idx], idx);
-    }
     return prog_;
   }
 
@@ -425,18 +397,11 @@ class Lowerer {
 
   // --- functions ---------------------------------------------------------
 
-  void PrepassFunctions() {
+  // One register per parameter of every defined function, shared by all of
+  // its inlined instances: without recursion their lifetimes never overlap.
+  void PrepassParams() {
     for (const auto& fn : cs_.tu->functions) {
       if (fn->body == nullptr) continue;
-      VmFunction f;
-      if (fn->return_type.base != BaseType::kVoid) {
-        f.ret_reg = NewVarReg(fn->return_type);
-      }
-      const std::uint32_t idx =
-          static_cast<std::uint32_t>(prog_->functions.size());
-      prog_->functions.push_back(f);
-      fn_decls_.push_back(fn.get());
-      fn_index_[fn.get()] = idx;
       auto& params = param_regs_[fn.get()];
       for (const auto& p : fn->params) {
         if (p->type.base == BaseType::kVoid) continue;
@@ -528,21 +493,21 @@ class Lowerer {
     ForEachSubExpr(e, [&](const Expr& c) { ScanWrites(c, f); });
   }
 
-  void LowerFunction(const FunctionDecl& fn, std::uint32_t idx) {
-    current_fn_ = &fn;
-    prog_->functions[idx].entry = Pc();
-    // Fell-off-the-end semantics: a non-void function that never executes
-    // `return` yields a zero value, so the return register starts zeroed
-    // unless every path returns one.
-    if (prog_->functions[idx].ret_reg != kOperandNone &&
-        !Facts(fn).always_returns) {
-      VmInst z = MakeInst(VmOp::kZero);
-      z.dst = prog_->functions[idx].ret_reg;
-      Emit(z);
-    }
+  // Lowers `fn`'s body in place, its `return` writing `result` (none for
+  // a void function) and jumping to the end of this instance. The callee's
+  // breaks and continues must not bind to the caller's loops.
+  void LowerInline(const FunctionDecl& fn, std::uint32_t result) {
+    const FunctionDecl* const saved_fn = std::exchange(current_fn_, &fn);
+    inline_stack_.push_back({result, {}});
+    std::vector<LoopCtx> saved_loops;
+    saved_loops.swap(loops_);
     LowerStmt(*fn.body);
-    Emit(MakeInst(VmOp::kRet));
-    current_fn_ = nullptr;
+    for (const std::uint32_t fx : inline_stack_.back().end_fixups) {
+      Patch(fx, Pc());
+    }
+    inline_stack_.pop_back();
+    loops_.swap(saved_loops);
+    current_fn_ = saved_fn;
   }
 
   // --- statements --------------------------------------------------------
@@ -677,29 +642,19 @@ class Lowerer {
         return;
       }
       case StmtKind::kReturn: {
+        // `return` writes the call site's result register and jumps to
+        // the end of this inline instance. (Read ret_reg by value and
+        // re-fetch back() after LowerExpr — nested inlining inside the
+        // return expression may grow the stack.)
         const auto& rs = static_cast<const ReturnStmt&>(s);
-        if (!inline_stack_.empty()) {
-          // Inlined body: `return` writes the call site's result register
-          // and jumps to the end of this inline instance. (Read
-          // ret_reg by value and re-fetch back() after LowerExpr — nested
-          // inlining inside the return expression may grow the stack.)
-          const std::uint32_t ret_reg = inline_stack_.back().ret_reg;
-          if (rs.value) {
-            HintResult(*rs.value, ret_reg);
-            const std::uint32_t v = LowerExpr(*rs.value);
-            if (ret_reg != kOperandNone) EmitCopy(ret_reg, v);
-          }
-          inline_stack_.back().end_fixups.push_back(
-              Emit(MakeInst(VmOp::kJump)));
-          return;
-        }
+        const std::uint32_t ret_reg = inline_stack_.back().ret_reg;
         if (rs.value) {
+          HintResult(*rs.value, ret_reg);
           const std::uint32_t v = LowerExpr(*rs.value);
-          const std::uint32_t ret_reg =
-              prog_->functions[fn_index_.at(current_fn_)].ret_reg;
           if (ret_reg != kOperandNone) EmitCopy(ret_reg, v);
         }
-        Emit(MakeInst(VmOp::kRet));
+        inline_stack_.back().end_fixups.push_back(
+            Emit(MakeInst(VmOp::kJump)));
         return;
       }
       case StmtKind::kBreak: {
@@ -718,11 +673,9 @@ class Lowerer {
         // it behaves as an early return — and the VM matches that.
         if (current_fn_ == cs_.main) {
           Emit(MakeInst(VmOp::kDiscard));
-        } else if (!inline_stack_.empty()) {
+        } else {
           inline_stack_.back().end_fixups.push_back(
               Emit(MakeInst(VmOp::kJump)));
-        } else {
-          Emit(MakeInst(VmOp::kRet));
         }
         return;
       }
@@ -1075,7 +1028,6 @@ class Lowerer {
       return call.type.base != BaseType::kVoid ? NewReg(call.type)
                                                : kOperandNone;
     }
-    const std::uint32_t fn_idx = fn_index_.at(def);
     const auto& params = param_regs_.at(def);
 
     // Phase 1 — evaluate arguments / build out-parameter references in
@@ -1112,27 +1064,15 @@ class Lowerer {
         }
       }
     }
-    // Either inline the body here or emit a call. Inlining removes the
-    // call/return dispatch and is exactly equivalent: the same parameter
-    // and local registers are reused (lifetimes cannot overlap — GLSL ES
-    // forbids recursion, and the guards below fall back to kCall for
-    // malformed recursive input or runaway code growth), `return` becomes a
-    // jump to the end of the instance, and none of the removed ops touch
-    // the AluModel, so results AND op counts are bit-identical to the
-    // called form (and to the tree-walking oracle).
-    constexpr std::size_t kInlineCodeBudget = 1 << 16;
-    bool in_stack = false;
-    for (const InlineCtx& ic : inline_stack_) in_stack |= ic.fn == def;
-    const bool inline_call = inline_enabled_ && !in_stack &&
-                             def != cs_.main &&
-                             prog_->code.size() < kInlineCodeBudget;
-
-    // Phase 2 — fill the callee frame. An inlined `in` parameter that the
-    // body never stores into reads its argument operand in place when
-    // nothing the body does can change that operand: a constant, a
-    // register (no callee can name a caller's registers), or a global the
-    // body and its callees never store into.
-    const FnFacts* facts = inline_call ? &Facts(*def) : nullptr;
+    // Phase 2 — fill the callee frame. The body is then inlined here (sema
+    // bounds the call depth and the inlined size, and rejects recursion, so
+    // every call inlines): the same parameter and local registers serve
+    // every instance, and `return` becomes a jump to the end of the
+    // instance. An `in` parameter that the body never stores into reads
+    // its argument operand in place when nothing the body does can change
+    // that operand: a constant, a register (no callee can name a caller's
+    // registers), or a global the body and its callees never store into.
+    const FnFacts& facts = Facts(*def);
     std::vector<std::pair<const VarDecl*, std::uint32_t>> forwarded;
     for (std::size_t i = 0; i < call.args.size(); ++i) {
       const std::uint32_t param = params[i];
@@ -1140,9 +1080,9 @@ class Lowerer {
       switch (plan[i].dir) {
         case ParamDir::kIn: {
           const std::uint32_t base = BaseOf(*prog_, plan[i].value);
-          if (facts != nullptr && !facts->written_vars.contains(p) &&
+          if (!facts.written_vars.contains(p) &&
               (!InSpace(base, kSpaceGlobal) ||
-               !facts->written_globals.contains(
+               !facts.written_globals.contains(
                    static_cast<int>(IndexOf(base))))) {
             forwarded.emplace_back(p, var_regs_.at(p));
             var_regs_[p] = plan[i].value;
@@ -1162,37 +1102,21 @@ class Lowerer {
         }
       }
     }
+    // Each call returns into a register of its own, so no later call can
+    // clobber the result.
     std::uint32_t result = kOperandNone;
-    if (inline_call) {
-      // Each inlined call returns into a register of its own, so no later
-      // call can clobber the result and no snapshot is needed.
-      if (def->return_type.base != BaseType::kVoid) {
-        result = hint != kOperandNone ? hint : NewReg(def->return_type);
-        if (!facts->always_returns) {
-          // Fell-off-the-end semantics, as at the top of LowerFunction.
-          VmInst z = MakeInst(VmOp::kZero);
-          z.dst = result;
-          Emit(z);
-        }
+    if (def->return_type.base != BaseType::kVoid) {
+      result = hint != kOperandNone ? hint : NewReg(def->return_type);
+      if (!facts.always_returns) {
+        // Fell-off-the-end semantics: a non-void function that never
+        // executes `return` yields a zero value.
+        VmInst z = MakeInst(VmOp::kZero);
+        z.dst = result;
+        Emit(z);
       }
-      const FunctionDecl* const saved_fn = current_fn_;
-      current_fn_ = def;
-      inline_stack_.push_back({def, result, {}});
-      // The callee's breaks/continues must not bind to the caller's loops.
-      std::vector<LoopCtx> saved_loops;
-      saved_loops.swap(loops_);
-      LowerStmt(*def->body);
-      const InlineCtx done = std::move(inline_stack_.back());
-      inline_stack_.pop_back();
-      for (const std::uint32_t fx : done.end_fixups) Patch(fx, Pc());
-      loops_.swap(saved_loops);
-      current_fn_ = saved_fn;
-      for (const auto& [p, reg] : forwarded) var_regs_[p] = reg;
-    } else {
-      VmInst c = MakeInst(VmOp::kCall);
-      c.aux = fn_idx;
-      Emit(c);
     }
+    LowerInline(*def, result);
+    for (const auto& [p, reg] : forwarded) var_regs_[p] = reg;
     // Phase 3 — copy-out in argument order.
     for (std::size_t i = 0; i < call.args.size(); ++i) {
       if (plan[i].dir == ParamDir::kIn) continue;
@@ -1201,57 +1125,7 @@ class Lowerer {
       w.a = params[i];
       Emit(w);
     }
-    if (inline_call) return result;
-    // The return register is clobbered by the next call to the same
-    // function, so snapshot it immediately.
-    const std::uint32_t ret = prog_->functions[fn_idx].ret_reg;
-    if (ret == kOperandNone) return kOperandNone;
-    const std::uint32_t dst = NewReg(def->return_type);
-    EmitCopy(dst, ret);
-    return dst;
-  }
-
-  // --- static call-depth scan (gates inlining; see Lower()) ---------------
-
-  // Mirrors vm.cc's kMaxCallDepth / the interpreter's frame budget.
-  static constexpr int kMaxStaticCallDepth = 64;
-
-  int FnCallDepth(const FunctionDecl* def) {
-    const auto memo = fn_depth_.find(def);
-    if (memo != fn_depth_.end()) return memo->second;
-    for (const FunctionDecl* f : depth_stack_) {
-      if (f == def) return kMaxStaticCallDepth + 1;  // recursion (malformed)
-    }
-    if (def->body == nullptr) return 0;
-    depth_stack_.push_back(def);
-    const int d = StmtCallDepth(*def->body);
-    depth_stack_.pop_back();
-    fn_depth_[def] = d;
-    return d;
-  }
-
-  int StmtCallDepth(const Stmt& s) {
-    int d = 0;
-    ForEachChild(
-        s, [&](const Stmt& c) { d = std::max(d, StmtCallDepth(c)); },
-        [&](const Expr& e) { d = std::max(d, ExprCallDepth(e)); });
-    return d;
-  }
-
-  int ExprCallDepth(const Expr& e) {
-    int d = 0;
-    ForEachSubExpr(e, [&](const Expr& c) { d = std::max(d, ExprCallDepth(c)); });
-    if (e.kind == ExprKind::kCall) {
-      const auto& c = static_cast<const CallExpr&>(e);
-      if (c.fn != nullptr) {
-        const FunctionDecl* def = ResolveDef(*c.fn);
-        // An undefined callee traps without a frame; count it as one
-        // frame anyway — overestimating can only disable inlining.
-        const int callee = def != nullptr ? FnCallDepth(def) : 0;
-        d = std::max(d, 1 + callee);
-      }
-    }
-    return d;
+    return result;
   }
 
   // --- l-values ----------------------------------------------------------
@@ -1302,8 +1176,6 @@ class Lowerer {
 
   const CompiledShader& cs_;
   std::shared_ptr<VmProgram> prog_;
-  std::unordered_map<const FunctionDecl*, std::uint32_t> fn_index_;
-  std::vector<const FunctionDecl*> fn_decls_;  // by function index
   std::unordered_map<const FunctionDecl*, FnFacts> facts_;
   std::unordered_map<std::uint64_t, std::uint32_t> alias_ids_;
   std::vector<bool> var_reg_;  // by register: see NewVarReg
@@ -1313,17 +1185,12 @@ class Lowerer {
   std::unordered_map<const VarDecl*, std::uint32_t> var_regs_;
   std::vector<LoopCtx> loops_;
   const FunctionDecl* current_fn_ = nullptr;
-  // Stack of user functions currently being lowered inline at a call site
-  // (innermost last). Non-empty changes how `return`/`discard` lower.
+  // Function bodies being lowered inline (innermost last), main's first.
   struct InlineCtx {
-    const FunctionDecl* fn = nullptr;
     std::uint32_t ret_reg = kOperandNone;   // the call site's result
     std::vector<std::uint32_t> end_fixups;  // jumps to the instance end
   };
   std::vector<InlineCtx> inline_stack_;
-  bool inline_enabled_ = false;
-  std::unordered_map<const FunctionDecl*, int> fn_depth_;
-  std::vector<const FunctionDecl*> depth_stack_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1341,8 +1208,8 @@ class Lowerer {
 [[nodiscard]] bool IsControl(VmOp op) {
   switch (op) {
     case VmOp::kJump: case VmOp::kJumpIfFalse: case VmOp::kJumpIfTrue:
-    case VmOp::kLoopGuard: case VmOp::kCall: case VmOp::kRet:
-    case VmOp::kDiscard: case VmOp::kHalt: case VmOp::kTrap:
+    case VmOp::kLoopGuard: case VmOp::kDiscard: case VmOp::kHalt:
+    case VmOp::kTrap:
       return true;
     default:
       return false;
@@ -1350,7 +1217,7 @@ class Lowerer {
 }
 
 // Calls f(operand, read, written) for every value operand field of `in`
-// (ref slots, jump targets and function indices are not operands). kRefVar
+// (ref slots and jump targets are not operands). kRefVar
 // takes its variable's address, so it both reads and writes it; reads and
 // writes through a ref are not listed.
 template <typename F>
@@ -1427,7 +1294,6 @@ void CoalesceCopies(VmProgram& p, std::vector<bool>& dead) {
   }
   target[p.const_init_entry] = true;
   target[p.run_entry] = true;
-  for (const VmFunction& f : p.functions) target[f.entry] = true;
 
   constexpr std::size_t kWindow = 64;
   for (std::size_t pc = 0; pc < n; ++pc) {
@@ -1470,8 +1336,8 @@ void CoalesceCopies(VmProgram& p, std::vector<bool>& dead) {
 // forward jump rethreaded backward would let its lanes run ahead of lanes
 // still inside the range it skips, so min-pc scheduling would no longer
 // re-join them); a jump to the next live instruction is dropped. The live
-// code then closes up, and every jump target, function entry and chunk
-// entry moves with it.
+// code then closes up, and every jump target and chunk entry moves with
+// it.
 void CompactCode(VmProgram& p, std::vector<bool>& dead) {
   const std::uint32_t n = static_cast<std::uint32_t>(p.code.size());
   const auto live_from = [&](std::uint32_t pc) {
@@ -1508,12 +1374,11 @@ void CompactCode(VmProgram& p, std::vector<bool>& dead) {
   p.code = std::move(code);
   p.const_init_entry = new_pc[p.const_init_entry];
   p.run_entry = new_pc[p.run_entry];
-  for (VmFunction& f : p.functions) f.entry = new_pc[f.entry];
 }
 
 // Renumbers the registers and aliases the code still uses, in first-use
-// order, and drops the rest (parameters read in place, unreached bodies'
-// frames, folded temporaries), so every VmExec lays out planes only for
+// order, and drops the rest (parameters read in place, uncalled functions'
+// parameters, folded temporaries), so every VmExec lays out planes only for
 // live registers.
 void CompactRegisters(VmProgram& p) {
   std::vector<std::uint32_t> reg_map(p.reg_types.size(), kOperandNone);
@@ -1545,9 +1410,6 @@ void CompactRegisters(VmProgram& p) {
       op = m;
     });
   }
-  for (VmFunction& f : p.functions) {
-    if (InSpace(f.ret_reg, kSpaceReg)) f.ret_reg = reg_map[IndexOf(f.ret_reg)];
-  }
   p.reg_types = std::move(regs);
   p.aliases = std::move(aliases);
 }
@@ -1572,14 +1434,11 @@ void AnalyzeLaneBatching(VmProgram& prog, const CompiledShader& cs) {
     if (is_global(op)) lane[op & kOperandIndexMask] = 1;
   };
 
-  // Globals written outside the const-init chunk
-  // [const_init_entry, run_entry) — direct destinations plus every global
+  // Globals the run chunk writes — direct destinations plus every global
   // whose address a kRefVar takes (refs are how dynamic-index and swizzled
-  // stores write). Function bodies are shared between chunks and scanned
-  // unconditionally; over-marking a const-init-only write merely gives that
-  // global a (correctly initialized) per-lane plane.
-  for (std::size_t pc = 0; pc < prog.code.size(); ++pc) {
-    if (pc >= prog.const_init_entry && pc < prog.run_entry) continue;
+  // stores write). The const-init chunk [const_init_entry, run_entry) runs
+  // on the shared store before the planes are filled.
+  for (std::size_t pc = prog.run_entry; pc < prog.code.size(); ++pc) {
     ForEachOperand(prog.code[pc], prog.arg_ops,
                    [&](std::uint32_t& op, bool, bool written) {
                      if (written) mark(op);
@@ -1610,7 +1469,6 @@ std::shared_ptr<const VmProgram> LowerToBytecode(const CompiledShader& cs) {
   CoalesceCopies(*prog, dead);
   CompactCode(*prog, dead);
   CompactRegisters(*prog);
-  prog->can_trap = prog->deep_calls;
   for (const VmInst& in : prog->code) {
     prog->can_trap = prog->can_trap || in.op == VmOp::kLoopGuard ||
                      in.op == VmOp::kTrap;

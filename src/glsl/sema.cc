@@ -1,10 +1,13 @@
 #include "glsl/sema.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/strings.h"
 #include "glsl/builtins.h"
@@ -41,7 +44,7 @@ class Sema {
       if (fn->body) CheckFunction(*fn);
     }
     FindMain();
-    CheckRecursion();
+    CheckCallGraph();
     CheckResourceLimits();
   }
 
@@ -245,35 +248,56 @@ class Sema {
     Error({0, 0}, "missing entry point: 'void main()' not defined");
   }
 
-  void CheckRecursion() {
-    // GLSL ES 1.00 §6.1: recursion is not allowed, even statically.
-    std::set<const FunctionDecl*> visiting;
-    std::set<const FunctionDecl*> done;
-    for (auto& fn : cs_.tu->functions) {
-      DetectCycle(fn.get(), visiting, done);
+  // Every engine inlines every user call (no engine has a call stack, and
+  // neither do the QPUs), so the call graph's limits are decided here, once,
+  // in one memoized walk from main and the global initializers: static
+  // recursion (GLSL ES 1.00 §6.1 bans it), a static call depth past
+  // kMaxCallDepth, and a fully inlined size past kMaxInlinedNodes.
+  struct CallCost {
+    int depth = 0;           // user calls nested below this body
+    std::uint64_t size = 0;  // checked nodes once every call is inlined
+  };
+
+  void CheckCallGraph() {
+    for (auto& fn : cs_.tu->functions) (void)Cost(fn.get());
+    if (recursive_ || cs_.main == nullptr) return;
+    // Key nullptr holds the global initializers' nodes and calls.
+    const CallCost m = Cost(cs_.main);
+    const CallCost g = Cost(nullptr);
+    const int depth = std::max(m.depth, g.depth);
+    if (depth > kMaxCallDepth) {
+      Error(cs_.main->loc, StrFormat("user function calls nest %d deep, past "
+                                     "the limit of %d",
+                                     depth, kMaxCallDepth));
+    }
+    if (m.size + g.size > kMaxInlinedNodes) {
+      Error(cs_.main->loc, StrFormat("shader too large: more than %llu nodes "
+                                     "once every call is inlined",
+                                     static_cast<unsigned long long>(
+                                         kMaxInlinedNodes)));
     }
   }
 
-  void DetectCycle(const FunctionDecl* fn,
-                   std::set<const FunctionDecl*>& visiting,
-                   std::set<const FunctionDecl*>& done) {
-    if (done.count(fn) != 0) return;
-    if (visiting.count(fn) != 0) {
+  // A size past the limit saturates at limit + 1, so a call graph that fans
+  // out exponentially costs one visit per function and cannot overflow.
+  CallCost Cost(const FunctionDecl* fn) {
+    if (const auto it = cost_.find(fn); it != cost_.end()) return it->second;
+    if (!visiting_.insert(fn).second) {
       Error(fn->loc, StrFormat("static recursion involving '%s' is not "
                                "allowed in GLSL ES 1.00",
                                fn->name.c_str()));
-      done.insert(fn);
-      return;
+      recursive_ = true;
+      return cost_[fn] = {};
     }
-    visiting.insert(fn);
-    const auto it = callgraph_.find(fn);
-    if (it != callgraph_.end()) {
-      for (const FunctionDecl* callee : it->second) {
-        DetectCycle(callee, visiting, done);
-      }
+    CallCost c;
+    c.size = nodes_[fn];
+    for (const FunctionDecl* callee : callgraph_[fn]) {
+      const CallCost k = Cost(callee);
+      c.depth = std::max(c.depth, k.depth + 1);
+      c.size = std::min(c.size + k.size, kMaxInlinedNodes + 1);
     }
-    visiting.erase(fn);
-    done.insert(fn);
+    visiting_.erase(fn);
+    return cost_[fn] = c;
   }
 
   void CheckResourceLimits() {
@@ -392,6 +416,7 @@ class Sema {
 
   // --- statements ---
   void CheckStmt(Stmt& s) {
+    ++nodes_[current_fn_];
     switch (s.kind) {
       case StmtKind::kBlock: {
         PushScope();
@@ -516,6 +541,7 @@ class Sema {
 
   // --- expressions ---
   Type CheckExpr(Expr& e) {
+    ++nodes_[current_fn_];
     switch (e.kind) {
       case ExprKind::kIntLit:
         e.type = MakeType(BaseType::kInt);
@@ -623,7 +649,7 @@ class Sema {
             CheckLValue(*call.args[i], "pass as out/inout argument");
           }
         }
-        if (current_fn_ != nullptr) callgraph_[current_fn_].insert(fn);
+        callgraph_[current_fn_].push_back(fn);
         call.type = fn->return_type;
         return call.type;
       }
@@ -1083,7 +1109,13 @@ class Sema {
   int loop_depth_ = 0;
   int next_frame_slot_ = 0;
   std::map<BaseType, Precision> default_prec_;
-  std::map<const FunctionDecl*, std::set<const FunctionDecl*>> callgraph_;
+  // By function (nullptr: the global initializers), in source order: the
+  // calls (one entry per call site) and the number of checked nodes.
+  std::map<const FunctionDecl*, std::vector<const FunctionDecl*>> callgraph_;
+  std::map<const FunctionDecl*, std::uint64_t> nodes_;
+  std::map<const FunctionDecl*, CallCost> cost_;
+  std::set<const FunctionDecl*> visiting_;
+  bool recursive_ = false;
 };
 
 }  // namespace

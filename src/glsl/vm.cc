@@ -11,15 +11,12 @@
 namespace mgpu::glsl {
 namespace {
 
-// Same budget (and messages) as the tree-walking interpreter. The loop
-// budget itself is a member (loop_budget_, default kDefaultLoopBudget) so
-// tests can trip the trap path without 100M iterations.
-constexpr int kMaxCallDepth = 64;
-
+// Same messages as the tree-walking interpreter. The loop budget itself is
+// a member (loop_budget_, default kDefaultLoopBudget) so tests can trip the
+// trap path without 100M iterations.
 constexpr char kLoopBudgetMsg[] =
     "shader exceeded the loop iteration budget (a real GPU would hang or be "
     "reset here)";
-constexpr char kCallDepthMsg[] = "shader call depth exceeded";
 // Message of the kVmInstruction fault site (fires at a guarded step).
 constexpr char kInjectedTrapMsg[] = "injected fault: shader trap";
 
@@ -146,8 +143,6 @@ void VmExec::LayOutPlanes() {
       *prog_, {reg_views_.data(), global_views_.data(), const_views_.data()});
   lane_refs_.assign(
       static_cast<std::size_t>(prog_->ref_slot_count) * kVmLanes, LRef{});
-  lane_ret_stack_.assign(
-      static_cast<std::size_t>(kVmLanes) * (kMaxCallDepth + 1), 0);
 }
 
 void VmExec::FillLaneGlobals() {
@@ -184,11 +179,7 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
   const VmInst* const code = prog_->code.data();
   const std::uint32_t full =
       n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
-  constexpr std::size_t kStackStride = kMaxCallDepth + 1;
-  for (int l = 0; l < n; ++l) {
-    lane_sp_[static_cast<std::size_t>(l)] = 0;
-    lane_steps_[static_cast<std::size_t>(l)] = 0;
-  }
+  std::fill_n(lane_steps_.begin(), n, 0);
   const auto ref_at = [this](std::uint32_t slot, int lane) -> LRef& {
     return lane_refs_[static_cast<std::size_t>(slot) * kVmLanes +
                       static_cast<std::size_t>(lane)];
@@ -201,16 +192,54 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
     return std::span<const PlaneSrc>(av);
   };
 
-  std::uint32_t running = full;
+  // Each step executes the instruction at the smallest pc any running lane
+  // waits on, for exactly the lanes there: the current group (`pc`,
+  // `mask`). Every other running lane waits in a pending group, one per
+  // pc, sorted by descending pc above a sentinel at ~0u, so the lowest
+  // pending pc is always pending[lowest].pc. A branch whose outcome differs
+  // between the group's lanes parks the taken lanes and continues with the
+  // rest; whenever the current group's pc reaches the lowest pending pc, it
+  // parks too (merging with a group at the same pc) and the lowest group
+  // becomes current. Structured lowering places a branch's taken-earlier
+  // block before its taken-later block and loop bodies before their exits,
+  // so split lanes re-join at the join point's pc. Both sides of a
+  // divergent branch thus execute, each under its own lane mask, and every
+  // lane performs exactly its one-lane instruction sequence — per-lane op
+  // counts and TMU access order stay exact.
+  struct Group {
+    std::uint32_t pc;
+    std::uint32_t mask;
+  };
+  std::array<Group, kVmLanes + 1> pending;
+  pending[0] = {~0u, 0};
+  std::size_t lowest = 0;
+  std::uint32_t pc = entry;
+  std::uint32_t mask = full;
+  const auto park = [&](std::uint32_t at, std::uint32_t lanes) {
+    std::size_t i = lowest;
+    while (pending[i].pc < at) --i;
+    if (pending[i].pc == at) {
+      pending[i].mask |= lanes;
+      return;
+    }
+    for (std::size_t j = ++lowest; j > i + 1; --j) pending[j] = pending[j - 1];
+    pending[i + 1] = {at, lanes};
+  };
+  // Makes the lowest pending group current.
+  const auto pop = [&] {
+    pc = pending[lowest].pc;
+    mask = pending[lowest].mask;
+    --lowest;
+  };
   std::uint32_t kept = full;
 
   // Pending-trap state. A trapping lane does not unwind the batch on the
   // spot: min-pc scheduling executes lanes out of lane order, so the lane
   // that traps *first in scheduling order* need not be the lane a one-lane
   // fragment sequence would have trapped on first. Instead the trapping
-  // lanes are parked (removed from `running`), the surviving lanes run to
-  // completion, and the batch then throws the minimum trapping lane's trap —
-  // exactly the fragment the oracles would have aborted the draw on.
+  // lanes leave the current group, the surviving lanes run to completion,
+  // and the batch then throws the minimum trapping lane's trap — exactly
+  // the fragment the oracles would have aborted the draw on.
   int trap_lane = -1;
   std::string trap_msg;
   const auto trap = [&](std::uint32_t lanes, const std::string& msg) {
@@ -219,58 +248,24 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
       trap_lane = l;
       trap_msg = msg;
     }
-    running &= ~lanes;
+    mask &= ~lanes;
     kept &= ~lanes;
   };
 
-  // Each step executes the instruction at the smallest pc any running lane
-  // waits on, for exactly the lanes parked there (`mask`). While every
-  // running lane is in that group the batch is converged: the lanes share
-  // `pc` and no per-lane pc is scanned or stored. A branch (or ret) whose
-  // outcome differs between the group's lanes splits it into per-lane pcs
-  // (lane_pc_). Structured lowering places a branch's taken-earlier block
-  // before its taken-later block and loop bodies before their exits, so
-  // split lanes re-join at the join point's pc, where the group covers every
-  // running lane again. Both sides of a divergent branch thus execute, each
-  // under its own lane mask, and every lane performs exactly its one-lane
-  // instruction sequence — per-lane op counts and TMU access order stay
-  // exact.
-  bool converged = true;
-  std::uint32_t pc = entry;
-  std::uint32_t mask = running;
   std::uint64_t steps = 0;
-  // The group continues at `next`.
-  const auto go = [&](std::uint32_t next) {
-    if (converged) {
-      pc = next;
-    } else {
-      ForEachLane(mask, [&](int l) {
-        lane_pc_[static_cast<std::size_t>(l)] = next;
-      });
-    }
-  };
-  while (running != 0) {
-    mask = running;
-    if (!converged) {
-      pc = ~0u;
-      for (std::uint32_t m = running; m != 0; m &= m - 1) {
-        pc = std::min(pc, lane_pc_[static_cast<std::size_t>(
-                              std::countr_zero(m))]);
-      }
-      mask = 0;
-      for (std::uint32_t m = running; m != 0; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        if (lane_pc_[static_cast<std::size_t>(l)] == pc) {
-          mask |= 1u << static_cast<unsigned>(l);
-        }
-      }
-      converged = mask == running;
+  for (;;) {
+    if (mask == 0) {
+      if (lowest == 0) break;
+      pop();
+    } else if (pc >= pending[lowest].pc) {
+      park(pc, mask);
+      pop();
     }
     const VmInst& in = code[pc];
     ++steps;
     switch (in.op) {
       case VmOp::kJump:
-        go(in.aux);
+        pc = in.aux;
         continue;
       case VmOp::kJumpIfFalse:
       case VmOp::kJumpIfTrue: {
@@ -286,16 +281,15 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
         }
         const std::uint32_t taken =
             (in.op == VmOp::kJumpIfTrue ? truthy : ~truthy) & mask;
-        if (taken == 0 || taken == mask) {
-          go(taken == 0 ? pc + 1 : in.aux);
-        } else {
-          ForEachLane(mask, [&](int l) {
-            lane_pc_[static_cast<std::size_t>(l)] =
-                ((taken >> static_cast<unsigned>(l)) & 1u) != 0 ? in.aux
-                                                                : pc + 1;
-          });
-          converged = false;
+        if (taken == mask) {
+          pc = in.aux;
+          continue;
         }
+        if (taken != 0) {
+          park(in.aux, taken);
+          mask &= ~taken;
+        }
+        ++pc;
         continue;
       }
       case VmOp::kLoopGuard: {
@@ -314,50 +308,12 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
         if (over != 0) trap(over, kLoopBudgetMsg);
         break;
       }
-      case VmOp::kCall: {
-        std::uint32_t deep = 0;
-        ForEachLane(mask, [&](int l) {
-          const std::size_t li = static_cast<std::size_t>(l);
-          if (lane_sp_[li] > kMaxCallDepth) {
-            deep |= 1u << static_cast<unsigned>(l);
-            return;
-          }
-          lane_ret_stack_[li * kStackStride +
-                          static_cast<std::size_t>(lane_sp_[li]++)] = pc + 1;
-        });
-        if (deep != 0) trap(deep, kCallDepthMsg);
-        go(prog_->functions[in.aux].entry);
-        continue;
-      }
-      case VmOp::kRet: {
-        // Every kRet runs inside a function its chunk entered through kCall
-        // (the run chunk enters main that way; both chunks end in kHalt),
-        // so each lane pops a return pc. Lanes re-joined from different
-        // call sites pop different pcs and split.
-        std::uint32_t next = ~0u;
-        bool same = true;
-        ForEachLane(mask, [&](int l) {
-          const std::size_t li = static_cast<std::size_t>(l);
-          const std::uint32_t ret =
-              lane_ret_stack_[li * kStackStride +
-                              static_cast<std::size_t>(--lane_sp_[li])];
-          lane_pc_[li] = ret;
-          same = same && (next == ~0u || ret == next);
-          next = ret;
-        });
-        if (same) {
-          go(next);
-        } else {
-          converged = false;
-        }
-        continue;
-      }
       case VmOp::kDiscard:
         kept &= ~mask;
-        running &= ~mask;
+        mask = 0;
         continue;
       case VmOp::kHalt:
-        running &= ~mask;
+        mask = 0;
         continue;
       case VmOp::kTrap:
         trap(mask, prog_->messages[in.aux]);
@@ -527,7 +483,7 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
         break;
       }
     }
-    go(pc + 1);
+    ++pc;
   }
   alu_.CountVmSteps(steps);
   if (trap_lane >= 0) throw ShaderRuntimeError(trap_msg, trap_lane);

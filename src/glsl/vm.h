@@ -51,11 +51,13 @@ class VmExec final : public ShaderEngine {
   // lanes *inside* each instruction instead of instructions inside each
   // invocation: instruction fetch, dispatch and operand resolution are paid
   // once per instruction per batch, not once per fragment. One executor
-  // (ExecuteBatch, one switch over the opcodes) runs every program: each
-  // step executes the instruction at the smallest pc any lane waits on, for
-  // the lanes parked there, so lanes that agree share one pc and a branch
-  // whose condition differs between lanes runs both sides, each with the
-  // lanes that took it, like the QPU's per-element condition flags. Every
+  // (ExecuteBatch, one switch over the opcodes) runs every program. Lanes
+  // move in groups that share a pc, held as (pc, lane mask) pairs; each
+  // step executes the instruction of the group at the smallest pc, so a
+  // branch whose condition differs between lanes runs both sides, each
+  // with the lanes that took it, like the QPU's per-element condition
+  // flags, and the two groups merge again where their pcs meet. There is
+  // no call stack: every call is inlined (ir.h). Every
   // lane performs exactly the evalcore operations a one-lane run would, so
   // results and AluModel op counts are byte-identical to n one-lane runs by
   // construction — with one caveat: a global that carries state *between*
@@ -66,7 +68,7 @@ class VmExec final : public ShaderEngine {
   // NOT killed by `discard`. Throws ShaderRuntimeError iff a one-lane run of
   // any lane would, attributing the trap (ShaderRuntimeError::lane, and its
   // message) to the smallest trapping lane — the fragment a one-lane
-  // sequence would have aborted the draw on first. Trapping lanes park
+  // sequence would have aborted the draw on first. Trapping lanes stop
   // while surviving lanes run to completion before the throw.
   //
   // Each step (one instruction over one lane group) adds one to the ALU
@@ -109,8 +111,8 @@ class VmExec final : public ShaderEngine {
   // Resolves operands to component-plane views (defined in vm.cc).
   struct LaneViews;
   [[nodiscard]] LaneViews Views() const;
-  // Sizes the arena, the per-lane refs and return stacks, and resolves the
-  // view of every register, global, constant and alias.
+  // Sizes the arena and the per-lane refs, and resolves the view of every
+  // register, global, constant and alias.
   void LayOutPlanes();
   // Copies the shared store's value of every lane-varying global into all
   // of its lanes.
@@ -138,12 +140,9 @@ class VmExec final : public ShaderEngine {
   // Per-lane l-value refs (slot s of lane l at s * kVmLanes + l), pointing
   // into the arena with stride kVmLanes or into the shared store.
   std::vector<LRef> lane_refs_;
-  // Per-lane control state (members so batches allocate nothing): pc /
-  // call stack / loop budget.
-  std::array<std::uint32_t, kVmLanes> lane_pc_{};
-  std::array<int, kVmLanes> lane_sp_{};
+  // Loop-budget steps per lane: lanes re-joined from unequal trip counts
+  // share a group but not a count.
   std::array<std::uint64_t, kVmLanes> lane_steps_{};
-  std::vector<std::uint32_t> lane_ret_stack_;
 };
 
 }  // namespace mgpu::glsl

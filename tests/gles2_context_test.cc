@@ -318,6 +318,40 @@ TEST(ContextTest, ScissorBoxEndingPastIntMaxTouchesNoPixel) {
   EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
 }
 
+// Viewport clamps its size to GL_MAX_VIEWPORT_DIMS, and a viewport whose
+// device coordinates lie past INT_MAX draws nothing instead of casting them
+// to int out of range.
+TEST(ContextTest, ViewportPastIntMaxIsClampedAndDrawsNothing) {
+  Context ctx(SmallConfig(8, 8));
+  GLint dims[2] = {0, 0};
+  ctx.GetIntegerv(GL_MAX_VIEWPORT_DIMS, dims);
+  EXPECT_GE(dims[0], 8);
+  EXPECT_EQ(dims[0], dims[1]);
+  const GLuint p = BuildProgramOrDie(
+      ctx, testutil::kPassthroughVs,
+      "precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }");
+  ctx.ClearColor(0.0f, 0.0f, 1.0f, 1.0f);
+  ctx.Clear(GL_COLOR_BUFFER_BIT);
+  const auto before = ReadRgba(ctx, 8, 8);
+  constexpr GLint kMax = std::numeric_limits<GLint>::max();
+  for (const std::array<GLint, 4>& box :
+       {std::array<GLint, 4>{kMax - 1, 0, kMax, 8},
+        std::array<GLint, 4>{0, kMax - 1, 8, kMax}}) {
+    SCOPED_TRACE(StrFormat("viewport %d %d %d %d", box[0], box[1], box[2],
+                           box[3]));
+    ctx.Viewport(box[0], box[1], box[2], box[3]);
+    GLint vp[4] = {0, 0, 0, 0};
+    ctx.GetIntegerv(GL_VIEWPORT, vp);
+    EXPECT_EQ(vp[0], box[0]);
+    EXPECT_EQ(vp[1], box[1]);
+    EXPECT_EQ(vp[2], std::min(box[2], dims[0]));
+    EXPECT_EQ(vp[3], std::min(box[3], dims[1]));
+    DrawFullscreenQuad(ctx, p);
+    EXPECT_EQ(ReadRgba(ctx, 8, 8), before);
+  }
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+}
+
 TEST(ContextTest, DepthTestKeepsNearestFragment) {
   Context ctx(SmallConfig(2, 2));
   const GLuint p = BuildProgramOrDie(

@@ -93,16 +93,28 @@ inline TextureFn PerTexel(TexelCallback texel) {
 }
 
 // GLSL source of a call chain deep0 .. deep<depth-1>, each deep<k> calling
-// deep<k-1>, so a call to deep<depth-1> nests `depth` user calls. Past 64
-// (the frame budget every engine enforces) the lowerer keeps every call of
-// the program as kCall/kRet instead of inlining it, and a run that enters
-// the chain traps with "shader call depth exceeded". Needs a default float
-// precision in scope.
+// deep<k-1>, so a call to deep<depth-1> nests `depth` user calls. A shader
+// whose main calls deep64 nests 65 and fails to compile (sema's
+// kMaxCallDepth is 64). Needs a default float precision in scope.
 inline std::string DeepCallChain(int depth) {
   std::string src = "float deep0(float x) { return x * 0.5 + 0.25; }\n";
   for (int k = 1; k < depth; ++k) {
     src += "float deep" + std::to_string(k) + "(float x) { return deep" +
            std::to_string(k - 1) + "(x) + 0.125; }\n";
+  }
+  return src;
+}
+
+// GLSL source of fan0 .. fan<n-1>, each fan<k> calling fan<k-1> twice, so a
+// call to fan<n-1> inlines 2^(n-1) copies of fan0: a shader far past sema's
+// kMaxInlinedNodes from a few lines of source. Needs a default float
+// precision in scope.
+inline std::string FanOutCalls(int n) {
+  std::string src = "float fan0(float x) { return x * 0.5; }\n";
+  for (int k = 1; k < n; ++k) {
+    const std::string prev = "fan" + std::to_string(k - 1);
+    src += "float fan" + std::to_string(k) + "(float x) { return " + prev +
+           "(x) + " + prev + "(x * 0.5); }\n";
   }
   return src;
 }

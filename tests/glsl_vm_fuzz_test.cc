@@ -132,15 +132,33 @@ class GlslFuzzer {
     const int n_helpers = static_cast<int>(rng_.NextInt(0, 2));
     for (int h = 0; h < n_helpers; ++h) src += GenHelper();
     std::string main_src = GenMain();
-    // A share of programs also carry a call chain one frame past the budget
-    // behind a condition no lane takes (u_s1 is -1.5 everywhere): its static
-    // depth turns inlining off, so the helpers run through kCall/kRet, in
-    // step and split. Decided last, so the rest of the program is the one
-    // the seed generated without it.
+    // A share of programs also carry a helper whose loop leaves early
+    // through `return`, `break` and `continue` on lane data, called from
+    // both sides of a divergent `if`: each side inlines its own instance,
+    // whose lanes split and re-join inside the loop while the other side's
+    // lanes wait. Decided last, so the rest of the program is the one the
+    // seed generated without it.
     if (Chance(20)) {
-      src += testutil::DeepCallChain(65);
-      main_src.insert(std::strlen("void main() {\n"),
-                      "  float deep_guard = u_s1 > 1.0 ? deep64(u_s0) : 0.0;\n");
+      const int trips = static_cast<int>(rng_.NextInt(2, 8));
+      const std::string cut = FloatLit();
+      src += StrFormat(
+          "float hloop(float x, float y) {\n"
+          "  float acc = y;\n"
+          "  for (int i = 0; i < %d; ++i) {\n"
+          "    float fi = float(i);\n"
+          "    if (fi > x * %d.0) return acc;\n"
+          "    if (fract(x * (fi + 1.5)) < 0.25) continue;\n"
+          "    if (fract(y + fi * 0.37) > 0.8) break;\n"
+          "    acc = acc * 0.5 + fi + %s;\n"
+          "  }\n"
+          "  return acc - x;\n"
+          "}\n",
+          trips, trips, cut.c_str());
+      main_src.insert(
+          std::strlen("void main() {\n"),
+          StrFormat("  if (%s.x > %s.y) { g_s.x += hloop(%s.z, %s.w); }\n"
+                    "  else { g_s.y -= hloop(%s.w, u_s0) * 0.5; }\n",
+                    in_name_, in_name_, in_name_, in_name_, in_name_));
     }
     return src + main_src;
   }
@@ -999,6 +1017,20 @@ std::unique_ptr<AluModel> MakeFuzzAlu(FuzzAlu kind) {
   }
 }
 
+// Per-lane v_in values of a batch.
+using LaneInputs = std::array<std::array<float, 4>, kVmLanes>;
+
+// Deterministic per-lane inputs; a fresh sub-seed per program so the lane
+// data co-varies with the program shape.
+LaneInputs SeededLaneInputs(std::uint64_t seed) {
+  Rng lane_rng(seed ^ 0x9e3779b97f4a7c15ull);
+  LaneInputs lane_in;
+  for (auto& lane : lane_in) {
+    for (float& f : lane) f = lane_rng.NextFloat01();
+  }
+  return lane_in;
+}
+
 void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
   GlslFuzzer gen(seed, stage);
   const std::string src = gen.Generate();
@@ -1035,13 +1067,7 @@ void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
   const int tree_in = tree.GlobalSlot("v_in");
   const int tree_color = tree.GlobalSlot(out_name);
 
-  // Deterministic per-lane inputs; a fresh sub-seed per program so the lane
-  // data co-varies with the program shape.
-  Rng lane_rng(seed ^ 0x9e3779b97f4a7c15ull);
-  std::array<std::array<float, 4>, kVmLanes> lane_in;
-  for (auto& lane : lane_in) {
-    for (float& f : lane) f = lane_rng.NextFloat01();
-  }
+  const LaneInputs lane_in = SeededLaneInputs(seed);
 
   // One-lane references: tree walk and the one-lane VM, fragment-
   // sequential, with per-lane count deltas (prefix sums give the expected
@@ -1272,9 +1298,10 @@ struct TrapLaneRef {
 // trap parity plus min-trapping-lane attribution at every batch tail.
 // Increments *trap_lanes / *clean_lanes so the sweep can assert the seeded
 // corpus actually produced both outcomes.
-// `seed` also drives the per-lane inputs.
+// `seed` only labels the case.
 void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
-                       bool vc4_alu, int* trap_lanes, int* clean_lanes) {
+                       const LaneInputs& lane_in, bool vc4_alu,
+                       int* trap_lanes, int* clean_lanes) {
   SCOPED_TRACE(StrFormat("trap seed=%llu alu=%s budget=%llu",
                          static_cast<unsigned long long>(seed),
                          vc4_alu ? "vc4" : "exact",
@@ -1309,15 +1336,9 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
   const int tree_in = tree.GlobalSlot("v_in");
   const int tree_color = tree.GlobalSlot("gl_FragColor");
 
-  Rng lane_rng(seed ^ 0x9e3779b97f4a7c15ull);
-  std::array<std::array<float, 4>, kVmLanes> lane_in;
-  for (auto& lane : lane_in) {
-    for (float& f : lane) f = lane_rng.NextFloat01();
-  }
-
   // One-lane references: both per-invocation engines, per lane, recording
   // trap-vs-complete and the message. A trapped run must leave the engine
-  // reusable for the next lane (loop/call-depth state resets per run).
+  // reusable for the next lane (loop state resets per run).
   std::array<TrapLaneRef, kVmLanes> ref;
   const PlaneDst sv = one_lane.LaneGlobal(in_slot);
   const PlaneDst sc = one_lane.LaneGlobal(color_slot);
@@ -1438,8 +1459,8 @@ void RunTrapParitySweep(bool vc4_alu) {
   int clean_lanes = 0;
   for (int i = 0; i < g_fuzz_iters; ++i) {
     const std::uint64_t seed = kTrapSeedBase + static_cast<std::uint64_t>(i);
-    RunTrapParityCase(GenTrapProgram(seed), seed, vc4_alu, &trap_lanes,
-                      &clean_lanes);
+    RunTrapParityCase(GenTrapProgram(seed), seed, SeededLaneInputs(seed),
+                      vc4_alu, &trap_lanes, &clean_lanes);
     if (::testing::Test::HasFailure()) {
       std::fprintf(stderr,
                    "[trap-parity] FAILURE seed=%llu (%s alu, budget=%llu) — "
@@ -1469,44 +1490,95 @@ TEST(VmTrapParityTest, SeededTrapProgramsVc4Alu) {
   RunTrapParitySweep(/*vc4_alu=*/true);
 }
 
-// Call-depth traps: main enters a chain of 65 nested user calls, one past
-// the frame budget, so the lowerer keeps every call as kCall/kRet and the
-// innermost call traps. With the chain before main, the lanes that take a
-// lane-varying branch into it trap while the others wait at the join; with
-// the chain after main, the other lanes finish first and the calling lanes
-// trap on their own; an unconditional call traps every lane at once.
-TEST(VmTrapParityTest, CallDepthTrapsInSomeOrAllLanes) {
+// A call chain at the depth limit, inlined 64 levels deep into a loop whose
+// trip count varies by lane: with the chain before main, only the lanes that
+// take a lane-varying branch enter it; with the chain after main (reached
+// through a prototype), every lane does. A small loop budget makes the
+// lanes with the longest trips trap in both, so the trap is attributed
+// through every inlined level; a generous one lets every lane finish.
+TEST(VmTrapParityTest, CallChainAtTheDepthLimitInSomeOrAllLanes) {
   const std::string head =
       "precision highp float;\n"
       "varying vec4 v_in;\n"
       "uniform float u_s0;\n";
-  const std::string chain = testutil::DeepCallChain(65);
+  const std::string chain = testutil::DeepCallChain(64);
   const auto main_calling = [](const char* call) {
     return StrFormat(
         "void main() {\n"
         "  float acc = u_s0 + v_in.x;\n"
-        "  %s\n"
+        "  for (int i = 0; i < 16; ++i) {\n"
+        "    if (float(i) >= v_in.z * 16.0) break;\n"
+        "    %s\n"
+        "  }\n"
         "  gl_FragColor = vec4(acc, v_in.y, v_in.z, 1.0);\n"
         "}\n",
         call);
   };
-  const char* some = "if (v_in.y > 0.5) { acc = deep64(acc); }";
-  const std::vector<TrapProgram> programs = {
-      {head + chain + main_calling(some), 1u << 20},
-      {head + "float deep64(float x);\n" + main_calling(some) + chain,
-       1u << 20},
-      {head + chain + main_calling("acc = deep64(acc);"), 1u << 20},
-  };
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    int trap_lanes = 0;
-    int clean_lanes = 0;
-    RunTrapParityCase(programs[i], 20261017 + i, /*vc4_alu=*/false,
-                      &trap_lanes, &clean_lanes);
-    EXPECT_GT(trap_lanes, 0) << "program " << i;
-    if (i < 2) {
+  const char* some = "if (v_in.y > 0.5) { acc = deep63(acc); }";
+  const char* all = "acc = deep63(acc);";
+  for (const std::uint64_t budget : {std::uint64_t{9}, std::uint64_t{64}}) {
+    const std::vector<TrapProgram> programs = {
+        {head + chain + main_calling(some), budget},
+        {head + "float deep63(float x);\n" + main_calling(all) + chain,
+         budget},
+    };
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      const std::uint64_t seed = 20261017 + i;
+      int trap_lanes = 0;
+      int clean_lanes = 0;
+      RunTrapParityCase(programs[i], seed, SeededLaneInputs(seed),
+                        /*vc4_alu=*/false, &trap_lanes, &clean_lanes);
       EXPECT_GT(clean_lanes, 0) << "program " << i;
+      if (budget < 16) {
+        EXPECT_GT(trap_lanes, 0) << "program " << i;
+      } else {
+        EXPECT_EQ(trap_lanes, 0) << "program " << i;
+      }
     }
   }
+}
+
+// The group scheduler at its widest, against the tree walker and the
+// one-lane VM at every tail size: lane l leaves the loop in its
+// (l % 16 + 1)-th iteration, so the lanes leave at 16 different iterations,
+// and then lane k (k < 31) drops out of a staircase of 31 nested ifs at
+// level k, so 31 groups wait at 31 different pcs while lane 31 runs the
+// innermost level: every lane but the current one is pending at once.
+TEST(VmTrapParityTest, LoopExitsAndStaircaseFillThePendingGroups) {
+  std::string stairs;
+  std::string closing;
+  for (int k = 0; k < kVmLanes - 1; ++k) {
+    stairs += StrFormat("  if (v_in.z > %d.0 / 32.0) {\n  acc += %d.0;\n",
+                        k + 1, k);
+    closing += "  acc *= 0.75;\n  }\n";
+  }
+  const TrapProgram tp{
+      "precision highp float;\n"
+      "varying vec4 v_in;\n"
+      "uniform float u_s0;\n"
+      "void main() {\n"
+      "  float acc = u_s0;\n"
+      "  for (int i = 0; i < 64; ++i) {\n"
+      "    if (float(i) >= v_in.x * 16.0) break;\n"
+      "    acc += fract(acc * 1.3) + v_in.y;\n"
+      "  }\n" +
+          stairs + closing +
+          "  gl_FragColor = vec4(acc, v_in.y, v_in.z, 1.0);\n"
+          "}\n",
+      1u << 20};
+  LaneInputs lane_in;
+  for (int l = 0; l < kVmLanes; ++l) {
+    const float f = static_cast<float>(l);
+    lane_in[static_cast<std::size_t>(l)] = {
+        (static_cast<float>(l % 16) + 0.5f) / 16.0f, 0.125f + f / 64.0f,
+        (f + 0.5f) / 32.0f, 0.5f};
+  }
+  int trap_lanes = 0;
+  int clean_lanes = 0;
+  RunTrapParityCase(tp, 20261019, lane_in, /*vc4_alu=*/false, &trap_lanes,
+                    &clean_lanes);
+  EXPECT_EQ(trap_lanes, 0);
+  EXPECT_EQ(clean_lanes, kVmLanes);
 }
 
 // The kVmInstruction fault site fires at a loop guard. Lane 0 leaves the loop

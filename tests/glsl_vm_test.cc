@@ -541,9 +541,9 @@ std::string DeepCallProgram(int depth) {
                    depth - 1);
 }
 
-TEST(VmDifferentialTest, CallDepthLimitMatchesInterpreter) {
-  // 64 concurrently active user calls are allowed; 65 throw. Both engines
-  // must sit on the same boundary.
+TEST(VmDifferentialTest, CallDepthLimitIsACompileError) {
+  // 64 nested user calls compile, inline and run identically on both
+  // engines; 65 are rejected by sema, for every engine alike.
   {
     auto shader = testutil::MustCompile(DeepCallProgram(64));
     ExactAlu alu_a, alu_b;
@@ -553,25 +553,35 @@ TEST(VmDifferentialTest, CallDepthLimitMatchesInterpreter) {
     ASSERT_EQ(vm.RunBatch(1), 1u);
     EXPECT_EQ(interp.GlobalAt(interp.GlobalSlot("gl_FragColor")).F(0),
               vm.LaneGlobal(vm.GlobalSlot("gl_FragColor")).at(0, 0).f);
+    EXPECT_EQ(alu_a.counts().alu, alu_b.counts().alu);
   }
-  {
-    auto shader = testutil::MustCompile(DeepCallProgram(65));
-    ExactAlu alu_a, alu_b;
-    ShaderExec interp(*shader, alu_a);
-    VmExec vm(LowerToBytecode(*shader), alu_b);
-    EXPECT_THROW(interp.Run(), ShaderRuntimeError);
-    EXPECT_THROW(vm.RunBatch(1), ShaderRuntimeError);
-  }
+  const CompileResult deep =
+      CompileGlsl(DeepCallProgram(65), Stage::kFragment);
+  EXPECT_FALSE(deep.ok);
+  EXPECT_NE(deep.info_log.find("user function calls nest 65 deep, past the "
+                               "limit of 64"),
+            std::string::npos)
+      << deep.info_log;
+}
+
+// A call graph that doubles at every level inlines to 2^31 copies of its
+// leaf; sema's memoized walk rejects it without visiting them.
+TEST(VmDifferentialTest, ExponentialInlinedSizeIsACompileError) {
+  const CompileResult r = CompileGlsl(
+      "precision highp float;\n" + testutil::FanOutCalls(32) +
+          "void main() { gl_FragColor = vec4(fan31(1.0)); }\n",
+      Stage::kFragment);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.info_log.find("shader too large"), std::string::npos)
+      << r.info_log;
 }
 
 // Drawing code journals framebuffer writes only for trap-capable programs.
-// A call chain within the 64-frame budget is inlined and cannot trap; one
-// past it keeps its kCall/kRet and traps at run time, so it must count.
-TEST(VmProgramTest, CanTrapCountsCallChainsPastTheFrameBudget) {
+// Every call is inlined, so no call chain the compiler accepts can trap,
+// not even one at the depth limit.
+TEST(VmProgramTest, CallChainsCannotTrap) {
   EXPECT_FALSE(LowerToBytecode(*testutil::MustCompile(DeepCallProgram(64)))
                    ->CanTrap());
-  EXPECT_TRUE(LowerToBytecode(*testutil::MustCompile(DeepCallProgram(65)))
-                  ->CanTrap());
   auto helper = testutil::MustCompile(R"(
 precision highp float;
 float twice(float x) { return x * 2.0; }
@@ -580,8 +590,8 @@ void main() { gl_FragColor = vec4(twice(gl_FragCoord.x)); }
   EXPECT_FALSE(LowerToBytecode(*helper)->CanTrap());
 }
 
-// Only bodies a kCall reaches are lowered: a loop in a helper nothing
-// calls cannot make the program trap-capable.
+// A function nothing calls emits no code: a loop in a helper nothing calls
+// cannot make the program trap-capable.
 TEST(VmProgramTest, UncalledHelperLoopDoesNotMakeProgramTrapCapable) {
   auto shader = testutil::MustCompile(R"(
 precision highp float;
@@ -1197,17 +1207,15 @@ void main() {
   gl_FragColor = vec4(a.x + b.x, b.y * a.y, mix(a.z, b.z, a.w) - m[1][0],
                       mod(b.w, a.x) + m[0][1]);
 })"});
-  // --- inlining off: a reachable call chain deeper than the 64-frame
-  // budget keeps every user call as kCall/kRet. One helper (before main)
-  // runs its calls and returns split across a divergent if; the other
-  // (after main) is entered by both sides, so the lanes reconverge inside
-  // it and its ret pops different return pcs for the two groups ---------
+  // --- helpers called from both sides of a divergent if: each side
+  // inlines its own instances, one helper (before main) with an out
+  // parameter and an early return, the other (declared before main and
+  // defined after it) through its prototype -------------------------------
   cases.push_back(
-      {"calls_inlining_off_from_both_sides_of_divergent_if",
-       "precision highp float;\n"
-       "varying vec4 v_in;\n"
-       "uniform float u_mode;\n" +
-           testutil::DeepCallChain(65) + R"(
+      {"calls_from_both_sides_of_divergent_if",
+       R"(precision highp float;
+varying vec4 v_in;
+uniform float u_mode;
 float before_main(float x, out float extra) {
   extra = x * 0.5;
   if (x > 0.25) return sin(x);
@@ -1217,8 +1225,6 @@ float after_main(float x);
 void main() {
   float e = 0.0;
   float r = 0.0;
-  // Never taken (u_mode is 0.75), but its static depth turns inlining off.
-  if (u_mode > 2.0) r = deep64(v_in.x);
   if (v_in.x > 0.5) {
     r += before_main(v_in.y, e) + after_main(v_in.z);
   } else {
