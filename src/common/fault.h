@@ -18,10 +18,11 @@
 namespace mgpu::fault {
 
 enum class Site : int {
-  // Worker shading-state construction in gles2::ShadeStateCache (engine
-  // clones, ALU/TMU forks). Fires as std::bad_alloc.
+  // Shading-state construction in a draw: a context's shading worker
+  // (ALU shard fork, TMU model, scratch) or a program's fragment-engine
+  // clone for a worker. Fires as std::bad_alloc.
   kShadeCacheAlloc = 0,
-  // Tile binner storage growth (hash rehash / slot or bin append). Fires as
+  // Tile binner storage growth (tile index or slot list). Fires as
   // std::bad_alloc.
   kBinnerGrow,
   // Shader execution: trap at the Nth guarded step (VM loop guard /

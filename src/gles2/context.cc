@@ -39,39 +39,7 @@ constexpr const char kBudgetMsg[] =
 
 // x + w for w >= 0, saturated at INT_MAX: a scissor box's end.
 int SaturatedEnd(int x, int w) { return x > INT_MAX - w ? INT_MAX : x + w; }
-
-// The engine's view of global `slot` in the draw stages. A null base marks
-// a slot the program does not use (slot < 0).
-glsl::PlaneDst GlobalPlane(glsl::ShaderEngine& engine, int slot) {
-  if (slot < 0) return {};
-  return engine.LaneGlobal(slot);
-}
 }  // namespace
-
-ShadeStateCache::Entry* ShadeStateCache::Find(GLuint program) {
-  const auto it = entries_.find(program);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  it->second.last_use = ++use_tick_;
-  return &it->second;
-}
-
-ShadeStateCache::Entry& ShadeStateCache::Insert(GLuint program) {
-  Entry& e = entries_[program];
-  e.last_use = ++use_tick_;
-  if (entries_.size() > kCapacity) {
-    // `e` holds the newest tick, so it is never the victim.
-    entries_.erase(std::min_element(
-        entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
-          return a.second.last_use < b.second.last_use;
-        }));
-    ++evictions_;
-  }
-  return e;
-}
 
 Context::Context(const ContextConfig& config, glsl::AluModel* alu)
     : config_(config), alu_(alu != nullptr ? alu : &default_alu_) {
@@ -459,9 +427,6 @@ void Context::LinkProgram(GLuint program) {
     SetError(GL_INVALID_VALUE);
     return;
   }
-  // Cached worker clones pin the program's old bytecode and globals; a
-  // relink (successful or not) makes them stale.
-  shade_cache_.InvalidateProgram(program);
   gles2::LinkProgram(*p, shaders_, *alu_, config_.limits,
                      config_.exec_engine);
 }
@@ -516,7 +481,6 @@ void Context::UseProgram(GLuint program) {
 
 void Context::DeleteProgram(GLuint program) {
   if (current_program_ == program) current_program_ = 0;
-  shade_cache_.InvalidateProgram(program);
   programs_.erase(program);
 }
 
@@ -1274,37 +1238,21 @@ void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
 // Drawing
 // ---------------------------------------------------------------------------
 
-ShadeStateCache::Entry* Context::ShadeVertices(
-    ProgramObject* prog, GLsizei count,
-    const std::function<GLuint(GLsizei)>& index_at,
-    std::vector<RasterVertex>& verts,
-    const glsl::OpCounts& draw_start_counts) {
+bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
+                            const std::function<GLuint(GLsizei)>& index_at,
+                            std::vector<RasterVertex>& verts,
+                            const glsl::OpCounts& draw_start_counts) {
   // Each RunBatch pass shades up to LaneWidth() vertices over the engine's
-  // lane planes.
+  // lane planes, through the views the link resolved.
   glsl::ShaderEngine& engine = *prog->vertex;
+  const ProgramObject::VertexViews& views = prog->vertex_views;
   const int lanes = LaneWidth();
-
-  // The draw's one cache lookup. Plane views are resolved once per program,
-  // on the miss that creates its entry. Uniform (non-lane) slots resolve to
-  // the shared store, so per-draw uniform sync needs nothing extra here.
-  ShadeStateCache::Entry* entry = shade_cache_.Find(current_program_);
-  if (entry == nullptr) {
-    entry = &shade_cache_.Insert(current_program_);
-    ShadeStateCache::VertexState& v = entry->vertex;
-    const auto plane = [&](int slot) { return GlobalPlane(engine, slot); };
-    v.position = plane(prog->vs_position_slot);
-    v.point_size = plane(prog->vs_point_size_slot);
-    v.attribs.reserve(prog->attribs.size());
-    for (const AttribInfo& ai : prog->attribs) {
-      v.attribs.push_back({plane(ai.vs_slot), ai.location,
-                           std::min(ai.type.CellCount(), 4)});
-    }
-    v.varyings.reserve(prog->varyings.size());
-    for (const VaryingLink& link : prog->varyings) {
-      v.varyings.push_back({plane(link.vs_slot), link.cells, link.offset});
-    }
+  if (prog->drawn) {
+    ++shade_tally_.hits_;
+  } else {
+    prog->drawn = true;
+    ++shade_tally_.misses_;
   }
-  ShadeStateCache::VertexState* const vstate = &entry->vertex;
 
   // Indices, decoded once: the bounds gate below needs the largest, and
   // every chunk reads its lanes' indices from here.
@@ -1323,11 +1271,12 @@ ShadeStateCache::Entry* Context::ShadeVertices(
   // here, before any vertex shades, so it cannot race a shader trap: no
   // counter moved yet, GL_INVALID_OPERATION, no reset. Client arrays are
   // unbounded by the GL contract.
-  vstate->sources.resize(vstate->attribs.size());
-  for (std::size_t k = 0; k < vstate->attribs.size(); ++k) {
+  std::vector<AttribSource>& sources = scratch_sources_;
+  sources.resize(views.attribs.size());
+  for (std::size_t k = 0; k < views.attribs.size(); ++k) {
     const AttribState& a =
-        attribs_[static_cast<std::size_t>(vstate->attribs[k].location)];
-    ShadeStateCache::VertexState::AttribSource& s = vstate->sources[k];
+        attribs_[static_cast<std::size_t>(views.attribs[k].location)];
+    AttribSource& s = sources[k];
     s = {};
     if (!a.enabled) {
       s.constant = a.constant.data();
@@ -1361,7 +1310,7 @@ ShadeStateCache::Entry* Context::ShadeVertices(
     }
     if (base == nullptr || elem_size == 0) {
       SetError(GL_INVALID_OPERATION);
-      return nullptr;
+      return false;
     }
     s.base = base;
     s.stride = stride;
@@ -1379,11 +1328,9 @@ ShadeStateCache::Entry* Context::ShadeVertices(
       // into the engine's planes, with the base/stride/type resolution
       // hoisted out of the loop. Components past the array size take the
       // (0,0,0,1) defaults.
-      for (std::size_t k = 0; k < vstate->attribs.size(); ++k) {
-        const ShadeStateCache::VertexState::AttribLanes& al =
-            vstate->attribs[k];
-        const ShadeStateCache::VertexState::AttribSource& s =
-            vstate->sources[k];
+      for (std::size_t k = 0; k < views.attribs.size(); ++k) {
+        const ProgramObject::VertexViews::Attrib& al = views.attribs[k];
+        const AttribSource& s = sources[k];
         const glsl::PlaneDst& dst = al.dst;
         if (s.base == nullptr) {
           for (int c = 0; c < al.cells; ++c) {
@@ -1450,7 +1397,7 @@ ShadeStateCache::Entry* Context::ShadeVertices(
       if (draw_budget_ != 0 &&
           alu_->counts().alu - draw_start_counts.alu > draw_budget_) {
         AbortDraw(DrawErrorKind::kBudget, kBudgetMsg, draw_start_counts);
-        return nullptr;
+        return false;
       }
 
       // Scatter, in lane order.
@@ -1459,18 +1406,17 @@ ShadeStateCache::Entry* Context::ShadeVertices(
         RasterVertex& out = verts[static_cast<std::size_t>(b0) + li];
         out.clip = {0.0f, 0.0f, 0.0f, 1.0f};
         out.point_size = 1.0f;
-        const glsl::PlaneSrc& pos = vstate->position;
+        const glsl::PlaneSrc& pos = views.position;
         if (pos.base != nullptr) {
           out.clip = {pos.at(0, l).f, pos.at(1, l).f, pos.at(2, l).f,
                       pos.at(3, l).f};
         }
-        if (vstate->point_size.base != nullptr) {
-          out.point_size = vstate->point_size.at(0, l).f;
+        if (views.point_size.base != nullptr) {
+          out.point_size = views.point_size.at(0, l).f;
           if (out.point_size <= 0.0f) out.point_size = 1.0f;
         }
         out.varyings.resize(static_cast<std::size_t>(prog->varying_cells));
-        for (const ShadeStateCache::VertexState::VaryingSrc& vl :
-             vstate->varyings) {
+        for (const ProgramObject::VertexViews::Varying& vl : views.varyings) {
           for (int c = 0; c < vl.cells; ++c) {
             out.varyings[static_cast<std::size_t>(vl.offset + c)] =
                 vl.src.at(c, l).f;
@@ -1482,9 +1428,9 @@ ShadeStateCache::Entry* Context::ShadeVertices(
     // Vertex-stage trap: no framebuffer byte was touched yet, so restoring
     // the counter snapshot completes the abort.
     AbortDraw(DrawErrorKind::kTrap, e.what(), draw_start_counts);
-    return nullptr;
+    return false;
   }
-  return entry;
+  return true;
 }
 
 void Context::WritePixel(RenderTarget& rt, int x, int y, float depth,
@@ -1583,16 +1529,16 @@ void Context::WritePixel(RenderTarget& rt, int x, int y, float depth,
   }
 }
 
-void Context::CheckDrawBudget(ShadeStateCache::WorkerState* w) {
-  const std::uint64_t now = w->alu->counts().alu;
-  const std::uint64_t delta = now - w->budget_reported;
-  w->budget_reported = now;
+void Context::CheckDrawBudget(ShadeWorker& w) {
+  const std::uint64_t now = w.alu->counts().alu;
+  const std::uint64_t delta = now - w.budget_reported;
+  w.budget_reported = now;
   const std::uint64_t used =
       draw_alu_used_.fetch_add(delta, std::memory_order_relaxed) + delta;
   if (used > draw_budget_) {
     // Classified here (not in the catch) so the generic trap handler does
     // not have to distinguish watchdog throws from shader traps.
-    w->error_kind = DrawErrorKind::kBudget;
+    w.error_kind = DrawErrorKind::kBudget;
     throw glsl::ShaderRuntimeError(kBudgetMsg);
   }
 }
@@ -1690,9 +1636,9 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // would have carried.
   std::vector<RasterVertex>& verts = scratch_verts_;
   verts.resize(static_cast<std::size_t>(count));
-  ShadeStateCache::Entry* const entry =
-      ShadeVertices(prog, count, index_at, verts, draw_start_counts);
-  if (entry == nullptr) return;
+  if (!ShadeVertices(prog, count, index_at, verts, draw_start_counts)) {
+    return;
+  }
 
   // --- fragment stage: two-phase tiled pipeline (VC4-style) ---
   // Phase 1 binning: assemble primitives (strip/fan/loop orderings resolved
@@ -1790,61 +1736,53 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   const std::vector<std::uint32_t>& work = scratch_work_;
   if (work.empty()) return;
 
-  // Phase 2 shading: each worker slot owns a clone of the program's
-  // fragment engine, an ALU-counter shard and a TMU-cache model, for every
-  // engine and worker count; tiles partition the framebuffer, so pixel
-  // writes are lock-free and results are byte-identical for any worker
-  // count (counter shards merge by summation at commit). All per-draw
-  // plumbing — flushes, plane views, texture callbacks, batch scratch — is
-  // cached in the program's ShadeStateCache entry and merely *refreshed*
-  // here, so a steady-state draw allocates nothing.
-
-  const int slot_count =
+  // Phase 2 shading: each worker owns an ALU-counter shard and a TMU-cache
+  // model, and shades on its own clone of the program's fragment engine,
+  // for every engine and worker count; tiles partition the framebuffer, so
+  // pixel writes are lock-free and results are byte-identical for any
+  // worker count (counter shards merge by summation at commit). Workers
+  // and clones are built on the first draw that needs them and merely
+  // *refreshed* after, so a steady-state draw allocates nothing.
+  const int worker_count =
       std::min(shade_workers_, static_cast<int>(work.size()));
-
-  // Every slot clones, and re-syncs from, the program's fragment engine.
-  // Slots grow lazily to the most workers any draw has needed (never past
-  // shade_workers_), so a 2-tile first draw on a big pool builds 2 slots,
-  // not one per worker — and a freshly built slot is already
-  // current (the clone copies today's globals), so only pre-existing slots
-  // pay the re-sync.
   const glsl::ShaderEngine& base = *prog->fragment;
   try {
-    const int have =
-        std::min(slot_count, static_cast<int>(entry->workers.size()));
-    for (int i = 0; i < have; ++i) {
-      ShadeStateCache::WorkerState& w =
-          *entry->workers[static_cast<std::size_t>(i)];
-      w.engine->SyncGlobalsFrom(base);
-      w.alu->ResetCounts();
-    }
-    while (static_cast<int>(entry->workers.size()) < slot_count) {
-      // Injectable build failure: slot construction is the allocation-
-      // heavy part of a draw (engine clone with a full global-store copy).
-      if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
-        throw std::bad_alloc();
+    for (int i = 0; i < worker_count; ++i) {
+      const std::size_t si = static_cast<std::size_t>(i);
+      // Injectable build failure: a worker or a clone (a full global-store
+      // copy) is the allocation-heavy part of a draw. Nothing half-built
+      // is kept: each is stored only once complete.
+      if (si == workers_.size()) {
+        if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
+          throw std::bad_alloc();
+        }
+        workers_.push_back(MakeWorker());
       }
-      auto w = std::make_unique<ShadeStateCache::WorkerState>();
-      w->alu = alu_->Fork();
-      w->engine = base.Clone(*w->alu);
-      BuildWorkerPlumbing(*w, prog);
-      entry->workers.push_back(std::move(w));
+      ShadeWorker& w = *workers_[si];
+      if (si == prog->fragment_clones.size()) {
+        if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
+          throw std::bad_alloc();
+        }
+        // A fresh clone copies today's globals; only older ones re-sync.
+        prog->fragment_clones.push_back(
+            CloneFragmentStage(*prog, *w.alu, w.texture));
+      } else {
+        prog->fragment_clones[si].engine->SyncGlobalsFrom(base);
+      }
     }
   } catch (const std::bad_alloc&) {
     // Allocation failure (injectable: fault::Site::kShadeCacheAlloc) while
-    // building shading state: a partially built cache entry pins
-    // inconsistent state, so drop the program's entry — the next draw
-    // rebuilds from scratch. No framebuffer byte was touched yet.
-    shade_cache_.InvalidateProgram(current_program_);
+    // building shading state. No framebuffer byte was touched yet.
     AbortDraw(DrawErrorKind::kResource, "shading-state allocation failed",
               draw_start_counts);
     return;
   }
 
-  // Per-draw refresh of the state the cached closures reach through stable
+  // Per-draw refresh of the state the flush closures reach through stable
   // addresses: the resolved render target, the failure latch, the watchdog
-  // accumulator (seeded with the vertex stage's ops), and each used slot's
-  // error/journal/batch scratch (stale only if a previous draw failed).
+  // accumulator (seeded with the vertex stage's ops), and each used
+  // worker's stage, counter shard and error/journal/batch/TMU-log scratch
+  // (stale only if a previous draw failed).
   draw_rt_ = rt;
   draw_failed_.store(false, std::memory_order_relaxed);
   static_assert(std::tuple_size_v<decltype(draw_samplers_)> ==
@@ -1865,21 +1803,22 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // resource faults all arm the registry and therefore journal.)
   const bool needs_journal =
       prog->fs_can_trap || draw_budget_ != 0 || fault::AnyArmed();
-  for (int i = 0; i < slot_count; ++i) {
-    ShadeStateCache::WorkerState& w =
-        *entry->workers[static_cast<std::size_t>(i)];
+  for (int i = 0; i < worker_count; ++i) {
+    ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
+    w.stage = &prog->fragment_clones[static_cast<std::size_t>(i)];
+    w.alu->ResetCounts();
     w.error.clear();
     w.error_kind = DrawErrorKind::kNone;
     w.journal.Clear();
     w.active_journal = needs_journal ? &w.journal : nullptr;
-    w.budget_reported = w.alu->counts().alu;
+    w.budget_reported = 0;
     w.batch.count = 0;
+    w.tmu_log.clear();
   }
 
   const int vc = prog->varying_cells;
-  auto shade_tile = [&](std::uint32_t tile_index, int slot_index) {
-    ShadeStateCache::WorkerState& w =
-        *entry->workers[static_cast<std::size_t>(slot_index)];
+  auto shade_tile = [&](std::uint32_t tile_index, int wi) {
+    ShadeWorker& w = *workers_[static_cast<std::size_t>(wi)];
     const TileBinner::Tile& tile = binner_.tile(tile_index);
     w.tmu.Reset();
     RasterState tile_rs = rs;
@@ -1909,21 +1848,20 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     w.flush();
   };
 
-  // One shading body for every slot: it claims tiles off a shared counter
+  // One shading body for every worker: it claims tiles off a shared counter
   // until none is left. Shader traps and watchdog trips are caught inside
   // the flush closure; anything else escaping a tile (an allocation failure
   // mid-shading) is a resource failure of the pipeline, attributed to the
-  // slot.
+  // worker.
   const int tile_count = static_cast<int>(work.size());
   std::atomic<int> next_tile{0};
-  const auto shade_slot = [&](int slot_index) {
-    ShadeStateCache::WorkerState& w =
-        *entry->workers[static_cast<std::size_t>(slot_index)];
+  const auto shade_worker = [&](int wi) {
+    ShadeWorker& w = *workers_[static_cast<std::size_t>(wi)];
     try {
       for (int item = next_tile.fetch_add(1, std::memory_order_relaxed);
            item < tile_count;
            item = next_tile.fetch_add(1, std::memory_order_relaxed)) {
-        shade_tile(work[static_cast<std::size_t>(item)], slot_index);
+        shade_tile(work[static_cast<std::size_t>(item)], wi);
       }
     } catch (const std::exception& e) {
       if (w.error_kind == DrawErrorKind::kNone) {
@@ -1934,21 +1872,21 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     }
   };
   // A pool task that died before its body ran: an implementation fault of
-  // no particular slot.
+  // no particular worker.
   std::string pool_error;
-  if (slot_count == 1) {
-    shade_slot(0);
+  if (worker_count == 1) {
+    shade_worker(0);
   } else {
     // The pool is sized by the configured worker count, not by this draw's
-    // slot count, so alternating draws with different tile counts reuse the
+    // worker count, so alternating draws with different tile counts reuse the
     // parked workers instead of respawning threads every draw. Partial
-    // dispatch: only one pool task per shading slot is issued, so a draw
+    // dispatch: only one pool task per shading worker is issued, so a draw
     // covering two tiles wakes two workers, not the whole pool.
     if (pool_ == nullptr) {
       pool_ = std::make_unique<common::ThreadPool>(shade_workers_);
     }
     try {
-      pool_->RunOn(slot_count, shade_slot);
+      pool_->RunOn(worker_count, shade_worker);
     } catch (const std::exception& e) {
       // Injectable: fault::Site::kPoolTask. The join completed — every
       // other worker finished — so the abort below sees a quiesced,
@@ -1965,9 +1903,8 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     // correctly) and restore the counter snapshot. The post-abort
     // framebuffer, depth plane and counters equal the pre-draw state byte
     // for byte on every engine and worker count.
-    for (int i = 0; i < slot_count; ++i) {
-      ShadeStateCache::WorkerState& w =
-          *entry->workers[static_cast<std::size_t>(i)];
+    for (int i = 0; i < worker_count; ++i) {
+      ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
       if (rt.color != nullptr) {
         for (auto it = w.journal.color.rbegin(); it != w.journal.color.rend();
              ++it) {
@@ -1983,14 +1920,13 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
       }
       w.journal.Clear();
     }
-    // The lowest slot that failed names the abort; a pool failure only
-    // when no slot did.
+    // The lowest worker that failed names the abort; a pool failure
+    // only when no worker did.
     std::string message = pool_error;
     DrawErrorKind kind = pool_error.empty() ? DrawErrorKind::kTrap
                                             : DrawErrorKind::kResource;
-    for (int i = 0; i < slot_count; ++i) {
-      const ShadeStateCache::WorkerState& w =
-          *entry->workers[static_cast<std::size_t>(i)];
+    for (int i = 0; i < worker_count; ++i) {
+      const ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
       if (!w.error.empty()) {
         message = w.error;
         kind = w.error_kind;
@@ -2003,9 +1939,8 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // Committed: merge the counter shards (a failed draw discards them, and
   // the snapshot restore is what makes the counters read "never issued");
   // the journals exist only to be replayed on abort.
-  for (int i = 0; i < slot_count; ++i) {
-    ShadeStateCache::WorkerState& w =
-        *entry->workers[static_cast<std::size_t>(i)];
+  for (int i = 0; i < worker_count; ++i) {
+    ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
     alu_->AddCounts(w.alu->counts());
     w.journal.Clear();
   }
@@ -2021,105 +1956,88 @@ void Context::AbortDraw(DrawErrorKind kind, const std::string& message,
                                         : GL_OUT_OF_MEMORY);
 }
 
-void Context::BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
-                                  ProgramObject* prog) {
-  // The rasterizer appends covered fragments into the worker's batch; the
-  // flush scatters it into the engine's per-fragment input planes, shades
-  // it, replays the deferred TMU accesses in lane order (the
-  // fragment-sequential texture-cache order) and drains surviving lanes to
-  // the framebuffer in emission order, in chunks of the engine's lane
-  // width: the batched VM shades the whole batch in one RunBatch pass, the
-  // oracles one lane per pass, stopping at the first trapping lane.
-  ShadeStateCache::WorkerState* const wp = &w;
-  const int width = LaneWidth();
-  const int color_slot = prog->uses_frag_data ? prog->fs_frag_data_slot
-                                              : prog->fs_frag_color_slot;
-  w.engine->SetTextureFn(MakeTextureFn(wp));
-  const auto plane = [&w](int slot) { return GlobalPlane(*w.engine, slot); };
-  const glsl::PlaneDst fc = plane(prog->fs_frag_coord_slot);
-  const glsl::PlaneDst ff = plane(prog->fs_front_facing_slot);
-  const glsl::PlaneDst pc = plane(prog->fs_point_coord_slot);
-  const glsl::PlaneDst col = plane(color_slot);
-  struct LaneVaryingDst {
-    glsl::PlaneDst value;
-    int cells;
-    int offset;
-  };
-  std::vector<LaneVaryingDst> varying_dsts;
-  varying_dsts.reserve(prog->varyings.size());
-  for (const VaryingLink& link : prog->varyings) {
-    varying_dsts.push_back({plane(link.fs_slot), link.cells, link.offset});
-  }
-  w.flush = [this, wp, width, fc, ff, pc, col,
-             varying_dsts = std::move(varying_dsts)]() {
-    FragmentBatch& b = wp->batch;
-    const int n = b.count;
-    b.count = 0;
-    if (n == 0) return;
-    if (draw_failed_.load(std::memory_order_relaxed)) return;
-    // Scatters batch lanes [lo, lo + m) into engine lanes [0, m).
-    const auto scatter = [&](int lo, int m) {
-      for (int l = 0; l < m; ++l) {
-        const std::size_t bi = static_cast<std::size_t>(lo + l);
-        if (fc.base != nullptr) {
-          fc.at(0, l).f = static_cast<float>(b.x[bi]) + 0.5f;
-          fc.at(1, l).f = static_cast<float>(b.y[bi]) + 0.5f;
-          fc.at(2, l).f = b.depth[bi];
-          fc.at(3, l).f = 1.0f;
-        }
-        if (ff.base != nullptr) ff.at(0, l).i = b.front[bi] != 0 ? 1 : 0;
-        if (pc.base != nullptr) {
-          pc.at(0, l).f = b.point_s[bi];
-          pc.at(1, l).f = b.point_t[bi];
-        }
-      }
-      for (const LaneVaryingDst& vd : varying_dsts) {
-        for (int c = 0; c < vd.cells; ++c) {
-          const float* src =
-              &b.varyings[static_cast<std::size_t>(vd.offset + c) *
-                              kFragBatchWidth +
-                          static_cast<std::size_t>(lo)];
-          for (int l = 0; l < m; ++l) vd.value.at(c, l).f = src[l];
-        }
-      }
-    };
-    // Writes engine lane l's color output to batch lane lo + l's pixel.
-    const auto drain = [&](int lo, int l) {
-      const std::size_t bi = static_cast<std::size_t>(lo + l);
-      std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
-      if (col.base != nullptr) {
-        color = {col.at(0, l).f, col.at(1, l).f, col.at(2, l).f,
-                 col.at(3, l).f};
-      }
-      WritePixel(draw_rt_, b.x[bi], b.y[bi], b.depth[bi], color,
-                 /*depth_valid=*/true, wp->active_journal);
-    };
-    try {
-      for (int lo = 0; lo < n; lo += width) {
-        const int m = std::min(width, n - lo);
-        scatter(lo, m);
-        const std::uint32_t kept = wp->engine->RunBatch(m);
-        if (draw_budget_ != 0) CheckDrawBudget(wp);
-        ReplayTmuLog(wp, m);
-        for (int l = 0; l < m; ++l) {
-          if (((kept >> static_cast<unsigned>(l)) & 1u) != 0) drain(lo, l);
-        }
-      }
-    } catch (const glsl::ShaderRuntimeError& e) {
-      wp->error = e.what();
-      if (wp->error_kind == DrawErrorKind::kNone) {
-        wp->error_kind = DrawErrorKind::kTrap;
-      }
-      draw_failed_.store(true, std::memory_order_relaxed);
-      wp->tmu_log.clear();
-    }
-  };
+std::unique_ptr<ShadeWorker> Context::MakeWorker() {
+  auto w = std::make_unique<ShadeWorker>();
+  ShadeWorker* const wp = w.get();
+  w->alu = alu_->Fork();
+  w->texture = MakeTextureFn(wp);
+  w->flush = [this, wp] { FlushBatch(*wp); };
+  return w;
 }
 
-glsl::TextureFn Context::MakeTextureFn(ShadeStateCache::WorkerState* w) {
+void Context::FlushBatch(ShadeWorker& w) {
+  FragmentBatch& b = w.batch;
+  const int n = b.count;
+  b.count = 0;
+  if (n == 0) return;
+  if (draw_failed_.load(std::memory_order_relaxed)) return;
+  const ProgramObject::FragmentClone& stage = *w.stage;
+  const glsl::PlaneDst& fc = stage.frag_coord;
+  const glsl::PlaneDst& ff = stage.front_facing;
+  const glsl::PlaneDst& pc = stage.point_coord;
+  const glsl::PlaneDst& col = stage.color;
+  // Scatters batch lanes [lo, lo + m) into engine lanes [0, m).
+  const auto scatter = [&](int lo, int m) {
+    for (int l = 0; l < m; ++l) {
+      const std::size_t bi = static_cast<std::size_t>(lo + l);
+      if (fc.base != nullptr) {
+        fc.at(0, l).f = static_cast<float>(b.x[bi]) + 0.5f;
+        fc.at(1, l).f = static_cast<float>(b.y[bi]) + 0.5f;
+        fc.at(2, l).f = b.depth[bi];
+        fc.at(3, l).f = 1.0f;
+      }
+      if (ff.base != nullptr) ff.at(0, l).i = b.front[bi] != 0 ? 1 : 0;
+      if (pc.base != nullptr) {
+        pc.at(0, l).f = b.point_s[bi];
+        pc.at(1, l).f = b.point_t[bi];
+      }
+    }
+    for (const ProgramObject::FragmentClone::Varying& vd : stage.varyings) {
+      for (int c = 0; c < vd.cells; ++c) {
+        const float* src =
+            &b.varyings[static_cast<std::size_t>(vd.offset + c) *
+                            kFragBatchWidth +
+                        static_cast<std::size_t>(lo)];
+        for (int l = 0; l < m; ++l) vd.dst.at(c, l).f = src[l];
+      }
+    }
+  };
+  // Writes engine lane l's color output to batch lane lo + l's pixel.
+  const auto drain = [&](int lo, int l) {
+    const std::size_t bi = static_cast<std::size_t>(lo + l);
+    std::array<float, 4> color{0.0f, 0.0f, 0.0f, 0.0f};
+    if (col.base != nullptr) {
+      color = {col.at(0, l).f, col.at(1, l).f, col.at(2, l).f,
+               col.at(3, l).f};
+    }
+    WritePixel(draw_rt_, b.x[bi], b.y[bi], b.depth[bi], color,
+               /*depth_valid=*/true, w.active_journal);
+  };
+  const int width = LaneWidth();
+  try {
+    for (int lo = 0; lo < n; lo += width) {
+      const int m = std::min(width, n - lo);
+      scatter(lo, m);
+      const std::uint32_t kept = stage.engine->RunBatch(m);
+      if (draw_budget_ != 0) CheckDrawBudget(w);
+      ReplayTmuLog(w, m);
+      for (int l = 0; l < m; ++l) {
+        if (((kept >> static_cast<unsigned>(l)) & 1u) != 0) drain(lo, l);
+      }
+    }
+  } catch (const glsl::ShaderRuntimeError& e) {
+    w.error = e.what();
+    if (w.error_kind == DrawErrorKind::kNone) {
+      w.error_kind = DrawErrorKind::kTrap;
+    }
+    draw_failed_.store(true, std::memory_order_relaxed);
+  }
+}
+
+glsl::TextureFn Context::MakeTextureFn(ShadeWorker* w) {
   return [this, w](glsl::TexelFetch& f) {
     const int top = glsl::TopLane(f.mask);
-    ShadeStateCache::WorkerState::TmuRecord& rec = w->tmu_log.emplace_back();
+    ShadeWorker::TmuRecord& rec = w->tmu_log.emplace_back();
     // Lanes [0, top) grouped by texture unit — one group in the paper's
     // kernels, whose sampler is a uniform — each group's sampler, filter
     // and wrap modes resolved once.
@@ -2174,17 +2092,17 @@ glsl::TextureFn Context::MakeTextureFn(ShadeStateCache::WorkerState* w) {
   };
 }
 
-void Context::ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes) {
+void Context::ReplayTmuLog(ShadeWorker& w, int lanes) {
   for (int l = 0; l < lanes; ++l) {
     const std::uint32_t bit = 1u << static_cast<unsigned>(l);
-    for (const ShadeStateCache::WorkerState::TmuRecord& rec : w->tmu_log) {
+    for (const ShadeWorker::TmuRecord& rec : w.tmu_log) {
       if ((rec.mask & bit) != 0 &&
-          w->tmu.Access(rec.line[static_cast<std::size_t>(l)])) {
-        w->alu->CountTmuMiss(1);
+          w.tmu.Access(rec.line[static_cast<std::size_t>(l)])) {
+        w.alu->CountTmuMiss(1);
       }
     }
   }
-  w->tmu_log.clear();
+  w.tmu_log.clear();
 }
 
 }  // namespace mgpu::gles2

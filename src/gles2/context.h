@@ -143,139 +143,69 @@ struct TmuCacheModel {
   }
 };
 
-// Caches the shading state of the draw pipeline so a draw's setup cost is
-// amortized across draws instead of paid per draw. One entry per program
-// holds the vertex stage's plane views and the fragment stage's worker
-// slots. Building a slot is expensive — an engine clone (full global-store
-// copy with allocation), an AluModel fork, a TMU-cache model, plus the
-// per-draw plumbing that lives here: the batch-flush closure with its gl_*
-// slot and varying plane views, the fragment-batch scratch and the deferred
-// TMU access log, and the engine's installed texture callback.
-// None of it depends on anything but the program (the engine kind and the
-// worker count are fixed per context), so steady-state draws allocate
-// nothing at all.
-//
-// Every slot owns its state, for every engine and thread count: a serial
-// draw shades on slot 0 exactly as a pooled draw shades on slots
-// [0, workers). Per draw only the globals (uniforms) are re-synced into the
-// used slots and their counter shards reset; the shards merge into the
-// context's model when the draw commits. Invalidation: relinking or
-// deleting a program drops its entry (the cached clones pin the old
-// program).
-// Entries beyond kCapacity are evicted least-recently-drawn first, so
-// holding hundreds of linked programs cannot grow the cache unboundedly.
+// One fragment-shading worker of a context: the state a VC4 QPU keeps to
+// itself while every QPU runs the same shader code. A context builds its
+// workers lazily, up to its worker count, and keeps them for its lifetime;
+// every program shades on them, a serial draw on worker 0. Nothing here
+// depends on the program: the program's side of a worker is its fragment
+// clone (ProgramObject::FragmentClone), which `stage` names per draw. The
+// flush closure and the texture callback capture the worker's address, so
+// the context holds workers by unique_ptr.
+struct ShadeWorker {
+  // Counter shard Fork()ed from the context's model: the worker's clones do
+  // their math on it; it is reset per draw and merged when a draw commits.
+  std::unique_ptr<glsl::AluModel> alu;
+  TmuCacheModel tmu;
+  // The drawn program's clone for this worker, set per draw.
+  ProgramObject::FragmentClone* stage = nullptr;
+
+  // `flush` shades and drains `batch` (Context::FlushBatch); `texture` is
+  // installed on every clone built for this worker.
+  BatchFlushFn flush;
+  glsl::TextureFn texture;
+  FragmentBatch batch;
+  // Deferred TMU accounting: one record per texture fetch instruction of
+  // the batch in flight, in instruction order — the lanes that touched
+  // the texture cache and each one's cache line. ReplayTmuLog walks it
+  // lane-major after each RunBatch, so the modeled miss count follows
+  // the fragment-sequential access order exactly.
+  struct TmuRecord {
+    std::uint32_t mask = 0;
+    std::array<std::uint64_t, kFragBatchWidth> line{};
+  };
+  std::vector<TmuRecord> tmu_log;
+  std::string error;  // first shader runtime error this draw, if any
+  // Classification of `error` for the robustness API.
+  DrawErrorKind error_kind = DrawErrorKind::kNone;
+  // Transactional-abort undo log for the framebuffer writes this worker
+  // performed during the current draw.
+  UndoJournal journal;
+  // Journal the flush actually writes through: &journal when the current
+  // draw can abort mid-write (trap-capable fragment shader, armed
+  // watchdog, armed fault site), nullptr when it provably cannot —
+  // refreshed per draw, so the trap-free hot path pays nothing for
+  // transactional aborts.
+  UndoJournal* active_journal = nullptr;
+  // ALU ops this worker's counter shard held the last time it reported
+  // to the draw's watchdog accumulator (delta reporting keeps the
+  // budget check O(1) per batch flush).
+  std::uint64_t budget_reported = 0;
+};
+
+// Draw-state tallies, kept only for e2ebench, which reports them. A draw
+// that reaches the vertex stage is a hit when its program has been drawn
+// since it was linked, else a miss; nothing is cached apart from the
+// program, so nothing is ever evicted.
 class ShadeStateCache {
  public:
-  // One shading worker's private state and cached draw plumbing. Pointees
-  // are stable for the life of the entry (the closures and the engine's
-  // texture callback capture them by address), so WorkerStates are held by
-  // unique_ptr — lazy slot growth must not move them.
-  struct WorkerState {
-    // Counter shard Fork()ed from the context's model, and a clone of the
-    // program's fragment engine doing its math on it (declared after the
-    // shard, so it is destroyed first).
-    std::unique_ptr<glsl::AluModel> alu;
-    std::unique_ptr<glsl::ShaderEngine> engine;
-    TmuCacheModel tmu;
-
-    // Cached draw plumbing: `flush` shades and drains `batch`.
-    BatchFlushFn flush;
-    FragmentBatch batch;
-    // Deferred TMU accounting: one record per texture fetch instruction of
-    // the batch in flight, in instruction order — the lanes that touched
-    // the texture cache and each one's cache line. ReplayTmuLog walks it
-    // lane-major after each RunBatch, so the modeled miss count follows
-    // the fragment-sequential access order exactly.
-    struct TmuRecord {
-      std::uint32_t mask = 0;
-      std::array<std::uint64_t, kFragBatchWidth> line{};
-    };
-    std::vector<TmuRecord> tmu_log;
-    std::string error;  // first shader runtime error this draw, if any
-    // Classification of `error` for the robustness API.
-    DrawErrorKind error_kind = DrawErrorKind::kNone;
-    // Transactional-abort undo log for the framebuffer writes this worker
-    // performed during the current draw.
-    UndoJournal journal;
-    // Journal the cached flush closure actually writes through:
-    // &journal when the current draw can abort mid-write (trap-capable
-    // fragment shader, armed watchdog, armed fault site), nullptr when it
-    // provably cannot — refreshed per draw, so the trap-free hot path
-    // pays nothing for transactional aborts.
-    UndoJournal* active_journal = nullptr;
-    // ALU ops this worker's counter shard held the last time it reported
-    // to the draw's watchdog accumulator (delta reporting keeps the
-    // budget check O(1) per fragment / per batch flush).
-    std::uint64_t budget_reported = 0;
-  };
-
-  // Cached vertex-stage plumbing: component-plane views into the program's
-  // own vertex engine — attribute gather destinations, and gl_Position /
-  // gl_PointSize / varying scatter sources, all ShaderEngine::LaneGlobal
-  // views. The vertex stage runs on the calling thread against the
-  // program's long-lived engine; the entry's invalidation points (relink,
-  // delete) drop the views no later than the storage they aim into.
-  struct VertexState {
-    struct AttribLanes {
-      glsl::PlaneDst dst;
-      int location = -1;  // index into the context's attribute bindings
-      int cells = 0;      // components the shader-side declaration holds
-    };
-    struct VaryingSrc {
-      glsl::PlaneSrc src;
-      int cells = 0;
-      int offset = 0;  // cell offset into RasterVertex::varyings
-    };
-    // Per-draw resolved attribute sources: base/stride/type state hoisted
-    // out of the gather. Sized alongside `attribs` and fully rewritten each
-    // draw, so steady-state draws allocate nothing here.
-    struct AttribSource {
-      const std::uint8_t* base = nullptr;  // null => constant fill
-      int stride = 0;
-      GLenum type = GL_FLOAT;
-      bool normalized = false;
-      int size = 0;
-      const float* constant = nullptr;
-    };
-    std::vector<AttribLanes> attribs;
-    std::vector<AttribSource> sources;
-    std::vector<VaryingSrc> varyings;
-    // Builtin scatter sources; a null base when the stage never declares
-    // the builtin. A slot without a per-lane plane (never written) is a
-    // (1, 0) view of the shared store — the value a one-lane run reads.
-    glsl::PlaneSrc position;
-    glsl::PlaneSrc point_size;
-  };
-
-  struct Entry {
-    VertexState vertex;
-    // Grown lazily to the most workers any draw has needed (never past the
-    // configured thread count).
-    std::vector<std::unique_ptr<WorkerState>> workers;
-    std::uint64_t last_use = 0;
-  };
-
-  // Returns the program's entry, or nullptr on a miss. Hit / miss tallies
-  // feed the cache-behaviour tests.
-  [[nodiscard]] Entry* Find(GLuint program);
-  Entry& Insert(GLuint program);
-  void InvalidateProgram(GLuint program) { entries_.erase(program); }
-
-  // LRU capacity: inserting beyond it evicts the least-recently-used entry.
-  static constexpr std::size_t kCapacity = 64;
-  [[nodiscard]] std::size_t capacity() const { return kCapacity; }
-
-  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+  [[nodiscard]] std::uint64_t evictions() const { return 0; }
 
  private:
-  std::map<GLuint, Entry> entries_;
-  std::uint64_t use_tick_ = 0;
+  friend class Context;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 class Context {
@@ -405,10 +335,9 @@ class Context {
   // both are fixed at construction (see ContextConfig).
   [[nodiscard]] ExecEngine exec_engine() const { return config_.exec_engine; }
   [[nodiscard]] int shader_threads() const { return config_.shader_threads; }
-  // Cache of per-worker shading state, exposed for the cache-behaviour and
-  // invalidation tests.
+  // Draw-state hit/miss tallies; kept only for e2ebench, which reports them.
   [[nodiscard]] const ShadeStateCache& shade_state_cache() const {
-    return shade_cache_;
+    return shade_tally_;
   }
   // Last shader runtime failure during a draw ("" when none): loop budget
   // exceeded etc.; a real GPU would hang or reset. The failed draw itself
@@ -457,6 +386,16 @@ class Context {
     GLuint buffer = 0;
     std::array<float, 4> constant{0.0f, 0.0f, 0.0f, 1.0f};
   };
+  // One enabled-or-constant attribute source of the draw in flight, with
+  // its base/stride/type state hoisted out of the vertex gather.
+  struct AttribSource {
+    const std::uint8_t* base = nullptr;  // null => constant fill
+    int stride = 0;
+    GLenum type = GL_FLOAT;
+    bool normalized = false;
+    int size = 0;
+    const float* constant = nullptr;
+  };
   struct RenderTarget {
     // Exactly one of these is non-null for a complete color attachment.
     std::vector<std::uint8_t>* color = nullptr;  // RGBA8
@@ -490,16 +429,15 @@ class Context {
   // validates every VBO-backed attribute against the largest index before
   // any vertex shades, then gathers attributes for chunks of up to the
   // engine's lane width (LaneWidth) straight into the vertex engine's
-  // planes, runs each chunk through RunBatch and scatters clip position /
-  // point size / varyings back into `verts` in lane order. Returns the program's shade-state entry (its
-  // vertex views resolved once, on the miss that creates it), or nullptr
-  // after fully reporting a draw abort (attribute fetch failure, watchdog
-  // trip, shader trap) — the caller just returns.
-  ShadeStateCache::Entry* ShadeVertices(
-      ProgramObject* prog, GLsizei count,
-      const std::function<GLuint(GLsizei)>& index_at,
-      std::vector<RasterVertex>& verts,
-      const glsl::OpCounts& draw_start_counts);
+  // planes through the program's vertex views, runs each chunk through
+  // RunBatch and scatters clip position / point size / varyings back into
+  // `verts` in lane order. Returns false after fully reporting a draw abort
+  // (attribute fetch failure, watchdog trip, shader trap) — the caller
+  // just returns.
+  bool ShadeVertices(ProgramObject* prog, GLsizei count,
+                     const std::function<GLuint(GLsizei)>& index_at,
+                     std::vector<RasterVertex>& verts,
+                     const glsl::OpCounts& draw_start_counts);
   void DrawGeneric(GLenum mode, GLsizei count,
                    const std::function<GLuint(GLsizei)>& index_at);
   // Reports a draw abort of `kind` (see DrawErrorKind): restores the
@@ -517,7 +455,10 @@ class Context {
   // per-draw accumulator and throws a ShaderRuntimeError (kind kBudget) if
   // the draw's total exceeds draw_budget_. Deterministic trip-vs-not: the
   // total is monotone toward an engine- and thread-invariant final sum.
-  void CheckDrawBudget(ShadeStateCache::WorkerState* w);
+  void CheckDrawBudget(ShadeWorker& w);
+  // Builds the next shading worker: its counter shard, flush closure and
+  // texture callback.
+  [[nodiscard]] std::unique_ptr<ShadeWorker> MakeWorker();
   // The worker's batched texture fetch, for every engine: groups the
   // fetch's lanes by texture unit, resolves each group's sampler from the
   // per-draw sampler table once (contents are immutable during a draw),
@@ -525,15 +466,18 @@ class Context {
   // w->tmu_log, which the flush replays through the worker's cache model
   // and counter shard (thread-safe: each worker owns its log, cache and
   // counters).
-  [[nodiscard]] glsl::TextureFn MakeTextureFn(ShadeStateCache::WorkerState* w);
+  [[nodiscard]] glsl::TextureFn MakeTextureFn(ShadeWorker* w);
   // Replays the TMU log of `w` for lanes [0, lanes), lane-ascending and
   // each lane in instruction order, then clears it.
-  static void ReplayTmuLog(ShadeStateCache::WorkerState* w, int lanes);
-  // Builds a worker slot's cached draw plumbing — texture callback and
-  // batch flush, with the program's gl_* slot and varying destinations
-  // resolved once into the engine's LaneGlobal plane views.
-  void BuildWorkerPlumbing(ShadeStateCache::WorkerState& w,
-                           ProgramObject* prog);
+  static void ReplayTmuLog(ShadeWorker& w, int lanes);
+  // The worker's batch flush: scatters `w.batch` into the engine's
+  // per-fragment input planes of `w.stage`, shades it, replays the deferred
+  // TMU accesses in lane order (the fragment-sequential texture-cache
+  // order) and drains surviving lanes to the framebuffer in emission order,
+  // in chunks of the engine's lane width: the batched VM shades the whole
+  // batch in one RunBatch pass, the oracles one lane per pass, stopping at
+  // the first trapping lane.
+  void FlushBatch(ShadeWorker& w);
 
   ContextConfig config_;
   glsl::ExactAlu default_alu_;
@@ -551,6 +495,11 @@ class Context {
   // decision is deterministic even though intermediate interleavings vary).
   std::atomic<std::uint64_t> draw_alu_used_{0};
 
+  // Fragment-shading workers, grown lazily up to shade_workers_ (see
+  // ShadeWorker). Declared before programs_: the programs' fragment clones
+  // count on the workers' shards, so they must be destroyed first.
+  std::vector<std::unique_ptr<ShadeWorker>> workers_;
+
   GLuint next_id_ = 1;
   std::map<GLuint, std::unique_ptr<ShaderObject>> shaders_;
   std::map<GLuint, std::unique_ptr<ProgramObject>> programs_;
@@ -562,9 +511,8 @@ class Context {
   // Worker pool for the tiled fragment pipeline (shade_workers_ threads),
   // created lazily on the first parallel draw.
   std::unique_ptr<common::ThreadPool> pool_;
-  // Cached per-program shading state; see ShadeStateCache.
-  ShadeStateCache shade_cache_;
-  // Per-draw state the cached flush closures reach through stable
+  ShadeStateCache shade_tally_;
+  // Per-draw state the workers' flush closures reach through stable
   // addresses: the resolved render target and the first-failure latch.
   RenderTarget draw_rt_;
   std::atomic<bool> draw_failed_{false};
@@ -577,11 +525,13 @@ class Context {
   };
   std::array<DrawSampler, 8> draw_samplers_{};
   // Draw-loop scratch, context-owned so steady-state draws recycle the
-  // allocations: the sparse tile binner, the decoded vertex indices, the
-  // post-transform vertex array (inner varying vectors keep their capacity
-  // too), the assembled primitive list, and the non-empty-tile work list.
+  // allocations: the tile binner, the decoded vertex indices, the resolved
+  // attribute sources, the post-transform vertex array (inner varying
+  // vectors keep their capacity too), the assembled primitive list, and
+  // the non-empty-tile work list.
   TileBinner binner_;
   std::vector<GLuint> scratch_indices_;
+  std::vector<AttribSource> scratch_sources_;
   std::vector<RasterVertex> scratch_verts_;
   std::vector<TilePrim> scratch_prims_;
   std::vector<std::uint32_t> scratch_work_;

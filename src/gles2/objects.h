@@ -105,11 +105,60 @@ struct ProgramObject {
   // Link products: the compiled shaders, declared first so they outlive
   // the engines built from them, and one engine per stage, of the kind the
   // linking context draws with. Uniforms are written into these engines;
-  // draws sync them into the shade-cache clones.
+  // draws sync them into the fragment clones.
   std::shared_ptr<const glsl::CompiledShader> vs;
   std::shared_ptr<const glsl::CompiledShader> fs;
   std::unique_ptr<glsl::ShaderEngine> vertex;
   std::unique_ptr<glsl::ShaderEngine> fragment;
+
+  // The vertex stage's plane views into `vertex`, resolved once per link:
+  // attribute gather destinations and the gl_Position / gl_PointSize /
+  // varying scatter sources. The vertex stage runs on the calling thread
+  // against `vertex` itself. A builtin the stage never declares has a null
+  // base; a slot without a per-lane plane (never written) is a (1, 0) view
+  // of the shared store, the value a one-lane run reads.
+  struct VertexViews {
+    struct Attrib {
+      glsl::PlaneDst dst;
+      int location = -1;  // index into the context's attribute bindings
+      int cells = 0;      // components the shader-side declaration holds
+    };
+    struct Varying {
+      glsl::PlaneSrc src;
+      int cells = 0;
+      int offset = 0;  // cell offset into RasterVertex::varyings
+    };
+    std::vector<Attrib> attribs;
+    std::vector<Varying> varyings;
+    glsl::PlaneSrc position;
+    glsl::PlaneSrc point_size;
+  };
+  VertexViews vertex_views;
+
+  // One shading worker's copy of the fragment stage: a clone of `fragment`
+  // doing its math on that worker's counter shard and fetching through its
+  // texture callback, with the gl_* and varying plane views the worker's
+  // batch flush writes and reads. Clone i belongs to the context's worker
+  // i; it is built the first time that worker shades this program and
+  // re-synced from `fragment` on every later draw. A relink or a delete
+  // drops the clones with the engines.
+  struct FragmentClone {
+    struct Varying {
+      glsl::PlaneDst dst;
+      int cells = 0;
+      int offset = 0;  // cell offset into FragmentBatch::varyings
+    };
+    std::unique_ptr<glsl::ShaderEngine> engine;
+    glsl::PlaneDst frag_coord;
+    glsl::PlaneDst front_facing;
+    glsl::PlaneDst point_coord;
+    glsl::PlaneDst color;  // gl_FragColor or gl_FragData, whichever is used
+    std::vector<Varying> varyings;
+  };
+  std::vector<FragmentClone> fragment_clones;
+  // Whether a draw has reached the vertex stage since the last link; read
+  // only by the Context::shade_state_cache() tallies.
+  bool drawn = false;
   std::vector<VaryingLink> varyings;
   // Whether the fragment stage can trap at runtime (VmProgram::CanTrap on
   // the lowered bytecode). Cached at link so the draw loop's
@@ -143,12 +192,20 @@ struct ProgramObject {
 
 // Links `prog` from its attached, successfully compiled shaders. Fills all
 // link products, building each stage's engine of kind `engine` (never
-// kCompiled) on `alu`, which is charged the global initializers' ops; on
-// failure sets link_ok = false and the info log.
+// kCompiled) on `alu`, which is charged the global initializers' ops, and
+// resolving the vertex views; on failure sets link_ok = false and the info
+// log. Either way the previous link's engines and clones are gone.
 void LinkProgram(ProgramObject& prog,
                  const std::map<GLuint, std::unique_ptr<ShaderObject>>& shaders,
                  glsl::AluModel& alu, const glsl::Limits& limits,
                  ExecEngine engine);
+
+// Clones the linked `prog`'s fragment engine for a shading worker that
+// counts on `alu` and fetches texels through `texture`, and resolves the
+// clone's plane views. Charges no ops.
+[[nodiscard]] ProgramObject::FragmentClone CloneFragmentStage(
+    const ProgramObject& prog, glsl::AluModel& alu,
+    const glsl::TextureFn& texture);
 
 }  // namespace mgpu::gles2
 

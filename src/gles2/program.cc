@@ -15,134 +15,18 @@ using glsl::Qualifier;
 using glsl::Type;
 using glsl::VarDecl;
 
-// Walks every expression of a compiled shader, calling fn(const Expr&).
-template <typename F>
-void ForEachExpr(const glsl::Expr* e, F& fn) {
-  if (e == nullptr) return;
-  fn(*e);
-  using glsl::ExprKind;
-  switch (e->kind) {
-    case ExprKind::kCall: {
-      const auto& c = static_cast<const glsl::CallExpr&>(*e);
-      for (const auto& a : c.args) ForEachExpr(a.get(), fn);
-      break;
-    }
-    case ExprKind::kCtor: {
-      const auto& c = static_cast<const glsl::CtorExpr&>(*e);
-      for (const auto& a : c.args) ForEachExpr(a.get(), fn);
-      break;
-    }
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const glsl::BinaryExpr&>(*e);
-      ForEachExpr(b.lhs.get(), fn);
-      ForEachExpr(b.rhs.get(), fn);
-      break;
-    }
-    case ExprKind::kUnary:
-      ForEachExpr(static_cast<const glsl::UnaryExpr&>(*e).operand.get(), fn);
-      break;
-    case ExprKind::kAssign: {
-      const auto& a = static_cast<const glsl::AssignExpr&>(*e);
-      ForEachExpr(a.lhs.get(), fn);
-      ForEachExpr(a.rhs.get(), fn);
-      break;
-    }
-    case ExprKind::kTernary: {
-      const auto& t = static_cast<const glsl::TernaryExpr&>(*e);
-      ForEachExpr(t.cond.get(), fn);
-      ForEachExpr(t.then_expr.get(), fn);
-      ForEachExpr(t.else_expr.get(), fn);
-      break;
-    }
-    case ExprKind::kIndex: {
-      const auto& ix = static_cast<const glsl::IndexExpr&>(*e);
-      ForEachExpr(ix.base.get(), fn);
-      ForEachExpr(ix.index.get(), fn);
-      break;
-    }
-    case ExprKind::kSwizzle:
-      ForEachExpr(static_cast<const glsl::SwizzleExpr&>(*e).base.get(), fn);
-      break;
-    case ExprKind::kComma: {
-      const auto& c = static_cast<const glsl::CommaExpr&>(*e);
-      ForEachExpr(c.lhs.get(), fn);
-      ForEachExpr(c.rhs.get(), fn);
-      break;
-    }
-    default:
-      break;
-  }
+// The engine's view of global `slot` in the draw stages. A null base marks
+// a slot the program does not use (slot < 0).
+glsl::PlaneDst GlobalPlane(glsl::ShaderEngine& engine, int slot) {
+  if (slot < 0) return {};
+  return engine.LaneGlobal(slot);
 }
 
-template <typename F>
-void ForEachStmtExpr(const glsl::Stmt* s, F& fn) {
-  if (s == nullptr) return;
-  using glsl::StmtKind;
-  switch (s->kind) {
-    case StmtKind::kExpr:
-      ForEachExpr(static_cast<const glsl::ExprStmt&>(*s).expr.get(), fn);
-      break;
-    case StmtKind::kDecl:
-      for (const auto& d : static_cast<const glsl::DeclStmt&>(*s).decls) {
-        ForEachExpr(d->init.get(), fn);
-      }
-      break;
-    case StmtKind::kIf: {
-      const auto& is = static_cast<const glsl::IfStmt&>(*s);
-      ForEachExpr(is.cond.get(), fn);
-      ForEachStmtExpr(is.then_stmt.get(), fn);
-      ForEachStmtExpr(is.else_stmt.get(), fn);
-      break;
-    }
-    case StmtKind::kFor: {
-      const auto& fs = static_cast<const glsl::ForStmt&>(*s);
-      ForEachStmtExpr(fs.init.get(), fn);
-      ForEachExpr(fs.cond.get(), fn);
-      ForEachExpr(fs.step.get(), fn);
-      ForEachStmtExpr(fs.body.get(), fn);
-      break;
-    }
-    case StmtKind::kWhile: {
-      const auto& ws = static_cast<const glsl::WhileStmt&>(*s);
-      ForEachExpr(ws.cond.get(), fn);
-      ForEachStmtExpr(ws.body.get(), fn);
-      break;
-    }
-    case StmtKind::kDoWhile: {
-      const auto& ds = static_cast<const glsl::DoWhileStmt&>(*s);
-      ForEachStmtExpr(ds.body.get(), fn);
-      ForEachExpr(ds.cond.get(), fn);
-      break;
-    }
-    case StmtKind::kReturn:
-      ForEachExpr(static_cast<const glsl::ReturnStmt&>(*s).value.get(), fn);
-      break;
-    case StmtKind::kBlock:
-      for (const auto& st : static_cast<const glsl::BlockStmt&>(*s).stmts) {
-        ForEachStmtExpr(st.get(), fn);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-// True if the shader statically references the variable `name`.
-bool ReferencesVariable(const CompiledShader& cs, const std::string& name) {
-  bool found = false;
-  auto fn = [&](const glsl::Expr& e) {
-    if (e.kind == glsl::ExprKind::kVarRef &&
-        static_cast<const glsl::VarRefExpr&>(e).name == name) {
-      found = true;
-    }
-  };
-  for (const auto& f : cs.tu->functions) {
-    ForEachStmtExpr(f->body.get(), fn);
-  }
-  for (const auto& g : cs.tu->globals) {
-    ForEachExpr(g->init.get(), fn);
-  }
-  return found;
+// True if the fragment shader statically uses the output `name`: sema
+// marked it on resolving a reference, in any function, called or not.
+bool UsesOutput(const CompiledShader& cs, const std::string& name) {
+  const VarDecl* decl = cs.FindGlobal(name);
+  return decl != nullptr && decl->referenced;
 }
 
 void Fail(ProgramObject& prog, std::string msg) {
@@ -159,7 +43,11 @@ void LinkProgram(ProgramObject& prog,
   prog.linked = true;
   prog.link_ok = true;
   prog.info_log.clear();
-  // The old engines may reference the shaders of the previous link.
+  // The old engines may reference the shaders of the previous link, and
+  // the views and clones aim into the old engines.
+  prog.vertex_views = {};
+  prog.fragment_clones.clear();
+  prog.drawn = false;
   prog.vertex.reset();
   prog.fragment.reset();
   prog.varyings.clear();
@@ -304,8 +192,8 @@ void LinkProgram(ProgramObject& prog,
   }
 
   // --- fragment output discovery (paper challenge 8: exactly one output).
-  const bool uses_color = ReferencesVariable(*prog.fs, "gl_FragColor");
-  const bool uses_data = ReferencesVariable(*prog.fs, "gl_FragData");
+  const bool uses_color = UsesOutput(*prog.fs, "gl_FragColor");
+  const bool uses_data = UsesOutput(*prog.fs, "gl_FragData");
   if (uses_color && uses_data) {
     Fail(prog, "fragment shader statically uses both gl_FragColor and "
                "gl_FragData");
@@ -334,6 +222,41 @@ void LinkProgram(ProgramObject& prog,
   prog.fs_frag_coord_slot = prog.fragment->GlobalSlot("gl_FragCoord");
   prog.fs_front_facing_slot = prog.fragment->GlobalSlot("gl_FrontFacing");
   prog.fs_point_coord_slot = prog.fragment->GlobalSlot("gl_PointCoord");
+
+  // Uniform (non-lane) slots resolve to the shared store, so a uniform
+  // write needs nothing extra here.
+  ProgramObject::VertexViews& v = prog.vertex_views;
+  const auto plane = [&](int slot) { return GlobalPlane(*prog.vertex, slot); };
+  v.position = plane(prog.vs_position_slot);
+  v.point_size = plane(prog.vs_point_size_slot);
+  v.attribs.reserve(prog.attribs.size());
+  for (const AttribInfo& ai : prog.attribs) {
+    v.attribs.push_back(
+        {plane(ai.vs_slot), ai.location, std::min(ai.type.CellCount(), 4)});
+  }
+  v.varyings.reserve(prog.varyings.size());
+  for (const VaryingLink& link : prog.varyings) {
+    v.varyings.push_back({plane(link.vs_slot), link.cells, link.offset});
+  }
+}
+
+ProgramObject::FragmentClone CloneFragmentStage(
+    const ProgramObject& prog, glsl::AluModel& alu,
+    const glsl::TextureFn& texture) {
+  ProgramObject::FragmentClone c;
+  c.engine = prog.fragment->Clone(alu);
+  c.engine->SetTextureFn(texture);
+  const auto plane = [&](int slot) { return GlobalPlane(*c.engine, slot); };
+  c.frag_coord = plane(prog.fs_frag_coord_slot);
+  c.front_facing = plane(prog.fs_front_facing_slot);
+  c.point_coord = plane(prog.fs_point_coord_slot);
+  c.color = plane(prog.uses_frag_data ? prog.fs_frag_data_slot
+                                      : prog.fs_frag_color_slot);
+  c.varyings.reserve(prog.varyings.size());
+  for (const VaryingLink& link : prog.varyings) {
+    c.varyings.push_back({plane(link.fs_slot), link.cells, link.offset});
+  }
+  return c;
 }
 
 }  // namespace mgpu::gles2

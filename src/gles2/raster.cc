@@ -271,18 +271,57 @@ namespace {
 // fn(t, px, py) for each deduplicated step, pre-target-clip; fn returning
 // false stops the walk (used to bail once a monotone walk has passed its
 // clip rect for good).
+//
+// Step i of `steps` sits at t = i / steps. Only the steps where the line
+// lies inside the target grown by one pixel on every side can land a
+// pixel in the target, so the walk starts one step before that parameter
+// range and ends one step after it: a line with a vertex far outside the
+// viewport costs O(target size), not O(its length), and the steps it skips
+// are ones whose pixels lie outside the target. The first step walked lies
+// before the range, off the target on the near side of each axis it has
+// not yet entered, so it emits nothing and cannot stop the walk; from then
+// on the dedup sees the same steps as a walk from i = 0.
 template <typename Fn>
-void WalkLine(const DeviceVertex& a, const DeviceVertex& b, Fn&& fn) {
+void WalkLine(const DeviceVertex& a, const DeviceVertex& b, int target_w,
+              int target_h, Fn&& fn) {
   const double dx = b.x - a.x;
   const double dy = b.y - a.y;
-  const int steps =
-      std::max(1, static_cast<int>(std::ceil(std::max(std::fabs(dx),
-                                                      std::fabs(dy)))));
+  const double len = std::ceil(std::max(std::fabs(dx), std::fabs(dy)));
+  if (!(len < 0x1p53)) return;  // NaN or inf, or past exact i / steps
+  const std::int64_t steps = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(len));
+  // Parameter range [t0, t1] inside the grown target, axis by axis.
+  double t0 = 0.0;
+  double t1 = 1.0;
+  const auto clip_axis = [&](double p, double d, int size) {
+    const double lo = -1.0;
+    const double hi = size + 1.0;
+    if (d == 0.0) {
+      if (p < lo || p > hi) t1 = -1.0;
+      return;
+    }
+    const double ta = (lo - p) / d;
+    const double tb = (hi - p) / d;
+    t0 = std::max(t0, std::min(ta, tb));
+    t1 = std::min(t1, std::max(ta, tb));
+  };
+  clip_axis(a.x, dx, target_w);
+  clip_axis(a.y, dy, target_h);
+  if (!(t0 <= t1)) return;
+  const double fsteps = static_cast<double>(steps);
+  const std::int64_t first = std::max<std::int64_t>(
+      0, static_cast<std::int64_t>(std::floor(t0 * fsteps)) - 1);
+  const std::int64_t last = std::min<std::int64_t>(
+      steps, static_cast<std::int64_t>(std::ceil(t1 * fsteps)) + 1);
+  // Walk pixels outside the grown target saturate: they never emit.
+  const auto pixel = [](double v) {
+    return static_cast<int>(std::fmax(-2.0, std::fmin(std::floor(v), 0x1p30)));
+  };
   int last_x = INT_MIN, last_y = INT_MIN;
-  for (int i = 0; i <= steps; ++i) {
-    const double t = static_cast<double>(i) / steps;
-    const int px = static_cast<int>(std::floor(a.x + t * dx));
-    const int py = static_cast<int>(std::floor(a.y + t * dy));
+  for (std::int64_t i = first; i <= last; ++i) {
+    const double t = static_cast<double>(i) / fsteps;
+    const int px = pixel(a.x + t * dx);
+    const int py = pixel(a.y + t * dy);
     if (px == last_x && py == last_y) continue;
     last_x = px;
     last_y = py;
@@ -305,7 +344,8 @@ void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
   // skips steps that emit nothing, so the emitted sequence is unchanged.
   const bool x_inc = b.x >= a.x;
   const bool y_inc = b.y >= a.y;
-  WalkLine(a, b, [&](double t, int px, int py) {
+  WalkLine(a, b, state.target_w, state.target_h,
+           [&](double t, int px, int py) {
     if ((x_inc ? px >= state.clip_x1 : px < state.clip_x0) ||
         (y_inc ? py >= state.clip_y1 : py < state.clip_y0)) {
       return false;
@@ -414,7 +454,8 @@ void LineTouchedTiles(const RasterVertex& v0, const RasterVertex& v1,
   const bool x_inc = b.x >= a.x;
   const bool y_inc = b.y >= a.y;
   int last_tx = INT_MIN, last_ty = INT_MIN;
-  WalkLine(a, b, [&](double, int px, int py) {
+  WalkLine(a, b, state.target_w, state.target_h,
+           [&](double, int px, int py) {
     // Monotone walk: once past the target's far side on either axis the
     // line never comes back in.
     if ((x_inc ? px >= state.target_w : px < 0) ||

@@ -10,78 +10,59 @@ namespace mgpu::gles2 {
 
 namespace {
 
-// Fibonacci hashing spreads consecutive row-major tile indices (the common
-// case: a bounding box walks them in order) across the table.
-inline std::size_t HashTile(std::uint32_t tile_index, std::size_t mask) {
-  return static_cast<std::size_t>(
-             (static_cast<std::uint64_t>(tile_index) * 0x9E3779B97F4A7C15ull) >>
-             32) &
-         mask;
+// Row-major index of the tile whose rect starts at (x0, y0).
+std::uint32_t TileIndexOf(const PixelRect& rect, int tiles_x) {
+  return static_cast<std::uint32_t>(rect.y0 / kTileSize) *
+             static_cast<std::uint32_t>(tiles_x) +
+         static_cast<std::uint32_t>(rect.x0 / kTileSize);
 }
 
 }  // namespace
 
 void TileBinner::BeginDraw(int target_w, int target_h) {
+  // Empty the index entries the previous draw used (under its grid), so
+  // clearing costs O(touched tiles); the slots keep their storage (slot
+  // prims are cleared on reuse in SlotFor, which preserves their capacity
+  // too).
+  for (std::size_t i = 0; i < used_; ++i) {
+    index_[TileIndexOf(slots_[i].rect, tiles_x_)] = kNoSlot;
+  }
+  used_ = 0;
+  const int tiles_x = std::max(0, (target_w + kTileSize - 1) / kTileSize);
+  const int tiles_y = std::max(0, (target_h + kTileSize - 1) / kTileSize);
+  const std::size_t tiles =
+      static_cast<std::size_t>(tiles_x) * static_cast<std::size_t>(tiles_y);
+  if (tiles > index_.size()) {
+    // Injectable growth failure: binning happens before any framebuffer
+    // write, so the context turns this into a clean no-op draw. A failed
+    // grow keeps the previous grid, with every bin empty.
+    if (fault::ShouldFail(fault::Site::kBinnerGrow)) throw std::bad_alloc();
+    index_.resize(tiles, kNoSlot);
+  }
   target_w_ = target_w;
   target_h_ = target_h;
-  tiles_x_ = std::max(0, (target_w + kTileSize - 1) / kTileSize);
-  tiles_y_ = std::max(0, (target_h + kTileSize - 1) / kTileSize);
-  used_ = 0;
-  // Invalidate every table entry by moving to a fresh stamp; the slots and
-  // the table keep their storage (slot prims are cleared on reuse in
-  // SlotFor, which preserves their capacity too).
-  ++stamp_;
+  tiles_x_ = tiles_x;
+  tiles_y_ = tiles_y;
 }
 
 TileBinner::Tile& TileBinner::SlotFor(int tx, int ty) {
-  const std::uint32_t tile_index =
-      static_cast<std::uint32_t>(ty) * static_cast<std::uint32_t>(tiles_x_) +
-      static_cast<std::uint32_t>(tx);
-  // Grow at 50% load so probe chains stay short. Doubling on a high-water
-  // mark means a steady-state draw loop stops growing after its first lap.
-  if (table_.empty() || (used_ + 1) * 2 > table_.size()) {
-    // Injectable growth failure: binning happens before any framebuffer
-    // write, so the context turns this into a clean no-op draw.
+  std::uint32_t& slot =
+      index_[static_cast<std::size_t>(ty) * static_cast<std::size_t>(tiles_x_) +
+             static_cast<std::size_t>(tx)];
+  if (slot != kNoSlot) return slots_[slot];
+  if (used_ == slots_.size()) {
+    // Injectable growth failure, as in BeginDraw.
     if (fault::ShouldFail(fault::Site::kBinnerGrow)) throw std::bad_alloc();
-    Rehash(std::max<std::size_t>(16, (used_ + 1) * 4));
+    slots_.emplace_back();
   }
-  const std::size_t mask = table_.size() - 1;
-  std::size_t at = HashTile(tile_index, mask);
-  for (;;) {
-    TableEntry& e = table_[at];
-    if (e.stamp != stamp_) {
-      // Free (or stale from an earlier draw): claim it and a slot.
-      e.tile_index = tile_index;
-      e.stamp = stamp_;
-      e.slot = static_cast<std::uint32_t>(used_);
-      if (used_ == slots_.size()) {
-        slots_.emplace_back();
-      }
-      Tile& t = slots_[used_++];
-      t.prims.clear();  // keeps capacity from previous draws
-      t.rect.x0 = tx * kTileSize;
-      t.rect.y0 = ty * kTileSize;
-      t.rect.x1 = std::min(t.rect.x0 + kTileSize, target_w_);
-      t.rect.y1 = std::min(t.rect.y0 + kTileSize, target_h_);
-      return t;
-    }
-    if (e.tile_index == tile_index) return slots_[e.slot];
-    at = (at + 1) & mask;
-  }
-}
-
-void TileBinner::Rehash(std::size_t min_entries) {
-  std::size_t n = 16;
-  while (n < min_entries) n *= 2;
-  std::vector<TableEntry> old = std::move(table_);
-  table_.assign(n, TableEntry{});
-  const std::size_t mask = n - 1;
-  for (const TableEntry& e : old) {
-    if (e.stamp != stamp_) continue;
-    std::size_t at = HashTile(e.tile_index, mask);
-    while (table_[at].stamp == stamp_) at = (at + 1) & mask;
-    table_[at] = e;
-  }
+  slot = static_cast<std::uint32_t>(used_);
+  Tile& t = slots_[used_++];
+  t.prims.clear();  // keeps capacity from previous draws
+  t.rect.x0 = tx * kTileSize;
+  t.rect.y0 = ty * kTileSize;
+  t.rect.x1 = std::min(t.rect.x0 + kTileSize, target_w_);
+  t.rect.y1 = std::min(t.rect.y0 + kTileSize, target_h_);
+  return t;
 }
 
 void TileBinner::Bin(std::uint32_t prim_index, const PixelRect& bounds) {
@@ -103,12 +84,8 @@ void TileBinner::BinTile(std::uint32_t prim_index, int tx, int ty) {
 }
 
 const TileBinner::Tile& TileBinner::tile(std::uint32_t index) const {
-  if (!table_.empty()) {
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t at = HashTile(index, mask);
-         table_[at].stamp == stamp_; at = (at + 1) & mask) {
-      if (table_[at].tile_index == index) return slots_[table_[at].slot];
-    }
+  if (index < index_.size() && index_[index] != kNoSlot) {
+    return slots_[index_[index]];
   }
   // Contract violation (an index not binned this draw): an empty tile is
   // the harmless answer — its rect rasterizes nothing.
@@ -123,11 +100,7 @@ void TileBinner::NonEmptyTiles(std::vector<std::uint32_t>* out) const {
   // Recover each used slot's row-major index from its rect (cheaper than
   // storing it twice) and sort ascending to reproduce the dense grid walk.
   for (std::size_t i = 0; i < used_; ++i) {
-    const Tile& t = slots_[i];
-    out->push_back(
-        static_cast<std::uint32_t>(t.rect.y0 / kTileSize) *
-            static_cast<std::uint32_t>(tiles_x_) +
-        static_cast<std::uint32_t>(t.rect.x0 / kTileSize));
+    out->push_back(TileIndexOf(slots_[i].rect, tiles_x_));
   }
   std::sort(out->begin(), out->end());
 }

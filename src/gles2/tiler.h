@@ -11,12 +11,12 @@
 // primitive submission order, the shaded result is byte-identical for any
 // tile execution order and any worker count.
 //
-// The binner is *sparse*: storage scales with the tiles a draw actually
-// touches, not with the width x height tile grid of the target. Bins live
-// in a compact slot list addressed through a stamped open-addressed hash
-// table, and BeginDraw recycles all of it — slots, their prims vectors, and
-// the table — so a steady-state draw loop performs no per-draw allocation
-// and a tiny draw on a huge target costs O(touched tiles), not O(grid).
+// Bins live in a compact slot list, one slot per tile a draw touches,
+// addressed through a dense per-tile index sized to the tile grid (at most
+// 64x64 entries for a 4096x4096 target). BeginDraw clears only the index
+// entries the previous draw used and recycles the slots and their prims
+// vectors, so a steady-state draw loop performs no per-draw allocation and
+// a tiny draw on a big target costs O(touched tiles), not O(grid).
 #ifndef MGPU_GLES2_TILER_H_
 #define MGPU_GLES2_TILER_H_
 
@@ -56,8 +56,8 @@ class TileBinner {
 
   // Prepares for a new draw over a target_w x target_h target, dropping all
   // bins of the previous draw. Reuses every prior heap allocation (tile
-  // slots, their prims vectors, the hash table), so repeated draws allocate
-  // only when they touch more tiles than any draw before them.
+  // slots, their prims vectors, the index), so repeated draws allocate only
+  // when they touch more tiles, or a bigger grid, than any draw before.
   void BeginDraw(int target_w, int target_h);
 
   [[nodiscard]] int tiles_x() const { return tiles_x_; }
@@ -88,24 +88,17 @@ class TileBinner {
   }
 
   // Heap telemetry for the allocation-reuse tests: the number of tile slots
-  // and hash-table entries currently reserved. Steady-state draw loops must
-  // keep both constant (BeginDraw never shrinks, Bin only grows on a
-  // high-water mark).
+  // and index entries currently reserved. Steady-state draw loops must keep
+  // both constant (BeginDraw never shrinks, Bin only grows on a high-water
+  // mark).
   [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
-  [[nodiscard]] std::size_t table_capacity() const { return table_.size(); }
+  [[nodiscard]] std::size_t index_capacity() const { return index_.size(); }
 
  private:
-  // Open-addressed hash entry mapping a row-major tile index to a slot.
-  // `stamp` ties the entry to one draw: BeginDraw bumps the stamp instead
-  // of clearing the table, so stale entries are simply invisible.
-  struct TableEntry {
-    std::uint32_t tile_index = 0;
-    std::uint32_t slot = 0;
-    std::uint64_t stamp = 0;
-  };
+  // Index entry of a tile no bin holds this draw.
+  static constexpr std::uint32_t kNoSlot = ~0u;
 
   [[nodiscard]] Tile& SlotFor(int tx, int ty);
-  void Rehash(std::size_t min_entries);
 
   int target_w_ = 0;
   int target_h_ = 0;
@@ -113,8 +106,9 @@ class TileBinner {
   int tiles_y_ = 0;
   std::vector<Tile> slots_;   // first used_ entries belong to this draw
   std::size_t used_ = 0;
-  std::vector<TableEntry> table_;  // size is a power of two (or empty)
-  std::uint64_t stamp_ = 0;
+  // Row-major tile index -> slot, kNoSlot when empty; at least
+  // tiles_x_ * tiles_y_ entries.
+  std::vector<std::uint32_t> index_;
 };
 
 }  // namespace mgpu::gles2

@@ -333,7 +333,7 @@ class AluModel {
   // counters, for use as a per-worker counter shard by the fragment
   // pipeline (every shading slot, serial or pooled, owns one).
   //
-  // Shard reuse contract: the gles2 shade-state cache keeps a Fork()ed
+  // Shard reuse contract: each gles2 shading worker keeps a Fork()ed
   // shard alive across draws and re-arms it per draw with ResetCounts()
   // instead of re-forking. A subclass must therefore keep all non-counter
   // state immutable after construction (precision behaviour a pure

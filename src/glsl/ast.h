@@ -182,6 +182,9 @@ struct VarDecl {
   // Annotations.
   int slot = -1;
   bool is_builtin = false;  // gl_* variable synthesized by sema
+  // Global only: some expression of the shader names it (static use),
+  // whether or not the function holding that expression is ever called.
+  bool referenced = false;
 };
 
 struct BlockStmt;

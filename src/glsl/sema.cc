@@ -565,6 +565,7 @@ class Sema {
         v.slot = decl->slot;
         v.scope = (decl->is_param || IsLocal(decl)) ? VarScope::kLocal
                                                     : VarScope::kGlobal;
+        if (v.scope == VarScope::kGlobal) decl->referenced = true;
         e.type = decl->type;
         return e.type;
       }

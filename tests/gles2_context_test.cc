@@ -276,6 +276,95 @@ TEST(ContextTest, GlFragDataZeroWorksAsOutput) {
   EXPECT_EQ(px[2], 255);
 }
 
+// Paper challenge 8: one fragment output. Static use decides, so a use in
+// a function main never calls counts too.
+TEST(ContextTest, BothFragmentOutputsFailToLink) {
+  for (const char* fs : {
+           "precision mediump float;\nvoid main() { gl_FragColor = "
+           "vec4(1.0); gl_FragData[0] = vec4(0.5); }",
+           "precision mediump float;\nvoid unused() { gl_FragData[0] = "
+           "vec4(0.5); }\nvoid main() { gl_FragColor = vec4(1.0); }",
+       }) {
+    SCOPED_TRACE(fs);
+    Context ctx(SmallConfig());
+    const GLuint p = ctx.CreateProgram();
+    ctx.AttachShader(p, CompileShaderOrDie(ctx, GL_VERTEX_SHADER,
+                                           testutil::kPassthroughVs));
+    ctx.AttachShader(p, CompileShaderOrDie(ctx, GL_FRAGMENT_SHADER, fs));
+    ctx.LinkProgram(p);
+    GLint ok = GL_TRUE;
+    ctx.GetProgramiv(p, GL_LINK_STATUS, &ok);
+    EXPECT_EQ(ok, GL_FALSE);
+    EXPECT_TRUE(Contains(ctx.GetProgramInfoLog(p), "gl_FragData"))
+        << ctx.GetProgramInfoLog(p);
+  }
+}
+
+TEST(ContextTest, FragDataAloneLinksAndDraws) {
+  Context ctx(SmallConfig());
+  const GLuint p = ctx.CreateProgram();
+  ctx.AttachShader(p, CompileShaderOrDie(ctx, GL_VERTEX_SHADER,
+                                         testutil::kPassthroughVs));
+  ctx.AttachShader(
+      p, CompileShaderOrDie(ctx, GL_FRAGMENT_SHADER,
+                            "precision mediump float;\nvoid main() { "
+                            "gl_FragData[0] = vec4(0.0, 1.0, 0.0, 1.0); }"));
+  ctx.LinkProgram(p);
+  GLint ok = GL_FALSE;
+  ctx.GetProgramiv(p, GL_LINK_STATUS, &ok);
+  ASSERT_EQ(ok, GL_TRUE) << ctx.GetProgramInfoLog(p);
+  DrawFullscreenQuad(ctx, p);
+  EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+  const auto px = ReadRgba(ctx, 4, 4);
+  for (std::size_t i = 0; i < px.size(); i += 4) {
+    EXPECT_EQ(px[i + 0], 0);
+    EXPECT_EQ(px[i + 1], 255);
+    EXPECT_EQ(px[i + 3], 255);
+  }
+}
+
+// A line with a vertex a billion viewport widths away walks only the
+// steps that can land a pixel in the target, in 64-bit step arithmetic.
+TEST(ContextTest, LinesFarOutsideViewportDrawOnlyTheirVisibleRows) {
+  Context ctx(SmallConfig(8, 8));
+  const GLuint p = BuildProgramOrDie(
+      ctx,
+      "attribute vec2 a_pos;\nvoid main() { gl_Position = vec4(a_pos, 0.0, "
+      "1.0); }",
+      "precision mediump float;\nvoid main() { gl_FragColor = vec4(1.0); }");
+  ctx.UseProgram(p);
+  // NDC y -0.5, 0 and 0.5 are window rows 2, 4 and 6. The row-6 line is
+  // 2^33 pixels long, a power of two, so every step lands exactly on a
+  // pixel and all eight are lit. The other two lines' steps (t = i /
+  // steps) round some positions just below a pixel edge, so a step may
+  // repeat its neighbour's pixel and leave a gap, as for any long line.
+  constexpr float kFar = 1073741824.0f;  // 2^30
+  const std::array<float, 12> lines = {-1.0f, 0.0f,  1e9f,  0.0f,
+                                       -1e9f, -0.5f, 1.0f,  -0.5f,
+                                       -kFar, 0.5f,  kFar,  0.5f};
+  const GLint loc = ctx.GetAttribLocation(p, "a_pos");
+  ctx.EnableVertexAttribArray(static_cast<GLuint>(loc));
+  ctx.VertexAttribPointer(static_cast<GLuint>(loc), 2, GL_FLOAT, GL_FALSE, 0,
+                          lines.data());
+  ctx.DrawArrays(GL_LINES, 0, 6);
+  EXPECT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR));
+  const auto px = ReadRgba(ctx, 8, 8);
+  for (int y = 0; y < 8; ++y) {
+    int lit = 0;
+    for (int x = 0; x < 8; ++x) {
+      lit += px[static_cast<std::size_t>((y * 8 + x) * 4)] == 255 ? 1 : 0;
+    }
+    SCOPED_TRACE(StrFormat("row %d", y));
+    if (y == 6) {
+      EXPECT_EQ(lit, 8);
+    } else if (y == 2 || y == 4) {
+      EXPECT_GE(lit, 6);
+    } else {
+      EXPECT_EQ(lit, 0);
+    }
+  }
+}
+
 TEST(ContextTest, ScissorRestrictsDraw) {
   Context ctx(SmallConfig(4, 4));
   const GLuint p = BuildProgramOrDie(

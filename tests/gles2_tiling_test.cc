@@ -56,16 +56,25 @@ TEST(TileBinnerTest, SubmissionOrderIsPreservedPerBin) {
   EXPECT_EQ(b.tile(0).prims, (std::vector<std::uint32_t>{3, 1, 2}));
 }
 
-TEST(TileBinnerTest, SparseStorageScalesWithTouchedTilesNotGridSize) {
-  // A huge target: the dense grid would be ~2.4M tiles. A tiny draw must
-  // only materialize the bins it touches.
-  TileBinner b(100'000, 100'000);
-  ASSERT_EQ(b.tiles_x(), 1563);
-  b.Bin(0, PixelRect{70'000, 70'000, 70'010, 70'010});
+TEST(TileBinnerTest, SlotStorageScalesWithTouchedTilesIndexWithGrid) {
+  // The largest target (max_texture_size 4096): a 64x64 tile grid. A tiny
+  // draw materializes only the bins it touches; the index holds one entry
+  // per grid tile.
+  TileBinner b(4096, 4096);
+  ASSERT_EQ(b.tiles_x(), 64);
+  b.Bin(0, PixelRect{3'008, 3'008, 3'018, 3'018});
   b.BinTile(1, 0, 0);
   EXPECT_EQ(b.NonEmptyTiles().size(), 2u);
   EXPECT_LE(b.slot_capacity(), 4u);
-  EXPECT_LE(b.table_capacity(), 64u);
+  EXPECT_EQ(b.index_capacity(), 64u * 64u);
+  // A smaller grid reuses the index; a draw touching fewer tiles, the
+  // slots.
+  b.BeginDraw(200, 200);
+  b.BinTile(2, 3, 3);
+  EXPECT_EQ(b.NonEmptyTiles(), (std::vector<std::uint32_t>{15}));
+  EXPECT_EQ(b.tile(15).prims, (std::vector<std::uint32_t>{2}));
+  EXPECT_LE(b.slot_capacity(), 4u);
+  EXPECT_EQ(b.index_capacity(), 64u * 64u);
 }
 
 TEST(TileBinnerTest, BeginDrawDropsOldBinsAndResizesGrid) {
@@ -89,17 +98,18 @@ TEST(TileBinnerTest, SteadyStateDrawLoopDoesNotGrowTheHeap) {
   b.BeginDraw(1000, 1000);
   b.Bin(0, PixelRect{100, 100, 400, 400});
   const std::size_t slots = b.slot_capacity();
-  const std::size_t table = b.table_capacity();
+  const std::size_t index = b.index_capacity();
   ASSERT_GT(slots, 0u);
+  ASSERT_GE(index, 16u * 16u);
   // ...after which identical draws must not allocate: same slot count, same
-  // table, and per-bin prims capacity recycled (asserted via capacity()).
+  // index, and per-bin prims capacity recycled (asserted via capacity()).
   for (int draw = 0; draw < 100; ++draw) {
     b.BeginDraw(1000, 1000);
     b.Bin(0, PixelRect{100, 100, 400, 400});
     b.Bin(1, PixelRect{150, 150, 300, 300});
   }
   EXPECT_EQ(b.slot_capacity(), slots);
-  EXPECT_EQ(b.table_capacity(), table);
+  EXPECT_EQ(b.index_capacity(), index);
 }
 
 // ---------------------------------------------------------------------------
