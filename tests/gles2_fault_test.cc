@@ -386,6 +386,113 @@ TEST(FaultInjection, InjectedFaultSweepAbortsCleanlyAndRecovers) {
   fault::DisarmAll();
 }
 
+// The abort contract, one row per abort source: the GL error, the reset
+// status and the exact last_draw_error() each source reports, with the
+// framebuffer and the counters left as they were before the draw, on every
+// engine and on one and four workers.
+TEST(FaultInjection, EveryAbortSourceReportsItsContract) {
+  // The clean draw's exact ALU total; one op less trips the watchdog in
+  // the fragment stage, one op in all trips it in the first vertex chunk.
+  std::uint64_t total = 0;
+  {
+    Context ctx(MakeConfig(ExecEngine::kBatchedVm, 1));
+    const GLuint clean = BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs);
+    DrawFullscreenQuad(ctx, clean);
+    ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+    total = ctx.alu().counts().alu;
+    ASSERT_GT(total, 1u);
+  }
+  constexpr char kWatchdog[] =
+      "draw exceeded the per-draw ALU-op watchdog budget";
+  struct AbortCase {
+    const char* name;
+    const char* vs;
+    const char* fs;
+    std::uint64_t budget;  // ContextConfig::draw_budget; 0 = off
+    bool arm;              // arm `site` at its first hit before the draw
+    Site site;
+    // Draw a clean program first, so the context's workers exist and the
+    // armed draw's program only needs its own fragment clones.
+    bool warm;
+    bool pool_only;  // the source exists only with more than one worker
+    GLenum error;
+    GLenum reset;
+    const char* message;
+    bool message_is_prefix;
+  };
+  const std::array<AbortCase, 8> cases = {{
+      {"vertex trap", kTrapVs, kCleanFs, 0, false, Site::kBinnerGrow, false,
+       false, GL_INVALID_OPERATION, GL_GUILTY_CONTEXT_RESET,
+       "call to undefined function 'poison'", false},
+      {"vertex-chunk watchdog", kPassthroughVs, kCleanFs, 1, false,
+       Site::kBinnerGrow, false, false, GL_OUT_OF_MEMORY,
+       GL_GUILTY_CONTEXT_RESET, kWatchdog, true},
+      {"fragment trap", kPassthroughVs, kTrapFs, 0, false, Site::kBinnerGrow,
+       false, false, GL_INVALID_OPERATION, GL_GUILTY_CONTEXT_RESET,
+       "call to undefined function 'poison'", false},
+      {"fragment watchdog", kPassthroughVs, kCleanFs, total - 1, false,
+       Site::kBinnerGrow, false, false, GL_OUT_OF_MEMORY,
+       GL_GUILTY_CONTEXT_RESET, kWatchdog, true},
+      {"binner growth", kPassthroughVs, kCleanFs, 0, true, Site::kBinnerGrow,
+       false, false, GL_OUT_OF_MEMORY, GL_INNOCENT_CONTEXT_RESET,
+       "tile binner allocation failed", false},
+      {"worker build", kPassthroughVs, kCleanFs, 0, true,
+       Site::kShadeCacheAlloc, false, false, GL_OUT_OF_MEMORY,
+       GL_INNOCENT_CONTEXT_RESET, "shading-state allocation failed", false},
+      {"clone build", kPassthroughVs, kCleanFs, 0, true,
+       Site::kShadeCacheAlloc, true, false, GL_OUT_OF_MEMORY,
+       GL_INNOCENT_CONTEXT_RESET, "shading-state allocation failed", false},
+      {"pool task", kPassthroughVs, kCleanFs, 0, true, Site::kPoolTask, true,
+       true, GL_OUT_OF_MEMORY, GL_INNOCENT_CONTEXT_RESET,
+       "injected fault: pool task failed", false},
+  }};
+  const std::array<ExecEngine, 3> engines = {
+      ExecEngine::kBatchedVm, ExecEngine::kBytecodeVm, ExecEngine::kTreeWalk};
+  for (const AbortCase& c : cases) {
+    for (const ExecEngine engine : engines) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(c.name) + " " + EngineName(engine) +
+                     " threads=" + std::to_string(threads));
+        ContextConfig cfg = MakeConfig(engine, threads);
+        cfg.draw_budget = c.budget;
+        Context ctx(cfg);
+        const GLuint subject = BuildProgramOrDie(ctx, c.vs, c.fs);
+        if (c.warm) {
+          DrawFullscreenQuad(ctx,
+                             BuildProgramOrDie(ctx, kPassthroughVs, kCleanFs));
+          ASSERT_EQ(ctx.GetError(), GL_NO_ERROR);
+        }
+        ctx.ClearColor(0.25f, 0.5f, 0.75f, 1.0f);
+        ctx.Clear(GL_COLOR_BUFFER_BIT);
+        const Snapshot before = Snap(ctx);
+
+        if (c.arm) fault::Arm(c.site, 0);
+        DrawFullscreenQuad(ctx, subject);
+        fault::DisarmAll();
+        if (c.pool_only && threads == 1) {
+          // A serial draw never reaches the pool: it completes.
+          EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+          EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
+          EXPECT_EQ(ctx.last_draw_error(), "");
+          EXPECT_NE(Snap(ctx).fb, before.fb);
+          continue;
+        }
+        EXPECT_EQ(ctx.GetError(), c.error);
+        EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+        EXPECT_EQ(ctx.GetGraphicsResetStatus(), c.reset);
+        EXPECT_EQ(ctx.GetGraphicsResetStatus(), GL_NO_ERROR);
+        if (c.message_is_prefix) {
+          EXPECT_EQ(ctx.last_draw_error().rfind(c.message, 0), 0u)
+              << ctx.last_draw_error();
+        } else {
+          EXPECT_EQ(ctx.last_draw_error(), c.message);
+        }
+        ExpectSnapshotEq(Snap(ctx), before, "post-abort");
+      }
+    }
+  }
+}
+
 // MGPU_DRAW_BUDGET wiring: the config knob resolves into draw_budget().
 TEST(FaultInjection, DrawBudgetConfigKnob) {
   ContextConfig cfg = MakeConfig(ExecEngine::kBatchedVm, 1);
