@@ -71,8 +71,8 @@ int RunExample() {
   return diff == 0 ? 0 : 1;
 }
 
-// Kernel dispatch failures (a shader trap, the MGPU_DRAW_BUDGET watchdog,
-// or a pipeline resource fault) surface as exceptions carrying the GL error
+// Kernel dispatch failures (a shader trap, the draw-budget watchdog set by
+// ContextConfig::draw_budget, or a pipeline resource fault) surface as exceptions carrying the GL error
 // and the robustness blame; report them and exit nonzero instead of
 // crashing (see README "Robustness model").
 int main() {

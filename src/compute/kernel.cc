@@ -166,9 +166,10 @@ void Kernel::Run(PackedBuffer& out, std::span<PackedBuffer* const> inputs) {
   if (err != gles2::GL_NO_ERROR) {
     // Fold the robustness classification into the failure so callers see
     // who to blame without re-querying: GUILTY means this kernel's own
-    // shader trapped (or tripped the MGPU_DRAW_BUDGET watchdog); INNOCENT
-    // means a pipeline resource failed. The query observes-and-clears, so
-    // the context is usable again if the caller catches and continues.
+    // shader trapped (or tripped the ContextConfig::draw_budget watchdog);
+    // INNOCENT means a pipeline resource failed. The query
+    // observes-and-clears, so the context is usable again if the caller
+    // catches and continues.
     const gles2::GLenum reset = gl.GetGraphicsResetStatus();
     const char* blame = "";
     if (reset == gles2::GL_GUILTY_CONTEXT_RESET) {

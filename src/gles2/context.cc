@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <new>
+#include <numeric>
+#include <stdexcept>
 
 #include "common/fault.h"
 #include "common/strings.h"
@@ -32,10 +33,15 @@ static_assert(kFragBatchWidth == glsl::kVmLanes,
 static_assert(Texture::kMaxTexelRow >= glsl::kVmLanes);
 
 namespace {
-// Watchdog trip message: the budget is a per-draw total, so one string
-// serves the vertex and fragment stages.
-constexpr const char kBudgetMsg[] =
-    "draw exceeded the per-draw ALU-op watchdog budget (MGPU_DRAW_BUDGET)";
+// A watchdog trip (ContextConfig::draw_budget). The budget is a per-draw
+// total, so the vertex and fragment stages throw the same error.
+class DrawBudgetExceeded : public std::runtime_error {
+ public:
+  DrawBudgetExceeded()
+      : std::runtime_error(
+            "draw exceeded the per-draw ALU-op watchdog budget "
+            "(ContextConfig::draw_budget)") {}
+};
 
 // x + w for w >= 0, saturated at INT_MAX: a scissor box's end.
 int SaturatedEnd(int x, int w) { return x > INT_MAX - w ? INT_MAX : x + w; }
@@ -52,15 +58,6 @@ Context::Context(const ContextConfig& config, glsl::AluModel* alu)
   shade_workers_ = config_.shader_threads > 0 ? config_.shader_threads
                                               : common::DefaultThreadCount();
   shade_workers_ = std::min(shade_workers_, 256);
-  draw_budget_ = config_.draw_budget;
-  if (const char* env = std::getenv("MGPU_DRAW_BUDGET")) {
-    // Only a whole decimal number overrides the configured budget: "abc",
-    // "-1" or "12x" would otherwise parse as 0 (off) or a wrapped value.
-    const char* end = env + std::strlen(env);
-    std::uint64_t ops = 0;
-    const auto [ptr, ec] = std::from_chars(env, end, ops);
-    if (ec == std::errc{} && ptr == end) draw_budget_ = ops;
-  }
   attribs_.resize(static_cast<std::size_t>(config_.limits.max_vertex_attribs));
   fb_color_.assign(
       static_cast<std::size_t>(config_.width) * config_.height * 4, 0);
@@ -1238,9 +1235,8 @@ void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
 // Drawing
 // ---------------------------------------------------------------------------
 
-bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
-                            const std::function<GLuint(GLsizei)>& index_at,
-                            std::vector<RasterVertex>& verts,
+bool Context::ShadeVertices(ProgramObject* prog,
+                            std::span<const GLuint> indices,
                             const glsl::OpCounts& draw_start_counts) {
   // Each RunBatch pass shades up to LaneWidth() vertices over the engine's
   // lane planes, through the views the link resolved.
@@ -1254,16 +1250,8 @@ bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
     ++shade_tally_.misses_;
   }
 
-  // Indices, decoded once: the bounds gate below needs the largest, and
-  // every chunk reads its lanes' indices from here.
-  std::vector<GLuint>& indices = scratch_indices_;
-  indices.resize(static_cast<std::size_t>(count));
-  GLuint max_index = 0;
-  for (GLsizei i = 0; i < count; ++i) {
-    const GLuint vi = index_at(i);
-    indices[static_cast<std::size_t>(i)] = vi;
-    max_index = std::max(max_index, vi);
-  }
+  // The bounds gate below needs the largest index.
+  const GLuint max_index = *std::max_element(indices.begin(), indices.end());
 
   // Per-draw attribute sources, resolved once. Every fetch failure — a
   // missing buffer, an offset past the store, a null base, an unknown type
@@ -1319,116 +1307,116 @@ bool Context::ShadeVertices(ProgramObject* prog, GLsizei count,
     s.size = a.size;
   }
 
-  try {
-    for (GLsizei b0 = 0; b0 < count; b0 += lanes) {
-      const int n = static_cast<int>(std::min<GLsizei>(lanes, count - b0));
-      const GLuint* const vidx = indices.data() + b0;
+  // Post-transform vertices live in context-owned scratch: resize keeps the
+  // outer capacity and surviving elements' varying-vector capacity, so a
+  // steady-state draw loop allocates nothing here. Fields a program leaves
+  // unwritten are reset below to the RasterVertex defaults a fresh vector
+  // would have carried.
+  const GLsizei count = static_cast<GLsizei>(indices.size());
+  std::vector<RasterVertex>& verts = scratch_verts_;
+  verts.resize(indices.size());
+  for (GLsizei b0 = 0; b0 < count; b0 += lanes) {
+    const int n = static_cast<int>(std::min<GLsizei>(lanes, count - b0));
+    const GLuint* const vidx = indices.data() + b0;
 
-      // Gather: decode each enabled attribute's array elements straight
-      // into the engine's planes, with the base/stride/type resolution
-      // hoisted out of the loop. Components past the array size take the
-      // (0,0,0,1) defaults.
-      for (std::size_t k = 0; k < views.attribs.size(); ++k) {
-        const ProgramObject::VertexViews::Attrib& al = views.attribs[k];
-        const AttribSource& s = sources[k];
-        const glsl::PlaneDst& dst = al.dst;
-        if (s.base == nullptr) {
-          for (int c = 0; c < al.cells; ++c) {
-            for (int l = 0; l < n; ++l) {
-              dst.at(c, l).f = s.constant[static_cast<std::size_t>(c)];
-            }
-          }
-          continue;
-        }
-        for (int l = 0; l < n; ++l) {
-          const std::uint8_t* src =
-              s.base + static_cast<std::ptrdiff_t>(s.stride) * vidx[l];
-          for (int c = 0; c < al.cells; ++c) {
-            float v = c == 3 ? 1.0f : 0.0f;
-            if (c < s.size) {
-              switch (s.type) {
-                case GL_FLOAT: {
-                  std::memcpy(&v, src + c * 4, 4);
-                  break;
-                }
-                case GL_UNSIGNED_BYTE: {
-                  const std::uint8_t b = src[c];
-                  v = s.normalized ? b / 255.0f : static_cast<float>(b);
-                  break;
-                }
-                case GL_BYTE: {
-                  std::int8_t b;
-                  std::memcpy(&b, src + c, 1);
-                  v = s.normalized ? std::max(b / 127.0f, -1.0f)
-                                   : static_cast<float>(b);
-                  break;
-                }
-                case GL_UNSIGNED_SHORT: {
-                  std::uint16_t h;
-                  std::memcpy(&h, src + c * 2, 2);
-                  v = s.normalized ? h / 65535.0f : static_cast<float>(h);
-                  break;
-                }
-                case GL_SHORT: {
-                  std::int16_t h;
-                  std::memcpy(&h, src + c * 2, 2);
-                  v = s.normalized ? std::max(h / 32767.0f, -1.0f)
-                                   : static_cast<float>(h);
-                  break;
-                }
-                default:
-                  break;
-              }
-            }
-            dst.at(c, l).f = v;
+    // Gather: decode each enabled attribute's array elements straight
+    // into the engine's planes, with the base/stride/type resolution
+    // hoisted out of the loop. Components past the array size take the
+    // (0,0,0,1) defaults.
+    for (std::size_t k = 0; k < views.attribs.size(); ++k) {
+      const ProgramObject::VertexViews::Attrib& al = views.attribs[k];
+      const AttribSource& s = sources[k];
+      const glsl::PlaneDst& dst = al.dst;
+      if (s.base == nullptr) {
+        for (int c = 0; c < al.cells; ++c) {
+          for (int l = 0; l < n; ++l) {
+            dst.at(c, l).f = s.constant[static_cast<std::size_t>(c)];
           }
         }
+        continue;
       }
-
-      // Run the chunk. Lane order == vertex order, so a trapping chunk's
-      // minimum trapping lane is the first trapping vertex, and the thrown
-      // message is the same on every engine. (Vertex programs cannot
-      // discard; the kept mask is all-ones.)
-      (void)engine.RunBatch(n);
-
-      // Watchdog, per chunk: the totals are monotone toward the same
-      // engine-invariant sum, so the trip-vs-not decision does not depend
-      // on the lane width, and a tripped draw restores the snapshot.
-      if (draw_budget_ != 0 &&
-          alu_->counts().alu - draw_start_counts.alu > draw_budget_) {
-        AbortDraw(DrawErrorKind::kBudget, kBudgetMsg, draw_start_counts);
-        return false;
-      }
-
-      // Scatter, in lane order.
       for (int l = 0; l < n; ++l) {
-        const std::size_t li = static_cast<std::size_t>(l);
-        RasterVertex& out = verts[static_cast<std::size_t>(b0) + li];
-        out.clip = {0.0f, 0.0f, 0.0f, 1.0f};
-        out.point_size = 1.0f;
-        const glsl::PlaneSrc& pos = views.position;
-        if (pos.base != nullptr) {
-          out.clip = {pos.at(0, l).f, pos.at(1, l).f, pos.at(2, l).f,
-                      pos.at(3, l).f};
-        }
-        if (views.point_size.base != nullptr) {
-          out.point_size = views.point_size.at(0, l).f;
-          if (out.point_size <= 0.0f) out.point_size = 1.0f;
-        }
-        out.varyings.resize(static_cast<std::size_t>(prog->varying_cells));
-        for (const ProgramObject::VertexViews::Varying& vl : views.varyings) {
-          for (int c = 0; c < vl.cells; ++c) {
-            out.varyings[static_cast<std::size_t>(vl.offset + c)] =
-                vl.src.at(c, l).f;
+        const std::uint8_t* src =
+            s.base + static_cast<std::ptrdiff_t>(s.stride) * vidx[l];
+        for (int c = 0; c < al.cells; ++c) {
+          float v = c == 3 ? 1.0f : 0.0f;
+          if (c < s.size) {
+            switch (s.type) {
+              case GL_FLOAT: {
+                std::memcpy(&v, src + c * 4, 4);
+                break;
+              }
+              case GL_UNSIGNED_BYTE: {
+                const std::uint8_t b = src[c];
+                v = s.normalized ? b / 255.0f : static_cast<float>(b);
+                break;
+              }
+              case GL_BYTE: {
+                std::int8_t b;
+                std::memcpy(&b, src + c, 1);
+                v = s.normalized ? std::max(b / 127.0f, -1.0f)
+                                 : static_cast<float>(b);
+                break;
+              }
+              case GL_UNSIGNED_SHORT: {
+                std::uint16_t h;
+                std::memcpy(&h, src + c * 2, 2);
+                v = s.normalized ? h / 65535.0f : static_cast<float>(h);
+                break;
+              }
+              case GL_SHORT: {
+                std::int16_t h;
+                std::memcpy(&h, src + c * 2, 2);
+                v = s.normalized ? std::max(h / 32767.0f, -1.0f)
+                                 : static_cast<float>(h);
+                break;
+              }
+              default:
+                break;
+            }
           }
+          dst.at(c, l).f = v;
         }
       }
     }
-  } catch (const glsl::ShaderRuntimeError& e) {
-    // Vertex-stage trap: no framebuffer byte was touched yet, so restoring
-    // the counter snapshot completes the abort.
-    AbortDraw(DrawErrorKind::kTrap, e.what(), draw_start_counts);
-    return false;
+
+    // Run the chunk. Lane order == vertex order, so a trapping chunk's
+    // minimum trapping lane is the first trapping vertex, and the thrown
+    // message is the same on every engine. (Vertex programs cannot
+    // discard; the kept mask is all-ones.)
+    (void)engine.RunBatch(n);
+
+    // Watchdog, per chunk: the totals are monotone toward the same
+    // engine-invariant sum, so the trip-vs-not decision does not depend
+    // on the lane width.
+    if (config_.draw_budget != 0 &&
+        alu_->counts().alu - draw_start_counts.alu > config_.draw_budget) {
+      throw DrawBudgetExceeded();
+    }
+
+    // Scatter, in lane order.
+    for (int l = 0; l < n; ++l) {
+      const std::size_t li = static_cast<std::size_t>(l);
+      RasterVertex& out = verts[static_cast<std::size_t>(b0) + li];
+      out.clip = {0.0f, 0.0f, 0.0f, 1.0f};
+      out.point_size = 1.0f;
+      const glsl::PlaneSrc& pos = views.position;
+      if (pos.base != nullptr) {
+        out.clip = {pos.at(0, l).f, pos.at(1, l).f, pos.at(2, l).f,
+                    pos.at(3, l).f};
+      }
+      if (views.point_size.base != nullptr) {
+        out.point_size = views.point_size.at(0, l).f;
+        if (out.point_size <= 0.0f) out.point_size = 1.0f;
+      }
+      out.varyings.resize(static_cast<std::size_t>(prog->varying_cells));
+      for (const ProgramObject::VertexViews::Varying& vl : views.varyings) {
+        for (int c = 0; c < vl.cells; ++c) {
+          out.varyings[static_cast<std::size_t>(vl.offset + c)] =
+              vl.src.at(c, l).f;
+        }
+      }
+    }
   }
   return true;
 }
@@ -1535,12 +1523,7 @@ void Context::CheckDrawBudget(ShadeWorker& w) {
   w.budget_reported = now;
   const std::uint64_t used =
       draw_alu_used_.fetch_add(delta, std::memory_order_relaxed) + delta;
-  if (used > draw_budget_) {
-    // Classified here (not in the catch) so the generic trap handler does
-    // not have to distinguish watchdog throws from shader traps.
-    w.error_kind = DrawErrorKind::kBudget;
-    throw glsl::ShaderRuntimeError(kBudgetMsg);
-  }
+  if (used > config_.draw_budget) throw DrawBudgetExceeded();
 }
 
 void Context::DrawArrays(GLenum mode, GLint first, GLsizei count) {
@@ -1548,9 +1531,13 @@ void Context::DrawArrays(GLenum mode, GLint first, GLsizei count) {
     SetError(GL_INVALID_VALUE);
     return;
   }
-  DrawGeneric(mode, count, [first](GLsizei i) {
-    return static_cast<GLuint>(first) + static_cast<GLuint>(i);
-  });
+  RenderTarget rt;
+  ProgramObject* prog = ValidateDraw(mode, &rt);
+  if (prog == nullptr) return;
+  scratch_indices_.resize(static_cast<std::size_t>(count));
+  std::iota(scratch_indices_.begin(), scratch_indices_.end(),
+            static_cast<GLuint>(first));
+  DrawGeneric(prog, rt, mode, scratch_indices_);
 }
 
 void Context::DrawElements(GLenum mode, GLsizei count, GLenum type,
@@ -1588,61 +1575,56 @@ void Context::DrawElements(GLenum mode, GLsizei count, GLenum type,
     SetError(GL_INVALID_VALUE);
     return;
   }
-  DrawGeneric(mode, count, [base, type](GLsizei i) -> GLuint {
-    if (type == GL_UNSIGNED_BYTE) return base[i];
+  RenderTarget rt;
+  ProgramObject* prog = ValidateDraw(mode, &rt);
+  if (prog == nullptr) return;
+  std::vector<GLuint>& decoded = scratch_indices_;
+  decoded.resize(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    if (type == GL_UNSIGNED_BYTE) {
+      decoded[i] = base[i];
+      continue;
+    }
     std::uint16_t v;
     std::memcpy(&v, base + i * 2, 2);
-    return v;
-  });
+    decoded[i] = v;
+  }
+  DrawGeneric(prog, rt, mode, decoded);
 }
 
-void Context::DrawGeneric(GLenum mode, GLsizei count,
-                          const std::function<GLuint(GLsizei)>& index_at) {
+ProgramObject* Context::ValidateDraw(GLenum mode, RenderTarget* rt) {
   last_draw_error_.clear();
   ProgramObject* prog = GetProgram(current_program_);
   if (prog == nullptr || !prog->link_ok) {
     SetError(GL_INVALID_OPERATION);
-    return;
+    return nullptr;
   }
-  RenderTarget rt;
-  if (!ResolveTarget(&rt)) {
+  if (!ResolveTarget(rt)) {
     SetError(GL_INVALID_FRAMEBUFFER_OPERATION);
-    return;
+    return nullptr;
   }
   switch (mode) {
     case GL_POINTS: case GL_LINES: case GL_LINE_STRIP: case GL_LINE_LOOP:
     case GL_TRIANGLES: case GL_TRIANGLE_STRIP: case GL_TRIANGLE_FAN:
-      break;
+      return prog;
     default:
       // Desktop GL_QUADS / GL_POLYGON do not exist here: the paper's
       // limitation #2.
       SetError(GL_INVALID_ENUM);
-      return;
+      return nullptr;
   }
-  if (count == 0) return;
+}
+
+void Context::DrawGeneric(ProgramObject* prog, const RenderTarget& rt,
+                          GLenum mode, std::span<const GLuint> indices) {
+  if (indices.empty()) return;
 
   // Transactional draw: take a counter snapshot now. Together with the
   // per-worker framebuffer undo journals it restores exact "draw never
-  // issued" state on any abort (shader trap, watchdog trip, resource
-  // failure) — identically for every engine and worker count, because the
-  // restored state does not depend on where shading stopped.
+  // issued" state on any abort — identically for every engine and worker
+  // count, because the restored state does not depend on where shading
+  // stopped.
   const glsl::OpCounts draw_start_counts = alu_->counts();
-
-  // --- vertex stage ---
-  // Post-transform vertices live in context-owned scratch: resize keeps the
-  // outer capacity and surviving elements' varying-vector capacity, so a
-  // steady-state draw loop allocates nothing here. Fields a program leaves
-  // unwritten are reset below to the RasterVertex defaults a fresh vector
-  // would have carried.
-  std::vector<RasterVertex>& verts = scratch_verts_;
-  verts.resize(static_cast<std::size_t>(count));
-  if (!ShadeVertices(prog, count, index_at, verts, draw_start_counts)) {
-    return;
-  }
-
-  // --- fragment stage: two-phase tiled pipeline (VC4-style) ---
-  // Phase 1 binning: assemble primitives (strip/fan/loop orderings resolved
-  // here) and bin each into the 64x64 tiles its window bounds touch.
   RasterState rs;
   rs.viewport_x = vp_x_;
   rs.viewport_y = vp_y_;
@@ -1654,6 +1636,62 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   rs.cull_face = cull_face_;
   rs.front_face = front_face_;
 
+  // Every stage throws its failures into the one catch below. A
+  // std::bad_alloc reports the stage it interrupted where that stage
+  // names itself, else its own text.
+  const char* alloc_failure = nullptr;
+  int worker_count = 0;
+  try {
+    if (!ShadeVertices(prog, indices, draw_start_counts)) return;
+    alloc_failure = "tile binner allocation failed";
+    AssembleAndBin(mode, static_cast<GLsizei>(indices.size()), rs);
+    if (scratch_work_.empty()) return;
+    alloc_failure = "shading-state allocation failed";
+    worker_count = PrepareWorkers(prog, rt, draw_start_counts);
+    alloc_failure = nullptr;
+    ShadeTiles(prog, rs, worker_count);
+  } catch (...) {
+    // Reverse-replay every worker's undo journal (empty unless shading
+    // began; workers shade disjoint tiles, so cross-worker order is
+    // irrelevant, and within a worker reverse order unwinds repeated
+    // writes to one pixel). The lowest-numbered failing worker names the
+    // abort; the exception caught here does only when no worker failed.
+    std::exception_ptr failure;
+    for (const std::unique_ptr<ShadeWorker>& w : workers_) {
+      if (failure == nullptr) failure = w->failure;
+      w->failure = nullptr;
+      if (rt.color != nullptr) {
+        for (auto it = w->journal.color.rbegin();
+             it != w->journal.color.rend(); ++it) {
+          std::copy(it->old_rgba.begin(), it->old_rgba.end(),
+                    rt.color->begin() + it->offset);
+        }
+      }
+      if (rt.depth != nullptr) {
+        for (auto it = w->journal.depth.rbegin();
+             it != w->journal.depth.rend(); ++it) {
+          (*rt.depth)[it->index] = it->old_depth;
+        }
+      }
+      w->journal.Clear();
+    }
+    AbortDraw(failure != nullptr ? failure : std::current_exception(),
+              alloc_failure, draw_start_counts);
+    return;
+  }
+  // Committed: merge the counter shards (a failed draw discards them, and
+  // the snapshot restore is what makes the counters read "never issued");
+  // the journals exist only to be replayed on abort.
+  for (int i = 0; i < worker_count; ++i) {
+    ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
+    alu_->AddCounts(w.alu->counts());
+    w.journal.Clear();
+  }
+}
+
+void Context::AssembleAndBin(GLenum mode, GLsizei count,
+                             const RasterState& rs) {
+  // Assemble: strip/fan/loop orderings are resolved here.
   std::vector<TilePrim>& prims = scratch_prims_;
   prims.clear();
   auto tri = [&](GLsizei a, GLsizei b, GLsizei c) {
@@ -1699,90 +1737,70 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
       break;
   }
 
-  try {
-    binner_.BeginDraw(rt.width, rt.height);
-    for (std::size_t pi = 0; pi < prims.size(); ++pi) {
-      const TilePrim& p = prims[pi];
-      PixelRect r;
-      bool live = false;
-      switch (p.kind) {
-        case TilePrim::Kind::kTriangle:
-          live = TriangleBounds(verts[p.v0], verts[p.v1], verts[p.v2], rs, &r);
-          break;
-        case TilePrim::Kind::kPoint:
-          live = PointBounds(verts[p.v0], rs, &r);
-          break;
-        case TilePrim::Kind::kLine:
-          // Lines bin tile-exactly by walking once (their bbox would cover
-          // quadratically many untouched tiles for diagonals).
-          LineTouchedTiles(verts[p.v0], verts[p.v1], rs, kTileSize,
-                           [&](int tx, int ty) {
-                             binner_.BinTile(static_cast<std::uint32_t>(pi),
-                                             tx, ty);
-                           });
-          break;
-      }
-      if (live) binner_.Bin(static_cast<std::uint32_t>(pi), r);
+  // Bin each primitive into the 64x64 tiles its window bounds touch.
+  const std::vector<RasterVertex>& verts = scratch_verts_;
+  binner_.BeginDraw(rs.target_w, rs.target_h);
+  for (std::size_t pi = 0; pi < prims.size(); ++pi) {
+    const TilePrim& p = prims[pi];
+    PixelRect r;
+    bool live = false;
+    switch (p.kind) {
+      case TilePrim::Kind::kTriangle:
+        live = TriangleBounds(verts[p.v0], verts[p.v1], verts[p.v2], rs, &r);
+        break;
+      case TilePrim::Kind::kPoint:
+        live = PointBounds(verts[p.v0], rs, &r);
+        break;
+      case TilePrim::Kind::kLine:
+        // Lines bin tile-exactly by walking once (their bbox would cover
+        // quadratically many untouched tiles for diagonals).
+        LineTouchedTiles(verts[p.v0], verts[p.v1], rs, kTileSize,
+                         [&](int tx, int ty) {
+                           binner_.BinTile(static_cast<std::uint32_t>(pi), tx,
+                                           ty);
+                         });
+        break;
     }
-    binner_.NonEmptyTiles(&scratch_work_);
-  } catch (const std::bad_alloc&) {
-    // Allocation failure (injectable: fault::Site::kBinnerGrow) while
-    // binning: nothing has touched the framebuffer yet, so restoring the
-    // counter snapshot makes the abort a pure no-op draw.
-    AbortDraw(DrawErrorKind::kResource, "tile binner allocation failed",
-              draw_start_counts);
-    return;
+    if (live) binner_.Bin(static_cast<std::uint32_t>(pi), r);
   }
-  const std::vector<std::uint32_t>& work = scratch_work_;
-  if (work.empty()) return;
+  binner_.NonEmptyTiles(&scratch_work_);
+}
 
-  // Phase 2 shading: each worker owns an ALU-counter shard and a TMU-cache
-  // model, and shades on its own clone of the program's fragment engine,
-  // for every engine and worker count; tiles partition the framebuffer, so
-  // pixel writes are lock-free and results are byte-identical for any
-  // worker count (counter shards merge by summation at commit). Workers
-  // and clones are built on the first draw that needs them and merely
-  // *refreshed* after, so a steady-state draw allocates nothing.
+int Context::PrepareWorkers(ProgramObject* prog, const RenderTarget& rt,
+                            const glsl::OpCounts& draw_start_counts) {
   const int worker_count =
-      std::min(shade_workers_, static_cast<int>(work.size()));
+      std::min(shade_workers_, static_cast<int>(scratch_work_.size()));
   const glsl::ShaderEngine& base = *prog->fragment;
-  try {
-    for (int i = 0; i < worker_count; ++i) {
-      const std::size_t si = static_cast<std::size_t>(i);
-      // Injectable build failure: a worker or a clone (a full global-store
-      // copy) is the allocation-heavy part of a draw. Nothing half-built
-      // is kept: each is stored only once complete.
-      if (si == workers_.size()) {
-        if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
-          throw std::bad_alloc();
-        }
-        workers_.push_back(MakeWorker());
+  for (int i = 0; i < worker_count; ++i) {
+    const std::size_t si = static_cast<std::size_t>(i);
+    // Injectable build failure: a worker or a clone (a full global-store
+    // copy) is the allocation-heavy part of a draw. Nothing half-built
+    // is kept: each is stored only once complete.
+    if (si == workers_.size()) {
+      if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
+        throw std::bad_alloc();
       }
-      ShadeWorker& w = *workers_[si];
-      if (si == prog->fragment_clones.size()) {
-        if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
-          throw std::bad_alloc();
-        }
-        // A fresh clone copies today's globals; only older ones re-sync.
-        prog->fragment_clones.push_back(
-            CloneFragmentStage(*prog, *w.alu, w.texture));
-      } else {
-        prog->fragment_clones[si].engine->SyncGlobalsFrom(base);
-      }
+      workers_.push_back(MakeWorker());
     }
-  } catch (const std::bad_alloc&) {
-    // Allocation failure (injectable: fault::Site::kShadeCacheAlloc) while
-    // building shading state. No framebuffer byte was touched yet.
-    AbortDraw(DrawErrorKind::kResource, "shading-state allocation failed",
-              draw_start_counts);
-    return;
+    ShadeWorker& w = *workers_[si];
+    if (si == prog->fragment_clones.size()) {
+      if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
+        throw std::bad_alloc();
+      }
+      // A fresh clone copies today's globals; only older ones re-sync.
+      prog->fragment_clones.push_back(
+          CloneFragmentStage(*prog, *w.alu, w.texture));
+    } else {
+      prog->fragment_clones[si].engine->SyncGlobalsFrom(base);
+    }
   }
 
   // Per-draw refresh of the state the flush closures reach through stable
   // addresses: the resolved render target, the failure latch, the watchdog
   // accumulator (seeded with the vertex stage's ops), and each used
-  // worker's stage, counter shard and error/journal/batch/TMU-log scratch
-  // (stale only if a previous draw failed).
+  // worker's stage, counter shard and batch/TMU-log scratch (stale only if
+  // a previous draw failed; every draw ends with empty journals and no
+  // worker failure).
   draw_rt_ = rt;
   draw_failed_.store(false, std::memory_order_relaxed);
   static_assert(std::tuple_size_v<decltype(draw_samplers_)> ==
@@ -1802,23 +1820,26 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   // mid-shading is the one abort this cannot cover; the injectable
   // resource faults all arm the registry and therefore journal.)
   const bool needs_journal =
-      prog->fs_can_trap || draw_budget_ != 0 || fault::AnyArmed();
+      prog->fs_can_trap || config_.draw_budget != 0 || fault::AnyArmed();
   for (int i = 0; i < worker_count; ++i) {
     ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
     w.stage = &prog->fragment_clones[static_cast<std::size_t>(i)];
     w.alu->ResetCounts();
-    w.error.clear();
-    w.error_kind = DrawErrorKind::kNone;
-    w.journal.Clear();
     w.active_journal = needs_journal ? &w.journal : nullptr;
     w.budget_reported = 0;
     w.batch.count = 0;
     w.tmu_log.clear();
   }
+  return worker_count;
+}
 
+void Context::ShadeTiles(const ProgramObject* prog, const RasterState& rs,
+                         int worker_count) {
+  const std::vector<RasterVertex>& verts = scratch_verts_;
+  const std::vector<TilePrim>& prims = scratch_prims_;
+  const std::vector<std::uint32_t>& work = scratch_work_;
   const int vc = prog->varying_cells;
-  auto shade_tile = [&](std::uint32_t tile_index, int wi) {
-    ShadeWorker& w = *workers_[static_cast<std::size_t>(wi)];
+  auto shade_tile = [&](std::uint32_t tile_index, ShadeWorker& w) {
     const TileBinner::Tile& tile = binner_.tile(tile_index);
     w.tmu.Reset();
     RasterState tile_rs = rs;
@@ -1849,10 +1870,9 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
   };
 
   // One shading body for every worker: it claims tiles off a shared counter
-  // until none is left. Shader traps and watchdog trips are caught inside
-  // the flush closure; anything else escaping a tile (an allocation failure
-  // mid-shading) is a resource failure of the pipeline, attributed to the
-  // worker.
+  // until none is left. The first exception a worker hits (a shader trap,
+  // a watchdog trip, an allocation failure) ends its shading and is kept
+  // for the abort; the latch makes the other workers' flushes stop.
   const int tile_count = static_cast<int>(work.size());
   std::atomic<int> next_tile{0};
   const auto shade_worker = [&](int wi) {
@@ -1861,19 +1881,13 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
       for (int item = next_tile.fetch_add(1, std::memory_order_relaxed);
            item < tile_count;
            item = next_tile.fetch_add(1, std::memory_order_relaxed)) {
-        shade_tile(work[static_cast<std::size_t>(item)], wi);
+        shade_tile(work[static_cast<std::size_t>(item)], w);
       }
-    } catch (const std::exception& e) {
-      if (w.error_kind == DrawErrorKind::kNone) {
-        w.error = e.what();
-        w.error_kind = DrawErrorKind::kResource;
-      }
+    } catch (...) {
+      w.failure = std::current_exception();
       draw_failed_.store(true, std::memory_order_relaxed);
     }
   };
-  // A pool task that died before its body ran: an implementation fault of
-  // no particular worker.
-  std::string pool_error;
   if (worker_count == 1) {
     shade_worker(0);
   } else {
@@ -1881,79 +1895,42 @@ void Context::DrawGeneric(GLenum mode, GLsizei count,
     // worker count, so alternating draws with different tile counts reuse the
     // parked workers instead of respawning threads every draw. Partial
     // dispatch: only one pool task per shading worker is issued, so a draw
-    // covering two tiles wakes two workers, not the whole pool.
+    // covering two tiles wakes two workers, not the whole pool. A pool task
+    // that dies before its body runs (fault::Site::kPoolTask) throws from
+    // RunOn after the join, so the abort sees a quiesced state.
     if (pool_ == nullptr) {
       pool_ = std::make_unique<common::ThreadPool>(shade_workers_);
     }
-    try {
-      pool_->RunOn(worker_count, shade_worker);
-    } catch (const std::exception& e) {
-      // Injectable: fault::Site::kPoolTask. The join completed — every
-      // other worker finished — so the abort below sees a quiesced,
-      // consistent state.
-      pool_error = e.what();
-      draw_failed_.store(true, std::memory_order_relaxed);
-    }
+    pool_->RunOn(worker_count, shade_worker);
   }
-
-  if (draw_failed_.load(std::memory_order_relaxed)) {
-    // Deterministic draw abort: reverse-replay every worker's undo journal
-    // (workers shade disjoint tiles, so cross-worker order is irrelevant;
-    // within a worker, reverse order unwinds repeated writes to one pixel
-    // correctly) and restore the counter snapshot. The post-abort
-    // framebuffer, depth plane and counters equal the pre-draw state byte
-    // for byte on every engine and worker count.
-    for (int i = 0; i < worker_count; ++i) {
-      ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
-      if (rt.color != nullptr) {
-        for (auto it = w.journal.color.rbegin(); it != w.journal.color.rend();
-             ++it) {
-          std::copy(it->old_rgba.begin(), it->old_rgba.end(),
-                    rt.color->begin() + it->offset);
-        }
-      }
-      if (rt.depth != nullptr) {
-        for (auto it = w.journal.depth.rbegin(); it != w.journal.depth.rend();
-             ++it) {
-          (*rt.depth)[it->index] = it->old_depth;
-        }
-      }
-      w.journal.Clear();
-    }
-    // The lowest worker that failed names the abort; a pool failure
-    // only when no worker did.
-    std::string message = pool_error;
-    DrawErrorKind kind = pool_error.empty() ? DrawErrorKind::kTrap
-                                            : DrawErrorKind::kResource;
-    for (int i = 0; i < worker_count; ++i) {
-      const ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
-      if (!w.error.empty()) {
-        message = w.error;
-        kind = w.error_kind;
-        break;
-      }
-    }
-    AbortDraw(kind, message, draw_start_counts);
-    return;
-  }
-  // Committed: merge the counter shards (a failed draw discards them, and
-  // the snapshot restore is what makes the counters read "never issued");
-  // the journals exist only to be replayed on abort.
   for (int i = 0; i < worker_count; ++i) {
-    ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
-    alu_->AddCounts(w.alu->counts());
-    w.journal.Clear();
+    const ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
+    if (w.failure != nullptr) std::rethrow_exception(w.failure);
   }
 }
 
-void Context::AbortDraw(DrawErrorKind kind, const std::string& message,
+void Context::AbortDraw(const std::exception_ptr& failure,
+                        const char* alloc_failure,
                         const glsl::OpCounts& draw_start_counts) {
   alu_->SetCounts(draw_start_counts);
-  last_draw_error_ = message;
-  reset_status_ = kind == DrawErrorKind::kResource ? GL_INNOCENT_CONTEXT_RESET
-                                                   : GL_GUILTY_CONTEXT_RESET;
-  SetError(kind == DrawErrorKind::kTrap ? GL_INVALID_OPERATION
-                                        : GL_OUT_OF_MEMORY);
+  GLenum error = GL_OUT_OF_MEMORY;
+  GLenum reset = GL_INNOCENT_CONTEXT_RESET;
+  try {
+    std::rethrow_exception(failure);
+  } catch (const DrawBudgetExceeded& e) {
+    last_draw_error_ = e.what();
+    reset = GL_GUILTY_CONTEXT_RESET;
+  } catch (const glsl::ShaderRuntimeError& e) {
+    last_draw_error_ = e.what();
+    error = GL_INVALID_OPERATION;
+    reset = GL_GUILTY_CONTEXT_RESET;
+  } catch (const std::bad_alloc& e) {
+    last_draw_error_ = alloc_failure != nullptr ? alloc_failure : e.what();
+  } catch (const std::exception& e) {
+    last_draw_error_ = e.what();
+  }
+  reset_status_ = reset;
+  SetError(error);
 }
 
 std::unique_ptr<ShadeWorker> Context::MakeWorker() {
@@ -2014,23 +1991,15 @@ void Context::FlushBatch(ShadeWorker& w) {
                /*depth_valid=*/true, w.active_journal);
   };
   const int width = LaneWidth();
-  try {
-    for (int lo = 0; lo < n; lo += width) {
-      const int m = std::min(width, n - lo);
-      scatter(lo, m);
-      const std::uint32_t kept = stage.engine->RunBatch(m);
-      if (draw_budget_ != 0) CheckDrawBudget(w);
-      ReplayTmuLog(w, m);
-      for (int l = 0; l < m; ++l) {
-        if (((kept >> static_cast<unsigned>(l)) & 1u) != 0) drain(lo, l);
-      }
+  for (int lo = 0; lo < n; lo += width) {
+    const int m = std::min(width, n - lo);
+    scatter(lo, m);
+    const std::uint32_t kept = stage.engine->RunBatch(m);
+    if (config_.draw_budget != 0) CheckDrawBudget(w);
+    ReplayTmuLog(w, m);
+    for (int l = 0; l < m; ++l) {
+      if (((kept >> static_cast<unsigned>(l)) & 1u) != 0) drain(lo, l);
     }
-  } catch (const glsl::ShaderRuntimeError& e) {
-    w.error = e.what();
-    if (w.error_kind == DrawErrorKind::kNone) {
-      w.error_kind = DrawErrorKind::kTrap;
-    }
-    draw_failed_.store(true, std::memory_order_relaxed);
   }
 }
 

@@ -10,9 +10,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,25 +62,13 @@ struct ContextConfig {
   // OpCounts::alu accounting): a watchdog in the spirit of a kernel
   // GPU-hang timeout. 0 (default) disables it; a draw that exceeds the
   // budget is aborted transactionally (framebuffer, depth and counters as
-  // if never issued) with GL_OUT_OF_MEMORY and a guilty reset status. The
-  // MGPU_DRAW_BUDGET environment variable, when it is a whole decimal
-  // number, overrides this at construction; the budget is fixed after.
-  // The trip decision is deterministic across engines and worker counts
-  // because the completed draw's op total is engine- and thread-invariant.
+  // if never issued) with GL_OUT_OF_MEMORY and a guilty reset status. Fixed
+  // for the context's lifetime. The trip decision is deterministic across
+  // engines and worker counts because the completed draw's op total is
+  // engine- and thread-invariant.
   std::uint64_t draw_budget = 0;
   std::string renderer_name = "mgpu software GLES2 (VideoCore IV model)";
 };
-
-// Classification of a draw abort, driving the GL error and reset status a
-// failed draw reports (see Context::GetGraphicsResetStatus):
-//   kTrap     — the shader itself trapped (loop budget, undefined
-//               function, explicit trap): guilty reset +
-//               GL_INVALID_OPERATION.
-//   kBudget   — the draw tripped the ContextConfig::draw_budget watchdog:
-//               guilty reset + GL_OUT_OF_MEMORY.
-//   kResource — the implementation failed under the draw (allocation or
-//               worker-pool failure): innocent reset + GL_OUT_OF_MEMORY.
-enum class DrawErrorKind { kNone, kTrap, kBudget, kResource };
 
 // Per-worker undo log making draws transactional: every framebuffer byte
 // and depth float a worker overwrites is recorded before mutation, and an
@@ -174,9 +163,9 @@ struct ShadeWorker {
     std::array<std::uint64_t, kFragBatchWidth> line{};
   };
   std::vector<TmuRecord> tmu_log;
-  std::string error;  // first shader runtime error this draw, if any
-  // Classification of `error` for the robustness API.
-  DrawErrorKind error_kind = DrawErrorKind::kNone;
+  // The exception that ended this worker's shading in the current draw;
+  // null outside a failed draw.
+  std::exception_ptr failure;
   // Transactional-abort undo log for the framebuffer writes this worker
   // performed during the current draw.
   UndoJournal journal;
@@ -354,9 +343,6 @@ class Context {
   // usable — subsequent draws behave as if the aborted one was never
   // issued, which is what the fault-injection tests assert.
   GLenum GetGraphicsResetStatus();
-  // The per-draw watchdog budget resolved at construction (config, then
-  // MGPU_DRAW_BUDGET; 0 = off).
-  [[nodiscard]] std::uint64_t draw_budget() const { return draw_budget_; }
   // Whether draws shade vertices kVmLanes at a time (LaneWidth() > 1).
   // Kept for e2ebench, which reports it.
   [[nodiscard]] bool vertex_batch_enabled() const { return LaneWidth() > 1; }
@@ -425,25 +411,53 @@ class Context {
   void SetUniformValue(const UniformInfo& u, int element, int comps,
                        const float* fdata, const GLint* idata, int count,
                        bool is_matrix);
-  // The vertex stage, for every engine: decodes the draw's indices,
-  // validates every VBO-backed attribute against the largest index before
-  // any vertex shades, then gathers attributes for chunks of up to the
-  // engine's lane width (LaneWidth) straight into the vertex engine's
-  // planes through the program's vertex views, runs each chunk through
-  // RunBatch and scatters clip position / point size / varyings back into
-  // `verts` in lane order. Returns false after fully reporting a draw abort
-  // (attribute fetch failure, watchdog trip, shader trap) — the caller
-  // just returns.
-  bool ShadeVertices(ProgramObject* prog, GLsizei count,
-                     const std::function<GLuint(GLsizei)>& index_at,
-                     std::vector<RasterVertex>& verts,
+  // The checks every draw call shares, after its own: clears
+  // last_draw_error(), then resolves the program and the render target and
+  // checks `mode`. Returns nullptr after setting the GL error.
+  [[nodiscard]] ProgramObject* ValidateDraw(GLenum mode, RenderTarget* rt);
+  // One validated draw of the decoded vertex `indices`, run as its stages:
+  // ShadeVertices, AssembleAndBin, PrepareWorkers and ShadeTiles. Every
+  // stage throws its failures into one catch, which replays the workers'
+  // journals and calls AbortDraw; a draw that returns from ShadeTiles
+  // commits the workers' counter shards.
+  void DrawGeneric(ProgramObject* prog, const RenderTarget& rt, GLenum mode,
+                   std::span<const GLuint> indices);
+  // The vertex stage, for every engine: validates every VBO-backed
+  // attribute against the largest index before any vertex shades, then
+  // gathers attributes for chunks of up to the engine's lane width
+  // (LaneWidth) straight into the vertex engine's planes through the
+  // program's vertex views, runs each chunk through RunBatch and scatters
+  // clip position / point size / varyings into scratch_verts_ in lane
+  // order. Returns false after setting GL_INVALID_OPERATION for an
+  // attribute fetch failure (no abort: nothing has run yet); throws a
+  // shader trap or a watchdog trip.
+  bool ShadeVertices(ProgramObject* prog, std::span<const GLuint> indices,
                      const glsl::OpCounts& draw_start_counts);
-  void DrawGeneric(GLenum mode, GLsizei count,
-                   const std::function<GLuint(GLsizei)>& index_at);
-  // Reports a draw abort of `kind` (see DrawErrorKind): restores the
-  // counter snapshot taken when the draw started, records `message` as
-  // last_draw_error() and sets the reset status and GL error `kind` maps to.
-  void AbortDraw(DrawErrorKind kind, const std::string& message,
+  // Assembles `count` vertices into scratch_prims_ in `mode`'s order,
+  // bins each primitive into the tiles it touches and lists the non-empty
+  // tiles in scratch_work_.
+  void AssembleAndBin(GLenum mode, GLsizei count, const RasterState& rs);
+  // Builds the workers and fragment clones this draw's tiles need and
+  // refreshes their per-draw state. Returns the draw's worker count.
+  int PrepareWorkers(ProgramObject* prog, const RenderTarget& rt,
+                     const glsl::OpCounts& draw_start_counts);
+  // Shades scratch_work_'s tiles on `worker_count` workers, inline or on
+  // the pool. After the join it rethrows the lowest-numbered failing
+  // worker's exception, else the pool's.
+  void ShadeTiles(const ProgramObject* prog, const RasterState& rs,
+                  int worker_count);
+  // Reports an aborted draw: restores the counter snapshot taken when the
+  // draw started, and sets last_draw_error(), the reset status and the GL
+  // error from the type of `failure`:
+  //   shader trap (glsl::ShaderRuntimeError: loop budget, explicit or
+  //     injected trap) — its text, guilty reset, GL_INVALID_OPERATION;
+  //   watchdog trip (ContextConfig::draw_budget, either stage) — its
+  //     text, guilty reset, GL_OUT_OF_MEMORY;
+  //   std::bad_alloc — `alloc_failure` when the interrupted stage names
+  //     itself, else its text; innocent reset, GL_OUT_OF_MEMORY;
+  //   any other std::exception (a dead pool task) — its text, innocent
+  //     reset, GL_OUT_OF_MEMORY.
+  void AbortDraw(const std::exception_ptr& failure, const char* alloc_failure,
                  const glsl::OpCounts& draw_start_counts);
   // Writes one shaded fragment (scissor, depth test, blend, masks). Every
   // framebuffer byte / depth float about to be overwritten is recorded in
@@ -452,9 +466,9 @@ class Context {
                   const std::array<float, 4>& color, bool depth_valid,
                   UndoJournal* journal);
   // Reports the ALU ops `w` accrued since its last report to the shared
-  // per-draw accumulator and throws a ShaderRuntimeError (kind kBudget) if
-  // the draw's total exceeds draw_budget_. Deterministic trip-vs-not: the
-  // total is monotone toward an engine- and thread-invariant final sum.
+  // per-draw accumulator and throws a watchdog trip if the draw's total
+  // exceeds the budget. Deterministic trip-vs-not: the total is monotone
+  // toward an engine- and thread-invariant final sum.
   void CheckDrawBudget(ShadeWorker& w);
   // Builds the next shading worker: its counter shard, flush closure and
   // texture callback.
@@ -484,10 +498,9 @@ class Context {
   glsl::AluModel* alu_;
   GLenum error_ = GL_NO_ERROR;
   std::string last_draw_error_;
-  // Robustness state: reset status of the last aborted draw (cleared by
-  // GetGraphicsResetStatus) and the resolved watchdog budget.
+  // Reset status of the last aborted draw (cleared by
+  // GetGraphicsResetStatus).
   GLenum reset_status_ = GL_NO_ERROR;
-  std::uint64_t draw_budget_ = 0;
   // Fragment-shading workers, resolved from shader_threads at construction.
   int shade_workers_ = 1;
   // Watchdog accumulator: ALU ops consumed by the draw in flight, summed

@@ -268,28 +268,26 @@ namespace {
 
 // The line's pixel walk, shared by RasterizeLine and LineTouchedTiles so
 // the binner sees exactly the pixels the rasterizer emits. Calls
-// fn(t, px, py) for each deduplicated step, pre-target-clip; fn returning
-// false stops the walk (used to bail once a monotone walk has passed its
-// clip rect for good).
+// fn(t, px, py) for each pixel, pre-target-clip; fn returning false stops
+// the walk (used to bail once a monotone walk has passed its clip rect for
+// good).
 //
-// Step i of `steps` sits at t = i / steps. Only the steps where the line
-// lies inside the target grown by one pixel on every side can land a
-// pixel in the target, so the walk starts one step before that parameter
-// range and ends one step after it: a line with a vertex far outside the
-// viewport costs O(target size), not O(its length), and the steps it skips
-// are ones whose pixels lie outside the target. The first step walked lies
-// before the range, off the target on the near side of each axis it has
-// not yet entered, so it emits nothing and cannot stop the walk; from then
-// on the dedup sees the same steps as a walk from i = 0.
+// The walk steps the major axis (the one the line spans more of) one
+// whole pixel at a time, from the pixel of `a` to the pixel of `b`, and
+// samples the line at each major-axis pixel's centre (clamped to the
+// segment), so every major-axis column gets exactly one pixel and
+// consecutive pixels are 8-connected. Each pixel depends only on its own
+// column, so the walk covers only the columns where the line lies inside
+// the target grown by one pixel on every side, plus one on each end: a line
+// with a vertex far outside the viewport costs O(target size), not O(its
+// length), and the columns it skips hold pixels outside the target.
 template <typename Fn>
 void WalkLine(const DeviceVertex& a, const DeviceVertex& b, int target_w,
               int target_h, Fn&& fn) {
   const double dx = b.x - a.x;
   const double dy = b.y - a.y;
-  const double len = std::ceil(std::max(std::fabs(dx), std::fabs(dy)));
-  if (!(len < 0x1p53)) return;  // NaN or inf, or past exact i / steps
-  const std::int64_t steps = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(len));
+  // NaN or inf, or too long for a double to resolve its pixel positions.
+  if (!(std::max(std::fabs(dx), std::fabs(dy)) < 0x1p53)) return;
   // Parameter range [t0, t1] inside the grown target, axis by axis.
   double t0 = 0.0;
   double t1 = 1.0;
@@ -308,24 +306,32 @@ void WalkLine(const DeviceVertex& a, const DeviceVertex& b, int target_w,
   clip_axis(a.x, dx, target_w);
   clip_axis(a.y, dy, target_h);
   if (!(t0 <= t1)) return;
-  const double fsteps = static_cast<double>(steps);
-  const std::int64_t first = std::max<std::int64_t>(
-      0, static_cast<std::int64_t>(std::floor(t0 * fsteps)) - 1);
-  const std::int64_t last = std::min<std::int64_t>(
-      steps, static_cast<std::int64_t>(std::ceil(t1 * fsteps)) + 1);
-  // Walk pixels outside the grown target saturate: they never emit.
+  const bool x_major = std::fabs(dx) >= std::fabs(dy);
+  const double m0 = x_major ? a.x : a.y;  // major axis
+  const double m1 = x_major ? b.x : b.y;
+  const double n0 = x_major ? a.y : a.x;  // minor axis
+  const double n1 = x_major ? b.y : b.x;
+  const double dm = m1 - m0;
+  const double dir = dm < 0.0 ? -1.0 : 1.0;
+  // The clipped range's end columns, one column wider on each side and
+  // kept inside the segment's own columns: small whole numbers.
+  const double c0 = std::floor(std::lerp(m0, m1, t0)) - dir;
+  const double c1 = std::floor(std::lerp(m0, m1, t1)) + dir;
+  const double first =
+      dir > 0.0 ? std::max(c0, std::floor(m0)) : std::min(c0, std::floor(m0));
+  const double last =
+      dir > 0.0 ? std::min(c1, std::floor(m1)) : std::max(c1, std::floor(m1));
+  // Minor-axis pixels outside the grown target saturate: they never emit.
   const auto pixel = [](double v) {
     return static_cast<int>(std::fmax(-2.0, std::fmin(std::floor(v), 0x1p30)));
   };
-  int last_x = INT_MIN, last_y = INT_MIN;
-  for (std::int64_t i = first; i <= last; ++i) {
-    const double t = static_cast<double>(i) / fsteps;
-    const int px = pixel(a.x + t * dx);
-    const int py = pixel(a.y + t * dy);
-    if (px == last_x && py == last_y) continue;
-    last_x = px;
-    last_y = py;
-    if (!fn(t, px, py)) return;
+  const int step = static_cast<int>(dir);
+  const int end = static_cast<int>(last) + step;
+  for (int c = static_cast<int>(first); c != end; c += step) {
+    const double t =
+        dm == 0.0 ? 0.0 : std::clamp((c + 0.5 - m0) / dm, 0.0, 1.0);
+    const int pn = pixel(std::lerp(n0, n1, t));
+    if (!fn(t, x_major ? c : pn, x_major ? pn : c)) return;
   }
 }
 
@@ -353,9 +359,9 @@ void RasterizeLine(const RasterVertex& v0, const RasterVertex& v1,
     if (px < 0 || py < 0 || px >= state.target_w || py >= state.target_h) {
       return true;
     }
-    // WalkLine's step dedup sees every step regardless of the clip rect, so
-    // per-tile runs of the same line visit identical (px, py) prefixes; the
-    // rect only filters emission.
+    // WalkLine computes each pixel from its own column alone, so per-tile
+    // runs of the same line visit identical pixels; the rect only filters
+    // emission.
     if (px < state.clip_x0 || py < state.clip_y0 || px >= state.clip_x1 ||
         py >= state.clip_y1) {
       return true;

@@ -493,25 +493,6 @@ TEST(FaultInjection, EveryAbortSourceReportsItsContract) {
   }
 }
 
-// MGPU_DRAW_BUDGET wiring: the config knob resolves into draw_budget().
-TEST(FaultInjection, DrawBudgetConfigKnob) {
-  ContextConfig cfg = MakeConfig(ExecEngine::kBatchedVm, 1);
-  cfg.draw_budget = 12345;
-  Context ctx(cfg);
-  // The env var (unset in tests) must not clobber the config value.
-  EXPECT_EQ(ctx.draw_budget(), 12345u);
-  // MGPU_DRAW_BUDGET overrides the config only when it is a whole decimal
-  // number; anything else keeps the configured budget.
-  for (const char* bad : {"abc", "-1", "12x"}) {
-    SCOPED_TRACE(bad);
-    setenv("MGPU_DRAW_BUDGET", bad, /*overwrite=*/1);
-    EXPECT_EQ(Context(cfg).draw_budget(), 12345u);
-  }
-  setenv("MGPU_DRAW_BUDGET", "77", /*overwrite=*/1);
-  EXPECT_EQ(Context(cfg).draw_budget(), 77u);
-  unsetenv("MGPU_DRAW_BUDGET");
-}
-
 }  // namespace
 }  // namespace mgpu::gles2
 

@@ -8,6 +8,9 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -267,6 +270,86 @@ TEST(RasterTest, LineConnectsEndpoints) {
   ASSERT_FALSE(pixels.empty());
   EXPECT_EQ(pixels.front(), (std::pair{0, 0}));
   EXPECT_EQ(pixels.back(), (std::pair{7, 7}));
+}
+
+// Seeded random lines, short ones around the target and long ones through
+// it from up to 2^30 pixels away: the walk lights one pixel in each
+// major-axis column, consecutive pixels are 8-connected, the column of an
+// end inside the target is the first or last one lit, and LineTouchedTiles
+// reports exactly the tiles of the lit pixels, in walk order.
+TEST(RasterTest, RandomLinesLightOnePixelPerColumnWithoutGaps) {
+  constexpr int kSize = 96;
+  constexpr int kTile = 32;
+  const RasterState s = State(kSize, kSize);
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> around(-8.0, kSize + 8.0);
+  std::uniform_real_distribution<double> angle(0.0, 6.283185307179586);
+  std::uniform_int_distribution<int> log_len(7, 30);
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::array<double, 4> d = {around(rng), around(rng), around(rng),
+                               around(rng)};
+    if (iter % 2 == 1) {
+      // Through (d[0], d[1]), both ends 2^k pixels away.
+      const double len = std::ldexp(1.0, log_len(rng));
+      const double th = angle(rng);
+      d = {d[0] - len * std::cos(th), d[1] - len * std::sin(th),
+           d[0] + len * std::cos(th), d[1] + len * std::sin(th)};
+    }
+    const RasterVertex v0 = V(static_cast<float>(d[0] / kSize * 2.0 - 1.0),
+                              static_cast<float>(d[1] / kSize * 2.0 - 1.0));
+    const RasterVertex v1 = V(static_cast<float>(d[2] / kSize * 2.0 - 1.0),
+                              static_cast<float>(d[3] / kSize * 2.0 - 1.0));
+    // The window coordinates the rasterizer derives from the float clip
+    // coordinates.
+    const auto window = [](float ndc) {
+      return (static_cast<double>(ndc) + 1.0) * 0.5 * kSize;
+    };
+    const double ax = window(v0.clip[0]), ay = window(v0.clip[1]);
+    const double bx = window(v1.clip[0]), by = window(v1.clip[1]);
+    const bool x_major = std::fabs(bx - ax) >= std::fabs(by - ay);
+    const int dir = (x_major ? bx - ax : by - ay) < 0.0 ? -1 : 1;
+    SCOPED_TRACE("iter " + std::to_string(iter));
+
+    std::vector<std::pair<int, int>> pixels;
+    DrainLine(v0, v1, 0, s,
+              [&](int x, int y, float, const float*, bool, float, float) {
+                pixels.emplace_back(x, y);
+              });
+    for (std::size_t i = 1; i < pixels.size(); ++i) {
+      const auto [px, py] = pixels[i - 1];
+      const auto [qx, qy] = pixels[i];
+      ASSERT_EQ(x_major ? qx - px : qy - py, dir)
+          << "(" << px << "," << py << ") -> (" << qx << "," << qy << ")";
+      ASSERT_LE(std::abs(x_major ? qy - py : qx - px), 1)
+          << "(" << px << "," << py << ") -> (" << qx << "," << qy << ")";
+    }
+    // An end inside the target: its column is lit, at most one pixel
+    // off its own pixel (the column is sampled at its centre).
+    const auto expect_end = [&](bool front, double x, double y) {
+      if (!(x >= 0.0 && y >= 0.0 && x < kSize && y < kSize)) return;
+      ASSERT_FALSE(pixels.empty());
+      const std::pair<int, int> lit = front ? pixels.front() : pixels.back();
+      const int ex = static_cast<int>(x);
+      const int ey = static_cast<int>(y);
+      EXPECT_EQ(x_major ? lit.first : lit.second, x_major ? ex : ey);
+      EXPECT_LE(std::abs(x_major ? lit.second - ey : lit.first - ex), 1);
+    };
+    expect_end(true, ax, ay);
+    expect_end(false, bx, by);
+
+    std::vector<std::pair<int, int>> lit_tiles;
+    for (const auto& [x, y] : pixels) {
+      const std::pair tile{x / kTile, y / kTile};
+      if (lit_tiles.empty() || lit_tiles.back() != tile) {
+        lit_tiles.push_back(tile);
+      }
+    }
+    std::vector<std::pair<int, int>> binned_tiles;
+    LineTouchedTiles(v0, v1, s, kTile, [&](int tx, int ty) {
+      binned_tiles.emplace_back(tx, ty);
+    });
+    EXPECT_EQ(binned_tiles, lit_tiles);
+  }
 }
 
 TEST(RasterTest, ViewportOffsetShiftsOutput) {
