@@ -66,9 +66,9 @@ int RunExample() {
 }
 
 // Kernel dispatch failures (a shader trap, the draw-budget watchdog set by
-// ContextConfig::draw_budget, or a pipeline resource fault) surface as exceptions carrying the GL error
-// and the robustness blame; report them and exit nonzero instead of
-// crashing (see README "Robustness model").
+// ContextConfig::draw_budget, or a pipeline resource fault) surface as
+// exceptions carrying the GL error and the robustness blame; report them
+// and exit nonzero instead of crashing (see README "Robustness model").
 int main() {
   try {
     return RunExample();

@@ -1872,14 +1872,15 @@ void Context::ShadeTiles(const ProgramObject* prog, const RasterState& rs,
   // One shading body for every worker: it claims tiles off a shared counter
   // until none is left. The first exception a worker hits (a shader trap,
   // a watchdog trip, an allocation failure) ends its shading and is kept
-  // for the abort; the latch makes the other workers' flushes stop.
+  // for the abort; the latch makes the other workers' flushes and tile
+  // claims stop.
   const int tile_count = static_cast<int>(work.size());
   std::atomic<int> next_tile{0};
   const auto shade_worker = [&](int wi) {
     ShadeWorker& w = *workers_[static_cast<std::size_t>(wi)];
     try {
       for (int item = next_tile.fetch_add(1, std::memory_order_relaxed);
-           item < tile_count;
+           item < tile_count && !draw_failed_.load(std::memory_order_relaxed);
            item = next_tile.fetch_add(1, std::memory_order_relaxed)) {
         shade_tile(work[static_cast<std::size_t>(item)], w);
       }
