@@ -17,16 +17,7 @@ namespace mgpu {
   return std::bit_cast<float>(u);
 }
 
-// IEEE-754 binary32 field accessors.
-[[nodiscard]] constexpr std::uint32_t FloatSignBit(std::uint32_t bits) {
-  return bits >> 31;
-}
-[[nodiscard]] constexpr std::uint32_t FloatBiasedExponent(std::uint32_t bits) {
-  return (bits >> 23) & 0xffu;
-}
-[[nodiscard]] constexpr std::uint32_t FloatMantissa(std::uint32_t bits) {
-  return bits & 0x7fffffu;
-}
+// Assembles an IEEE-754 binary32 from its fields.
 [[nodiscard]] constexpr std::uint32_t MakeFloatBits(std::uint32_t sign,
                                                     std::uint32_t biased_exp,
                                                     std::uint32_t mantissa) {

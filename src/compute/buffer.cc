@@ -120,8 +120,6 @@ std::vector<std::uint8_t> PackedBuffer::ReadTexels() {
   return texels;
 }
 
-std::vector<std::uint8_t> PackedBuffer::DownloadRaw() { return ReadTexels(); }
-
 void PackedBuffer::Download(std::span<std::uint8_t> out) {
   UnpackU8(ReadTexels(), out);
   device_.work().host_work += HostPackWork(type_, out.size());

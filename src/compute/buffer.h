@@ -47,9 +47,6 @@ class PackedBuffer {
   void Download(std::span<std::int32_t> out);
   void Download(std::span<float> out);
 
-  // Raw RGBA texel readback (no unpacking), for tests.
-  [[nodiscard]] std::vector<std::uint8_t> DownloadRaw();
-
  private:
   void Init();
   void UploadTexels(const std::vector<std::uint8_t>& texels, ElemType t,

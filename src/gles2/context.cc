@@ -516,19 +516,12 @@ void Context::SetUniformValue(const UniformInfo& u, int element, int comps,
   const bool wants_float = scalar == BaseType::kFloat;
   const bool sampler = glsl::IsSampler(u.type.base);
 
-  if (is_matrix != type_is_matrix) {
+  if (is_matrix != type_is_matrix || comps != type_comps) {
     SetError(GL_INVALID_OPERATION);
     return;
   }
-  if (!is_matrix && comps != type_comps) {
-    SetError(GL_INVALID_OPERATION);
-    return;
-  }
-  if (is_matrix && comps != type_comps) {
-    SetError(GL_INVALID_OPERATION);
-    return;
-  }
-  if (fdata != nullptr && !wants_float) {
+  // ES 2.0 §2.10.4: the float entry points load float and bool uniforms.
+  if (fdata != nullptr && !wants_float && scalar != BaseType::kBool) {
     SetError(GL_INVALID_OPERATION);
     return;
   }
@@ -555,6 +548,8 @@ void Context::SetUniformValue(const UniformInfo& u, int element, int comps,
           val.SetF(cell_base + c, fdata[e * type_comps + c]);
         } else if (sampler || scalar == BaseType::kInt) {
           val.SetI(cell_base + c, idata[e * type_comps + c]);
+        } else if (fdata != nullptr) {  // bool: 0.0f is false
+          val.SetB(cell_base + c, fdata[e * type_comps + c] != 0.0f);
         } else {  // bool
           val.SetB(cell_base + c, idata[e * type_comps + c] != 0);
         }
@@ -1235,14 +1230,9 @@ void Context::ReadPixels(GLint x, GLint y, GLsizei w, GLsizei h,
 // Drawing
 // ---------------------------------------------------------------------------
 
-bool Context::ShadeVertices(ProgramObject* prog,
-                            std::span<const GLuint> indices,
-                            const glsl::OpCounts& draw_start_counts) {
-  // Each RunBatch pass shades up to LaneWidth() vertices over the engine's
-  // lane planes, through the views the link resolved.
-  glsl::ShaderEngine& engine = *prog->vertex;
+bool Context::ResolveAttribSources(ProgramObject* prog,
+                                   std::span<const GLuint> indices) {
   const ProgramObject::VertexViews& views = prog->vertex_views;
-  const int lanes = LaneWidth();
   if (prog->drawn) {
     ++shade_tally_.hits_;
   } else {
@@ -1256,9 +1246,10 @@ bool Context::ShadeVertices(ProgramObject* prog,
   // Per-draw attribute sources, resolved once. Every fetch failure — a
   // missing buffer, an offset past the store, a null base, an unknown type
   // enum, or a VBO too short for the draw's largest index — is reported
-  // here, before any vertex shades, so it cannot race a shader trap: no
-  // counter moved yet, GL_INVALID_OPERATION, no reset. Client arrays are
-  // unbounded by the GL contract.
+  // here, before any shading state is built or any vertex shades, so it
+  // cannot race a shader trap or a resource fault: no counter moved yet,
+  // GL_INVALID_OPERATION, no reset. Client arrays are unbounded by the GL
+  // contract.
   std::vector<AttribSource>& sources = scratch_sources_;
   sources.resize(views.attribs.size());
   for (std::size_t k = 0; k < views.attribs.size(); ++k) {
@@ -1306,6 +1297,18 @@ bool Context::ShadeVertices(ProgramObject* prog,
     s.normalized = a.normalized != GL_FALSE;
     s.size = a.size;
   }
+  return true;
+}
+
+void Context::ShadeVertices(const ProgramObject& prog,
+                            std::span<const GLuint> indices, ShadeWorker& w) {
+  // Each RunBatch pass shades up to LaneWidth() vertices over the engine's
+  // lane planes, through the views the link resolved, on worker 0's counter
+  // shard and texture fetch.
+  glsl::ShaderEngine& engine = *prog.vertex;
+  const ProgramObject::VertexViews& views = prog.vertex_views;
+  const std::vector<AttribSource>& sources = scratch_sources_;
+  const int lanes = LaneWidth();
 
   // Post-transform vertices live in context-owned scratch: resize keeps the
   // outer capacity and surviving elements' varying-vector capacity, so a
@@ -1383,16 +1386,12 @@ bool Context::ShadeVertices(ProgramObject* prog,
     // Run the chunk. Lane order == vertex order, so a trapping chunk's
     // minimum trapping lane is the first trapping vertex, and the thrown
     // message is the same on every engine. (Vertex programs cannot
-    // discard; the kept mask is all-ones.)
-    (void)engine.RunBatch(n);
-
-    // Watchdog, per chunk: the totals are monotone toward the same
-    // engine-invariant sum, so the trip-vs-not decision does not depend
-    // on the lane width.
-    if (config_.draw_budget != 0 &&
-        alu_->counts().alu - draw_start_counts.alu > config_.draw_budget) {
-      throw DrawBudgetExceeded();
-    }
+    // discard; the kept mask is all-ones.) The watchdog folds in per
+    // chunk, and the chunk's texture-cache accesses replay in lane order,
+    // which is vertex order, so the misses are the same at every width.
+    (void)engine.RunBatch(n, *w.alu, w.texture);
+    if (config_.draw_budget != 0) CheckDrawBudget(w);
+    ReplayTmuLog(w, n);
 
     // Scatter, in lane order.
     for (int l = 0; l < n; ++l) {
@@ -1409,7 +1408,7 @@ bool Context::ShadeVertices(ProgramObject* prog,
         out.point_size = views.point_size.at(0, l).f;
         if (out.point_size <= 0.0f) out.point_size = 1.0f;
       }
-      out.varyings.resize(static_cast<std::size_t>(prog->varying_cells));
+      out.varyings.resize(static_cast<std::size_t>(prog.varying_cells));
       for (const ProgramObject::VertexViews::Varying& vl : views.varyings) {
         for (int c = 0; c < vl.cells; ++c) {
           out.varyings[static_cast<std::size_t>(vl.offset + c)] =
@@ -1418,7 +1417,6 @@ bool Context::ShadeVertices(ProgramObject* prog,
       }
     }
   }
-  return true;
 }
 
 void Context::WritePixel(RenderTarget& rt, int x, int y, float depth,
@@ -1619,12 +1617,11 @@ void Context::DrawGeneric(ProgramObject* prog, const RenderTarget& rt,
                           GLenum mode, std::span<const GLuint> indices) {
   if (indices.empty()) return;
 
-  // Transactional draw: take a counter snapshot now. Together with the
-  // per-worker framebuffer undo journals it restores exact "draw never
-  // issued" state on any abort — identically for every engine and worker
-  // count, because the restored state does not depend on where shading
-  // stopped.
-  const glsl::OpCounts draw_start_counts = alu_->counts();
+  // Transactional draw: both stages count on the workers' shards, which
+  // reach the context's counters only when the draw commits, and every
+  // framebuffer write is journaled, so an abort restores the exact "draw
+  // never issued" state — identically for every engine and worker count,
+  // because the restored state does not depend on where shading stopped.
   RasterState rs;
   rs.viewport_x = vp_x_;
   rs.viewport_y = vp_y_;
@@ -1640,16 +1637,22 @@ void Context::DrawGeneric(ProgramObject* prog, const RenderTarget& rt,
   // std::bad_alloc reports the stage it interrupted where that stage
   // names itself, else its own text.
   const char* alloc_failure = nullptr;
-  int worker_count = 0;
+  int worker_count = 0;  // the workers whose shards the draw used
   try {
-    if (!ShadeVertices(prog, indices, draw_start_counts)) return;
+    if (!ResolveAttribSources(prog, indices)) return;
+    alloc_failure = "shading-state allocation failed";
+    ShadeWorker& vertex_worker = BeginDraw();
+    alloc_failure = nullptr;
+    worker_count = 1;
+    ShadeVertices(*prog, indices, vertex_worker);
     alloc_failure = "tile binner allocation failed";
     AssembleAndBin(mode, static_cast<GLsizei>(indices.size()), rs);
-    if (scratch_work_.empty()) return;
-    alloc_failure = "shading-state allocation failed";
-    worker_count = PrepareWorkers(prog, rt, draw_start_counts);
-    alloc_failure = nullptr;
-    ShadeTiles(prog, rs, worker_count);
+    if (!scratch_work_.empty()) {
+      alloc_failure = "shading-state allocation failed";
+      worker_count = PrepareWorkers(prog, rt);
+      alloc_failure = nullptr;
+      ShadeTiles(prog, rs, worker_count);
+    }
   } catch (...) {
     // Reverse-replay every worker's undo journal (empty unless shading
     // began; workers shade disjoint tiles, so cross-worker order is
@@ -1676,12 +1679,12 @@ void Context::DrawGeneric(ProgramObject* prog, const RenderTarget& rt,
       w->journal.Clear();
     }
     AbortDraw(failure != nullptr ? failure : std::current_exception(),
-              alloc_failure, draw_start_counts);
+              alloc_failure);
     return;
   }
-  // Committed: merge the counter shards (a failed draw discards them, and
-  // the snapshot restore is what makes the counters read "never issued");
-  // the journals exist only to be replayed on abort.
+  // Committed: merge the used counter shards (a failed draw leaves them
+  // to the next draw's reset, so its counts never reach the context); the
+  // journals exist only to be replayed on abort.
   for (int i = 0; i < worker_count; ++i) {
     ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
     alu_->AddCounts(w.alu->counts());
@@ -1766,43 +1769,11 @@ void Context::AssembleAndBin(GLenum mode, GLsizei count,
   binner_.NonEmptyTiles(&scratch_work_);
 }
 
-int Context::PrepareWorkers(ProgramObject* prog, const RenderTarget& rt,
-                            const glsl::OpCounts& draw_start_counts) {
-  const int worker_count =
-      std::min(shade_workers_, static_cast<int>(scratch_work_.size()));
-  const glsl::ShaderEngine& base = *prog->fragment;
-  for (int i = 0; i < worker_count; ++i) {
-    const std::size_t si = static_cast<std::size_t>(i);
-    // Injectable build failure: a worker or a clone (a full global-store
-    // copy) is the allocation-heavy part of a draw. Nothing half-built
-    // is kept: each is stored only once complete.
-    if (si == workers_.size()) {
-      if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
-        throw std::bad_alloc();
-      }
-      workers_.push_back(MakeWorker());
-    }
-    ShadeWorker& w = *workers_[si];
-    if (si == prog->fragment_clones.size()) {
-      if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
-        throw std::bad_alloc();
-      }
-      // A fresh clone copies today's globals; only older ones re-sync.
-      prog->fragment_clones.push_back(
-          CloneFragmentStage(*prog, *w.alu, w.texture));
-    } else {
-      prog->fragment_clones[si].engine->SyncGlobalsFrom(base);
-    }
-  }
-
-  // Per-draw refresh of the state the flush closures reach through stable
-  // addresses: the resolved render target, the failure latch, the watchdog
-  // accumulator (seeded with the vertex stage's ops), and each used
-  // worker's stage, counter shard and batch/TMU-log scratch (stale only if
-  // a previous draw failed; every draw ends with empty journals and no
-  // worker failure).
-  draw_rt_ = rt;
-  draw_failed_.store(false, std::memory_order_relaxed);
+ShadeWorker& Context::BeginDraw() {
+  if (workers_.empty()) AddWorker();
+  // Per-draw refresh of the state the workers' texture callbacks and flush
+  // closures reach through stable addresses: the sampler table, the
+  // failure latch and the watchdog accumulator.
   static_assert(std::tuple_size_v<decltype(draw_samplers_)> ==
                 std::tuple_size_v<decltype(units_)>);
   for (std::size_t u = 0; u < units_.size(); ++u) {
@@ -1810,8 +1781,37 @@ int Context::PrepareWorkers(ProgramObject* prog, const RenderTarget& rt,
     draw_samplers_[u] = {tex, units_[u].bound_2d,
                          tex != nullptr && tex->IsComplete()};
   }
-  draw_alu_used_.store(alu_->counts().alu - draw_start_counts.alu,
-                       std::memory_order_relaxed);
+  draw_failed_.store(false, std::memory_order_relaxed);
+  draw_alu_used_.store(0, std::memory_order_relaxed);
+  ShadeWorker& w = *workers_.front();
+  w.BeginDraw();
+  return w;
+}
+
+int Context::PrepareWorkers(ProgramObject* prog, const RenderTarget& rt) {
+  const int worker_count =
+      std::min(shade_workers_, static_cast<int>(scratch_work_.size()));
+  const glsl::ShaderEngine& base = *prog->fragment;
+  for (int i = 0; i < worker_count; ++i) {
+    const std::size_t si = static_cast<std::size_t>(i);
+    if (si == workers_.size()) AddWorker();
+    // Injectable build failure, as for a worker: a clone is a full
+    // global-store copy. It is stored only once complete.
+    if (si == prog->fragment_clones.size()) {
+      if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) {
+        throw std::bad_alloc();
+      }
+      // A fresh clone copies today's globals; only older ones re-sync.
+      prog->fragment_clones.push_back(CloneFragmentStage(*prog));
+    } else {
+      prog->fragment_clones[si].engine->SyncGlobalsFrom(base);
+    }
+  }
+
+  // Per-draw refresh of the render target the flush closures reach, and
+  // of each used worker's stage and journal; worker 0 began the draw with
+  // the vertex stage, the others begin it here.
+  draw_rt_ = rt;
   // Journal framebuffer writes only when this draw can actually abort
   // after a pixel lands: the fragment stage has trap-capable instructions,
   // the per-draw watchdog is armed, or a fault site is armed. Otherwise
@@ -1823,12 +1823,9 @@ int Context::PrepareWorkers(ProgramObject* prog, const RenderTarget& rt,
       prog->fs_can_trap || config_.draw_budget != 0 || fault::AnyArmed();
   for (int i = 0; i < worker_count; ++i) {
     ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
+    if (i > 0) w.BeginDraw();
     w.stage = &prog->fragment_clones[static_cast<std::size_t>(i)];
-    w.alu->ResetCounts();
     w.active_journal = needs_journal ? &w.journal : nullptr;
-    w.budget_reported = 0;
-    w.batch.count = 0;
-    w.tmu_log.clear();
   }
   return worker_count;
 }
@@ -1911,9 +1908,7 @@ void Context::ShadeTiles(const ProgramObject* prog, const RasterState& rs,
 }
 
 void Context::AbortDraw(const std::exception_ptr& failure,
-                        const char* alloc_failure,
-                        const glsl::OpCounts& draw_start_counts) {
-  alu_->SetCounts(draw_start_counts);
+                        const char* alloc_failure) {
   GLenum error = GL_OUT_OF_MEMORY;
   GLenum reset = GL_INNOCENT_CONTEXT_RESET;
   try {
@@ -1934,13 +1929,16 @@ void Context::AbortDraw(const std::exception_ptr& failure,
   SetError(error);
 }
 
-std::unique_ptr<ShadeWorker> Context::MakeWorker() {
+void Context::AddWorker() {
+  // Injectable build failure: a worker is allocation-heavy. Nothing
+  // half-built is kept: it is stored only once complete.
+  if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) throw std::bad_alloc();
   auto w = std::make_unique<ShadeWorker>();
   ShadeWorker* const wp = w.get();
   w->alu = alu_->Fork();
   w->texture = MakeTextureFn(wp);
   w->flush = [this, wp] { FlushBatch(*wp); };
-  return w;
+  workers_.push_back(std::move(w));
 }
 
 void Context::FlushBatch(ShadeWorker& w) {
@@ -1995,7 +1993,7 @@ void Context::FlushBatch(ShadeWorker& w) {
   for (int lo = 0; lo < n; lo += width) {
     const int m = std::min(width, n - lo);
     scatter(lo, m);
-    const std::uint32_t kept = stage.engine->RunBatch(m);
+    const std::uint32_t kept = stage.engine->RunBatch(m, *w.alu, w.texture);
     if (config_.draw_budget != 0) CheckDrawBudget(w);
     ReplayTmuLog(w, m);
     for (int l = 0; l < m; ++l) {

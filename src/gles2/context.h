@@ -53,10 +53,11 @@ struct ContextConfig {
   // a private engine clone / ALU-counter shard / TMU-cache model, every
   // successful draw produces identical framebuffer bytes and ALU/SFU/TMU op
   // counts for every value. (A draw that raises a shader runtime error is
-  // aborted *transactionally*: framebuffer, depth and counters are restored
-  // to the pre-draw state byte for byte — identical for every engine and
-  // worker count — and the GL error / last_draw_error / reset status report
-  // the failure; a real GPU would hang or be reset.)
+  // aborted *transactionally*: framebuffer and depth are restored to the
+  // pre-draw state byte for byte and its counter shards are discarded —
+  // identical for every engine and worker count — and the GL error /
+  // last_draw_error / reset status report the failure; a real GPU would
+  // hang or be reset.)
   int shader_threads = 0;
   // Per-draw total-work budget in modeled ALU ops (vertex + fragment,
   // OpCounts::alu accounting): a watchdog in the spirit of a kernel
@@ -132,24 +133,29 @@ struct TmuCacheModel {
   }
 };
 
-// One fragment-shading worker of a context: the state a VC4 QPU keeps to
-// itself while every QPU runs the same shader code. A context builds its
-// workers lazily, up to its worker count, and keeps them for its lifetime;
-// every program shades on them, a serial draw on worker 0. Nothing here
+// One shading worker of a context: the state a VC4 QPU keeps to itself
+// while every QPU runs the same shader code. A draw shades only through
+// its workers: every engine run is handed a worker's counter shard and
+// texture callback. Worker 0 runs the vertex stage on the calling thread,
+// then fragment shading runs on workers [0, n), a serial draw on worker 0.
+// A context builds its workers lazily, up to its worker count, and keeps
+// them for its lifetime; every program shades on them. Nothing here
 // depends on the program: the program's side of a worker is its fragment
 // clone (ProgramObject::FragmentClone), which `stage` names per draw. The
 // flush closure and the texture callback capture the worker's address, so
 // the context holds workers by unique_ptr.
 struct ShadeWorker {
-  // Counter shard Fork()ed from the context's model: the worker's clones do
-  // their math on it; it is reset per draw and merged when a draw commits.
+  // Counter shard Fork()ed from the context's model: every run on this
+  // worker counts on it. It is reset when the worker begins a draw and
+  // merged into the context's model when the draw commits; an aborted
+  // draw's shards are never merged.
   std::unique_ptr<glsl::AluModel> alu;
   TmuCacheModel tmu;
   // The drawn program's clone for this worker, set per draw.
   ProgramObject::FragmentClone* stage = nullptr;
 
   // `flush` shades and drains `batch` (Context::FlushBatch); `texture` is
-  // installed on every clone built for this worker.
+  // the fetch every run on this worker reads texels through.
   BatchFlushFn flush;
   glsl::TextureFn texture;
   FragmentBatch batch;
@@ -157,7 +163,7 @@ struct ShadeWorker {
   // the batch in flight, in instruction order — the lanes that touched
   // the texture cache and each one's cache line. ReplayTmuLog walks it
   // lane-major after each RunBatch, so the modeled miss count follows
-  // the fragment-sequential access order exactly.
+  // the vertex- or fragment-sequential access order exactly.
   struct TmuRecord {
     std::uint32_t mask = 0;
     std::array<std::uint64_t, kFragBatchWidth> line{};
@@ -177,8 +183,20 @@ struct ShadeWorker {
   UndoJournal* active_journal = nullptr;
   // ALU ops this worker's counter shard held the last time it reported
   // to the draw's watchdog accumulator (delta reporting keeps the
-  // budget check O(1) per batch flush).
+  // budget check O(1) per vertex chunk or batch flush).
   std::uint64_t budget_reported = 0;
+
+  // Zeroes the per-draw state: the counter shard, the watchdog report, the
+  // TMU-cache model and the batch and TMU-log scratch (stale only if a
+  // previous draw failed; every draw ends with an empty journal and no
+  // failure).
+  void BeginDraw() {
+    alu->ResetCounts();
+    budget_reported = 0;
+    tmu.Reset();
+    batch.count = 0;
+    tmu_log.clear();
+  }
 };
 
 // Draw-state tallies, kept only for e2ebench, which reports them. A draw
@@ -416,39 +434,47 @@ class Context {
   // checks `mode`. Returns nullptr after setting the GL error.
   [[nodiscard]] ProgramObject* ValidateDraw(GLenum mode, RenderTarget* rt);
   // One validated draw of the decoded vertex `indices`, run as its stages:
-  // ShadeVertices, AssembleAndBin, PrepareWorkers and ShadeTiles. Every
-  // stage throws its failures into one catch, which replays the workers'
-  // journals and calls AbortDraw; a draw that returns from ShadeTiles
-  // commits the workers' counter shards.
+  // ResolveAttribSources, BeginDraw, ShadeVertices, AssembleAndBin,
+  // PrepareWorkers and ShadeTiles. Every stage throws its failures into
+  // one catch, which replays the workers' journals and calls AbortDraw;
+  // every other exit past the vertex stage commits the used workers'
+  // counter shards.
   void DrawGeneric(ProgramObject* prog, const RenderTarget& rt, GLenum mode,
                    std::span<const GLuint> indices);
-  // The vertex stage, for every engine: validates every VBO-backed
-  // attribute against the largest index before any vertex shades, then
-  // gathers attributes for chunks of up to the engine's lane width
-  // (LaneWidth) straight into the vertex engine's planes through the
-  // program's vertex views, runs each chunk through RunBatch and scatters
-  // clip position / point size / varyings into scratch_verts_ in lane
-  // order. Returns false after setting GL_INVALID_OPERATION for an
-  // attribute fetch failure (no abort: nothing has run yet); throws a
-  // shader trap or a watchdog trip.
-  bool ShadeVertices(ProgramObject* prog, std::span<const GLuint> indices,
-                     const glsl::OpCounts& draw_start_counts);
+  // Tallies the draw and resolves the program's attribute sources into
+  // scratch_sources_, validating every VBO-backed one against the largest
+  // index. Returns false after setting GL_INVALID_OPERATION for an
+  // attribute fetch failure (no abort: nothing has run yet).
+  bool ResolveAttribSources(ProgramObject* prog,
+                            std::span<const GLuint> indices);
+  // Builds worker 0 if the context has none yet, resolves the draw's
+  // sampler table, clears the failure latch and the watchdog accumulator,
+  // and begins worker 0's draw. Returns worker 0.
+  ShadeWorker& BeginDraw();
+  // The vertex stage, for every engine, on worker `w`: gathers attributes
+  // for chunks of up to the engine's lane width (LaneWidth) straight into
+  // the vertex engine's planes through the program's vertex views, runs
+  // each chunk through RunBatch on the worker's counter shard and texture
+  // fetch, replays its TMU log and scatters clip position / point size /
+  // varyings into scratch_verts_ in lane order. Throws a shader trap or a
+  // watchdog trip.
+  void ShadeVertices(const ProgramObject& prog,
+                     std::span<const GLuint> indices, ShadeWorker& w);
   // Assembles `count` vertices into scratch_prims_ in `mode`'s order,
   // bins each primitive into the tiles it touches and lists the non-empty
   // tiles in scratch_work_.
   void AssembleAndBin(GLenum mode, GLsizei count, const RasterState& rs);
   // Builds the workers and fragment clones this draw's tiles need and
   // refreshes their per-draw state. Returns the draw's worker count.
-  int PrepareWorkers(ProgramObject* prog, const RenderTarget& rt,
-                     const glsl::OpCounts& draw_start_counts);
+  int PrepareWorkers(ProgramObject* prog, const RenderTarget& rt);
   // Shades scratch_work_'s tiles on `worker_count` workers, inline or on
   // the pool. After the join it rethrows the lowest-numbered failing
   // worker's exception, else the pool's.
   void ShadeTiles(const ProgramObject* prog, const RasterState& rs,
                   int worker_count);
-  // Reports an aborted draw: restores the counter snapshot taken when the
-  // draw started, and sets last_draw_error(), the reset status and the GL
-  // error from the type of `failure`:
+  // Reports an aborted draw (whose counter shards are discarded, so the
+  // context's counters never moved): sets last_draw_error(), the reset
+  // status and the GL error from the type of `failure`:
   //   shader trap (glsl::ShaderRuntimeError: loop budget, explicit or
   //     injected trap) — its text, guilty reset, GL_INVALID_OPERATION;
   //   watchdog trip (ContextConfig::draw_budget, either stage) — its
@@ -457,32 +483,34 @@ class Context {
   //     itself, else its text; innocent reset, GL_OUT_OF_MEMORY;
   //   any other std::exception (a dead pool task) — its text, innocent
   //     reset, GL_OUT_OF_MEMORY.
-  void AbortDraw(const std::exception_ptr& failure, const char* alloc_failure,
-                 const glsl::OpCounts& draw_start_counts);
+  void AbortDraw(const std::exception_ptr& failure, const char* alloc_failure);
   // Writes one shaded fragment (scissor, depth test, blend, masks). Every
   // framebuffer byte / depth float about to be overwritten is recorded in
   // `journal` first (non-null during draws) so an abort can undo it.
   void WritePixel(RenderTarget& rt, int x, int y, float depth,
                   const std::array<float, 4>& color, bool depth_valid,
                   UndoJournal* journal);
-  // Reports the ALU ops `w` accrued since its last report to the shared
-  // per-draw accumulator and throws a watchdog trip if the draw's total
-  // exceeds the budget. Deterministic trip-vs-not: the total is monotone
-  // toward an engine- and thread-invariant final sum.
+  // The watchdog of both stages: reports the ALU ops `w` accrued since its
+  // last report to the shared per-draw accumulator and throws a watchdog
+  // trip if the draw's total exceeds the budget. Deterministic
+  // trip-vs-not: the total is monotone toward an engine- and
+  // thread-invariant final sum.
   void CheckDrawBudget(ShadeWorker& w);
-  // Builds the next shading worker: its counter shard, flush closure and
-  // texture callback.
-  [[nodiscard]] std::unique_ptr<ShadeWorker> MakeWorker();
+  // Builds the next shading worker (its counter shard, flush closure and
+  // texture callback) and appends it to workers_; an injectable
+  // kShadeCacheAlloc failure.
+  void AddWorker();
   // The worker's batched texture fetch, for every engine: groups the
   // fetch's lanes by texture unit, resolves each group's sampler from the
   // per-draw sampler table once (contents are immutable during a draw),
   // samples it, and appends one record of the touched cache lines to
-  // w->tmu_log, which the flush replays through the worker's cache model
-  // and counter shard (thread-safe: each worker owns its log, cache and
-  // counters).
+  // w->tmu_log, which the vertex stage or the flush replays through the
+  // worker's cache model and counter shard (thread-safe: each worker owns
+  // its log, cache and counters).
   [[nodiscard]] glsl::TextureFn MakeTextureFn(ShadeWorker* w);
   // Replays the TMU log of `w` for lanes [0, lanes), lane-ascending and
-  // each lane in instruction order, then clears it.
+  // each lane in instruction order, through its cache model onto its
+  // counter shard, then clears it.
   static void ReplayTmuLog(ShadeWorker& w, int lanes);
   // The worker's batch flush: scatters `w.batch` into the engine's
   // per-fragment input planes of `w.stage`, shades it, replays the deferred
@@ -501,16 +529,14 @@ class Context {
   // Reset status of the last aborted draw (cleared by
   // GetGraphicsResetStatus).
   GLenum reset_status_ = GL_NO_ERROR;
-  // Fragment-shading workers, resolved from shader_threads at construction.
+  // Shading workers, resolved from shader_threads at construction.
   int shade_workers_ = 1;
   // Watchdog accumulator: ALU ops consumed by the draw in flight, summed
   // across worker shards via relaxed fetch_add (monotone, so the trip
   // decision is deterministic even though intermediate interleavings vary).
   std::atomic<std::uint64_t> draw_alu_used_{0};
 
-  // Fragment-shading workers, grown lazily up to shade_workers_ (see
-  // ShadeWorker). Declared before programs_: the programs' fragment clones
-  // count on the workers' shards, so they must be destroyed first.
+  // Shading workers, grown lazily up to shade_workers_ (see ShadeWorker).
   std::vector<std::unique_ptr<ShadeWorker>> workers_;
 
   GLuint next_id_ = 1;
@@ -530,7 +556,7 @@ class Context {
   RenderTarget draw_rt_;
   std::atomic<bool> draw_failed_{false};
   // Per-draw sampler table, one entry per texture unit, resolved before
-  // fragment shading (bindings and sampler uniforms cannot change mid-draw).
+  // the vertex stage (bindings and sampler uniforms cannot change mid-draw).
   struct DrawSampler {
     const Texture* tex = nullptr;
     GLuint id = 0;

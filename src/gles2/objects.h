@@ -113,8 +113,8 @@ struct ProgramObject {
 
   // The vertex stage's plane views into `vertex`, resolved once per link:
   // attribute gather destinations and the gl_Position / gl_PointSize /
-  // varying scatter sources. The vertex stage runs on the calling thread
-  // against `vertex` itself. A builtin the stage never declares has a null
+  // varying scatter sources. The vertex stage runs `vertex` itself on the
+  // calling thread, with worker 0's counter shard and texture fetch. A builtin the stage never declares has a null
   // base; a slot without a per-lane plane (never written) is a (1, 0) view
   // of the shared store, the value a one-lane run reads.
   struct VertexViews {
@@ -136,9 +136,9 @@ struct ProgramObject {
   VertexViews vertex_views;
 
   // One shading worker's copy of the fragment stage: a clone of `fragment`
-  // doing its math on that worker's counter shard and fetching through its
-  // texture callback, with the gl_* and varying plane views the worker's
-  // batch flush writes and reads. Clone i belongs to the context's worker
+  // (run on that worker's counter shard and texture callback), with the
+  // gl_* and varying plane views the worker's batch flush writes and
+  // reads. Clone i belongs to the context's worker
   // i; it is built the first time that worker shades this program and
   // re-synced from `fragment` on every later draw. A relink or a delete
   // drops the clones with the engines.
@@ -200,12 +200,10 @@ void LinkProgram(ProgramObject& prog,
                  glsl::AluModel& alu, const glsl::Limits& limits,
                  ExecEngine engine);
 
-// Clones the linked `prog`'s fragment engine for a shading worker that
-// counts on `alu` and fetches texels through `texture`, and resolves the
-// clone's plane views. Charges no ops.
+// Clones the linked `prog`'s fragment engine for a shading worker and
+// resolves the clone's plane views. Charges no ops.
 [[nodiscard]] ProgramObject::FragmentClone CloneFragmentStage(
-    const ProgramObject& prog, glsl::AluModel& alu,
-    const glsl::TextureFn& texture);
+    const ProgramObject& prog);
 
 }  // namespace mgpu::gles2
 

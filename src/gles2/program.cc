@@ -240,12 +240,9 @@ void LinkProgram(ProgramObject& prog,
   }
 }
 
-ProgramObject::FragmentClone CloneFragmentStage(
-    const ProgramObject& prog, glsl::AluModel& alu,
-    const glsl::TextureFn& texture) {
+ProgramObject::FragmentClone CloneFragmentStage(const ProgramObject& prog) {
   ProgramObject::FragmentClone c;
-  c.engine = prog.fragment->Clone(alu);
-  c.engine->SetTextureFn(texture);
+  c.engine = prog.fragment->Clone();
   const auto plane = [&](int slot) { return GlobalPlane(*c.engine, slot); };
   c.frag_coord = plane(prog.fs_frag_coord_slot);
   c.front_facing = plane(prog.fs_front_facing_slot);

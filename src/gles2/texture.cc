@@ -245,15 +245,6 @@ std::array<std::uint8_t, 4> Texture::TexelAt(int x, int y) const {
   return {rgba8_[off], rgba8_[off + 1], rgba8_[off + 2], rgba8_[off + 3]};
 }
 
-void Texture::SetTexelAt(int x, int y,
-                         const std::array<std::uint8_t, 4>& rgba) {
-  const std::size_t off = (static_cast<std::size_t>(y) * width_ + x) * 4;
-  rgba8_[off] = rgba[0];
-  rgba8_[off + 1] = rgba[1];
-  rgba8_[off + 2] = rgba[2];
-  rgba8_[off + 3] = rgba[3];
-}
-
 std::array<float, 4> Texture::FetchTexel(int x, int y) const {
   return TexelColor(static_cast<long long>(y) * width_ + x);
 }

@@ -76,7 +76,6 @@ class Texture {
 
   // Direct texel access for tests and ReadPixels-through-FBO.
   [[nodiscard]] std::array<std::uint8_t, 4> TexelAt(int x, int y) const;
-  void SetTexelAt(int x, int y, const std::array<std::uint8_t, 4>& rgba);
   [[nodiscard]] const std::vector<std::uint8_t>& storage() const {
     return rgba8_;
   }

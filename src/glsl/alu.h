@@ -265,16 +265,12 @@ class AluModel {
   }
 
   // --- special functions (counted as `sfu`) ---
-  // The reciprocals are modeled near-exact on every profile (the compiler
-  // emits a Newton-Raphson step after the SFU estimate), so they are the
+  // The reciprocal is modeled near-exact on every profile (the compiler
+  // emits a Newton-Raphson step after the SFU estimate), so it is the
   // rounded IEEE result.
   float Recip(float x) {
     CountSfu(1);
     return Round(1.0f / x);
-  }
-  float RecipSqrt(float x) {
-    CountSfu(1);
-    return Round(1.0f / std::sqrt(x));
   }
   // The SFU's transcendentals, with the model's SfuSpec error.
   float Exp2(float x) {
@@ -311,8 +307,8 @@ class AluModel {
   // sum over disjoint tiles is order-independent, so totals are identical
   // to a serial run).
   void AddCounts(const OpCounts& c) { counts_ += c; }
-  // Restores a snapshot taken via counts(): an aborted draw's counters, and
-  // the bytecode VM's vm_steps across its one-time initializer run.
+  // Restores a snapshot taken via counts(): the bytecode VM's vm_steps
+  // across its one-time initializer run.
   void SetCounts(const OpCounts& c) { counts_ = c; }
 
   // Rounds an ALU result to the modeled register precision (the model's
@@ -330,8 +326,8 @@ class AluModel {
   [[nodiscard]] const SfuSpec& sfu_spec() const { return sfu_; }
 
   // Creates an independent model with the same precision behaviour and zeroed
-  // counters, for use as a per-worker counter shard by the fragment
-  // pipeline (every shading slot, serial or pooled, owns one).
+  // counters, for use as a per-worker counter shard by the draw pipeline
+  // (every shading worker, serial or pooled, owns one).
   //
   // Shard reuse contract: each gles2 shading worker keeps a Fork()ed
   // shard alive across draws and re-arms it per draw with ResetCounts()

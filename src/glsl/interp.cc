@@ -10,14 +10,9 @@
 
 namespace mgpu::glsl {
 
-ShaderExec::ShaderExec(const CompiledShader& cs, AluModel& alu)
-    : cs_(cs), alu_(alu) {
-  InitGlobals();
+ShaderExec::ShaderExec(const CompiledShader& cs, AluModel& alu) : cs_(cs) {
+  InitGlobals(alu);
 }
-
-ShaderExec::ShaderExec(const ShaderExec& base, AluModel& alu)
-    : cs_(base.cs_), alu_(alu), globals_(base.globals_),
-      reinit_slots_(base.reinit_slots_), loop_budget_(base.loop_budget_) {}
 
 void ShaderExec::SyncGlobalsFrom(const ShaderEngine& engine) {
   const ShaderExec& base = static_cast<const ShaderExec&>(engine);
@@ -33,15 +28,18 @@ int ShaderExec::GlobalSlot(const std::string& name) const {
   return d != nullptr ? d->slot : -1;
 }
 
-void ShaderExec::InitGlobals() {
+void ShaderExec::InitGlobals(AluModel& alu) {
   globals_.clear();
   globals_.reserve(cs_.globals.size());
   for (const VarDecl* g : cs_.globals) {
     globals_.emplace_back(g->type);
   }
+  // Global initializers are constant expressions: no texture fetch.
+  const TextureFn no_texture;
+  Frame frame{alu, no_texture};
   for (const VarDecl* g : cs_.globals) {
     if (g->init != nullptr) {
-      globals_[static_cast<std::size_t>(g->slot)] = EvalInit(*g->init);
+      globals_[static_cast<std::size_t>(g->slot)] = Eval(*g->init, frame);
       if (!g->is_builtin && g->qual == Qualifier::kNone) {
         reinit_slots_.push_back(g->slot);
       }
@@ -49,21 +47,16 @@ void ShaderExec::InitGlobals() {
   }
 }
 
-Value ShaderExec::EvalInit(const Expr& e) {
-  Frame dummy;
-  return Eval(e, dummy);
-}
-
-bool ShaderExec::Run() {
+bool ShaderExec::Run(AluModel& alu, const TextureFn& texture) {
   if (cs_.main == nullptr || cs_.main->body == nullptr) {
     throw ShaderRuntimeError("shader has no executable main()");
   }
   loop_steps_ = 0;
+  Frame frame{alu, texture};
   for (const int slot : reinit_slots_) {
     globals_[static_cast<std::size_t>(slot)] =
-        EvalInit(*cs_.globals[static_cast<std::size_t>(slot)]->init);
+        Eval(*cs_.globals[static_cast<std::size_t>(slot)]->init, frame);
   }
-  Frame frame;
   frame.slots.resize(static_cast<std::size_t>(cs_.main->frame_size));
   const Flow flow = ExecBlock(*cs_.main->body, frame);
   return flow != Flow::kDiscard;
@@ -229,7 +222,7 @@ Value ShaderExec::Eval(const Expr& e, Frame& f) {
       return EvalBuiltin(static_cast<Builtin>(call.builtin), call.type,
                          std::span<const Value* const>(ptrs.data(),
                                                        args.size()),
-                         alu_, texture_);
+                         f.alu, f.texture);
     }
     case ExprKind::kCtor:
       return EvalCtor(static_cast<const CtorExpr&>(e), f);
@@ -252,7 +245,7 @@ Value ShaderExec::Eval(const Expr& e, Frame& f) {
         default: {
           const Value l = Eval(*b.lhs, f);
           const Value r = Eval(*b.rhs, f);
-          return EvalArith(b.op, l, r, b.type);
+          return EvalArith(f.alu, b.op, l, r, b.type);
         }
       }
     }
@@ -264,13 +257,13 @@ Value ShaderExec::Eval(const Expr& e, Frame& f) {
         case UnOp::kNeg: {
           const Value v = Eval(*u.operand, f);
           Value out(v.type());
-          EvalNegInto(alu_, v, out);
+          EvalNegInto(f.alu, v, out);
           return out;
         }
         case UnOp::kNot: {
           const Value v = Eval(*u.operand, f);
           Value out(MakeType(BaseType::kBool));
-          EvalNotInto(alu_, v, out);
+          EvalNotInto(f.alu, v, out);
           return out;
         }
         case UnOp::kPreInc:
@@ -283,7 +276,7 @@ Value ShaderExec::Eval(const Expr& e, Frame& f) {
           const bool post =
               u.op == UnOp::kPostInc || u.op == UnOp::kPostDec;
           Value out;
-          EvalIncDecInto(alu_, ref, inc, post, out);
+          EvalIncDecInto(f.alu, ref, inc, post, out);
           return out;
         }
       }
@@ -301,7 +294,7 @@ Value ShaderExec::Eval(const Expr& e, Frame& f) {
                        : a.op == AssignOp::kSub ? BinOp::kSub
                        : a.op == AssignOp::kMul ? BinOp::kMul
                                                 : BinOp::kDiv;
-      const Value result = EvalArith(op, ReadRef(ref), rhs, a.type);
+      const Value result = EvalArith(f.alu, op, ReadRef(ref), rhs, a.type);
       WriteRef(ref, result);
       return result;
     }
@@ -336,10 +329,10 @@ Value ShaderExec::Eval(const Expr& e, Frame& f) {
   return Value();
 }
 
-Value ShaderExec::EvalArith(BinOp op, const Value& l, const Value& r,
-                            Type result) {
+Value ShaderExec::EvalArith(AluModel& alu, BinOp op, const Value& l,
+                            const Value& r, Type result) {
   Value out(result);
-  EvalArithInto(alu_, op, l, r, out);
+  EvalArithInto(alu, op, l, r, out);
   return out;
 }
 
@@ -351,7 +344,7 @@ Value ShaderExec::EvalCtor(const CtorExpr& c, Frame& f) {
   ptrs.reserve(args.size());
   for (const Value& a : args) ptrs.push_back(&a);
   Value out(c.ctor_type);
-  EvalCtorInto(alu_, ptrs, out);
+  EvalCtorInto(f.alu, ptrs, out);
   return out;
 }
 
@@ -383,7 +376,7 @@ Value ShaderExec::CallFunction(const FunctionDecl& fn, const CallExpr& call,
     }
   }
 
-  Frame frame;
+  Frame frame{caller.alu, caller.texture};
   frame.slots.resize(static_cast<std::size_t>(def->frame_size));
 
   // Copy-in.

@@ -41,20 +41,6 @@ class Value {
     v.data()[0].i = b ? 1 : 0;
     return v;
   }
-  [[nodiscard]] static Value MakeVec4(float x, float y, float z, float w) {
-    Value v(MakeType(BaseType::kVec4));
-    v.data()[0].f = x;
-    v.data()[1].f = y;
-    v.data()[2].f = z;
-    v.data()[3].f = w;
-    return v;
-  }
-  [[nodiscard]] static Value MakeVec2(float x, float y) {
-    Value v(MakeType(BaseType::kVec2));
-    v.data()[0].f = x;
-    v.data()[1].f = y;
-    return v;
-  }
 
   [[nodiscard]] const Type& type() const { return type_; }
   [[nodiscard]] int count() const { return count_; }
@@ -79,10 +65,6 @@ class Value {
   // Reads component i converted to float regardless of category (bool->0/1).
   [[nodiscard]] float AsFloat(int i) const {
     return scalar() == BaseType::kFloat ? F(i) : static_cast<float>(I(i));
-  }
-  // Reads component i converted to int.
-  [[nodiscard]] std::int32_t AsInt(int i) const {
-    return scalar() == BaseType::kFloat ? FloatToInt(F(i)) : I(i);
   }
   // Writes component i from a float, converting to this value's category
   // (bool gets the != 0 semantics of GLSL constructors).

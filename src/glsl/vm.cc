@@ -69,7 +69,7 @@ std::vector<PlaneSrc> AliasViews(const VmProgram& prog,
 }  // namespace
 
 VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
-    : prog_(std::move(program)), alu_(alu) {
+    : prog_(std::move(program)) {
   globals_.reserve(prog_->globals.size());
   for (const VmGlobal& g : prog_->globals) globals_.emplace_back(g.type);
   LayOutPlanes();
@@ -85,18 +85,19 @@ VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
   for (const Value& g : globals_) shared.push_back(ValuePlane(g));
   const std::vector<PlaneSrc> shared_aliases = AliasViews(
       *prog_, {reg_views_.data(), shared.data(), const_views_.data()});
-  const std::uint64_t steps = alu_.counts().vm_steps;
+  const std::uint64_t steps = alu.counts().vm_steps;
   (void)ExecuteBatch(prog_->const_init_entry, 1,
                      {{reg_views_.data(), shared.data(), const_views_.data(),
-                       shared_aliases.data()}});
-  OpCounts counts = alu_.counts();
+                       shared_aliases.data()}},
+                     alu, TextureFn{});
+  OpCounts counts = alu.counts();
   counts.vm_steps = steps;
-  alu_.SetCounts(counts);
+  alu.SetCounts(counts);
   FillLaneGlobals();
 }
 
-VmExec::VmExec(const VmExec& base, AluModel& alu)
-    : prog_(base.prog_), alu_(alu), globals_(base.globals_),
+VmExec::VmExec(const VmExec& base)
+    : ShaderEngine(base), prog_(base.prog_), globals_(base.globals_),
       loop_budget_(base.loop_budget_) {
   LayOutPlanes();
   FillLaneGlobals();
@@ -169,13 +170,15 @@ VmExec::LaneViews VmExec::Views() const {
            alias_views_.data()}};
 }
 
-std::uint32_t VmExec::RunBatch(int n) {
+std::uint32_t VmExec::RunBatch(int n, AluModel& alu,
+                               const TextureFn& texture) {
   if (n <= 0) return 0;
-  return ExecuteBatch(prog_->run_entry, n, Views());
+  return ExecuteBatch(prog_->run_entry, n, Views(), alu, texture);
 }
 
 std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
-                                   const LaneViews views) {
+                                   const LaneViews views, AluModel& alu,
+                                   const TextureFn& texture) {
   const VmInst* const code = prog_->code.data();
   const std::uint32_t full =
       n >= 32 ? ~0u : ((1u << static_cast<unsigned>(n)) - 1u);
@@ -356,14 +359,14 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
         break;
       }
       case VmOp::kArith:
-        EvalArithBatch(alu_, static_cast<BinOp>(in.u8), views.Read(in.a),
+        EvalArithBatch(alu, static_cast<BinOp>(in.u8), views.Read(in.a),
                        views.Read(in.b), views.Dst(in.dst), mask);
         break;
       case VmOp::kNeg:
-        EvalNegBatch(alu_, views.Read(in.a), views.Dst(in.dst), mask);
+        EvalNegBatch(alu, views.Read(in.a), views.Dst(in.dst), mask);
         break;
       case VmOp::kNot:
-        EvalNotBatch(alu_, views.Read(in.a), views.Dst(in.dst), mask);
+        EvalNotBatch(alu, views.Read(in.a), views.Dst(in.dst), mask);
         break;
       case VmOp::kXor: {
         const PlaneDst d = views.Dst(in.dst);
@@ -383,15 +386,15 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
       }
       case VmOp::kCtor: {
         std::array<PlaneSrc, 16> av;
-        EvalCtorBatch(alu_, args(in, std::span<PlaneSrc>(av.data(), in.n)),
+        EvalCtorBatch(alu, args(in, std::span<PlaneSrc>(av.data(), in.n)),
                       views.Dst(in.dst), mask);
         break;
       }
       case VmOp::kBuiltin: {
         std::array<PlaneSrc, kMaxBuiltinArgs> av;
         EvalBuiltinBatch(static_cast<Builtin>(in.u8),
-                         args(in, std::span<PlaneSrc>(av.data(), in.n)), alu_,
-                         texture_, views.Dst(in.dst), mask);
+                         args(in, std::span<PlaneSrc>(av.data(), in.n)), alu,
+                         texture, views.Dst(in.dst), mask);
         break;
       }
       case VmOp::kRefVar: {
@@ -447,7 +450,7 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
         const PlaneDst d = views.Dst(in.dst);
         Value out(d.type);
         ForEachLane(mask, [&](int l) {
-          EvalIncDecInto(alu_, ref_at(in.a, l), (in.u8 & 1) != 0,
+          EvalIncDecInto(alu, ref_at(in.a, l), (in.u8 & 1) != 0,
                          (in.u8 & 2) != 0, out);
           for (int k = 0; k < out.count(); ++k) d.at(k, l) = out.data()[k];
         });
@@ -463,10 +466,10 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
         const bool post = (in.u8 & 2) != 0;
         const int step = (in.u8 & 1) != 0 ? 1 : -1;
         const int n = v.count();
-        alu_.Count(LaneCount(mask) * n);
+        alu.Count(LaneCount(mask) * n);
         const int top = TopLane(mask);
         const bool is_float = v.scalar() == BaseType::kFloat;
-        const RoundSpec rs = alu_.round_spec();
+        const RoundSpec rs = alu.round_spec();
         const float fstep = static_cast<float>(step);
         LaneRow buf, updated;
         for (int c = 0; c < n; ++c) {
@@ -485,7 +488,7 @@ std::uint32_t VmExec::ExecuteBatch(std::uint32_t entry, int n,
     }
     ++pc;
   }
-  alu_.CountVmSteps(steps);
+  alu.CountVmSteps(steps);
   if (trap_lane >= 0) throw ShaderRuntimeError(trap_msg, trap_lane);
   return kept;
 }

@@ -30,18 +30,16 @@ class VmExec final : public ShaderEngine {
   // charges; its batch steps are not added to vm_steps.
   VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu);
 
-  // Worker clone (ShaderEngine::Clone): shares the immutable program and
-  // copies the primed globals (constant initializers + uniforms already
-  // written into `base`), then lays out and fills its own lane planes.
+  // A copy is a worker clone (ShaderEngine::Clone): it shares the immutable
+  // program and copies the primed globals (constant initializers + uniforms
+  // already written into `base`), then lays out and fills its own lane
+  // planes, since the operand views point into each engine's own storage.
   // The constant-initializer chunk is NOT re-run.
-  VmExec(const VmExec& base, AluModel& alu);
-  // The operand views point into this engine's own storage.
-  VmExec(const VmExec&) = delete;
+  VmExec(const VmExec& base);
   VmExec& operator=(const VmExec&) = delete;
 
-  [[nodiscard]] std::unique_ptr<ShaderEngine> Clone(
-      AluModel& alu) const override {
-    return std::make_unique<VmExec>(*this, alu);
+  [[nodiscard]] std::unique_ptr<ShaderEngine> Clone() const override {
+    return std::make_unique<VmExec>(*this);
   }
   // `base` must be a VmExec. Each Value's storage is reused, so a draw loop
   // that recycles clones performs no allocation here.
@@ -71,14 +69,15 @@ class VmExec final : public ShaderEngine {
   // sequence would have aborted the draw on first. Trapping lanes stop
   // while surviving lanes run to completion before the throw.
   //
-  // Each step (one instruction over one lane group) adds one to the ALU
-  // model's vm_steps counter.
+  // Each step (one instruction over one lane group) adds one to `alu`'s
+  // vm_steps counter.
   //
   // Per-fragment inputs/outputs live in per-lane component planes accessed
   // via LaneGlobal; uniforms and other lane-invariant globals stay in the
   // scalar store shared by all lanes (so per-draw uniform sync cost is
   // independent of the lane width).
-  std::uint32_t RunBatch(int n) override;
+  std::uint32_t RunBatch(int n, AluModel& alu,
+                         const TextureFn& texture) override;
 
   // Component-plane view of global `slot`: a lane-varying global's arena
   // plane (component stride kVmLanes, lane stride 1), or the shared scalar
@@ -95,10 +94,8 @@ class VmExec final : public ShaderEngine {
   [[nodiscard]] const Value& GlobalAt(int slot) const {
     return globals_[static_cast<std::size_t>(slot)];
   }
-  void SetTextureFn(TextureFn fn) override { texture_ = std::move(fn); }
 
   [[nodiscard]] const VmProgram& program() const { return *prog_; }
-  [[nodiscard]] AluModel& alu() { return alu_; }
 
   // Loop-iteration budget (the "a real GPU would hang or be reset" ceiling,
   // shared semantics with the tree-walk oracle's ShaderExec::SetLoopBudget).
@@ -117,11 +114,10 @@ class VmExec final : public ShaderEngine {
   // Copies the shared store's value of every lane-varying global into all
   // of its lanes.
   void FillLaneGlobals();
-  std::uint32_t ExecuteBatch(std::uint32_t entry, int n, LaneViews views);
+  std::uint32_t ExecuteBatch(std::uint32_t entry, int n, LaneViews views,
+                             AluModel& alu, const TextureFn& texture);
 
   std::shared_ptr<const VmProgram> prog_;
-  AluModel& alu_;
-  TextureFn texture_;
   std::vector<Value> globals_;
   std::uint64_t loop_budget_ = kDefaultLoopBudget;
 

@@ -118,6 +118,58 @@ TEST(ContextTest, UniformArrayElements) {
   EXPECT_EQ(px[2], 77);
 }
 
+// ES 2.0 §2.10.4: Uniform*f loads bool and bvec uniforms too, 0.0f (and
+// -0.0f) as false and anything else as true; int and sampler uniforms
+// still take only Uniform*i.
+TEST(ContextTest, FloatSettersLoadBoolUniforms) {
+  Context ctx(SmallConfig());
+  const GLuint p = BuildProgramOrDie(
+      ctx, testutil::kPassthroughVs,
+      "precision mediump float;\nuniform bool u_on;\nuniform bvec2 u_mask;\n"
+      "uniform int u_n;\nuniform sampler2D u_tex;\nvoid main() {\n"
+      "  float a = texture2D(u_tex, vec2(0.5)).a * float(u_n);\n"
+      "  gl_FragColor = vec4(u_on ? 1.0 : 0.0, u_mask.x ? 1.0 : 0.0,\n"
+      "                      u_mask.y ? 1.0 : 0.0, a);\n}\n");
+  ctx.UseProgram(p);
+  const GLint on = ctx.GetUniformLocation(p, "u_on");
+  const GLint mask = ctx.GetUniformLocation(p, "u_mask");
+  const GLint n = ctx.GetUniformLocation(p, "u_n");
+  const GLint tex = ctx.GetUniformLocation(p, "u_tex");
+  ASSERT_GE(on, 0);
+  ASSERT_GE(mask, 0);
+  ASSERT_GE(n, 0);
+  ASSERT_GE(tex, 0);
+  ctx.Uniform1i(n, 1);
+  ctx.Uniform1f(on, 0.5f);
+  ctx.Uniform2f(mask, 0.0f, -2.0f);
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  DrawFullscreenQuad(ctx, p);
+  auto px = ReadRgba(ctx, 4, 4);
+  EXPECT_EQ(px[0], 255);
+  EXPECT_EQ(px[1], 0);
+  EXPECT_EQ(px[2], 255);
+  EXPECT_EQ(px[3], 255);
+
+  ctx.Uniform1f(on, -0.0f);
+  const float fv[2] = {std::numeric_limits<float>::quiet_NaN(), 0.0f};
+  ctx.Uniform2fv(mask, 1, fv);
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  DrawFullscreenQuad(ctx, p);
+  px = ReadRgba(ctx, 4, 4);
+  EXPECT_EQ(px[0], 0);
+  EXPECT_EQ(px[1], 255);
+  EXPECT_EQ(px[2], 0);
+
+  ctx.Uniform1i(on, 1);  // the int setter still loads a bool
+  EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+  ctx.Uniform1f(n, 1.0f);
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
+  ctx.Uniform1f(tex, 0.0f);
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
+  ctx.Uniform2f(on, 1.0f, 1.0f);  // component count still has to match
+  EXPECT_EQ(ctx.GetError(), GL_INVALID_OPERATION);
+}
+
 TEST(ContextTest, TextureSamplingInFragmentShader) {
   Context ctx(SmallConfig(2, 2));
   GLuint tex;

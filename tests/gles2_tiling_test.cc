@@ -4,6 +4,7 @@
 // byte-identical to the 1-thread reference — framebuffer bytes AND
 // ALU/SFU/TMU operation counts — because tiles partition the framebuffer
 // and per-worker counter shards merge by summation.
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -636,6 +637,81 @@ void main() {
     EXPECT_EQ(batched.px, scalar.px);
     EXPECT_EQ(batched.counts.alu, scalar.counts.alu);
     EXPECT_EQ(batched.counts.sfu_trans, scalar.counts.sfu_trans);
+  }
+}
+
+// A vertex shader samples through worker 0's texture fetch: a bound,
+// complete 1x1 NEAREST texture on unit 1, read with texture2DLod into a
+// varying, lands in every pixel, and the draw's bytes and counts are the
+// same on every engine and worker count. The six vertex fetches touch one
+// cache line in vertex order on a cache reset at draw start: one miss per
+// draw.
+TEST(EngineDifferentialTest, VertexTextureFetchReadsTheBoundTexel) {
+  static const char* kSamplingVs = R"(
+attribute vec2 a_pos;
+uniform sampler2D u_tex;
+varying vec4 v_texel;
+void main() {
+  v_texel = texture2DLod(u_tex, vec2(0.5, 0.5), 0.0);
+  gl_Position = vec4(a_pos, 0.0, 1.0);
+}
+)";
+  static const char* kVaryingFs = R"(
+precision mediump float;
+varying vec4 v_texel;
+void main() { gl_FragColor = v_texel; }
+)";
+  const std::array<std::uint8_t, 4> texel = {51, 102, 153, 204};
+  std::vector<RunResult> runs;
+  for (const ExecEngine engine : {ExecEngine::kBatchedVm,
+                                  ExecEngine::kBytecodeVm,
+                                  ExecEngine::kTreeWalk}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("engine=" + std::to_string(static_cast<int>(engine)) +
+                   " threads=" + std::to_string(threads));
+      vc4::Vc4Alu alu(vc4::VideoCoreIV());
+      ContextConfig cfg;
+      cfg.width = kW;
+      cfg.height = kH;
+      cfg.shader_threads = threads;
+      cfg.exec_engine = engine;
+      Context ctx(cfg, &alu);
+      GLuint tex = 0;
+      ctx.GenTextures(1, &tex);
+      ctx.ActiveTexture(GL_TEXTURE0 + 1);
+      ctx.BindTexture(GL_TEXTURE_2D, tex);
+      ctx.TexImage2D(GL_TEXTURE_2D, 0, GL_RGBA, 1, 1, 0, GL_RGBA,
+                     GL_UNSIGNED_BYTE, texel.data());
+      ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MIN_FILTER, GL_NEAREST);
+      ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MAG_FILTER, GL_NEAREST);
+      const GLuint prog =
+          testutil::BuildProgramOrDie(ctx, kSamplingVs, kVaryingFs);
+      ctx.UseProgram(prog);
+      ctx.Uniform1i(ctx.GetUniformLocation(prog, "u_tex"), 1);
+      alu.ResetCounts();
+      testutil::DrawFullscreenQuad(ctx, prog);
+      ASSERT_EQ(ctx.GetError(), static_cast<GLenum>(GL_NO_ERROR))
+          << ctx.last_draw_error();
+      RunResult r{testutil::ReadRgba(ctx, kW, kH), alu.counts()};
+      for (std::size_t i = 0; i < r.px.size(); i += 4) {
+        ASSERT_EQ(std::vector<std::uint8_t>(r.px.begin() + i,
+                                            r.px.begin() + i + 4),
+                  std::vector<std::uint8_t>(texel.begin(), texel.end()))
+            << "pixel " << i / 4;
+      }
+      EXPECT_EQ(r.counts.tmu, 6u);
+      EXPECT_EQ(r.counts.tmu_miss, 1u);
+      if (!runs.empty()) {
+        const RunResult& ref = runs.front();
+        EXPECT_EQ(r.px, ref.px);
+        EXPECT_EQ(r.counts.alu, ref.counts.alu);
+        EXPECT_EQ(r.counts.sfu, ref.counts.sfu);
+        EXPECT_EQ(r.counts.sfu_trans, ref.counts.sfu_trans);
+        EXPECT_EQ(r.counts.tmu, ref.counts.tmu);
+        EXPECT_EQ(r.counts.tmu_miss, ref.counts.tmu_miss);
+      }
+      runs.push_back(std::move(r));
+    }
   }
 }
 

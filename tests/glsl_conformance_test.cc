@@ -182,7 +182,7 @@ void main() {
   ShaderExec exec(*shader, alu);
   Value& lut = exec.GlobalAt(exec.GlobalSlot("u_lut"));
   for (int i = 0; i < 16; ++i) lut.SetF(i, static_cast<float>(i));
-  ASSERT_TRUE(exec.Run());
+  ASSERT_TRUE(exec.Run(alu, {}));
   EXPECT_FLOAT_EQ(exec.GlobalAt(exec.GlobalSlot("gl_FragColor")).F(0),
                   120.0f / 16.0f);
 }
@@ -238,7 +238,7 @@ TEST(ConformanceTest, FragCoordVisibleAndPositive) {
   fc.SetF(1, 3.5f);
   fc.SetF(2, 0.5f);
   fc.SetF(3, 1.0f);
-  ASSERT_TRUE(exec.Run());
+  ASSERT_TRUE(exec.Run(alu, {}));
   EXPECT_FLOAT_EQ(exec.GlobalAt(exec.GlobalSlot("gl_FragColor")).F(0), 10.5f);
 }
 

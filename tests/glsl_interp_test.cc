@@ -297,7 +297,7 @@ TEST(InterpTest, UniformsSettableFromHost) {
   Value& off = exec.GlobalAt(exec.GlobalSlot("u_offset"));
   off.SetF(0, 0.25f);
   off.SetF(1, 0.75f);
-  ASSERT_TRUE(exec.Run());
+  ASSERT_TRUE(exec.Run(alu, {}));
   const Value& c = exec.GlobalAt(exec.GlobalSlot("gl_FragColor"));
   EXPECT_FLOAT_EQ(c.F(0), 10.0f);
   EXPECT_FLOAT_EQ(c.F(1), 0.25f);
@@ -311,9 +311,9 @@ TEST(InterpTest, DiscardReturnsFalse) {
   ExactAlu alu;
   ShaderExec exec(*shader, alu);
   exec.GlobalAt(exec.GlobalSlot("u_kill")).SetF(0, 1.0f);
-  EXPECT_FALSE(exec.Run());
+  EXPECT_FALSE(exec.Run(alu, {}));
   exec.GlobalAt(exec.GlobalSlot("u_kill")).SetF(0, 0.0f);
-  EXPECT_TRUE(exec.Run());
+  EXPECT_TRUE(exec.Run(alu, {}));
 }
 
 TEST(InterpTest, TextureFetchGoesThroughCallback) {
@@ -325,13 +325,13 @@ TEST(InterpTest, TextureFetchGoesThroughCallback) {
   exec.GlobalAt(exec.GlobalSlot("u_tex")).SetI(0, 3);
   int seen_unit = -1;
   float seen_s = -1.0f, seen_t = -1.0f;
-  exec.SetTextureFn(PerTexel([&](int unit, float s, float t, float) {
+  const TextureFn texture = PerTexel([&](int unit, float s, float t, float) {
     seen_unit = unit;
     seen_s = s;
     seen_t = t;
     return std::array<float, 4>{0.1f, 0.2f, 0.3f, 0.4f};
-  }));
-  ASSERT_TRUE(exec.Run());
+  });
+  ASSERT_TRUE(exec.Run(alu, texture));
   EXPECT_EQ(seen_unit, 3);
   EXPECT_FLOAT_EQ(seen_s, 0.25f);
   EXPECT_FLOAT_EQ(seen_t, 0.75f);
@@ -346,7 +346,7 @@ TEST(InterpTest, RunawayLoopRaisesRuntimeError) {
       "+= 1.0; } gl_FragColor = vec4(a); }");
   ExactAlu alu;
   ShaderExec exec(*shader, alu);
-  EXPECT_THROW(exec.Run(), ShaderRuntimeError);
+  EXPECT_THROW(exec.Run(alu, {}), ShaderRuntimeError);
 }
 
 TEST(InterpTest, OpCountsAccumulate) {
@@ -368,7 +368,7 @@ TEST(InterpTest, RunIsRepeatableAfterStateChange) {
   ShaderExec exec(*shader, alu);
   for (float x : {1.0f, 2.0f, 3.0f, 4.0f}) {
     exec.GlobalAt(exec.GlobalSlot("u_x")).SetF(0, x);
-    ASSERT_TRUE(exec.Run());
+    ASSERT_TRUE(exec.Run(alu, {}));
     EXPECT_FLOAT_EQ(exec.GlobalAt(exec.GlobalSlot("gl_FragColor")).F(0),
                     x * x);
   }
@@ -385,7 +385,7 @@ TEST(InterpTest, VertexStageWritesPosition) {
   attr.SetF(1, -0.5f);
   attr.SetF(2, 0.0f);
   attr.SetF(3, 1.0f);
-  ASSERT_TRUE(exec.Run());
+  ASSERT_TRUE(exec.Run(alu, {}));
   const Value& pos = exec.GlobalAt(exec.GlobalSlot("gl_Position"));
   EXPECT_FLOAT_EQ(pos.F(0), 1.0f);
   EXPECT_FLOAT_EQ(pos.F(1), -1.0f);

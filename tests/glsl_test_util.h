@@ -45,7 +45,7 @@ inline std::array<float, 4> RunFragment(const std::string& body,
   auto shader = MustCompile(src, Stage::kFragment);
   if (shader == nullptr) return {};
   ShaderExec exec(*shader, alu);
-  EXPECT_TRUE(exec.Run());
+  EXPECT_TRUE(exec.Run(alu, {}));
   const int slot = exec.GlobalSlot("gl_FragColor");
   EXPECT_GE(slot, 0);
   const Value& v = exec.GlobalAt(slot);
@@ -64,7 +64,7 @@ inline std::array<float, 4> RunFragmentSource(const std::string& src,
   auto shader = MustCompile(src, Stage::kFragment);
   if (shader == nullptr) return {};
   ShaderExec exec(*shader, alu);
-  EXPECT_TRUE(exec.Run());
+  EXPECT_TRUE(exec.Run(alu, {}));
   const Value& v = exec.GlobalAt(exec.GlobalSlot("gl_FragColor"));
   return {v.F(0), v.F(1), v.F(2), v.F(3)};
 }

@@ -103,8 +103,8 @@ class GlslFuzzer {
   // `whole_draw` further shapes vertex programs for linking into a real
   // program: the input attribute is renamed a_in, a second vec2 attribute
   // a_mix joins the scope (so generated code reads two differently-typed
-  // arrays), a varying `v_in` is written for the fragment stage, and
-  // texture2D is suppressed (the gles2 vertex stage has no sampler).
+  // arrays), and a varying `v_in` is written for the fragment stage.
+  // Both stages sample u_tex, which the whole-draw harness binds.
   explicit GlslFuzzer(std::uint64_t seed, Stage stage = Stage::kFragment,
                       bool whole_draw = false)
       : rng_(seed),
@@ -127,7 +127,7 @@ class GlslFuzzer {
         // A plain global, re-initialized every run: main and some helpers
         // store into it while expressions read it through swizzles.
         "vec4 g_s = vec4(0.25, -0.5, 0.75, 1.5);\n";
-    if (allow_texture()) src += "uniform sampler2D u_tex;\n";
+    src += "uniform sampler2D u_tex;\n";
     // 0-2 helper functions, generated before main so calls never recurse.
     const int n_helpers = static_cast<int>(rng_.NextInt(0, 2));
     for (int h = 0; h < n_helpers; ++h) src += GenHelper();
@@ -171,10 +171,6 @@ class GlslFuzzer {
     bool assignable = true;   // false for loop counters: assigning to one
                               // inside its own loop can defeat the bound
   };
-
-  [[nodiscard]] bool allow_texture() const {
-    return !(stage_ == Stage::kVertex && whole_draw_);
-  }
 
   std::string NewName(const char* prefix) {
     return StrFormat("%s%d", prefix, next_id_++);
@@ -375,7 +371,6 @@ class GlslFuzzer {
         static const char* kComp[] = {"x", "y", "z", "w"};
         const std::string uv = GenVec(2, d - 1);
         const char* comp = kComp[rng_.NextInt(0, 3)];
-        if (!allow_texture()) return StrFormat("dot(%s, u_v0.xy)", uv.c_str());
         return StrFormat("texture2D(u_tex, %s).%s", uv.c_str(), comp);
       }
     }
@@ -468,7 +463,7 @@ class GlslFuzzer {
                              GenVec(2, d - 1).c_str());
           }
         }
-        if (allow_texture() && w == 4 && Chance(50)) {
+        if (w == 4 && Chance(50)) {
           return StrFormat("texture2D(u_tex, %s)", GenVec(2, d - 1).c_str());
         }
         return StrFormat("%s(%s)", TypeName(vt), GenFloat(d - 1).c_str());
@@ -981,12 +976,17 @@ void SetUniforms(Engine& e) {
   if (const int s = e.GlobalSlot("u_tex"); s >= 0) {
     e.GlobalAt(s).SetI(0, 2);
   }
-  e.SetTextureFn(
+}
+
+// The texture fetch every engine of the sweeps runs with.
+const TextureFn& FuzzTexture() {
+  static const TextureFn texture =
       testutil::PerTexel([](int unit, float s, float t, float lod) {
         return std::array<float, 4>{
             s * 0.5f + static_cast<float>(unit) * 0.125f, t * 0.25f, s + t,
             lod + 0.75f};
-      }));
+      });
+  return texture;
 }
 
 // Runs one generated program through all the engines; any mismatch is a
@@ -1088,9 +1088,9 @@ void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
         sv.at(k, 0).f = lane_in[static_cast<std::size_t>(l)]
                                [static_cast<std::size_t>(k)];
       }
-      const bool tree_kept = tree.Run();
+      const bool tree_kept = tree.Run(alu_t, FuzzTexture());
       LaneRef& r = ref[static_cast<std::size_t>(l)];
-      r.kept = one_lane.RunBatch(1) != 0;
+      r.kept = one_lane.RunBatch(1, alu_s, FuzzTexture()) != 0;
       r.delta = Minus(alu_s.counts(), before_s);
 
       // Tree oracle vs one-lane VM, per lane.
@@ -1126,7 +1126,7 @@ void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
       }
       std::uint32_t kept = 0;
       try {
-        kept = eng.RunBatch(n);
+        kept = eng.RunBatch(n, alu_e, FuzzTexture());
       } catch (const ShaderRuntimeError& e) {
         FAIL() << what << " engine threw (seed " << seed << "): " << e.what()
                << "\nsource:\n" << src;
@@ -1354,7 +1354,7 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
     bool tree_kept = false;
     std::string tree_msg;
     try {
-      tree_kept = tree.Run();
+      tree_kept = tree.Run(alu_t, FuzzTexture());
     } catch (const ShaderRuntimeError& e) {
       tree_trapped = true;
       tree_msg = e.what();
@@ -1363,7 +1363,7 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
     TrapLaneRef& r = ref[static_cast<std::size_t>(l)];
     const OpCounts before_s = alu_s.counts();
     try {
-      r.kept = one_lane.RunBatch(1) != 0;
+      r.kept = one_lane.RunBatch(1, alu_s, FuzzTexture()) != 0;
     } catch (const ShaderRuntimeError& e) {
       r.trapped = true;
       r.message = e.what();
@@ -1415,7 +1415,7 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
       }
       alu_e.ResetCounts();
       try {
-        const std::uint32_t kept = eng.RunBatch(n);
+        const std::uint32_t kept = eng.RunBatch(n, alu_e, FuzzTexture());
         EXPECT_EQ(min_trap, -1)
             << what << " completed but one-lane engines trapped at lane "
             << min_trap;
@@ -1609,14 +1609,14 @@ void main() {
     in.at(1, l).f = 0.25f * static_cast<float>(l);
   }
   fault::Arm(fault::Site::kVmInstruction, ~0ull);
-  ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
+  ASSERT_EQ(batch.RunBatch(kVmLanes, alu, {}), ~0u);
   const std::uint64_t guards = fault::Hits(fault::Site::kVmInstruction);
   ASSERT_EQ(guards, 9u);  // lanes 1.. run eight iterations and the exit test
   for (std::uint64_t nth = 0; nth < guards; ++nth) {
     SCOPED_TRACE(StrFormat("nth=%llu", static_cast<unsigned long long>(nth)));
     fault::Arm(fault::Site::kVmInstruction, nth);
     try {
-      (void)batch.RunBatch(kVmLanes);
+      (void)batch.RunBatch(kVmLanes, alu, {});
       ADD_FAILURE() << "armed loop guard did not trap";
     } catch (const ShaderRuntimeError& e) {
       EXPECT_EQ(e.lane, nth == 0 ? 0 : 1);
@@ -1625,7 +1625,7 @@ void main() {
     }
   }
   fault::DisarmAll();
-  ASSERT_EQ(batch.RunBatch(kVmLanes), ~0u);
+  ASSERT_EQ(batch.RunBatch(kVmLanes, alu, {}), ~0u);
   const PlaneDst color = batch.LaneGlobal(color_slot);
   EXPECT_EQ(color.at(0, 0).f, 0.0f);
   for (int l = 1; l < kVmLanes; ++l) {
@@ -1765,7 +1765,7 @@ DrawOutcome RunWholeDraw(const DrawScene& sc, ExecEngine engine,
   glsl::AluModel& alu = vc4_alu ? static_cast<glsl::AluModel&>(vc4a) : exact;
   Context ctx(cfg, &alu);
 
-  // Deterministic NPOT texture for the fragment stage's u_tex.
+  // Deterministic NPOT texture for u_tex, which both stages sample.
   GLuint tex = 0;
   ctx.GenTextures(1, &tex);
   ctx.BindTexture(GL_TEXTURE_2D, tex);
@@ -1891,8 +1891,10 @@ bool HasCoverage(const std::vector<std::uint8_t>& fb) {
   return false;
 }
 
-void RunWholeDrawCase(std::uint64_t seed, bool vc4_alu, int* rasterized) {
+void RunWholeDrawCase(std::uint64_t seed, bool vc4_alu, int* rasterized,
+                      int* vertex_sampling) {
   const DrawScene sc = GenDrawScene(seed);
+  *vertex_sampling += sc.vs.find("texture2D(") != std::string::npos;
   SCOPED_TRACE(StrFormat(
       "draw seed=%llu alu=%s tris=%d points=%d threads=%d mix=0x%x%s%s%s",
       static_cast<unsigned long long>(seed), vc4_alu ? "vc4" : "exact",
@@ -1914,9 +1916,10 @@ void RunWholeDrawCase(std::uint64_t seed, bool vc4_alu, int* rasterized) {
 void RunWholeDrawSweep(bool vc4_alu) {
   constexpr std::uint64_t kDrawSeedBase = 20260901;
   int rasterized = 0;
+  int vertex_sampling = 0;
   for (int i = 0; i < g_draw_iters; ++i) {
     const std::uint64_t seed = kDrawSeedBase + static_cast<std::uint64_t>(i);
-    RunWholeDrawCase(seed, vc4_alu, &rasterized);
+    RunWholeDrawCase(seed, vc4_alu, &rasterized, &vertex_sampling);
     if (::testing::Test::HasFailure()) {
       const DrawScene sc = GenDrawScene(seed);
       std::fprintf(stderr,
@@ -1930,6 +1933,8 @@ void RunWholeDrawSweep(bool vc4_alu) {
   }
   if (g_draw_iters >= 10) {
     EXPECT_GT(rasterized, 0) << "whole-draw corpus never covered a pixel";
+    EXPECT_GT(vertex_sampling, 0)
+        << "no whole-draw vertex program samples u_tex";
   }
 }
 

@@ -80,16 +80,15 @@ EngineRun RunEngine(ShaderEngine& exec, AluModel& alu, const Case& c) {
       v.SetI(static_cast<int>(i), u.cells[i]);
     }
   }
+  TextureFn texture;
   if (c.with_texture) {
-    exec.SetTextureFn(
-        testutil::PerTexel([](int unit, float s, float t, float lod) {
-          return std::array<float, 4>{
-              s * 0.5f + static_cast<float>(unit) * 0.125f, t * 0.25f, s + t,
-              lod + 0.75f};
-        }));
+    texture = testutil::PerTexel([](int unit, float s, float t, float lod) {
+      return std::array<float, 4>{s * 0.5f + static_cast<float>(unit) * 0.125f,
+                                  t * 0.25f, s + t, lod + 0.75f};
+    });
   }
   alu.ResetCounts();
-  r.kept = exec.RunBatch(1) != 0;
+  r.kept = exec.RunBatch(1, alu, texture) != 0;
   r.counts = alu.counts();
   r.ok = true;
   const int slot = exec.GlobalSlot("gl_FragColor");
@@ -549,8 +548,8 @@ TEST(VmDifferentialTest, CallDepthLimitIsACompileError) {
     ExactAlu alu_a, alu_b;
     ShaderExec interp(*shader, alu_a);
     VmExec vm(LowerToBytecode(*shader), alu_b);
-    ASSERT_TRUE(interp.Run());
-    ASSERT_EQ(vm.RunBatch(1), 1u);
+    ASSERT_TRUE(interp.Run(alu_a, {}));
+    ASSERT_EQ(vm.RunBatch(1, alu_b, {}), 1u);
     EXPECT_EQ(interp.GlobalAt(interp.GlobalSlot("gl_FragColor")).F(0),
               vm.LaneGlobal(vm.GlobalSlot("gl_FragColor")).at(0, 0).f);
     EXPECT_EQ(alu_a.counts().alu, alu_b.counts().alu);
@@ -746,7 +745,7 @@ TEST(VmExecTest, RunawayLoopRaisesRuntimeError) {
       "+= 1.0; } gl_FragColor = vec4(a); }");
   ExactAlu alu;
   VmExec vm(LowerToBytecode(*shader), alu);
-  EXPECT_THROW(vm.RunBatch(1), ShaderRuntimeError);
+  EXPECT_THROW(vm.RunBatch(1, alu, {}), ShaderRuntimeError);
 }
 
 TEST(VmExecTest, UndefinedPrototypeTrapsOnlyWhenCalled) {
@@ -762,11 +761,11 @@ void main() {
   ExactAlu alu;
   VmExec vm(LowerToBytecode(*shader), alu);
   vm.GlobalAt(vm.GlobalSlot("u_sel")).SetF(0, 0.0f);
-  EXPECT_EQ(vm.RunBatch(1), 1u);
+  EXPECT_EQ(vm.RunBatch(1, alu, {}), 1u);
   EXPECT_FLOAT_EQ(vm.LaneGlobal(vm.GlobalSlot("gl_FragColor")).at(0, 0).f,
                   2.0f);
   vm.GlobalAt(vm.GlobalSlot("u_sel")).SetF(0, 1.0f);
-  EXPECT_THROW(vm.RunBatch(1), ShaderRuntimeError);
+  EXPECT_THROW(vm.RunBatch(1, alu, {}), ShaderRuntimeError);
 }
 
 TEST(VmExecTest, RunIsRepeatableAfterStateChange) {
@@ -777,7 +776,7 @@ TEST(VmExecTest, RunIsRepeatableAfterStateChange) {
   VmExec vm(LowerToBytecode(*shader), alu);
   for (float x : {1.0f, 2.0f, 3.0f, 4.0f}) {
     vm.GlobalAt(vm.GlobalSlot("u_x")).SetF(0, x);
-    ASSERT_EQ(vm.RunBatch(1), 1u);
+    ASSERT_EQ(vm.RunBatch(1, alu, {}), 1u);
     EXPECT_FLOAT_EQ(vm.LaneGlobal(vm.GlobalSlot("gl_FragColor")).at(0, 0).f,
                     x * x);
   }
@@ -794,7 +793,7 @@ TEST(VmExecTest, VertexStageWritesPosition) {
   attr.at(1, 0).f = -0.5f;
   attr.at(2, 0).f = 0.0f;
   attr.at(3, 0).f = 1.0f;
-  ASSERT_EQ(vm.RunBatch(1), 1u);
+  ASSERT_EQ(vm.RunBatch(1, alu, {}), 1u);
   const PlaneDst pos = vm.LaneGlobal(vm.GlobalSlot("gl_Position"));
   EXPECT_FLOAT_EQ(pos.at(0, 0).f, 1.0f);
   EXPECT_FLOAT_EQ(pos.at(1, 0).f, -1.0f);
@@ -823,9 +822,9 @@ void main() { gl_FragColor = vec4(plain, root, 0.0, 1.0); }
   // And the per-run re-initialization of `plain` IS charged, matching the
   // oracle's Run().
   oracle_alu.ResetCounts();
-  ASSERT_TRUE(oracle.Run());
+  ASSERT_TRUE(oracle.Run(oracle_alu, {}));
   alu.ResetCounts();
-  ASSERT_EQ(vm.RunBatch(1), 1u);
+  ASSERT_EQ(vm.RunBatch(1, alu, {}), 1u);
   EXPECT_EQ(alu.counts().alu, oracle_alu.counts().alu);
 }
 
@@ -1291,15 +1290,12 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
   VmExec one_lane(prog, alu_s);
   VmExec batch(prog, alu_b);
 
-  const TextureFn texture =
-      testutil::PerTexel([](int unit, float s, float t, float lod) {
-        return std::array<float, 4>{
-            s * 0.5f + static_cast<float>(unit) * 0.125f, t * 0.25f, s + t,
-            lod + 0.75f};
-      });
+  TextureFn texture;
   if (c.with_texture) {
-    one_lane.SetTextureFn(texture);
-    batch.SetTextureFn(texture);
+    texture = testutil::PerTexel([](int unit, float s, float t, float lod) {
+      return std::array<float, 4>{s * 0.5f + static_cast<float>(unit) * 0.125f,
+                                  t * 0.25f, s + t, lod + 0.75f};
+    });
   }
   const int in_slot = one_lane.GlobalSlot("v_in");
   ASSERT_GE(in_slot, 0);
@@ -1329,7 +1325,7 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
     for (int k = 0; k < 4; ++k) {
       s_in.at(k, 0).f = in[static_cast<std::size_t>(k)];
     }
-    ref_kept.push_back(one_lane.RunBatch(1) != 0);
+    ref_kept.push_back(one_lane.RunBatch(1, alu_s, texture) != 0);
     ref_color.push_back(
         {FloatToBits(s_color.at(0, 0).f), FloatToBits(s_color.at(1, 0).f),
          FloatToBits(s_color.at(2, 0).f), FloatToBits(s_color.at(3, 0).f)});
@@ -1345,7 +1341,7 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
       in_plane.at(k, l).f = in[static_cast<std::size_t>(k)];
     }
   }
-  const std::uint32_t kept = batch.RunBatch(lanes);
+  const std::uint32_t kept = batch.RunBatch(lanes, alu_b, texture);
   const OpCounts got = alu_b.counts();
 
   const PlaneDst color = batch.LaneGlobal(color_slot);
@@ -1416,13 +1412,13 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
             fract_helper(base + static_cast<float>(l * 4 + k) * 0.17f);
       }
     }
-    const std::uint32_t kept = batch.RunBatch(lanes);
+    const std::uint32_t kept = batch.RunBatch(lanes, alu_b, {});
     const PlaneDst bc = batch.LaneGlobal(color_slot);
     const PlaneDst sv = one_lane.LaneGlobal(in_slot);
     const PlaneDst sc = one_lane.LaneGlobal(color_slot);
     for (int l = 0; l < lanes; ++l) {
       for (int k = 0; k < 4; ++k) sv.at(k, 0).f = bv.at(k, l).f;
-      const bool ref_kept = one_lane.RunBatch(1) != 0;
+      const bool ref_kept = one_lane.RunBatch(1, alu_s, {}) != 0;
       EXPECT_EQ(((kept >> static_cast<unsigned>(l)) & 1u) != 0, ref_kept);
       if (!ref_kept) continue;
       for (int k = 0; k < 4; ++k) {
@@ -1458,9 +1454,9 @@ void main() {
   ASSERT_NE(prog->lane_global[static_cast<std::size_t>(acc_slot)], 0);
   ASSERT_EQ(prog->lane_global[static_cast<std::size_t>(rows_slot)], 0);
 
-  ExactAlu alu_base, alu_clone;
+  ExactAlu alu_base;
   VmExec base(prog, alu_base);
-  const std::unique_ptr<ShaderEngine> clone = base.Clone(alu_clone);
+  const std::unique_ptr<ShaderEngine> clone = base.Clone();
   for (ShaderEngine* e : {static_cast<ShaderEngine*>(&base), clone.get()}) {
     const PlaneDst acc = e->LaneGlobal(acc_slot);
     const PlaneDst rows = e->LaneGlobal(rows_slot);
@@ -1493,13 +1489,13 @@ void main() {
             v_in.at(k, l).f = in[static_cast<std::size_t>(k)];
           }
         }
-        ASSERT_EQ(vm.RunBatch(width), all);
+        ASSERT_EQ(vm.RunBatch(width, alu_v, {}), all);
         for (int l = 0; l < width; ++l) {
           const std::array<float, 4> in = LaneInput(lo + l + round * 7);
           for (int k = 0; k < 4; ++k) {
             t_in.at(k, 0).f = in[static_cast<std::size_t>(k)];
           }
-          ASSERT_EQ(tree.RunBatch(1), 1u);
+          ASSERT_EQ(tree.RunBatch(1, alu_t, {}), 1u);
           for (int k = 0; k < 4; ++k) {
             EXPECT_EQ(FloatToBits(color.at(k, l).f),
                       FloatToBits(t_color.at(k, 0).f))
