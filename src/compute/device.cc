@@ -11,7 +11,7 @@ constexpr float kQuad[12] = {
 }  // namespace
 
 Device::Device(const DeviceOptions& options)
-    : options_(options), alu_(options.profile) {
+    : options_(options), alu_(vc4::ProfileAlu(options.profile)) {
   gles2::ContextConfig cfg;
   cfg.width = 1;  // the default framebuffer is unused; kernels render to FBOs
   cfg.height = 1;

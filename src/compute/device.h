@@ -9,7 +9,7 @@
 #include <string>
 
 #include "gles2/context.h"
-#include "vc4/alu.h"
+#include "glsl/alu.h"
 #include "vc4/profiles.h"
 #include "vc4/timing.h"
 
@@ -43,7 +43,7 @@ class Device {
   explicit Device(const DeviceOptions& options = DeviceOptions{});
 
   [[nodiscard]] gles2::Context& gl() { return *ctx_; }
-  [[nodiscard]] vc4::Vc4Alu& alu() { return alu_; }
+  [[nodiscard]] glsl::AluModel& alu() { return alu_; }
   [[nodiscard]] const vc4::GpuProfile& profile() const {
     return options_.profile;
   }
@@ -70,7 +70,7 @@ class Device {
 
  private:
   DeviceOptions options_;
-  vc4::Vc4Alu alu_;
+  glsl::AluModel alu_;
   std::unique_ptr<gles2::Context> ctx_;
   vc4::GpuWork work_;
   glsl::OpCounts last_ops_;

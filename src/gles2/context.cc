@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <new>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/fault.h"
 #include "common/strings.h"
@@ -26,11 +28,13 @@ using glsl::BaseType;
 using glsl::Value;
 
 // The raster layer's batch width and the VM's lane count must agree: the
-// flush path hands a FragmentBatch's lanes straight to VmExec::RunBatch.
+// flush path shades a whole FragmentBatch in one batched-VM chunk.
 static_assert(kFragBatchWidth == glsl::kVmLanes,
               "fragment batch width must match the VM lane width");
-// A texture fetch computes one batch's texel indices in one call.
-static_assert(Texture::kMaxTexelRow >= glsl::kVmLanes);
+// A texture fetch samples one batch's lanes in one call, straight into the
+// fetch's rows.
+static_assert(
+    std::is_same_v<Texture::RgbaRow, decltype(glsl::TexelFetch::rgba)>);
 
 namespace {
 // A watchdog trip (ContextConfig::draw_budget). The budget is a per-draw
@@ -42,6 +46,10 @@ class DrawBudgetExceeded : public std::runtime_error {
             "draw exceeded the per-draw ALU-op watchdog budget "
             "(ContextConfig::draw_budget)") {}
 };
+
+// What a texture unit with no texture samples: a texture without storage,
+// which reads (0, 0, 0, 1).
+const Texture kUnbound;
 
 // x + w for w >= 0, saturated at INT_MAX: a scissor box's end.
 int SaturatedEnd(int x, int w) { return x > INT_MAX - w ? INT_MAX : x + w; }
@@ -1302,10 +1310,12 @@ bool Context::ResolveAttribSources(ProgramObject* prog,
 
 void Context::ShadeVertices(const ProgramObject& prog,
                             std::span<const GLuint> indices, ShadeWorker& w) {
-  // Each RunBatch pass shades up to LaneWidth() vertices over the engine's
-  // lane planes, through the views the link resolved, on worker 0's counter
-  // shard and texture fetch.
+  // Each chunk shades up to LaneWidth() vertices over the engine's lane
+  // planes, through the views the link resolved, on worker `w`.
   glsl::ShaderEngine& engine = *prog.vertex;
+  const glsl::TextureFn texture = [this, &w](glsl::TexelFetch& f) {
+    FetchTexels(w, f);
+  };
   const ProgramObject::VertexViews& views = prog.vertex_views;
   const std::vector<AttribSource>& sources = scratch_sources_;
   const int lanes = LaneWidth();
@@ -1389,9 +1399,7 @@ void Context::ShadeVertices(const ProgramObject& prog,
     // discard; the kept mask is all-ones.) The watchdog folds in per
     // chunk, and the chunk's texture-cache accesses replay in lane order,
     // which is vertex order, so the misses are the same at every width.
-    (void)engine.RunBatch(n, *w.alu, w.texture);
-    if (config_.draw_budget != 0) CheckDrawBudget(w);
-    ReplayTmuLog(w, n);
+    (void)RunChunk(engine, n, w, texture);
 
     // Scatter, in lane order.
     for (int l = 0; l < n; ++l) {
@@ -1516,7 +1524,7 @@ void Context::WritePixel(RenderTarget& rt, int x, int y, float depth,
 }
 
 void Context::CheckDrawBudget(ShadeWorker& w) {
-  const std::uint64_t now = w.alu->counts().alu;
+  const std::uint64_t now = w.alu.counts().alu;
   const std::uint64_t delta = now - w.budget_reported;
   w.budget_reported = now;
   const std::uint64_t used =
@@ -1660,23 +1668,23 @@ void Context::DrawGeneric(ProgramObject* prog, const RenderTarget& rt,
     // writes to one pixel). The lowest-numbered failing worker names the
     // abort; the exception caught here does only when no worker failed.
     std::exception_ptr failure;
-    for (const std::unique_ptr<ShadeWorker>& w : workers_) {
-      if (failure == nullptr) failure = w->failure;
-      w->failure = nullptr;
+    for (ShadeWorker& w : workers_) {
+      if (failure == nullptr) failure = w.failure;
+      w.failure = nullptr;
       if (rt.color != nullptr) {
-        for (auto it = w->journal.color.rbegin();
-             it != w->journal.color.rend(); ++it) {
+        for (auto it = w.journal.color.rbegin();
+             it != w.journal.color.rend(); ++it) {
           std::copy(it->old_rgba.begin(), it->old_rgba.end(),
                     rt.color->begin() + it->offset);
         }
       }
       if (rt.depth != nullptr) {
-        for (auto it = w->journal.depth.rbegin();
-             it != w->journal.depth.rend(); ++it) {
+        for (auto it = w.journal.depth.rbegin();
+             it != w.journal.depth.rend(); ++it) {
           (*rt.depth)[it->index] = it->old_depth;
         }
       }
-      w->journal.Clear();
+      w.journal.Clear();
     }
     AbortDraw(failure != nullptr ? failure : std::current_exception(),
               alloc_failure);
@@ -1686,8 +1694,8 @@ void Context::DrawGeneric(ProgramObject* prog, const RenderTarget& rt,
   // to the next draw's reset, so its counts never reach the context); the
   // journals exist only to be replayed on abort.
   for (int i = 0; i < worker_count; ++i) {
-    ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
-    alu_->AddCounts(w.alu->counts());
+    ShadeWorker& w = workers_[static_cast<std::size_t>(i)];
+    alu_->AddCounts(w.alu.counts());
     w.journal.Clear();
   }
 }
@@ -1771,19 +1779,18 @@ void Context::AssembleAndBin(GLenum mode, GLsizei count,
 
 ShadeWorker& Context::BeginDraw() {
   if (workers_.empty()) AddWorker();
-  // Per-draw refresh of the state the workers' texture callbacks and flush
-  // closures reach through stable addresses: the sampler table, the
-  // failure latch and the watchdog accumulator.
+  // Per-draw refresh of the state every worker's texture fetch and flush
+  // read: the sampler table, the failure latch and the watchdog
+  // accumulator.
   static_assert(std::tuple_size_v<decltype(draw_samplers_)> ==
                 std::tuple_size_v<decltype(units_)>);
   for (std::size_t u = 0; u < units_.size(); ++u) {
-    const Texture* tex = GetTextureObject(units_[u].bound_2d);
-    draw_samplers_[u] = {tex, units_[u].bound_2d,
-                         tex != nullptr && tex->IsComplete()};
+    draw_samplers_[u] = {GetTextureObject(units_[u].bound_2d),
+                         units_[u].bound_2d};
   }
   draw_failed_.store(false, std::memory_order_relaxed);
   draw_alu_used_.store(0, std::memory_order_relaxed);
-  ShadeWorker& w = *workers_.front();
+  ShadeWorker& w = workers_.front();
   w.BeginDraw();
   return w;
 }
@@ -1808,9 +1815,9 @@ int Context::PrepareWorkers(ProgramObject* prog, const RenderTarget& rt) {
     }
   }
 
-  // Per-draw refresh of the render target the flush closures reach, and
-  // of each used worker's stage and journal; worker 0 began the draw with
-  // the vertex stage, the others begin it here.
+  // Per-draw refresh of the render target every flush writes, and of each
+  // used worker's stage and journaling; worker 0 began the draw with the
+  // vertex stage, the others begin it here.
   draw_rt_ = rt;
   // Journal framebuffer writes only when this draw can actually abort
   // after a pixel lands: the fragment stage has trap-capable instructions,
@@ -1822,10 +1829,10 @@ int Context::PrepareWorkers(ProgramObject* prog, const RenderTarget& rt) {
   const bool needs_journal =
       prog->fs_can_trap || config_.draw_budget != 0 || fault::AnyArmed();
   for (int i = 0; i < worker_count; ++i) {
-    ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
+    ShadeWorker& w = workers_[static_cast<std::size_t>(i)];
     if (i > 0) w.BeginDraw();
     w.stage = &prog->fragment_clones[static_cast<std::size_t>(i)];
-    w.active_journal = needs_journal ? &w.journal : nullptr;
+    w.journaling = needs_journal;
   }
   return worker_count;
 }
@@ -1836,7 +1843,8 @@ void Context::ShadeTiles(const ProgramObject* prog, const RasterState& rs,
   const std::vector<TilePrim>& prims = scratch_prims_;
   const std::vector<std::uint32_t>& work = scratch_work_;
   const int vc = prog->varying_cells;
-  auto shade_tile = [&](std::uint32_t tile_index, ShadeWorker& w) {
+  auto shade_tile = [&](std::uint32_t tile_index, ShadeWorker& w,
+                        const BatchFlushFn& flush) {
     const TileBinner::Tile& tile = binner_.tile(tile_index);
     w.tmu.Reset();
     RasterState tile_rs = rs;
@@ -1849,21 +1857,21 @@ void Context::ShadeTiles(const ProgramObject* prog, const RasterState& rs,
       switch (p.kind) {
         case TilePrim::Kind::kTriangle:
           RasterizeTriangle(verts[p.v0], verts[p.v1], verts[p.v2], vc,
-                            tile_rs, w.batch, w.flush);
+                            tile_rs, w.batch, flush);
           break;
         case TilePrim::Kind::kPoint:
-          RasterizePoint(verts[p.v0], vc, tile_rs, w.batch, w.flush);
+          RasterizePoint(verts[p.v0], vc, tile_rs, w.batch, flush);
           break;
         case TilePrim::Kind::kLine:
           RasterizeLine(verts[p.v0], verts[p.v1], vc, tile_rs, w.batch,
-                        w.flush);
+                        flush);
           break;
       }
     }
     // Shade the batch tail before leaving the tile: the next tile resets
     // the TMU-cache model, and deferred TMU replay must land in this
     // tile's cache session.
-    w.flush();
+    flush();
   };
 
   // One shading body for every worker: it claims tiles off a shared counter
@@ -1874,12 +1882,19 @@ void Context::ShadeTiles(const ProgramObject* prog, const RasterState& rs,
   const int tile_count = static_cast<int>(work.size());
   std::atomic<int> next_tile{0};
   const auto shade_worker = [&](int wi) {
-    ShadeWorker& w = *workers_[static_cast<std::size_t>(wi)];
+    ShadeWorker& w = workers_[static_cast<std::size_t>(wi)];
+    const glsl::TextureFn texture = [this, &w](glsl::TexelFetch& f) {
+      FetchTexels(w, f);
+    };
+    // Held by reference, so the BatchFlushFn stores no copy and allocates
+    // nothing.
+    const auto flush_batch = [this, &w, &texture] { FlushBatch(w, texture); };
+    const BatchFlushFn flush = std::cref(flush_batch);
     try {
       for (int item = next_tile.fetch_add(1, std::memory_order_relaxed);
            item < tile_count && !draw_failed_.load(std::memory_order_relaxed);
            item = next_tile.fetch_add(1, std::memory_order_relaxed)) {
-        shade_tile(work[static_cast<std::size_t>(item)], w);
+        shade_tile(work[static_cast<std::size_t>(item)], w, flush);
       }
     } catch (...) {
       w.failure = std::current_exception();
@@ -1902,7 +1917,7 @@ void Context::ShadeTiles(const ProgramObject* prog, const RasterState& rs,
     pool_->RunOn(worker_count, shade_worker);
   }
   for (int i = 0; i < worker_count; ++i) {
-    const ShadeWorker& w = *workers_[static_cast<std::size_t>(i)];
+    const ShadeWorker& w = workers_[static_cast<std::size_t>(i)];
     if (w.failure != nullptr) std::rethrow_exception(w.failure);
   }
 }
@@ -1930,18 +1945,24 @@ void Context::AbortDraw(const std::exception_ptr& failure,
 }
 
 void Context::AddWorker() {
-  // Injectable build failure: a worker is allocation-heavy. Nothing
-  // half-built is kept: it is stored only once complete.
+  // Injectable build failure: growing the worker list allocates. A failed
+  // growth keeps the list as it was.
   if (fault::ShouldFail(fault::Site::kShadeCacheAlloc)) throw std::bad_alloc();
-  auto w = std::make_unique<ShadeWorker>();
-  ShadeWorker* const wp = w.get();
-  w->alu = alu_->Fork();
-  w->texture = MakeTextureFn(wp);
-  w->flush = [this, wp] { FlushBatch(*wp); };
-  workers_.push_back(std::move(w));
+  ShadeWorker& w = workers_.emplace_back();
+  w.alu = *alu_;
+  w.alu.ResetCounts();
 }
 
-void Context::FlushBatch(ShadeWorker& w) {
+std::uint32_t Context::RunChunk(glsl::ShaderEngine& engine, int n,
+                                ShadeWorker& w,
+                                const glsl::TextureFn& texture) {
+  const std::uint32_t kept = engine.RunBatch(n, w.alu, texture);
+  if (config_.draw_budget != 0) CheckDrawBudget(w);
+  ReplayTmuLog(w, n);
+  return kept;
+}
+
+void Context::FlushBatch(ShadeWorker& w, const glsl::TextureFn& texture) {
   FragmentBatch& b = w.batch;
   const int n = b.count;
   b.count = 0;
@@ -1952,6 +1973,7 @@ void Context::FlushBatch(ShadeWorker& w) {
   const glsl::PlaneDst& ff = stage.front_facing;
   const glsl::PlaneDst& pc = stage.point_coord;
   const glsl::PlaneDst& col = stage.color;
+  UndoJournal* const journal = w.journaling ? &w.journal : nullptr;
   // Scatters batch lanes [lo, lo + m) into engine lanes [0, m).
   const auto scatter = [&](int lo, int m) {
     for (int l = 0; l < m; ++l) {
@@ -1987,77 +2009,58 @@ void Context::FlushBatch(ShadeWorker& w) {
                col.at(3, l).f};
     }
     WritePixel(draw_rt_, b.x[bi], b.y[bi], b.depth[bi], color,
-               /*depth_valid=*/true, w.active_journal);
+               /*depth_valid=*/true, journal);
   };
   const int width = LaneWidth();
   for (int lo = 0; lo < n; lo += width) {
     const int m = std::min(width, n - lo);
     scatter(lo, m);
-    const std::uint32_t kept = stage.engine->RunBatch(m, *w.alu, w.texture);
-    if (config_.draw_budget != 0) CheckDrawBudget(w);
-    ReplayTmuLog(w, m);
+    const std::uint32_t kept = RunChunk(*stage.engine, m, w, texture);
     for (int l = 0; l < m; ++l) {
       if (((kept >> static_cast<unsigned>(l)) & 1u) != 0) drain(lo, l);
     }
   }
 }
 
-glsl::TextureFn Context::MakeTextureFn(ShadeWorker* w) {
-  return [this, w](glsl::TexelFetch& f) {
-    const int top = glsl::TopLane(f.mask);
-    ShadeWorker::TmuRecord& rec = w->tmu_log.emplace_back();
-    // Lanes [0, top) grouped by texture unit — one group in the paper's
-    // kernels, whose sampler is a uniform — each group's sampler, filter
-    // and wrap modes resolved once.
-    std::uint32_t pending = top == glsl::kVmLanes ? ~0u : (1u << top) - 1u;
-    while (pending != 0) {
-      const int unit = f.unit[static_cast<std::size_t>(
-          std::countr_zero(pending))];
-      std::uint32_t group = 0;
-      for (int l = 0; l < top; ++l) {
-        group |= f.unit[static_cast<std::size_t>(l)] == unit
-                     ? glsl::kLaneBit[static_cast<std::size_t>(l)]
-                     : 0u;
-      }
-      group &= pending;
-      pending &= ~group;
-      const bool in_range =
-          unit >= 0 && unit < static_cast<int>(draw_samplers_.size());
-      const DrawSampler ds =
-          in_range ? draw_samplers_[static_cast<std::size_t>(unit)]
-                   : DrawSampler{};
-      const auto in_group = [group](int l) {
-        return (group & glsl::kLaneBit[static_cast<std::size_t>(l)]) != 0;
-      };
-      if (ds.tex == nullptr || !ds.tex->has_storage()) {
-        for (int l = 0; l < top; ++l) {
-          if (!in_group(l)) continue;
-          for (std::size_t c = 0; c < 4; ++c) {
-            f.rgba[c][static_cast<std::size_t>(l)] = c == 3 ? 1.0f : 0.0f;
-          }
-        }
-        continue;
-      }
-      // Texture-cache model: 32-byte lines = 8 RGBA8 texels. The nearest
-      // texel also addresses a NEAREST fetch.
-      std::array<long long, glsl::kVmLanes> texel;
-      ds.tex->NearestTexelIndices(f.s.data(), f.t.data(), top, texel.data());
+void Context::FetchTexels(ShadeWorker& w, glsl::TexelFetch& f) const {
+  const int top = glsl::TopLane(f.mask);
+  ShadeWorker::TmuRecord& rec = w.tmu_log.emplace_back();
+  // Lanes [0, top) grouped by texture unit — one group in the paper's
+  // kernels, whose sampler is a uniform — each group's texture sampled
+  // once for the row.
+  std::uint32_t pending = top == glsl::kVmLanes ? ~0u : (1u << top) - 1u;
+  std::array<long long, glsl::kVmLanes> texel;
+  while (pending != 0) {
+    const int unit = f.unit[static_cast<std::size_t>(
+        std::countr_zero(pending))];
+    std::uint32_t group = 0;
+    for (int l = 0; l < top; ++l) {
+      group |= f.unit[static_cast<std::size_t>(l)] == unit
+                   ? glsl::kLaneBit[static_cast<std::size_t>(l)]
+                   : 0u;
+    }
+    group &= pending;
+    pending &= ~group;
+    const bool in_range =
+        unit >= 0 && unit < static_cast<int>(draw_samplers_.size());
+    const DrawSampler ds =
+        in_range ? draw_samplers_[static_cast<std::size_t>(unit)]
+                 : DrawSampler{};
+    const Texture& tex = ds.tex != nullptr ? *ds.tex : kUnbound;
+    // Only a texture with storage touches the cache.
+    if (tex.SampleRow(f.s.data(), f.t.data(), f.lod.data(), top, group,
+                      texel.data(), f.rgba)) {
       rec.mask |= group & f.mask;
-      const std::uint64_t tex_tag = static_cast<std::uint64_t>(ds.id) << 40;
-      const bool nearest = ds.tex->mag_filter() == GL_NEAREST;
-      for (int l = 0; l < top; ++l) {
-        if (!in_group(l)) continue;
-        const std::size_t li = static_cast<std::size_t>(l);
+    }
+    // Texture-cache model: 32-byte lines = 8 RGBA8 texels.
+    const std::uint64_t tex_tag = static_cast<std::uint64_t>(ds.id) << 40;
+    for (int l = 0; l < top; ++l) {
+      const std::size_t li = static_cast<std::size_t>(l);
+      if ((group & glsl::kLaneBit[li]) != 0) {
         rec.line[li] = tex_tag | static_cast<std::uint64_t>(texel[li] >> 3);
-        std::array<float, 4> rgba{0.0f, 0.0f, 0.0f, 1.0f};
-        if (ds.complete) {
-          rgba = nearest ? ds.tex->TexelColor(texel[li])
-                         : ds.tex->SampleLinear(f.s[li], f.t[li]);
-        }
-        for (std::size_t c = 0; c < 4; ++c) f.rgba[c][li] = rgba[c];
       }
     }
-  };
+  }
 }
 
 void Context::ReplayTmuLog(ShadeWorker& w, int lanes) {
@@ -2066,7 +2069,7 @@ void Context::ReplayTmuLog(ShadeWorker& w, int lanes) {
     for (const ShadeWorker::TmuRecord& rec : w.tmu_log) {
       if ((rec.mask & bit) != 0 &&
           w.tmu.Access(rec.line[static_cast<std::size_t>(l)])) {
-        w.alu->CountTmuMiss(1);
+        w.alu.CountTmuMiss(1);
       }
     }
   }

@@ -135,29 +135,28 @@ struct TmuCacheModel {
 
 // One shading worker of a context: the state a VC4 QPU keeps to itself
 // while every QPU runs the same shader code. A draw shades only through
-// its workers: every engine run is handed a worker's counter shard and
-// texture callback. Worker 0 runs the vertex stage on the calling thread,
-// then fragment shading runs on workers [0, n), a serial draw on worker 0.
-// A context builds its workers lazily, up to its worker count, and keeps
-// them for its lifetime; every program shades on them. Nothing here
-// depends on the program: the program's side of a worker is its fragment
-// clone (ProgramObject::FragmentClone), which `stage` names per draw. The
-// flush closure and the texture callback capture the worker's address, so
-// the context holds workers by unique_ptr.
-struct ShadeWorker {
-  // Counter shard Fork()ed from the context's model: every run on this
-  // worker counts on it. It is reset when the worker begins a draw and
-  // merged into the context's model when the draw commits; an aborted
-  // draw's shards are never merged.
-  std::unique_ptr<glsl::AluModel> alu;
+// its workers: every engine run is handed a worker's counter shard, and
+// its texture fetches go through the worker's TMU log. Worker 0 runs the
+// vertex stage on the calling thread, then fragment shading runs on
+// workers [0, n), a serial draw on worker 0. A context builds its workers
+// lazily, up to its worker count, and keeps them for its lifetime; every
+// program shades on them. Nothing here depends on the program: the
+// program's side of a worker is its fragment clone
+// (ProgramObject::FragmentClone), which `stage` names per draw. A worker
+// is plain data: the texture callback and the batch flush that reach it
+// are built on the stack of the stage that runs it. Workers sit side by
+// side in one vector and shade on different threads, so each starts on
+// its own cache line: one worker's last fields and the next one's counter
+// shard never share a line.
+struct alignas(64) ShadeWorker {
+  // Counter shard: a copy of the context's model, so the same precision.
+  // Every run on this worker counts on it. It is reset when the worker
+  // begins a draw and merged into the context's model when the draw
+  // commits; an aborted draw's shards are never merged.
+  glsl::AluModel alu;
   TmuCacheModel tmu;
   // The drawn program's clone for this worker, set per draw.
   ProgramObject::FragmentClone* stage = nullptr;
-
-  // `flush` shades and drains `batch` (Context::FlushBatch); `texture` is
-  // the fetch every run on this worker reads texels through.
-  BatchFlushFn flush;
-  glsl::TextureFn texture;
   FragmentBatch batch;
   // Deferred TMU accounting: one record per texture fetch instruction of
   // the batch in flight, in instruction order — the lanes that touched
@@ -175,12 +174,11 @@ struct ShadeWorker {
   // Transactional-abort undo log for the framebuffer writes this worker
   // performed during the current draw.
   UndoJournal journal;
-  // Journal the flush actually writes through: &journal when the current
-  // draw can abort mid-write (trap-capable fragment shader, armed
-  // watchdog, armed fault site), nullptr when it provably cannot —
-  // refreshed per draw, so the trap-free hot path pays nothing for
-  // transactional aborts.
-  UndoJournal* active_journal = nullptr;
+  // Whether the flush writes through `journal`: true when the current draw
+  // can abort mid-write (trap-capable fragment shader, armed watchdog,
+  // armed fault site), false when it provably cannot — refreshed per
+  // draw, so the trap-free hot path pays nothing for transactional aborts.
+  bool journaling = false;
   // ALU ops this worker's counter shard held the last time it reported
   // to the draw's watchdog accumulator (delta reporting keeps the
   // budget check O(1) per vertex chunk or batch flush).
@@ -191,7 +189,7 @@ struct ShadeWorker {
   // previous draw failed; every draw ends with an empty journal and no
   // failure).
   void BeginDraw() {
-    alu->ResetCounts();
+    alu.ResetCounts();
     budget_reported = 0;
     tmu.Reset();
     batch.count = 0;
@@ -337,7 +335,6 @@ class Context {
 
   // --- introspection for tests and the timing model ---
   [[nodiscard]] glsl::AluModel& alu() { return *alu_; }
-  [[nodiscard]] const ContextConfig& config() const { return config_; }
   // The configured engine (kCompiled reads as kBatchedVm) and worker count;
   // both are fixed at construction (see ContextConfig).
   [[nodiscard]] ExecEngine exec_engine() const { return config_.exec_engine; }
@@ -368,8 +365,7 @@ class Context {
   [[nodiscard]] bool async_submit_enabled() const { return false; }
   // Always all zero; kept only for e2ebench, which reports it.
   [[nodiscard]] cmd::Stats command_stream_stats() const { return {}; }
-  // Texture by id, or nullptr. Read-only, so the draw-time texture
-  // callbacks on pool workers may call it concurrently.
+  // Texture by id, or nullptr.
   [[nodiscard]] Texture* GetTextureObject(GLuint id);
 
  private:
@@ -454,8 +450,7 @@ class Context {
   // The vertex stage, for every engine, on worker `w`: gathers attributes
   // for chunks of up to the engine's lane width (LaneWidth) straight into
   // the vertex engine's planes through the program's vertex views, runs
-  // each chunk through RunBatch on the worker's counter shard and texture
-  // fetch, replays its TMU log and scatters clip position / point size /
+  // each chunk (RunChunk) and scatters clip position / point size /
   // varyings into scratch_verts_ in lane order. Throws a shader trap or a
   // watchdog trip.
   void ShadeVertices(const ProgramObject& prog,
@@ -496,33 +491,38 @@ class Context {
   // trip-vs-not: the total is monotone toward an engine- and
   // thread-invariant final sum.
   void CheckDrawBudget(ShadeWorker& w);
-  // Builds the next shading worker (its counter shard, flush closure and
-  // texture callback) and appends it to workers_; an injectable
-  // kShadeCacheAlloc failure.
+  // Builds the next shading worker (its counter shard) and appends it to
+  // workers_; an injectable kShadeCacheAlloc failure.
   void AddWorker();
-  // The worker's batched texture fetch, for every engine: groups the
-  // fetch's lanes by texture unit, resolves each group's sampler from the
-  // per-draw sampler table once (contents are immutable during a draw),
-  // samples it, and appends one record of the touched cache lines to
-  // w->tmu_log, which the vertex stage or the flush replays through the
-  // worker's cache model and counter shard (thread-safe: each worker owns
-  // its log, cache and counters).
-  [[nodiscard]] glsl::TextureFn MakeTextureFn(ShadeWorker* w);
+  // One chunk of `n` lanes of either stage on worker `w`: runs `engine`
+  // on the worker's counter shard and `texture`, then the watchdog (when
+  // armed), then replays the chunk's TMU log. Returns the kept-lane mask.
+  // The one place that order is written: the TMU miss count and the
+  // watchdog's trip point depend on it.
+  std::uint32_t RunChunk(glsl::ShaderEngine& engine, int n, ShadeWorker& w,
+                         const glsl::TextureFn& texture);
+  // The batched texture fetch of worker `w`, for every engine: groups the
+  // fetch's lanes by texture unit, samples each group's texture from the
+  // per-draw sampler table (contents are immutable during a draw) with
+  // Texture::SampleRow, and appends one record of the touched cache lines
+  // to w.tmu_log, which RunChunk replays through the worker's cache model
+  // and counter shard (thread-safe: each worker owns its log, cache and
+  // counters).
+  void FetchTexels(ShadeWorker& w, glsl::TexelFetch& fetch) const;
   // Replays the TMU log of `w` for lanes [0, lanes), lane-ascending and
   // each lane in instruction order, through its cache model onto its
   // counter shard, then clears it.
   static void ReplayTmuLog(ShadeWorker& w, int lanes);
   // The worker's batch flush: scatters `w.batch` into the engine's
-  // per-fragment input planes of `w.stage`, shades it, replays the deferred
-  // TMU accesses in lane order (the fragment-sequential texture-cache
-  // order) and drains surviving lanes to the framebuffer in emission order,
-  // in chunks of the engine's lane width: the batched VM shades the whole
-  // batch in one RunBatch pass, the oracles one lane per pass, stopping at
-  // the first trapping lane.
-  void FlushBatch(ShadeWorker& w);
+  // per-fragment input planes of `w.stage`, shades it with `texture` as
+  // RunChunk chunks of the engine's lane width (the batched VM shades the
+  // whole batch in one pass, the oracles one lane per pass, stopping at
+  // the first trapping lane) and drains surviving lanes to the
+  // framebuffer in emission order.
+  void FlushBatch(ShadeWorker& w, const glsl::TextureFn& texture);
 
   ContextConfig config_;
-  glsl::ExactAlu default_alu_;
+  glsl::AluModel default_alu_;
   glsl::AluModel* alu_;
   GLenum error_ = GL_NO_ERROR;
   std::string last_draw_error_;
@@ -537,7 +537,9 @@ class Context {
   std::atomic<std::uint64_t> draw_alu_used_{0};
 
   // Shading workers, grown lazily up to shade_workers_ (see ShadeWorker).
-  std::vector<std::unique_ptr<ShadeWorker>> workers_;
+  // AddWorker may move them all, so no worker reference is held across
+  // an AddWorker call.
+  std::vector<ShadeWorker> workers_;
 
   GLuint next_id_ = 1;
   std::map<GLuint, std::unique_ptr<ShaderObject>> shaders_;
@@ -551,8 +553,8 @@ class Context {
   // created lazily on the first parallel draw.
   std::unique_ptr<common::ThreadPool> pool_;
   ShadeStateCache shade_tally_;
-  // Per-draw state the workers' flush closures reach through stable
-  // addresses: the resolved render target and the first-failure latch.
+  // Per-draw state every worker's flush reads: the resolved render target
+  // and the first-failure latch.
   RenderTarget draw_rt_;
   std::atomic<bool> draw_failed_{false};
   // Per-draw sampler table, one entry per texture unit, resolved before
@@ -560,7 +562,6 @@ class Context {
   struct DrawSampler {
     const Texture* tex = nullptr;
     GLuint id = 0;
-    bool complete = false;
   };
   std::array<DrawSampler, 8> draw_samplers_{};
   // Draw-loop scratch, context-owned so steady-state draws recycle the

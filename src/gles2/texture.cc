@@ -296,17 +296,27 @@ void Texture::NearestTexelIndices(const float* s, const float* t, int n,
   }
 }
 
-long long Texture::NearestTexelIndex(float s, float t) const {
-  if (!has_storage()) return -1;
-  long long index = 0;
-  NearestTexelIndices(&s, &t, 1, &index);
-  return index;
-}
-
-std::array<float, 4> Texture::Sample(float s, float t, float /*lod*/) const {
-  if (!IsComplete()) return {0.0f, 0.0f, 0.0f, 1.0f};
-  if (mag_filter_ == GL_NEAREST) return TexelColor(NearestTexelIndex(s, t));
-  return SampleLinear(s, t);
+bool Texture::SampleRow(const float* s, const float* t, const float* lod,
+                        int n, std::uint32_t lanes, long long* index,
+                        RgbaRow& rgba) const {
+  const bool stored = has_storage();
+  const bool complete = stored && IsComplete();
+  if (stored) {
+    NearestTexelIndices(s, t, n, index);
+  } else {
+    std::fill_n(index, n, -1);
+  }
+  for (int l = 0; l < n; ++l) {
+    if (((lanes >> l) & 1u) == 0) continue;
+    std::array<float, 4> texel{0.0f, 0.0f, 0.0f, 1.0f};
+    if (complete) {
+      const GLenum filter = lod[l] > 0.0f ? min_filter_ : mag_filter_;
+      texel = filter == GL_NEAREST ? TexelColor(index[l])
+                                   : SampleLinear(s[l], t[l]);
+    }
+    for (std::size_t c = 0; c < 4; ++c) rgba[c][l] = texel[c];
+  }
+  return stored;
 }
 
 std::array<float, 4> Texture::SampleLinear(float s, float t) const {

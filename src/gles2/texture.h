@@ -36,35 +36,33 @@ class Texture {
   // sample as opaque black, matching real drivers.
   [[nodiscard]] bool IsComplete() const;
 
-  // Samples with normalized coordinates; returns RGBA in [0,1] (each channel
-  // is c/255 exactly, Eq. (1) of the paper). Honors wrap modes and
-  // mag filter (nearest / bilinear). `lod` is accepted for API completeness
-  // but ignored (single-level textures). Any float coordinate is defined:
-  // CLAMP_TO_EDGE clamps far and infinite coordinates to the edge texel,
-  // the repeating modes wrap them, and NaN addresses texel 0.
-  [[nodiscard]] std::array<float, 4> Sample(float s, float t, float lod) const;
-
-  // The two halves of Sample for a complete texture, so a caller that
-  // already needs the nearest texel index (the context's texture-cache
-  // model) computes it once: the color of texel `index` (a
-  // NearestTexelIndex result), and the bilinear sample at (s, t).
-  [[nodiscard]] std::array<float, 4> TexelColor(long long index) const {
-    const std::uint8_t* p = &rgba8_[static_cast<std::size_t>(index) * 4];
-    return {kUnitOfByte[p[0]], kUnitOfByte[p[1]], kUnitOfByte[p[2]],
-            kUnitOfByte[p[3]]};
-  }
-  [[nodiscard]] std::array<float, 4> SampleLinear(float s, float t) const;
-
-  // Linear index of the texel a nearest-filter sample at (s, t) addresses;
-  // used by the context's texture-cache model. -1 when there is no storage.
-  [[nodiscard]] long long NearestTexelIndex(float s, float t) const;
-  // NearestTexelIndex of lanes [0, n), n <= kMaxTexelRow, at (s[l], t[l])
-  // into index[l], with each axis's wrap mode resolved once for the whole
-  // row, so the TMU model computes a batch's texels in plain loops.
-  // Requires storage.
+  // One texture fetch of lanes [0, n), n <= kMaxTexelRow, at normalized
+  // coordinates (s[l], t[l]) with level of detail lod[l]: the whole
+  // sampling rule, in one place for every engine and stage. It writes
+  // index[l] for every lane of [0, n) and rgba[c][l] for the lanes of the
+  // mask `lanes` only, so a caller can sample lane groups of different
+  // textures into one row.
+  //   * No storage: returns false, index[l] is -1 and every lane reads
+  //     (0, 0, 0, 1).
+  //   * Otherwise index[l] is the linear index of the texel a nearest
+  //     sample addresses (the texture-cache model's address whatever the
+  //     filter), each axis's wrap mode resolved once for the whole row.
+  //   * An incomplete texture reads (0, 0, 0, 1). A complete one filters
+  //     each lane by ES 2.0 §3.7.7: lod > 0 minifies (MIN_FILTER), else it
+  //     magnifies (MAG_FILTER). lod is the vertex stage's explicit level or
+  //     the fragment stage's bias: with no derivatives the base level of
+  //     detail is 0, and no complete texture here is mipmapped, so the
+  //     switch point is 0. Each channel of a NEAREST sample is c/255
+  //     exactly (Eq. (1) of the paper); LINEAR blends the four texels
+  //     around (s, t).
+  // Any float coordinate is defined: CLAMP_TO_EDGE clamps far and infinite
+  // coordinates to the edge texel, the repeating modes wrap them, and NaN
+  // addresses texel 0; a bilinear sample at a non-finite coordinate reads
+  // its corner texel.
   static constexpr int kMaxTexelRow = 32;
-  void NearestTexelIndices(const float* s, const float* t, int n,
-                           long long* index) const;
+  using RgbaRow = std::array<std::array<float, kMaxTexelRow>, 4>;
+  bool SampleRow(const float* s, const float* t, const float* lod, int n,
+                 std::uint32_t lanes, long long* index, RgbaRow& rgba) const;
 
   // Eq. (1) of the paper, f = c / (2^8 - 1), for every byte c: decoding an
   // RGBA8 texel is four table loads, with the division's exact values.
@@ -81,13 +79,18 @@ class Texture {
   }
   [[nodiscard]] std::vector<std::uint8_t>& mutable_storage() { return rgba8_; }
 
-  [[nodiscard]] GLenum min_filter() const { return min_filter_; }
-  [[nodiscard]] GLenum mag_filter() const { return mag_filter_; }
-  [[nodiscard]] GLenum wrap_s() const { return wrap_s_; }
-  [[nodiscard]] GLenum wrap_t() const { return wrap_t_; }
-
  private:
+  [[nodiscard]] std::array<float, 4> TexelColor(long long index) const {
+    const std::uint8_t* p = &rgba8_[static_cast<std::size_t>(index) * 4];
+    return {kUnitOfByte[p[0]], kUnitOfByte[p[1]], kUnitOfByte[p[2]],
+            kUnitOfByte[p[3]]};
+  }
   [[nodiscard]] std::array<float, 4> FetchTexel(int x, int y) const;
+  // The bilinear sample at (s, t).
+  [[nodiscard]] std::array<float, 4> SampleLinear(float s, float t) const;
+  // SampleRow's texel indices of lanes [0, n). Requires storage.
+  void NearestTexelIndices(const float* s, const float* t, int n,
+                           long long* index) const;
   [[nodiscard]] static int WrapCoord(int c, int size, GLenum mode);
   // Converts a floored texel coordinate (any float: NaN, +-inf, past the
   // int range) to an int that WrapCoord maps like the unbounded integer:

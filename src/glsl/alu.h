@@ -3,7 +3,7 @@
 // purposes central to this reproduction:
 //   1. precision modeling — a model is plain data: a RoundSpec (register
 //      precision) and an SfuSpec (the special function unit's exp2/log2
-//      error). The VideoCore IV model (vc4::Vc4Alu) sets an SFU error of
+//      error). The VideoCore IV model (vc4::ProfileAlu) has an SFU error of
 //      2^-16, which is what produces the paper's "accurate within the 15
 //      most significant bits of the mantissa" result;
 //   2. operation counting — ALU/SFU/TMU counts feed the timing model that
@@ -21,7 +21,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 
 namespace mgpu::glsl {
 
@@ -240,9 +239,18 @@ template <typename Round>
   return x == 0.0f ? 0.0f : round(FMul(x, round(1.0f / std::sqrt(x))));
 }
 
-class AluModel {
+// The ALU model: a copyable value of its precision (a RoundSpec and an
+// SfuSpec, fixed at construction) and its op counters. The default model
+// is IEEE-exact, the reference the paper's CPU-side verification uses
+// ("the same transformations on the CPU are precise", §V); a GPU profile's
+// model comes from vc4::ProfileAlu. A copy with its counts reset is an
+// independent counter shard with the same precision: the gles2 shading
+// workers each keep one.
+class AluModel final {
  public:
-  virtual ~AluModel() = default;
+  AluModel() = default;
+  AluModel(const RoundSpec& round, const SfuSpec& sfu)
+      : round_(round), sfu_(sfu) {}
 
   // --- basic float ALU (counted as `alu`) ---
   float Add(float a, float b) {
@@ -302,14 +310,10 @@ class AluModel {
 
   [[nodiscard]] const OpCounts& counts() const { return counts_; }
   void ResetCounts() { counts_ = OpCounts{}; }
-  // Folds a worker shard's counters into this model (the tiled renderer
-  // gives each shading worker a Fork()ed model and sums them at join; the
-  // sum over disjoint tiles is order-independent, so totals are identical
-  // to a serial run).
+  // Folds a counter shard's counts into this model (the tiled renderer
+  // sums its workers' shards at commit; the sum over disjoint tiles is
+  // order-independent, so totals are identical to a serial run).
   void AddCounts(const OpCounts& c) { counts_ += c; }
-  // Restores a snapshot taken via counts(): the bytecode VM's vm_steps
-  // across its one-time initializer run.
-  void SetCounts(const OpCounts& c) { counts_ = c; }
 
   // Rounds an ALU result to the modeled register precision (the model's
   // RoundSpec): the identity for full-fp32 models, denormal flush and/or
@@ -321,41 +325,12 @@ class AluModel {
     return round_.flush_only() ? RoundSpec::FlushDenormal(x) : round_(x);
   }
   [[nodiscard]] const RoundSpec& round_spec() const { return round_; }
-  // True when Round() is the identity function.
-  [[nodiscard]] bool round_identity() const { return round_.identity(); }
   [[nodiscard]] const SfuSpec& sfu_spec() const { return sfu_; }
-
-  // Creates an independent model with the same precision behaviour and zeroed
-  // counters, for use as a per-worker counter shard by the draw pipeline
-  // (every shading worker, serial or pooled, owns one).
-  //
-  // Shard reuse contract: each gles2 shading worker keeps a Fork()ed
-  // shard alive across draws and re-arms it per draw with ResetCounts()
-  // instead of re-forking. A subclass must therefore keep all non-counter
-  // state immutable after construction (precision behaviour a pure
-  // function of inputs), so that a reset shard is indistinguishable from a
-  // fresh fork.
-  [[nodiscard]] virtual std::unique_ptr<AluModel> Fork() const = 0;
-
- protected:
-  // Set once by the subclass constructor; default to full fp32 and an
-  // exact SFU.
-  void SetRoundSpec(const RoundSpec& spec) { round_ = spec; }
-  void SetSfuSpec(const SfuSpec& spec) { sfu_ = spec; }
 
  private:
   OpCounts counts_;
   RoundSpec round_;
   SfuSpec sfu_;
-};
-
-// IEEE-exact ALU: reference behaviour, used for the CPU-side verification the
-// paper performs ("the same transformations on the CPU are precise", §V).
-class ExactAlu final : public AluModel {
- public:
-  [[nodiscard]] std::unique_ptr<AluModel> Fork() const override {
-    return std::make_unique<ExactAlu>();
-  }
 };
 
 }  // namespace mgpu::glsl

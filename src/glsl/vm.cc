@@ -76,23 +76,24 @@ VmExec::VmExec(std::shared_ptr<const VmProgram> program, AluModel& alu)
 
   // One-time global initialization (consts and initial values of plain
   // globals), one lane wide with every global resolved to the shared store;
-  // only then do the lane-varying globals' planes take those values. Its
-  // ALU/SFU/TMU ops are charged, exactly as the oracle charges them at its
-  // own construction; its batch steps are not, so vm_steps counts runs
-  // only.
+  // only then do the lane-varying globals' planes take those values. It
+  // runs on a zero-count copy of `alu`: its ALU/SFU/TMU ops are charged,
+  // exactly as the oracle charges them at its own construction; its batch
+  // steps are not, so vm_steps counts runs only.
   std::vector<PlaneSrc> shared;
   shared.reserve(globals_.size());
   for (const Value& g : globals_) shared.push_back(ValuePlane(g));
   const std::vector<PlaneSrc> shared_aliases = AliasViews(
       *prog_, {reg_views_.data(), shared.data(), const_views_.data()});
-  const std::uint64_t steps = alu.counts().vm_steps;
+  AluModel init = alu;
+  init.ResetCounts();
   (void)ExecuteBatch(prog_->const_init_entry, 1,
                      {{reg_views_.data(), shared.data(), const_views_.data(),
                        shared_aliases.data()}},
-                     alu, TextureFn{});
-  OpCounts counts = alu.counts();
-  counts.vm_steps = steps;
-  alu.SetCounts(counts);
+                     init, TextureFn{});
+  OpCounts counts = init.counts();
+  counts.vm_steps = 0;
+  alu.AddCounts(counts);
   FillLaneGlobals();
 }
 

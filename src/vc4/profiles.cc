@@ -40,4 +40,9 @@ GpuProfile Mali400() {
   return p;
 }
 
+glsl::AluModel ProfileAlu(const GpuProfile& profile) {
+  return {{profile.flush_denormals, profile.alu_mantissa_bits},
+          glsl::SfuSpec(profile.sfu_error_bits)};
+}
+
 }  // namespace mgpu::vc4

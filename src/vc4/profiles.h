@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "glsl/alu.h"
 #include "glsl/shader.h"
 
 namespace mgpu::vc4 {
@@ -69,6 +70,18 @@ struct GpuProfile {
 [[nodiscard]] GpuProfile IeeeExact();
 // ARM Mali-400 MP: highp float unavailable in the fragment processor.
 [[nodiscard]] GpuProfile Mali400();
+
+// The ALU model of `profile`'s arithmetic, with zero counts. On the
+// VideoCore IV that is IEEE fp32 add/mul pipes, denormal flush, and a
+// special function unit whose EXP2/LOG2 deliver only ~16 good bits — the
+// mechanistic source of the paper's float-precision result (§V).
+// RECIP/RECIPSQRT are modeled near-exact (AluModel's rounded 1/x) because
+// the shader compiler emits a Newton-Raphson refinement step for them (as
+// the real VC4 driver does), which is also why the paper's *integer* path
+// stays exact: its byte decomposition uses division but never exp2/log2.
+// The profile only picks plain data — the model's RoundSpec and SfuSpec —
+// so every kernel inlines the same rounding and SFU formulas.
+[[nodiscard]] glsl::AluModel ProfileAlu(const GpuProfile& profile);
 
 }  // namespace mgpu::vc4
 

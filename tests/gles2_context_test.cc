@@ -608,6 +608,74 @@ constexpr ExecEngine kEngines[] = {ExecEngine::kBatchedVm,
                                    ExecEngine::kBytecodeVm,
                                    ExecEngine::kTreeWalk};
 
+// ES 2.0 §3.7.7 with no derivatives: the level of detail is the vertex
+// stage's explicit lod or the fragment stage's bias, and a positive one
+// minifies (MIN_FILTER) while any other magnifies (MAG_FILTER). The 2x1
+// texture (red 0 and 200) is MIN LINEAR / MAG NEAREST, read at its center:
+// the bilinear blend is 100, the nearest texel 200. Every engine and
+// worker count agrees; the 128x128 target is four tiles, so four workers
+// all shade.
+TEST(ContextTest, LodAndBiasPickMinOrMagFilter) {
+  constexpr char kLodVs[] = R"(
+attribute vec2 a_pos;
+uniform sampler2D u_tex;
+uniform float u_lod;
+varying vec4 v_texel;
+void main() {
+  v_texel = texture2DLod(u_tex, vec2(0.5, 0.5), u_lod);
+  gl_Position = vec4(a_pos, 0.0, 1.0);
+}
+)";
+  constexpr char kLodFs[] =
+      "precision mediump float;\nvarying vec4 v_texel;\n"
+      "void main() { gl_FragColor = v_texel; }";
+  constexpr char kBiasFs[] =
+      "precision mediump float;\nuniform sampler2D u_tex;\n"
+      "uniform float u_bias;\nvoid main() {\n"
+      "  gl_FragColor = texture2D(u_tex, vec2(0.5, 0.5), u_bias);\n}";
+  constexpr int kSize = 128;
+  const std::vector<std::uint8_t> texels = {0, 0, 0, 255, 200, 0, 0, 255};
+  for (const ExecEngine engine : kEngines) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(StrFormat("%s threads=%d", EngineName(engine), threads));
+      ContextConfig cfg = SmallConfig(kSize, kSize);
+      cfg.exec_engine = engine;
+      cfg.shader_threads = threads;
+      Context ctx(cfg);
+      GLuint tex;
+      ctx.GenTextures(1, &tex);
+      ctx.BindTexture(GL_TEXTURE_2D, tex);
+      ctx.TexImage2D(GL_TEXTURE_2D, 0, GL_RGBA, 2, 1, 0, GL_RGBA,
+                     GL_UNSIGNED_BYTE, texels.data());
+      ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MIN_FILTER, GL_LINEAR);
+      ctx.TexParameteri(GL_TEXTURE_2D, GL_TEXTURE_MAG_FILTER, GL_NEAREST);
+      const GLuint lod_prog = BuildProgramOrDie(ctx, kLodVs, kLodFs);
+      const GLuint bias_prog =
+          BuildProgramOrDie(ctx, testutil::kPassthroughVs, kBiasFs);
+      // Draws `prog` with `level` as its lod or bias and checks every
+      // pixel's red byte.
+      const auto expect_red = [&](GLuint prog, const char* uniform,
+                                  float level, std::uint8_t red) {
+        SCOPED_TRACE(StrFormat("%s=%g", uniform, level));
+        ctx.UseProgram(prog);
+        ctx.Uniform1f(ctx.GetUniformLocation(prog, uniform), level);
+        DrawFullscreenQuad(ctx, prog);
+        EXPECT_EQ(ctx.GetError(), GL_NO_ERROR);
+        const std::vector<std::uint8_t> px = ReadRgba(ctx, kSize, kSize);
+        int wrong = 0;
+        for (std::size_t i = 0; i < px.size(); i += 4) wrong += px[i] != red;
+        EXPECT_EQ(wrong, 0) << "first pixel reads " << int{px[0]};
+      };
+      expect_red(lod_prog, "u_lod", 2.0f, 100);
+      expect_red(bias_prog, "u_bias", 1.0f, 100);
+      for (const float level : {0.0f, -1.0f}) {
+        expect_red(lod_prog, "u_lod", level, 200);
+        expect_red(bias_prog, "u_bias", level, 200);
+      }
+    }
+  }
+}
+
 // Attribute fetches from a VBO must be validated against the buffer store
 // at draw time: a range that runs past the end fails the draw with
 // GL_INVALID_OPERATION instead of reading out-of-bounds heap memory. Every

@@ -7,7 +7,6 @@
 #include "gles2_test_util.h"
 #include "glsl/alu.h"
 #include "gtest/gtest.h"
-#include "vc4/alu.h"
 #include "vc4/profiles.h"
 
 namespace mgpu::gles2 {
@@ -199,11 +198,9 @@ TEST(FboTest, PassThroughCopyPreservesEveryTexelByte) {
     src[i * 4 + 2] = static_cast<std::uint8_t>(i * 7);
     src[i * 4 + 3] = static_cast<std::uint8_t>(i + 128);
   }
-  glsl::ExactAlu exact;
-  vc4::Vc4Alu vc4_alu(vc4::VideoCoreIV());
-  for (glsl::AluModel* alu : {static_cast<glsl::AluModel*>(&exact),
-                              static_cast<glsl::AluModel*>(&vc4_alu)}) {
-    Context ctx(Cfg(kSize, kSize), alu);
+  for (glsl::AluModel alu :
+       {glsl::AluModel{}, vc4::ProfileAlu(vc4::VideoCoreIV())}) {
+    Context ctx(Cfg(kSize, kSize), &alu);
     const GLuint src_tex = MakeTargetTexture(ctx, kSize, kSize);
     ctx.TexSubImage2D(GL_TEXTURE_2D, 0, 0, 0, kSize, kSize, GL_RGBA,
                       GL_UNSIGNED_BYTE, src.data());

@@ -24,6 +24,19 @@ Texture MakeRgba(int w, int h, const std::vector<std::uint8_t>& data) {
   return t;
 }
 
+// One lane of Texture::SampleRow at (s, t) and level of detail `lod`: the
+// color, and the addressed texel's index.
+struct Sampled {
+  std::array<float, 4> rgba;
+  long long index;
+};
+Sampled SampleAt(const Texture& tex, float s, float t, float lod = 0.0f) {
+  long long index = 0;
+  Texture::RgbaRow rgba;
+  tex.SampleRow(&s, &t, &lod, 1, 1u, &index, rgba);
+  return {{rgba[0][0], rgba[1][0], rgba[2][0], rgba[3][0]}, index};
+}
+
 TEST(TextureTest, FloatUploadRejected) {
   // Limitation #5 of the paper: ES 2.0 has no float textures.
   Texture t;
@@ -143,7 +156,7 @@ TEST(TextureTest, DefaultMinFilterMakesIncomplete) {
                          px.data(), 1),
             GL_NO_ERROR);
   EXPECT_FALSE(t.IsComplete());
-  const auto s = t.Sample(0.5f, 0.5f, 0.0f);
+  const auto s = SampleAt(t, 0.5f, 0.5f).rgba;
   EXPECT_FLOAT_EQ(s[0], 0.0f);
   EXPECT_FLOAT_EQ(s[3], 1.0f);
   ASSERT_EQ(t.SetParameter(GL_TEXTURE_MIN_FILTER, GL_NEAREST), GL_NO_ERROR);
@@ -174,7 +187,7 @@ TEST(TextureTest, NearestSamplingAddressesTexelCenters) {
   Texture t = MakeRgba(4, 1, px);
   for (int i = 0; i < 4; ++i) {
     const float s = (static_cast<float>(i) + 0.5f) / 4.0f;
-    const auto texel = t.Sample(s, 0.5f, 0.0f);
+    const auto texel = SampleAt(t, s, 0.5f).rgba;
     EXPECT_FLOAT_EQ(texel[0], static_cast<float>(i * 10) / 255.0f) << i;
   }
 }
@@ -183,7 +196,7 @@ TEST(TextureTest, SampleValuesAreExactlyCOver255) {
   // Eq. (1) of the paper: the shader sees f = c / 255 exactly.
   std::vector<std::uint8_t> px = {0, 1, 128, 255};
   Texture t = MakeRgba(1, 1, px);
-  const auto s = t.Sample(0.5f, 0.5f, 0.0f);
+  const auto s = SampleAt(t, 0.5f, 0.5f).rgba;
   EXPECT_EQ(s[0], 0.0f / 255.0f);
   EXPECT_EQ(s[1], 1.0f / 255.0f);
   EXPECT_EQ(s[2], 128.0f / 255.0f);
@@ -197,17 +210,17 @@ TEST(TextureTest, WrapModes) {
   }
   Texture t = MakeRgba(2, 1, px);
   // CLAMP_TO_EDGE: out-of-range sticks to the border texel.
-  EXPECT_FLOAT_EQ(t.Sample(-0.3f, 0.5f, 0.0f)[0], 0.0f);
-  EXPECT_FLOAT_EQ(t.Sample(1.3f, 0.5f, 0.0f)[0], 200.0f / 255.0f);
+  EXPECT_FLOAT_EQ(SampleAt(t, -0.3f, 0.5f).rgba[0], 0.0f);
+  EXPECT_FLOAT_EQ(SampleAt(t, 1.3f, 0.5f).rgba[0], 200.0f / 255.0f);
   // REPEAT (power-of-two texture, so still complete).
   ASSERT_EQ(t.SetParameter(GL_TEXTURE_WRAP_S, GL_REPEAT), GL_NO_ERROR);
-  EXPECT_FLOAT_EQ(t.Sample(1.25f, 0.5f, 0.0f)[0],
-                  t.Sample(0.25f, 0.5f, 0.0f)[0]);
+  EXPECT_FLOAT_EQ(SampleAt(t, 1.25f, 0.5f).rgba[0],
+                  SampleAt(t, 0.25f, 0.5f).rgba[0]);
   // MIRRORED_REPEAT.
   ASSERT_EQ(t.SetParameter(GL_TEXTURE_WRAP_S, GL_MIRRORED_REPEAT),
             GL_NO_ERROR);
-  EXPECT_FLOAT_EQ(t.Sample(1.25f, 0.5f, 0.0f)[0],
-                  t.Sample(0.75f, 0.5f, 0.0f)[0]);
+  EXPECT_FLOAT_EQ(SampleAt(t, 1.25f, 0.5f).rgba[0],
+                  SampleAt(t, 0.75f, 0.5f).rgba[0]);
 }
 
 // Shader-controlled coordinates far outside the texture: s * width past the
@@ -238,34 +251,34 @@ TEST(TextureTest, CoordinatesOutsideIntRangeAreDefined) {
     const int in_range = wrap == GL_CLAMP_TO_EDGE ? 3
                          : wrap == GL_REPEAT      ? 2
                                                   : 1;
-    EXPECT_EQ(t.NearestTexelIndex(1.5f, 0.5f), row + in_range);
+    EXPECT_EQ(SampleAt(t, 1.5f, 0.5f).index, row + in_range);
     // Far positive: the right edge under CLAMP_TO_EDGE. Under the repeating
     // modes s * 4 is a multiple of the period there (every float past 2^31
     // is a multiple of 256), and +inf takes that limit: texel 0.
     const int right = wrap == GL_CLAMP_TO_EDGE ? 3 : 0;
     for (const float s : {1e9f, 1e30f, inf}) {
       SCOPED_TRACE(s);
-      EXPECT_EQ(t.NearestTexelIndex(s, 0.5f), row + right);
-      EXPECT_FLOAT_EQ(t.Sample(s, 0.5f, 0.0f)[0], red(right));
+      EXPECT_EQ(SampleAt(t, s, 0.5f).index, row + right);
+      EXPECT_FLOAT_EQ(SampleAt(t, s, 0.5f).rgba[0], red(right));
     }
     // Far negative: the left edge under every mode.
     for (const float s : {-1e30f, -inf}) {
       SCOPED_TRACE(s);
-      EXPECT_EQ(t.NearestTexelIndex(s, 0.5f), row);
-      EXPECT_FLOAT_EQ(t.Sample(s, 0.5f, 0.0f)[0], red(0));
+      EXPECT_EQ(SampleAt(t, s, 0.5f).index, row);
+      EXPECT_FLOAT_EQ(SampleAt(t, s, 0.5f).rgba[0], red(0));
     }
     // NaN addresses texel 0 of its axis.
-    EXPECT_EQ(t.NearestTexelIndex(nan, 0.5f), row);
-    EXPECT_EQ(t.NearestTexelIndex(0.5f, nan), 2);
-    EXPECT_FLOAT_EQ(t.Sample(nan, 0.5f, 0.0f)[0], red(0));
+    EXPECT_EQ(SampleAt(t, nan, 0.5f).index, row);
+    EXPECT_EQ(SampleAt(t, 0.5f, nan).index, 2);
+    EXPECT_FLOAT_EQ(SampleAt(t, nan, 0.5f).rgba[0], red(0));
 
     // Bilinear: a non-finite coordinate samples its corner texel (no NaN
     // blend weight); huge finite ones blend nothing past the edge.
     ASSERT_EQ(t.SetParameter(GL_TEXTURE_MAG_FILTER, GL_LINEAR), GL_NO_ERROR);
-    EXPECT_FLOAT_EQ(t.Sample(inf, 0.5f, 0.0f)[0], red(right));
-    EXPECT_FLOAT_EQ(t.Sample(1e30f, 0.5f, 0.0f)[0], red(right));
-    EXPECT_FLOAT_EQ(t.Sample(-inf, 0.5f, 0.0f)[0], red(0));
-    EXPECT_FLOAT_EQ(t.Sample(nan, 0.5f, 0.0f)[0], red(0));
+    EXPECT_FLOAT_EQ(SampleAt(t, inf, 0.5f).rgba[0], red(right));
+    EXPECT_FLOAT_EQ(SampleAt(t, 1e30f, 0.5f).rgba[0], red(right));
+    EXPECT_FLOAT_EQ(SampleAt(t, -inf, 0.5f).rgba[0], red(0));
+    EXPECT_FLOAT_EQ(SampleAt(t, nan, 0.5f).rgba[0], red(0));
   }
 }
 
@@ -273,8 +286,32 @@ TEST(TextureTest, BilinearInterpolatesMidpoint) {
   std::vector<std::uint8_t> px = {0, 0, 0, 255, 200, 0, 0, 255};
   Texture t = MakeRgba(2, 1, px);
   ASSERT_EQ(t.SetParameter(GL_TEXTURE_MAG_FILTER, GL_LINEAR), GL_NO_ERROR);
-  const auto s = t.Sample(0.5f, 0.5f, 0.0f);
+  const auto s = SampleAt(t, 0.5f, 0.5f).rgba;
   EXPECT_NEAR(s[0], 100.0f / 255.0f, 1e-5f);
+}
+
+TEST(TextureTest, LodPicksMinOrMagFilterPerLane) {
+  // One row, three lanes at the center of a MIN LINEAR / MAG NEAREST 2x1
+  // texture: lod > 0 minifies (the bilinear blend, 100), lod <= 0
+  // magnifies (the nearest texel, 200). Every lane addresses texel 1.
+  Texture t = MakeRgba(2, 1, {0, 0, 0, 255, 200, 0, 0, 255});
+  ASSERT_EQ(t.SetParameter(GL_TEXTURE_MIN_FILTER, GL_LINEAR), GL_NO_ERROR);
+  const float s[3] = {0.5f, 0.5f, 0.5f};
+  const float tc[3] = {0.5f, 0.5f, 0.5f};
+  const float lod[3] = {1.0f, 0.0f, -2.0f};
+  long long index[3];
+  Texture::RgbaRow rgba;
+  ASSERT_TRUE(t.SampleRow(s, tc, lod, 3, 0b111u, index, rgba));
+  EXPECT_NEAR(rgba[0][0], 100.0f / 255.0f, 1e-5f);
+  EXPECT_FLOAT_EQ(rgba[0][1], 200.0f / 255.0f);
+  EXPECT_FLOAT_EQ(rgba[0][2], 200.0f / 255.0f);
+  for (int l = 0; l < 3; ++l) EXPECT_EQ(index[l], 1) << l;
+  // Only the lanes of the mask get a color.
+  rgba[0].fill(-1.0f);
+  ASSERT_TRUE(t.SampleRow(s, tc, lod, 3, 0b101u, index, rgba));
+  EXPECT_NEAR(rgba[0][0], 100.0f / 255.0f, 1e-5f);
+  EXPECT_EQ(rgba[0][1], -1.0f);
+  EXPECT_FLOAT_EQ(rgba[0][2], 200.0f / 255.0f);
 }
 
 TEST(TextureTest, InvalidFilterEnumRejected) {

@@ -14,7 +14,6 @@
 #include "gles2_test_util.h"
 #include "glsl/alu.h"
 #include "gtest/gtest.h"
-#include "vc4/alu.h"
 #include "vc4/profiles.h"
 
 namespace mgpu::gles2 {
@@ -442,9 +441,9 @@ struct RunResult {
 };
 
 RunResult RunScenario(const Scenario& sc, int threads) {
-  // The VC4 ALU model exercises Fork() of the precision-perturbing model,
-  // not just the exact one.
-  vc4::Vc4Alu alu(vc4::VideoCoreIV());
+  // The VC4 ALU model checks that every worker's counter shard copies the
+  // precision-perturbing model, not just the exact one.
+  glsl::AluModel alu = vc4::ProfileAlu(vc4::VideoCoreIV());
   ContextConfig cfg;
   cfg.width = kW;
   cfg.height = kH;
@@ -487,9 +486,8 @@ TEST(ThreadDifferentialTest, NThreadMatchesSerialReferenceExactly) {
 
 RunResult RunScenarioOnEngine(const Scenario& sc, ExecEngine engine,
                               int threads, bool vc4_alu) {
-  vc4::Vc4Alu vc4(vc4::VideoCoreIV());
-  glsl::ExactAlu exact;
-  glsl::AluModel& alu = vc4_alu ? static_cast<glsl::AluModel&>(vc4) : exact;
+  glsl::AluModel alu =
+      vc4_alu ? vc4::ProfileAlu(vc4::VideoCoreIV()) : glsl::AluModel{};
   ContextConfig cfg;
   cfg.width = kW;
   cfg.height = kH;
@@ -602,7 +600,7 @@ TEST(EngineDifferentialTest, EveryBatchTailSizeMatchesScalar) {
   for (int n = 1; n <= kFragBatchWidth + 1; ++n) {
     SCOPED_TRACE("pixels=" + std::to_string(n));
     auto run = [&](ExecEngine engine) {
-      glsl::ExactAlu alu;
+      glsl::AluModel alu;
       ContextConfig cfg;
       cfg.width = kW;
       cfg.height = kH;
@@ -669,7 +667,7 @@ void main() { gl_FragColor = v_texel; }
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("engine=" + std::to_string(static_cast<int>(engine)) +
                    " threads=" + std::to_string(threads));
-      vc4::Vc4Alu alu(vc4::VideoCoreIV());
+      glsl::AluModel alu = vc4::ProfileAlu(vc4::VideoCoreIV());
       ContextConfig cfg;
       cfg.width = kW;
       cfg.height = kH;
@@ -720,7 +718,7 @@ void main() { gl_FragColor = v_texel; }
 TEST(ThreadDifferentialTest, TreeWalkOracleMatchesParallelVm) {
   const Scenario& sc = kScenarios[0];
   const RunResult vm = RunScenario(sc, 4);
-  vc4::Vc4Alu alu(vc4::VideoCoreIV());
+  glsl::AluModel alu = vc4::ProfileAlu(vc4::VideoCoreIV());
   ContextConfig cfg;
   cfg.width = kW;
   cfg.height = kH;
@@ -760,7 +758,7 @@ void main() {
   const RunResult ref = RunScenario(sc, 1);  // never-trapped reference
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(threads);
-    vc4::Vc4Alu alu(vc4::VideoCoreIV());
+    glsl::AluModel alu = vc4::ProfileAlu(vc4::VideoCoreIV());
     ContextConfig cfg;
     cfg.width = kW;
     cfg.height = kH;

@@ -1,15 +1,16 @@
 // Draw-state invariants. A context keeps its shading workers (each a
-// forked ALU counter shard, a TMU-cache model, a batch, a TMU log and an
-// undo journal) for its lifetime and shares them across programs; a
-// program keeps its vertex views and one fragment-engine clone per worker
-// across draws, refreshing only uniforms/globals per draw, for every
-// engine and thread count. All of it must be *invisible*: a warm draw
-// stream produces the same framebuffer bytes and the same ALU/SFU/TMU
-// operation counts as cold draws (state rebuilt by a relink) and as a
-// serial (one-worker) context, on every engine, and nothing a draw leaves
-// in a worker (journal, TMU log, batch tail, error) reaches the next
-// program's draw. The engine and the worker count are fixed per context,
-// so each configuration gets its own context.
+// counter shard copied from the context's ALU model, a TMU-cache model,
+// a batch, a TMU log and an undo journal) for its lifetime and shares
+// them across programs; a program keeps its vertex views and one
+// fragment-engine clone per worker across draws, refreshing only
+// uniforms/globals per draw, for every engine and thread count. All of it
+// must be *invisible*: a warm draw stream produces the same framebuffer
+// bytes and the same ALU/SFU/TMU operation counts as cold draws (state
+// rebuilt by a relink) and as a serial (one-worker) context, on every
+// engine, and nothing a draw leaves in a worker (journal, TMU log, batch
+// tail, error) reaches the next program's draw. The engine and the worker
+// count are fixed per context, so each configuration gets its own
+// context.
 #include <array>
 #include <cstdint>
 #include <string>
@@ -19,7 +20,6 @@
 #include "gles2_test_util.h"
 #include "glsl/alu.h"
 #include "gtest/gtest.h"
-#include "vc4/alu.h"
 #include "vc4/profiles.h"
 
 namespace mgpu::gles2 {
@@ -194,7 +194,7 @@ class StormRig {
 // Differential corpus: warm cache == cold state == serial reference
 // ---------------------------------------------------------------------------
 
-TEST(ShadeStateCacheTest, WarmDrawsAreByteAndCountIdenticalToColdDraws) {
+TEST(ShadeWorkerTest, WarmDrawsAreByteAndCountIdenticalToColdDraws) {
   StormRig warm(/*threads=*/2, /*textured=*/true);
   StormRig cold(/*threads=*/2, /*textured=*/true);
   StormRig serial(/*threads=*/1, /*textured=*/true);
@@ -225,13 +225,13 @@ TEST(ShadeStateCacheTest, WarmDrawsAreByteAndCountIdenticalToColdDraws) {
   ExpectSameCounts(w.counts, s.counts, "warm vs serial counts");
 }
 
-TEST(ShadeStateCacheTest, WarmDrawsMatchSerialUnderVc4Alu) {
+TEST(ShadeWorkerTest, WarmDrawsMatchSerialUnderVc4Alu) {
   for (const ExecEngine engine : {ExecEngine::kBatchedVm,
                                   ExecEngine::kBytecodeVm,
                                   ExecEngine::kTreeWalk}) {
     SCOPED_TRACE(static_cast<int>(engine));
-    vc4::Vc4Alu warm_alu(vc4::VideoCoreIV());
-    vc4::Vc4Alu serial_alu(vc4::VideoCoreIV());
+    glsl::AluModel warm_alu = vc4::ProfileAlu(vc4::VideoCoreIV());
+    glsl::AluModel serial_alu = vc4::ProfileAlu(vc4::VideoCoreIV());
     StormRig warm(/*threads=*/3, /*textured=*/true, &warm_alu, engine);
     StormRig serial(/*threads=*/1, /*textured=*/true, &serial_alu, engine);
     for (const DrawSpec& d : Corpus()) {
@@ -249,7 +249,7 @@ TEST(ShadeStateCacheTest, WarmDrawsMatchSerialUnderVc4Alu) {
 // Relink
 // ---------------------------------------------------------------------------
 
-TEST(ShadeStateCacheTest, RelinkUsesNewBytecode) {
+TEST(ShadeWorkerTest, RelinkUsesNewBytecode) {
   StormRig warm(/*threads=*/2, /*textured=*/false);
   StormRig serial(/*threads=*/1, /*textured=*/false);
   for (const DrawSpec& d : Corpus()) {
@@ -399,7 +399,7 @@ class SharedRig {
   Context ctx_;
 };
 
-TEST(ShadeStateCacheTest, AlternatingProgramsMatchColdDraws) {
+TEST(ShadeWorkerTest, AlternatingProgramsMatchColdDraws) {
   for (const ExecEngine engine : kEngines) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("engine=" + std::to_string(static_cast<int>(engine)) +
@@ -436,7 +436,7 @@ TEST(ShadeStateCacheTest, AlternatingProgramsMatchColdDraws) {
 // A draw of program A that a shader trap or the watchdog aborts leaves its
 // workers mid-draw: journal entries, a TMU log, a batch tail, an error.
 // The next draw, of program B, must equal B's draw on a fresh context.
-TEST(ShadeStateCacheTest, AbortedDrawLeavesNothingForTheNextProgram) {
+TEST(ShadeWorkerTest, AbortedDrawLeavesNothingForTheNextProgram) {
   const DrawSpec spanning = Corpus()[2];
   const DrawSpec plain_draw = Corpus()[4];
   for (const ExecEngine engine : kEngines) {
@@ -498,7 +498,7 @@ TEST(ShadeStateCacheTest, AbortedDrawLeavesNothingForTheNextProgram) {
 // Many programs
 // ---------------------------------------------------------------------------
 
-TEST(ShadeStateCacheTest, RoundRobinOverManyProgramsMatchesColdDraws) {
+TEST(ShadeWorkerTest, RoundRobinOverManyProgramsMatchesColdDraws) {
   // 68 programs drawn round-robin, each keeping its clones between its
   // draws, must produce exactly the bytes and counts of cold draws (each
   // program's clones dropped by a relink right after its draw).

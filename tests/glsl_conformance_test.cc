@@ -79,7 +79,7 @@ gl_FragColor = vec4(acc);)");
 }
 
 TEST(ConformanceTest, FunctionOverloadSelectsBySize) {
-  ExactAlu alu;
+  AluModel alu;
   const auto c = testutil::RunFragmentSource(R"(
 precision highp float;
 float total(vec2 v) { return v.x + v.y; }
@@ -97,7 +97,7 @@ void main() {
 }
 
 TEST(ConformanceTest, HelperFunctionsCallingHelpers) {
-  ExactAlu alu;
+  AluModel alu;
   const auto c = testutil::RunFragmentSource(R"(
 precision highp float;
 float sq(float x) { return x * x; }
@@ -110,7 +110,7 @@ void main() { gl_FragColor = vec4(poly(2.0)); }
 }
 
 TEST(ConformanceTest, ConstGlobalsFoldIntoArraySizesViaMacro) {
-  ExactAlu alu;
+  AluModel alu;
   const auto c = testutil::RunFragmentSource(R"(
 #define N 4
 precision highp float;
@@ -178,7 +178,7 @@ void main() {
   gl_FragColor = vec4(acc / 16.0);
 }
 )");
-  ExactAlu alu;
+  AluModel alu;
   ShaderExec exec(*shader, alu);
   Value& lut = exec.GlobalAt(exec.GlobalSlot("u_lut"));
   for (int i = 0; i < 16; ++i) lut.SetF(i, static_cast<float>(i));
@@ -231,7 +231,7 @@ TEST(ConformanceTest, FragCoordVisibleAndPositive) {
   auto shader = MustCompile(
       "precision highp float;\nvoid main() { gl_FragColor = "
       "vec4(gl_FragCoord.xy, gl_FragCoord.zw); }");
-  ExactAlu alu;
+  AluModel alu;
   ShaderExec exec(*shader, alu);
   Value& fc = exec.GlobalAt(exec.GlobalSlot("gl_FragCoord"));
   fc.SetF(0, 10.5f);

@@ -157,7 +157,7 @@ gl_FragColor = vec4(acc);)");
 }
 
 TEST(InterpTest, FunctionCallWithReturn) {
-  ExactAlu alu;
+  AluModel alu;
   const auto c = RunFragmentSource(R"(
 precision highp float;
 float sq(float x) { return x * x; }
@@ -169,7 +169,7 @@ void main() { gl_FragColor = vec4(sq(3.0), sq(sq(2.0)), 0.0, 1.0); }
 }
 
 TEST(InterpTest, OutParamsWriteBack) {
-  ExactAlu alu;
+  AluModel alu;
   const auto c = RunFragmentSource(R"(
 precision highp float;
 void decompose(float v, out float ipart, out float fpart) {
@@ -188,7 +188,7 @@ void main() {
 }
 
 TEST(InterpTest, InoutParamModifies) {
-  ExactAlu alu;
+  AluModel alu;
   const auto c = RunFragmentSource(R"(
 precision highp float;
 void bump(inout float x) { x += 1.0; }
@@ -203,7 +203,7 @@ void main() {
 }
 
 TEST(InterpTest, OutParamSwizzleTarget) {
-  ExactAlu alu;
+  AluModel alu;
   const auto c = RunFragmentSource(R"(
 precision highp float;
 void pair(out vec2 p) { p = vec2(7.0, 8.0); }
@@ -262,7 +262,7 @@ gl_FragColor = vec4(sum);)");
 }
 
 TEST(InterpTest, GlobalConstAndInitializer) {
-  ExactAlu alu;
+  AluModel alu;
   const auto c = RunFragmentSource(R"(
 precision highp float;
 const float kScale = 3.0;
@@ -291,7 +291,7 @@ TEST(InterpTest, UniformsSettableFromHost) {
       "precision highp float;\nuniform float u_scale;\nuniform vec2 "
       "u_offset;\nvoid main() { gl_FragColor = vec4(u_scale * 2.0, "
       "u_offset, 1.0); }");
-  ExactAlu alu;
+  AluModel alu;
   ShaderExec exec(*shader, alu);
   exec.GlobalAt(exec.GlobalSlot("u_scale")).SetF(0, 5.0f);
   Value& off = exec.GlobalAt(exec.GlobalSlot("u_offset"));
@@ -308,7 +308,7 @@ TEST(InterpTest, DiscardReturnsFalse) {
   auto shader = MustCompile(
       "precision highp float;\nuniform float u_kill;\nvoid main() { if "
       "(u_kill > 0.5) discard; gl_FragColor = vec4(1.0); }");
-  ExactAlu alu;
+  AluModel alu;
   ShaderExec exec(*shader, alu);
   exec.GlobalAt(exec.GlobalSlot("u_kill")).SetF(0, 1.0f);
   EXPECT_FALSE(exec.Run(alu, {}));
@@ -320,7 +320,7 @@ TEST(InterpTest, TextureFetchGoesThroughCallback) {
   auto shader = MustCompile(
       "precision highp float;\nuniform sampler2D u_tex;\nvoid main() { "
       "gl_FragColor = texture2D(u_tex, vec2(0.25, 0.75)); }");
-  ExactAlu alu;
+  AluModel alu;
   ShaderExec exec(*shader, alu);
   exec.GlobalAt(exec.GlobalSlot("u_tex")).SetI(0, 3);
   int seen_unit = -1;
@@ -344,13 +344,13 @@ TEST(InterpTest, RunawayLoopRaisesRuntimeError) {
   auto shader = MustCompile(
       "precision highp float;\nvoid main() { float a = 0.0; while (true) { a "
       "+= 1.0; } gl_FragColor = vec4(a); }");
-  ExactAlu alu;
+  AluModel alu;
   ShaderExec exec(*shader, alu);
   EXPECT_THROW(exec.Run(alu, {}), ShaderRuntimeError);
 }
 
 TEST(InterpTest, OpCountsAccumulate) {
-  ExactAlu alu;
+  AluModel alu;
   (void)RunFragment("gl_FragColor = vec4(1.0 + 2.0, 3.0 * 4.0, 5.0 - 1.0, "
                     "8.0 / 2.0);",
                     alu);
@@ -364,7 +364,7 @@ TEST(InterpTest, RunIsRepeatableAfterStateChange) {
   auto shader = MustCompile(
       "precision highp float;\nuniform float u_x;\nvoid main() { "
       "gl_FragColor = vec4(u_x * u_x); }");
-  ExactAlu alu;
+  AluModel alu;
   ShaderExec exec(*shader, alu);
   for (float x : {1.0f, 2.0f, 3.0f, 4.0f}) {
     exec.GlobalAt(exec.GlobalSlot("u_x")).SetF(0, x);
@@ -378,7 +378,7 @@ TEST(InterpTest, VertexStageWritesPosition) {
   auto shader = MustCompile(
       "attribute vec4 a_pos;\nvoid main() { gl_Position = a_pos * 2.0; }",
       Stage::kVertex);
-  ExactAlu alu;
+  AluModel alu;
   ShaderExec exec(*shader, alu);
   Value& attr = exec.GlobalAt(exec.GlobalSlot("a_pos"));
   attr.SetF(0, 0.5f);

@@ -53,7 +53,7 @@ inline std::array<float, 4> RunFragment(const std::string& body,
 }
 
 inline std::array<float, 4> RunFragment(const std::string& body) {
-  ExactAlu alu;
+  AluModel alu;
   return RunFragment(body, alu);
 }
 

@@ -8,7 +8,7 @@
 // invocation), and the same VmExec lane-batched at every tail size
 // 1..kVmLanes — and must produce byte-identical gl_FragColor bits,
 // identical per-lane discard decisions, and identical ALU/SFU/TMU op
-// counts (ExactAlu and Vc4Alu).
+// counts (the IEEE-exact and the VideoCore IV ALU models).
 //
 // The same generator also emits VERTEX-stage programs (attribute input,
 // gl_Position output, no discard) for the identical engine sweep, and a
@@ -49,7 +49,6 @@
 #include "glsl/ir.h"
 #include "glsl/vm.h"
 #include "glsl_test_util.h"
-#include "vc4/alu.h"
 #include "vc4/profiles.h"
 
 #include "gtest/gtest.h"
@@ -1006,14 +1005,14 @@ const char* FuzzAluName(FuzzAlu kind) {
   }
 }
 
-std::unique_ptr<AluModel> MakeFuzzAlu(FuzzAlu kind) {
+AluModel MakeFuzzAlu(FuzzAlu kind) {
   switch (kind) {
     case FuzzAlu::kVc4:
-      return std::make_unique<vc4::Vc4Alu>(vc4::VideoCoreIV());
+      return vc4::ProfileAlu(vc4::VideoCoreIV());
     case FuzzAlu::kMali400:
-      return std::make_unique<vc4::Vc4Alu>(vc4::Mali400());
+      return vc4::ProfileAlu(vc4::Mali400());
     default:
-      return std::make_unique<ExactAlu>();
+      return AluModel{};
   }
 }
 
@@ -1044,12 +1043,9 @@ void RunFuzzCase(std::uint64_t seed, FuzzAlu kind, Stage stage) {
                      << "):\n" << cr.info_log << "\nsource:\n" << src;
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
 
-  const std::unique_ptr<AluModel> alu_t_owned = MakeFuzzAlu(kind);
-  const std::unique_ptr<AluModel> alu_s_owned = MakeFuzzAlu(kind);
-  const std::unique_ptr<AluModel> alu_b_owned = MakeFuzzAlu(kind);
-  AluModel& alu_t = *alu_t_owned;
-  AluModel& alu_s = *alu_s_owned;
-  AluModel& alu_b = *alu_b_owned;
+  AluModel alu_t = MakeFuzzAlu(kind);
+  AluModel alu_s = MakeFuzzAlu(kind);
+  AluModel alu_b = MakeFuzzAlu(kind);
 
   ShaderExec tree(*cr.shader, alu_t);
   VmExec one_lane(prog, alu_s);
@@ -1312,12 +1308,11 @@ void RunTrapParityCase(const TrapProgram& tp, std::uint64_t seed,
                      << "):\n" << cr.info_log << "\nsource:\n" << tp.src;
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
 
-  const vc4::GpuProfile profile = vc4::VideoCoreIV();
-  ExactAlu exact_t, exact_s, exact_b;
-  vc4::Vc4Alu vc4_t(profile), vc4_s(profile), vc4_b(profile);
-  AluModel& alu_t = vc4_alu ? static_cast<AluModel&>(vc4_t) : exact_t;
-  AluModel& alu_s = vc4_alu ? static_cast<AluModel&>(vc4_s) : exact_s;
-  AluModel& alu_b = vc4_alu ? static_cast<AluModel&>(vc4_b) : exact_b;
+  const AluModel model =
+      vc4_alu ? vc4::ProfileAlu(vc4::VideoCoreIV()) : AluModel{};
+  AluModel alu_t = model;
+  AluModel alu_s = model;
+  AluModel alu_b = model;
 
   ShaderExec tree(*cr.shader, alu_t);
   VmExec one_lane(prog, alu_s);
@@ -1599,7 +1594,7 @@ void main() {
 })",
                                  Stage::kFragment);
   ASSERT_TRUE(cr.ok) << cr.info_log;
-  ExactAlu alu;
+  AluModel alu;
   VmExec batch(LowerToBytecode(*cr.shader), alu);
   const int in_slot = batch.GlobalSlot("v_in");
   const int color_slot = batch.GlobalSlot("gl_FragColor");
@@ -1658,7 +1653,6 @@ void main() {
 namespace mgpu::gles2 {
 namespace {
 
-using glsl::ExactAlu;
 using glsl::ExpectCountsEq;
 using glsl::GlslFuzzer;
 using glsl::OpCounts;
@@ -1759,10 +1753,8 @@ DrawOutcome RunWholeDraw(const DrawScene& sc, ExecEngine engine,
   cfg.exec_engine = engine;
   cfg.shader_threads = sc.threads;
   cfg.draw_budget = draw_budget;
-  const vc4::GpuProfile profile = vc4::VideoCoreIV();
-  ExactAlu exact;
-  vc4::Vc4Alu vc4a(profile);
-  glsl::AluModel& alu = vc4_alu ? static_cast<glsl::AluModel&>(vc4a) : exact;
+  glsl::AluModel alu =
+      vc4_alu ? vc4::ProfileAlu(vc4::VideoCoreIV()) : glsl::AluModel{};
   Context ctx(cfg, &alu);
 
   // Deterministic NPOT texture for u_tex, which both stages sample.

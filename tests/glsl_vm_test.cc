@@ -25,7 +25,6 @@
 #include "glsl/interp.h"
 #include "glsl/ir.h"
 #include "glsl/vm.h"
-#include "vc4/alu.h"
 #include "vc4/profiles.h"
 
 #include "glsl_test_util.h"
@@ -108,11 +107,10 @@ void ExpectEnginesAgree(const Case& c, bool vc4_alu = false) {
   ASSERT_TRUE(cr.ok) << "compile failed [" << c.label << "]:\n"
                      << cr.info_log << "\nsource:\n" << c.source;
 
-  const vc4::GpuProfile profile = vc4::VideoCoreIV();
-  ExactAlu exact_a, exact_b;
-  vc4::Vc4Alu vc4_a(profile), vc4_b(profile);
-  AluModel& alu_interp = vc4_alu ? static_cast<AluModel&>(vc4_a) : exact_a;
-  AluModel& alu_vm = vc4_alu ? static_cast<AluModel&>(vc4_b) : exact_b;
+  const AluModel model =
+      vc4_alu ? vc4::ProfileAlu(vc4::VideoCoreIV()) : AluModel{};
+  AluModel alu_interp = model;
+  AluModel alu_vm = model;
 
   ShaderExec interp(*cr.shader, alu_interp);
   VmExec vm(LowerToBytecode(*cr.shader), alu_vm);
@@ -545,7 +543,7 @@ TEST(VmDifferentialTest, CallDepthLimitIsACompileError) {
   // engines; 65 are rejected by sema, for every engine alike.
   {
     auto shader = testutil::MustCompile(DeepCallProgram(64));
-    ExactAlu alu_a, alu_b;
+    AluModel alu_a, alu_b;
     ShaderExec interp(*shader, alu_a);
     VmExec vm(LowerToBytecode(*shader), alu_b);
     ASSERT_TRUE(interp.Run(alu_a, {}));
@@ -743,7 +741,7 @@ TEST(VmExecTest, RunawayLoopRaisesRuntimeError) {
   auto shader = testutil::MustCompile(
       "precision highp float;\nvoid main() { float a = 0.0; while (true) { a "
       "+= 1.0; } gl_FragColor = vec4(a); }");
-  ExactAlu alu;
+  AluModel alu;
   VmExec vm(LowerToBytecode(*shader), alu);
   EXPECT_THROW(vm.RunBatch(1, alu, {}), ShaderRuntimeError);
 }
@@ -758,7 +756,7 @@ void main() {
   else { gl_FragColor = vec4(2.0); }
 }
 )");
-  ExactAlu alu;
+  AluModel alu;
   VmExec vm(LowerToBytecode(*shader), alu);
   vm.GlobalAt(vm.GlobalSlot("u_sel")).SetF(0, 0.0f);
   EXPECT_EQ(vm.RunBatch(1, alu, {}), 1u);
@@ -772,7 +770,7 @@ TEST(VmExecTest, RunIsRepeatableAfterStateChange) {
   auto shader = testutil::MustCompile(
       "precision highp float;\nuniform float u_x;\nvoid main() { "
       "gl_FragColor = vec4(u_x * u_x); }");
-  ExactAlu alu;
+  AluModel alu;
   VmExec vm(LowerToBytecode(*shader), alu);
   for (float x : {1.0f, 2.0f, 3.0f, 4.0f}) {
     vm.GlobalAt(vm.GlobalSlot("u_x")).SetF(0, x);
@@ -786,7 +784,7 @@ TEST(VmExecTest, VertexStageWritesPosition) {
   auto shader = testutil::MustCompile(
       "attribute vec4 a_pos;\nvoid main() { gl_Position = a_pos * 2.0; }",
       Stage::kVertex);
-  ExactAlu alu;
+  AluModel alu;
   VmExec vm(LowerToBytecode(*shader), alu);
   const PlaneDst attr = vm.LaneGlobal(vm.GlobalSlot("a_pos"));
   attr.at(0, 0).f = 0.5f;
@@ -809,9 +807,9 @@ float plain = kA * 3.0;
 float root = sqrt(kA);
 void main() { gl_FragColor = vec4(plain, root, 0.0, 1.0); }
 )");
-  ExactAlu alu;
+  AluModel alu;
   VmExec vm(LowerToBytecode(*shader), alu);
-  ExactAlu oracle_alu;
+  AluModel oracle_alu;
   ShaderExec oracle(*shader, oracle_alu);
   EXPECT_GT(alu.counts().alu, 0u);
   EXPECT_EQ(alu.counts().alu, oracle_alu.counts().alu);
@@ -869,7 +867,7 @@ TEST(VmGles2Test, DrawsAreByteIdenticalAcrossEngines) {
 
   // The engine is fixed per context, so each engine draws on its own.
   auto draw_and_read = [&](ExecEngine engine, glsl::OpCounts* counts) {
-    vc4::Vc4Alu alu(vc4::VideoCoreIV());
+    glsl::AluModel alu = vc4::ProfileAlu(vc4::VideoCoreIV());
     ContextConfig cfg;
     cfg.width = 32;
     cfg.height = 32;
@@ -925,7 +923,7 @@ TEST(VmGles2Test, LinkChargesGlobalInitializersEquallyOnEveryEngine) {
 
   auto link_counts = [&](ExecEngine engine) {
     SCOPED_TRACE(static_cast<int>(engine));
-    vc4::Vc4Alu alu(vc4::VideoCoreIV());
+    glsl::AluModel alu = vc4::ProfileAlu(vc4::VideoCoreIV());
     ContextConfig cfg;
     cfg.exec_engine = engine;
     Context gl(cfg, &alu);
@@ -1265,14 +1263,14 @@ std::array<float, 4> LaneInput(int lane) {
 // flush, 10-bit mantissa — the mantissa-rounding branch of RoundSpec).
 enum class BatchAlu { kExact, kVc4, kMali400 };
 
-std::unique_ptr<AluModel> MakeBatchAlu(BatchAlu kind) {
+AluModel MakeBatchAlu(BatchAlu kind) {
   switch (kind) {
     case BatchAlu::kVc4:
-      return std::make_unique<vc4::Vc4Alu>(vc4::VideoCoreIV());
+      return vc4::ProfileAlu(vc4::VideoCoreIV());
     case BatchAlu::kMali400:
-      return std::make_unique<vc4::Vc4Alu>(vc4::Mali400());
+      return vc4::ProfileAlu(vc4::Mali400());
     default:
-      return std::make_unique<ExactAlu>();
+      return AluModel{};
   }
 }
 
@@ -1283,10 +1281,8 @@ void ExpectBatchMatchesScalar(const BatchCase& c, int lanes, BatchAlu kind) {
   ASSERT_TRUE(cr.ok) << cr.info_log;
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
 
-  const std::unique_ptr<AluModel> alu_s_owned = MakeBatchAlu(kind);
-  const std::unique_ptr<AluModel> alu_b_owned = MakeBatchAlu(kind);
-  AluModel& alu_s = *alu_s_owned;
-  AluModel& alu_b = *alu_b_owned;
+  AluModel alu_s = MakeBatchAlu(kind);
+  AluModel alu_b = MakeBatchAlu(kind);
   VmExec one_lane(prog, alu_s);
   VmExec batch(prog, alu_b);
 
@@ -1397,7 +1393,7 @@ TEST(VmBatchDifferentialTest, RepeatedBatchesReuseStateCorrectly) {
   CompileResult cr = CompileGlsl(c.source, Stage::kFragment);
   ASSERT_TRUE(cr.ok);
   std::shared_ptr<const VmProgram> prog = LowerToBytecode(*cr.shader);
-  ExactAlu alu_s, alu_b;
+  AluModel alu_s, alu_b;
   VmExec one_lane(prog, alu_s);
   VmExec batch(prog, alu_b);
   const int in_slot = one_lane.GlobalSlot("v_in");
@@ -1454,7 +1450,7 @@ void main() {
   ASSERT_NE(prog->lane_global[static_cast<std::size_t>(acc_slot)], 0);
   ASSERT_EQ(prog->lane_global[static_cast<std::size_t>(rows_slot)], 0);
 
-  ExactAlu alu_base;
+  AluModel alu_base;
   VmExec base(prog, alu_base);
   const std::unique_ptr<ShaderEngine> clone = base.Clone();
   for (ShaderEngine* e : {static_cast<ShaderEngine*>(&base), clone.get()}) {
@@ -1471,7 +1467,7 @@ void main() {
 
   for (const int width : {1, kVmLanes}) {
     SCOPED_TRACE("width=" + std::to_string(width));
-    ExactAlu alu_t, alu_v;
+    AluModel alu_t, alu_v;
     ShaderExec tree(*shader, alu_t);
     VmExec vm(prog, alu_v);
     const PlaneDst v_in = vm.LaneGlobal(vm.GlobalSlot("v_in"));
@@ -1608,7 +1604,7 @@ void main() {
 
   CompileResult cr = CompileGlsl(c.source, Stage::kFragment);
   ASSERT_TRUE(cr.ok) << cr.info_log;
-  ExactAlu alu;
+  AluModel alu;
   VmExec vm(LowerToBytecode(*cr.shader), alu);
   const EngineRun r = RunEngine(vm, alu, c);
   ASSERT_TRUE(r.ok);
@@ -1630,7 +1626,7 @@ void main() { gl_FragColor = vec4(float(k), 0.0, 0.0, 1.0); }
   ExpectEnginesAgree({"const_int_min_div", fs, {}, {}});
 
   using namespace mgpu::gles2;
-  vc4::Vc4Alu alu(vc4::VideoCoreIV());
+  glsl::AluModel alu = vc4::ProfileAlu(vc4::VideoCoreIV());
   ContextConfig cfg;
   cfg.width = 4;
   cfg.height = 4;
@@ -1759,8 +1755,8 @@ void ExpectKernelMatchesScalar(const std::string& what, BatchAlu kind,
   SCOPED_TRACE(what + " alu=" + std::to_string(static_cast<int>(kind)) +
                " mask=" + std::to_string(mask) +
                " dst=" + std::to_string(static_cast<int>(dst_kind)));
-  const std::unique_ptr<AluModel> oracle_alu = MakeBatchAlu(kind);
-  const std::unique_ptr<AluModel> batch_alu = MakeBatchAlu(kind);
+  AluModel oracle_alu = MakeBatchAlu(kind);
+  AluModel batch_alu = MakeBatchAlu(kind);
   const int n = out_type.CellCount();
 
   // The oracle, lane by lane, on the operands' values before the kernel.
@@ -1772,7 +1768,7 @@ void ExpectKernelMatchesScalar(const std::string& what, BatchAlu kind,
     std::vector<const Value*> ptrs;
     for (const Value& a : args) ptrs.push_back(&a);
     expected[static_cast<std::size_t>(l)] = Value(out_type);
-    scalar(*oracle_alu, ptrs, expected[static_cast<std::size_t>(l)]);
+    scalar(oracle_alu, ptrs, expected[static_cast<std::size_t>(l)]);
   }
 
   std::vector<Cell> own(static_cast<std::size_t>(n) *
@@ -1788,7 +1784,7 @@ void ExpectKernelMatchesScalar(const std::string& what, BatchAlu kind,
           : PlaneDst{dst_cells.data(), kVmLanes, 1, out_type};
   std::vector<PlaneSrc> views;
   for (const KernelOperand& op : ops) views.push_back(op.View());
-  batch(*batch_alu, views, dst, mask);
+  batch(batch_alu, views, dst, mask);
 
   const int top = kVmLanes - std::countl_zero(mask);
   for (int l = 0; l < kVmLanes; ++l) {
@@ -1815,8 +1811,8 @@ void ExpectKernelMatchesScalar(const std::string& what, BatchAlu kind,
     }
     if (dst_kind == KernelDst::kShared) break;
   }
-  const OpCounts& a = batch_alu->counts();
-  const OpCounts& b = oracle_alu->counts();
+  const OpCounts& a = batch_alu.counts();
+  const OpCounts& b = oracle_alu.counts();
   EXPECT_EQ(a.alu, b.alu);
   EXPECT_EQ(a.sfu, b.sfu);
   EXPECT_EQ(a.sfu_trans, b.sfu_trans);

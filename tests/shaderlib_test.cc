@@ -59,7 +59,7 @@ TEST_P(DeltaEquivalence, UnpackRecoversExactByte) {
   // Inject the library ahead of the body via a full-source run.
   const std::string full = "precision highp float;\n" + DeltaByteFunctions() +
                            "void main() {\n" + src + "\n}\n";
-  glsl::ExactAlu alu;
+  glsl::AluModel alu;
   const auto out = glsl::testutil::RunFragmentSource(full, alu);
   const float delta_byte = out[0] * 255.0f;
   const float robust_byte = out[1] * 255.0f;
@@ -82,7 +82,7 @@ TEST(ShaderLibTest, DeltaPackLandsOnByteUnderFloorConversion) {
         "  gl_FragColor = vec4(floor(clamp(f, 0.0, 1.0) * 255.0) / 255.0,\n"
         "                      0.0, 0.0, 0.0);\n}\n",
         DeltaByteFunctions().c_str(), b);
-    glsl::ExactAlu alu;
+    glsl::AluModel alu;
     const auto out = glsl::testutil::RunFragmentSource(full, alu);
     EXPECT_NEAR(out[0] * 255.0f, static_cast<float>(b), 0.01f) << b;
   }
@@ -99,7 +99,7 @@ TEST(ShaderLibTest, PreambleHelpersBehave) {
       "void main() {\n"
       "  vec2 c = gp_coord(5.0, vec2(4.0, 2.0));\n"  // index 5 -> (1, 1)
       "  gl_FragColor = vec4(c, 0.0, 0.0);\n}\n";
-  glsl::ExactAlu alu;
+  glsl::AluModel alu;
   const auto out = glsl::testutil::RunFragmentSource(full, alu);
   EXPECT_FLOAT_EQ(out[0], 1.5f / 4.0f);
   EXPECT_FLOAT_EQ(out[1], 1.5f / 2.0f);

@@ -4,7 +4,6 @@
 
 #include "common/bits.h"
 #include "common/rng.h"
-#include "vc4/alu.h"
 #include "vc4/profiles.h"
 #include "vc4/timing.h"
 
@@ -24,7 +23,7 @@ TEST(ProfileTest, Mali400LacksFragmentHighp) {
 }
 
 TEST(Vc4AluTest, Exp2ErrorBoundedBySfuBits) {
-  Vc4Alu alu(VideoCoreIV());
+  glsl::AluModel alu = ProfileAlu(VideoCoreIV());
   Rng rng(42);
   for (int i = 0; i < 2000; ++i) {
     const float x = rng.NextFloat(-20.0f, 20.0f);
@@ -36,14 +35,14 @@ TEST(Vc4AluTest, Exp2ErrorBoundedBySfuBits) {
 }
 
 TEST(Vc4AluTest, Exp2ErrorIsDeterministic) {
-  Vc4Alu alu(VideoCoreIV());
+  glsl::AluModel alu = ProfileAlu(VideoCoreIV());
   EXPECT_EQ(alu.Exp2(3.7f), alu.Exp2(3.7f));
 }
 
 TEST(Vc4AluTest, Exp2IsNotExactOnVc4) {
   // The mechanism behind the paper's 15-bit result: exp2 of even integer
   // arguments carries SFU error.
-  Vc4Alu alu(VideoCoreIV());
+  glsl::AluModel alu = ProfileAlu(VideoCoreIV());
   int inexact = 0;
   for (int e = -100; e <= 100; ++e) {
     if (alu.Exp2(static_cast<float>(e)) !=
@@ -57,7 +56,7 @@ TEST(Vc4AluTest, Exp2IsNotExactOnVc4) {
 TEST(Vc4AluTest, RecipNearExact) {
   // Newton-Raphson refined: the integer path (which divides by powers of
   // 256) must stay exact — that is why the paper's int results validate.
-  Vc4Alu alu(VideoCoreIV());
+  glsl::AluModel alu = ProfileAlu(VideoCoreIV());
   Rng rng(7);
   for (int i = 0; i < 2000; ++i) {
     const float x = rng.NextWorkloadFloat();
@@ -66,7 +65,7 @@ TEST(Vc4AluTest, RecipNearExact) {
 }
 
 TEST(Vc4AluTest, Log2ErrorBounded) {
-  Vc4Alu alu(VideoCoreIV());
+  glsl::AluModel alu = ProfileAlu(VideoCoreIV());
   Rng rng(9);
   for (int i = 0; i < 2000; ++i) {
     const float x = rng.NextFloat(1e-3f, 1e6f);
@@ -76,14 +75,14 @@ TEST(Vc4AluTest, Log2ErrorBounded) {
 }
 
 TEST(Vc4AluTest, DenormalsFlushToZero) {
-  Vc4Alu alu(VideoCoreIV());
+  glsl::AluModel alu = ProfileAlu(VideoCoreIV());
   const float denormal = 1e-40f;
   EXPECT_EQ(alu.Add(denormal, 0.0f), 0.0f);
   EXPECT_EQ(alu.Add(1.0f, 1.0f), 2.0f);
 }
 
 TEST(Vc4AluTest, MediumpAluRoundsTo10Bits) {
-  Vc4Alu alu(Mali400());
+  glsl::AluModel alu = ProfileAlu(Mali400());
   const float x = alu.Add(1.0f, 1.0f / 4096.0f);  // needs 12 mantissa bits
   EXPECT_EQ(x, 1.0f);  // rounded away at 10 bits
   const float y = alu.Add(1.0f, 1.0f / 256.0f);  // needs 8 bits: survives
@@ -91,7 +90,7 @@ TEST(Vc4AluTest, MediumpAluRoundsTo10Bits) {
 }
 
 TEST(Vc4AluTest, ExactAluIsExact) {
-  glsl::ExactAlu alu;
+  glsl::AluModel alu;
   EXPECT_EQ(alu.Exp2(7.0f), 128.0f);
   EXPECT_EQ(alu.Div(1.0f, 3.0f), 1.0f / 3.0f);
 }
@@ -103,10 +102,7 @@ TEST(Vc4AluTest, TwoNanOperandsKeepTheFirstOperandsNan) {
   const float pos = BitsToFloat(0x7fc00000u);
   const float snan = BitsToFloat(0x7fa00000u);
   for (const bool vc4 : {false, true}) {
-    Vc4Alu vc4_alu(VideoCoreIV());
-    glsl::ExactAlu exact_alu;
-    glsl::AluModel& alu =
-        vc4 ? static_cast<glsl::AluModel&>(vc4_alu) : exact_alu;
+    glsl::AluModel alu = vc4 ? ProfileAlu(VideoCoreIV()) : glsl::AluModel{};
     EXPECT_EQ(FloatToBits(alu.Add(neg, pos)), 0xffc00000u);
     EXPECT_EQ(FloatToBits(alu.Add(pos, neg)), 0x7fc00000u);
     EXPECT_EQ(FloatToBits(alu.Sub(pos, neg)), 0x7fc00000u);
@@ -117,7 +113,7 @@ TEST(Vc4AluTest, TwoNanOperandsKeepTheFirstOperandsNan) {
 }
 
 TEST(Vc4AluTest, OpCountsAccumulateAcrossKinds) {
-  Vc4Alu alu(VideoCoreIV());
+  glsl::AluModel alu = ProfileAlu(VideoCoreIV());
   (void)alu.Add(1.0f, 2.0f);
   (void)alu.Mul(1.0f, 2.0f);
   (void)alu.Exp2(1.0f);       // transcendental SFU class
